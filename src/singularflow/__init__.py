@@ -46,6 +46,7 @@ from .errors import (
     SingularBlend,
     SingularFlowError,
     StepFailure,
+    TooManyCrossings,
     UnknownField,
     UnknownFigure,
 )

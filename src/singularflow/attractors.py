@@ -335,7 +335,7 @@ def find_limit_cycle(
                 rhs, lead.final_state, t_here + nudge, section, +1, sec_opts,
                 t_here + return_horizon, postprocess=_sphere_project,
             )
-        except NoEvent:
+        except (NoEvent, StepFailure):
             raise LimitCycleNotFound("no recurrence within the return horizon") from None
         if np.linalg.norm(rhs(0.0, y_ret)) < 1e-7:
             raise LimitCycleNotFound("orbit converges to a fixed point")
@@ -536,7 +536,7 @@ def rescaled_escape(
             tau_x, x_x, _seg = _integrate_to_crossing(
                 rhs, x, tau, ball, +1, in_opts, tau_budget
             )
-        except NoEvent:
+        except (NoEvent, StepFailure):
             return EscapeResult(
                 "trapped",
                 t_ent,

@@ -30,11 +30,22 @@ class StepFailure(SingularFlowError):
 
 
 class NoEvent(SingularFlowError):
-    """No event crossing found within the integration horizon."""
+    """No event crossing found within the integration horizon.
+
+    Carries the trajectory integrated before giving up, when there is one.
+    """
+
+    def __init__(self, message, trajectory=None):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 class NoEventDirection(NoEvent):
     """Event function already on (or past) the crossing side at the start."""
+
+
+class TooManyCrossings(SingularFlowError):
+    """A regularized run crossed the ball boundary more often than allowed."""
 
 
 class NotBlowingUp(SingularFlowError):

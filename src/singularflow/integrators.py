@@ -59,8 +59,8 @@ DEFAULT_OPTIONS = IntegrationOptions()
 class Trajectory:
     """Sampled solution with cubic Hermite dense output per accepted step.
 
-    status is one of completed | hit_radius_floor | hit_event | step_failure
-    and explains the terminal sample.
+    status is one of completed | stopped | hit_radius_floor | hit_event |
+    step_failure and explains the terminal sample.
     """
 
     times: np.ndarray
@@ -122,8 +122,10 @@ class Trajectory:
 
 
 def _error_norm(err, y0, y1, atol, rtol):
+    # the RMS of err/scale; add.reduce then a division is np.mean bit for bit,
+    # without its per-call overhead
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+    return math.sqrt(float(np.add.reduce((err / scale) ** 2)) / err.size)
 
 
 def _initial_step(rhs, t0, y0, f0, direction, atol, rtol, max_step):
@@ -146,13 +148,17 @@ def _stepper(rhs, x0, t0, t1, opts, postprocess=None):
     """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new).
 
     Raises StopIteration values through generator return semantics; the
-    wrapping drivers collect samples and statuses.
+    wrapping drivers collect samples and statuses.  A non-finite start or
+    error estimate (NaN or inf in the state or the right-hand side) raises
+    StepFailure: no step size can repair it.
     """
     y = np.asarray(x0, dtype=float).copy()
     t = t0
     f = np.asarray(rhs(t, y), dtype=float)
     if y.shape != f.shape:
         raise ValueError("rhs output shape does not match the state shape")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f))):
+        raise StepFailure(f"non-finite state or right-hand side at t = {t!r}", None)
     h = _initial_step(rhs, t, y, f, 1.0, opts.atol, opts.rtol, opts.max_step)
     h = min(h, t1 - t0)
     K = np.empty((7, y.size))
@@ -170,6 +176,11 @@ def _stepper(rhs, x0, t0, t1, opts, postprocess=None):
         K[6] = f_new
         err = h * (K.T @ _E)
         enorm = _error_norm(err, y, y_new, opts.atol, opts.rtol)
+        if not math.isfinite(enorm):
+            raise StepFailure(
+                f"non-finite state or right-hand side in the step from t = {t!r} (h = {h!r})",
+                None,
+            )
         if enorm <= 1.0:
             if postprocess is not None:
                 y_adj = postprocess(t_new, y_new)
@@ -186,6 +197,10 @@ def _stepper(rhs, x0, t0, t1, opts, postprocess=None):
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * enorm ** -0.2))
 
 
+def _trajectory(times, states, derivs, status) -> Trajectory:
+    return Trajectory(np.array(times), np.array(states), np.array(derivs), status)
+
+
 def integrate(
     rhs: Callable,
     x0,
@@ -193,13 +208,19 @@ def integrate(
     t1: float,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     postprocess=None,
+    until: Optional[Callable] = None,
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with adaptive 5(4) stepping.
 
     Stops early with status hit_radius_floor when |x| drops below
     opts.r_floor (the ideal singular field cannot be followed into the
     origin).  Raises StepFailure, carrying the partial trajectory, when the
-    step size underflows.
+    step size underflows or the state turns non-finite.
+
+    until, if given, is polled after every accepted step as until(t, partial),
+    where partial() builds the trajectory up to t; a true result ends the run
+    at that step with status stopped.  The steps taken never depend on it, so
+    a stopped run is a prefix of the full one.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -208,6 +229,10 @@ def integrate(
     states = [x0.astype(float)]
     derivs = [np.asarray(rhs(t0, x0), dtype=float)]
     status = "completed"
+
+    def partial():
+        return _trajectory(times, states, derivs, "stopped")
+
     try:
         for tp, yp, fp, t_new, y_new, f_new in _stepper(rhs, x0, t0, t1, opts, postprocess):
             floor_hit = None
@@ -223,10 +248,12 @@ def integrate(
             times.append(t_new)
             states.append(y_new)
             derivs.append(f_new)
+            if until is not None and until(t_new, partial):
+                status = "stopped"
+                break
     except StepFailure as exc:
-        traj = Trajectory(np.array(times), np.array(states), np.array(derivs), "step_failure")
-        raise StepFailure(str(exc), traj) from None
-    return Trajectory(np.array(times), np.array(states), np.array(derivs), status)
+        raise StepFailure(str(exc), _trajectory(times, states, derivs, "step_failure")) from None
+    return _trajectory(times, states, derivs, status)
 
 
 def _floor_crossing(r_floor, tp, yp, fp, tn, yn, fn):
@@ -304,7 +331,10 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
 
     Detects the first crossing of event through zero in the requested
     direction strictly after t0, scanning the dense output of each accepted
-    step.  Returns (t_event, x_event, trajectory ending at the event).
+    step.  Returns (t_event, x_event, trajectory ending at the event).  When
+    the run reaches t_max without a crossing, the NoEvent it raises carries
+    the completed trajectory to t_max; a StepFailure propagates with the
+    partial trajectory.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (upward) or -1 (downward)")
@@ -336,8 +366,7 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
                 times.append(t_e)
                 states.append(x_e)
                 derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
-                traj = Trajectory(np.array(times), np.array(states), np.array(derivs), "hit_event")
-                return t_e, x_e, traj
+                return t_e, x_e, _trajectory(times, states, derivs, "hit_event")
             g_prev = ga
             times.append(tn)
             states.append(yn)
@@ -345,8 +374,11 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
             if opts.r_floor > 0.0 and math.sqrt(float(yn @ yn)) < opts.r_floor:
                 raise NoEvent("trajectory hit the radius floor before the event")
     except StepFailure as exc:
-        raise NoEvent(f"integration failed before the event: {exc}") from None
-    raise NoEvent(f"no event crossing within horizon t <= {t_max!r}")
+        raise StepFailure(str(exc), _trajectory(times, states, derivs, "step_failure")) from None
+    raise NoEvent(
+        f"no event crossing within horizon t <= {t_max!r}",
+        _trajectory(times, states, derivs, "completed"),
+    )
 
 
 def integrate_to_event(
@@ -373,7 +405,10 @@ def integrate_to_event(
         raise NoEventDirection(
             f"event already at or past a downward crossing at t0 (event = {g0!r})"
         )
-    return _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t0 + opts.horizon)
+    try:
+        return _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t0 + opts.horizon)
+    except StepFailure as exc:
+        raise NoEvent(f"integration failed before the event: {exc}", exc.trajectory) from None
 
 
 def estimate_blowup_time(traj: Trajectory, alpha: float):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularBlend
+from .errors import SingularBlend, TooManyCrossings
 from .fields import SingularField, eval_field
 from .integrators import (
     DEFAULT_OPTIONS,
@@ -24,11 +24,11 @@ from .integrators import (
     NoEvent,
     Trajectory,
     _integrate_to_crossing,
-    integrate,
 )
 
 _SMOOTH_DIRECTIONS = 200
 _JAC_STEP_FRAC = 1e-6
+_MAX_CROSSINGS = 100000
 
 
 def blend_weight(rho):
@@ -227,26 +227,26 @@ def integrate_regularized(
     times = [t0]
     states = [x.copy()]
     derivs = [np.asarray(rhs(t0, x), dtype=float)]
-    status = "completed"
     inside = math.sqrt(float(x @ x)) <= nu
-    guard = 0
+    crossings = 0
     while t < t1:
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("too many ball crossings; check the configuration")
         direction = +1 if inside else -1
         try:
             t_e, x_e, seg = _integrate_to_crossing(rhs, x, t, boundary, direction, seg_opts, t1)
-        except NoEvent:
-            seg = integrate(rhs, x, t, t1, seg_opts)
-            times.extend(seg.times[1:].tolist())
-            states.extend(list(seg.states[1:]))
-            derivs.extend(list(seg.derivs[1:]))
-            status = seg.status
-            break
+        except NoEvent as exc:
+            # no crossing before t1: the search already ran the last segment
+            t_e, seg = None, exc.trajectory
         times.extend(seg.times[1:].tolist())
         states.extend(list(seg.states[1:]))
         derivs.extend(list(seg.derivs[1:]))
+        if t_e is None:
+            break
+        crossings += 1
+        if crossings > _MAX_CROSSINGS:
+            raise TooManyCrossings(
+                f"more than {_MAX_CROSSINGS} crossings of |x| = {nu!r} by t = {t_e!r}; "
+                "check the configuration"
+            )
         t, x = t_e, x_e
         inside = not inside
-    return Trajectory(np.array(times), np.array(states), np.array(derivs), status)
+    return Trajectory(np.array(times), np.array(states), np.array(derivs), "completed")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -149,11 +149,14 @@ def renorm_integrate(
     s_max: float,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     t0: float = 0.0,
+    until: Optional[Callable] = None,
 ) -> RenormTrajectory:
     """Integrate the renormalized system up to fictitious time s_max.
 
     The direction is re-projected onto the sphere after every accepted step,
-    keeping max | |y|-1 | at the level of the local error.
+    keeping max | |y|-1 | at the level of the local error.  until, if given,
+    is polled after every accepted step as until(s, partial), where partial()
+    builds the RenormTrajectory up to s; a true result ends the run there.
     """
     y0 = np.asarray(y0, dtype=float)
     n0 = math.sqrt(float(y0 @ y0))
@@ -166,7 +169,12 @@ def renorm_integrate(
     run_opts = IntegrationOptions(
         rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0, horizon=opts.horizon
     )
-    base = integrate(_renorm_rhs(field), u0, 0.0, s_max, run_opts, postprocess=_project(d))
+    poll = None
+    if until is not None:
+        poll = lambda s, partial: until(s, lambda: RenormTrajectory(field, partial()))
+    base = integrate(
+        _renorm_rhs(field), u0, 0.0, s_max, run_opts, postprocess=_project(d), until=poll
+    )
     return RenormTrajectory(field, base)
 
 
@@ -177,21 +185,27 @@ def physical_time(rt: RenormTrajectory, s) -> float:
 
 
 def radial_averages(rt: RenormTrajectory, window: float) -> RadialAverages:
-    """Bracket the running mean (z(s) - z0)/s over the trailing window.
+    """Bracket the windowed increment (z(s) - z(s/2))/(s/2) over the trailing window.
 
-    The running mean from s = 0 is exactly the renormalized-time average of
-    F_r along the run, because z is its integral.
+    z is the integral of F_r, so the increment is the renormalized-time
+    average of F_r over the second half of [0, s].  Unlike the running mean
+    (z(s) - z0)/s it forgets the transient: near a hyperbolic attractor it
+    converges exponentially in s, and on a limit cycle it oscillates by
+    O(amplitude/s) around the cycle mean, which the min/max bracket keeps.
+    s is measured from the start of the run.
     """
     s_end = rt.s_end
     if not s_end >= 2 * window:
         raise ValueError("trajectory must cover at least twice the averaging window")
-    z0 = float(rt.z[0])
+    s0 = float(rt.s[0])
     lo = s_end - window
     mask = rt.s >= lo
     s_samples = np.unique(np.concatenate([rt.s[mask], np.linspace(lo, s_end, 513)]))
-    s_samples = s_samples[s_samples > 0]
-    z_vals = rt.base.sample(s_samples)[:, rt.dimension]
-    means = (z_vals - z0) / s_samples
+    s_samples = s_samples[s_samples > s0]
+    s_half = 0.5 * (s0 + s_samples)
+    z = rt.base.sample(s_samples)[:, rt.dimension]
+    z_half = rt.base.sample(s_half)[:, rt.dimension]
+    means = (z - z_half) / (s_samples - s_half)
     return RadialAverages(float(means.min()), float(means.max()), window)
 
 
@@ -208,11 +222,15 @@ def classify_blowup(
 ) -> BlowupVerdict:
     """Decide blowup vs escape from the sign of the stabilized radial average.
 
-    The run length doubles until the trailing-window average bracket moves by
-    less than stabilize_tol between stages ("stabilized").  A stabilized
-    bracket below -delta means finite-time blowup and the physical time
-    already carried by the run converges to t_b; a bracket above +delta means
-    escape to infinity.  Anything else is reported as undetermined.
+    One renormalized run heads for s_budget.  Each time it passes a stage
+    boundary (s_start, 2 s_start, 4 s_start, ..., s_budget) the windowed
+    radial-average bracket over the trailing half-stage is taken, and the run
+    stops as soon as the bracket moves by less than stabilize_tol between
+    stages ("stabilized"), so its cost follows the transient, not the budget.
+    A stabilized bracket below -delta means finite-time blowup and the
+    physical time already carried by the run converges to t_b; a bracket
+    above +delta means escape to infinity.  Anything else is reported as
+    undetermined.  s_budget of the verdict is the stage that decided it.
     """
     stages = []
     s = s_start
@@ -220,25 +238,31 @@ def classify_blowup(
         stages.append(s)
         s *= 2
     stages.append(s_budget)
-    prev = None
-    rt = None
-    av = None
-    for s_stage in stages:
-        rt = renorm_integrate(field, y0, z0, s_stage, opts, t0=t0)
-        av = radial_averages(rt, window=s_stage / 2)
-        if prev is not None:
-            moved = max(abs(av.lower - prev.lower), abs(av.upper - prev.upper))
-            if moved < stabilize_tol:
-                if av.upper < -delta:
-                    t_b = _blowup_time_from_run(rt, av)
-                    return BlowupVerdict("blowup", t_b, av, s_stage, "stabilized", rt)
-                if av.lower > delta:
-                    return BlowupVerdict(
-                        "escape_to_infinity", None, av, s_stage, "stabilized", rt
-                    )
-                return BlowupVerdict("undetermined", None, av, s_stage, "degenerate", rt)
-        prev = av
-    return BlowupVerdict("undetermined", None, av, stages[-1], "budget_exhausted", rt)
+    passed = 0  # stage boundaries behind the run
+    prev = av = None
+
+    def stabilized(s, partial):
+        nonlocal passed, prev, av
+        if s < stages[passed]:
+            return False
+        while passed < len(stages) and stages[passed] <= s:
+            passed += 1
+        prev, av = av, radial_averages(partial(), window=stages[passed - 1] / 2)
+        if prev is None:
+            return False
+        moved = max(abs(av.lower - prev.lower), abs(av.upper - prev.upper))
+        return moved < stabilize_tol
+
+    rt = renorm_integrate(field, y0, z0, s_budget, opts, t0=t0, until=stabilized)
+    s_stage = stages[passed - 1]
+    if rt.base.status != "stopped":
+        return BlowupVerdict("undetermined", None, av, s_stage, "budget_exhausted", rt)
+    if av.upper < -delta:
+        t_b = _blowup_time_from_run(rt, av)
+        return BlowupVerdict("blowup", t_b, av, s_stage, "stabilized", rt)
+    if av.lower > delta:
+        return BlowupVerdict("escape_to_infinity", None, av, s_stage, "stabilized", rt)
+    return BlowupVerdict("undetermined", None, av, s_stage, "degenerate", rt)
 
 
 def _blowup_time_from_run(rt: RenormTrajectory, av: RadialAverages) -> float:

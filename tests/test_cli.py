@@ -195,6 +195,20 @@ def test_classify_budget_exhaustion_exits_3(tmp_path):
     assert verdict["reason"] == "budget_exhausted"
 
 
+def test_simulate_crossing_limit_exits_3(tmp_path, monkeypatch, capsys):
+    import singularflow.regularize as reg
+
+    monkeypatch.setattr(reg, "_MAX_CROSSINGS", 1)
+    cfg = write(
+        tmp_path,
+        "run.cfg",
+        SADDLE_CFG.replace("t1 = 3.0", "t1 = 2.5")
+        + "regularization.kind = polynomial_blend\nregularization.g0 = 1.0, -2.0\nnu = 0.1\n",
+    )
+    assert main(["simulate", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "crossings" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig3", "fig3b", "fig6", "fig8n"])
 def test_reproduce_all_figures(tmp_path, figure):
     out = tmp_path / figure

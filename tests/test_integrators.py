@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +52,52 @@ def test_step_failure_on_finite_time_escape():
     partial = exc.value.trajectory
     assert partial.status == "step_failure"
     assert partial.t_end == pytest.approx(math.pi / 2, abs=1e-6)
+
+
+# Runs in a child process: an integrator that loops on a NaN must fail the
+# test by timing out instead of hanging the suite.
+NAN_SCRIPT = """
+import json
+import numpy as np
+import singularflow as sf
+
+def late_nan(t, x):
+    return np.array([np.nan if t > 0.5 else 1.0])
+
+out = {}
+for name, rhs in [("late", late_nan), ("start", lambda t, x: np.full(2, np.nan))]:
+    try:
+        sf.integrate(rhs, np.zeros(1 if name == "late" else 2), 0.0, 1.0)
+    except sf.StepFailure as exc:
+        out[name] = [exc.trajectory.status, exc.trajectory.t_end, str(exc)]
+event = lambda t, x: x[0] - 2.0
+try:
+    sf.integrate_to_event(late_nan, [0.0], 0.0, event, +1)
+except sf.NoEvent as exc:
+    out["event"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_non_finite_rhs_raises_step_failure():
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", NAN_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("integrate did not terminate on a NaN right-hand side")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    status, t_end, msg = out["late"]
+    assert status == "step_failure"
+    assert t_end <= 0.5
+    assert "non-finite" in msg
+    status, t_end, msg = out["start"]
+    assert status == "step_failure" and t_end == 0.0 and "non-finite" in msg
+    assert "non-finite" in out["event"]
 
 
 def test_tolerance_ladder_convergence():
@@ -109,6 +159,34 @@ def test_no_event_within_horizon():
         sf.integrate_to_event(
             saddle_rhs(), [-1.0, 0.0], 0.0, event, +1, sf.IntegrationOptions(horizon=0.5)
         )
+
+
+def test_no_event_carries_the_run_to_the_horizon():
+    # the search already integrated to the horizon: that run equals integrate
+    event = lambda t, x: np.linalg.norm(x) - 5.0
+    opts = sf.IntegrationOptions(horizon=0.5)
+    with pytest.raises(sf.NoEvent) as exc:
+        sf.integrate_to_event(saddle_rhs(), [-1.0, 0.0], 0.0, event, +1, opts)
+    run = exc.value.trajectory
+    direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 0.5, opts)
+    assert run.status == "completed"
+    assert np.array_equal(run.times, direct.times)
+    assert np.array_equal(run.states, direct.states)
+
+
+def test_integrate_until_stops_on_a_prefix():
+    full = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
+    seen = []
+
+    def until(t, partial):
+        seen.append(t)
+        return t >= 0.5 and partial().t_end == t
+
+    run = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0, until=until)
+    assert run.status == "stopped"
+    assert run.t_end == seen[-1] >= 0.5 > seen[-2]
+    n = len(run.times)
+    assert np.array_equal(run.states, full.states[:n])
 
 
 def test_rescaled_escape_event_reaches_unit_sphere():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import singularflow as sf
-from singularflow.regularize import blend_weight
+from singularflow.regularize import blend_weight, regularized_rhs
 
 ALPHA = 1.0 / 3.0
 
@@ -135,6 +135,34 @@ def test_integrate_regularized_crosses_the_ball():
     # the entry time matches the collapse formula t_b - 1.5 nu^{2/3}
     t_entry = traj.times[np.argmax(r < 0.1)]
     assert t_entry == pytest.approx(1.5 - 1.5 * 0.1 ** (2 / 3), abs=1e-7)
+
+
+def test_integrate_regularized_last_segment_is_the_search_run():
+    # after the last crossing the event search runs on to t1; that run is the
+    # final segment, identical to integrating from the crossing afresh
+    rf = sf.make_polynomial_blend(saddle(), [1.0, -2.0], 0.1)
+    traj = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
+    k = np.flatnonzero(np.abs(traj.radii() - 0.1) < 1e-9)[-1]  # the last crossing
+    tail = sf.integrate(regularized_rhs(rf), traj.states[k], traj.times[k], 2.5,
+                        sf.IntegrationOptions(r_floor=0.0))
+    assert np.array_equal(traj.times[k:], tail.times)
+    assert np.array_equal(traj.states[k:], tail.states)
+
+
+def test_integrate_regularized_crossing_limit(monkeypatch):
+    import singularflow.regularize as reg
+
+    monkeypatch.setattr(reg, "_MAX_CROSSINGS", 1)
+    rf = sf.make_polynomial_blend(saddle(), [1.0, -2.0], 0.1)
+    with pytest.raises(sf.TooManyCrossings):
+        sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
+
+
+def test_integrate_regularized_propagates_step_failure():
+    rf = sf.RegularizedField(saddle(), 0.1, lambda X: np.full(2, np.nan), blend_kind="broken")
+    with pytest.raises(sf.StepFailure) as exc:
+        sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
+    assert exc.value.trajectory.status == "step_failure"
 
 
 def test_regularized_field_validation():

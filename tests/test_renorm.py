@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import singularflow as sf
 
@@ -98,6 +99,74 @@ def test_classify_saddle_basins():
     y = np.array([-0.3, -0.9])
     y /= np.linalg.norm(y)
     assert sf.classify_blowup(saddle(), y).verdict == "blowup"
+
+
+def counting(field):
+    """The field with a sphere_map that counts its calls in calls[0]."""
+    calls = [0]
+    smap = field.sphere_map
+
+    def counted(y):
+        calls[0] += 1
+        return smap(y)
+
+    return sf.SingularField(field.dimension, field.alpha, counted), calls
+
+
+@pytest.mark.parametrize("y0", [(-0.6, 0.8), (0.6, 0.8)])
+def test_classify_is_one_run(y0):
+    # the doubling stages resume one run instead of restarting at s = 0, so
+    # classify costs about one renorm_integrate to the deciding stage
+    field, calls = counting(saddle())
+    v = sf.classify_blowup(field, y0)
+    assert v.reason == "stabilized"
+    n_classify = calls[0]
+    calls[0] = 0
+    sf.renorm_integrate(field, y0, 0.0, v.s_budget)
+    assert n_classify <= 1.05 * calls[0]
+
+
+def test_classify_stops_at_a_stage_passed_by_the_run():
+    v = sf.classify_blowup(saddle(), [-0.6, 0.8])
+    assert v.renorm.base.status == "stopped"
+    assert v.s_budget <= v.renorm.s_end
+    assert v.averages.horizon == v.s_budget / 2
+
+
+# start angles at least 0.17 rad from the unstable directions pi/2, 3 pi/2
+_GENERIC_ANGLES = st.one_of(st.floats(-1.4, 1.4), st.floats(1.75, 4.5))
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(_GENERIC_ANGLES, st.floats(-1.0, 1.0), st.floats(-3.0, 3.0))
+def test_classify_scaling_symmetry(theta, z0, log_lam):
+    # x -> lam x, t -> lam^(1-alpha) t maps solutions to solutions; in
+    # renormalized variables it is the shift z0 -> z0 + log(lam)
+    field = saddle()
+    y0 = [math.cos(theta), math.sin(theta)]
+    a = sf.classify_blowup(field, y0, z0)
+    b = sf.classify_blowup(field, y0, z0 + log_lam)
+    assert a.verdict == b.verdict
+    if a.t_b is not None:
+        expected = math.exp((1.0 - ALPHA) * log_lam) * a.t_b
+        assert b.t_b == pytest.approx(expected, rel=1e-9)
+
+
+def test_windowed_bracket_off_the_attractor():
+    # started off the y3 = 1/2 cycle, the windowed increment forgets the
+    # approach; the running mean (z(s) - z0)/s still carries it as C/s
+    s3 = sf.builtin_field("sphere3d")
+    y0 = np.array([0.9, 0.1, 0.4])
+    y0 /= np.linalg.norm(y0)
+    mean = sf.find_limit_cycle(s3, y0).mean_radial
+    rt = sf.renorm_integrate(s3, y0, 0.0, 64.0)
+    av = sf.radial_averages(rt, 16.0)
+    assert abs(av.lower - mean) <= 1e-8
+    assert abs(av.upper - mean) <= 1e-8
+    assert abs((rt.z[-1] - rt.z[0]) / rt.s_end - mean) > 1e-4
+    v = sf.classify_blowup(s3, y0)
+    assert v.verdict == "escape_to_infinity"
+    assert v.averages.lower <= mean + 1e-6 and v.averages.upper >= mean - 1e-6
 
 
 def test_classify_degenerate_rotation():
