@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 import singularflow as sf
+from singularflow.integrators import write_csv
 
 ALPHA = 1.0 / 3.0
 
@@ -47,10 +48,7 @@ def main():
                 print(f"[{tag}] nu = {nu:.4g}: sup distance to the selected ray = {d:.3e}")
         for nu, sol in zip(rep.nu_values, rep.solutions):
             path = os.path.join(args.outdir, f"{tag}_nu_{nu:.6g}.csv")
-            with open(path, "w") as fh:
-                fh.write("t,x1,x2\n")
-                for t, x in zip(t_grid, sol):
-                    fh.write(f"{t:.17g},{x[0]:.17g},{x[1]:.17g}\n")
+            write_csv(path, ["t", "x1", "x2"], ((t, *x) for t, x in zip(t_grid, sol)))
     print(f"wrote per-nu samples to {args.outdir}/")
 
 

@@ -24,7 +24,6 @@ from .continuation import (
     blowup_time_on_ray,
     build_cycle_family,
     estimate_phase,
-    eval_family,
     fixed_point_solutions,
     geometric_sequence,
     inviscid_sweep,

@@ -24,8 +24,8 @@ from .integrators import (
     _integrate_to_crossing,
     integrate,
 )
-from .regularize import RegularizedField
-from .renorm import renorm_integrate
+from .regularize import RegularizedField, regularized_rhs
+from .renorm import renorm_integrate, renormalized_system
 
 LABEL_DELTA = 1e-6
 _FP_RESIDUAL_TOL = 1e-10
@@ -136,7 +136,7 @@ def _newton_on_sphere(field, y0, max_iter=60, tol=1e-13):
         if res < tol:
             return y
         Q = _tangent_basis(y)
-        B = Q.T @ _ambient_fs_jacobian(field, y) @ Q
+        B = tangential_flow_jacobian(field, y)
         rhs = Q.T @ Fs
         try:
             step = np.linalg.solve(B, -rhs)
@@ -154,13 +154,6 @@ def _newton_on_sphere(field, y0, max_iter=60, tol=1e-13):
         y = cand
     Fs = _tangential(field, y)
     return y if np.linalg.norm(Fs) < tol * 10 else None
-
-
-def _ambient_fs_jacobian(field, y):
-    J = sphere_jacobian(field, y)
-    F = np.asarray(field.sphere_map(y), dtype=float)
-    grad_fr = J.T @ y + F
-    return J - np.outer(y, grad_fr) - float(F @ y) * np.eye(field.dimension)
 
 
 def _seed_directions(d: int, n_seeds: int, seed: int) -> List[np.ndarray]:
@@ -226,50 +219,20 @@ def find_fixed_points(field: SingularField, n_seeds: int = 64, seed: int = 0) ->
     return results
 
 
-def _spherical_rhs(field, reverse=False):
-    sgn = -1.0 if reverse else 1.0
-
-    def rhs(_s, u):
-        y = u / math.sqrt(float(u @ u))
-        F = np.asarray(field.sphere_map(y), dtype=float)
-        return sgn * (F - float(F @ y) * y)
-
-    return rhs
-
-
-def _sphere_project(_t, u):
-    return u / math.sqrt(float(u @ u))
-
-
 def _orbit_tabulation(field, anchor, period, n_samples, opts, reverse=False):
-    """One period of the (possibly reversed) flow with the radial integral."""
+    """One period of the (possibly reversed) flow with the radial integral.
+
+    The radial integral is accumulated along the traversal direction; the
+    reverse case is re-indexed to the forward parametrization by the caller.
+    """
     d = field.dimension
-    sgn = -1.0 if reverse else 1.0
-
-    def rhs(_s, u):
-        y = u[:d] / math.sqrt(float(u[:d] @ u[:d]))
-        F = np.asarray(field.sphere_map(y), dtype=float)
-        fr = float(F @ y)
-        out = np.empty(d + 1)
-        out[:d] = sgn * (F - fr * y)
-        # the radial integral is accumulated along the traversal direction;
-        # the reverse case is re-indexed to the forward parametrization later
-        out[d] = fr
-        return out
-
-    def post(_t, u):
-        n = math.sqrt(float(u[:d] @ u[:d]))
-        if n != 1.0:
-            u = u.copy()
-            u[:d] /= n
-        return u
-
+    rhs, project = renormalized_system(field, extras=("z",), reverse=reverse)
     u0 = np.concatenate([anchor, [0.0]])
     run_opts = IntegrationOptions(
         rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13), max_step=opts.max_step,
         r_floor=0.0, horizon=opts.horizon,
     )
-    traj = integrate(rhs, u0, 0.0, period, run_opts, postprocess=post)
+    traj = integrate(rhs, u0, 0.0, period, run_opts, postprocess=project)
     s_grid = np.linspace(0.0, period, n_samples + 1)
     uu = traj.sample(s_grid)
     orbit = uu[:, :d]
@@ -300,14 +263,14 @@ def find_limit_cycle(
         raise LimitCycleNotFound("no spherical flow in one dimension")
     y0 = np.asarray(y0, dtype=float)
     y0 = y0 / np.linalg.norm(y0)
-    rhs = _spherical_rhs(field, reverse=_reverse)
+    rhs, project = renormalized_system(field, extras=(), reverse=_reverse)
     run = integrate(
         rhs,
         y0,
         0.0,
         transient,
         IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
-        postprocess=_sphere_project,
+        postprocess=project,
     )
     p0 = run.final_state / np.linalg.norm(run.final_state)
     v0 = rhs(0.0, p0)
@@ -328,12 +291,12 @@ def find_limit_cycle(
     period = None
     for _ in range(max_returns):
         lead = integrate(
-            rhs, y_here, t_here, t_here + nudge, sec_opts, postprocess=_sphere_project
+            rhs, y_here, t_here, t_here + nudge, sec_opts, postprocess=project
         )
         try:
             t_ret, y_ret, _ = _integrate_to_crossing(
                 rhs, lead.final_state, t_here + nudge, section, +1, sec_opts,
-                t_here + return_horizon, postprocess=_sphere_project,
+                t_here + return_horizon, postprocess=project,
             )
         except (NoEvent, StepFailure):
             raise LimitCycleNotFound("no recurrence within the return horizon") from None
@@ -499,22 +462,16 @@ def rescaled_escape(
     renormalized variables with growing log-radius and the direction settled
     in the basin of a defocusing attractor.  Trapping is certified by a
     bounded solution that keeps revisiting (or never leaves) the unit ball
-    up to the tau budget.
+    up to the tau budget; a run that fails inside the ball is undetermined.
+    rf regularizes field: the rescaled system is rf at nu = 1.
     """
-    alpha = field.alpha
     y_ent = np.asarray(y_ent, dtype=float)
     y_ent = y_ent / np.linalg.norm(y_ent)
     base_star = y_ent if y_star is None else np.asarray(y_star, dtype=float)
     fr_star = decompose(field, base_star / np.linalg.norm(base_star)).radial
-    t_ent = tau_entry(fr_star, alpha)
+    t_ent = tau_entry(fr_star, field.alpha)
 
-    unit_rf = rf.with_nu(1.0)
-
-    def rhs(_t, x):
-        r = math.sqrt(float(x @ x))
-        if r > 1.0:
-            return r**alpha * np.asarray(field.sphere_map(x / r), dtype=float)
-        return np.asarray(unit_rf.inner_map(x), dtype=float)
+    rhs = regularized_rhs(rf.with_nu(1.0))
 
     def ball(_t, x):
         return math.sqrt(float(x @ x)) - 1.0
@@ -536,7 +493,15 @@ def rescaled_escape(
             tau_x, x_x, _seg = _integrate_to_crossing(
                 rhs, x, tau, ball, +1, in_opts, tau_budget
             )
-        except (NoEvent, StepFailure):
+        except StepFailure as exc:
+            return EscapeResult(
+                "undetermined",
+                t_ent,
+                r_bound=r_max,
+                revisits=visits,
+                certificate=f"integration failed inside the unit ball at visit {visits}: {exc}",
+            )
+        except NoEvent:
             return EscapeResult(
                 "trapped",
                 t_ent,

@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig
 from .continuation import geometric_sequence, inviscid_sweep
 from .errors import SingularFlowError, StepFailure
 from .fields import builtin_field, eval_field
-from .integrators import IntegrationOptions, estimate_blowup_time, integrate
+from .integrators import IntegrationOptions, estimate_blowup_time, integrate, write_csv
 from .regularize import integrate_regularized, make_polynomial_blend, make_preset_1d
 from .renorm import classify_blowup
 
@@ -159,11 +159,9 @@ def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int
             csv_refs.append(None)
             continue
         name = f"nu_{nu:g}.csv"
-        d = sol.shape[1]
-        with open(os.path.join(outdir, name), "w") as fh:
-            fh.write("t," + ",".join(f"x{i+1}" for i in range(d)) + "\n")
-            for t, x in zip(report.t_grid, sol):
-                fh.write(",".join(f"{v:.17g}" for v in (t, *x)) + "\n")
+        header = ["t"] + [f"x{i+1}" for i in range(sol.shape[1])]
+        rows = ((t, *x) for t, x in zip(report.t_grid, sol))
+        write_csv(os.path.join(outdir, name), header, rows)
         csv_refs.append(name)
     payload["trajectory_files"] = csv_refs
     _write_json(os.path.join(outdir, "sweep.json"), payload)

@@ -27,8 +27,7 @@ from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
 from .integrators import DEFAULT_OPTIONS, IntegrationOptions, integrate
 from .regularize import RegularizedField, integrate_regularized
-from .renorm import classify_blowup
-from ._parallel import parallel_map
+from .renorm import classify_blowup, renormalized_system
 
 _MEAN_DELTA = 1e-6
 
@@ -215,26 +214,11 @@ def build_cycle_family(
     anchor = cycle.location[0]
     T = float(cycle.period)
 
-    def rhs(_s, u):
-        y = u[:d] / math.sqrt(float(u[:d] @ u[:d]))
-        F = np.asarray(field.sphere_map(y), dtype=float)
-        fr = float(F @ y)
-        out = np.empty(d + 1)
-        out[:d] = F - fr * y
-        out[d] = fr
-        return out
-
-    def post(_t, u):
-        n = math.sqrt(float(u[:d] @ u[:d]))
-        if n != 1.0:
-            u = u.copy()
-            u[:d] /= n
-        return u
-
+    rhs, project = renormalized_system(field, extras=("z",))
     run_opts = IntegrationOptions(
         rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14), r_floor=0.0
     )
-    traj = integrate(rhs, np.concatenate([anchor, [0.0]]), 0.0, T, run_opts, postprocess=post)
+    traj = integrate(rhs, np.concatenate([anchor, [0.0]]), 0.0, T, run_opts, postprocess=project)
     s_grid = np.linspace(0.0, T, n_grid + 1)
     uu = traj.sample(s_grid)
     orbit = uu[:, :d]
@@ -286,11 +270,6 @@ def build_cycle_family(
         period=T,
         _tables=tables,
     )
-
-
-def eval_family(fam: ContinuationFamily, t, zeta: float = 0.0):
-    """Evaluate a continuation family at time(s) t > t_b and phase zeta."""
-    return fam.eval(t, zeta)
 
 
 def residual_check(fam, field: SingularField, t_grid, zeta: float = 0.0, h: float = 1e-6) -> float:
@@ -458,7 +437,7 @@ def inviscid_sweep(
 
     solutions = []
     errors = []
-    for res in parallel_map(_safe(run_one), nu_values):
+    for res in map(_safe(run_one), nu_values):
         if isinstance(res, Exception):
             solutions.append(None)
             errors.append(f"{type(res).__name__}: {res}")

@@ -16,24 +16,18 @@ from .attractors import find_limit_cycle, tau_entry
 from .continuation import build_cycle_family, fixed_point_solutions, geometric_sequence
 from .errors import StepFailure, UnknownFigure
 from .fields import builtin_field, eval_field
-from .integrators import IntegrationOptions, integrate
+from .integrators import IntegrationOptions, integrate, write_csv
 from .regularize import (
     eval_regularized,
     integrate_regularized,
     make_polynomial_blend,
     make_preset_1d,
+    regularized_rhs,
 )
 
 FIGURE_IDS = ("fig1", "fig3", "fig3b", "fig6", "fig8n", "figTriv")
 
 _OPTS = IntegrationOptions(rtol=1e-9, atol=1e-12, r_floor=1e-8)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _quiver_rows(field, extent, n):
@@ -63,7 +57,7 @@ def _fig1(outdir):
     field = builtin_field("saddle2d", 1.0 / 3.0)
     files = []
     rows = _quiver_rows(field, 1.25, 25)
-    _write_csv(os.path.join(outdir, "fig1_quiver.csv"), ["x1", "x2", "f1", "f2"], rows)
+    write_csv(os.path.join(outdir, "fig1_quiver.csv"), ["x1", "x2", "f1", "f2"], rows)
     files.append({
         "name": "fig1_quiver.csv",
         "columns": "x1,x2,f1,f2",
@@ -77,7 +71,7 @@ def _fig1(outdir):
         except StepFailure as exc:
             traj = exc.trajectory
         name = f"fig1_traj_{k:02d}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
         files.append({
             "name": name,
             "columns": "t,x1,x2",
@@ -90,18 +84,10 @@ def _fig1(outdir):
 
 
 def _rescaled_trace(field, g0, tau_end):
-    alpha = field.alpha
-    rf = make_polynomial_blend(field, g0, 1.0)
-
-    def rhs(_t, x):
-        r = math.sqrt(float(x @ x))
-        if r > 1.0:
-            return r**alpha * np.asarray(field.sphere_map(x / r), dtype=float)
-        return np.asarray(rf.inner_map(x), dtype=float)
-
+    rhs = regularized_rhs(make_polynomial_blend(field, g0, 1.0))
     y_star = np.array([-1.0, 0.0]) if field.dimension == 2 else np.array([0.0, 0.0, -1.0])
     fr = -1.0 if field.dimension == 2 else -0.5
-    t_ent = tau_entry(fr, alpha)
+    t_ent = tau_entry(fr, field.alpha)
     opts = IntegrationOptions(rtol=1e-10, atol=1e-12, r_floor=0.0, max_step=0.5)
     return integrate(rhs, y_star, t_ent, tau_end, opts)
 
@@ -115,7 +101,7 @@ def _fig3(outdir):
         x0 = 1e-6 * np.array([math.cos(a), math.sin(a)])
         traj = integrate(_ideal_rhs(field), x0, 0.0, 2.0, _OPTS)
         name = f"fig3_origin_traj_{k:02d}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
         files.append({
             "name": name,
             "columns": "t,x1,x2",
@@ -126,7 +112,7 @@ def _fig3(outdir):
     )
     ts = np.linspace(1e-4, 2.0, 300)
     rows = [(t, *ray.eval(t)) for t in ts]
-    _write_csv(os.path.join(outdir, "fig3_selected_ray.csv"), ["t", "x1", "x2"], rows)
+    write_csv(os.path.join(outdir, "fig3_selected_ray.csv"), ["t", "x1", "x2"], rows)
     files.append({
         "name": "fig3_selected_ray.csv",
         "columns": "t,x1,x2",
@@ -134,8 +120,8 @@ def _fig3(outdir):
     })
     # (b) trapped rescaled solution
     traj = _rescaled_trace(field, np.array([1.0, 1.3]), 40.0)
-    _write_csv(os.path.join(outdir, "fig3_trapped_X.csv"), ["tau", "X1", "X2"],
-               _trajectory_rows(traj, 800))
+    write_csv(os.path.join(outdir, "fig3_trapped_X.csv"), ["tau", "X1", "X2"],
+              _trajectory_rows(traj, 800))
     files.append({
         "name": "fig3_trapped_X.csv",
         "columns": "tau,X1,X2",
@@ -148,8 +134,8 @@ def _fig3b(outdir):
     field = builtin_field("saddle2d", 1.0 / 3.0)
     files = []
     traj = _rescaled_trace(field, np.array([1.0, -2.0]), 40.0)
-    _write_csv(os.path.join(outdir, "fig3b_expelled_X.csv"), ["tau", "X1", "X2"],
-               _trajectory_rows(traj, 800))
+    write_csv(os.path.join(outdir, "fig3b_expelled_X.csv"), ["tau", "X1", "X2"],
+              _trajectory_rows(traj, 800))
     files.append({
         "name": "fig3b_expelled_X.csv",
         "columns": "tau,X1,X2",
@@ -160,7 +146,7 @@ def _fig3b(outdir):
         rf = make_polynomial_blend(field, np.array([1.0, -2.0]), nu)
         traj = integrate_regularized(rf, x0, 0.0, 2.5, _OPTS)
         name = f"fig3b_xnu_{nu:g}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj, 600))
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj, 600))
         files.append({
             "name": name,
             "columns": "t,x1,x2",
@@ -173,7 +159,7 @@ def _fig3b(outdir):
         except StepFailure as exc:
             traj = exc.trajectory
         name = f"fig3b_blowup_traj_{k:02d}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
         files.append({
             "name": name,
             "columns": "t,x1,x2",
@@ -186,7 +172,7 @@ def _fig6(outdir):
     field = builtin_field("spiral2d", 1.0 / 3.0)
     files = []
     rows = _quiver_rows(field, 1.0, 21)
-    _write_csv(os.path.join(outdir, "fig6_quiver.csv"), ["x1", "x2", "f1", "f2"], rows)
+    write_csv(os.path.join(outdir, "fig6_quiver.csv"), ["x1", "x2", "f1", "f2"], rows)
     files.append({
         "name": "fig6_quiver.csv",
         "columns": "x1,x2,f1,f2",
@@ -199,7 +185,7 @@ def _fig6(outdir):
         zeta = k * fam.zeta_period / 8
         rows = [(t, *fam.eval(t, zeta)) for t in ts]
         name = f"fig6_family_{k}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], rows)
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], rows)
         files.append({
             "name": name,
             "columns": "t,x1,x2",
@@ -213,8 +199,8 @@ def _fig8n(outdir):
     g0 = np.array([0.0, 0.1, 1.0])
     files = []
     traj = _rescaled_trace(field, g0, 60.0)
-    _write_csv(os.path.join(outdir, "fig8n_X.csv"), ["tau", "X1", "X2", "X3"],
-               _trajectory_rows(traj, 800))
+    write_csv(os.path.join(outdir, "fig8n_X.csv"), ["tau", "X1", "X2", "X3"],
+              _trajectory_rows(traj, 800))
     files.append({
         "name": "fig8n_X.csv",
         "columns": "tau,X1,X2,X3",
@@ -228,8 +214,8 @@ def _fig8n(outdir):
         rf = make_polynomial_blend(field, g0, float(nu))
         t_traj = integrate_regularized(rf, x0, 0.0, 4.0, _OPTS)
         name = f"fig8n_xnu_n{n}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2", "x3"],
-                   _trajectory_rows(t_traj, 800))
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2", "x3"],
+                  _trajectory_rows(t_traj, 800))
         files.append({
             "name": name,
             "columns": "t,x1,x2,x3",
@@ -241,7 +227,7 @@ def _fig8n(outdir):
         zeta = k * fam.zeta_period / 10
         rows = [(t, *fam.eval(t, zeta)) for t in ts]
         name = f"fig8n_family_{k}.csv"
-        _write_csv(os.path.join(outdir, name), ["t", "x1", "x2", "x3"], rows)
+        write_csv(os.path.join(outdir, name), ["t", "x1", "x2", "x3"], rows)
         files.append({
             "name": name,
             "columns": "t,x1,x2,x3",
@@ -255,7 +241,7 @@ def _fig8n(outdir):
         for th in thetas:
             rows.append((t, rad * math.sqrt(3) / 2 * math.cos(th),
                          rad * math.sqrt(3) / 2 * math.sin(th), rad * 0.5))
-    _write_csv(os.path.join(outdir, "fig8n_cone.csv"), ["t", "x1", "x2", "x3"], rows)
+    write_csv(os.path.join(outdir, "fig8n_cone.csv"), ["t", "x1", "x2", "x3"], rows)
     files.append({
         "name": "fig8n_cone.csv",
         "columns": "t,x1,x2,x3",
@@ -278,7 +264,7 @@ def _figtriv(outdir):
     }
     files = []
     rows = [(x, curves["ideal"](x)) for x in xs]
-    _write_csv(os.path.join(outdir, "figTriv_ideal.csv"), ["x", "f"], rows)
+    write_csv(os.path.join(outdir, "figTriv_ideal.csv"), ["x", "f"], rows)
     files.append({
         "name": "figTriv_ideal.csv",
         "columns": "x,f",
@@ -287,7 +273,7 @@ def _figtriv(outdir):
     for tag, rf in rfs.items():
         rows = [(x, float(eval_regularized(rf, np.array([x]))[0])) for x in xs]
         name = f"figTriv_{tag}.csv"
-        _write_csv(os.path.join(outdir, name), ["x", "f"], rows)
+        write_csv(os.path.join(outdir, name), ["x", "f"], rows)
         files.append({
             "name": name,
             "columns": "x,f",

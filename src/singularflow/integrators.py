@@ -96,15 +96,10 @@ class Trajectory:
         idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
         h = ts[idx + 1] - ts[idx]
         s = np.where(h > 0, (tq - ts[idx]) / np.where(h > 0, h, 1.0), 0.0)
-        y0, y1 = self.states[idx], self.states[idx + 1]
-        f0, f1 = self.derivs[idx], self.derivs[idx + 1]
-        s = s[:, None]
-        hcol = h[:, None]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = h00 * y0 + h10 * hcol * f0 + h01 * y1 + h11 * hcol * f1
+        out = _hermite(
+            s[:, None], h[:, None],
+            self.states[idx], self.derivs[idx], self.states[idx + 1], self.derivs[idx + 1],
+        )
         if np.isscalar(t) or np.ndim(t) == 0:
             return out[0]
         return out
@@ -113,12 +108,16 @@ class Trajectory:
         return np.sqrt(np.einsum("ij,ij->i", self.states, self.states))
 
     def to_csv(self, path):
-        d = self.states.shape[1]
-        header = "t," + ",".join(f"x{i+1}" for i in range(d))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, x in zip(self.times, self.states):
-                fh.write(",".join(f"{v:.17g}" for v in (t, *x)) + "\n")
+        header = ["t"] + [f"x{i+1}" for i in range(self.states.shape[1])]
+        write_csv(path, header, ((t, *x) for t, x in zip(self.times, self.states)))
+
+
+def write_csv(path, header, rows):
+    """Write a header line and rows of numbers, each to round-trip precision."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _error_norm(err, y0, y1, atol, rtol):
@@ -293,14 +292,18 @@ def _floor_crossing(r_floor, tp, yp, fp, tn, yn, fn):
     return t_f, _hermite_eval(t_f, tp, yp, fp, tn, yn, fn)
 
 
-def _hermite_eval(t, tp, yp, fp, tn, yn, fn):
-    h = tn - tp
-    s = (t - tp) / h
+def _hermite(s, h, y0, f0, y1, f1):
+    """Cubic Hermite interpolant at fraction s of a step of length h."""
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    return h00 * yp + h10 * h * fp + h01 * yn + h11 * h * fn
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+
+
+def _hermite_eval(t, tp, yp, fp, tn, yn, fn):
+    h = tn - tp
+    return _hermite((t - tp) / h, h, yp, fp, yn, fn)
 
 
 def _locate_crossing(event, step, bracket):

@@ -9,6 +9,11 @@ Blowup corresponds to s -> infinity with z -> -infinity, so the collapse can
 be followed for as long as needed; physical time is recovered alongside by
 quadrature of the third equation (carried as an extra state component so it
 shares the integrator's dense output and error control).
+
+renormalized_system is the single definition of this system and of its
+projection onto the sphere: the blowup classification here, and the cycle
+searches, orbit tables and continuation families elsewhere, all run it,
+each carrying only the components it needs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import NotUnitVector, OutOfRange
 from .fields import SingularField
-from .integrators import DEFAULT_OPTIONS, IntegrationOptions, Trajectory, integrate
+from .integrators import DEFAULT_OPTIONS, IntegrationOptions, Trajectory, integrate, write_csv
 
 # Once (1-alpha) z exceeds this, the physical-time derivative is frozen at
 # exp(_EXP_CAP): the trajectory has escaped far beyond any physically
@@ -72,12 +77,8 @@ class RenormTrajectory:
         return self.base.sample(s)[..., self.dimension]
 
     def to_csv(self, path):
-        d = self.dimension
-        header = "s," + ",".join(f"y{i+1}" for i in range(d)) + ",z,t"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for s, u in zip(self.base.times, self.base.states):
-                fh.write(",".join(f"{v:.17g}" for v in (s, *u)) + "\n")
+        header = ["s"] + [f"y{i+1}" for i in range(self.dimension)] + ["z", "t"]
+        write_csv(path, header, ((s, *u) for s, u in zip(self.base.times, self.base.states)))
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,18 @@ class BlowupVerdict:
         }
 
 
-def _renorm_rhs(field: SingularField):
+def renormalized_system(field: SingularField, extras=("z", "t"), reverse: bool = False):
+    """The renormalized system and its sphere projection, as (rhs, project).
+
+    The state is the direction y followed by the extras, in this order:
+    "z" integrates dz/ds = F_r(y) and "t" integrates dt/ds = e^((1-alpha) z),
+    so extras is ("z", "t"), ("z",) or ().  reverse negates dy/ds only; z
+    still accumulates F_r along the traversal.  project(s, u) rescales y
+    back onto the unit sphere after an accepted step and returns u itself
+    when |y| is exactly 1, so the stepper keeps the right-hand side it has.
+    """
     d = field.dimension
+    n = d + len(extras)
     one_minus_a = 1.0 - field.alpha
     smap = field.sphere_map
 
@@ -122,24 +133,29 @@ def _renorm_rhs(field: SingularField):
         y = y / math.sqrt(float(y @ y))
         F = np.asarray(smap(y), dtype=float)
         fr = float(F @ y)
-        out = np.empty(d + 2)
-        out[:d] = F - fr * y
+        dy = F - fr * y
+        if reverse:
+            dy = -dy
+        if n == d:
+            return dy
+        out = np.empty(n)
+        out[:d] = dy
         out[d] = fr
-        out[d + 1] = math.exp(min(one_minus_a * u[d], _EXP_CAP))
+        if n > d + 1:
+            out[d + 1] = math.exp(min(one_minus_a * u[d], _EXP_CAP))
         return out
 
-    return rhs
+    def project(_s, u):
+        y = u[:d]
+        norm = math.sqrt(float(y @ y))
+        if norm == 1.0:
+            return u
+        out = u / norm
+        if n > d:
+            out[d:] = u[d:]
+        return out
 
-
-def _project(d):
-    def post(_t, u):
-        n = math.sqrt(float(u[:d] @ u[:d]))
-        if n != 1.0:
-            u = u.copy()
-            u[:d] /= n
-        return u
-
-    return post
+    return rhs, project
 
 
 def renorm_integrate(
@@ -164,7 +180,6 @@ def renorm_integrate(
         raise NotUnitVector(f"|y0| = {n0!r} is not on the unit sphere")
     if not s_max > 0:
         raise ValueError("s_max must be positive")
-    d = field.dimension
     u0 = np.concatenate([y0 / n0, [float(z0)], [float(t0)]])
     run_opts = IntegrationOptions(
         rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0, horizon=opts.horizon
@@ -172,9 +187,8 @@ def renorm_integrate(
     poll = None
     if until is not None:
         poll = lambda s, partial: until(s, lambda: RenormTrajectory(field, partial()))
-    base = integrate(
-        _renorm_rhs(field), u0, 0.0, s_max, run_opts, postprocess=_project(d), until=poll
-    )
+    rhs, project = renormalized_system(field)
+    base = integrate(rhs, u0, 0.0, s_max, run_opts, postprocess=project, until=poll)
     return RenormTrajectory(field, base)
 
 

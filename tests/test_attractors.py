@@ -191,6 +191,16 @@ def test_rescaled_escape_expelling_blend():
     assert res.attractor.location == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
+def test_rescaled_escape_step_failure_is_undetermined():
+    # a failed run inside the ball proves nothing about trapping
+    field = saddle()
+    rf = sf.RegularizedField(field, 0.1, lambda X: np.full(2, np.nan))
+    res = sf.rescaled_escape(field, rf, [-1.0, 0.0], catalog=[])
+    assert res.outcome == "undetermined"
+    assert "integration failed" in res.certificate
+    assert "non-finite" in res.certificate
+
+
 def test_rescaled_escape_is_scale_invariant():
     field = saddle()
     outcomes = []

@@ -220,12 +220,13 @@ def test_reproduce_all_figures(tmp_path, figure):
         assert (out / f["name"]).exists()
 
 
-def test_sweep_thread_env_is_deterministic(tmp_path, monkeypatch):
+def test_sweep_is_deterministic(tmp_path):
     cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG)
-    payloads = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("SINGULAR_FLOW_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
         assert main(["sweep", cfg, "--outdir", str(out), "--quiet"]) == 0
-        payloads.append((out / "sweep.json").read_bytes())
-    assert payloads[0] == payloads[1]
+        files = ["sweep.json"] + json.loads((out / "sweep.json").read_text())["trajectory_files"]
+        outputs.append({name: (out / name).read_bytes() for name in files})
+    assert len(outputs[0]) == 4  # sweep.json and one CSV per nu
+    assert outputs[0] == outputs[1]

@@ -65,9 +65,9 @@ def test_eval_family_out_of_domain():
         np.array([-1.0, 0.0]), -1.0, np.array([1.0, 0.0]), 1.0, t_b=1.5, alpha=ALPHA
     )
     with pytest.raises(sf.OutOfDomain):
-        sf.eval_family(fam, 1.5)
+        fam.eval(1.5)
     with pytest.raises(sf.OutOfDomain):
-        sf.eval_family(fam, 1.0)
+        fam.eval(1.0)
 
 
 # ---------------------------------------------------------------------------

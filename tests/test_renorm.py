@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import singularflow as sf
+from singularflow.renorm import renormalized_system
 
 ALPHA = 1.0 / 3.0
 
@@ -43,6 +44,43 @@ def test_sphere_projection_invariant():
     # s and t strictly increase
     assert np.all(np.diff(rt.s) > 0)
     assert np.all(np.diff(rt.t) > 0)
+
+
+def _random_directions(d, n, seed):
+    pts = np.random.default_rng(seed).standard_normal((n, d))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("name", ["power1d", "saddle2d", "spiral2d", "sphere3d"])
+def test_renormalized_system_rhs(name):
+    field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
+    d = field.dimension
+    full, _ = renormalized_system(field)
+    fwd, _ = renormalized_system(field, extras=("z",))
+    bwd, _ = renormalized_system(field, extras=("z",), reverse=True)
+    for y in _random_directions(d, 16, seed=d):
+        du = full(0.0, np.concatenate([y, [0.3, 2.0]]))
+        assert du.shape == (d + 2,)
+        assert abs(float(y @ du[:d])) <= 1e-15  # the direction stays on the sphere
+        assert du[d + 1] == math.exp((1.0 - field.alpha) * 0.3)
+        u = np.concatenate([y, [0.3]])
+        f, b = fwd(0.0, u), bwd(0.0, u)
+        assert np.array_equal(b[:d], -f[:d])
+        assert b[d] == f[d] == du[d]
+
+
+def test_renormalized_system_state_length_and_projection():
+    field = sf.builtin_field("sphere3d")
+    for extras in ((), ("z",), ("z", "t")):
+        rhs, project = renormalized_system(field, extras=extras)
+        u = np.concatenate([[0.0, 0.0, -1.0], [0.5, 1.0][: len(extras)]])
+        assert rhs(0.0, u).shape == (3 + len(extras),)
+        assert project(0.0, u) is u
+        off = np.concatenate([[0.0, 3.0, 4.0], [0.5, 1.0][: len(extras)]])
+        v = project(0.0, off)
+        assert v is not off and off[1] == 3.0
+        assert np.array_equal(v[:3], [0.0, 0.6, 0.8])
+        assert np.array_equal(v[3:], off[3:])
 
 
 def test_radial_integral_cross_check():
