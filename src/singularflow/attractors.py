@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -250,13 +250,16 @@ def find_limit_cycle(
     return_horizon: float = 400.0,
     orbit_samples: int = 1024,
     _reverse: bool = False,
+    _known: Sequence[AttractorInfo] = (),
 ) -> AttractorInfo:
     """Find the limit cycle attracting y0, via Poincare-section returns.
 
     The section is the hyperplane through the first post-transient point with
     normal along the flow there; the period is read off once the return
     distance falls below 1e-8.  Raises LimitCycleNotFound when the orbit
-    collapses onto a fixed point or never recurs within the budget.
+    collapses onto a fixed point or never recurs within the budget.  A
+    transient that enters the duplicate tube of one of the _known cycles
+    ends the search, which returns that cycle object itself.
     """
     d = field.dimension
     if d < 2:
@@ -264,6 +267,13 @@ def find_limit_cycle(
     y0 = np.asarray(y0, dtype=float)
     y0 = y0 / np.linalg.norm(y0)
     rhs, project = renormalized_system(field, extras=(), reverse=_reverse)
+    tubes = [(c, _tube_radius(c)) for c in _known]
+    reached = []
+
+    def in_known_tube(_t, y, _partial):
+        reached.extend(c for c, radius in tubes if c.distance_to(y) < radius)
+        return bool(reached)
+
     run = integrate(
         rhs,
         y0,
@@ -271,7 +281,10 @@ def find_limit_cycle(
         transient,
         IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
         postprocess=project,
+        until=in_known_tube,
     )
+    if reached:
+        return reached[0]
     p0 = run.final_state / np.linalg.norm(run.final_state)
     v0 = rhs(0.0, p0)
     speed = np.linalg.norm(v0)
@@ -348,6 +361,16 @@ def find_limit_cycle(
     )
 
 
+def _tube_radius(cycle: AttractorInfo) -> float:
+    """Distance from a cycle's samples within which a point counts as on it.
+
+    Twice the largest gap between successive orbit samples, so a point on
+    the true orbit is always inside, and never less than 1e-4.
+    """
+    gap = float(np.max(np.linalg.norm(np.diff(cycle.location, axis=0), axis=1)))
+    return max(1e-4, 2.0 * gap)
+
+
 def catalog_attractors(
     field: SingularField,
     n_seeds: int = 32,
@@ -355,28 +378,34 @@ def catalog_attractors(
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     seed: int = 0,
 ) -> List[AttractorInfo]:
-    """Fixed points plus limit cycles (stable, and unstable via reversed flow)."""
+    """Fixed points plus limit cycles (stable, and unstable via reversed flow).
+
+    Each pass (forward, then reversed) hands its searches the cycles it has
+    found so far, so a seed whose transient reaches one of them stops there
+    instead of re-finding it.
+    """
     out = list(find_fixed_points(field, n_seeds=n_seeds, seed=seed))
     fps = [a for a in out if a.kind == "fixed_point"]
     if field.dimension < 2:
         return out
     cycles: List[AttractorInfo] = []
     for reverse in (False, True):
+        found: List[AttractorInfo] = []  # every cycle this pass's searches found
         for y0 in _seed_directions(field.dimension, cycle_seeds, seed + 1):
             if any(np.linalg.norm(y0 - fp.location) < 1e-3 for fp in fps):
                 continue
             try:
-                cyc = find_limit_cycle(field, y0, opts, _reverse=reverse)
+                cyc = find_limit_cycle(field, y0, opts, _reverse=reverse, _known=found)
             except (LimitCycleNotFound, StepFailure):
                 continue
-            duplicate = False
-            for c in cycles:
-                if abs(c.period - cyc.period) > 1e-6 * max(1.0, c.period):
-                    continue
-                gap = float(np.max(np.linalg.norm(np.diff(c.location, axis=0), axis=1)))
-                if c.distance_to(cyc.anchor) < max(1e-4, 2.0 * gap):
-                    duplicate = True
-                    break
+            if any(cyc is c for c in found):
+                continue  # the search stopped on a cycle this pass found
+            found.append(cyc)
+            duplicate = any(
+                abs(c.period - cyc.period) <= 1e-6 * max(1.0, c.period)
+                and c.distance_to(cyc.anchor) < _tube_radius(c)
+                for c in cycles
+            )
             if not duplicate:
                 cycles.append(cyc)
     out.extend(cycles)

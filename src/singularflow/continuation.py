@@ -30,6 +30,9 @@ from .regularize import RegularizedField, integrate_regularized
 from .renorm import classify_blowup, renormalized_system
 
 _MEAN_DELTA = 1e-6
+# phases per broadcast block of the estimate_phase scan: with the 90-point
+# time grids of the sweeps, the scan's temporaries peak near 0.7 MB
+_SCAN_BLOCK = 90
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +110,36 @@ class ContinuationFamily:
 
     def eval(self, t, zeta: float = 0.0):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr <= self.t_b):
-            raise OutOfDomain("continuation families are defined for t > t_b only")
-        dt = t_arr - self.t_b
+        dt = self._elapsed(t_arr)
         p = 1.0 / (1.0 - self.alpha)
         if self.kind == "trivial_rest":
             out = np.zeros((len(t_arr), self.dimension))
         elif self.kind == "fixed_ray":
             out = (self.radial_coeff * dt)[:, None] ** p * self.direction[None, :]
         else:
-            xi = p * np.log(dt) + zeta
-            s = self.psi_inv(xi)
-            amp = dt**p * np.exp(-self.phi_diag(s))
-            out = amp[:, None] * self.orbit_point(s)
+            out = self._cycle_points(dt, zeta)
         if np.ndim(t) == 0:
             return out[0]
         return out
+
+    def _elapsed(self, t):
+        """t - t_b, after checking that every t lies past the blowup."""
+        if np.any(t <= self.t_b):
+            raise OutOfDomain("continuation families are defined for t > t_b only")
+        return t - self.t_b
+
+    def _cycle_points(self, dt, zeta):
+        """Cycle-family points at elapsed times dt for the phases zeta.
+
+        dt and zeta broadcast against each other; the points gain a last
+        axis of length d.  Every entry is computed elementwise, so a phase
+        in a broadcast block gives the same bits as on its own.
+        """
+        p = 1.0 / (1.0 - self.alpha)
+        xi = p * np.log(dt) + zeta
+        s = self.psi_inv(xi)
+        amp = dt**p * np.exp(-self.phi_diag(s))
+        return amp[..., None] * self.orbit_point(s)
 
 
 def fixed_point_solutions(
@@ -302,6 +319,8 @@ def estimate_phase(fam: ContinuationFamily, t_grid, samples, n_grid: int = 720):
 
     Coarse scan over n_grid phases, then golden-section refinement; returns
     (zeta, sup_distance, uncertainty) with zeta reduced to [0, zeta_period).
+    fam must be a cycle family.  The scan evaluates blocks of phases at once,
+    each giving the same distances as one fam.eval per phase.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -311,7 +330,11 @@ def estimate_phase(fam: ContinuationFamily, t_grid, samples, n_grid: int = 720):
         return float(np.max(np.linalg.norm(samples - fam.eval(t_grid, z), axis=1)))
 
     zg = np.linspace(0.0, span, n_grid, endpoint=False)
-    vals = [dist(z) for z in zg]
+    dt = fam._elapsed(t_grid)
+    vals = np.concatenate([
+        np.max(np.linalg.norm(samples - fam._cycle_points(dt, zb[:, None]), axis=-1), axis=1)
+        for zb in np.split(zg, range(_SCAN_BLOCK, n_grid, _SCAN_BLOCK))
+    ])
     i = int(np.argmin(vals))
     step = span / n_grid
     a, b = zg[i] - step, zg[i] + step

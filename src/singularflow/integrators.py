@@ -143,17 +143,18 @@ def _initial_step(rhs, t0, y0, f0, direction, atol, rtol, max_step):
     return min(100 * h0, h1, max_step)
 
 
-def _stepper(rhs, x0, t0, t1, opts, postprocess=None):
+def _stepper(rhs, x0, f0, t0, t1, opts, postprocess=None):
     """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new).
 
-    Raises StopIteration values through generator return semantics; the
-    wrapping drivers collect samples and statuses.  A non-finite start or
-    error estimate (NaN or inf in the state or the right-hand side) raises
-    StepFailure: no step size can repair it.
+    f0 is rhs(t0, x0), which every caller has already evaluated for its
+    first stored derivative.  Raises StopIteration values through generator
+    return semantics; the calling integrate functions collect samples and
+    statuses.  A non-finite start or error estimate (NaN or inf in the state
+    or the right-hand side) raises StepFailure: no step size can repair it.
     """
     y = np.asarray(x0, dtype=float).copy()
     t = t0
-    f = np.asarray(rhs(t, y), dtype=float)
+    f = f0
     if y.shape != f.shape:
         raise ValueError("rhs output shape does not match the state shape")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f))):
@@ -216,10 +217,11 @@ def integrate(
     origin).  Raises StepFailure, carrying the partial trajectory, when the
     step size underflows or the state turns non-finite.
 
-    until, if given, is polled after every accepted step as until(t, partial),
-    where partial() builds the trajectory up to t; a true result ends the run
-    at that step with status stopped.  The steps taken never depend on it, so
-    a stopped run is a prefix of the full one.
+    until, if given, is polled after every accepted step as
+    until(t, y, partial), where y is the accepted state at t and partial()
+    builds the trajectory up to t (at a cost that grows with its length); a
+    true result ends the run at that step with status stopped.  The steps
+    taken never depend on it, so a stopped run is a prefix of the full one.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -233,7 +235,8 @@ def integrate(
         return _trajectory(times, states, derivs, "stopped")
 
     try:
-        for tp, yp, fp, t_new, y_new, f_new in _stepper(rhs, x0, t0, t1, opts, postprocess):
+        steps = _stepper(rhs, x0, derivs[0], t0, t1, opts, postprocess)
+        for tp, yp, fp, t_new, y_new, f_new in steps:
             floor_hit = None
             if opts.r_floor > 0.0:
                 floor_hit = _floor_crossing(opts.r_floor, tp, yp, fp, t_new, y_new, f_new)
@@ -247,7 +250,7 @@ def integrate(
             times.append(t_new)
             states.append(y_new)
             derivs.append(f_new)
-            if until is not None and until(t_new, partial):
+            if until is not None and until(t_new, y_new, partial):
                 status = "stopped"
                 break
     except StepFailure as exc:
@@ -347,7 +350,7 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
     derivs = [np.asarray(rhs(t0, x0), dtype=float)]
     g_prev = float(event(t0, x0))
     try:
-        stepper = _stepper(rhs, x0, t0, t_max, opts, postprocess)
+        stepper = _stepper(rhs, x0, derivs[0], t0, t_max, opts, postprocess)
         for tp, yp, fp, tn, yn, fn in stepper:
             # subsample the step so double crossings are not skipped
             sub_t = np.linspace(tp, tn, _EVENT_SUBSAMPLES + 1)[1:]

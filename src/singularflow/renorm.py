@@ -172,7 +172,8 @@ def renorm_integrate(
     The direction is re-projected onto the sphere after every accepted step,
     keeping max | |y|-1 | at the level of the local error.  until, if given,
     is polled after every accepted step as until(s, partial), where partial()
-    builds the RenormTrajectory up to s; a true result ends the run there.
+    builds the RenormTrajectory up to s (at a cost that grows with its
+    length); a true result ends the run there.
     """
     y0 = np.asarray(y0, dtype=float)
     n0 = math.sqrt(float(y0 @ y0))
@@ -186,7 +187,7 @@ def renorm_integrate(
     )
     poll = None
     if until is not None:
-        poll = lambda s, partial: until(s, lambda: RenormTrajectory(field, partial()))
+        poll = lambda s, _u, partial: until(s, lambda: RenormTrajectory(field, partial()))
     rhs, project = renormalized_system(field)
     base = integrate(rhs, u0, 0.0, s_max, run_opts, postprocess=project, until=poll)
     return RenormTrajectory(field, base)

@@ -134,6 +134,65 @@ def test_catalog_sphere3d_two_cycles():
     assert unstable[0].mean_radial == pytest.approx(-0.25, abs=1e-8)
 
 
+def _catalog_without_early_stop(field, n_seeds=32, cycle_seeds=8, seed=0):
+    # every cycle search runs to completion; duplicates are dropped afterwards
+    from singularflow.attractors import _seed_directions
+
+    fps = sf.find_fixed_points(field, n_seeds=n_seeds, seed=seed)
+    cycles = []
+    for reverse in (False, True):
+        for y0 in _seed_directions(field.dimension, cycle_seeds, seed + 1):
+            if any(np.linalg.norm(y0 - fp.location) < 1e-3 for fp in fps):
+                continue
+            try:
+                cyc = sf.find_limit_cycle(field, y0, _reverse=reverse)
+            except (sf.LimitCycleNotFound, sf.StepFailure):
+                continue
+            duplicate = False
+            for c in cycles:
+                if abs(c.period - cyc.period) > 1e-6 * max(1.0, c.period):
+                    continue
+                gap = float(np.max(np.linalg.norm(np.diff(c.location, axis=0), axis=1)))
+                if c.distance_to(cyc.anchor) < max(1e-4, 2.0 * gap):
+                    duplicate = True
+                    break
+            if not duplicate:
+                cycles.append(cyc)
+    return fps + cycles
+
+
+def _bits(a):
+    times = None if a.orbit_times is None else a.orbit_times.tobytes()
+    return repr(a.to_dict()), np.asarray(a.stability_exponents, dtype=float).tobytes(), times
+
+
+@pytest.mark.parametrize("name, alpha", [("sphere3d", None), ("spiral2d", ALPHA)])
+def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
+    # a search stopped on a known cycle is one the duplicate rule would drop
+    from singularflow import attractors
+
+    field = sf.builtin_field(name, alpha)
+    reference = _catalog_without_early_stop(field)
+    lapped = []  # per cycle search: whether it reached its return laps
+    search, crossing = attractors.find_limit_cycle, attractors._integrate_to_crossing
+
+    def counted_search(*args, **kwargs):
+        lapped.append(False)
+        return search(*args, **kwargs)
+
+    def counted_crossing(*args, **kwargs):
+        lapped[-1] = True
+        return crossing(*args, **kwargs)
+
+    monkeypatch.setattr(attractors, "find_limit_cycle", counted_search)
+    monkeypatch.setattr(attractors, "_integrate_to_crossing", counted_crossing)
+    catalog = sf.catalog_attractors(field)
+    assert [_bits(a) for a in catalog] == [_bits(a) for a in reference]
+    # one search per cycle and pass: sphere3d has one cycle in each direction,
+    # spiral2d's circle is a cycle of the forward and of the reversed flow
+    assert sum(lapped) <= 2
+
+
 def test_label_consistency_with_renorm_averages():
     # classification by the attractor label agrees with the trajectory average
     field = sf.builtin_field("sphere3d")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,53 @@ def test_estimate_phase_recovers_known_zeta():
         z_fit, dist, unc = sf.estimate_phase(fam, ts, samples)
         assert abs(z_fit - z_true) < 1e-6
         assert dist < 1e-10
+
+
+def _estimate_phase_by_scalar_scan(fam, t_grid, samples, n_grid):
+    # one fam.eval per phase of the coarse scan, then the golden section
+    def dist(z):
+        return float(np.max(np.linalg.norm(samples - fam.eval(t_grid, z), axis=1)))
+
+    span = fam.zeta_period
+    zg = np.linspace(0.0, span, n_grid, endpoint=False)
+    i = int(np.argmin([dist(z) for z in zg]))
+    step = span / n_grid
+    a, b = zg[i] - step, zg[i] + step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, dpt = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = dist(c), dist(dpt)
+    for _ in range(60):
+        if fc < fd:
+            b, dpt, fd = dpt, c, fc
+            c = b - invphi * (b - a)
+            fc = dist(c)
+        else:
+            a, c, fc = c, dpt, fd
+            dpt = a + invphi * (b - a)
+            fd = dist(dpt)
+    z = 0.5 * (a + b)
+    return z % span, dist(z), b - a
+
+
+@pytest.mark.parametrize("n_grid", [720, 211])  # 211 is prime: no whole blocks
+def test_estimate_phase_scan_matches_scalar_evaluation(n_grid):
+    _, fam = sphere_family()
+    ts = np.linspace(3.1, 4.0, 90)
+    for z_true in (0.2, 1.4):
+        samples = fam.eval(ts, z_true) * (1.0 + 1e-3 * np.sin(7.0 * ts))[:, None]
+        got = sf.estimate_phase(fam, ts, samples, n_grid=n_grid)
+        want = _estimate_phase_by_scalar_scan(fam, ts, samples, n_grid)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_estimate_phase_rejects_times_up_to_blowup():
+    _, fam = sphere_family(t_b=3.0)
+    ts = np.linspace(3.0, 4.0, 20)
+    samples = np.ones((20, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sf.OutOfDomain):
+            sf.estimate_phase(fam, ts, samples)
 
 
 # ---------------------------------------------------------------------------

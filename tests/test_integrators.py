@@ -178,7 +178,7 @@ def test_integrate_until_stops_on_a_prefix():
     full = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
     seen = []
 
-    def until(t, partial):
+    def until(t, y, partial):
         seen.append(t)
         return t >= 0.5 and partial().t_end == t
 
@@ -187,6 +187,23 @@ def test_integrate_until_stops_on_a_prefix():
     assert run.t_end == seen[-1] >= 0.5 > seen[-2]
     n = len(run.times)
     assert np.array_equal(run.states, full.states[:n])
+
+
+def test_rhs_evaluated_once_at_the_start_point():
+    # the stored first derivative is the stepper's first stage: one call at t0
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return -x
+
+    run = sf.integrate(rhs, [1.0], 0.0, 1.0)
+    assert len(run.times) - 1 == 19
+    assert calls.count(0.0) == 1
+    assert len(calls) == 116
+    calls.clear()
+    sf.integrate_to_event(rhs, [1.0], 0.0, lambda t, x: 0.5 - x[0], +1)
+    assert calls.count(0.0) == 1
 
 
 def test_rescaled_escape_event_reaches_unit_sphere():
