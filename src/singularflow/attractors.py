@@ -31,6 +31,11 @@ LABEL_DELTA = 1e-6
 _FP_RESIDUAL_TOL = 1e-10
 _MERGE_DISTANCE = 1e-6
 _RETURN_TOL = 1e-8
+# A transient this close to a sink is taken to have entered its basin and
+# to converge there.  That holds when the basin contains this ball, as it
+# does for the built-in fields; a sink of narrower basin could let a passing
+# transient stop early where a full run would have gone on to a cycle.
+_SINK_RADIUS = 1e-3
 
 
 @dataclass
@@ -259,7 +264,10 @@ def find_limit_cycle(
     distance falls below 1e-8.  Raises LimitCycleNotFound when the orbit
     collapses onto a fixed point or never recurs within the budget.  A
     transient that enters the duplicate tube of one of the _known cycles
-    ends the search, which returns that cycle object itself.
+    ends the search, which returns that cycle object itself; one that comes
+    within _SINK_RADIUS (1e-3) of one of the _known fixed points, which must
+    be sinks of the flow searched, ends it with LimitCycleNotFound.  That
+    stop assumes the 1e-3 ball around each such sink lies in its basin.
     """
     d = field.dimension
     if d < 2:
@@ -284,6 +292,8 @@ def find_limit_cycle(
         until=in_known_tube,
     )
     if reached:
+        if reached[0].kind == "fixed_point":
+            raise LimitCycleNotFound("orbit converges to a fixed point")
         return reached[0]
     p0 = run.final_state / np.linalg.norm(run.final_state)
     v0 = rhs(0.0, p0)
@@ -361,13 +371,16 @@ def find_limit_cycle(
     )
 
 
-def _tube_radius(cycle: AttractorInfo) -> float:
-    """Distance from a cycle's samples within which a point counts as on it.
+def _tube_radius(attractor: AttractorInfo) -> float:
+    """Distance from an attractor within which a point counts as on it.
 
-    Twice the largest gap between successive orbit samples, so a point on
-    the true orbit is always inside, and never less than 1e-4.
+    _SINK_RADIUS for a fixed point.  For a cycle, twice the largest gap
+    between successive orbit samples, so a point on the true orbit is always
+    inside, and never less than 1e-4.
     """
-    gap = float(np.max(np.linalg.norm(np.diff(cycle.location, axis=0), axis=1)))
+    if attractor.kind == "fixed_point":
+        return _SINK_RADIUS
+    gap = float(np.max(np.linalg.norm(np.diff(attractor.location, axis=0), axis=1)))
     return max(1e-4, 2.0 * gap)
 
 
@@ -381,8 +394,9 @@ def catalog_attractors(
     """Fixed points plus limit cycles (stable, and unstable via reversed flow).
 
     Each pass (forward, then reversed) hands its searches the cycles it has
-    found so far, so a seed whose transient reaches one of them stops there
-    instead of re-finding it.
+    found so far and the sinks of its flow, so a seed whose transient
+    reaches one of them stops there: on a cycle instead of re-finding it, on
+    a sink instead of running out the transient.
     """
     out = list(find_fixed_points(field, n_seeds=n_seeds, seed=seed))
     fps = [a for a in out if a.kind == "fixed_point"]
@@ -390,12 +404,16 @@ def catalog_attractors(
         return out
     cycles: List[AttractorInfo] = []
     for reverse in (False, True):
+        sign = -1.0 if reverse else 1.0
+        sinks = [fp for fp in fps if np.all(sign * fp.stability_exponents < 0)]
         found: List[AttractorInfo] = []  # every cycle this pass's searches found
         for y0 in _seed_directions(field.dimension, cycle_seeds, seed + 1):
             if any(np.linalg.norm(y0 - fp.location) < 1e-3 for fp in fps):
                 continue
             try:
-                cyc = find_limit_cycle(field, y0, opts, _reverse=reverse, _known=found)
+                cyc = find_limit_cycle(
+                    field, y0, opts, _reverse=reverse, _known=found + sinks
+                )
             except (LimitCycleNotFound, StepFailure):
                 continue
             if any(cyc is c for c in found):

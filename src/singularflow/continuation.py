@@ -89,13 +89,17 @@ class ContinuationFamily:
         xi_red = xi - k * span  # in [psi(0), psi(T))
         s = tb["psi_inv_base"](xi_red)
         for _ in range(3):
-            s = s - (self.psi(s) - xi_red) / self.psi_prime(s)
+            psi_s = self.psi(s)
+            s = s - (psi_s - xi_red) / self._psi_prime(s, psi_s)
         return s + k * T
 
     def psi_prime(self, s):
-        tb = self._tables
+        return self._psi_prime(s, self.psi(s))
+
+    def _psi_prime(self, s, psi_s):
+        """d psi / ds at s, given psi_s = psi(s)."""
         one_minus_a = 1.0 - self.alpha
-        return np.exp(one_minus_a * (self.radial_integral(s) - self.psi(s))) / one_minus_a
+        return np.exp(one_minus_a * (self.radial_integral(s) - psi_s)) / one_minus_a
 
     def phi_diag(self, s):
         """phi(s, s): log of the radial profile of the periodic solution."""
@@ -552,10 +556,16 @@ def inviscid_sweep(
     return report
 
 
+# Errors that mean the code is wrong, not that one nu failed: never recorded.
+_PROGRAMMING_ERRORS = (TypeError, KeyError, AttributeError, NameError)
+
+
 def _safe(fn):
     def wrapped(arg):
         try:
             return fn(arg)
+        except _PROGRAMMING_ERRORS:
+            raise
         except Exception as exc:  # per-nu isolation by design
             return exc
 

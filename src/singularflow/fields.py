@@ -76,8 +76,8 @@ def eval_sphere_map(field: SingularField, y) -> np.ndarray:
 def eval_field(field: SingularField, x, r_floor: float = R_FLOOR_DEFAULT) -> np.ndarray:
     """Evaluate the ideal field r^alpha * F(x/r); the origin is out of domain."""
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(x @ x)
-    if r < r_floor or not np.isfinite(r):
+    r = np.sqrt(x.dot(x))  # x.dot(x) is x @ x bit for bit, with less overhead
+    if not r_floor <= r < np.inf:  # NaN fails both comparisons
         raise OriginEvaluation(
             f"|x| = {r!r} below r_floor = {r_floor!r}; switch to a regularized "
             "or renormalized representation"

@@ -35,6 +35,10 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _EVENT_SUBSAMPLES = 8
+# subsample k of a step sits at k * (h / _EVENT_SUBSAMPLES) past its start,
+# which is how np.linspace places it, bit for bit
+_SUBSAMPLE_K = np.arange(1.0, _EVENT_SUBSAMPLES + 1.0)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def _stepper(rhs, x0, f0, t0, t1, opts, postprocess=None):
     K = np.empty((7, y.size))
     while t < t1:
         h = min(h, opts.max_step, t1 - t)
-        if h < 16 * np.finfo(float).eps * max(1.0, abs(t)):
+        if h < 16 * _EPS * max(1.0, abs(t)):
             raise StepFailure(f"step size underflow at t = {t!r}", None)
         K[0] = f
         for i in range(5):
@@ -289,7 +293,7 @@ def _floor_crossing(r_floor, tp, yp, fp, tn, yn, fn):
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 4 * np.finfo(float).eps * max(1.0, abs(mid)):
+        if hi - lo <= 4 * _EPS * max(1.0, abs(mid)):
             break
     t_f = hi
     return t_f, _hermite_eval(t_f, tp, yp, fp, tn, yn, fn)
@@ -322,7 +326,7 @@ def _locate_crossing(event, step, bracket):
         mid = 0.5 * (lo + hi)
         ymid = _hermite_eval(mid, tp, yp, fp, tn, yn, fn)
         gmid = float(event(mid, ymid))
-        if abs(gmid) <= 1e-12 * scale or hi - lo <= 16 * np.finfo(float).eps * max(1.0, abs(mid)):
+        if abs(gmid) <= 1e-12 * scale or hi - lo <= 16 * _EPS * max(1.0, abs(mid)):
             return mid, ymid
         if (gmid > 0) == (glo > 0):
             lo, glo = mid, gmid
@@ -330,6 +334,29 @@ def _locate_crossing(event, step, bracket):
             hi = mid
     ymid = _hermite_eval(0.5 * (lo + hi), tp, yp, fp, tn, yn, fn)
     return 0.5 * (lo + hi), ymid
+
+
+def _scan_step(event, direction, g_prev, step):
+    """Subsample one accepted step for the first crossing in direction.
+
+    The step is cut into _EVENT_SUBSAMPLES equal parts so a double crossing
+    inside it is not skipped; the interior states come from one Hermite
+    evaluation.  g_prev is the event at the step's start.  Returns
+    (bracket, g_end): bracket is (ta, ga, tb, gb) around the first crossing,
+    or None with g_end the event at the step's end.
+    """
+    tp, yp, fp, tn, yn, fn = step
+    h = tn - tp
+    sub_t = _SUBSAMPLE_K * (h / _EVENT_SUBSAMPLES) + tp
+    sub_t[-1] = tn
+    sub_y = _hermite(((sub_t[:-1] - tp) / h)[:, None], h, yp, fp, yn, fn)
+    ta, ga = tp, g_prev
+    for k, tq in enumerate(sub_t):
+        gq = float(event(tq, sub_y[k] if k < _EVENT_SUBSAMPLES - 1 else yn))
+        if (ga < 0.0 <= gq) if direction > 0 else (ga > 0.0 >= gq):
+            return (ta, ga, tq, gq), gq
+        ta, ga = tq, gq
+    return None, ga
 
 
 def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postprocess=None):
@@ -351,29 +378,15 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
     g_prev = float(event(t0, x0))
     try:
         stepper = _stepper(rhs, x0, derivs[0], t0, t_max, opts, postprocess)
-        for tp, yp, fp, tn, yn, fn in stepper:
-            # subsample the step so double crossings are not skipped
-            sub_t = np.linspace(tp, tn, _EVENT_SUBSAMPLES + 1)[1:]
-            ga = g_prev
-            ta = tp
-            hit = None
-            for tq in sub_t:
-                yq = yn if tq == tn else _hermite_eval(tq, tp, yp, fp, tn, yn, fn)
-                gq = float(event(tq, yq))
-                crossed = (ga < 0.0 <= gq) if direction > 0 else (ga > 0.0 >= gq)
-                if crossed:
-                    hit = _locate_crossing(
-                        event, (tp, yp, fp, tn, yn, fn), (ta, ga, tq, gq)
-                    )
-                    break
-                ta, ga = tq, gq
-            if hit is not None:
-                t_e, x_e = hit
+        for step in stepper:
+            bracket, g_prev = _scan_step(event, direction, g_prev, step)
+            if bracket is not None:
+                t_e, x_e = _locate_crossing(event, step, bracket)
                 times.append(t_e)
                 states.append(x_e)
                 derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
                 return t_e, x_e, _trajectory(times, states, derivs, "hit_event")
-            g_prev = ga
+            _, _, _, tn, yn, fn = step
             times.append(tn)
             states.append(yn)
             derivs.append(fn)

@@ -166,19 +166,39 @@ def _bits(a):
     return repr(a.to_dict()), np.asarray(a.stability_exponents, dtype=float).tobytes(), times
 
 
-@pytest.mark.parametrize("name, alpha", [("sphere3d", None), ("spiral2d", ALPHA)])
+@pytest.mark.parametrize(
+    "name, alpha", [("sphere3d", None), ("spiral2d", ALPHA), ("saddle2d", ALPHA)]
+)
 def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
-    # a search stopped on a known cycle is one the duplicate rule would drop
+    # a search stopped on a known cycle is one the duplicate rule would drop,
+    # and one stopped at a sink is one that would find no cycle
     from singularflow import attractors
 
     field = sf.builtin_field(name, alpha)
+    transients = []  # (accepted steps, end) of each search's transient, in order
+    run = attractors.integrate
+
+    def counted_run(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        if "until" in kwargs:
+            transients.append((len(traj.times) - 1, traj.t_end))
+        return traj
+
+    monkeypatch.setattr(attractors, "integrate", counted_run)
     reference = _catalog_without_early_stop(field)
+    full, transients[:] = list(transients), []
     lapped = []  # per cycle search: whether it reached its return laps
+    sink_bound = []  # per cycle search: whether it ended at a fixed point
     search, crossing = attractors.find_limit_cycle, attractors._integrate_to_crossing
 
     def counted_search(*args, **kwargs):
         lapped.append(False)
-        return search(*args, **kwargs)
+        sink_bound.append(False)
+        try:
+            return search(*args, **kwargs)
+        except sf.LimitCycleNotFound as exc:
+            sink_bound[-1] = "fixed point" in str(exc)
+            raise
 
     def counted_crossing(*args, **kwargs):
         lapped[-1] = True
@@ -191,6 +211,18 @@ def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
     # one search per cycle and pass: sphere3d has one cycle in each direction,
     # spiral2d's circle is a cycle of the forward and of the reversed flow
     assert sum(lapped) <= 2
+    # the same seeds in the same order; a stopped transient is a prefix of
+    # the full one, and a search bound for a sink stops long before the
+    # 80-unit transient ends (its steps lengthen as it settles, so the steps
+    # saved are fewer than the time)
+    assert len(transients) == len(full) == len(sink_bound)
+    assert all(n <= m for (n, _), (m, _) in zip(transients, full))
+    for (n, t_end), (m, _), sink in zip(transients, full, sink_bound):
+        if sink:
+            assert t_end < 20.0 and 3 * n < 2 * m
+    if name == "saddle2d":
+        # two sinks in each direction, no cycle: every search ends at one
+        assert len(sink_bound) == 8 and all(sink_bound)
 
 
 def test_label_consistency_with_renorm_averages():

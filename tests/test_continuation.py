@@ -131,6 +131,25 @@ def test_psi_periodicity_defect():
         assert np.abs(defect).max() < 1e-8
 
 
+def test_psi_inv_evaluates_psi_once_per_newton_step(monkeypatch):
+    _, fam = sphere_family()
+    xi = np.linspace(-3.0, 5.0, 101)
+    tb = fam._tables
+    span = tb["T"] * tb["mean"]
+    k = np.floor((xi - tb["psi0"]) / span)
+    xi_red = xi - k * span
+    s = tb["psi_inv_base"](xi_red)
+    for _ in range(3):  # the Newton polish with psi evaluated twice per step
+        s = s - (fam.psi(s) - xi_red) / fam.psi_prime(s)
+    want = s + k * tb["T"]
+    calls = []
+    psi = sf.ContinuationFamily.psi
+    monkeypatch.setattr(sf.ContinuationFamily, "psi", lambda f, s: calls.append(s) or psi(f, s))
+    got = fam.psi_inv(xi)
+    assert np.array_equal(got, want)
+    assert len(calls) == 3
+
+
 def test_radial_integral_periodic_in_both_arguments():
     # I(s1, s2) - <F_r>(s2 - s1) is T-periodic in each argument
     _, fam = sphere_family()
@@ -315,6 +334,19 @@ def test_sweep_records_per_nu_failures(saddle_sweep_grid):
     assert rep.solutions[2] is None
     assert "synthetic failure" in rep.errors[2]
     assert rep.solutions[0] is not None
+
+
+def test_sweep_propagates_programming_errors(saddle_sweep_grid):
+    # a TypeError is a bug in the caller's code, not a failure of one nu
+    field = sf.builtin_field("saddle2d", ALPHA)
+
+    def mk(nu):
+        if nu < 0.05:
+            raise TypeError("synthetic bug")
+        return sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+
+    with pytest.raises(TypeError, match="synthetic bug"):
+        sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.02])
 
 
 def test_sweep_nongeneric_direction_is_undetermined(saddle_sweep_grid):

@@ -71,6 +71,23 @@ def test_eval_field_origin_guard():
         sf.eval_field(f, [0.0, 0.0])
     with pytest.raises(sf.OriginEvaluation):
         sf.eval_field(f, [1e-4, 0.0], r_floor=1e-3)
+    for bad in ([np.inf, 0.0], [np.nan, 0.0]):
+        with pytest.raises(sf.OriginEvaluation):
+            sf.eval_field(f, bad)
+    assert np.isfinite(sf.eval_field(f, [1e-3, 0.0], r_floor=1e-3)).all()  # the floor is in
+
+
+def test_eval_field_is_the_formula_bitwise():
+    f = sf.builtin_field("saddle2d", ALPHA)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x = rng.standard_normal(2) * 10.0 ** rng.uniform(-6, 6)
+        r = np.sqrt(x @ x)
+        want = r**f.alpha * np.asarray(f.sphere_map(x / r), dtype=float)
+        assert np.array_equal(sf.eval_field(f, x), want)
+    steep = sf.builtin_field("saddle2d", -2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # NumPy overflows to inf, no raise
+        assert np.isinf(sf.eval_field(steep, [1e-155, 0.0])).any()
 
 
 def test_alpha_validation():

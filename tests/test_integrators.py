@@ -206,6 +206,72 @@ def test_rhs_evaluated_once_at_the_start_point():
     assert calls.count(0.0) == 1
 
 
+def _scalar_scan(event, direction, g_prev, step):
+    # reference: np.linspace subsample times, one scalar Hermite call each
+    from singularflow.integrators import _hermite_eval
+
+    tp, yp, fp, tn, yn, fn = step
+    ta, ga = tp, g_prev
+    for tq in np.linspace(tp, tn, 9)[1:]:
+        yq = yn if tq == tn else _hermite_eval(tq, tp, yp, fp, tn, yn, fn)
+        gq = float(event(tq, yq))
+        if (ga < 0.0 <= gq) if direction > 0 else (ga > 0.0 >= gq):
+            return (ta, ga, tq, gq)
+        ta, ga = tq, gq
+    return None
+
+
+def _crafted_steps():
+    # x(s) = 1 - 6 s (1 - s) on a step with h f = -6 at its start and +6 at
+    # its end: x dips to -1/2 and comes back, so both ends read x = 1 and
+    # only the subsamples see the double crossing
+    for tp, h in ((0.0, 1.0), (2.0, 0.5), (-3.0, 0.125)):
+        yield (tp, np.array([1.0]), np.array([-6.0 / h]),
+               tp + h, np.array([1.0]), np.array([6.0 / h]))
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        tp = float(rng.uniform(-5.0, 5.0))
+        h = float(rng.uniform(1e-3, 2.0))
+        yp, fp, yn, fn = rng.standard_normal((4, 2))
+        yield tp, yp, fp, tp + h, yn, fn
+
+
+def test_event_scan_matches_a_scalar_reference():
+    from singularflow.integrators import _locate_crossing, _scan_step
+
+    events = (lambda t, x: float(x[0]), lambda t, x: math.sqrt(float(x @ x)) - 0.8)
+    hits = 0
+    for step in _crafted_steps():
+        for event in events:
+            g0 = event(step[0], step[1])
+            for direction in (+1, -1):
+                want = _scalar_scan(event, direction, g0, step)
+                got, g_end = _scan_step(event, direction, g0, step)
+                if want is None:
+                    assert got is None
+                    assert g_end == event(step[3], step[4])
+                    continue
+                hits += 1
+                # same sub-interval; the event values at its ends agree to
+                # rounding of states of order one
+                assert (got[0], got[2]) == (want[0], want[2])
+                assert got[1] == pytest.approx(want[1], rel=0.0, abs=1e-14)
+                assert got[3] == pytest.approx(want[3], rel=0.0, abs=1e-14)
+                t_got, x_got = _locate_crossing(event, step, got)
+                t_want, x_want = _locate_crossing(event, step, want)
+                assert t_got == t_want
+                assert np.array_equal(x_got, x_want)
+    assert hits > 100
+    # the dip: the first downward crossing is at s = (1 - 1/sqrt(3))/2 and
+    # the first upward one at s = (1 + 1/sqrt(3))/2, inside the step
+    step = next(_crafted_steps())
+    for direction, s_root in ((-1, 0.5 - 0.5 / math.sqrt(3.0)), (+1, 0.5 + 0.5 / math.sqrt(3.0))):
+        bracket, _ = _scan_step(events[0], direction, 1.0, step)
+        assert bracket[0] < s_root <= bracket[2]
+        t_e, _ = _locate_crossing(events[0], step, bracket)
+        assert t_e == pytest.approx(s_root, abs=1e-12)
+
+
 def test_rescaled_escape_event_reaches_unit_sphere():
     # expelling inner field: the rescaled solution exits R = 1 at finite tau
     field = sf.builtin_field("saddle2d", ALPHA)

@@ -46,7 +46,43 @@ def test_outside_is_exactly_the_ideal_field():
         x *= (nu * 1.0001 + rng.random()) / np.linalg.norm(x)
         a = sf.eval_regularized(rf, x)
         b = sf.eval_field(field, x)
-        assert np.array_equal(a, b)  # same code path, bitwise
+        assert np.array_equal(a, b)  # same arithmetic, bitwise
+
+
+def _patched_field_formula(rf, x):
+    # the patched field as eval_regularized computed it through eval_field
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(float(x @ x))
+    if r > rf.nu:
+        return sf.eval_field(rf.base, x)
+    return rf.nu**rf.base.alpha * np.asarray(rf.inner_map(x / rf.nu), dtype=float)
+
+
+def test_regularized_rhs_is_the_patched_field_formula():
+    field = saddle()
+    rng = np.random.default_rng(3)
+    cases = []
+    for nu in (0.1, np.float64(0.03), 1.0):
+        rf = sf.make_polynomial_blend(field, [1.0, 1.3], nu)
+        for scale in (0.5, 1.0, 2.0, 50.0):  # inside, on |x| = nu, outside
+            for _ in range(50):
+                y = rng.standard_normal(2)
+                cases.append((rf, nu * scale * y / np.linalg.norm(y)))
+    cases.append((rf, np.array([0.0, 0.0])))
+    for rf, x in cases:
+        want = _patched_field_formula(rf, x)
+        assert np.array_equal(regularized_rhs(rf)(0.0, x), want)
+        assert np.array_equal(sf.eval_regularized(rf, x), want)
+    rf = sf.make_polynomial_blend(field, [1.0, 1.3], 0.1)
+    with pytest.raises(sf.OriginEvaluation):
+        regularized_rhs(rf)(0.0, np.array([np.inf, 0.0]))
+    with pytest.raises(sf.OriginEvaluation):
+        _patched_field_formula(rf, np.array([np.inf, 0.0]))
+    # NaN compares false against nu and takes the inner branch in both
+    with np.errstate(invalid="ignore"):
+        got = regularized_rhs(rf)(0.0, np.array([np.nan, 0.0]))
+        ref = _patched_field_formula(rf, np.array([np.nan, 0.0]))
+    assert np.isnan(got).all() and np.isnan(ref).all()
 
 
 def test_preset_1d_values():
