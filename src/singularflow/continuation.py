@@ -7,10 +7,16 @@ family x(t; zeta): the radius grows like (t - t_b)^(1/(1-alpha)) while the
 direction runs around the cycle, with the phase zeta selected one value at a
 time by geometric subsequences of the regularization radius.
 
-The family tables are built from one high-resolution period of the cycle.
-The improper integral defining the phase map is reduced exactly through the
-periodicity of the radial integral (a geometric series over past periods),
-so no truncation of the infinite history is needed.
+The family is discretely self-similar: with p = 1/(1-alpha),
+
+    x(t; zeta) = (t - t_b)^p G(p log(t - t_b) + zeta),
+    G(xi) = exp(-phi(s, s)) y_c(s)  at  s = psi_inv(xi),
+
+and the log-profile G is periodic in xi with period zeta_period = T <F_r>.
+The tables, G among them, are built from one high-resolution period of the
+cycle.  The improper integral defining the phase map psi is reduced exactly
+through the periodicity of the radial integral (a geometric series over past
+periods), so no truncation of the infinite history is needed.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .renorm import classify_blowup, renormalized_system
 
 _MEAN_DELTA = 1e-6
 # phases per broadcast block of the estimate_phase scan: with the 90-point
-# time grids of the sweeps, the scan's temporaries peak near 0.7 MB
+# time grids of the sweeps, the scan's temporaries peak near 0.5 MB
 _SCAN_BLOCK = 90
 
 
@@ -133,17 +139,16 @@ class ContinuationFamily:
         return t - self.t_b
 
     def _cycle_points(self, dt, zeta):
-        """Cycle-family points at elapsed times dt for the phases zeta.
+        """Cycle-family points dt^p G(p log dt + zeta) for the phases zeta.
 
-        dt and zeta broadcast against each other; the points gain a last
-        axis of length d.  Every entry is computed elementwise, so a phase
-        in a broadcast block gives the same bits as on its own.
+        One lookup in the periodic spline of the log-profile G, whose
+        periodic extrapolation reduces xi into [psi(0), psi(0) + zeta_period)
+        with np.mod.  dt and zeta broadcast against each other; the points
+        gain a last axis of length d.  Every entry is computed elementwise,
+        so a phase in a broadcast block gives the same bits as on its own.
         """
         p = 1.0 / (1.0 - self.alpha)
-        xi = p * np.log(dt) + zeta
-        s = self.psi_inv(xi)
-        amp = dt**p * np.exp(-self.phi_diag(s))
-        return amp[..., None] * self.orbit_point(s)
+        return (dt**p)[..., None] * self._tables["profile"](p * np.log(dt) + zeta)
 
 
 def fixed_point_solutions(
@@ -221,10 +226,13 @@ def build_cycle_family(
     """Tabulate the post-blowup family generated by a defocusing limit cycle.
 
     One period of the cycle is re-integrated at tight tolerance to sample the
-    orbit and the running integral of F_r on a uniform grid.  The phase map
+    orbit and the running integral J of F_r on a uniform grid.  The phase map
     psi and the radial profile follow from the cumulative exponential weight
     K(s) = integral_{-inf}^s exp((1-alpha) J(u)) du, whose tail over past
-    periods sums exactly as a geometric series.
+    periods sums exactly as a geometric series.  The log-profile
+    G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is then
+    known with no inversion at the nodes xi_k = psi(s_k); one periodic cubic
+    spline through them, of period zeta_period = T <F_r>, is what eval uses.
     """
     if cycle.kind != "limit_cycle":
         raise ValueError("build_cycle_family needs a limit-cycle attractor")
@@ -273,6 +281,12 @@ def build_cycle_family(
     psi_per_sp = CubicSpline(s_grid, psi_per, bc_type="periodic")
     psi_inv_base = CubicSpline(psi_tab, s_grid)
 
+    xi_nodes = psi_tab.copy()
+    xi_nodes[-1] = psi_tab[0] + mean * T  # psi(T) = psi(0) + T <F_r> exactly
+    G = np.exp(J_tab - psi_tab)[:, None] * orbit
+    G[-1] = G[0]
+    profile = CubicSpline(xi_nodes, G, bc_type="periodic")
+
     tables = {
         "T": T,
         "mean": mean,
@@ -281,6 +295,7 @@ def build_cycle_family(
         "psi_per": psi_per_sp,
         "psi_inv_base": psi_inv_base,
         "psi0": psi_tab[0],
+        "profile": profile,
     }
     return ContinuationFamily(
         "cycle_family",
@@ -323,9 +338,12 @@ def estimate_phase(fam: ContinuationFamily, t_grid, samples, n_grid: int = 720):
 
     Coarse scan over n_grid phases, then golden-section refinement; returns
     (zeta, sup_distance, uncertainty) with zeta reduced to [0, zeta_period).
-    fam must be a cycle family.  The scan evaluates blocks of phases at once,
-    each giving the same distances as one fam.eval per phase.
+    fam must be a cycle family (ValueError otherwise).  The scan evaluates
+    blocks of phases at once, each giving the same distances as one fam.eval
+    per phase.
     """
+    if fam.kind != "cycle_family":
+        raise ValueError("estimate_phase needs a cycle_family")
     t_grid = np.asarray(t_grid, dtype=float)
     samples = np.asarray(samples, dtype=float)
     span = fam.zeta_period

@@ -273,6 +273,44 @@ def test_estimate_phase_scan_matches_scalar_evaluation(n_grid):
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
+@pytest.mark.parametrize("make_family", [sphere_family, spiral_family], ids=["sphere3d", "spiral2d"])
+def test_profile_spline_is_the_phase_map_formula(make_family):
+    # eval is one lookup in the periodic spline of G; it must agree with the
+    # composite formula dt^p exp(-phi(s, s)) y_c(s) at s = psi_inv(xi)
+    _, fam = make_family()
+    p = 1.0 / (1.0 - fam.alpha)
+    span = fam.zeta_period
+    ts = fam.t_b + np.geomspace(1e-6, 10.0, 61)
+    dt = ts - fam.t_b  # the elapsed times eval itself computes
+
+    def rel(a, b):
+        return np.max(np.linalg.norm(a - b, axis=1) / np.linalg.norm(b, axis=1))
+
+    for zeta in np.linspace(0.0, 3.0 * span, 13):
+        s = fam.psi_inv(p * np.log(dt) + zeta)
+        want = (dt**p * np.exp(-fam.phi_diag(s)))[:, None] * fam.orbit_point(s)
+        got = fam.eval(ts, zeta)
+        assert rel(got, want) < 1e-12
+        assert rel(fam.eval(ts, zeta + span), got) < 1e-13
+    # the block scan of estimate_phase gives the bits of one eval per phase
+    ts = fam.t_b + np.linspace(0.1, 1.0, 90)
+    samples = fam.eval(ts, 0.3 * span) * (1.0 + 1e-3 * np.sin(7.0 * ts))[:, None]
+    got = sf.estimate_phase(fam, ts, samples)
+    want = _estimate_phase_by_scalar_scan(fam, ts, samples, 720)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_estimate_phase_rejects_non_cycle_families():
+    _, ray = sf.fixed_point_solutions(
+        np.array([-1.0, 0.0]), -1.0, np.array([1.0, 0.0]), 1.0, t_b=1.5, alpha=ALPHA
+    )
+    rest = sf.trivial_rest_family(t_b=1.5, alpha=ALPHA, dimension=2)
+    ts = np.linspace(1.6, 2.5, 10)
+    for fam in (ray, rest):
+        with pytest.raises(ValueError, match="estimate_phase needs a cycle_family"):
+            sf.estimate_phase(fam, ts, np.ones((10, 2)))
+
+
 def test_estimate_phase_rejects_times_up_to_blowup():
     _, fam = sphere_family(t_b=3.0)
     ts = np.linspace(3.0, 4.0, 20)
