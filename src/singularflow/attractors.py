@@ -615,12 +615,22 @@ def rescaled_escape(
 def _outside_excursion(field, y_exit, window, opts):
     """Renormalized run outside the ball until re-entry (Z = 0) or the window end."""
     d = field.dimension
+    z_last = 0.0  # Z of the last accepted state; the run starts at Z = 0
+
+    def reentered(_s, u, _partial):
+        # the step of the first downward crossing of Z = 0 ends the run; the
+        # steps never depend on the poll, so it is a prefix of the full run
+        nonlocal z_last
+        z_prev, z_last = z_last, float(u[d])
+        return z_prev > 0.0 >= z_last
+
     rt = renorm_integrate(
         field,
         y_exit,
         0.0,
         window,
         IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
+        until=reentered,
     )
     z = rt.z
     s = rt.s

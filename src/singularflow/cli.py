@@ -36,7 +36,17 @@ SCHEMA_VERSION = "1"
 
 
 def _scaled_options(opts: IntegrationOptions, tol_scale: float) -> IntegrationOptions:
-    return dataclasses.replace(opts, rtol=opts.rtol * tol_scale, atol=opts.atol * tol_scale)
+    try:
+        return dataclasses.replace(opts, rtol=opts.rtol * tol_scale, atol=opts.atol * tol_scale)
+    except ValueError as exc:
+        raise ConfigError(f"--tol-scale {tol_scale!r} gives unusable tolerances: {exc}") from None
+
+
+def _make_outdir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from None
 
 
 def _write_json(path, payload):
@@ -206,13 +216,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         outdir = args.outdir
-        os.makedirs(outdir, exist_ok=True)
+        _make_outdir(outdir)
         if args.command == "reproduce":
             return cmd_reproduce(args.figure, outdir, args.quiet)
         cfg = RunConfig.from_file(args.config)
         if cfg.outputs is not None and args.outdir == ".":
             outdir = cfg.outputs
-            os.makedirs(outdir, exist_ok=True)
+            _make_outdir(outdir)
         if args.command == "simulate":
             return cmd_simulate(cfg, outdir, args.quiet, args.tol_scale)
         if args.command == "classify":

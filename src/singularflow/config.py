@@ -114,8 +114,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+        return cls.from_text(text)
 
     @classmethod
     def from_mapping(cls, m: dict) -> "RunConfig":

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NoEvent, NoEventDirection, NotBlowingUp, OutOfRange, StepFailure
 
 # Dormand-Prince 5(4) tableau (FSAL: the last stage is f at the new point).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = [
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
@@ -50,8 +50,10 @@ class IntegrationOptions:
     horizon: float = 1e3
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):  # NaN fails too
+            raise ValueError(
+                f"rtol and atol must be positive and finite, got {self.rtol!r} and {self.atol!r}"
+            )
         if self.r_floor < 0:
             raise ValueError("r_floor must be nonnegative")
 
@@ -124,10 +126,11 @@ def write_csv(path, header, rows):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _error_norm(err, y0, y1, atol, rtol):
-    # the RMS of err/scale; add.reduce then a division is np.mean bit for bit,
-    # without its per-call overhead
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+def _error_norm(err, ay0, ay1, atol, rtol):
+    # the RMS of err/scale, with ay0 and ay1 the |y| of the step's two ends;
+    # add.reduce then a division is np.mean bit for bit, without its per-call
+    # overhead
+    scale = atol + rtol * np.maximum(ay0, ay1)
     return math.sqrt(float(np.add.reduce((err / scale) ** 2)) / err.size)
 
 
@@ -163,23 +166,28 @@ def _stepper(rhs, x0, f0, t0, t1, opts, postprocess=None):
         raise ValueError("rhs output shape does not match the state shape")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f))):
         raise StepFailure(f"non-finite state or right-hand side at t = {t!r}", None)
-    h = _initial_step(rhs, t, y, f, 1.0, opts.atol, opts.rtol, opts.max_step)
+    atol, rtol, max_step = opts.atol, opts.rtol, opts.max_step
+    h = _initial_step(rhs, t, y, f, 1.0, atol, rtol, max_step)
     h = min(h, t1 - t0)
     K = np.empty((7, y.size))
+    # stage i + 1 of a step: its row of the tableau, the stages it sums and
+    # its node; K is filled in place, so the views stay current
+    stages = [(a, K[: i + 1], c) for i, (a, c) in enumerate(zip(_A, _C[1:]))]
+    K6 = K[:6]
+    ay = np.abs(y)
     while t < t1:
-        h = min(h, opts.max_step, t1 - t)
+        h = min(h, max_step, t1 - t)
         if h < 16 * _EPS * max(1.0, abs(t)):
             raise StepFailure(f"step size underflow at t = {t!r}", None)
         K[0] = f
-        for i in range(5):
-            yi = y + h * (K[: i + 1].T @ _A[i])
-            K[i + 1] = rhs(t + _C[i + 1] * h, yi)
-        y_new = y + h * (K[:6].T @ _B)
+        for i, (a, k, c) in enumerate(stages):
+            K[i + 1] = rhs(t + c * h, y + h * a.dot(k))
+        y_new = y + h * _B.dot(K6)
         t_new = t + h
         f_new = np.asarray(rhs(t_new, y_new), dtype=float)
         K[6] = f_new
-        err = h * (K.T @ _E)
-        enorm = _error_norm(err, y, y_new, opts.atol, opts.rtol)
+        ay_new = np.abs(y_new)
+        enorm = _error_norm(h * _E.dot(K), ay, ay_new, atol, rtol)
         if not math.isfinite(enorm):
             raise StepFailure(
                 f"non-finite state or right-hand side in the step from t = {t!r} (h = {h!r})",
@@ -187,12 +195,12 @@ def _stepper(rhs, x0, f0, t0, t1, opts, postprocess=None):
             )
         if enorm <= 1.0:
             if postprocess is not None:
-                y_adj = postprocess(t_new, y_new)
-                if y_adj is not y_new:
-                    y_new = np.asarray(y_adj, dtype=float)
-                    f_new = np.asarray(rhs(t_new, y_new), dtype=float)
+                # the right-hand side is invariant under postprocess, so
+                # f_new stays the derivative at the adjusted state
+                y_new = np.asarray(postprocess(t_new, y_new), dtype=float)
+                ay_new = np.abs(y_new)
             yield t, y, f, t_new, y_new, f_new
-            t, y, f = t_new, y_new, f_new
+            t, y, f, ay = t_new, y_new, f_new, ay_new
             factor = _MAX_FACTOR if enorm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * enorm ** -0.2
             )
@@ -220,6 +228,13 @@ def integrate(
     opts.r_floor (the ideal singular field cannot be followed into the
     origin).  Raises StepFailure, carrying the partial trajectory, when the
     step size underflows or the state turns non-finite.
+
+    postprocess, if given, is applied to every accepted state as
+    postprocess(t, y) and returns the adjusted state, which the run keeps.
+    rhs must be invariant under it (rhs(t, postprocess(t, y)) == rhs(t, y)
+    up to rounding): the stepper keeps the derivative it has already
+    evaluated at the unadjusted state, so an adjustment costs no extra
+    right-hand-side call.
 
     until, if given, is polled after every accepted step as
     until(t, y, partial), where y is the accepted state at t and partial()

@@ -120,8 +120,10 @@ def renormalized_system(field: SingularField, extras=("z", "t"), reverse: bool =
     "z" integrates dz/ds = F_r(y) and "t" integrates dt/ds = e^((1-alpha) z),
     so extras is ("z", "t"), ("z",) or ().  reverse negates dy/ds only; z
     still accumulates F_r along the traversal.  project(s, u) rescales y
-    back onto the unit sphere after an accepted step and returns u itself
-    when |y| is exactly 1, so the stepper keeps the right-hand side it has.
+    back onto the unit sphere after an accepted step, and returns u itself
+    when |y| is already exactly 1.  rhs normalizes y itself and no extra
+    depends on y, so rhs is invariant under project, as integrate requires
+    of a postprocess.
     """
     d = field.dimension
     n = d + len(extras)
@@ -129,14 +131,14 @@ def renormalized_system(field: SingularField, extras=("z", "t"), reverse: bool =
     smap = field.sphere_map
 
     def rhs(_s, u):
-        y = u[:d]
-        y = y / math.sqrt(float(y @ y))
+        y = u[:d] if extras else u
+        y = y / math.sqrt(float(y.dot(y)))
         F = np.asarray(smap(y), dtype=float)
-        fr = float(F @ y)
+        fr = float(F.dot(y))
         dy = F - fr * y
         if reverse:
             dy = -dy
-        if n == d:
+        if not extras:
             return dy
         out = np.empty(n)
         out[:d] = dy
@@ -146,12 +148,12 @@ def renormalized_system(field: SingularField, extras=("z", "t"), reverse: bool =
         return out
 
     def project(_s, u):
-        y = u[:d]
-        norm = math.sqrt(float(y @ y))
+        y = u[:d] if extras else u
+        norm = math.sqrt(float(y.dot(y)))
         if norm == 1.0:
             return u
         out = u / norm
-        if n > d:
+        if extras:
             out[d:] = u[d:]
         return out
 
@@ -171,9 +173,10 @@ def renorm_integrate(
 
     The direction is re-projected onto the sphere after every accepted step,
     keeping max | |y|-1 | at the level of the local error.  until, if given,
-    is polled after every accepted step as until(s, partial), where partial()
-    builds the RenormTrajectory up to s (at a cost that grows with its
-    length); a true result ends the run there.
+    is polled after every accepted step as until(s, u, partial), where u is
+    the accepted state (y, z, t) at s and partial() builds the
+    RenormTrajectory up to s (at a cost that grows with its length); a true
+    result ends the run there, on a prefix of the full run.
     """
     y0 = np.asarray(y0, dtype=float)
     n0 = math.sqrt(float(y0 @ y0))
@@ -187,7 +190,7 @@ def renorm_integrate(
     )
     poll = None
     if until is not None:
-        poll = lambda s, _u, partial: until(s, lambda: RenormTrajectory(field, partial()))
+        poll = lambda s, u, partial: until(s, u, lambda: RenormTrajectory(field, partial()))
     rhs, project = renormalized_system(field)
     base = integrate(rhs, u0, 0.0, s_max, run_opts, postprocess=project, until=poll)
     return RenormTrajectory(field, base)
@@ -256,7 +259,7 @@ def classify_blowup(
     passed = 0  # stage boundaries behind the run
     prev = av = None
 
-    def stabilized(s, partial):
+    def stabilized(s, _u, partial):
         nonlocal passed, prev, av
         if s < stages[passed]:
             return False

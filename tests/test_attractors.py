@@ -302,6 +302,40 @@ def test_rescaled_escape_is_scale_invariant():
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+def test_outside_excursion_ends_at_reentry(monkeypatch):
+    # the run ends on the step of the first downward crossing of Z = 0; the
+    # steps never depend on the poll, so the result is the full window's,
+    # bit for bit
+    from singularflow import attractors
+
+    field = saddle()
+    y_exit = np.array([-0.324, 0.946]) / math.hypot(-0.324, 0.946)
+    opts = sf.IntegrationOptions()
+    runs = []
+    run = attractors.renorm_integrate
+
+    def recorded(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    def full_window(*args, until=None, **kwargs):
+        return recorded(*args, **kwargs)
+
+    monkeypatch.setattr(attractors, "renorm_integrate", recorded)
+    stopped = attractors._outside_excursion(field, y_exit, 50.0, opts)
+    monkeypatch.setattr(attractors, "renorm_integrate", full_window)
+    reference = attractors._outside_excursion(field, y_exit, 50.0, opts)
+    assert stopped["reentered"]
+    bits = lambda out: {k: np.asarray(v).tobytes() for k, v in out.items()}
+    assert bits(stopped) == bits(reference)
+    short, full = runs
+    n = len(short.s)
+    assert np.array_equal(short.base.states, full.base.states[:n])
+    z = full.z
+    crossing = next(i for i in range(1, len(z)) if z[i - 1] > 0.0 >= z[i])
+    assert n - 1 == crossing < (len(z) - 1) // 2
+
+
 def test_attractor_serialization():
     cat = sf.catalog_attractors(saddle())
     for a in cat:

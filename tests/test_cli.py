@@ -209,6 +209,34 @@ def test_simulate_crossing_limit_exits_3(tmp_path, monkeypatch, capsys):
     assert "crossings" in capsys.readouterr().err
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["sweep", missing, "--outdir", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "missing.cfg" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+def test_outdir_naming_a_file_exits_2(tmp_path, capsys, command):
+    cfg = write(tmp_path, "run.cfg", POWER_CFG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    target = "figTriv" if command == "reproduce" else cfg
+    assert main([command, target, "--outdir", str(taken), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+def test_bad_tol_scale_exits_2_and_names_the_flag(tmp_path, capsys, scale):
+    cfg = write(tmp_path, "run.cfg", POWER_CFG)
+    argv = ["simulate", cfg, "--outdir", str(tmp_path / "out"), "--quiet", "--tol-scale", scale]
+    assert main(argv) == 2
+    assert "--tol-scale" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig3", "fig3b", "fig6", "fig8n"])
 def test_reproduce_all_figures(tmp_path, figure):
     out = tmp_path / figure

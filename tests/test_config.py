@@ -106,3 +106,15 @@ def test_round_trip_property(mapping):
     text = emit_config(mapping)
     parsed = parse_config(text)
     assert parse_config(emit_config(parsed)) == parsed
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_config_error(value):
+    text = f"field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0\nintegrator.atol = {value}"
+    with pytest.raises(sf.ConfigError, match="finite"):
+        RunConfig.from_text(text)
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(sf.ConfigError, match="cannot read"):
+        RunConfig.from_file(tmp_path / "missing.cfg")

@@ -90,6 +90,37 @@ def test_eval_field_is_the_formula_bitwise():
         assert np.isinf(sf.eval_field(steep, [1e-155, 0.0])).any()
 
 
+# the reference: the built-in sphere-map formulas evaluated on NumPy scalars
+NUMPY_SCALAR_MAPS = {
+    "saddle2d": lambda y1, y2: (
+        y1 * y1 + y1 * y2 + y1 * y2 * y2,
+        y1 * y2 + y2 * y2 - y1 * y1 * y2,
+    ),
+    "spiral2d": lambda y1, y2: (y1 - y2, y1 + y2),
+    "sphere3d": lambda y1, y2, y3: (
+        -y2 + 0.5 * y3 * y1 + (y3 * y3 - 0.25) * y1 * y3,
+        y1 + 0.5 * y3 * y2 + (y3 * y3 - 0.25) * y2 * y3,
+        0.5 * y3 * y3 - (y3 * y3 - 0.25) * (y1 * y1 + y2 * y2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_SCALAR_MAPS))
+def test_builtin_sphere_maps_are_the_numpy_scalar_formula_bitwise(name):
+    f = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
+    rng = np.random.default_rng(17)
+    Y = rng.standard_normal((10_000, f.dimension))
+    Y /= np.linalg.norm(Y, axis=1)[:, None]
+    got = np.array([f.sphere_map(y) for y in Y])
+    want = np.array([NUMPY_SCALAR_MAPS[name](*y) for y in Y])  # rows iterate as np.float64
+    assert isinstance(Y[0][0], np.float64)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    # a plain list, of Python floats or of NumPy scalars, is still accepted
+    assert np.array_equal(f.sphere_map(Y[0].tolist()), got[0])
+    assert np.array_equal(f.sphere_map(list(Y[0])), got[0])
+
+
 def test_alpha_validation():
     with pytest.raises(ValueError):
         sf.SingularField(2, 1.0, lambda y: y)

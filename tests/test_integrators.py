@@ -367,3 +367,11 @@ def test_options_validation():
         sf.IntegrationOptions(r_floor=-1.0)
     with pytest.raises(ValueError):
         sf.integrate(power1d_rhs(), [1.0], 1.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("which", ["rtol", "atol"])
+def test_options_reject_non_positive_or_non_finite_tolerances(which, bad):
+    # NaN passes a "<= 0" test, so a NaN tolerance used to be accepted
+    with pytest.raises(ValueError, match="positive and finite"):
+        sf.IntegrationOptions(**{which: bad})

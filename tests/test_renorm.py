@@ -83,6 +83,40 @@ def test_renormalized_system_state_length_and_projection():
         assert np.array_equal(v[3:], off[3:])
 
 
+def test_renormalized_run_keeps_fsal_across_the_projection(monkeypatch):
+    # six RHS calls per attempted step (accepted or rejected), plus one at
+    # the start point and one for the initial-step probe: the projection
+    # after an accepted step costs no call
+    import dataclasses
+
+    from singularflow import integrators
+
+    field = sf.builtin_field("sphere3d")
+    smap = field.sphere_map
+    calls = attempts = 0
+
+    def counted_map(y):
+        nonlocal calls
+        calls += 1
+        return smap(y)
+
+    error_norm = integrators._error_norm
+
+    def counted_norm(*args):
+        nonlocal attempts
+        attempts += 1  # one error estimate per attempted step
+        return error_norm(*args)
+
+    monkeypatch.setattr(integrators, "_error_norm", counted_norm)
+    counted = dataclasses.replace(field, sphere_map=counted_map)
+    rt = sf.renorm_integrate(counted, [0.6, 0.0, 0.8], 0.0, 40.0)
+    accepted = len(rt.s) - 1
+    assert attempts >= accepted > 100
+    assert calls == 6 * attempts + 2
+    # the projection still holds the direction on the sphere
+    assert np.max(np.abs(np.linalg.norm(rt.y, axis=1) - 1.0)) < 1e-12
+
+
 def test_radial_integral_cross_check():
     # z(s_max) - z0 equals the quadrature of F_r(y(s)) along the run;
     # the independent quadrature samples the dense output, so steps are
