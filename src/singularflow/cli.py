@@ -8,7 +8,9 @@ Subcommands:
     reproduce  emit plot-ready data bundles for the reference figures
 
 Exit codes: 0 success, 2 configuration error, 3 integration/budget failure.
-All commands honor --outdir, --quiet and --tol-scale.
+All commands honor --outdir and --quiet; simulate, classify and sweep also
+honor --tol-scale.  reproduce runs each figure at its fixed tolerances and
+rejects --tol-scale as a configuration error.
 """
 
 from __future__ import annotations
@@ -195,17 +197,17 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--outdir", default=".", help="output directory")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+    for name in ("simulate", "classify", "sweep"):
+        sp = sub.add_parser(name)
+        sp.add_argument("config", help="path to a run configuration file")
+        common(sp)
         sp.add_argument(
             "--tol-scale",
             type=float,
             default=1.0,
             help="multiply integrator tolerances by this factor",
         )
-
-    for name in ("simulate", "classify", "sweep"):
-        sp = sub.add_parser(name)
-        sp.add_argument("config", help="path to a run configuration file")
-        common(sp)
     sp = sub.add_parser("reproduce")
     sp.add_argument("figure", help=f"one of {', '.join(figures.FIGURE_IDS)}")
     common(sp)

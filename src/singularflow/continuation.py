@@ -13,20 +13,21 @@ The family is discretely self-similar: with p = 1/(1-alpha),
     G(xi) = exp(-phi(s, s)) y_c(s)  at  s = psi_inv(xi),
 
 and the log-profile G is periodic in xi with period zeta_period = T <F_r>.
-The tables, G among them, are built from one high-resolution period of the
-cycle.  The improper integral defining the phase map psi is reduced exactly
-through the periodicity of the radial integral (a geometric series over past
-periods), so no truncation of the infinite history is needed.
+The tables, G among them, are periodic cubic splines (_PeriodicCubic, numpy
+only) built from one high-resolution period of the cycle.  The improper
+integral defining the phase map psi is reduced exactly through the
+periodicity of the radial integral (a geometric series over past periods),
+so no truncation of the infinite history is needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .attractors import AttractorInfo, catalog_attractors, rescaled_escape
 from .errors import NonPositiveMean, OutOfDomain, SignError
@@ -78,15 +79,15 @@ class ContinuationFamily:
         """Integral of F_r along the cycle from 0 to s."""
         tb = self._tables
         s = np.asarray(s, dtype=float)
-        return tb["mean"] * s + tb["J_per"](np.mod(s, tb["T"]))
+        return tb["mean"] * s + tb["J_per"](s)
 
     def psi(self, s):
         tb = self._tables
         s = np.asarray(s, dtype=float)
-        return tb["mean"] * s + tb["psi_per"](np.mod(s, tb["T"]))
+        return tb["mean"] * s + tb["psi_per"](s)
 
     def psi_inv(self, xi):
-        """Monotone inverse of psi: tabulated bracket plus Newton polish."""
+        """Monotone inverse of psi: a linear-interpolation seed, then Newton polish."""
         tb = self._tables
         xi = np.asarray(xi, dtype=float)
         T, mean = tb["T"], tb["mean"]
@@ -112,8 +113,7 @@ class ContinuationFamily:
         return self.psi(s) - self.radial_integral(s)
 
     def orbit_point(self, s):
-        tb = self._tables
-        y = tb["orbit"](np.mod(s, tb["T"]))
+        y = self._tables["orbit"](s)
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     # -- evaluation ---------------------------------------------------------
@@ -141,11 +141,11 @@ class ContinuationFamily:
     def _cycle_points(self, dt, zeta):
         """Cycle-family points dt^p G(p log dt + zeta) for the phases zeta.
 
-        One lookup in the periodic spline of the log-profile G, whose
-        periodic extrapolation reduces xi into [psi(0), psi(0) + zeta_period)
-        with np.mod.  dt and zeta broadcast against each other; the points
-        gain a last axis of length d.  Every entry is computed elementwise,
-        so a phase in a broadcast block gives the same bits as on its own.
+        One lookup in the periodic cubic spline of the log-profile G, which
+        reduces xi into [psi(0), psi(0) + zeta_period) itself.  dt and zeta
+        broadcast against each other; the points gain a last axis of length
+        d.  Every entry is computed elementwise, so a phase in a broadcast
+        block gives the same bits as on its own.
         """
         p = 1.0 / (1.0 - self.alpha)
         return (dt**p)[..., None] * self._tables["profile"](p * np.log(dt) + zeta)
@@ -203,6 +203,109 @@ def trivial_rest_family(t_b: float, alpha: float, dimension: int) -> Continuatio
 # Cycle family
 # ---------------------------------------------------------------------------
 
+class _PeriodicCubic:
+    """The C2 periodic cubic spline through (x_k, y_k), k = 0..n, with y_n = y_0.
+
+    This is the interpolant of CubicSpline(x, y, bc_type="periodic"): with
+    h_k = x_{k+1} - x_k and delta_k = (y_{k+1} - y_k) / h_k, the node slopes
+    m_k solve the cyclic tridiagonal system (indices mod n)
+
+        h_k m_{k-1} + 2 (h_{k-1} + h_k) m_k + h_{k-1} m_{k+1}
+            = 3 (h_k delta_{k-1} + h_{k-1} delta_k),
+
+    here by Sherman-Morrison around one Thomas sweep.  y holds scalars, shape
+    (n+1,), or rows, shape (n+1, d); a call returns q.shape + y.shape[1:].
+    A call reduces q to x_0 + (q - x_0) mod P with P = x_n - x_0, finds each
+    piece through a table over 2n equal buckets of the period, and evaluates
+    the piece's cubic by Horner.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._shape = y.shape[1:]
+        rows = y.reshape(len(x), -1)
+        h = np.diff(x)
+        n = len(h)
+        delta = np.diff(rows, axis=0) / h[:, None]
+        h_prev = np.roll(h, 1)
+        rhs = 3.0 * (h[:, None] * np.roll(delta, 1, axis=0) + h_prev[:, None] * delta)
+        # the cyclic matrix A, with corners a = A[0, n-1] = h_0 and
+        # c = A[n-1, 0] = h_{n-2}, is T + u v^T for a tridiagonal T,
+        # u = (g, 0, ..., 0, c) and v = (1, 0, ..., 0, a/g); with T m = rhs
+        # and T z = u, the slopes are m - z (v.m) / (1 + v.z)
+        diag = 2.0 * (h_prev + h)
+        g = -diag[0]
+        a, c = h[0], h_prev[-1]
+        diag[0] -= g
+        diag[-1] -= a * c / g
+        u = np.zeros((n, 1))
+        u[0], u[-1] = g, c
+        sol = _thomas(h, diag, h_prev, np.hstack([rhs, u]))
+        m, z = sol[:, :-1], sol[:, -1:]
+        m -= z * ((m[0] + a / g * m[-1]) / (1.0 + z[0] + a / g * z[-1]))
+        # per piece, c3 t^3 + c2 t^2 + m_k t + y_k with t = q - x_k; four
+        # contiguous (n, d) gathers cost less than one strided (n, 4, d) one
+        hc = h[:, None]
+        curv = (m + np.roll(m, -1, axis=0) - 2.0 * delta) / hc
+        self._coef = (curv / hc, (delta - m) / hc - curv, np.ascontiguousarray(m), rows[:-1])
+
+        self._x0, self._period = x[0], x[-1] - x[0]
+        self._x = x[:-1]
+        self._next = np.append(x[1:-1], np.inf)
+        # the bucket map is monotone, so the piece holding q starts at or
+        # after _first[bucket(q)], the last piece starting in an earlier
+        # bucket, and at most _passes pieces start in q's own bucket
+        self._scale = 2 * n / self._period
+        starts = np.minimum(((self._x - self._x0) * self._scale).astype(np.intp), 2 * n - 1)
+        self._first = np.maximum(np.searchsorted(starts, np.arange(2 * n)) - 1, 0)
+        self._passes = int(np.bincount(starts).max())
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        q = self._x0 + (q - self._x0) % self._period
+        # mode="clip" maps the top end q = x_n, and NaN, to an end bucket
+        k = self._first.take(((q - self._x0) * self._scale).astype(np.intp), mode="clip")
+        for _ in range(self._passes):
+            k += q >= self._next.take(k)
+        t = (q - self._x.take(k))[..., None]
+        c3, c2, c1, c0 = self._coef
+        out = c3.take(k, axis=0) * t
+        out += c2.take(k, axis=0)
+        out *= t
+        out += c1.take(k, axis=0)
+        out *= t
+        out += c0.take(k, axis=0)
+        return out.reshape(q.shape + self._shape)
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Solve lower[k] x[k-1] + diag[k] x[k] + upper[k] x[k+1] = rhs[k], k < n.
+
+    One forward elimination and back substitution (lower[0] and upper[n-1]
+    are unused) for the m columns of rhs, shape (n, m).  It runs on Python
+    floats: with n in the thousands and m <= 4, a NumPy call per row would
+    cost more than the arithmetic.
+    """
+    up = upper.tolist()
+    w, piv = [0.0], [float(diag[0])]
+    for lk, dk, uk in zip(lower.tolist()[1:], diag.tolist()[1:], up):
+        w.append(lk / piv[-1])
+        piv.append(dk - w[-1] * uk)
+    cols = []
+    for r in rhs.T.tolist():
+        acc, fwd = 0.0, []
+        for wk, rk in zip(w, r):
+            acc = rk - wk * acc
+            fwd.append(acc)
+        acc, back = 0.0, []
+        for rk, uk, pk in zip(reversed(fwd), reversed(up), reversed(piv)):
+            acc = (rk - uk * acc) / pk
+            back.append(acc)
+        cols.append(back[::-1])
+    return np.array(cols).T
+
+
 def _panel_gauss_cumulative(s_grid, f_vals_fn, order=12):
     """Cumulative integral of a smooth function over the grid panels."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -233,6 +336,9 @@ def build_cycle_family(
     G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is then
     known with no inversion at the nodes xi_k = psi(s_k); one periodic cubic
     spline through them, of period zeta_period = T <F_r>, is what eval uses.
+    The four periodic tables are _PeriodicCubic splines, which reduce their
+    argument into the period themselves; psi_inv's Newton seed is np.interp
+    over the increasing psi table.
     """
     if cycle.kind != "limit_cycle":
         raise ValueError("build_cycle_family needs a limit-cycle attractor")
@@ -262,12 +368,11 @@ def build_cycle_family(
     Jp = J_tab - mean * s_grid
     Jp[-1] = Jp[0]
     orbit[-1] = orbit[0]
-    J_per = CubicSpline(s_grid, Jp, bc_type="periodic")
-    orbit_sp = CubicSpline(s_grid, orbit, bc_type="periodic")
+    J_per = _PeriodicCubic(s_grid, Jp)
+    orbit_sp = _PeriodicCubic(s_grid, orbit)
 
     def weight(s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(one_minus_a * (mean * s + J_per(np.mod(s, T))))
+        return np.exp(one_minus_a * (mean * s + J_per(s)))
 
     K_partial = _panel_gauss_cumulative(s_grid, weight)
     W = K_partial[-1]
@@ -278,14 +383,14 @@ def build_cycle_family(
     psi_tab = np.log(K_tab) / one_minus_a
     psi_per = psi_tab - mean * s_grid
     psi_per[-1] = psi_per[0]  # exact identity K(T) = K(0)/q up to quadrature
-    psi_per_sp = CubicSpline(s_grid, psi_per, bc_type="periodic")
-    psi_inv_base = CubicSpline(psi_tab, s_grid)
+    psi_per_sp = _PeriodicCubic(s_grid, psi_per)
+    psi_inv_base = partial(np.interp, xp=psi_tab, fp=s_grid)  # psi_tab increases
 
     xi_nodes = psi_tab.copy()
     xi_nodes[-1] = psi_tab[0] + mean * T  # psi(T) = psi(0) + T <F_r> exactly
     G = np.exp(J_tab - psi_tab)[:, None] * orbit
     G[-1] = G[0]
-    profile = CubicSpline(xi_nodes, G, bc_type="periodic")
+    profile = _PeriodicCubic(xi_nodes, G)
 
     tables = {
         "T": T,

@@ -237,6 +237,15 @@ def test_bad_tol_scale_exits_2_and_names_the_flag(tmp_path, capsys, scale):
     assert "--tol-scale" in capsys.readouterr().err
 
 
+def test_reproduce_rejects_tol_scale(tmp_path, capsys):
+    # figures run at their own fixed tolerances, so the flag is a config error
+    argv = ["reproduce", "figTriv", "--outdir", str(tmp_path), "--quiet", "--tol-scale", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--tol-scale" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig3", "fig3b", "fig6", "fig8n"])
 def test_reproduce_all_figures(tmp_path, figure):
     out = tmp_path / figure

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,50 @@ def test_radial_integral_periodic_in_both_arguments():
         )
         assert abs(shift1 - base) < 1e-8
         assert abs(shift2 - base) < 1e-8
+
+
+def test_periodic_cubic_matches_scipy_periodic_spline():
+    # independent reference, a test-only dependency
+    from scipy.interpolate import CubicSpline
+
+    from singularflow.continuation import _PeriodicCubic
+
+    rng = np.random.default_rng(8)
+    x = -1.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, 2048))]) / 512
+    period = x[-1] - x[0]
+    q = np.concatenate(
+        [rng.uniform(x[0] - 3 * period, x[-1] + 3 * period, 5000)]
+        + [x + j * period for j in range(-3, 4)]  # every knot and period end
+    )
+    for y in (rng.standard_normal(2049), rng.standard_normal((2049, 3))):
+        y[-1] = y[0]
+        want = CubicSpline(x, y, bc_type="periodic")(q)
+        got = _PeriodicCubic(x, y)(q)
+        assert got.shape == want.shape
+        # both solve the same diagonally dominant system (condition <= 3) and
+        # sum four cubic terms: a few tens of float64 ulps of the value scale
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_cycle_family_imports_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the package and its CLI and builds and evaluates a family loads no scipy
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import singularflow as sf, singularflow.cli\n"
+        "field = sf.builtin_field('spiral2d', 1 / 3)\n"
+        "cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0]))\n"
+        "sf.build_cycle_family(field, cyc, 0.0).eval(np.linspace(0.1, 1.0, 5), 0.3)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(sf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_build_cycle_family_rejects_nonpositive_mean():
