@@ -22,6 +22,7 @@ from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
     _integrate_to_crossing,
+    _Sphere,
     integrate,
 )
 from .regularize import RegularizedField, regularized_rhs
@@ -36,6 +37,8 @@ _RETURN_TOL = 1e-8
 # does for the built-in fields; a sink of narrower basin could let a passing
 # transient stop early where a full run would have gone on to a cycle.
 _SINK_RADIUS = 1e-3
+# orbit samples per block of the cycle-tube poll's lower bound
+_TUBE_BLOCK = 32
 
 
 @dataclass
@@ -65,7 +68,9 @@ class AttractorInfo:
         """Euclidean distance from a direction to the attractor set."""
         y = np.asarray(y, dtype=float)
         if self.kind == "fixed_point":
-            return float(np.linalg.norm(y - self.location))
+            # np.linalg.norm of a vector is this, bit for bit, at a third of the cost
+            diff = y - self.location
+            return math.sqrt(float(diff.dot(diff)))
         return float(np.min(np.linalg.norm(self.location - y[None, :], axis=1)))
 
     def to_dict(self):
@@ -275,11 +280,11 @@ def find_limit_cycle(
     y0 = np.asarray(y0, dtype=float)
     y0 = y0 / np.linalg.norm(y0)
     rhs, project = renormalized_system(field, extras=(), reverse=_reverse)
-    tubes = [(c, _tube_radius(c)) for c in _known]
+    tubes = [_Tube(c) for c in _known]
     reached = []
 
     def in_known_tube(_t, y, _partial):
-        reached.extend(c for c, radius in tubes if c.distance_to(y) < radius)
+        reached.extend(tube.attractor for tube in tubes if tube.holds(y))
         return bool(reached)
 
     run = integrate(
@@ -382,6 +387,44 @@ def _tube_radius(attractor: AttractorInfo) -> float:
         return _SINK_RADIUS
     gap = float(np.max(np.linalg.norm(np.diff(attractor.location, axis=0), axis=1)))
     return max(1e-4, 2.0 * gap)
+
+
+class _Tube:
+    """The duplicate tube of a known attractor, as find_limit_cycle polls it.
+
+    holds(y) is attractor.distance_to(y) < _tube_radius(attractor).  For a
+    cycle it first bounds the distance from below through blocks of
+    _TUBE_BLOCK orbit samples, each held in a ball: every sample of block j
+    lies within radii[j] of centres[j], so the distance is at least
+    min_j(|y - centres[j]| - radii[j]).  A bound clear of the radius rules
+    the cycle out at a fraction of the exact distance's cost; otherwise the
+    exact distance decides, so the answer never changes.
+    """
+
+    # y and the samples are unit directions, so either computation rounds
+    # by a few eps per dimension; the bound must clear the radius by this
+    _SLACK = 1e-12
+
+    def __init__(self, attractor: AttractorInfo):
+        self.attractor = attractor
+        self.radius = _tube_radius(attractor)
+        self.centres = self.radii = None
+        if attractor.kind == "limit_cycle":
+            orbit = attractor.location
+            n, d = orbit.shape
+            pad = np.repeat(orbit[-1:], (-n) % _TUBE_BLOCK, axis=0)
+            blocks = np.concatenate([orbit, pad]).reshape(-1, _TUBE_BLOCK, d)
+            self.centres = blocks.mean(axis=1)
+            spread = blocks - self.centres[:, None]
+            self.radii = np.sqrt(np.max(np.einsum("ijk,ijk->ij", spread, spread), axis=1))
+
+    def holds(self, y) -> bool:
+        if self.centres is not None:
+            diff = self.centres - y
+            bound = float(np.min(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii))
+            if bound - self._SLACK >= self.radius:
+                return False
+        return self.attractor.distance_to(y) < self.radius
 
 
 def catalog_attractors(
@@ -519,10 +562,7 @@ def rescaled_escape(
     t_ent = tau_entry(fr_star, field.alpha)
 
     rhs = regularized_rhs(rf.with_nu(1.0))
-
-    def ball(_t, x):
-        return math.sqrt(float(x @ x)) - 1.0
-
+    ball = _Sphere(1.0)
     if catalog is None:
         catalog = catalog_attractors(field, opts=opts)
     cycle_periods = [a.period for a in catalog if a.kind == "limit_cycle"]

@@ -133,9 +133,12 @@ class ContinuationFamily:
         return out
 
     def _elapsed(self, t):
-        """t - t_b, after checking that every t lies past the blowup."""
-        if np.any(t <= self.t_b):
-            raise OutOfDomain("continuation families are defined for t > t_b only")
+        """t - t_b, after checking that every t is finite and past the blowup."""
+        # written so that a NaN time fails the test too
+        if not np.all((t > self.t_b) & (t < math.inf)):
+            raise OutOfDomain(
+                "continuation families are defined for finite t > t_b only"
+            )
         return t - self.t_b
 
     def _cycle_points(self, dt, zeta):

@@ -24,6 +24,7 @@ from .integrators import (
     NoEvent,
     Trajectory,
     _integrate_to_crossing,
+    _Sphere,
 )
 
 _SMOOTH_DIRECTIONS = 200
@@ -233,10 +234,7 @@ def integrate_regularized(
         rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0, horizon=opts.horizon
     )
     nu = float(rf.nu)
-
-    def boundary(_, state):
-        return math.sqrt(float(state.dot(state))) - nu
-
+    boundary = _Sphere(nu)
     times = [t0]
     states = [x.copy()]
     derivs = [np.asarray(rhs(t0, x), dtype=float)]

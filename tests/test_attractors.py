@@ -225,6 +225,30 @@ def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
         assert len(sink_bound) == 8 and all(sink_bound)
 
 
+def test_tube_bound_never_rejects_a_point_in_the_tube():
+    # the block lower bound may only rule a cycle out where distance_to
+    # does: random unit directions in, at the edge of, and around the tube
+    from singularflow.attractors import _Tube
+
+    field = sf.builtin_field("sphere3d")
+    cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0, 0.05]))
+    tube = _Tube(cyc)
+    rng = np.random.default_rng(9)
+    ruled_out = inside = 0
+    for _ in range(4000):
+        base = cyc.location[rng.integers(len(cyc.location))]
+        y = base + rng.standard_normal(3) * tube.radius * 10.0 ** rng.uniform(-2.0, 2.0)
+        y /= np.linalg.norm(y)
+        exact = cyc.distance_to(y) < tube.radius
+        diff = tube.centres - y
+        bound = float(np.min(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - tube.radii))
+        assert bound <= cyc.distance_to(y) + 1e-15
+        assert tube.holds(y) == exact
+        inside += exact
+        ruled_out += bound - tube._SLACK >= tube.radius
+    assert inside > 400 and ruled_out > 400
+
+
 def test_label_consistency_with_renorm_averages():
     # classification by the attractor label agrees with the trajectory average
     field = sf.builtin_field("sphere3d")

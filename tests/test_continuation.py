@@ -75,6 +75,20 @@ def test_eval_family_out_of_domain():
         fam.eval(1.0)
 
 
+def test_eval_family_rejects_non_finite_times():
+    _, ray = sf.fixed_point_solutions(
+        np.array([-1.0, 0.0]), -1.0, np.array([1.0, 0.0]), 1.0, t_b=1.5, alpha=ALPHA
+    )
+    _, cycle = spiral_family()
+    for fam in (ray, cycle):
+        for bad in (math.nan, math.inf, [2.0, math.nan]):
+            with pytest.raises(sf.OutOfDomain):
+                fam.eval(bad)
+    samples = np.ones((3, 2))
+    with pytest.raises(sf.OutOfDomain):
+        sf.estimate_phase(cycle, np.array([0.5, math.nan, 1.0]), samples)
+
+
 # ---------------------------------------------------------------------------
 # cycle family
 # ---------------------------------------------------------------------------

@@ -272,6 +272,135 @@ def test_event_scan_matches_a_scalar_reference():
         assert t_e == pytest.approx(s_root, abs=1e-12)
 
 
+def _sphere_steps(rng, n):
+    # random steps about a sphere of radius R, d = 1..3: generic ones, steps
+    # with both ends within 1e-15 R of the sphere, short steps in a 1e-6 R
+    # shell about it, and shallow chords just inside it
+    for i in range(n):
+        d = 1 + i % 3
+        R = float(10.0 ** rng.uniform(-2.0, 1.0))
+        h = float(10.0 ** rng.uniform(-3.0, 0.3))
+        tp = float(rng.uniform(-5.0, 5.0))
+        u, v, w = rng.standard_normal((3, d))
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+        kind = i % 4
+        if kind == 0:
+            yp, yn = R * rng.uniform(0.2, 2.0) * u, R * rng.uniform(0.2, 2.0) * v
+        elif kind == 1:
+            yp = R * (1.0 + rng.choice([-1e-15, 0.0, 1e-15])) * u
+            yn = R * (1.0 + rng.choice([-1e-15, 0.0, 1e-15])) * v
+        elif kind == 2:
+            yp = R * (1.0 + rng.uniform(-1e-6, 1e-6)) * u
+            yn = yp + 1e-7 * R * v
+        else:
+            w -= (w @ u) * u
+            yp, yn = R * (1.0 - 1e-9) * u + 1e-5 * R * w, R * (1.0 - 1e-9) * u - 1e-5 * R * w
+        fp, fn = rng.standard_normal((2, d)) * (R / h) * rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0])
+        yield R, (tp, yp, fp, tp + h, yn, fn)
+
+
+def _crafted_sphere_steps():
+    # R = 1.  The hull touches the sphere (P1 = P2 = 1) while the curve peaks
+    # at 0.975; the curve R + 1e-3 - (s - 7/16)^2 leaves and re-enters the
+    # ball inside the subsample (3/8, 1/2), where no scan can see it; one
+    # plain exit; ends at 1 -+ 1e-15 with zero and nonzero slopes
+    yield (0.0, np.array([0.9]), np.array([0.3]), 1.0, np.array([0.9]), np.array([-0.3]))
+    top = 1.0 + 1e-3
+    yield (0.0, np.array([top - (7 / 16) ** 2]), np.array([7 / 8]),
+           1.0, np.array([top - (9 / 16) ** 2]), np.array([-9 / 8]))
+    yield (0.0, np.array([0.9, 0.0]), np.array([0.2, 0.1]), 1.0, np.array([1.1, 0.1]),
+           np.array([0.2, 0.1]))
+    for a, b in ((-1e-15, 1e-15), (1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)):
+        for slope in (0.0, 1e-3):
+            yield (2.0, np.array([1.0 + a, 0.0]), np.array([0.0, slope]),
+                   2.5, np.array([0.0, 1.0 + b]), np.array([-slope, 0.0]))
+
+
+def test_sphere_event_scan_matches_the_plain_closure():
+    from singularflow.integrators import _scan_step, _Sphere
+
+    rng = np.random.default_rng(2024)
+    steps = list(_sphere_steps(rng, 20000)) + [(1.0, s) for s in _crafted_sphere_steps()]
+    skipped = brackets = 0
+    for R, step in steps:
+        sphere = _Sphere(R)
+        plain = lambda t, x, R=R: math.sqrt(float(x.dot(x))) - R
+        g0 = plain(step[0], step[1])
+        assert sphere(step[0], step[1]) == g0
+        skipped += sphere.clear_of(g0, step)
+        for direction in (+1, -1):
+            got = _scan_step(sphere, direction, g0, step)
+            assert got == _scan_step(plain, direction, g0, step)
+            brackets += got[0] is not None
+    # both branches ran: many steps skipped, many crossings found
+    assert skipped > 5000 and brackets > 1000
+    crafted = list(_crafted_sphere_steps())
+    touching, hidden, exit_step = crafted[:3]
+    one = _Sphere(1.0)
+    for step in (touching, hidden):
+        assert not one.clear_of(one(0.0, step[1]), step)
+        assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is None
+    assert _scan_step(one, +1, one(0.0, exit_step[1]), exit_step)[0] is not None
+
+
+def test_error_norm_matches_the_numpy_formula():
+    from singularflow.integrators import _error_norm
+
+    rng = np.random.default_rng(5)
+    for n in range(1, 10):
+        for _ in range(2000):
+            err = rng.standard_normal(n) * 10.0 ** rng.uniform(-14.0, 0.0, n)
+            ay0, ay1 = np.abs(rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-4.0, 4.0, (2, n)))
+            scale = 1e-12 + 1e-9 * np.maximum(ay0, ay1)
+            want = math.sqrt(float(np.mean((err / scale) ** 2)))
+            assert _error_norm(err, ay0.tolist(), ay1.tolist(), 1e-12, 1e-9) == want
+    # a NaN in either |y| poisons the norm, as np.maximum does; an infinite
+    # |y| only widens the scale
+    err = np.array([1e-9, 0.0])
+    assert math.isnan(_error_norm(err, [math.nan, 1.0], [1.0, 1.0], 1e-12, 1e-9))
+    assert math.isnan(_error_norm(err, [1.0, 1.0], [1.0, math.nan], 1e-12, 1e-9))
+    assert _error_norm(err, [math.inf, 1.0], [1.0, 1.0], 1e-12, 1e-9) == 0.0
+
+
+def test_non_finite_state_or_rhs_ends_in_step_failure():
+    # a NaN that only the error scale sees (a constant right-hand side, a
+    # postprocess that breaks the state), and an infinite right-hand side
+    def breaks_late(t, y):
+        return np.array([math.nan if t > 0.5 else y[0], y[1]])
+
+    runs = (
+        (lambda t, x: np.ones(2), breaks_late),
+        (lambda t, x: np.array([math.inf if t > 0.5 else 1.0, 0.0]), None),
+    )
+    opts = sf.IntegrationOptions(max_step=0.05)
+    for rhs, post in runs:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(sf.StepFailure, match="non-finite") as exc:
+                sf.integrate(rhs, [0.0, 0.0], 0.0, 1.0, opts, postprocess=post)
+        assert exc.value.trajectory.status == "step_failure"
+        assert exc.value.trajectory.t_end <= 0.5 + 0.05
+
+
+def test_step_cap_ends_every_run(monkeypatch):
+    from singularflow import integrators
+
+    monkeypatch.setattr(integrators, "_MAX_STEPS", 5)
+    decay = lambda t, x: -x
+    with pytest.raises(sf.StepFailure, match="after 5 attempted steps") as exc:
+        sf.integrate(decay, [1.0], 0.0, 100.0)
+    partial = exc.value.trajectory
+    assert partial.status == "step_failure"
+    assert 2 <= len(partial.times) <= 6 and partial.t_end < 100.0
+    never = lambda t, x: float(x[0]) + 1.0  # x decays to 0 and never reaches -1
+    with pytest.raises(sf.StepFailure, match="after 5 attempted steps") as exc:
+        integrators._integrate_to_crossing(
+            decay, np.array([1.0]), 0.0, never, -1, integrators.DEFAULT_OPTIONS, 100.0
+        )
+    assert exc.value.trajectory.status == "step_failure"
+    assert 2 <= len(exc.value.trajectory.times) <= 6
+
+
 def test_rescaled_escape_event_reaches_unit_sphere():
     # expelling inner field: the rescaled solution exits R = 1 at finite tau
     field = sf.builtin_field("saddle2d", ALPHA)
@@ -344,6 +473,13 @@ def test_sample_out_of_range():
     traj = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
     with pytest.raises(sf.OutOfRange):
         traj.sample(1.5)
+
+
+def test_sample_rejects_non_finite_times():
+    traj = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
+    for bad in (math.nan, math.inf, [0.5, math.nan]):
+        with pytest.raises(sf.OutOfRange):
+            traj.sample(bad)
 
 
 def test_csv_format(tmp_path):
