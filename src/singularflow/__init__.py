@@ -62,6 +62,7 @@ from .fields import (
 )
 from .integrators import (
     IntegrationOptions,
+    SolverStats,
     Trajectory,
     estimate_blowup_time,
     integrate,

@@ -395,10 +395,11 @@ class _Tube:
     holds(y) is attractor.distance_to(y) < _tube_radius(attractor).  For a
     cycle it first bounds the distance from below through blocks of
     _TUBE_BLOCK orbit samples, each held in a ball: every sample of block j
-    lies within radii[j] of centres[j], so the distance is at least
-    min_j(|y - centres[j]| - radii[j]).  A bound clear of the radius rules
-    the cycle out at a fraction of the exact distance's cost; otherwise the
-    exact distance decides, so the answer never changes.
+    lies within radii[j] of centres[j], so its distance from y is at least
+    |y - centres[j]| - radii[j].  A block whose bound clears the radius
+    holds no sample inside the tube, so the exact distance runs over the
+    samples of the other blocks only, and none at all when every block
+    clears it; the answer never changes.
     """
 
     # y and the samples are unit directions, so either computation rounds
@@ -408,23 +409,29 @@ class _Tube:
     def __init__(self, attractor: AttractorInfo):
         self.attractor = attractor
         self.radius = _tube_radius(attractor)
-        self.centres = self.radii = None
+        self.blocks = self.centres = self.radii = None
         if attractor.kind == "limit_cycle":
             orbit = attractor.location
             n, d = orbit.shape
+            # the padding repeats the last sample, so every row is a sample
             pad = np.repeat(orbit[-1:], (-n) % _TUBE_BLOCK, axis=0)
-            blocks = np.concatenate([orbit, pad]).reshape(-1, _TUBE_BLOCK, d)
-            self.centres = blocks.mean(axis=1)
-            spread = blocks - self.centres[:, None]
+            self.blocks = np.concatenate([orbit, pad]).reshape(-1, _TUBE_BLOCK, d)
+            self.centres = self.blocks.mean(axis=1)
+            spread = self.blocks - self.centres[:, None]
             self.radii = np.sqrt(np.max(np.einsum("ijk,ijk->ij", spread, spread), axis=1))
 
     def holds(self, y) -> bool:
-        if self.centres is not None:
-            diff = self.centres - y
-            bound = float(np.min(np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii))
-            if bound - self._SLACK >= self.radius:
-                return False
-        return self.attractor.distance_to(y) < self.radius
+        if self.blocks is None:
+            return self.attractor.distance_to(y) < self.radius
+        y = np.asarray(y, dtype=float)
+        diff = self.centres - y
+        bounds = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii
+        near = bounds - self._SLACK < self.radius
+        if not near.any():
+            return False
+        # distance_to over the samples of the near blocks, row for row
+        samples = self.blocks[near].reshape(-1, y.size)
+        return float(np.min(np.linalg.norm(samples - y[None, :], axis=1))) < self.radius
 
 
 def catalog_attractors(

@@ -206,72 +206,121 @@ def trivial_rest_family(t_b: float, alpha: float, dimension: int) -> Continuatio
 # Cycle family
 # ---------------------------------------------------------------------------
 
-class _PeriodicCubic:
-    """The C2 periodic cubic spline through (x_k, y_k), k = 0..n, with y_n = y_0.
+class _PeriodicGrid:
+    """The nodes x_0 < ... < x_n of periodic cubic splines, factored once.
 
-    This is the interpolant of CubicSpline(x, y, bc_type="periodic"): with
-    h_k = x_{k+1} - x_k and delta_k = (y_{k+1} - y_k) / h_k, the node slopes
-    m_k solve the cyclic tridiagonal system (indices mod n)
+    With h_k = x_{k+1} - x_k, the node slopes m_k of the spline through
+    (x_k, y_k) solve the cyclic tridiagonal system (indices mod n)
 
-        h_k m_{k-1} + 2 (h_{k-1} + h_k) m_k + h_{k-1} m_{k+1}
-            = 3 (h_k delta_{k-1} + h_{k-1} delta_k),
+        h_k m_{k-1} + 2 (h_{k-1} + h_k) m_k + h_{k-1} m_{k+1} = rhs_k(y),
 
-    here by Sherman-Morrison around one Thomas sweep.  y holds scalars, shape
-    (n+1,), or rows, shape (n+1, d); a call returns q.shape + y.shape[1:].
-    A call reduces q to x_0 + (q - x_0) mod P with P = x_n - x_0, finds each
-    piece through a table over 2n equal buckets of the period, and evaluates
-    the piece's cubic by Horner.
+    whose matrix depends on the nodes alone.  The grid eliminates it once,
+    for every spline over it: the cyclic matrix A, with corners
+    a = A[0, n-1] = h_0 and c = A[n-1, 0] = h_{n-2}, is T + u v^T for a
+    tridiagonal T, u = (g, 0, ..., 0, c) and v = (1, 0, ..., 0, a/g); with
+    T m = rhs and T z = u, the slopes are m - z (v.m) / (1 + v.z).  The grid
+    keeps T's Thomas pivots and z, so a spline costs one forward and back
+    substitution per column.  It also keeps the table of 2n equal buckets
+    of the period through which a call finds each piece.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._shape = y.shape[1:]
-        rows = y.reshape(len(x), -1)
         h = np.diff(x)
         n = len(h)
-        delta = np.diff(rows, axis=0) / h[:, None]
         h_prev = np.roll(h, 1)
-        rhs = 3.0 * (h[:, None] * np.roll(delta, 1, axis=0) + h_prev[:, None] * delta)
-        # the cyclic matrix A, with corners a = A[0, n-1] = h_0 and
-        # c = A[n-1, 0] = h_{n-2}, is T + u v^T for a tridiagonal T,
-        # u = (g, 0, ..., 0, c) and v = (1, 0, ..., 0, a/g); with T m = rhs
-        # and T z = u, the slopes are m - z (v.m) / (1 + v.z)
         diag = 2.0 * (h_prev + h)
         g = -diag[0]
         a, c = h[0], h_prev[-1]
         diag[0] -= g
         diag[-1] -= a * c / g
+        # Thomas elimination of T (its lower[0] and upper[n-1] are unused),
+        # on Python floats: with n in the thousands, a NumPy call per row
+        # would cost more than the arithmetic
+        up = h_prev.tolist()
+        w, piv = [0.0], [float(diag[0])]
+        for lk, dk, uk in zip(h.tolist()[1:], diag.tolist()[1:], up):
+            w.append(lk / piv[-1])
+            piv.append(dk - w[-1] * uk)
+        self._thomas = w, piv, up
         u = np.zeros((n, 1))
         u[0], u[-1] = g, c
-        sol = _thomas(h, diag, h_prev, np.hstack([rhs, u]))
-        m, z = sol[:, :-1], sol[:, -1:]
-        m -= z * ((m[0] + a / g * m[-1]) / (1.0 + z[0] + a / g * z[-1]))
+        self.h, self.h_prev, self._a_g = h, h_prev, a / g
+        self._z = self.solve(u)
+
+        self.x0, self.period = x[0], x[-1] - x[0]
+        self.starts = x[:-1]
+        self.next = np.append(x[1:-1], np.inf)
+        # the bucket map is monotone, so the piece holding q starts at or
+        # after first[bucket(q)], the last piece starting in an earlier
+        # bucket, and at most passes pieces start in q's own bucket
+        self.scale = 2 * n / self.period
+        buckets = np.minimum(((self.starts - self.x0) * self.scale).astype(np.intp), 2 * n - 1)
+        self.first = np.maximum(np.searchsorted(buckets, np.arange(2 * n)) - 1, 0)
+        self.passes = int(np.bincount(buckets).max())
+
+    def solve(self, rhs):
+        """T x = rhs for the m columns of rhs, shape (n, m)."""
+        w, piv, up = self._thomas
+        cols = []
+        for r in rhs.T.tolist():
+            acc, fwd = 0.0, []
+            for wk, rk in zip(w, r):
+                acc = rk - wk * acc
+                fwd.append(acc)
+            acc, back = 0.0, []
+            for rk, uk, pk in zip(reversed(fwd), reversed(up), reversed(piv)):
+                acc = (rk - uk * acc) / pk
+                back.append(acc)
+            cols.append(back[::-1])
+        return np.array(cols).T
+
+    def slopes(self, rhs):
+        """The cyclic system's solution A m = rhs, shape (n, m)."""
+        m, z, a_g = self.solve(rhs), self._z, self._a_g
+        m -= z * ((m[0] + a_g * m[-1]) / (1.0 + z[0] + a_g * z[-1]))
+        return m
+
+
+class _PeriodicCubic:
+    """The C2 periodic cubic spline through (x_k, y_k), k = 0..n, with y_n = y_0.
+
+    This is the interpolant of CubicSpline(x, y, bc_type="periodic"): with
+    delta_k = (y_{k+1} - y_k) / h_k, the node slopes solve the cyclic system
+    of _PeriodicGrid with rhs_k = 3 (h_k delta_{k-1} + h_{k-1} delta_k).  x
+    is the node array or a _PeriodicGrid, which splines over the same nodes
+    share.  y holds scalars, shape (n+1,), or rows, shape (n+1, d); a call
+    returns q.shape + y.shape[1:].  A call reduces q to x_0 + (q - x_0) mod
+    P with P = x_n - x_0, finds each piece through the grid's bucket table,
+    and evaluates the piece's cubic by Horner.
+    """
+
+    def __init__(self, x, y):
+        grid = x if isinstance(x, _PeriodicGrid) else _PeriodicGrid(x)
+        y = np.asarray(y, dtype=float)
+        self._grid = grid
+        self._shape = y.shape[1:]
+        rows = y.reshape(len(grid.h) + 1, -1)
+        h, h_prev = grid.h, grid.h_prev
+        delta = np.diff(rows, axis=0) / h[:, None]
+        m = grid.slopes(
+            3.0 * (h[:, None] * np.roll(delta, 1, axis=0) + h_prev[:, None] * delta)
+        )
         # per piece, c3 t^3 + c2 t^2 + m_k t + y_k with t = q - x_k; four
         # contiguous (n, d) gathers cost less than one strided (n, 4, d) one
         hc = h[:, None]
         curv = (m + np.roll(m, -1, axis=0) - 2.0 * delta) / hc
         self._coef = (curv / hc, (delta - m) / hc - curv, np.ascontiguousarray(m), rows[:-1])
 
-        self._x0, self._period = x[0], x[-1] - x[0]
-        self._x = x[:-1]
-        self._next = np.append(x[1:-1], np.inf)
-        # the bucket map is monotone, so the piece holding q starts at or
-        # after _first[bucket(q)], the last piece starting in an earlier
-        # bucket, and at most _passes pieces start in q's own bucket
-        self._scale = 2 * n / self._period
-        starts = np.minimum(((self._x - self._x0) * self._scale).astype(np.intp), 2 * n - 1)
-        self._first = np.maximum(np.searchsorted(starts, np.arange(2 * n)) - 1, 0)
-        self._passes = int(np.bincount(starts).max())
-
     def __call__(self, q):
+        g = self._grid
         q = np.asarray(q, dtype=float)
-        q = self._x0 + (q - self._x0) % self._period
+        q = g.x0 + (q - g.x0) % g.period
         # mode="clip" maps the top end q = x_n, and NaN, to an end bucket
-        k = self._first.take(((q - self._x0) * self._scale).astype(np.intp), mode="clip")
-        for _ in range(self._passes):
-            k += q >= self._next.take(k)
-        t = (q - self._x.take(k))[..., None]
+        k = g.first.take(((q - g.x0) * g.scale).astype(np.intp), mode="clip")
+        for _ in range(g.passes):
+            k += q >= g.next.take(k)
+        t = (q - g.starts.take(k))[..., None]
         c3, c2, c1, c0 = self._coef
         out = c3.take(k, axis=0) * t
         out += c2.take(k, axis=0)
@@ -280,33 +329,6 @@ class _PeriodicCubic:
         out *= t
         out += c0.take(k, axis=0)
         return out.reshape(q.shape + self._shape)
-
-
-def _thomas(lower, diag, upper, rhs):
-    """Solve lower[k] x[k-1] + diag[k] x[k] + upper[k] x[k+1] = rhs[k], k < n.
-
-    One forward elimination and back substitution (lower[0] and upper[n-1]
-    are unused) for the m columns of rhs, shape (n, m).  It runs on Python
-    floats: with n in the thousands and m <= 4, a NumPy call per row would
-    cost more than the arithmetic.
-    """
-    up = upper.tolist()
-    w, piv = [0.0], [float(diag[0])]
-    for lk, dk, uk in zip(lower.tolist()[1:], diag.tolist()[1:], up):
-        w.append(lk / piv[-1])
-        piv.append(dk - w[-1] * uk)
-    cols = []
-    for r in rhs.T.tolist():
-        acc, fwd = 0.0, []
-        for wk, rk in zip(w, r):
-            acc = rk - wk * acc
-            fwd.append(acc)
-        acc, back = 0.0, []
-        for rk, uk, pk in zip(reversed(fwd), reversed(up), reversed(piv)):
-            acc = (rk - uk * acc) / pk
-            back.append(acc)
-        cols.append(back[::-1])
-    return np.array(cols).T
 
 
 def _panel_gauss_cumulative(s_grid, f_vals_fn, order=12):
@@ -340,7 +362,8 @@ def build_cycle_family(
     known with no inversion at the nodes xi_k = psi(s_k); one periodic cubic
     spline through them, of period zeta_period = T <F_r>, is what eval uses.
     The four periodic tables are _PeriodicCubic splines, which reduce their
-    argument into the period themselves; psi_inv's Newton seed is np.interp
+    argument into the period themselves; the three over s_grid share one
+    elimination of their slope system.  psi_inv's Newton seed is np.interp
     over the increasing psi table.
     """
     if cycle.kind != "limit_cycle":
@@ -371,8 +394,9 @@ def build_cycle_family(
     Jp = J_tab - mean * s_grid
     Jp[-1] = Jp[0]
     orbit[-1] = orbit[0]
-    J_per = _PeriodicCubic(s_grid, Jp)
-    orbit_sp = _PeriodicCubic(s_grid, orbit)
+    grid = _PeriodicGrid(s_grid)  # J_per, orbit and psi_per share its elimination
+    J_per = _PeriodicCubic(grid, Jp)
+    orbit_sp = _PeriodicCubic(grid, orbit)
 
     def weight(s):
         return np.exp(one_minus_a * (mean * s + J_per(s)))
@@ -386,7 +410,7 @@ def build_cycle_family(
     psi_tab = np.log(K_tab) / one_minus_a
     psi_per = psi_tab - mean * s_grid
     psi_per[-1] = psi_per[0]  # exact identity K(T) = K(0)/q up to quadrature
-    psi_per_sp = _PeriodicCubic(s_grid, psi_per)
+    psi_per_sp = _PeriodicCubic(grid, psi_per)
     psi_inv_base = partial(np.interp, xp=psi_tab, fp=s_grid)  # psi_tab increases
 
     xi_nodes = psi_tab.copy()

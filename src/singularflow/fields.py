@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotUnitVector, OriginEvaluation, UnknownField
+from .integrators import _floats
 
 # Guard for r**alpha overflow at negative alpha; the ideal field is singular
 # at the origin regardless.
@@ -31,7 +32,12 @@ class SingularField:
     """Ideal singular field r^alpha * F(x/r).
 
     sphere_map must accept unit vectors (|y| = 1 within 1e-12); evaluation
-    helpers project defensively and reject |y| off by more than 1e-9.
+    helpers project defensively and reject |y| off by more than 1e-9.  A
+    sphere_map may carry a float form as its .floats attribute: a function
+    from a list of Python floats to a list of Python floats, bitwise the
+    array map on the same components.  The kernels built on the field
+    (renormalized_system, regularized_rhs) call it directly; a map without
+    one is called on arrays.  The built-in maps have one.
     jacobian_on_sphere, when given, is the ambient Jacobian dF_i/dy_j of the
     same formula; a central finite-difference fallback is used otherwise.
     """
@@ -156,26 +162,47 @@ def exponent_normalize(field: SingularField) -> SingularField:
 # Built-in example fields
 # ---------------------------------------------------------------------------
 
-def _power1d_map(y):
-    return np.array([y[0]])
+def _map_with_floats(form):
+    """The array sphere map of a float form, carrying it as .floats.
+
+    form maps a list of floats to a list of floats; the array map is
+    np.array(form(_floats(y))), so the two cannot disagree.  It accepts an
+    array or a list, of Python floats or of NumPy scalars.
+    """
+
+    def sphere_map(y):
+        return np.array(form(_floats(y)))
+
+    sphere_map.floats = form
+    return sphere_map
+
+
+def _map_float_form(sphere_map):
+    """sphere_map's float form: .floats when it has one, else through arrays."""
+    form = getattr(sphere_map, "floats", None)
+    if form is not None:
+        return form
+
+    def through_arrays(y):
+        return np.asarray(sphere_map(np.array(y)), dtype=float).tolist()
+
+    return through_arrays
+
+
+def _power1d_floats(y):
+    return [y[0]]
 
 
 def _power1d_jac(y):
     return np.array([[1.0]])
 
 
-def _floats(y):
-    # the components as Python floats: the same IEEE arithmetic as NumPy
-    # scalars, bit for bit, at a fraction of the per-operation overhead
-    return y.tolist() if isinstance(y, np.ndarray) else y
-
-
-def _saddle2d_map(y):
-    y1, y2 = _floats(y)
-    return np.array([
+def _saddle2d_floats(y):
+    y1, y2 = y
+    return [
         y1 * y1 + y1 * y2 + y1 * y2 * y2,
         y1 * y2 + y2 * y2 - y1 * y1 * y2,
-    ])
+    ]
 
 
 def _saddle2d_jac(y):
@@ -186,24 +213,24 @@ def _saddle2d_jac(y):
     ])
 
 
-def _spiral2d_map(y):
-    y1, y2 = _floats(y)
-    return np.array([y1 - y2, y1 + y2])
+def _spiral2d_floats(y):
+    y1, y2 = y
+    return [y1 - y2, y1 + y2]
 
 
 def _spiral2d_jac(y):
     return np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
-def _sphere3d_map(y):
-    y1, y2, y3 = _floats(y)
+def _sphere3d_floats(y):
+    y1, y2, y3 = y
     w = y3 * y3 - 0.25
     # rotation part + radial part y3/2 * y + w * (rot x y)
-    return np.array([
+    return [
         -y2 + 0.5 * y3 * y1 + w * y1 * y3,
         y1 + 0.5 * y3 * y2 + w * y2 * y3,
         0.5 * y3 * y3 - w * (y1 * y1 + y2 * y2),
-    ])
+    ]
 
 
 def _sphere3d_jac(y):
@@ -214,6 +241,12 @@ def _sphere3d_jac(y):
         [1.0, 0.5 * y3 + w * y3, y2 * (3 * y3 * y3 + 0.25)],
         [-2 * y1 * w, -2 * y2 * w, y3 - 2 * y3 * (y1 * y1 + y2 * y2)],
     ])
+
+
+_power1d_map = _map_with_floats(_power1d_floats)
+_saddle2d_map = _map_with_floats(_saddle2d_floats)
+_spiral2d_map = _map_with_floats(_spiral2d_floats)
+_sphere3d_map = _map_with_floats(_sphere3d_floats)
 
 
 def builtin_field(name: str, alpha: Optional[float] = None) -> SingularField:

@@ -17,14 +17,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularBlend, TooManyCrossings
-from .fields import SingularField, eval_field
+from .fields import (
+    R_FLOOR_DEFAULT,
+    SingularField,
+    _map_float_form,
+    _map_with_floats,
+    eval_field,
+)
 from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
     NoEvent,
+    SolverStats,
     Trajectory,
     _integrate_to_crossing,
     _Sphere,
+    _with_floats,
 )
 
 _SMOOTH_DIRECTIONS = 200
@@ -54,18 +62,29 @@ class RegularizedField:
         return RegularizedField(self.base, nu, self.inner_map, self.blend_kind)
 
 
-def _blend_inner_map(base: SingularField, g0: np.ndarray):
-    def inner(X, _base=base, _g0=g0):
-        X = np.asarray(X, dtype=float)
-        rho = math.sqrt(float(X.dot(X)))
-        if rho == 0.0:
-            return _g0.copy()
-        w = blend_weight(rho)
-        return w * (rho**_base.alpha) * np.asarray(_base.sphere_map(X / rho), dtype=float) + (
-            1.0 - w
-        ) * _g0
+def _power(r, a):
+    """r ** a on Python floats, overflowing to inf as NumPy does (r > 0)."""
+    try:
+        return r**a
+    except OverflowError:
+        return math.inf
 
-    return inner
+
+def _blend_inner_map(base: SingularField, g0: np.ndarray):
+    """The inner map xi(rho) rho^alpha F(X / rho) + (1 - xi(rho)) g0 of the blend."""
+    alpha = base.alpha
+    smap = _map_float_form(base.sphere_map)
+    g0 = g0.tolist()
+
+    def inner(X):
+        rho = math.hypot(*X)
+        if rho == 0.0:
+            return list(g0)
+        w = blend_weight(rho)
+        scale, rest = w * _power(rho, alpha), 1.0 - w
+        return [scale * f + rest * g for f, g in zip(smap([v / rho for v in X]), g0)]
+
+    return _map_with_floats(inner)
 
 
 def make_polynomial_blend(base: SingularField, g0, nu: float) -> RegularizedField:
@@ -93,24 +112,26 @@ def make_preset_1d(base: SingularField, sigma: int, nu: float) -> RegularizedFie
     if base.alpha <= -2.0:
         raise SingularBlend(f"polynomial blend needs alpha > -2 (got {base.alpha})")
     if sigma in (1, -1):
-        core = (lambda x, s=float(sigma): np.array([0.5 * (s + x[0])]))
+        core = (lambda x, s=float(sigma): 0.5 * (s + x))
         kind = "expel_right" if sigma == 1 else "expel_left"
     elif sigma == 0:
-        core = (lambda x: np.array([(1.0 - 8.0 * x[0]) / 6.0]))
+        core = (lambda x: (1.0 - 8.0 * x) / 6.0)
         kind = "trap"
     else:
         raise ValueError("sigma must be +1, -1 or 0 (trap)")
+    alpha = base.alpha
+    smap = _map_float_form(base.sphere_map)
 
-    def inner(X, _base=base, _core=core):
-        X = np.asarray(X, dtype=float)
-        rho = abs(float(X[0]))
+    def inner(X):
+        x = X[0]
+        rho = abs(x)
         if rho == 0.0:
-            return _core(X)
+            return [core(x)]
         w = blend_weight(rho)
-        f = rho**_base.alpha * np.asarray(_base.sphere_map(X / rho), dtype=float)
-        return w * f + (1.0 - w) * _core(X)
+        f = _power(rho, alpha) * smap([x / rho])[0]
+        return [w * f + (1.0 - w) * core(x)]
 
-    return RegularizedField(base, nu, inner, blend_kind=kind)
+    return RegularizedField(base, nu, _map_with_floats(inner), blend_kind=kind)
 
 
 def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
@@ -121,22 +142,30 @@ def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
 def regularized_rhs(rf: RegularizedField):
     """The right-hand side (t, x) -> patched field at x, built once per rf.
 
-    Outside the ball it is eval_field, which raises OriginEvaluation for an
-    infinite state; a NaN state takes the inner branch.
+    Outside the ball it is eval_field bit for bit, which raises
+    OriginEvaluation for an infinite state; a NaN state takes the inner
+    branch.  It is written once, on lists of Python floats, and exposed as
+    its .floats attribute (see integrate); the inner map runs through its
+    float form when it has one.  |x| is the BLAS dot of eval_field, on a
+    small array.
     """
     nu = float(rf.nu)
-    base = rf.base
-    inner_map = rf.inner_map
-    inner_scale = rf.nu**base.alpha
+    alpha = rf.base.alpha
+    smap = _map_float_form(rf.base.sphere_map)
+    inner_map = _map_float_form(rf.inner_map)
+    inner_scale = float(rf.nu**alpha)
 
     def rhs(_t, x):
-        x = np.asarray(x, dtype=float)
-        # x.dot(x) is x @ x bit for bit (the same BLAS dot), with less overhead
-        if math.sqrt(float(x.dot(x))) > nu:
-            return eval_field(base, x)
-        return inner_scale * np.asarray(inner_map(x / nu), dtype=float)
+        xa = np.array(x)
+        r = math.sqrt(float(xa.dot(xa)))
+        if r > nu:
+            if not R_FLOOR_DEFAULT <= r < math.inf:
+                eval_field(rf.base, xa)  # raises OriginEvaluation
+            scale = _power(r, alpha)
+            return [scale * f for f in smap([v / r for v in x])]
+        return [inner_scale * g for g in inner_map([v / nu for v in x])]
 
-    return rhs
+    return _with_floats(rhs)
 
 
 @dataclass(frozen=True)
@@ -225,7 +254,8 @@ def integrate_regularized(
 
     The patched field is only C^1 at the ball boundary, so the run is split
     into smooth segments separated by located crossings; the stitched
-    trajectory keeps dense output across all segments.
+    trajectory keeps dense output across all segments, and its stats sum
+    those of the segments.
     """
     rhs = regularized_rhs(rf)
     x = np.asarray(x0, dtype=float)
@@ -238,6 +268,7 @@ def integrate_regularized(
     times = [t0]
     states = [x.copy()]
     derivs = [np.asarray(rhs(t0, x), dtype=float)]
+    stats = SolverStats(rhs_calls=1)
     inside = math.sqrt(float(x @ x)) <= nu
     crossings = 0
     while t < t1:
@@ -247,6 +278,7 @@ def integrate_regularized(
         except NoEvent as exc:
             # no crossing before t1: the search already ran the last segment
             t_e, seg = None, exc.trajectory
+        stats.add(seg.stats)
         times.extend(seg.times[1:].tolist())
         states.extend(list(seg.states[1:]))
         derivs.extend(list(seg.derivs[1:]))
@@ -260,4 +292,6 @@ def integrate_regularized(
             )
         t, x = t_e, x_e
         inside = not inside
-    return Trajectory(np.array(times), np.array(states), np.array(derivs), "completed")
+    return Trajectory(
+        np.array(times), np.array(states), np.array(derivs), "completed", stats=stats
+    )

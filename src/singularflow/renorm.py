@@ -25,8 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotUnitVector, OutOfRange
-from .fields import SingularField
-from .integrators import DEFAULT_OPTIONS, IntegrationOptions, Trajectory, integrate, write_csv
+from .fields import SingularField, _map_float_form
+from .integrators import (
+    DEFAULT_OPTIONS,
+    IntegrationOptions,
+    Trajectory,
+    _with_floats,
+    integrate,
+    write_csv,
+)
 
 # Once (1-alpha) z exceeds this, the physical-time derivative is frozen at
 # exp(_EXP_CAP): the trajectory has escaped far beyond any physically
@@ -120,44 +127,50 @@ def renormalized_system(field: SingularField, extras=("z", "t"), reverse: bool =
     "z" integrates dz/ds = F_r(y) and "t" integrates dt/ds = e^((1-alpha) z),
     so extras is ("z", "t"), ("z",) or ().  reverse negates dy/ds only; z
     still accumulates F_r along the traversal.  project(s, u) rescales y
-    back onto the unit sphere after an accepted step, and returns u itself
+    back onto the unit sphere after an accepted step, and leaves u as it is
     when |y| is already exactly 1.  rhs normalizes y itself and no extra
     depends on y, so rhs is invariant under project, as integrate requires
     of a postprocess.
+
+    Both are written once, on lists of Python floats, and exposed as their
+    .floats attribute (see integrate); rhs and project themselves are the
+    array callables np.array(form(s, _floats(u))).  The sphere map runs
+    through its own float form when the field's map has one.
     """
     d = field.dimension
-    n = d + len(extras)
     one_minus_a = 1.0 - field.alpha
-    smap = field.sphere_map
+    smap = _map_float_form(field.sphere_map)
+    carry_t = len(extras) > 1
 
     def rhs(_s, u):
         y = u[:d] if extras else u
-        y = y / math.sqrt(float(y.dot(y)))
-        F = np.asarray(smap(y), dtype=float)
-        fr = float(F.dot(y))
-        dy = F - fr * y
+        r = math.hypot(*y)
+        y = [v / r for v in y] if r else [math.nan] * d
+        F = smap(y)
+        fr = 0.0
+        for p, q in zip(F, y):
+            fr += p * q
         if reverse:
-            dy = -dy
-        if not extras:
-            return dy
-        out = np.empty(n)
-        out[:d] = dy
-        out[d] = fr
-        if n > d + 1:
-            out[d + 1] = math.exp(min(one_minus_a * u[d], _EXP_CAP))
-        return out
+            dy = [fr * q - p for p, q in zip(F, y)]
+        else:
+            dy = [p - fr * q for p, q in zip(F, y)]
+        if extras:
+            dy.append(fr)
+            if carry_t:
+                dy.append(math.exp(min(one_minus_a * u[d], _EXP_CAP)))
+        return dy
 
     def project(_s, u):
         y = u[:d] if extras else u
-        norm = math.sqrt(float(y.dot(y)))
+        norm = math.hypot(*y)
         if norm == 1.0:
             return u
-        out = u / norm
+        out = [v / norm for v in y] if norm else [math.nan] * d
         if extras:
-            out[d:] = u[d:]
+            out += u[d:]
         return out
 
-    return rhs, project
+    return _with_floats(rhs), _with_floats(project)
 
 
 def renorm_integrate(
@@ -303,4 +316,4 @@ def reconstruct(rt: RenormTrajectory) -> Trajectory:
     # dx/dt = r^alpha F(y), evaluated sample-wise for the dense output
     F = np.array([rt.field.sphere_map(yi) for yi in y], dtype=float)
     dx = np.exp(rt.field.alpha * z)[:, None] * F
-    return Trajectory(t.copy(), x, dx, rt.base.status)
+    return Trajectory(t.copy(), x, dx, rt.base.status, stats=rt.base.stats)

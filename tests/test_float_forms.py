@@ -1,0 +1,256 @@
+"""The float forms of the kernels, the array forms that wrap them, and the
+solver counters of the float-native stepper."""
+
+import math
+
+import numpy as np
+import pytest
+
+import singularflow as sf
+from singularflow import integrators
+from singularflow.continuation import _PeriodicCubic, _PeriodicGrid
+from singularflow.regularize import regularized_rhs
+from singularflow.renorm import renormalized_system
+
+ALPHA = 1.0 / 3.0
+
+
+def all_builtins():
+    return [sf.builtin_field(n, None if n == "sphere3d" else ALPHA) for n in sf.BUILTIN_NAMES]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
+def test_builtin_maps_agree_with_their_float_forms(field):
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((2000, field.dimension))
+    Y /= np.linalg.norm(Y, axis=1)[:, None]
+    form = field.sphere_map.floats
+    for y in Y:
+        want = field.sphere_map(y)
+        got = form(y.tolist())
+        assert all(type(v) is float for v in got)
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
+@pytest.mark.parametrize("extras", [(), ("z",), ("z", "t")])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_renormalized_float_and_array_forms_agree(field, extras, reverse):
+    rhs, project = renormalized_system(field, extras=extras, reverse=reverse)
+    d = field.dimension
+    rng = np.random.default_rng(11)
+    for k in range(500):
+        y = rng.standard_normal(d)
+        # unit, off the unit sphere, and far off it
+        y *= (1.0, 1.0 + 1e-9, 3.7)[k % 3] / np.linalg.norm(y)
+        u = np.concatenate([y, rng.uniform(-100.0, 100.0, len(extras))])
+        assert same_bits(rhs.floats(0.3, u.tolist()), rhs(0.3, u))
+        assert same_bits(project.floats(0.3, u.tolist()), project(0.3, u))
+    # a projection with nothing to do returns the state itself, in both forms
+    u = [1.0] + [0.0] * (d - 1) + [0.5] * len(extras)
+    assert project.floats(0.0, u) is u
+
+
+def test_regularized_float_and_array_forms_agree():
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rng = np.random.default_rng(4)
+    for nu in (0.1, 0.03, 1.0):
+        for rf in (sf.make_polynomial_blend(field, [1.0, 1.3], nu),
+                   sf.make_polynomial_blend(sf.builtin_field("spiral2d", ALPHA), [0.3, -2.0], nu)):
+            rhs = regularized_rhs(rf)
+            points = [np.zeros(2)]
+            for scale in (0.5, 1.0, 2.0, 50.0):  # inside, on |x| = nu, outside
+                for _ in range(100):
+                    y = rng.standard_normal(2)
+                    points.append(nu * scale * y / np.linalg.norm(y))
+            for x in points:
+                assert same_bits(rhs.floats(0.0, x.tolist()), rhs(0.0, x))
+    rhs = regularized_rhs(sf.make_polynomial_blend(field, [1.0, 1.3], 0.1))
+    with np.errstate(invalid="ignore"):
+        for x in ([math.nan, 0.0], [0.0, math.nan]):
+            got, want = rhs.floats(0.0, x), rhs(0.0, np.array(x))
+            assert np.isnan(got).all() and np.isnan(want).all()
+    for x in ([math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(sf.OriginEvaluation):
+            rhs.floats(0.0, x)
+        with pytest.raises(sf.OriginEvaluation):
+            rhs(0.0, np.array(x))
+
+
+def test_preset_inner_maps_agree_with_their_float_forms():
+    field = sf.builtin_field("power1d", ALPHA)
+    for sigma in (1, -1, 0):
+        rf = sf.make_preset_1d(field, sigma, 0.25)
+        rhs = regularized_rhs(rf)
+        for x in np.linspace(-0.6, 0.6, 241):
+            assert same_bits(rf.inner_map.floats([x / 0.25]), rf.inner_map(np.array([x / 0.25])))
+            assert same_bits(rhs.floats(0.0, [x]), rhs(0.0, np.array([x])))
+
+
+def _bits(traj):
+    return traj.times.tobytes(), traj.states.tobytes(), traj.derivs.tobytes(), traj.status
+
+
+def test_a_plain_wrapper_gives_the_same_trajectory_bitwise():
+    # a wrapper hides the float form, so the run goes through the array
+    # adapter; the steps must not change by a bit
+    field = sf.builtin_field("sphere3d")
+    opts = sf.IntegrationOptions(r_floor=0.0)
+    rhs, project = renormalized_system(field)
+    u0 = np.array([0.6, 0.0, 0.8, 0.0, 0.0])
+    native = sf.integrate(rhs, u0, 0.0, 30.0, opts, postprocess=project)
+    wrapped = sf.integrate(lambda t, x: rhs(t, x), u0, 0.0, 30.0, opts,
+                           postprocess=lambda t, x: project(t, x))
+    assert len(native.times) > 100
+    assert _bits(native) == _bits(wrapped)
+
+    rf = sf.make_polynomial_blend(sf.builtin_field("saddle2d", ALPHA), [1.0, -2.0], 0.1)
+    reg = regularized_rhs(rf)
+    ball = integrators._Sphere(0.1)
+    runs = [
+        integrators._integrate_to_crossing(f, np.array([-1.0, 0.0]), 0.0, ball, -1, opts, 2.5)
+        for f in (reg, lambda t, x: reg(t, x))
+    ]
+    assert runs[0][0] == runs[1][0]
+    assert same_bits(runs[0][1], runs[1][1])
+    assert _bits(runs[0][2]) == _bits(runs[1][2])
+
+
+def test_twelve_component_array_rhs_matches_its_closed_form(monkeypatch):
+    # six decaying rotations, dx/dt = A x, with no float form: the state has
+    # more than 8 components, so the error norm takes its NumPy branch
+    rates = np.linspace(0.1, 0.6, 6)
+    freqs = np.linspace(0.5, 3.0, 6)
+    A = np.zeros((12, 12))
+    for k, (a, w) in enumerate(zip(rates, freqs)):
+        A[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = [[-a, w], [-w, -a]]
+
+    def rhs(_t, x):
+        return A @ x
+
+    sizes = []
+    norm = integrators._error_norm
+
+    def recorded(err, *args):
+        sizes.append(len(err))
+        return norm(err, *args)
+
+    monkeypatch.setattr(integrators, "_error_norm", recorded)
+    x0 = np.linspace(-1.0, 1.0, 12)
+    opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-14, r_floor=0.0)
+    traj = sf.integrate(rhs, x0, 0.0, 5.0, opts)
+    assert not hasattr(rhs, "floats")
+    assert set(sizes) == {12}
+    for t, x in zip(traj.times[::7], traj.states[::7]):
+        want = np.empty(12)
+        for k, (a, w) in enumerate(zip(rates, freqs)):
+            p, q = x0[2 * k: 2 * k + 2]
+            c, s = math.cos(w * t), math.sin(w * t)
+            want[2 * k: 2 * k + 2] = math.exp(-a * t) * np.array([c * p + s * q, -s * p + c * q])
+        assert np.max(np.abs(x - want)) < 1e-9
+
+
+def test_solver_stats_count_the_run():
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return np.array([x[1], -x[0] - 0.1 * x[1]])
+
+    traj = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0)
+    st = traj.stats
+    assert st.accepted == len(traj.times) - 1
+    assert st.rhs_calls == len(calls) == 6 * (st.accepted + st.rejected) + 2
+    # the sample times differ by the accepted h up to the rounding of t + h
+    steps = np.diff(traj.times)
+    assert st.h_min == pytest.approx(steps.min(), rel=1e-12)
+    assert st.h_max == pytest.approx(steps.max(), rel=1e-12)
+
+    # a run that stops early keeps the counts up to its stop
+    stopped = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, until=lambda t, y, p: t > 5.0)
+    assert stopped.status == "stopped"
+    assert stopped.stats.accepted == len(stopped.times) - 1 < st.accepted
+
+    # an event run counts the derivative at the located crossing too
+    calls.clear()
+    t_e, _, seg = integrators._integrate_to_crossing(
+        rhs, np.array([1.0, 0.0]), 0.0, lambda t, x: float(x[0]), -1,
+        integrators.DEFAULT_OPTIONS, 20.0,
+    )
+    assert seg.status == "hit_event" and 0.0 < t_e < 2.0
+    assert seg.stats.rhs_calls == len(calls)
+    assert seg.stats.accepted == len(seg.times) - 1
+
+    # a failed run carries what it counted
+    def blows(t, x):
+        return np.array([math.nan if t > 0.5 else 1.0])
+
+    with pytest.raises(sf.StepFailure) as info:
+        sf.integrate(blows, [0.0], 0.0, 1.0)
+    partial = info.value.trajectory
+    assert partial.stats.accepted == len(partial.times) - 1
+    assert partial.stats.rejected == 0 and partial.stats.rhs_calls > 6 * partial.stats.accepted
+
+
+def test_regularized_run_sums_the_stats_of_its_segments():
+    import dataclasses
+
+    field = sf.builtin_field("saddle2d", ALPHA)
+    smap = field.sphere_map
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return smap(y)
+
+    counting = dataclasses.replace(field, sphere_map=counted)
+    rf = sf.make_polynomial_blend(counting, [1.0, -2.0], 0.1)
+    traj = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
+    st = traj.stats
+    # the run enters and leaves the ball, so it has three segments; every
+    # right-hand-side call evaluates the map once (no state is at the centre)
+    assert np.sum(np.diff(traj.radii() < 0.1) != 0) >= 2
+    assert st.accepted == len(traj.times) - 1
+    assert st.rhs_calls == calls[0]
+    assert st.rhs_calls > 6 * (st.accepted + st.rejected)
+    assert 0.0 < st.h_min <= st.h_max
+
+
+def test_located_crossings_lie_on_the_side_crossed_to():
+    rng = np.random.default_rng(8)
+    hits = 0
+    for _ in range(3000):
+        d = 1 + int(rng.integers(3))
+        yp, fp, yn, fn = rng.standard_normal((4, d))
+        tp = float(rng.uniform(-2.0, 2.0))
+        step = (tp, yp, fp, tp + float(rng.uniform(1e-3, 2.0)), yn, fn)
+        sphere = integrators._Sphere(float(rng.uniform(0.3, 2.0)))
+        g0 = sphere(tp, yp)
+        for direction in (+1, -1):
+            bracket, _ = integrators._scan_step(sphere, direction, g0, step)
+            if bracket is None:
+                continue
+            hits += 1
+            t_e, x_e = integrators._locate_crossing(sphere, step, bracket)
+            g = sphere(t_e, x_e)
+            assert bracket[0] < t_e <= bracket[2]
+            assert (g >= 0.0) if direction > 0 else (g <= 0.0)
+    assert hits > 500
+
+
+def test_splines_over_a_shared_grid_are_the_separate_ones_bitwise():
+    rng = np.random.default_rng(6)
+    x = np.sort(np.concatenate([[0.0], rng.uniform(0.0, 5.0, 200), [5.0]]))
+    grid = _PeriodicGrid(x)
+    for shape in ((len(x),), (len(x), 3)):
+        y = rng.standard_normal(shape)
+        y[-1] = y[0]
+        shared, alone = _PeriodicCubic(grid, y), _PeriodicCubic(x, y)
+        assert all(same_bits(a, b) for a, b in zip(shared._coef, alone._coef))
+        q = rng.uniform(-6.0, 11.0, 1000)
+        assert same_bits(shared(q), alone(q))
