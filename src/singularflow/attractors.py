@@ -22,11 +22,12 @@ from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
     _integrate_to_crossing,
+    _Level,
     _Sphere,
     integrate,
 )
 from .regularize import RegularizedField, regularized_rhs
-from .renorm import renorm_integrate, renormalized_system
+from .renorm import renormalized_system
 
 LABEL_DELTA = 1e-6
 _FP_RESIDUAL_TOL = 1e-10
@@ -239,8 +240,7 @@ def _orbit_tabulation(field, anchor, period, n_samples, opts, reverse=False):
     rhs, project = renormalized_system(field, extras=("z",), reverse=reverse)
     u0 = np.concatenate([anchor, [0.0]])
     run_opts = IntegrationOptions(
-        rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13), max_step=opts.max_step,
-        r_floor=0.0, horizon=opts.horizon,
+        rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13), max_step=opts.max_step, r_floor=0.0
     )
     traj = integrate(rhs, u0, 0.0, period, run_opts, postprocess=project)
     s_grid = np.linspace(0.0, period, n_samples + 1)
@@ -312,18 +312,16 @@ def find_limit_cycle(
 
     sec_opts = IntegrationOptions(rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13),
                                   r_floor=0.0)
-    nudge = 1e-6  # step off the section so the located point cannot re-fire
     returns = [(0.0, p0)]
     distances = []  # successive return-point separations
     t_here, y_here = 0.0, p0
     period = None
     for _ in range(max_returns):
-        lead = integrate(
-            rhs, y_here, t_here, t_here + nudge, sec_opts, postprocess=project
-        )
+        # each lap starts on the section or on the side a return crossed
+        # to, where an upward crossing cannot fire again at once
         try:
             t_ret, y_ret, _ = _integrate_to_crossing(
-                rhs, lead.final_state, t_here + nudge, section, +1, sec_opts,
+                rhs, y_here, t_here, section, +1, sec_opts,
                 t_here + return_horizon, postprocess=project,
             )
         except (NoEvent, StepFailure):
@@ -660,65 +658,43 @@ def rescaled_escape(
 
 
 def _outside_excursion(field, y_exit, window, opts):
-    """Renormalized run outside the ball until re-entry (Z = 0) or the window end."""
+    """Renormalized run outside the ball until re-entry (Z = 0) or the window end.
+
+    Re-entry is the first downward crossing of Z = 0, located as the event
+    _Level(d) on the state (y, Z, t); the run starts at Z = 0, which only a
+    crossing from Z > 0 can end.
+    """
     d = field.dimension
-    z_last = 0.0  # Z of the last accepted state; the run starts at Z = 0
-
-    def reentered(_s, u, _partial):
-        # the step of the first downward crossing of Z = 0 ends the run; the
-        # steps never depend on the poll, so it is a prefix of the full run
-        nonlocal z_last
-        z_prev, z_last = z_last, float(u[d])
-        return z_prev > 0.0 >= z_last
-
-    rt = renorm_integrate(
-        field,
-        y_exit,
-        0.0,
-        window,
-        IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
-        until=reentered,
-    )
-    z = rt.z
-    s = rt.s
-    # find the first downward crossing of Z = 0 after Z has been positive
-    crossed = None
-    for i in range(1, len(s)):
-        if z[i - 1] > 0.0 >= z[i]:
-            crossed = i
-            break
-    if crossed is not None:
-        # bisect the dense output of the base trajectory for Z = 0
-        lo, hi = s[crossed - 1], s[crossed]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            zm = float(rt.z_at(mid))
-            if zm > 0:
-                lo = mid
-            else:
-                hi = mid
-        s_re = 0.5 * (lo + hi)
-        u = rt.state_at(s_re)
-        y_end = u[:d] / np.linalg.norm(u[:d])
-        dtau = float(u[d + 1])  # physical-time quadrature started at 0
+    y0 = np.asarray(y_exit, dtype=float)
+    u0 = np.concatenate([y0 / math.sqrt(float(y0 @ y0)), [0.0, 0.0]])
+    rhs, project = renormalized_system(field)
+    run_opts = IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
+    try:
+        _, u, run = _integrate_to_crossing(
+            rhs, u0, 0.0, _Level(d), -1, run_opts, window, postprocess=project
+        )
+    except NoEvent as exc:
+        run = exc.trajectory
+    else:
         return {
             "reentered": True,
-            "y_end": y_end,
-            "dtau": dtau,
-            "z_max": float(np.max(z[: crossed + 1])),
+            "y_end": u[:d] / np.linalg.norm(u[:d]),
+            "dtau": float(u[d + 1]),  # physical-time quadrature started at 0
+            "z_max": float(np.max(run.states[:, d])),
             "z_end": 0.0,
             "mean_tail": 0.0,
             "z_min_tail": 0.0,
         }
+    s, z = run.times, run.states[:, d]
     half = s[-1] / 2
-    tail = z[s >= half]
-    mean_tail = (z[-1] - float(rt.z_at(half))) / (s[-1] - half)
+    mean_tail = (z[-1] - float(run.sample(half)[d])) / (s[-1] - half)
+    y_end = run.states[-1, :d]
     return {
         "reentered": False,
-        "y_end": rt.y[-1] / np.linalg.norm(rt.y[-1]),
-        "dtau": float(rt.t[-1]),
+        "y_end": y_end / np.linalg.norm(y_end),
+        "dtau": float(run.states[-1, d + 1]),
         "z_max": float(np.max(z)),
         "z_end": float(z[-1]),
         "mean_tail": float(mean_tail),
-        "z_min_tail": float(np.min(tail)),
+        "z_min_tail": float(np.min(z[s >= half])),
     }

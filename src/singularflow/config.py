@@ -12,7 +12,7 @@ mapping, which makes configs usable as reproducibility manifests.
 Recognized keys (see README for the full table):
 
     field, alpha, x0, t0, t1, seed, outputs
-    integrator.rtol / .atol / .max_step / .r_floor / .horizon
+    integrator.rtol / .atol / .max_step / .r_floor
     regularization.kind (polynomial_blend | preset1d)
     regularization.g0, regularization.sigma, nu, nu.list
     nu.geometric.T / .mean_fr / .chi / .n_first / .n_last
@@ -106,7 +106,6 @@ class RunConfig:
     geo: Optional[dict] = None  # T, mean_fr, chi, n_first, n_last
     sweep_t: Optional[tuple] = None  # (t_start, t_stop, n_points)
     s_budget: float = 2.0e4
-    raw: dict = dc_field(default_factory=dict)
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -155,7 +154,6 @@ class RunConfig:
                 atol=float(take("integrator.atol", 1e-12)),
                 max_step=float(take("integrator.max_step", math.inf)),
                 r_floor=float(take("integrator.r_floor", 1e-10)),
-                horizon=float(take("integrator.horizon", 1e3)),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -232,7 +230,6 @@ class RunConfig:
         m["integrator.atol"] = o.atol
         m["integrator.max_step"] = o.max_step
         m["integrator.r_floor"] = o.r_floor
-        m["integrator.horizon"] = o.horizon
         if self.reg_kind is not None:
             m["regularization.kind"] = self.reg_kind
         if self.reg_g0 is not None:

@@ -331,10 +331,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with adaptive 5(4) stepping.
 
-    Stops early with status hit_radius_floor when |x| drops below
-    opts.r_floor (the ideal singular field cannot be followed into the
-    origin).  Raises StepFailure, carrying the partial trajectory, when the
-    step size underflows or the state turns non-finite.
+    Stops early with status hit_radius_floor at the located crossing of
+    |x| = opts.r_floor, downward (the ideal singular field cannot be followed
+    into the origin); a run that starts inside that sphere is not stopped by
+    it, and an r_floor of 0 disables it.  Raises StepFailure,
+    carrying the partial trajectory, when the step size underflows or the
+    state turns non-finite.
 
     postprocess, if given, is applied to every accepted state as
     postprocess(t, y) and returns the adjusted state, which the run keeps.
@@ -349,63 +351,66 @@ def integrate(
     true result ends the run at that step with status stopped.  The steps
     taken never depend on it, so a stopped run is a prefix of the full one.
 
-    Float forms.  The stepper carries the state, the seven stages and the
-    error estimate as lists of Python floats: on states of a few components
-    a NumPy call costs more than its arithmetic.  rhs, and postprocess, may
-    carry a float form as their .floats attribute: a function (t, y) -> list
-    that takes y as a list of Python floats and returns the components as
-    Python floats.  The stepper calls it directly, and the array callable
-    must be np.array(rhs.floats(t, y.tolist())) bit for bit, as
-    _with_floats builds it (a postprocess may return its input list to
-    leave the state as it is).  Any other callable is called on an array
-    built for the call, and its result is converted back to a list; the
-    steps are the same, bit for bit.  The kernels of the package
-    (renormalized_system, regularized_rhs) carry float forms.  The arrays
-    of each accepted state and derivative are built once, for the
-    trajectory, until and event scans.  The trajectory's stats count the
-    right-hand-side calls, the accepted and rejected steps and the range of
-    accepted step sizes.
+    rhs and postprocess may carry a float form as their .floats attribute,
+    a function (t, y) -> list on lists of Python floats that the stepper
+    calls directly; the array callable must be np.array(rhs.floats(t,
+    y.tolist())) bit for bit, as _with_floats builds it.  Any other callable
+    is called on arrays, with the same steps bit for bit.  The trajectory's
+    stats count the right-hand-side calls, the accepted and rejected steps
+    and the range of accepted step sizes.
 
-    Cost per accepted step on a 2-vCPU Intel Xeon host (medians of
-    interleaved in-process runs): about 43 us on the 80-unit sphere3d
-    renormalized transient, whose kernels have float forms (81 us with the
-    former stepper on NumPy arrays), and for a linear right-hand side
-    A @ x with no float form, against the state size d:
-
-        d                          2     5    12    50
-        us per step               38    46    70   151
-        former stepper, us        42    42    51    56
-
-    The list arithmetic grows with d where NumPy's hardly did, so a large
-    system without a float form runs slower than before (2.7x at d = 50);
-    every system the package integrates has at most 5 components.
+    This is one of the two entry points of _run, the one loop that also
+    runs the event searches (_integrate_to_crossing).
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
+    return _run(rhs, x0, t0, t1, opts, postprocess, until=until)
+
+
+def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direction=0):
+    """The integration loop under integrate and _integrate_to_crossing.
+
+    It watches event crossed in direction (status hit_event) and, when
+    opts.r_floor > 0, the sphere |x| = r_floor crossed downward (status
+    hit_radius_floor).  Each accepted step is scanned for both
+    (_scan_step); the run ends at the earliest located crossing
+    (_locate_crossing), whose state and derivative close the trajectory.
+    Otherwise it ends when until says so (stopped) or at t1 (completed).  A
+    StepFailure is raised again carrying the partial trajectory.
+    """
     x0 = np.array(x0, dtype=float)
     times = [t0]
     states = [x0]
     derivs = [np.asarray(rhs(t0, x0), dtype=float)]
     stats = SolverStats(rhs_calls=1)
+    watched = []  # (event, direction, status) of each crossing that ends the run
+    if event is not None:
+        watched.append((event, direction, "hit_event"))
+    if opts.r_floor > 0.0:
+        watched.append((_Sphere(opts.r_floor), -1, "hit_radius_floor"))
+    g = [float(ev(t0, x0)) for ev, _, _ in watched]
     status = "completed"
 
     def partial():
         return _trajectory(times, states, derivs, "stopped", stats)
 
     try:
-        steps = _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess)
-        for tp, yp, fp, t_new, y_new, f_new in steps:
-            floor_hit = None
-            if opts.r_floor > 0.0:
-                floor_hit = _floor_crossing(opts.r_floor, tp, yp, fp, t_new, y_new, f_new)
-            if floor_hit is not None:
-                t_f, x_f = floor_hit
-                times.append(t_f)
-                states.append(x_f)
-                derivs.append(np.asarray(rhs(t_f, x_f), dtype=float))
+        for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess):
+            hit = None
+            for i, (ev, sense, name) in enumerate(watched):
+                bracket, g[i] = _scan_step(ev, sense, g[i], step)
+                if bracket is not None:
+                    t_e, x_e = _locate_crossing(ev, step, bracket)
+                    if hit is None or t_e < hit[0]:
+                        hit = (t_e, x_e, name)
+            if hit is not None:
+                t_e, x_e, status = hit
+                times.append(t_e)
+                states.append(x_e)
+                derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
                 stats.rhs_calls += 1
-                status = "hit_radius_floor"
                 break
+            _, _, _, t_new, y_new, f_new = step
             times.append(t_new)
             states.append(y_new)
             derivs.append(f_new)
@@ -417,44 +422,6 @@ def integrate(
             str(exc), _trajectory(times, states, derivs, "step_failure", stats)
         ) from None
     return _trajectory(times, states, derivs, status, stats)
-
-
-def _floor_crossing(r_floor, tp, yp, fp, tn, yn, fn):
-    """First sub-step time where the dense radius drops below r_floor.
-
-    One accepted step can straddle the origin passage entirely (the window
-    with r < r_floor is much narrower than the step), so the dense output is
-    subsampled whenever an endpoint is within a few decades of the floor.
-    """
-    rp = math.sqrt(float(yp @ yp))
-    rn = math.sqrt(float(yn @ yn))
-    if min(rp, rn) >= 1e3 * r_floor:
-        return None
-    y0, f0, y1, f1 = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist()
-    if rn < r_floor:
-        lo, hi = tp, tn
-    else:
-        ts = np.linspace(tp, tn, 33)[1:-1]
-        below = None
-        for tq in ts:
-            yq = _hermite_eval(tq, tp, y0, f0, tn, y1, f1)
-            if math.sqrt(float(yq @ yq)) < r_floor:
-                below = tq
-                break
-        if below is None:
-            return None
-        lo, hi = tp, below
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        ym = _hermite_eval(mid, tp, y0, f0, tn, y1, f1)
-        if math.sqrt(float(ym @ ym)) < r_floor:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4 * _EPS * max(1.0, abs(mid)):
-            break
-    t_f = hi
-    return t_f, _hermite_eval(t_f, tp, y0, f0, tn, y1, f1)
 
 
 def _hermite_weights(s, uu):
@@ -500,16 +467,18 @@ def _locate_crossing(event, step, bracket):
     step is the full Hermite interval (tp, yp, fp, tn, yn, fn); bracket is
     (ta, ga, tb, gb) with the sign change between ta and tb.  The bisection
     keeps tb on the side the crossing leads to, and so does the (t, x) it
-    returns: the event there is within 1e-12 of zero (relative to the
-    bracket's values) or the bracket is a few ulps wide.  A run that
-    restarts from the located state, such as a segment of
-    integrate_regularized, then starts on the side it crossed to.
+    returns: the event there is within 1e-12 of zero relative to the
+    larger of the bracket's two end values, so an event of any scale (a
+    radius floor of 1e-10, say) is located to the same relative accuracy,
+    or the bracket is a few ulps wide.  A run that restarts from the
+    located state, such as a segment of integrate_regularized, then starts
+    on the side it crossed to.
     """
     tp, yp, fp, tn, yn, fn = step
     y0, f0, y1, f1 = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist()
     lo, glo, hi, ghi = bracket
     y_hi = None
-    scale = max(1.0, abs(glo), abs(ghi))
+    scale = max(abs(glo), abs(ghi))
     for _ in range(200):
         if abs(ghi) <= 1e-12 * scale or hi - lo <= 16 * _EPS * max(1.0, abs(hi)):
             break
@@ -571,19 +540,60 @@ class _Sphere:
         return False
 
 
+class _Level:
+    """The event x[index] - level, whose crossings _scan_step can rule out per step.
+
+    Component index of a step's cubic Hermite is the same convex
+    combination of that component of its four Bezier points as in _Sphere,
+    so when all four lie strictly below the level, or strictly above it, so
+    does every subsample, and no crossing can be found.
+    """
+
+    __slots__ = ("index", "level")
+
+    def __init__(self, index, level=0.0):
+        self.index = int(index)
+        self.level = float(level)
+
+    def __call__(self, _t, x):
+        return float(x[self.index]) - self.level
+
+    def clear_of(self, g_prev, step):
+        """True when no subsample of the step can reach the level.
+
+        As _Sphere.clear_of, for one component: g_prev must agree with the
+        side found, and the margin bounds the rounding of the subsample
+        component and of the hull computed here.
+        """
+        tp, yp, fp, tn, yn, fn = step
+        i = self.index
+        a, b = float(yp[i]), float(yn[i])
+        h3 = (tn - tp) / 3.0
+        p1, p2 = a + h3 * float(fp[i]), b - h3 * float(fn[i])
+        level = self.level
+        margin = 384 * _EPS * (abs(a) + abs(p1) + abs(p2) + abs(b) + abs(level))
+        if g_prev < 0.0:
+            return max(a, p1, p2, b) + margin < level
+        if g_prev > 0.0:
+            return min(a, p1, p2, b) - margin > level
+        return False
+
+
 def _scan_step(event, direction, g_prev, step):
     """Subsample one accepted step for the first crossing in direction.
 
     The step is cut into _EVENT_SUBSAMPLES equal parts so a double crossing
     inside it is not skipped; subsample k sits at k * (h / _EVENT_SUBSAMPLES)
     past the step's start, which is how np.linspace places it, bit for bit,
-    and its state comes from _hermite_point.  A _Sphere event skips the
-    subsamples of a step it is clear of.  g_prev is the event at the step's
-    start.  Returns (bracket, g_end): bracket is (ta, ga, tb, gb) around the
-    first crossing, or None with g_end the event at the step's end.
+    and its state comes from _hermite_point.  An event with a clear_of
+    method (_Sphere, _Level) skips the subsamples of a step it is clear of.
+    g_prev is the event at the step's start.  Returns (bracket, g_end):
+    bracket is (ta, ga, tb, gb) around the first crossing, or None with
+    g_end the event at the step's end.
     """
     tp, yp, fp, tn, yn, fn = step
-    if isinstance(event, _Sphere) and event.clear_of(g_prev, step):
+    clear_of = getattr(event, "clear_of", None)
+    if clear_of is not None and clear_of(g_prev, step):
         return None, event(tn, yn)
     h = tn - tp
     dt = h / _EVENT_SUBSAMPLES
@@ -611,42 +621,18 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
     direction strictly after t0, scanning the dense output of each accepted
     step.  Returns (t_event, x_event, trajectory ending at the event).  When
     the run reaches t_max without a crossing, the NoEvent it raises carries
-    the completed trajectory to t_max; a StepFailure propagates with the
+    the completed trajectory to t_max, and when it reaches the radius floor
+    first, the trajectory ending there; a StepFailure propagates with the
     partial trajectory.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (upward) or -1 (downward)")
-    x0 = np.array(x0, dtype=float)
-    times = [t0]
-    states = [x0]
-    derivs = [np.asarray(rhs(t0, x0), dtype=float)]
-    stats = SolverStats(rhs_calls=1)
-    g_prev = float(event(t0, x0))
-    try:
-        stepper = _stepper(rhs, x0, derivs[0], t0, t_max, opts, stats, postprocess)
-        for step in stepper:
-            bracket, g_prev = _scan_step(event, direction, g_prev, step)
-            if bracket is not None:
-                t_e, x_e = _locate_crossing(event, step, bracket)
-                times.append(t_e)
-                states.append(x_e)
-                derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
-                stats.rhs_calls += 1
-                return t_e, x_e, _trajectory(times, states, derivs, "hit_event", stats)
-            _, _, _, tn, yn, fn = step
-            times.append(tn)
-            states.append(yn)
-            derivs.append(fn)
-            if opts.r_floor > 0.0 and math.sqrt(float(yn @ yn)) < opts.r_floor:
-                raise NoEvent("trajectory hit the radius floor before the event")
-    except StepFailure as exc:
-        raise StepFailure(
-            str(exc), _trajectory(times, states, derivs, "step_failure", stats)
-        ) from None
-    raise NoEvent(
-        f"no event crossing within horizon t <= {t_max!r}",
-        _trajectory(times, states, derivs, "completed", stats),
-    )
+    traj = _run(rhs, x0, t0, t_max, opts, postprocess, event=event, direction=direction)
+    if traj.status == "hit_event":
+        return traj.t_end, traj.final_state, traj
+    if traj.status == "hit_radius_floor":
+        raise NoEvent("trajectory hit the radius floor before the event", traj)
+    raise NoEvent(f"no event crossing within horizon t <= {t_max!r}", traj)
 
 
 def integrate_to_event(

@@ -261,7 +261,7 @@ def integrate_regularized(
     x = np.asarray(x0, dtype=float)
     t = t0
     seg_opts = IntegrationOptions(
-        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0, horizon=opts.horizon
+        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0
     )
     nu = float(rf.nu)
     boundary = _Sphere(nu)

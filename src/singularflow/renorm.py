@@ -199,7 +199,7 @@ def renorm_integrate(
         raise ValueError("s_max must be positive")
     u0 = np.concatenate([y0 / n0, [float(z0)], [float(t0)]])
     run_opts = IntegrationOptions(
-        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0, horizon=opts.horizon
+        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0
     )
     poll = None
     if until is not None:

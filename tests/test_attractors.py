@@ -327,37 +327,37 @@ def test_rescaled_escape_is_scale_invariant():
 
 
 def test_outside_excursion_ends_at_reentry(monkeypatch):
-    # the run ends on the step of the first downward crossing of Z = 0; the
-    # steps never depend on the poll, so the result is the full window's,
-    # bit for bit
+    # re-entry is the located downward crossing of Z = 0: Z there is zero to
+    # the locator's tolerance, on the side crossed to, and the crossing lies
+    # in the first step of the full-window run whose end has Z <= 0
     from singularflow import attractors
 
     field = saddle()
+    d = field.dimension
     y_exit = np.array([-0.324, 0.946]) / math.hypot(-0.324, 0.946)
     opts = sf.IntegrationOptions()
-    runs = []
-    run = attractors.renorm_integrate
+    located = []
+    search = attractors._integrate_to_crossing
 
     def recorded(*args, **kwargs):
-        runs.append(run(*args, **kwargs))
-        return runs[-1]
+        located.append(search(*args, **kwargs))
+        return located[-1]
 
-    def full_window(*args, until=None, **kwargs):
-        return recorded(*args, **kwargs)
-
-    monkeypatch.setattr(attractors, "renorm_integrate", recorded)
-    stopped = attractors._outside_excursion(field, y_exit, 50.0, opts)
-    monkeypatch.setattr(attractors, "renorm_integrate", full_window)
-    reference = attractors._outside_excursion(field, y_exit, 50.0, opts)
-    assert stopped["reentered"]
-    bits = lambda out: {k: np.asarray(v).tobytes() for k, v in out.items()}
-    assert bits(stopped) == bits(reference)
-    short, full = runs
-    n = len(short.s)
-    assert np.array_equal(short.base.states, full.base.states[:n])
+    monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
+    out = attractors._outside_excursion(field, y_exit, 50.0, opts)
+    assert out["reentered"]
+    (s_re, u_re, run), = located
+    full = sf.renorm_integrate(
+        field, y_exit, 0.0, 50.0, sf.IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
+    )
     z = full.z
-    crossing = next(i for i in range(1, len(z)) if z[i - 1] > 0.0 >= z[i])
-    assert n - 1 == crossing < (len(z) - 1) // 2
+    k = next(i for i in range(1, len(z)) if z[i] <= 0.0)
+    assert full.s[k - 1] < s_re <= full.s[k] < full.s_end
+    assert -1e-12 * max(z[k - 1], -z[k]) <= u_re[d] <= 0.0
+    # the search takes the full run's steps up to the crossing
+    assert np.array_equal(run.states[:k], full.base.states[:k])
+    assert out["dtau"] == u_re[d + 1]
+    assert np.array_equal(out["y_end"], u_re[:d] / np.linalg.norm(u_re[:d]))
 
 
 def test_attractor_serialization():

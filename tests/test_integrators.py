@@ -344,6 +344,95 @@ def test_sphere_event_scan_matches_the_plain_closure():
     assert _scan_step(one, +1, one(0.0, exit_step[1]), exit_step)[0] is not None
 
 
+def _level_steps(rng, n):
+    # random steps about a level L of component i, d = 1..3, L = 0 in a
+    # quarter of them: generic ones, steps with both ends within 1e-15 of
+    # the level, short steps in a 1e-6 band about it, shallow bumps whose
+    # ends sit 1e-9 below (or above) it while the curve pokes through, and
+    # flat steps a few ulps off it, where only the rounding of the
+    # subsamples can reach it
+    for k in range(n):
+        d = 1 + k % 3
+        i = int(rng.integers(d))
+        scale = float(10.0 ** rng.uniform(-2.0, 1.0))
+        L = 0.0 if k % 4 == 3 else scale * rng.choice([-1.0, 1.0])
+        h = float(10.0 ** rng.uniform(-3.0, 0.3))
+        tp = float(rng.uniform(-5.0, 5.0))
+        yp, yn = rng.standard_normal((2, d)) * scale
+        fp, fn = rng.standard_normal((2, d)) * (scale / h) * rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0])
+        kind = (k // 4) % 5
+        if kind == 1:
+            yp[i] = L + rng.choice([-1e-15, 0.0, 1e-15]) * max(scale, abs(L))
+            yn[i] = L + rng.choice([-1e-15, 0.0, 1e-15]) * max(scale, abs(L))
+        elif kind == 2:
+            yp[i] = L + rng.uniform(-1e-6, 1e-6) * scale
+            yn[i] = yp[i] + 1e-7 * scale * rng.standard_normal()
+        elif kind == 3:
+            side = rng.choice([-1.0, 1.0])
+            yp[i] = yn[i] = L - side * 1e-9 * scale
+            fp[i] = side * 1e-8 * scale / h * rng.uniform(0.5, 8.0)
+            fn[i] = -side * 1e-8 * scale / h * rng.uniform(0.5, 8.0)
+        elif kind == 4:
+            toward = rng.choice([-math.inf, math.inf])
+            yp[i] = yn[i] = L if L else 1e-300 * toward
+            for _ in range(int(rng.integers(1, 4))):
+                yp[i] = yn[i] = math.nextafter(yp[i], toward)
+            fp[i], fn[i] = rng.choice([0.0, 1e-17, -1e-17], 2)
+        yield i, L, (tp, yp, fp, tp + h, yn, fn)
+
+
+def _crafted_level_steps():
+    # level 1 of component 0: the touching, hidden and plain-exit cases of
+    # the unit sphere, whose first component is |x| or crosses 1 with it,
+    # and ends at 1 -+ 1e-15 with zero and nonzero slopes
+    yield from list(_crafted_sphere_steps())[:3]
+    for a, b in ((-1e-15, 1e-15), (1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)):
+        for slope in (0.0, 1e-3):
+            yield (2.0, np.array([1.0 + a, 0.0]), np.array([slope, 0.0]),
+                   2.5, np.array([1.0 + b, 1.0]), np.array([-slope, 0.0]))
+
+
+def test_level_event_scan_matches_the_plain_closure():
+    from singularflow.integrators import _Level, _scan_step
+
+    rng = np.random.default_rng(2025)
+    steps = list(_level_steps(rng, 20000)) + [(0, 1.0, s) for s in _crafted_level_steps()]
+    skipped = brackets = 0
+    for i, L, step in steps:
+        level = _Level(i, L)
+        plain = lambda t, x, i=i, L=L: float(x[i]) - L
+        g0 = plain(step[0], step[1])
+        assert level(step[0], step[1]) == g0
+        skipped += level.clear_of(g0, step)
+        for direction in (+1, -1):
+            got = _scan_step(level, direction, g0, step)
+            assert got == _scan_step(plain, direction, g0, step)
+            brackets += got[0] is not None
+    # both branches ran: many steps skipped, many crossings found
+    assert skipped > 4000 and brackets > 1000
+    touching, hidden, cross = list(_crafted_level_steps())[:3]
+    one = _Level(0, 1.0)
+    for step in (touching, hidden):
+        assert not one.clear_of(one(0.0, step[1]), step)
+        assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is None
+    assert _scan_step(one, +1, one(0.0, cross[1]), cross)[0] is not None
+
+
+def test_small_sphere_is_located_to_its_own_scale():
+    # the stopping test is relative to the bracket's event values, so a
+    # sphere of radius 1e-6 on the collapse ray is located to 1e-9 of R
+    from singularflow import integrators
+
+    R = 1e-6
+    opts = sf.IntegrationOptions(r_floor=0.0)
+    t_e, x_e, traj = integrators._integrate_to_crossing(
+        saddle_rhs(), np.array([-1.0, 0.0]), 0.0, integrators._Sphere(R), -1, opts, 3.0
+    )
+    assert traj.status == "hit_event"
+    assert abs(np.linalg.norm(x_e) - R) <= 1e-9 * R
+    assert t_e == pytest.approx(1.5 - 1.5 * R ** (2.0 / 3.0), abs=1e-7)
+
+
 def test_error_norm_matches_the_numpy_formula():
     from singularflow.integrators import _error_norm
 
