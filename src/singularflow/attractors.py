@@ -559,6 +559,14 @@ def rescaled_escape(
     bounded solution that keeps revisiting (or never leaves) the unit ball
     up to the tau budget; a run that fails inside the ball is undetermined.
     rf regularizes field: the rescaled system is rf at nu = 1.
+
+    The direction an excursion ends on is matched against catalog (by
+    default the field's fixed points, as catalog_attractors finds them),
+    and otherwise resolved by a find_limit_cycle search from it.  The
+    confirmation window is confirm_window; once the excursion settles on a
+    cycle whose five periods exceed it, the window becomes those five
+    periods, and the excursion is run again from the same exit and
+    identified again.
     """
     y_ent = np.asarray(y_ent, dtype=float)
     y_ent = y_ent / np.linalg.norm(y_ent)
@@ -569,9 +577,8 @@ def rescaled_escape(
     rhs = regularized_rhs(rf.with_nu(1.0))
     ball = _Sphere(1.0)
     if catalog is None:
-        catalog = catalog_attractors(field, opts=opts)
-    cycle_periods = [a.period for a in catalog if a.kind == "limit_cycle"]
-    window = max(confirm_window, 5 * max(cycle_periods) if cycle_periods else 0.0)
+        catalog = find_fixed_points(field, n_seeds=32)  # the catalog's own call
+    window = confirm_window
 
     in_opts = IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
     tau = t_ent
@@ -608,6 +615,14 @@ def rescaled_escape(
         # outside phase in renormalized variables: Z = 0 at the exit sphere
         y_exit = x_x / np.linalg.norm(x_x)
         out = _outside_excursion(field, y_exit, window, opts)
+        if not out["reentered"]:
+            attr = _identify_attractor(field, out["y_end"], catalog, opts)
+            if attr is not None and attr.kind == "limit_cycle" and 5 * attr.period > window:
+                # confirm over five periods of the cycle the direction settled on
+                window = 5 * attr.period
+                out = _outside_excursion(field, y_exit, window, opts)
+                if not out["reentered"]:
+                    attr = _identify_attractor(field, out["y_end"], [*catalog, attr], opts)
         r_max = max(r_max, math.exp(out["z_max"]))
         if out["reentered"]:
             if r_max > r_bound_cap:
@@ -622,7 +637,6 @@ def rescaled_escape(
             x = out["y_end"]
             continue
         # never re-entered within the window: certify expulsion
-        attr = _identify_attractor(field, out["y_end"], catalog, opts)
         grew = out["z_end"] > 0.5 and out["mean_tail"] > LABEL_DELTA and out["z_min_tail"] > 0.0
         if attr is not None and attr.label == "defocusing" and grew:
             return EscapeResult(

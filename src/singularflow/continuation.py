@@ -29,10 +29,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .attractors import AttractorInfo, catalog_attractors, rescaled_escape
+from .attractors import AttractorInfo, find_fixed_points, rescaled_escape
 from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
-from .integrators import DEFAULT_OPTIONS, IntegrationOptions, integrate
+from .integrators import DEFAULT_OPTIONS, IntegrationOptions, _integrate_to_crossing, integrate
 from .regularize import RegularizedField, integrate_regularized
 from .renorm import classify_blowup, renormalized_system
 
@@ -40,6 +40,10 @@ _MEAN_DELTA = 1e-6
 # phases per broadcast block of the estimate_phase scan: with the 90-point
 # time grids of the sweeps, the scan's temporaries peak near 0.5 MB
 _SCAN_BLOCK = 90
+# a coordinate whose range over a cycle's orbit table exceeds this varies on it
+_ANCHOR_RANGE = 1e-3
+# orbit-table rows before the largest sample at which the anchor search starts
+_ANCHOR_LEAD = 4
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +348,32 @@ def _panel_gauss_cumulative(s_grid, f_vals_fn, order=12):
     return np.concatenate([[0.0], np.cumsum(panel)])
 
 
+def _cycle_anchor(field: SingularField, cycle: AttractorInfo, opts: IntegrationOptions):
+    """The point of the cycle where y_k is largest: the family's phase origin.
+
+    k is the first coordinate whose range over the orbit table exceeds
+    _ANCHOR_RANGE (a fixed rule, since coordinates can tie: y_1 and y_2 on a
+    latitude circle).  The maximum is the first downward crossing of
+    dy_k/ds = 0 after the table sample _ANCHOR_LEAD rows before the table's
+    largest y_k, located on the dense output of the renormalized flow.  It
+    is a property of the cycle, not of where its table happens to start.
+    """
+    orbit = cycle.location
+    ranges = np.ptp(orbit, axis=0)
+    k = next((i for i, r in enumerate(ranges) if r > _ANCHOR_RANGE), int(np.argmax(ranges)))
+    rows = len(orbit) - 1  # the last row repeats the first
+    start = orbit[(int(np.argmax(orbit[:-1, k])) - _ANCHOR_LEAD) % rows]
+    rhs, project = renormalized_system(field, extras=())
+
+    def slope(t, y):
+        return float(rhs(t, y)[k])
+
+    _, y, _ = _integrate_to_crossing(
+        rhs, start, 0.0, slope, -1, opts, 2.0 * float(cycle.period), postprocess=project
+    )
+    return y / np.linalg.norm(y)
+
+
 def build_cycle_family(
     field: SingularField,
     cycle: AttractorInfo,
@@ -354,11 +384,14 @@ def build_cycle_family(
     """Tabulate the post-blowup family generated by a defocusing limit cycle.
 
     One period of the cycle is re-integrated at tight tolerance to sample the
-    orbit and the running integral J of F_r on a uniform grid.  The phase map
-    psi and the radial profile follow from the cumulative exponential weight
-    K(s) = integral_{-inf}^s exp((1-alpha) J(u)) du, whose tail over past
-    periods sums exactly as a geometric series.  The log-profile
-    G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is then
+    orbit and the running integral J of F_r on a uniform grid.  The run
+    starts at _cycle_anchor, the maximum on the cycle of its first varying
+    coordinate, so s = 0 and the phase origin zeta = 0 are fixed by the
+    cycle itself, whichever search found it and wherever its table starts.
+    The phase map psi and the radial profile follow from the cumulative
+    exponential weight K(s) = integral_{-inf}^s exp((1-alpha) J(u)) du,
+    whose tail over past periods sums exactly as a geometric series.  The
+    log-profile G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is then
     known with no inversion at the nodes xi_k = psi(s_k); one periodic cubic
     spline through them, of period zeta_period = T <F_r>, is what eval uses.
     The four periodic tables are _PeriodicCubic splines, which reduce their
@@ -372,13 +405,13 @@ def build_cycle_family(
     one_minus_a = 1.0 - alpha
     d = field.dimension
 
-    anchor = cycle.location[0]
     T = float(cycle.period)
 
     rhs, project = renormalized_system(field, extras=("z",))
     run_opts = IntegrationOptions(
         rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14), r_floor=0.0
     )
+    anchor = _cycle_anchor(field, cycle, run_opts)
     traj = integrate(rhs, np.concatenate([anchor, [0.0]]), 0.0, T, run_opts, postprocess=project)
     s_grid = np.linspace(0.0, T, n_grid + 1)
     uu = traj.sample(s_grid)
@@ -578,6 +611,12 @@ def inviscid_sweep(
     escape probe then decides which limit to compare against: the trivial
     rest solution, the unique ray, or the cycle family with a fitted phase.
     Per-nu failures are recorded without aborting the sweep.
+
+    No attractor catalog is built: the collapse direction is the nearest of
+    the field's fixed points (those catalog_attractors would list), and the
+    attractor the escape lands on is looked up by rescaled_escape, which
+    searches for a cycle only when the landing direction is no fixed point.
+    A caller that already holds a catalog may pass it as catalog.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -586,7 +625,7 @@ def inviscid_sweep(
     y0 = x0 / r0
 
     if catalog is None:
-        catalog = catalog_attractors(field, opts=opts)
+        catalog = find_fixed_points(field, n_seeds=32)  # the catalog's own call
     fps = [a for a in catalog if a.kind == "fixed_point"]
 
     star = min(fps, key=lambda a: a.distance_to(y0), default=None)

@@ -73,15 +73,9 @@ class RenormTrajectory:
     def s_end(self) -> float:
         return float(self.base.times[-1])
 
-    def state_at(self, s):
-        return self.base.sample(s)
-
     def y_at(self, s):
         u = self.base.sample(s)
         return u[..., : self.dimension]
-
-    def z_at(self, s):
-        return self.base.sample(s)[..., self.dimension]
 
     def to_csv(self, path):
         header = ["s"] + [f"y{i+1}" for i in range(self.dimension)] + ["z", "t"]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +326,40 @@ def test_rescaled_escape_is_scale_invariant():
         res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
         outcomes.append((res.outcome, res.tau_esc))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def quarter_speed_sphere():
+    # sphere3d's map at a quarter of the speed: the same latitude cycles, of
+    # period 8 pi, whose five periods exceed the default window of 50
+    base = sf.builtin_field("sphere3d")
+    smap, jac = base.sphere_map, base.jacobian_on_sphere
+    return dataclasses.replace(
+        base,
+        sphere_map=lambda y: 0.25 * np.asarray(smap(y)),
+        jacobian_on_sphere=lambda y: 0.25 * np.asarray(jac(y)),
+        name="sphere3d/4",
+    )
+
+
+def test_rescaled_escape_window_stretches_to_the_landing_cycle():
+    # with no catalog, the cycle is known only once the excursion lands on
+    # it; the window is then stretched to five of its periods, as a catalog
+    # holding the cycle from the start gives
+    field = quarter_speed_sphere()
+    rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
+    on_demand = sf.rescaled_escape(field, rf, [0.0, 0.0, -1.0])
+    cataloged = sf.rescaled_escape(
+        field, rf, [0.0, 0.0, -1.0], catalog=sf.catalog_attractors(field)
+    )
+
+    def window(res):
+        return float(re.search(r"over a window of (\S+) renormalized", res.certificate).group(1))
+
+    assert on_demand.outcome == cataloged.outcome == "expelled"
+    assert on_demand.attractor.kind == "limit_cycle"
+    assert on_demand.attractor.period == pytest.approx(cataloged.attractor.period, abs=1e-8)
+    assert on_demand.attractor.period == pytest.approx(8 * math.pi, abs=1e-8)
+    assert window(on_demand) == window(cataloged) == pytest.approx(40 * math.pi, abs=1e-2)
 
 
 def test_outside_excursion_ends_at_reentry(monkeypatch):

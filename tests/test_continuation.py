@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -463,6 +464,58 @@ def test_sweep_rejects_non_blowup_start(saddle_sweep_grid):
     mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
     with pytest.raises(ValueError):
         sf.inviscid_sweep(field, mk, [1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
+
+
+@pytest.mark.parametrize(
+    "g0, nus, verdict",
+    [
+        ([1.0, -2.0], [0.1, 0.03, 0.01], "converged_to(fixed_ray)"),
+        ([1.0, 1.3], [0.1, 0.05, 0.025], "trivial_zero"),
+    ],
+)
+def test_sweep_generic_blowup_start(g0, nus, verdict):
+    # off the collapse ray, t_b comes from classify_blowup and the collapse
+    # direction from the fixed point its renormalized run ends on
+    field = sf.builtin_field("saddle2d", ALPHA)
+    th = math.radians(160.0)
+    t_grid = np.concatenate([np.linspace(0.0, 1.7, 8), np.linspace(1.8, 2.8, 48)])
+    mk = lambda nu: sf.make_polynomial_blend(field, g0, nu)
+    rep = sf.inviscid_sweep(field, mk, [math.cos(th), math.sin(th)], t_grid, nus)
+    assert rep.t_b == pytest.approx(1.76047, abs=1e-5)
+    assert rep.verdict == verdict
+
+
+def rotated_cycles(catalog, rows):
+    """The catalog with each cycle's orbit table started rows samples later."""
+    out = []
+    for a in catalog:
+        if a.kind == "limit_cycle":
+            body = np.roll(a.location[:-1], -rows, axis=0)
+            a = dataclasses.replace(a, location=np.vstack([body, body[:1]]))
+        out.append(a)
+    return out
+
+
+def test_sweep_phase_origin_is_intrinsic():
+    # the perfbench cycle config at chi = 0.7: the family's zeta = 0 is a
+    # point fixed by the cycle itself, so the matched phases do not depend
+    # on which search found the cycle or where its orbit table starts
+    field = sf.builtin_field("sphere3d")
+    nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
+    t_grid = np.linspace(3.1, 4.0, 90)
+    mk = lambda nu: sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], nu)
+    catalog = sf.catalog_attractors(field)
+    reports = [
+        sf.inviscid_sweep(field, mk, [0.0, 0.0, -1.0], t_grid, nus, catalog=cat)
+        for cat in (None, catalog, rotated_cycles(catalog, 300))
+    ]
+    span = reports[0].family.zeta_period
+    reference = np.array(reports[0].matched_zeta)
+    for rep in reports:
+        assert rep.reference == "cycle_family"
+        assert rep.verdict == reports[0].verdict
+        d = (np.array(rep.matched_zeta) - reference) % span
+        assert np.max(np.minimum(d, span - d)) <= 1e-6
 
 
 def test_scaling_collapse_of_rescaled_trajectories():
