@@ -40,6 +40,12 @@ _RETURN_TOL = 1e-8
 _SINK_RADIUS = 1e-3
 # orbit samples per block of the cycle-tube poll's lower bound
 _TUBE_BLOCK = 32
+# a cycle search's default transient, its lap budget, its longest lap and
+# the uniform intervals of its orbit table over one period
+_TRANSIENT = 80.0
+_MAX_RETURNS = 64
+_RETURN_HORIZON = 400.0
+_ORBIT_SAMPLES = 1024
 
 
 @dataclass
@@ -230,148 +236,108 @@ def find_fixed_points(field: SingularField, n_seeds: int = 64, seed: int = 0) ->
     return results
 
 
-def _orbit_tabulation(field, anchor, period, n_samples, opts, reverse=False):
-    """One period of the (possibly reversed) flow with the radial integral.
-
-    The radial integral is accumulated along the traversal direction; the
-    reverse case is re-indexed to the forward parametrization by the caller.
-    """
-    d = field.dimension
-    rhs, project = renormalized_system(field, extras=("z",), reverse=reverse)
-    u0 = np.concatenate([anchor, [0.0]])
-    run_opts = IntegrationOptions(
-        rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13), max_step=opts.max_step, r_floor=0.0
-    )
-    traj = integrate(rhs, u0, 0.0, period, run_opts, postprocess=project)
-    s_grid = np.linspace(0.0, period, n_samples + 1)
-    uu = traj.sample(s_grid)
-    orbit = uu[:, :d]
-    orbit /= np.linalg.norm(orbit, axis=1)[:, None]
-    radial_integral = uu[:, d]
-    return s_grid, orbit, radial_integral
-
-
 def find_limit_cycle(
     field: SingularField,
     y0,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
-    transient: float = 80.0,
-    max_returns: int = 64,
-    return_horizon: float = 400.0,
-    orbit_samples: int = 1024,
+    transient: float = _TRANSIENT,
     _reverse: bool = False,
     _known: Sequence[AttractorInfo] = (),
 ) -> AttractorInfo:
     """Find the limit cycle attracting y0, via Poincare-section returns.
 
-    The section is the hyperplane through the first post-transient point with
-    normal along the flow there; the period is read off once the return
-    distance falls below 1e-8.  Raises LimitCycleNotFound when the orbit
-    collapses onto a fixed point or never recurs within the budget.  A
-    transient that enters the duplicate tube of one of the _known cycles
-    ends the search, which returns that cycle object itself; one that comes
-    within _SINK_RADIUS (1e-3) of one of the _known fixed points, which must
-    be sinks of the flow searched, ends it with LimitCycleNotFound.  That
-    stop assumes the 1e-3 ball around each such sink lies in its basin.
+    The section is the hyperplane through the first post-transient point
+    (y0 itself when transient is 0) with normal along the flow there.  The
+    lap whose return distance falls below 1e-8 is the cycle: its length is
+    the period, and its dense output at _ORBIT_SAMPLES + 1 uniform times is
+    the orbit table, with the log-radius it carries as the radial integral.
+    A search converges only onto a cycle that attracts the flow it runs, so
+    the cycle is stable unless the flow is reversed.  Raises
+    LimitCycleNotFound when the orbit collapses onto a fixed point or never
+    recurs within the budget.  A transient that enters the duplicate tube of
+    one of the _known cycles ends the search, which returns that cycle
+    object itself; one that comes within _SINK_RADIUS (1e-3) of one of the
+    _known fixed points, which must be sinks of the flow searched, ends it
+    with LimitCycleNotFound.  That stop assumes the 1e-3 ball around each
+    such sink lies in its basin.
     """
     d = field.dimension
     if d < 2:
         raise LimitCycleNotFound("no spherical flow in one dimension")
     y0 = np.asarray(y0, dtype=float)
     y0 = y0 / np.linalg.norm(y0)
-    rhs, project = renormalized_system(field, extras=(), reverse=_reverse)
-    tubes = [_Tube(c) for c in _known]
-    reached = []
+    # the state is (y, z): z integrates F_r along the traversal
+    rhs, project = renormalized_system(field, extras=("z",), reverse=_reverse)
+    p0 = y0
+    if transient > 0:
+        tubes = [_Tube(c) for c in _known]
+        reached = []
 
-    def in_known_tube(_t, y, _partial):
-        reached.extend(tube.attractor for tube in tubes if tube.holds(y))
-        return bool(reached)
+        def in_known_tube(_t, u, _partial):
+            reached.extend(tube.attractor for tube in tubes if tube.holds(u[:d]))
+            return bool(reached)
 
-    run = integrate(
-        rhs,
-        y0,
-        0.0,
-        transient,
-        IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
-        postprocess=project,
-        until=in_known_tube,
-    )
-    if reached:
-        if reached[0].kind == "fixed_point":
-            raise LimitCycleNotFound("orbit converges to a fixed point")
-        return reached[0]
-    p0 = run.final_state / np.linalg.norm(run.final_state)
-    v0 = rhs(0.0, p0)
+        run = integrate(rhs, np.append(y0, 0.0), 0.0, transient,
+                        IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
+                        postprocess=project, until=in_known_tube)
+        if reached:
+            if reached[0].kind == "fixed_point":
+                raise LimitCycleNotFound("orbit converges to a fixed point")
+            return reached[0]
+        p0 = run.final_state[:d] / np.linalg.norm(run.final_state[:d])
+    u_here = np.append(p0, 0.0)
+    v0 = rhs(0.0, u_here)[:d]
     speed = np.linalg.norm(v0)
     if speed < 1e-7:
         raise LimitCycleNotFound("orbit converges to a fixed point")
     normal = v0 / speed
 
-    def section(_t, y):
-        return float(normal @ (y - p0))
+    def section(_t, u):
+        return float(normal @ (u[:d] - p0))
 
     sec_opts = IntegrationOptions(rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13),
                                   r_floor=0.0)
-    returns = [(0.0, p0)]
+    t_here = 0.0
     distances = []  # successive return-point separations
-    t_here, y_here = 0.0, p0
-    period = None
-    for _ in range(max_returns):
+    for _ in range(_MAX_RETURNS):
         # each lap starts on the section or on the side a return crossed
         # to, where an upward crossing cannot fire again at once
         try:
-            t_ret, y_ret, _ = _integrate_to_crossing(
-                rhs, y_here, t_here, section, +1, sec_opts,
-                t_here + return_horizon, postprocess=project,
+            t_ret, u_ret, lap = _integrate_to_crossing(
+                rhs, u_here, t_here, section, +1, sec_opts,
+                t_here + _RETURN_HORIZON, postprocess=project,
             )
         except (NoEvent, StepFailure):
             raise LimitCycleNotFound("no recurrence within the return horizon") from None
-        if np.linalg.norm(rhs(0.0, y_ret)) < 1e-7:
+        if np.linalg.norm(rhs(0.0, u_ret)[:d]) < 1e-7:
             raise LimitCycleNotFound("orbit converges to a fixed point")
-        dist = float(np.linalg.norm(y_ret - returns[-1][1]))
-        distances.append(dist)
-        returns.append((t_ret, y_ret))
-        if dist < _RETURN_TOL:
-            period = t_ret - returns[-2][0]
+        distances.append(float(np.linalg.norm(u_ret[:d] - u_here[:d])))
+        if distances[-1] < _RETURN_TOL:
             break
-        t_here, y_here = t_ret, y_ret
-    if period is None:
+        t_here, u_here = t_ret, u_ret
+    else:
         raise LimitCycleNotFound(
-            f"returns did not converge below {_RETURN_TOL} in {max_returns} laps"
+            f"returns did not converge below {_RETURN_TOL} in {_MAX_RETURNS} laps"
         )
-    anchor = returns[-1][1] / np.linalg.norm(returns[-1][1])
+    period = t_ret - t_here
+    s_grid = np.linspace(0.0, period, _ORBIT_SAMPLES + 1)
+    uu = lap.sample(t_here + s_grid)
+    orbit = uu[:, :d] / np.linalg.norm(uu[:, :d], axis=1)[:, None]
+    radial_integral = uu[:, d] - uu[0, d]
     # contraction rate from the geometric decay of return distances
     usable = [x for x in distances if 1e-11 < x < 1e-2]
-    if len(usable) >= 2:
-        rate = float(np.mean(np.diff(-np.log(usable))) / period)
-    else:
-        rate = math.nan
-    s_grid, orbit, radial_integral = _orbit_tabulation(
-        field, anchor, period, orbit_samples, opts, reverse=_reverse
-    )
+    rate = float(np.mean(np.diff(-np.log(usable))) / period) if len(usable) >= 2 else math.nan
     if _reverse:
         # re-parametrize along the forward flow
         s_grid = s_grid[::-1].copy()
         s_grid = s_grid[0] - s_grid  # 0 .. period increasing
         orbit = orbit[::-1].copy()
         radial_integral = (radial_integral[-1] - radial_integral)[::-1].copy()
-        rate = -rate if not math.isnan(rate) else rate
+        rate = -rate
     mean_radial = float(radial_integral[-1] / period)
-    closure = float(np.linalg.norm(orbit[0] - orbit[-1]))
-    if closure > 10 * _RETURN_TOL:
-        raise LimitCycleNotFound(f"orbit failed to close: defect {closure:g}")
-    stable = (not _reverse) if math.isnan(rate) else rate > 0
     exps = np.zeros(0) if d == 2 else np.array([rate])
-    return AttractorInfo(
-        "limit_cycle",
-        orbit,
-        mean_radial,
-        _label(mean_radial),
-        bool(stable),
-        exps,
-        float(period),
-        s_grid,
-    )
+    return AttractorInfo("limit_cycle", orbit, mean_radial, _label(mean_radial), not _reverse,
+                         exps, float(period), s_grid)
 
 
 def _tube_radius(attractor: AttractorInfo) -> float:
@@ -527,13 +493,15 @@ def tau_entry(f_r_star: float, alpha: float) -> float:
     return -1.0 / (f_r_star * (alpha - 1.0))
 
 
-def _identify_attractor(field, y_end, catalog, opts):
+def _identify_attractor(field, y_end, catalog, opts, window):
+    # y_end ends an excursion that ran window units of the direction flow:
+    # the search's transient is what is left of its default
     for a in catalog:
         tol = 1e-5 if a.kind == "fixed_point" else 5e-3
         if a.distance_to(y_end) < tol:
             return a
     try:
-        return find_limit_cycle(field, y_end, opts)
+        return find_limit_cycle(field, y_end, opts, transient=max(0.0, _TRANSIENT - window))
     except (LimitCycleNotFound, StepFailure):
         return None
 
@@ -543,7 +511,6 @@ def rescaled_escape(
     rf: RegularizedField,
     y_ent,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
-    y_star=None,
     tau_budget: float = 1e3,
     confirm_window: float = 50.0,
     r_bound_cap: float = 50.0,
@@ -562,16 +529,16 @@ def rescaled_escape(
 
     The direction an excursion ends on is matched against catalog (by
     default the field's fixed points, as catalog_attractors finds them),
-    and otherwise resolved by a find_limit_cycle search from it.  The
-    confirmation window is confirm_window; once the excursion settles on a
-    cycle whose five periods exceed it, the window becomes those five
-    periods, and the excursion is run again from the same exit and
-    identified again.
+    and otherwise resolved by a find_limit_cycle search from it, whose
+    transient counts the excursion's window toward the search's default 80
+    units.  The confirmation window is confirm_window; once the excursion
+    settles on a cycle whose five periods exceed it, the window becomes
+    those five periods, and the excursion is run again from the same exit
+    and identified again.
     """
     y_ent = np.asarray(y_ent, dtype=float)
     y_ent = y_ent / np.linalg.norm(y_ent)
-    base_star = y_ent if y_star is None else np.asarray(y_star, dtype=float)
-    fr_star = decompose(field, base_star / np.linalg.norm(base_star)).radial
+    fr_star = decompose(field, y_ent).radial
     t_ent = tau_entry(fr_star, field.alpha)
 
     rhs = regularized_rhs(rf.with_nu(1.0))
@@ -611,18 +578,19 @@ def rescaled_escape(
                     f"after {visits} visit(s); sup R = {r_max:.6g}"
                 ),
             )
-        r_max = max(r_max, 1.0)
         # outside phase in renormalized variables: Z = 0 at the exit sphere
         y_exit = x_x / np.linalg.norm(x_x)
         out = _outside_excursion(field, y_exit, window, opts)
         if not out["reentered"]:
-            attr = _identify_attractor(field, out["y_end"], catalog, opts)
+            attr = _identify_attractor(field, out["y_end"], catalog, opts, window)
             if attr is not None and attr.kind == "limit_cycle" and 5 * attr.period > window:
                 # confirm over five periods of the cycle the direction settled on
                 window = 5 * attr.period
                 out = _outside_excursion(field, y_exit, window, opts)
                 if not out["reentered"]:
-                    attr = _identify_attractor(field, out["y_end"], [*catalog, attr], opts)
+                    attr = _identify_attractor(
+                        field, out["y_end"], [*catalog, attr], opts, window
+                    )
         r_max = max(r_max, math.exp(out["z_max"]))
         if out["reentered"]:
             if r_max > r_bound_cap:

@@ -44,6 +44,8 @@ _SCAN_BLOCK = 90
 _ANCHOR_RANGE = 1e-3
 # orbit-table rows before the largest sample at which the anchor search starts
 _ANCHOR_LEAD = 4
+# uniform intervals of the cycle family's period tables
+_FAMILY_GRID = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +380,16 @@ def build_cycle_family(
     field: SingularField,
     cycle: AttractorInfo,
     t_b: float,
-    n_grid: int = 2048,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
 ) -> ContinuationFamily:
     """Tabulate the post-blowup family generated by a defocusing limit cycle.
 
     One period of the cycle is re-integrated at tight tolerance to sample the
-    orbit and the running integral J of F_r on a uniform grid.  The run
-    starts at _cycle_anchor, the maximum on the cycle of its first varying
-    coordinate, so s = 0 and the phase origin zeta = 0 are fixed by the
-    cycle itself, whichever search found it and wherever its table starts.
+    orbit and the running integral J of F_r on a uniform grid of _FAMILY_GRID
+    intervals.  The run starts at _cycle_anchor, the maximum on the cycle of
+    its first varying coordinate, so s = 0 and the phase origin zeta = 0 are
+    fixed by the cycle itself, whichever search found it and wherever its
+    table starts.
     The phase map psi and the radial profile follow from the cumulative
     exponential weight K(s) = integral_{-inf}^s exp((1-alpha) J(u)) du,
     whose tail over past periods sums exactly as a geometric series.  The
@@ -413,7 +415,7 @@ def build_cycle_family(
     )
     anchor = _cycle_anchor(field, cycle, run_opts)
     traj = integrate(rhs, np.concatenate([anchor, [0.0]]), 0.0, T, run_opts, postprocess=project)
-    s_grid = np.linspace(0.0, T, n_grid + 1)
+    s_grid = np.linspace(0.0, T, _FAMILY_GRID + 1)
     uu = traj.sample(s_grid)
     orbit = uu[:, :d]
     orbit /= np.linalg.norm(orbit, axis=1)[:, None]
@@ -622,6 +624,8 @@ def inviscid_sweep(
     t_grid = np.asarray(t_grid, dtype=float)
     nu_values = np.asarray(list(nu_list), dtype=float)
     r0 = float(np.linalg.norm(x0))
+    if r0 == 0.0:
+        raise ValueError("the sweep starts at x0 = 0, the singular point, which has no direction")
     y0 = x0 / r0
 
     if catalog is None:

@@ -402,3 +402,61 @@ def test_attractor_serialization():
         d = a.to_dict()
         assert d["kind"] == a.kind
         assert "label" in d and "mean_radial" in d
+
+
+def _rotating_circle(mean):
+    # F(y) = (mean + y1/2) y + (-y2, y1): the whole unit circle is a cycle of
+    # period 2 pi, along which F_r = mean + y1/2 changes sign for |mean| < 1/2
+    return sf.SingularField(2, ALPHA, lambda y: (mean + 0.5 * y[0]) * y + np.array([-y[1], y[0]]))
+
+
+def test_verify_defocusing_condition_sampled_pair_probe():
+    field = _rotating_circle(0.25)
+    cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0]))
+    assert cyc.period == pytest.approx(2 * math.pi, abs=1e-8)
+    assert cyc.mean_radial == pytest.approx(0.25, abs=1e-8)
+    # min F_r < 0 rules out the pointwise certificate: the answer is the probe's
+    assert min(sf.decompose(field, y).radial for y in cyc.location) < 0.0
+    assert sf.verify_defocusing_condition(field, cyc) == "satisfied"
+    field = _rotating_circle(-0.25)
+    cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0]))
+    assert cyc.mean_radial == pytest.approx(-0.25, abs=1e-8)
+    assert sf.verify_defocusing_condition(field, cyc) == "violated"
+
+
+def test_cycle_table_is_the_converged_lap(monkeypatch):
+    # from a direction on the cycle, with no transient, the section laps are
+    # the whole search: the converged lap is tabulated, nothing is re-run
+    from singularflow import attractors
+
+    runs = []
+    monkeypatch.setattr(attractors, "integrate", lambda *a, **k: runs.append(a))
+    field = sf.builtin_field("sphere3d")
+    cyc = sf.find_limit_cycle(field, np.array([math.sqrt(3.0) / 2.0, 0.0, 0.5]), transient=0.0)
+    assert runs == []
+    assert cyc.period == pytest.approx(2 * math.pi, abs=1e-8)
+    assert cyc.mean_radial == pytest.approx(0.25, abs=1e-8)
+    assert np.abs(cyc.location[:, 2] - 0.5).max() < 1e-8
+    assert np.linalg.norm(cyc.location[0] - cyc.location[-1]) < 1e-8
+    assert cyc.orbit_times[0] == 0.0 and cyc.orbit_times[-1] == pytest.approx(cyc.period)
+
+
+def test_landing_search_counts_the_excursion_as_transient(monkeypatch):
+    # the benchmark's cycle escape: the 50-unit excursion settles the
+    # direction, so its one landing search runs the remaining 30 units
+    from singularflow import attractors
+
+    searches = []
+    search = attractors.find_limit_cycle
+
+    def recorded(*args, **kwargs):
+        searches.append(kwargs)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(attractors, "find_limit_cycle", recorded)
+    field = sf.builtin_field("sphere3d")
+    rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
+    res = sf.rescaled_escape(field, rf, [0.0, 0.0, -1.0])
+    assert res.outcome == "expelled" and res.attractor.kind == "limit_cycle"
+    assert res.attractor.period == pytest.approx(2 * math.pi, abs=1e-8)
+    assert [s.get("transient") for s in searches] == [30.0]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -312,3 +313,55 @@ def test_sweep_cycle_family_end_to_end(tmp_path):
     assert min(inc, span - inc) <= 1e-2
     assert len(outputs[0]) == 10  # sweep.json and one CSV per nu
     assert outputs[0] == outputs[1]
+
+
+PRESET_CFG = """
+field = power1d
+alpha = 0.3333333333333333
+x0 = 0.0,
+t0 = 0.0
+t1 = 1.0
+regularization.kind = preset1d
+"""
+
+
+@pytest.mark.parametrize("sigma", [1, -1, 0])
+def test_simulate_preset1d_from_the_origin(tmp_path, sigma):
+    # dx/dt = x^(1/3) from x = 0 has the solutions 0 and +-((2/3) t)^(3/2);
+    # the expelling presets select a sign, the trapping one the rest state.
+    # A run leaves the ball |x| <= nu after a time of order nu^(1 - alpha),
+    # so it lags the closed form by that much (0.5454 against 0.5443 here)
+    nu, alpha = 1e-3, 1.0 / 3.0
+    cfg = write(tmp_path, "run.cfg", PRESET_CFG + f"regularization.sigma = {sigma}\nnu = {nu}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "completed" and summary["nu"] == nu
+    x1 = summary["final_state"][0]
+    if sigma:
+        assert x1 == pytest.approx(sigma * (2.0 / 3.0) ** 1.5, abs=nu ** (1.0 - alpha))
+    else:
+        assert abs(x1) <= nu
+
+
+def test_sweep_preset1d_does_not_blow_up_exits_3(tmp_path, capsys):
+    # power1d points away from the origin everywhere: nothing collapses
+    cfg = write(
+        tmp_path,
+        "run.cfg",
+        PRESET_CFG.replace("x0 = 0.0,", "x0 = 0.5,")
+        + "regularization.sigma = 1\nnu.list = 0.1, 0.01\n",
+    )
+    assert main(["sweep", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "does not blow up" in capsys.readouterr().err
+
+
+def test_sweep_from_the_origin_exits_3(tmp_path, capsys):
+    # x0 = 0 has no direction: rejected by name before anything divides by |x0|
+    cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace("x0 = -1.0, 0.0", "x0 = 0.0, 0.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", cfg, "--outdir", str(tmp_path / "out"), "--quiet"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x0 = 0" in err

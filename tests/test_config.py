@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,3 +119,29 @@ def test_non_finite_tolerance_is_a_config_error(value):
 def test_unreadable_config_file_is_a_config_error(tmp_path):
     with pytest.raises(sf.ConfigError, match="cannot read"):
         RunConfig.from_file(tmp_path / "missing.cfg")
+
+
+def test_round_trip_runconfig_sweep_keys():
+    # nu.list, every nu.geometric key and regularization.sigma survive
+    # parse -> emit -> parse, none of them at its default
+    text = (
+        "field = power1d\nalpha = 0.25\nx0 = 0.5,\n"
+        "regularization.kind = preset1d\nregularization.sigma = -1\n"
+        "nu.list = 0.1, 0.05, 0.025\n"
+        "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+        "nu.geometric.chi = 0.7\nnu.geometric.n_first = 2\nnu.geometric.n_last = 7\n"
+    )
+    cfg = RunConfig.from_text(text)
+    emitted = cfg.emit()
+    for key in ("regularization.sigma", "nu.list", "nu.geometric.T", "nu.geometric.mean_fr",
+                "nu.geometric.chi", "nu.geometric.n_first", "nu.geometric.n_last"):
+        assert f"\n{key} = " in emitted
+    cfg2 = RunConfig.from_text(emitted)
+    for f in dataclasses.fields(RunConfig):
+        a, b = getattr(cfg, f.name), getattr(cfg2, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    assert cfg2.reg_sigma == -1 and cfg2.nu_list == [0.1, 0.05, 0.025]
+    assert cfg2.geo == {"T": 2 * math.pi, "mean_fr": 0.25, "chi": 0.7, "n_first": 2, "n_last": 7}
