@@ -5,7 +5,9 @@ cycles are located by Poincare-section returns of the flow.  The trapped vs
 expelled decision integrates the nu-independent rescaled system (the
 regularized problem at unit ball radius) and certifies escape by membership
 of the out-going direction in the basin of a defocusing attractor together
-with monotone log-radius growth over a confirmation window.
+with monotone log-radius growth over a confirmation window, and trapping by
+an interior sink of the rescaled field whose Lyapunov level set holds the
+solution inside the ball.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import LimitCycleNotFound, NoEvent, SignError, StepFailure
-from .fields import SingularField, decompose, sphere_jacobian
+from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
@@ -46,6 +48,17 @@ _TRANSIENT = 80.0
 _MAX_RETURNS = 64
 _RETURN_HORIZON = 400.0
 _ORBIT_SAMPLES = 1024
+# The inside run of rescaled_escape polls the speed every _SINK_POLL
+# accepted steps and, below _SINK_SPEED, looks for an interior sink
+# (_interior_sink): Newton steps, the largest Lyapunov level as a fraction
+# of the way from the sink to the unit sphere, the number of levels (each a
+# quarter of the last), and the boundary points sampled on the one tried
+_SINK_POLL = 8
+_SINK_SPEED = 0.1
+_NEWTON_ITERS = 20
+_SINK_REACH = 0.9
+_SINK_LEVELS = 8
+_SINK_SAMPLES = 64
 
 
 @dataclass
@@ -106,6 +119,14 @@ class EscapeResult:
     revisits: int = 0
     attractor: Optional[AttractorInfo] = None
     certificate: str = ""
+
+    def to_dict(self):
+        return {
+            "outcome": self.outcome,
+            "certificate": self.certificate,
+            "revisits": self.revisits,
+            "r_bound": self.r_bound,
+        }
 
 
 def _label(mean_radial: float) -> str:
@@ -493,6 +514,124 @@ def tau_entry(f_r_star: float, alpha: float) -> float:
     return -1.0 / (f_r_star * (alpha - 1.0))
 
 
+def _interior_sink(rhs, x, tau):
+    """The certificate of an interior sink of the rescaled field holding the
+    state x at tau, or None.
+
+    Newton on rhs = 0 from x, on central-difference Jacobians, gives x*.
+    It is certified (Khalil, Nonlinear Systems, section 4.3) when
+    - |x*| < 1;
+    - every eigenvalue of A = Df(x*) has a negative real part (Kuznetsov,
+      Elements of Applied Bifurcation Theory, ch. 2);
+    - with P solving A^T P + P A = -I and V(x) = (x - x*)^T P (x - x*),
+      a level set {V <= c} lies strictly inside the unit ball, holds x, and
+      has dV/dtau = 2 (x - x*)^T P rhs(x) < 0 at its boundary points in the
+      _seed_directions(d, _SINK_SAMPLES) directions (two in one dimension).
+    The largest level reaches _SINK_REACH of the way from x* to the unit
+    sphere, and each of the next _SINK_LEVELS - 1 is a quarter of the last;
+    the one tried is the smallest that holds x, the nearest to linear and
+    the most densely sampled.  The sampled boundary stands for the whole:
+    a solution cannot leave a set on whose boundary V decreases, so it
+    stays in the ball for all later tau, and x(t) = nu X(...) tends to the
+    rest solution.  The certificate names x*, the eigenvalues, c and
+    tau.
+    """
+    xs = np.array(x, dtype=float)
+
+    def f_at(z):
+        return rhs(0.0, z)
+
+    for _ in range(_NEWTON_ITERS):
+        f = f_at(xs)
+        residual = math.sqrt(float(f.dot(f)))
+        if not residual > _FP_RESIDUAL_TOL:  # converged, or NaN
+            break
+        try:
+            xs = xs - np.linalg.solve(_central_jacobian(f_at, xs), f)
+        except np.linalg.LinAlgError:
+            return None
+        if not math.sqrt(float(xs.dot(xs))) < 1.0:
+            return None
+    if not residual <= _FP_RESIDUAL_TOL:
+        return None
+    d = len(xs)
+    A = _central_jacobian(f_at, xs)
+    eigs = np.linalg.eigvals(A)
+    if not np.all(eigs.real < 0.0):
+        return None
+    eye = np.eye(d)
+    P = np.linalg.solve(np.kron(A.T, eye) + np.kron(eye, A.T), -eye.ravel()).reshape(d, d)
+    P = 0.5 * (P + P.T)
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return None
+    # {V <= c} lies within sqrt(c / lambda_min(P)) of x*
+    reach = _SINK_REACH * (1.0 - math.sqrt(float(xs.dot(xs))))
+    top = float(np.linalg.eigvalsh(P)[0]) * reach * reach
+    offset = x - xs
+    v_here = float(offset @ P @ offset)
+    level = top
+    for _ in range(_SINK_LEVELS - 1):
+        if 0.25 * level < v_here:
+            break
+        level *= 0.25
+    if not v_here <= level:
+        return None
+    # boundary points of the level set {V = 1}, scaled to {V = level}
+    unit = np.linalg.solve(L.T, np.array(_seed_directions(d, _SINK_SAMPLES, 0)).T).T
+    if not all(float(e @ P @ f_at(xs + e)) < 0.0 for e in math.sqrt(level) * unit):
+        return None
+    where = ", ".join(f"{v:.6g}" for v in xs)
+    spectrum = ", ".join(
+        f"{z.real:.4g}" if z.imag == 0 else f"{z.real:.4g}{z.imag:+.4g}i" for z in eigs
+    )
+    return (
+        f"settled into the interior sink x* = ({where}) at tau = {tau:.6g}: "
+        f"eigenvalues of Df(x*) {spectrum}; the level set V <= {level:.3g} of "
+        "V = (x - x*)^T P (x - x*), A^T P + P A = -I, lies in the unit ball, holds "
+        f"the state and has dV/dtau < 0 at its {len(unit)} sampled points"
+    )
+
+
+class _SinkWatch:
+    """The until of rescaled_escape's inside run: it stops at a certified sink.
+
+    Every _SINK_POLL accepted steps it evaluates the speed |f| at the
+    accepted state, one right-hand-side call; a speed below _SINK_SPEED
+    (never a NaN or inf one) runs _interior_sink from that state.
+    certificate is the sink's once the run has stopped on it.  rhs_calls
+    counts the right-hand-side calls of the polls and the sink searches,
+    which charge adds to the stats of the watched run.
+    """
+
+    def __init__(self, rhs):
+        self.steps = 0
+        self.rhs_calls = 0
+        self.certificate = None
+
+        def counted(t, x):
+            self.rhs_calls += 1
+            return rhs(t, x)
+
+        self.rhs = counted
+
+    def __call__(self, tau, x, _partial):
+        self.steps += 1
+        if self.steps % _SINK_POLL:
+            return False
+        f = self.rhs(tau, x)
+        if not math.sqrt(float(f.dot(f))) < _SINK_SPEED:
+            return False
+        self.certificate = _interior_sink(self.rhs, x, tau)
+        return self.certificate is not None
+
+    def charge(self, traj):
+        """Count the watch's right-hand-side calls in the stats of traj."""
+        if traj is not None:
+            traj.stats.rhs_calls += self.rhs_calls
+
+
 def _identify_attractor(field, y_end, catalog, opts, window):
     # y_end ends an excursion that ran window units of the direction flow:
     # the search's transient is what is left of its default
@@ -522,10 +661,21 @@ def rescaled_escape(
     dependence scales out) from the entry state on the unit sphere.  Escape
     is certified by exit through R = 1 followed by a confirmation window in
     renormalized variables with growing log-radius and the direction settled
-    in the basin of a defocusing attractor.  Trapping is certified by a
-    bounded solution that keeps revisiting (or never leaves) the unit ball
-    up to the tau budget; a run that fails inside the ball is undetermined.
-    rf regularizes field: the rescaled system is rf at nu = 1.
+    in the basin of a defocusing attractor.  rf regularizes field: the
+    rescaled system is rf at nu = 1.
+
+    Trapping is certified by an interior sink: the run inside the ball
+    polls its speed (_SinkWatch) and, once it is small, stops as soon as
+    _interior_sink finds a stable equilibrium x* in the ball with a
+    Lyapunov level set that lies in the ball and holds the state.  The
+    certificate names x*, the eigenvalues of Df(x*), the level and the tau
+    at which it held; x(t) = nu X(...) then tends to the rest solution.
+    Failing that, the tau budget decides, as a fallback: a solution that
+    never leaves the ball up to it ("stayed in the unit ball until tau =
+    ...") or keeps revisiting it, at least three visits within the bound
+    cap ("tau budget reached after N visits"), counts as trapped.  An
+    excursion beyond r_bound_cap, or a run that fails inside the ball, is
+    undetermined.
 
     The direction an excursion ends on is matched against catalog (by
     default the field's fixed points, as catalog_attractors finds them),
@@ -554,12 +704,15 @@ def rescaled_escape(
     r_max = 1.0
     while tau < tau_budget:
         visits += 1
-        # inside phase: run until the solution exits the unit ball
+        # inside phase: run until the solution exits the unit ball or
+        # settles on a certified interior sink
+        watch = _SinkWatch(rhs)
         try:
-            tau_x, x_x, _seg = _integrate_to_crossing(
-                rhs, x, tau, ball, +1, in_opts, tau_budget
+            tau_x, x_x, seg = _integrate_to_crossing(
+                rhs, x, tau, ball, +1, in_opts, tau_budget, until=watch
             )
         except StepFailure as exc:
+            watch.charge(exc.trajectory)
             return EscapeResult(
                 "undetermined",
                 t_ent,
@@ -567,7 +720,19 @@ def rescaled_escape(
                 revisits=visits,
                 certificate=f"integration failed inside the unit ball at visit {visits}: {exc}",
             )
-        except NoEvent:
+        except NoEvent as exc:
+            watch.charge(exc.trajectory)
+            if watch.certificate is not None:
+                return EscapeResult(
+                    "trapped",
+                    t_ent,
+                    r_bound=r_max,
+                    revisits=visits,
+                    certificate=(
+                        f"{watch.certificate}; after {visits} visit(s); "
+                        f"sup R = {r_max:.6g}"
+                    ),
+                )
             return EscapeResult(
                 "trapped",
                 t_ent,
@@ -578,6 +743,7 @@ def rescaled_escape(
                     f"after {visits} visit(s); sup R = {r_max:.6g}"
                 ),
             )
+        watch.charge(seg)
         # outside phase in renormalized variables: Z = 0 at the exit sphere
         y_exit = x_x / np.linalg.norm(x_x)
         out = _outside_excursion(field, y_exit, window, opts)

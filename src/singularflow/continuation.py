@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .attractors import AttractorInfo, find_fixed_points, rescaled_escape
+from .attractors import AttractorInfo, EscapeResult, find_fixed_points, rescaled_escape
 from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
 from .integrators import DEFAULT_OPTIONS, IntegrationOptions, _integrate_to_crossing, integrate
@@ -561,7 +561,7 @@ class SweepReport:
     zeta_uncertainty: Optional[float] = None
     decay_exponent: Optional[float] = None
     decay_r2: Optional[float] = None
-    escape: Optional[object] = None
+    escape: Optional[EscapeResult] = None
     family: Optional[ContinuationFamily] = None
 
     def to_dict(self):
@@ -578,6 +578,7 @@ class SweepReport:
             "decay_r2": self.decay_r2,
             "distances": self.pairwise_sup_distances.tolist(),
             "errors": self.errors,
+            "escape": None if self.escape is None else self.escape.to_dict(),
         }
 
 

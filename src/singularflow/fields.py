@@ -112,14 +112,18 @@ def sphere_jacobian(field: SingularField, y, h: float = 1e-6) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if field.jacobian_on_sphere is not None:
         return np.asarray(field.jacobian_on_sphere(y), dtype=float)
-    d = field.dimension
+    return _central_jacobian(field.sphere_map, y, h)
+
+
+def _central_jacobian(fn, y, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of the map fn at the point y."""
+    d = len(y)
     J = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
         J[:, j] = (
-            np.asarray(field.sphere_map(y + e), dtype=float)
-            - np.asarray(field.sphere_map(y - e), dtype=float)
+            np.asarray(fn(y + e), dtype=float) - np.asarray(fn(y - e), dtype=float)
         ) / (2 * h)
     return J
 

@@ -614,7 +614,9 @@ def _scan_step(event, direction, g_prev, step):
     return None, ga
 
 
-def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postprocess=None):
+def _integrate_to_crossing(
+    rhs, x0, t0, event, direction, opts, t_max, postprocess=None, until=None
+):
     """Event search without the strict start-side precondition.
 
     Detects the first crossing of event through zero in the requested
@@ -623,15 +625,21 @@ def _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max, postproce
     the run reaches t_max without a crossing, the NoEvent it raises carries
     the completed trajectory to t_max, and when it reaches the radius floor
     first, the trajectory ending there; a StepFailure propagates with the
-    partial trajectory.
+    partial trajectory.  until is polled as in integrate: when it ends the
+    run first, the NoEvent carries the trajectory stopped there (status
+    stopped).  A crossing located on the same accepted step wins, since a
+    step is scanned before until sees it.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (upward) or -1 (downward)")
-    traj = _run(rhs, x0, t0, t_max, opts, postprocess, event=event, direction=direction)
+    traj = _run(rhs, x0, t0, t_max, opts, postprocess, until=until, event=event,
+                direction=direction)
     if traj.status == "hit_event":
         return traj.t_end, traj.final_state, traj
     if traj.status == "hit_radius_floor":
         raise NoEvent("trajectory hit the radius floor before the event", traj)
+    if traj.status == "stopped":
+        raise NoEvent(f"run stopped before the event, at t = {traj.t_end!r}", traj)
     raise NoEvent(f"no event crossing within horizon t <= {t_max!r}", traj)
 
 

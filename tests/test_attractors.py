@@ -460,3 +460,175 @@ def test_landing_search_counts_the_excursion_as_transient(monkeypatch):
     assert res.outcome == "expelled" and res.attractor.kind == "limit_cycle"
     assert res.attractor.period == pytest.approx(2 * math.pi, abs=1e-8)
     assert [s.get("transient") for s in searches] == [30.0]
+
+
+_SINK_CERTIFICATE = re.compile(r"interior sink x\* = \(([^)]*)\) at tau = (\S+):")
+
+
+def sink_of(res):
+    """x* and the tau named by a sink certificate."""
+    m = _SINK_CERTIFICATE.search(res.certificate)
+    assert m, res.certificate
+    return np.array([float(v) for v in m.group(1).split(",")]), float(m.group(2))
+
+
+def test_rescaled_escape_trapping_blend_settles_on_interior_sink():
+    # the inside run ends on the stable focus x*, long before tau = 1000
+    field = saddle()
+    rf = sf.make_polynomial_blend(field, [1.0, 1.3], 0.1)
+    res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+    assert res.outcome == "trapped"
+    x_star, tau = sink_of(res)
+    assert x_star == pytest.approx([-0.5129, 0.4792], abs=1e-3)
+    assert tau <= 50.0
+    assert "eigenvalues of Df(x*) -0.1908+2.296i, -0.1908-2.296i" in res.certificate
+    assert res.r_bound is not None and 1.0 < res.r_bound < 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rescaled_escape_certifies_a_linear_sink(d):
+    # inner map A (X - p) with A stable (a focus in the plane, a node across
+    # it) under a field that collapses along every direction
+    A = np.array([[-1.0, -0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, -0.5]])[:d, :d]
+    p = np.full(d, 0.2)
+    field = sf.SingularField(d, ALPHA, lambda y: -np.asarray(y, dtype=float))
+    rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - p))
+    res = sf.rescaled_escape(field, rf, np.eye(d)[0], catalog=[])
+    assert res.outcome == "trapped" and res.revisits == 1
+    x_star, tau = sink_of(res)
+    assert x_star == pytest.approx(p, abs=1e-6)
+    assert tau < 5.0
+
+
+def test_rescaled_escape_lingering_at_a_saddle_is_not_trapped(monkeypatch):
+    # inner map A X with A (1, 0) = -(1, 0) and A (1, 1) = (1, 1): the entry
+    # just off the stable axis lingers by the saddle at 0, where the speed
+    # falls below the sink poll's threshold, then leaves along (1, 1) into
+    # the basin of the defocusing direction (1, 0)
+    from singularflow import attractors
+
+    tried = []
+    find = attractors._interior_sink
+
+    def recorded(*args):
+        tried.append(find(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(attractors, "_interior_sink", recorded)
+    field = saddle()
+    rf = sf.RegularizedField(field, 1.0, lambda X: np.array([-X[0] + 2.0 * X[1], X[1]]))
+    delta = 1e-4
+    res = sf.rescaled_escape(field, rf, [-math.cos(delta), math.sin(delta)])
+    # a certificate on the speed alone would have stopped the run here
+    assert tried and all(sink is None for sink in tried)
+    assert res.outcome == "expelled"
+    assert res.attractor.location == pytest.approx([1.0, 0.0], abs=1e-8)
+
+
+CENTER_A = 0.5
+
+
+def center_field():
+    # F(y) = (-y2, y1) + a y1 y: the direction turns at unit speed and
+    # dz/ds = a y1, so every orbit is closed, z = a (sin(theta) - sin(theta_0))
+    def sphere_map(y):
+        y = np.asarray(y, dtype=float)
+        return np.array([-y[1], y[0]]) + CENTER_A * y[0] * y
+
+    return sf.SingularField(2, ALPHA, sphere_map, name="center")
+
+
+def center_regularization(field):
+    # the ideal field inside the ball too: the orbit entering at (-1, 0)
+    # is inside for theta in (pi, 2 pi) and outside for theta in (0, pi),
+    # with sup R = e^a, and never comes near the origin
+    def inner(X):
+        r = float(np.linalg.norm(X))
+        return np.zeros(2) if r == 0.0 else r**ALPHA * field.sphere_map(np.asarray(X) / r)
+
+    return sf.RegularizedField(field, 1.0, inner)
+
+
+def test_rescaled_escape_bound_cap_exit():
+    field = center_field()
+    res = sf.rescaled_escape(
+        field, center_regularization(field), [-1.0, 0.0], r_bound_cap=1.5, catalog=[]
+    )
+    assert res.outcome == "undetermined"
+    assert res.certificate == "excursion exceeded the bound cap 1.5"
+    assert res.revisits == 1
+    assert res.r_bound == pytest.approx(math.exp(CENTER_A), rel=1e-5)
+
+
+@pytest.mark.parametrize("visits, outcome", [(2, "undetermined"), (3, "trapped")])
+def test_rescaled_escape_tau_budget_after_visits(visits, outcome):
+    # a lap spends dtau = e^((1-alpha) z) ds inside the ball and as much
+    # again outside, by the midpoint rule; a budget halfway through the
+    # last excursion ends the loop at that excursion's re-entry
+    field = center_field()
+    n = 4096
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+
+    def half_lap(shift):
+        return float(np.sum(np.exp((1 - ALPHA) * CENTER_A * np.sin(theta + shift)))) * math.pi / n
+
+    t_in, t_out = half_lap(math.pi), half_lap(0.0)
+    budget = sf.tau_entry(-CENTER_A, ALPHA) + (visits - 1) * (t_in + t_out) + t_in + t_out / 2
+    res = sf.rescaled_escape(
+        field, center_regularization(field), [-1.0, 0.0], tau_budget=budget, catalog=[]
+    )
+    assert res.outcome == outcome
+    assert res.certificate.startswith(f"tau budget reached after {visits} visits; sup R = ")
+    assert res.revisits == visits
+    assert res.r_bound == pytest.approx(math.exp(CENTER_A), rel=1e-5)
+
+
+def test_rescaled_escape_stays_in_the_ball_without_a_sink():
+    # Hopf normal form inside the ball: an attracting cycle of radius 1/2
+    # around an unstable focus, where the speed stays near 1/2, so no sink
+    # is sought and the tau budget decides
+    field = saddle()
+    rf = sf.RegularizedField(
+        field, 1.0,
+        lambda X: (0.25 - float(np.dot(X, X))) * np.asarray(X) + np.array([-X[1], X[0]]),
+    )
+    res = sf.rescaled_escape(field, rf, [-1.0, 0.0], tau_budget=30.0, catalog=[])
+    assert res.outcome == "trapped"
+    assert res.certificate == "stayed in the unit ball until tau = 30 after 1 visit(s); sup R = 1"
+
+
+def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
+    # the polls, the Newton Jacobians and the boundary samples are charged
+    # to the inside run, whose stats then count every call of the rescaled
+    # right-hand side
+    from singularflow import attractors
+
+    calls = [0]
+    runs = []
+    build, search = attractors.regularized_rhs, attractors._integrate_to_crossing
+
+    def counted_rhs(rf):
+        rhs = build(rf)
+
+        def counted(t, x):  # no float form: every stepper call comes here
+            calls[0] += 1
+            return rhs(t, x)
+
+        return counted
+
+    def recorded(*args, **kwargs):
+        try:
+            return search(*args, **kwargs)
+        except sf.NoEvent as exc:
+            runs.append(exc.trajectory)
+            raise
+
+    monkeypatch.setattr(attractors, "regularized_rhs", counted_rhs)
+    monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
+    A = np.array([[-1.0, -0.5], [0.5, -1.0]])
+    field = sf.SingularField(2, ALPHA, lambda y: -np.asarray(y, dtype=float))
+    rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - 0.2))
+    res = sf.rescaled_escape(field, rf, [1.0, 0.0], catalog=[])
+    assert res.outcome == "trapped" and len(runs) == 1
+    stats = runs[0].stats
+    assert stats.rhs_calls == calls[0] > 1 + 6 * (stats.accepted + stats.rejected)

@@ -156,6 +156,9 @@ def test_sweep_trapping(tmp_path):
     report = json.loads((out / "sweep.json").read_text())
     assert report["verdict"] == "trivial_zero"
     assert report["decay_exponent"] > 0
+    assert report["escape"]["outcome"] == "trapped"
+    assert "interior sink x* = (" in report["escape"]["certificate"]
+    assert report["escape"]["revisits"] >= 1
 
 
 def test_sweep_requires_regularization(tmp_path):

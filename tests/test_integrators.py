@@ -189,6 +189,39 @@ def test_integrate_until_stops_on_a_prefix():
     assert np.array_equal(run.states, full.states[:n])
 
 
+def test_event_search_until_stops_with_no_event():
+    from singularflow import integrators
+
+    rhs = power1d_rhs()
+    opts = sf.IntegrationOptions(r_floor=0.0)
+    level = lambda t, x: float(x[0]) - 1.5  # x(t) = (1 + 2t/3)^(3/2) crosses 1.5 upward
+    t_cross, x_cross, full = integrators._integrate_to_crossing(
+        rhs, [1.0], 0.0, level, +1, opts, 10.0
+    )
+
+    def halfway(t, y, partial):
+        return t >= 0.5 * t_cross
+
+    # an until that fires before the crossing ends the search there
+    with pytest.raises(sf.NoEvent, match="stopped before the event") as exc:
+        integrators._integrate_to_crossing(rhs, [1.0], 0.0, level, +1, opts, 10.0, until=halfway)
+    stopped = exc.value.trajectory
+    assert stopped.status == "stopped"
+    assert 0.5 * t_cross <= stopped.t_end < t_cross
+    assert np.array_equal(stopped.states, full.states[: len(stopped.times)])
+    # one that fires on the step the crossing is located in loses to it
+    t_e, x_e, run = integrators._integrate_to_crossing(
+        rhs, [1.0], 0.0, level, +1, opts, 10.0, until=lambda t, y, p: y[0] >= 1.5
+    )
+    assert run.status == "hit_event"
+    assert t_e == t_cross and np.array_equal(x_e, x_cross)
+    # integrate's until stops the event-free run on the same prefix
+    plain = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=halfway)
+    assert plain.status == "stopped"
+    assert np.array_equal(plain.times, stopped.times)
+    assert np.array_equal(plain.states, stopped.states)
+
+
 def test_rhs_evaluated_once_at_the_start_point():
     # the stored first derivative is the stepper's first stage: one call at t0
     calls = []
