@@ -12,6 +12,7 @@ solution inside the ball.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -35,6 +36,13 @@ LABEL_DELTA = 1e-6
 _FP_RESIDUAL_TOL = 1e-10
 _MERGE_DISTANCE = 1e-6
 _RETURN_TOL = 1e-8
+# the Newton refinement on the sphere: its iterations and its residual target
+_NEWTON_MAX_ITER = 60
+_NEWTON_TOL = 1e-13
+# seed directions of the fixed-point search wherever the package runs it,
+# and of the catalog's cycle searches
+_FP_SEEDS = 32
+_CYCLE_SEEDS = 8
 # A transient this close to a sink is taken to have entered its basin and
 # to converge there.  That holds when the basin contains this ball, as it
 # does for the built-in fields; a sink of narrower basin could let a passing
@@ -59,6 +67,8 @@ _NEWTON_ITERS = 20
 _SINK_REACH = 0.9
 _SINK_LEVELS = 8
 _SINK_SAMPLES = 64
+# the escape's confirmation window before an identified cycle stretches it
+_CONFIRM_WINDOW = 50.0
 
 
 @dataclass
@@ -165,13 +175,13 @@ def _tangential(field, y):
     return F - float(F @ y) * y
 
 
-def _newton_on_sphere(field, y0, max_iter=60, tol=1e-13):
+def _newton_on_sphere(field, y0):
     y = np.asarray(y0, dtype=float)
     y = y / np.linalg.norm(y)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         Fs = _tangential(field, y)
         res = np.linalg.norm(Fs)
-        if res < tol:
+        if res < _NEWTON_TOL:
             return y
         Q = _tangent_basis(y)
         B = tangential_flow_jacobian(field, y)
@@ -191,7 +201,7 @@ def _newton_on_sphere(field, y0, max_iter=60, tol=1e-13):
             return None
         y = cand
     Fs = _tangential(field, y)
-    return y if np.linalg.norm(Fs) < tol * 10 else None
+    return y if np.linalg.norm(Fs) < _NEWTON_TOL * 10 else None
 
 
 def _seed_directions(d: int, n_seeds: int, seed: int) -> List[np.ndarray]:
@@ -299,7 +309,7 @@ def find_limit_cycle(
             return bool(reached)
 
         run = integrate(rhs, np.append(y0, 0.0), 0.0, transient,
-                        IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0),
+                        dataclasses.replace(opts, r_floor=0.0),
                         postprocess=project, until=in_known_tube)
         if reached:
             if reached[0].kind == "fixed_point":
@@ -316,8 +326,9 @@ def find_limit_cycle(
     def section(_t, u):
         return float(normal @ (u[:d] - p0))
 
-    sec_opts = IntegrationOptions(rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13),
-                                  r_floor=0.0)
+    sec_opts = dataclasses.replace(
+        opts, rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13), r_floor=0.0
+    )
     t_here = 0.0
     distances = []  # successive return-point separations
     for _ in range(_MAX_RETURNS):
@@ -421,19 +432,19 @@ class _Tube:
 
 def catalog_attractors(
     field: SingularField,
-    n_seeds: int = 32,
-    cycle_seeds: int = 8,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     seed: int = 0,
 ) -> List[AttractorInfo]:
     """Fixed points plus limit cycles (stable, and unstable via reversed flow).
 
+    The fixed points come from _FP_SEEDS (32) Newton seeds, the cycles from
+    searches at _CYCLE_SEEDS (8) seed directions in each of two passes.
     Each pass (forward, then reversed) hands its searches the cycles it has
     found so far and the sinks of its flow, so a seed whose transient
     reaches one of them stops there: on a cycle instead of re-finding it, on
     a sink instead of running out the transient.
     """
-    out = list(find_fixed_points(field, n_seeds=n_seeds, seed=seed))
+    out = list(find_fixed_points(field, n_seeds=_FP_SEEDS, seed=seed))
     fps = [a for a in out if a.kind == "fixed_point"]
     if field.dimension < 2:
         return out
@@ -442,7 +453,7 @@ def catalog_attractors(
         sign = -1.0 if reverse else 1.0
         sinks = [fp for fp in fps if np.all(sign * fp.stability_exponents < 0)]
         found: List[AttractorInfo] = []  # every cycle this pass's searches found
-        for y0 in _seed_directions(field.dimension, cycle_seeds, seed + 1):
+        for y0 in _seed_directions(field.dimension, _CYCLE_SEEDS, seed + 1):
             if any(np.linalg.norm(y0 - fp.location) < 1e-3 for fp in fps):
                 continue
             try:
@@ -651,7 +662,6 @@ def rescaled_escape(
     y_ent,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     tau_budget: float = 1e3,
-    confirm_window: float = 50.0,
     r_bound_cap: float = 50.0,
     catalog: Optional[List[AttractorInfo]] = None,
 ) -> EscapeResult:
@@ -678,13 +688,15 @@ def rescaled_escape(
     undetermined.
 
     The direction an excursion ends on is matched against catalog (by
-    default the field's fixed points, as catalog_attractors finds them),
-    and otherwise resolved by a find_limit_cycle search from it, whose
-    transient counts the excursion's window toward the search's default 80
-    units.  The confirmation window is confirm_window; once the excursion
-    settles on a cycle whose five periods exceed it, the window becomes
-    those five periods, and the excursion is run again from the same exit
-    and identified again.
+    default the field's fixed points from _FP_SEEDS seeds, as
+    catalog_attractors finds them), and otherwise resolved by a
+    find_limit_cycle search from it, whose transient counts the excursion's
+    window toward the search's default 80 units.  The confirmation window
+    is _CONFIRM_WINDOW (50); once the excursion settles on a cycle whose
+    five periods exceed it, the window becomes those five periods, and the
+    excursion is run again from the same exit and identified again.
+
+    Every run inherits opts with the radius floor off, max_step included.
     """
     y_ent = np.asarray(y_ent, dtype=float)
     y_ent = y_ent / np.linalg.norm(y_ent)
@@ -694,10 +706,10 @@ def rescaled_escape(
     rhs = regularized_rhs(rf.with_nu(1.0))
     ball = _Sphere(1.0)
     if catalog is None:
-        catalog = find_fixed_points(field, n_seeds=32)  # the catalog's own call
-    window = confirm_window
+        catalog = find_fixed_points(field, n_seeds=_FP_SEEDS)
+    window = _CONFIRM_WINDOW
 
-    in_opts = IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
+    in_opts = dataclasses.replace(opts, r_floor=0.0)
     tau = t_ent
     x = y_ent.copy()
     visits = 0
@@ -816,7 +828,7 @@ def _outside_excursion(field, y_exit, window, opts):
     y0 = np.asarray(y_exit, dtype=float)
     u0 = np.concatenate([y0 / math.sqrt(float(y0 @ y0)), [0.0, 0.0]])
     rhs, project = renormalized_system(field)
-    run_opts = IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
+    run_opts = dataclasses.replace(opts, r_floor=0.0)
     try:
         _, u, run = _integrate_to_crossing(
             rhs, u0, 0.0, _Level(d), -1, run_opts, window, postprocess=project

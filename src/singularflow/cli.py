@@ -124,6 +124,9 @@ def cmd_simulate(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
 def cmd_classify(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int:
     field = _field_from_config(cfg)
     opts = _scaled_options(cfg.options, tol_scale)
+    r0 = float(np.linalg.norm(cfg.x0))
+    if r0 == 0.0:
+        raise ValueError("classify starts at x0 = 0, the singular point, which has no direction")
     catalog = catalog_attractors(field, opts=opts, seed=cfg.seed)
     _write_json(
         os.path.join(outdir, "attractors.json"),
@@ -133,7 +136,6 @@ def cmd_classify(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
             "attractors": [a.to_dict() for a in catalog],
         },
     )
-    r0 = float(np.linalg.norm(cfg.x0))
     verdict = classify_blowup(
         field, cfg.x0 / r0, math.log(r0), opts, t0=cfg.t0, s_budget=cfg.s_budget
     )

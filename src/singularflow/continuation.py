@@ -22,6 +22,7 @@ so no truncation of the infinite history is needed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -29,7 +30,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .attractors import AttractorInfo, EscapeResult, find_fixed_points, rescaled_escape
+from .attractors import _FP_SEEDS, AttractorInfo, EscapeResult, find_fixed_points, rescaled_escape
 from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
 from .integrators import DEFAULT_OPTIONS, IntegrationOptions, _integrate_to_crossing, integrate
@@ -44,8 +45,12 @@ _SCAN_BLOCK = 90
 _ANCHOR_RANGE = 1e-3
 # orbit-table rows before the largest sample at which the anchor search starts
 _ANCHOR_LEAD = 4
-# uniform intervals of the cycle family's period tables
+# uniform intervals of the cycle family's period tables, and the Gauss-Legendre
+# nodes per interval of the quadrature of its exponential weight
 _FAMILY_GRID = 2048
+_PANEL_ORDER = 12
+# time step of residual_check's central differences
+_RESIDUAL_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +342,10 @@ class _PeriodicCubic:
         return out.reshape(q.shape + self._shape)
 
 
-def _panel_gauss_cumulative(s_grid, f_vals_fn, order=12):
-    """Cumulative integral of a smooth function over the grid panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _panel_gauss_cumulative(s_grid, f_vals_fn):
+    """Cumulative integral of a smooth function over the grid panels, by
+    _PANEL_ORDER-point Gauss-Legendre on each."""
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     a = s_grid[:-1]
     b = s_grid[1:]
     mid = 0.5 * (a + b)[:, None]
@@ -410,8 +416,8 @@ def build_cycle_family(
     T = float(cycle.period)
 
     rhs, project = renormalized_system(field, extras=("z",))
-    run_opts = IntegrationOptions(
-        rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14), r_floor=0.0
+    run_opts = dataclasses.replace(
+        opts, rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14), r_floor=0.0
     )
     anchor = _cycle_anchor(field, cycle, run_opts)
     traj = integrate(rhs, np.concatenate([anchor, [0.0]]), 0.0, T, run_opts, postprocess=project)
@@ -475,11 +481,13 @@ def build_cycle_family(
     )
 
 
-def residual_check(fam, field: SingularField, t_grid, zeta: float = 0.0, h: float = 1e-6) -> float:
+def residual_check(fam, field: SingularField, t_grid, zeta: float = 0.0) -> float:
     """Sup over the grid of |d/dt x(t) - f(x(t))| relative to |f|.
 
-    fam may be a ContinuationFamily or any callable x(t, zeta).
+    d/dt is the central difference of step _RESIDUAL_STEP (1e-6).  fam may
+    be a ContinuationFamily or any callable x(t, zeta).
     """
+    h = _RESIDUAL_STEP
     ev = fam.eval if hasattr(fam, "eval") else fam
     worst = 0.0
     for t in np.asarray(t_grid, dtype=float):
@@ -630,7 +638,7 @@ def inviscid_sweep(
     y0 = x0 / r0
 
     if catalog is None:
-        catalog = find_fixed_points(field, n_seeds=32)  # the catalog's own call
+        catalog = find_fixed_points(field, n_seeds=_FP_SEEDS)
     fps = [a for a in catalog if a.kind == "fixed_point"]
 
     star = min(fps, key=lambda a: a.distance_to(y0), default=None)
@@ -743,8 +751,6 @@ def inviscid_sweep(
     span = fam.zeta_period
     difs = np.abs(np.diff(zs))
     difs = np.minimum(difs, span - difs) / span  # wrapped, as a fraction of the period
-    if len(difs) == 0:
-        return report
     shrinking = bool(np.all(np.diff(difs) <= 0.05)) and difs[-1] <= 0.25
     report.verdict = "converged_to(cycle_family)" if shrinking else "diverging_phases"
     return report

@@ -24,6 +24,9 @@ R_FLOOR_DEFAULT = 1e-300
 
 UNIT_TOL = 1e-9
 
+# step of the central-difference Jacobians
+_JACOBIAN_STEP = 1e-6
+
 BUILTIN_NAMES = ("power1d", "saddle2d", "spiral2d", "sphere3d")
 
 
@@ -85,8 +88,8 @@ def eval_field(field: SingularField, x, r_floor: float = R_FLOOR_DEFAULT) -> np.
     r = np.sqrt(x.dot(x))  # x.dot(x) is x @ x bit for bit, with less overhead
     if not r_floor <= r < np.inf:  # NaN fails both comparisons
         raise OriginEvaluation(
-            f"|x| = {r!r} below r_floor = {r_floor!r}; switch to a regularized "
-            "or renormalized representation"
+            f"|x| = {float(r)!r} below r_floor = {float(r_floor)!r}; switch to a "
+            "regularized or renormalized representation"
         )
     return r**field.alpha * np.asarray(field.sphere_map(x / r), dtype=float)
 
@@ -102,7 +105,7 @@ def decompose(field: SingularField, y) -> SphericalDecomposition:
     return SphericalDecomposition(fr, F - fr * yu)
 
 
-def sphere_jacobian(field: SingularField, y, h: float = 1e-6) -> np.ndarray:
+def sphere_jacobian(field: SingularField, y) -> np.ndarray:
     """Ambient Jacobian of the sphere-map formula at y.
 
     Uses the analytic Jacobian when available, otherwise central differences
@@ -112,11 +115,13 @@ def sphere_jacobian(field: SingularField, y, h: float = 1e-6) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if field.jacobian_on_sphere is not None:
         return np.asarray(field.jacobian_on_sphere(y), dtype=float)
-    return _central_jacobian(field.sphere_map, y, h)
+    return _central_jacobian(field.sphere_map, y)
 
 
-def _central_jacobian(fn, y, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the map fn at the point y."""
+def _central_jacobian(fn, y) -> np.ndarray:
+    """Central-difference Jacobian of the map fn at the point y, of step
+    _JACOBIAN_STEP (1e-6)."""
+    h = _JACOBIAN_STEP
     d = len(y)
     J = np.empty((d, d))
     for j in range(d):

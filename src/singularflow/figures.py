@@ -49,6 +49,12 @@ def _trajectory_rows(traj, n=400):
     return [(t, *x) for t, x in zip(ts, xs)]
 
 
+def _emit(files, outdir, name, header, rows, description):
+    """Write one CSV of a bundle and list it, with its header, in files."""
+    write_csv(os.path.join(outdir, name), header, rows)
+    files.append({"name": name, "columns": ",".join(header), "description": description})
+
+
 def _ideal_rhs(field):
     return lambda t, x: eval_field(field, x)
 
@@ -56,13 +62,9 @@ def _ideal_rhs(field):
 def _fig1(outdir):
     field = builtin_field("saddle2d", 1.0 / 3.0)
     files = []
-    rows = _quiver_rows(field, 1.25, 25)
-    write_csv(os.path.join(outdir, "fig1_quiver.csv"), ["x1", "x2", "f1", "f2"], rows)
-    files.append({
-        "name": "fig1_quiver.csv",
-        "columns": "x1,x2,f1,f2",
-        "description": "vector field samples on a grid (origin neighborhood excluded)",
-    })
+    _emit(files, outdir, "fig1_quiver.csv", ["x1", "x2", "f1", "f2"],
+          _quiver_rows(field, 1.25, 25),
+          "vector field samples on a grid (origin neighborhood excluded)")
     angles = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     for k, a in enumerate(angles):
         x0 = 1.2 * np.array([math.cos(a), math.sin(a)])
@@ -70,16 +72,10 @@ def _fig1(outdir):
             traj = integrate(_ideal_rhs(field), x0, 0.0, 3.0, _OPTS)
         except StepFailure as exc:
             traj = exc.trajectory
-        name = f"fig1_traj_{k:02d}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2",
-            "description": (
-                "trajectory from angle %.4f; %s"
-                % (a, "enters the origin (blowup bundle)" if x0[0] < 0 else "no blowup")
-            ),
-        })
+        _emit(files, outdir, f"fig1_traj_{k:02d}.csv", ["t", "x1", "x2"],
+              _trajectory_rows(traj),
+              "trajectory from angle %.4f; %s"
+              % (a, "enters the origin (blowup bundle)" if x0[0] < 0 else "no blowup"))
     return files
 
 
@@ -100,33 +96,20 @@ def _fig3(outdir):
     for k, a in enumerate(angles):
         x0 = 1e-6 * np.array([math.cos(a), math.sin(a)])
         traj = integrate(_ideal_rhs(field), x0, 0.0, 2.0, _OPTS)
-        name = f"fig3_origin_traj_{k:02d}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2",
-            "description": "solution emanating from (almost) the origin",
-        })
+        _emit(files, outdir, f"fig3_origin_traj_{k:02d}.csv", ["t", "x1", "x2"],
+              _trajectory_rows(traj), "solution emanating from (almost) the origin")
     _, ray = fixed_point_solutions(
         np.array([-1.0, 0.0]), -1.0, np.array([1.0, 0.0]), 1.0, 0.0, field.alpha
     )
     ts = np.linspace(1e-4, 2.0, 300)
-    rows = [(t, *ray.eval(t)) for t in ts]
-    write_csv(os.path.join(outdir, "fig3_selected_ray.csv"), ["t", "x1", "x2"], rows)
-    files.append({
-        "name": "fig3_selected_ray.csv",
-        "columns": "t,x1,x2",
-        "description": "unique continuation selected by a generic expelling regularization",
-    })
+    _emit(files, outdir, "fig3_selected_ray.csv", ["t", "x1", "x2"],
+          [(t, *ray.eval(t)) for t in ts],
+          "unique continuation selected by a generic expelling regularization")
     # (b) trapped rescaled solution
     traj = _rescaled_trace(field, np.array([1.0, 1.3]), 40.0)
-    write_csv(os.path.join(outdir, "fig3_trapped_X.csv"), ["tau", "X1", "X2"],
-              _trajectory_rows(traj, 800))
-    files.append({
-        "name": "fig3_trapped_X.csv",
-        "columns": "tau,X1,X2",
-        "description": "rescaled solution confined by the trapping inner field (1, 1.3)",
-    })
+    _emit(files, outdir, "fig3_trapped_X.csv", ["tau", "X1", "X2"],
+          _trajectory_rows(traj, 800),
+          "rescaled solution confined by the trapping inner field (1, 1.3)")
     return files
 
 
@@ -134,63 +117,38 @@ def _fig3b(outdir):
     field = builtin_field("saddle2d", 1.0 / 3.0)
     files = []
     traj = _rescaled_trace(field, np.array([1.0, -2.0]), 40.0)
-    write_csv(os.path.join(outdir, "fig3b_expelled_X.csv"), ["tau", "X1", "X2"],
-              _trajectory_rows(traj, 800))
-    files.append({
-        "name": "fig3b_expelled_X.csv",
-        "columns": "tau,X1,X2",
-        "description": "rescaled solution expelled by the inner field (1, -2)",
-    })
+    _emit(files, outdir, "fig3b_expelled_X.csv", ["tau", "X1", "X2"],
+          _trajectory_rows(traj, 800), "rescaled solution expelled by the inner field (1, -2)")
     x0 = np.array([-1.0, 0.0])
     for nu in (0.3, 0.15, 0.075):
         rf = make_polynomial_blend(field, np.array([1.0, -2.0]), nu)
         traj = integrate_regularized(rf, x0, 0.0, 2.5, _OPTS)
-        name = f"fig3b_xnu_{nu:g}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj, 600))
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2",
-            "description": f"regularized solution at nu = {nu:g}",
-        })
+        _emit(files, outdir, f"fig3b_xnu_{nu:g}.csv", ["t", "x1", "x2"],
+              _trajectory_rows(traj, 600), f"regularized solution at nu = {nu:g}")
     for k, a in enumerate(np.linspace(0.55 * np.pi, 1.45 * np.pi, 7)):
         x0k = np.array([math.cos(a), math.sin(a)])
         try:
             traj = integrate(_ideal_rhs(field), x0k, 0.0, 3.0, _OPTS)
         except StepFailure as exc:
             traj = exc.trajectory
-        name = f"fig3b_blowup_traj_{k:02d}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], _trajectory_rows(traj))
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2",
-            "description": "collapsing solution from the left half-plane",
-        })
+        _emit(files, outdir, f"fig3b_blowup_traj_{k:02d}.csv", ["t", "x1", "x2"],
+              _trajectory_rows(traj), "collapsing solution from the left half-plane")
     return files
 
 
 def _fig6(outdir):
     field = builtin_field("spiral2d", 1.0 / 3.0)
     files = []
-    rows = _quiver_rows(field, 1.0, 21)
-    write_csv(os.path.join(outdir, "fig6_quiver.csv"), ["x1", "x2", "f1", "f2"], rows)
-    files.append({
-        "name": "fig6_quiver.csv",
-        "columns": "x1,x2,f1,f2",
-        "description": "vector field samples",
-    })
+    _emit(files, outdir, "fig6_quiver.csv", ["x1", "x2", "f1", "f2"],
+          _quiver_rows(field, 1.0, 21), "vector field samples")
     cycle = find_limit_cycle(field, np.array([1.0, 0.0]))
     fam = build_cycle_family(field, cycle, t_b=0.0)
     ts = np.geomspace(1e-4, 1.5, 400)
     for k in range(8):
         zeta = k * fam.zeta_period / 8
-        rows = [(t, *fam.eval(t, zeta)) for t in ts]
-        name = f"fig6_family_{k}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2"], rows)
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2",
-            "description": f"origin-emanating solution, phase {k}/8 of the family period",
-        })
+        _emit(files, outdir, f"fig6_family_{k}.csv", ["t", "x1", "x2"],
+              [(t, *fam.eval(t, zeta)) for t in ts],
+              f"origin-emanating solution, phase {k}/8 of the family period")
     return files
 
 
@@ -199,13 +157,9 @@ def _fig8n(outdir):
     g0 = np.array([0.0, 0.1, 1.0])
     files = []
     traj = _rescaled_trace(field, g0, 60.0)
-    write_csv(os.path.join(outdir, "fig8n_X.csv"), ["tau", "X1", "X2", "X3"],
-              _trajectory_rows(traj, 800))
-    files.append({
-        "name": "fig8n_X.csv",
-        "columns": "tau,X1,X2,X3",
-        "description": "rescaled solution entering at the south pole and escaping to the cycle",
-    })
+    _emit(files, outdir, "fig8n_X.csv", ["tau", "X1", "X2", "X3"],
+          _trajectory_rows(traj, 800),
+          "rescaled solution entering at the south pole and escaping to the cycle")
     cycle = find_limit_cycle(field, np.array([1.0, 0.05, 0.3]))
     t_b = 3.0
     nus = geometric_sequence(cycle.period, cycle.mean_radial, 0.0, range(1, 4))
@@ -213,26 +167,16 @@ def _fig8n(outdir):
     for n, nu in enumerate(nus, start=1):
         rf = make_polynomial_blend(field, g0, float(nu))
         t_traj = integrate_regularized(rf, x0, 0.0, 4.0, _OPTS)
-        name = f"fig8n_xnu_n{n}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2", "x3"],
-                  _trajectory_rows(t_traj, 800))
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2,x3",
-            "description": f"regularized solution for nu_{n} of the geometric subsequence, chi = 0",
-        })
+        _emit(files, outdir, f"fig8n_xnu_n{n}.csv", ["t", "x1", "x2", "x3"],
+              _trajectory_rows(t_traj, 800),
+              f"regularized solution for nu_{n} of the geometric subsequence, chi = 0")
     fam = build_cycle_family(field, cycle, t_b)
     ts = np.linspace(t_b + 1e-3, t_b + 1.0, 250)
     for k in range(10):
         zeta = k * fam.zeta_period / 10
-        rows = [(t, *fam.eval(t, zeta)) for t in ts]
-        name = f"fig8n_family_{k}.csv"
-        write_csv(os.path.join(outdir, name), ["t", "x1", "x2", "x3"], rows)
-        files.append({
-            "name": name,
-            "columns": "t,x1,x2,x3",
-            "description": f"family member {k}/10 across one phase period",
-        })
+        _emit(files, outdir, f"fig8n_family_{k}.csv", ["t", "x1", "x2", "x3"],
+              [(t, *fam.eval(t, zeta)) for t in ts],
+              f"family member {k}/10 across one phase period")
     # cone surface swept by the family
     thetas = np.linspace(0.0, 2 * np.pi, 60)
     rows = []
@@ -241,12 +185,8 @@ def _fig8n(outdir):
         for th in thetas:
             rows.append((t, rad * math.sqrt(3) / 2 * math.cos(th),
                          rad * math.sqrt(3) / 2 * math.sin(th), rad * 0.5))
-    write_csv(os.path.join(outdir, "fig8n_cone.csv"), ["t", "x1", "x2", "x3"], rows)
-    files.append({
-        "name": "fig8n_cone.csv",
-        "columns": "t,x1,x2,x3",
-        "description": "conical surface spanned by the continuation family",
-    })
+    _emit(files, outdir, "fig8n_cone.csv", ["t", "x1", "x2", "x3"], rows,
+          "conical surface spanned by the continuation family")
     return files
 
 
@@ -263,22 +203,12 @@ def _figtriv(outdir):
         "trap": make_preset_1d(field, 0, nu),
     }
     files = []
-    rows = [(x, curves["ideal"](x)) for x in xs]
-    write_csv(os.path.join(outdir, "figTriv_ideal.csv"), ["x", "f"], rows)
-    files.append({
-        "name": "figTriv_ideal.csv",
-        "columns": "x,f",
-        "description": "unregularized sgn(x)|x|^(1/3)",
-    })
+    _emit(files, outdir, "figTriv_ideal.csv", ["x", "f"],
+          [(x, curves["ideal"](x)) for x in xs], "unregularized sgn(x)|x|^(1/3)")
     for tag, rf in rfs.items():
-        rows = [(x, float(eval_regularized(rf, np.array([x]))[0])) for x in xs]
-        name = f"figTriv_{tag}.csv"
-        write_csv(os.path.join(outdir, name), ["x", "f"], rows)
-        files.append({
-            "name": name,
-            "columns": "x,f",
-            "description": f"{tag} regularization at nu = {nu}",
-        })
+        _emit(files, outdir, f"figTriv_{tag}.csv", ["x", "f"],
+              [(x, float(eval_regularized(rf, np.array([x]))[0])) for x in xs],
+              f"{tag} regularization at nu = {nu}")
     return files
 
 

@@ -10,6 +10,7 @@ sgn(x)|x|^alpha prototype.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,8 +36,11 @@ from .integrators import (
     _with_floats,
 )
 
+# check_smoothness's probe directions, difference step as a fraction of nu,
+# and bound on the relative Jacobian jump (far above the step's O(h) error)
 _SMOOTH_DIRECTIONS = 200
 _JAC_STEP_FRAC = 1e-6
+_JACOBIAN_TOL = 1e-3
 _MAX_CROSSINGS = 100000
 
 
@@ -70,68 +74,59 @@ def _power(r, a):
         return math.inf
 
 
-def _blend_inner_map(base: SingularField, g0: np.ndarray):
-    """The inner map xi(rho) rho^alpha F(X / rho) + (1 - xi(rho)) g0 of the blend."""
+def _blend_inner_map(base: SingularField, core):
+    """The inner map xi(rho) rho^alpha F(X / rho) + (1 - xi(rho)) core(X) of a blend.
+
+    core maps X, a list of Python floats, to a list of the same length.  The
+    cubic weight kills the r^alpha singularity only for alpha > -2; below
+    that the blend is not even continuous at the center, so it is rejected
+    and a custom inner map must be supplied instead.
+    """
     alpha = base.alpha
+    if alpha <= -2.0:
+        raise SingularBlend(
+            f"polynomial blend needs alpha > -2 (got {alpha}); supply a custom inner_map"
+        )
     smap = _map_float_form(base.sphere_map)
-    g0 = g0.tolist()
 
     def inner(X):
         rho = math.hypot(*X)
         if rho == 0.0:
-            return list(g0)
+            return list(core(X))
         w = blend_weight(rho)
         scale, rest = w * _power(rho, alpha), 1.0 - w
-        return [scale * f + rest * g for f, g in zip(smap([v / rho for v in X]), g0)]
+        return [scale * f + rest * g for f, g in zip(smap([v / rho for v in X]), core(X))]
 
     return _map_with_floats(inner)
 
 
 def make_polynomial_blend(base: SingularField, g0, nu: float) -> RegularizedField:
-    """Inner map xi(rho) f(X) + (1 - xi(rho)) g0 on the unit ball.
-
-    The cubic weight kills the r^alpha singularity only for alpha > -2;
-    below that the blend is not even continuous at the center, so it is
-    rejected and a custom inner map must be supplied instead.
-    """
+    """Inner map xi(rho) f(X) + (1 - xi(rho)) g0 on the unit ball (alpha > -2)."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (base.dimension,) or not np.all(np.isfinite(g0)):
         raise ValueError("g0 must be a finite vector matching the field dimension")
-    if base.alpha <= -2.0:
-        raise SingularBlend(
-            f"polynomial blend needs alpha > -2 (got {base.alpha}); "
-            "supply a custom inner_map"
-        )
-    return RegularizedField(base, nu, _blend_inner_map(base, g0), blend_kind="polynomial_blend")
+    g0 = g0.tolist()
+    inner = _blend_inner_map(base, lambda _X: g0)
+    return RegularizedField(base, nu, inner, blend_kind="polynomial_blend")
 
 
 def make_preset_1d(base: SingularField, sigma: int, nu: float) -> RegularizedField:
-    """One-dimensional presets: sigma = +-1 expel right/left, sigma = 0 trap."""
+    """One-dimensional presets: sigma = +-1 expel right/left, sigma = 0 trap.
+
+    Each is the blend of _blend_inner_map with an affine core: (sigma + X)/2
+    to expel, (1 - 8 X)/6 to trap.
+    """
     if base.dimension != 1:
         raise ValueError("1-d presets require a one-dimensional base field")
-    if base.alpha <= -2.0:
-        raise SingularBlend(f"polynomial blend needs alpha > -2 (got {base.alpha})")
     if sigma in (1, -1):
-        core = (lambda x, s=float(sigma): 0.5 * (s + x))
+        core = (lambda X, s=float(sigma): [0.5 * (s + X[0])])
         kind = "expel_right" if sigma == 1 else "expel_left"
     elif sigma == 0:
-        core = (lambda x: (1.0 - 8.0 * x) / 6.0)
+        core = (lambda X: [(1.0 - 8.0 * X[0]) / 6.0])
         kind = "trap"
     else:
         raise ValueError("sigma must be +1, -1 or 0 (trap)")
-    alpha = base.alpha
-    smap = _map_float_form(base.sphere_map)
-
-    def inner(X):
-        x = X[0]
-        rho = abs(x)
-        if rho == 0.0:
-            return [core(x)]
-        w = blend_weight(rho)
-        f = _power(rho, alpha) * smap([x / rho])[0]
-        return [w * f + (1.0 - w) * core(x)]
-
-    return RegularizedField(base, nu, _map_with_floats(inner), blend_kind=kind)
+    return RegularizedField(base, nu, _blend_inner_map(base, core), blend_kind=kind)
 
 
 def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
@@ -212,22 +207,20 @@ def _one_sided_jacobians(rf, y, h):
     return f_out, f_in, J_out, J_in
 
 
-def check_smoothness(
-    rf: RegularizedField,
-    n_directions: int = _SMOOTH_DIRECTIONS,
-    jacobian_tol: float = 1e-3,
-) -> SmoothnessReport:
+def check_smoothness(rf: RegularizedField) -> SmoothnessReport:
     """Probe the C^1 patching contract across the sphere r = nu.
 
     Reports the worst value mismatch of the two branches and the worst
-    relative disagreement of one-sided finite-difference Jacobians (step
-    1e-6 * nu, so the O(h) difference error motivates the 1e-3 default).
+    relative disagreement of one-sided finite-difference Jacobians over
+    _SMOOTH_DIRECTIONS (200) directions (two in one dimension), with step
+    _JAC_STEP_FRAC * nu = 1e-6 nu; it passes when the Jacobian jump is at
+    most _JACOBIAN_TOL (1e-3), well above the O(h) difference error.
     """
     h = _JAC_STEP_FRAC * rf.nu
     value_tol = 1e-9 * rf.nu**rf.base.alpha
     vmax = 0.0
     jmax = 0.0
-    dirs = _directions(rf.base.dimension, n_directions)
+    dirs = _directions(rf.base.dimension, _SMOOTH_DIRECTIONS)
     for y in dirs:
         f_out, f_in, J_out, J_in = _one_sided_jacobians(rf, y, h)
         vmax = max(vmax, float(np.max(np.abs(f_out - f_in))))
@@ -237,9 +230,9 @@ def check_smoothness(
         max_value_jump=vmax,
         max_jacobian_jump=jmax,
         value_tol=value_tol,
-        jacobian_tol=jacobian_tol,
+        jacobian_tol=_JACOBIAN_TOL,
         n_directions=len(dirs),
-        passed=(vmax <= value_tol and jmax <= jacobian_tol),
+        passed=(vmax <= value_tol and jmax <= _JACOBIAN_TOL),
     )
 
 
@@ -260,9 +253,7 @@ def integrate_regularized(
     rhs = regularized_rhs(rf)
     x = np.asarray(x0, dtype=float)
     t = t0
-    seg_opts = IntegrationOptions(
-        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0
-    )
+    seg_opts = dataclasses.replace(opts, r_floor=0.0)
     nu = float(rf.nu)
     boundary = _Sphere(nu)
     times = [t0]

@@ -18,6 +18,7 @@ each carrying only the components it needs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,6 +41,10 @@ from .integrators import (
 # meaningful radius and t would only overflow.  Collapsing runs (z -> -inf)
 # never touch the cap.
 _EXP_CAP = 60.0
+# classify_blowup's verdict band, stabilization tolerance and first stage
+_VERDICT_DELTA = 1e-3
+_STABILIZE_TOL = 1e-4
+_S_START = 16.0
 
 
 @dataclass
@@ -192,9 +197,7 @@ def renorm_integrate(
     if not s_max > 0:
         raise ValueError("s_max must be positive")
     u0 = np.concatenate([y0 / n0, [float(z0)], [float(t0)]])
-    run_opts = IntegrationOptions(
-        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step, r_floor=0.0
-    )
+    run_opts = dataclasses.replace(opts, r_floor=0.0)
     poll = None
     if until is not None:
         poll = lambda s, u, partial: until(s, u, lambda: RenormTrajectory(field, partial()))
@@ -240,25 +243,23 @@ def classify_blowup(
     z0: float = 0.0,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     t0: float = 0.0,
-    delta: float = 1e-3,
     s_budget: float = 2.0e4,
-    stabilize_tol: float = 1e-4,
-    s_start: float = 16.0,
 ) -> BlowupVerdict:
     """Decide blowup vs escape from the sign of the stabilized radial average.
 
     One renormalized run heads for s_budget.  Each time it passes a stage
-    boundary (s_start, 2 s_start, 4 s_start, ..., s_budget) the windowed
+    boundary (_S_START = 16, 32, 64, ..., s_budget) the windowed
     radial-average bracket over the trailing half-stage is taken, and the run
-    stops as soon as the bracket moves by less than stabilize_tol between
-    stages ("stabilized"), so its cost follows the transient, not the budget.
-    A stabilized bracket below -delta means finite-time blowup and the
-    physical time already carried by the run converges to t_b; a bracket
-    above +delta means escape to infinity.  Anything else is reported as
-    undetermined.  s_budget of the verdict is the stage that decided it.
+    stops as soon as the bracket moves by less than _STABILIZE_TOL (1e-4)
+    between stages ("stabilized"), so its cost follows the transient, not the
+    budget.  A stabilized bracket below -_VERDICT_DELTA (1e-3) means
+    finite-time blowup and the physical time already carried by the run
+    converges to t_b; a bracket above +_VERDICT_DELTA means escape to
+    infinity.  Anything else is reported as undetermined.  s_budget of the
+    verdict is the stage that decided it.
     """
     stages = []
-    s = s_start
+    s = _S_START
     while s < s_budget:
         stages.append(s)
         s *= 2
@@ -276,16 +277,16 @@ def classify_blowup(
         if prev is None:
             return False
         moved = max(abs(av.lower - prev.lower), abs(av.upper - prev.upper))
-        return moved < stabilize_tol
+        return moved < _STABILIZE_TOL
 
     rt = renorm_integrate(field, y0, z0, s_budget, opts, t0=t0, until=stabilized)
     s_stage = stages[passed - 1]
     if rt.base.status != "stopped":
         return BlowupVerdict("undetermined", None, av, s_stage, "budget_exhausted", rt)
-    if av.upper < -delta:
+    if av.upper < -_VERDICT_DELTA:
         t_b = _blowup_time_from_run(rt, av)
         return BlowupVerdict("blowup", t_b, av, s_stage, "stabilized", rt)
-    if av.lower > delta:
+    if av.lower > _VERDICT_DELTA:
         return BlowupVerdict("escape_to_infinity", None, av, s_stage, "stabilized", rt)
     return BlowupVerdict("undetermined", None, av, s_stage, "degenerate", rt)
 

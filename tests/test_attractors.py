@@ -632,3 +632,30 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
     assert res.outcome == "trapped" and len(runs) == 1
     stats = runs[0].stats
     assert stats.rhs_calls == calls[0] > 1 + 6 * (stats.accepted + stats.rejected)
+
+
+def test_max_step_reaches_every_internal_run(monkeypatch):
+    # every internal run inherits the caller's options with only the radius
+    # floor turned off, so a step cap bounds the cycle search, the escape
+    # probe (inside and outside the ball) and the family runs alike
+    from singularflow import integrators
+
+    caps = []
+    run = integrators._run
+
+    def recorded(rhs, x0, t0, t1, opts, *args, **kwargs):
+        caps.append(opts.max_step)
+        return run(rhs, x0, t0, t1, opts, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "_run", recorded)
+    opts = sf.IntegrationOptions(max_step=0.5)
+    spiral = sf.builtin_field("spiral2d", ALPHA)
+    cycle = sf.find_limit_cycle(spiral, [1.0, 0.0], opts)
+    searched = len(caps)
+    field = saddle()
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 0.1)
+    assert sf.rescaled_escape(field, rf, [-1.0, 0.0], opts).outcome == "expelled"
+    escaped = len(caps)
+    sf.build_cycle_family(spiral, cycle, 0.0, opts)
+    assert 0 < searched < escaped < len(caps)
+    assert set(caps) == {0.5}

@@ -175,6 +175,7 @@ def test_reproduce_figtriv(tmp_path):
     assert "figTriv_expel_right.csv" in names
     for f in manifest["files"]:
         assert (out / f["name"]).exists()
+        assert (out / f["name"]).read_text().split("\n")[0] == f["columns"]
     # the expelling curve passes through nu^{1/3} sigma / 2 at x = 0
     rows = (out / "figTriv_expel_right.csv").read_text().strip().split("\n")[1:]
     data = np.array([[float(v) for v in row.split(",")] for row in rows])
@@ -280,6 +281,7 @@ def test_reproduce_all_figures(tmp_path, figure):
     assert len(manifest["files"]) >= 2
     for f in manifest["files"]:
         assert (out / f["name"]).exists()
+        assert (out / f["name"]).read_text().split("\n")[0] == f["columns"]
 
 
 def test_sweep_is_deterministic(tmp_path):
@@ -368,3 +370,40 @@ def test_sweep_from_the_origin_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "x0 = 0" in err
+
+
+def test_classify_from_the_origin_exits_3(tmp_path, capsys):
+    # rejected by name before the catalog is written or anything divides by |x0|
+    cfg = write(tmp_path, "run.cfg", SADDLE_CFG.replace("x0 = -1.0, 0.0", "x0 = 0.0, 0.0"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["classify", cfg, "--outdir", str(out), "--quiet"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x0 = 0" in err
+    assert not list(out.iterdir())
+
+
+def test_simulate_from_the_origin_names_the_radius_as_a_float(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", SADDLE_CFG.replace("x0 = -1.0, 0.0", "x0 = 0.0, 0.0"))
+    assert main(["simulate", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "error: |x| = 0.0 below r_floor = 1e-300;" in capsys.readouterr().err
+
+
+def test_sweep_with_one_nu_compares_nothing(tmp_path):
+    # a single nu is a sweep of one run: it is written, and with no second
+    # run to compare it with the verdict stays undetermined
+    cfg = write(tmp_path, "run.cfg",
+                SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025", "nu = 0.1"))
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out), "--quiet"]) == 0
+    report = json.loads((out / "sweep.json").read_text())
+    assert report["nu"] == [0.1] and report["trajectory_files"] == ["nu_0.1.csv"]
+    assert report["verdict"] == "undetermined" and report["reference"] is None
+
+
+def test_sweep_without_radii_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025\n", ""))
+    assert main(["sweep", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "sweep needs nu.list" in capsys.readouterr().err

@@ -459,6 +459,23 @@ def test_sweep_nongeneric_direction_is_undetermined(saddle_sweep_grid):
     assert rep.reference == "non-generic blowup direction"
 
 
+def test_sweep_with_an_undetermined_escape_names_no_reference(saddle_sweep_grid):
+    # the escape probe (the blend at nu = 1) fails inside the ball, so
+    # nothing selects a limit: the runs are kept and no reference is named
+    field = sf.builtin_field("saddle2d", ALPHA)
+
+    def mk(nu):
+        if nu == 1.0:
+            return sf.RegularizedField(field, nu, lambda X: np.full(2, np.nan))
+        return sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+
+    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
+    assert rep.escape.outcome == "undetermined"
+    assert rep.verdict == "undetermined"
+    assert rep.reference is None and rep.family is None
+    assert all(sol is not None for sol in rep.solutions)
+
+
 def test_sweep_rejects_non_blowup_start(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
     mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
