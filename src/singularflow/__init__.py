@@ -45,7 +45,6 @@ from .errors import (
     SingularBlend,
     SingularFlowError,
     StepFailure,
-    TooManyCrossings,
     UnknownField,
     UnknownFigure,
 )

@@ -146,6 +146,8 @@ class RunConfig:
         t1 = float(take("t1", t0 + 1.0))
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ConfigError("t0 and t1 must be finite")
+        if not t1 > t0:
+            raise ConfigError(f"t1 must exceed t0 (got t0 = {t0!r}, t1 = {t1!r})")
         seed = int(take("seed", 0))
         outputs = take("outputs")
         try:

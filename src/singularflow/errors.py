@@ -44,10 +44,6 @@ class NoEventDirection(NoEvent):
     """Event function already on (or past) the crossing side at the start."""
 
 
-class TooManyCrossings(SingularFlowError):
-    """A regularized run crossed the ball boundary more often than allowed."""
-
-
 class NotBlowingUp(SingularFlowError):
     """Trajectory tail is not monotonically collapsing toward the origin."""
 

@@ -83,10 +83,18 @@ def eval_sphere_map(field: SingularField, y) -> np.ndarray:
 
 
 def eval_field(field: SingularField, x, r_floor: float = R_FLOOR_DEFAULT) -> np.ndarray:
-    """Evaluate the ideal field r^alpha * F(x/r); the origin is out of domain."""
+    """Evaluate the ideal field r^alpha * F(x/r); the origin is out of domain.
+
+    Raises OriginEvaluation below r_floor, and for a non-finite |x| (an
+    overflowed or NaN state), with a message that tells the two apart.
+    """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(x.dot(x))  # x.dot(x) is x @ x bit for bit, with less overhead
     if not r_floor <= r < np.inf:  # NaN fails both comparisons
+        if not np.isfinite(r):
+            raise OriginEvaluation(
+                f"|x| = {float(r)!r} is non-finite: the state overflowed or holds a NaN"
+            )
         raise OriginEvaluation(
             f"|x| = {float(r)!r} below r_floor = {float(r_floor)!r}; switch to a "
             "regularized or renormalized representation"

@@ -22,7 +22,6 @@ from .regularize import (
     integrate_regularized,
     make_polynomial_blend,
     make_preset_1d,
-    regularized_rhs,
 )
 
 FIGURE_IDS = ("fig1", "fig3", "fig3b", "fig6", "fig8n", "figTriv")
@@ -80,12 +79,12 @@ def _fig1(outdir):
 
 
 def _rescaled_trace(field, g0, tau_end):
-    rhs = regularized_rhs(make_polynomial_blend(field, g0, 1.0))
+    rf = make_polynomial_blend(field, g0, 1.0)
     y_star = np.array([-1.0, 0.0]) if field.dimension == 2 else np.array([0.0, 0.0, -1.0])
     fr = -1.0 if field.dimension == 2 else -0.5
     t_ent = tau_entry(fr, field.alpha)
-    opts = IntegrationOptions(rtol=1e-10, atol=1e-12, r_floor=0.0, max_step=0.5)
-    return integrate(rhs, y_star, t_ent, tau_end, opts)
+    opts = IntegrationOptions(rtol=1e-10, atol=1e-12, max_step=0.5)
+    return integrate_regularized(rf, y_star, t_ent, tau_end, opts)
 
 
 def _fig3(outdir):

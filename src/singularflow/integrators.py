@@ -80,14 +80,6 @@ class SolverStats:
     h_min: float = math.inf
     h_max: float = 0.0
 
-    def add(self, other: "SolverStats") -> None:
-        """Fold the counts of another run, such as a later segment, into these."""
-        self.rhs_calls += other.rhs_calls
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.h_min = min(self.h_min, other.h_min)
-        self.h_max = max(self.h_max, other.h_max)
-
 
 @dataclass
 class Trajectory:
@@ -471,8 +463,9 @@ def _locate_crossing(event, step, bracket):
     larger of the bracket's two end values, so an event of any scale (a
     radius floor of 1e-10, say) is located to the same relative accuracy,
     or the bracket is a few ulps wide.  A run that restarts from the
-    located state, such as a segment of integrate_regularized, then starts
-    on the side it crossed to.
+    located state, such as the next lap of a Poincare-section search or the
+    excursion rescaled_escape starts where its inside run leaves the unit
+    ball, then starts on the side it crossed to.
     """
     tp, yp, fp, tn, yn, fn = step
     y0, f0, y1, f1 = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist()

@@ -221,18 +221,17 @@ def test_classify_budget_exhaustion_exits_3(tmp_path):
     assert verdict["reason"] == "budget_exhausted"
 
 
-def test_simulate_crossing_limit_exits_3(tmp_path, monkeypatch, capsys):
-    import singularflow.regularize as reg
-
-    monkeypatch.setattr(reg, "_MAX_CROSSINGS", 1)
-    cfg = write(
-        tmp_path,
-        "run.cfg",
-        SADDLE_CFG.replace("t1 = 3.0", "t1 = 2.5")
-        + "regularization.kind = polynomial_blend\nregularization.g0 = 1.0, -2.0\nnu = 0.1\n",
-    )
-    assert main(["simulate", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 3
-    assert "crossings" in capsys.readouterr().err
+@pytest.mark.parametrize("regularized", [False, True])
+@pytest.mark.parametrize("t1", ["0.0", "-1.0"])
+def test_simulate_t1_not_above_t0_exits_2(tmp_path, capsys, regularized, t1):
+    text = SADDLE_CFG.replace("t1 = 3.0", f"t1 = {t1}")
+    if regularized:
+        text += "regularization.kind = polynomial_blend\nregularization.g0 = 1.0, -2.0\nnu = 0.1\n"
+    cfg = write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 2
+    assert "t1 must exceed t0" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -77,6 +77,16 @@ def test_eval_field_origin_guard():
     assert np.isfinite(sf.eval_field(f, [1e-3, 0.0], r_floor=1e-3)).all()  # the floor is in
 
 
+@pytest.mark.parametrize("bad, shown", [([np.inf, 0.0], "inf"), ([np.nan, 0.0], "nan")])
+def test_eval_field_names_a_non_finite_state(bad, shown):
+    # an overflowed or NaN state is not a state below the radius floor
+    f = sf.builtin_field("saddle2d", ALPHA)
+    with pytest.raises(sf.OriginEvaluation) as exc:
+        sf.eval_field(f, bad)
+    assert f"|x| = {shown} is non-finite" in str(exc.value)
+    assert "below r_floor" not in str(exc.value)
+
+
 def test_eval_field_is_the_formula_bitwise():
     f = sf.builtin_field("saddle2d", ALPHA)
     rng = np.random.default_rng(5)

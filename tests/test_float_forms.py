@@ -212,8 +212,9 @@ def test_regularized_run_sums_the_stats_of_its_segments():
     rf = sf.make_polynomial_blend(counting, [1.0, -2.0], 0.1)
     traj = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
     st = traj.stats
-    # the run enters and leaves the ball, so it has three segments; every
-    # right-hand-side call evaluates the map once (no state is at the centre)
+    # the run enters and leaves the ball; its stats count every
+    # right-hand-side call, each of which evaluates the map once (no state
+    # is at the centre)
     assert np.sum(np.diff(traj.radii() < 0.1) != 0) >= 2
     assert st.accepted == len(traj.times) - 1
     assert st.rhs_calls == calls[0]

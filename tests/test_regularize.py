@@ -168,30 +168,37 @@ def test_integrate_regularized_crosses_the_ball():
     r = traj.radii()
     assert r.min() < 0.1  # entered the ball
     assert r[-1] > 0.1  # and left it
-    # the entry time matches the collapse formula t_b - 1.5 nu^{2/3}
-    t_entry = traj.times[np.argmax(r < 0.1)]
-    assert t_entry == pytest.approx(1.5 - 1.5 * 0.1 ** (2 / 3), abs=1e-7)
+    # the entry time, bisected on the dense output for |x| = nu, matches the
+    # collapse formula t_b - 1.5 nu^{2/3}
+    k = np.argmax(r < 0.1)
+    lo, hi = traj.times[k - 1], traj.times[k]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(traj.sample(mid)[0]) > 0.1:
+            lo = mid
+        else:
+            hi = mid
+    assert hi == pytest.approx(1.5 - 1.5 * 0.1 ** (2 / 3), abs=1e-7)
 
 
-def test_integrate_regularized_last_segment_is_the_search_run():
-    # after the last crossing the event search runs on to t1; that run is the
-    # final segment, identical to integrating from the crossing afresh
+def test_integrate_regularized_is_one_run():
+    # the patched field is C^1, so the run is one integrate call on it,
+    # with no restart at the ball boundary
     rf = sf.make_polynomial_blend(saddle(), [1.0, -2.0], 0.1)
     traj = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
-    k = np.flatnonzero(np.abs(traj.radii() - 0.1) < 1e-9)[-1]  # the last crossing
-    tail = sf.integrate(regularized_rhs(rf), traj.states[k], traj.times[k], 2.5,
-                        sf.IntegrationOptions(r_floor=0.0))
-    assert np.array_equal(traj.times[k:], tail.times)
-    assert np.array_equal(traj.states[k:], tail.states)
+    ref = sf.integrate(regularized_rhs(rf), [-1.0, 0.0], 0.0, 2.5,
+                       sf.IntegrationOptions(r_floor=0.0))
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.derivs, ref.derivs)
+    assert traj.stats == ref.stats
 
 
-def test_integrate_regularized_crossing_limit(monkeypatch):
-    import singularflow.regularize as reg
-
-    monkeypatch.setattr(reg, "_MAX_CROSSINGS", 1)
+def test_integrate_regularized_needs_t1_above_t0():
     rf = sf.make_polynomial_blend(saddle(), [1.0, -2.0], 0.1)
-    with pytest.raises(sf.TooManyCrossings):
-        sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
+    for t1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t1 must exceed t0"):
+            sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, t1)
 
 
 def test_integrate_regularized_propagates_step_failure():
