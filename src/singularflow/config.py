@@ -198,6 +198,13 @@ class RunConfig:
                 float(take("sweep.t_stop", t1)),
                 int(take("sweep.t_points", 101)),
             )
+            a, b, npts = sweep_t
+            if not (t0 <= a < b < math.inf and npts >= 2):
+                raise ConfigError(
+                    "the sweep grid needs t0 <= sweep.t_start < sweep.t_stop, finite, and "
+                    f"sweep.t_points >= 2 (got t0 = {t0!r}, t_start = {a!r}, "
+                    f"t_stop = {b!r}, t_points = {npts})"
+                )
         s_budget = float(take("classify.s_budget", 2.0e4))
         if m:
             raise ConfigError(f"unknown config keys: {sorted(m)}")

@@ -33,8 +33,14 @@ import numpy as np
 from .attractors import _FP_SEEDS, AttractorInfo, EscapeResult, find_fixed_points, rescaled_escape
 from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
-from .integrators import DEFAULT_OPTIONS, IntegrationOptions, _integrate_to_crossing, integrate
-from .regularize import RegularizedField, integrate_regularized
+from .integrators import (
+    DEFAULT_OPTIONS,
+    IntegrationOptions,
+    SolverStats,
+    _integrate_to_crossing,
+    integrate,
+)
+from .regularize import RegularizedField, integrate_regularized, regularized_rhs
 from .renorm import classify_blowup, renormalized_system
 
 _MEAN_DELTA = 1e-6
@@ -51,6 +57,11 @@ _FAMILY_GRID = 2048
 _PANEL_ORDER = 12
 # time step of residual_check's central differences
 _RESIDUAL_STEP = 1e-6
+# the sweep's scaling probe: radii of its fixed points X, inside and outside
+# the unit ball, and the relative agreement f_nu(nu X) = nu^alpha f_1(X) must
+# reach at each of them
+_PROBE_RADII = (0.25, 0.75, 1.5, 4.0)
+_PROBE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +567,31 @@ def estimate_phase(fam: ContinuationFamily, t_grid, samples, n_grid: int = 720):
 # ---------------------------------------------------------------------------
 
 @dataclass
+class SweepRun:
+    """One integration a sweep made: the nu values it served and its cost.
+
+    scale is |x0| for the shared on-ray run and nu for a direct one.  status
+    is the trajectory's, or "failed" when the run raised without a partial
+    trajectory; stats is then None.
+    """
+
+    nu_indices: list
+    scale: float
+    status: str
+    stats: Optional[SolverStats] = None
+
+    def to_dict(self):
+        if self.stats is None:
+            stats = dict.fromkeys(f.name for f in dataclasses.fields(SolverStats))
+        else:
+            stats = dataclasses.asdict(self.stats)
+            if math.isinf(stats["h_min"]):
+                stats["h_min"] = None  # no step was accepted
+        return {"nu_indices": list(self.nu_indices), "scale": self.scale,
+                "status": self.status, **stats}
+
+
+@dataclass
 class SweepReport:
     nu_values: np.ndarray
     t_grid: np.ndarray
@@ -571,6 +607,7 @@ class SweepReport:
     decay_r2: Optional[float] = None
     escape: Optional[EscapeResult] = None
     family: Optional[ContinuationFamily] = None
+    runs: List[SweepRun] = dc_field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -587,6 +624,7 @@ class SweepReport:
             "distances": self.pairwise_sup_distances.tolist(),
             "errors": self.errors,
             "escape": None if self.escape is None else self.escape.to_dict(),
+            "runs": [r.to_dict() for r in self.runs],
         }
 
 
@@ -621,7 +659,31 @@ def inviscid_sweep(
     collapse ray, renormalized classification otherwise); the rescaled
     escape probe then decides which limit to compare against: the trivial
     rest solution, the unique ray, or the cycle family with a fitted phase.
-    Per-nu failures are recorded without aborting the sweep.
+    Per-nu failures are recorded without aborting the sweep.  t_grid must be
+    strictly increasing and start at or after t0 (ValueError otherwise).
+
+    A start on a stable collapse ray stays on it at every scale, and the
+    patched field scales exactly, f_nu(x) = nu^alpha f_1(x / nu).  So with
+    p = 1 - alpha, r0 = |x0| and X one run of the nu = 1 field from x0 / r0
+    at t0 / r0^p (the ball units of |x0|),
+
+        x_nu(t) = nu X(t_b / r0^p + (t - t_b) / nu^p),
+
+    and before that time reaches t0 / r0^p, x_nu is outside its ball on the
+    ray, where it is the closed form pre(t) of fixed_point_solutions.  The
+    sweep makes that one run, under opts, and samples it for every nu it
+    serves.  A nu is served when the start is on the ray and the blowup
+    direction generic, opts.max_step is infinite (a cap in the run's own
+    time would cost (t_end - t_b) / nu^p / max_step steps), t_grid ends
+    after t_b, nu <= |x0| (the start is outside the ball), and
+    make_regularization(nu) returns a field that passes a probe of the
+    contract the escape probe also relies on: make_regularization(nu)
+    equals make_regularization(1).with_nu(nu), checked as
+    f_nu(nu X) = nu^alpha f_1(X) to _PROBE_RTOL (1e-12) relative at fixed
+    points inside and outside the unit ball.  Every other nu is run
+    directly from x0 at t0.  A failure of the shared run fails every nu it
+    serves, and each error names the shared run and its scale.
+    report.runs lists every integration made, with its solver stats.
 
     No attractor catalog is built: the collapse direction is the nearest of
     the field's fixed points (those catalog_attractors would list), and the
@@ -631,6 +693,8 @@ def inviscid_sweep(
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not (t_grid.ndim == 1 and t_grid.size and t_grid[0] >= t0 and np.all(np.diff(t_grid) > 0)):
+        raise ValueError("t_grid must be strictly increasing and start at or after t0")
     nu_values = np.asarray(list(nu_list), dtype=float)
     r0 = float(np.linalg.norm(x0))
     if r0 == 0.0:
@@ -642,8 +706,8 @@ def inviscid_sweep(
     fps = [a for a in catalog if a.kind == "fixed_point"]
 
     star = min(fps, key=lambda a: a.distance_to(y0), default=None)
-    generic = True
-    if star is not None and star.distance_to(y0) < 1e-9 and star.label == "focusing":
+    on_ray = star is not None and star.distance_to(y0) < 1e-9 and star.label == "focusing"
+    if on_ray:
         t_b = blowup_time_on_ray(r0, star.mean_radial, field.alpha, t0)
         generic = star.stable
     else:
@@ -657,24 +721,60 @@ def inviscid_sweep(
         y_end = verdict.renorm.y[-1]
         star = min(fps, key=lambda a: a.distance_to(y_end), default=None)
         generic = star is not None and star.stable and star.distance_to(y_end) < 1e-6
-
-    # per-nu regularized runs
-    def run_one(nu):
-        rf = make_regularization(nu)
-        traj = integrate_regularized(rf, x0, t0, float(t_grid[-1]) * (1 + 1e-12), opts)
-        return traj.sample(t_grid)
-
-    solutions = []
-    errors = []
-    for res in map(_safe(run_one), nu_values):
-        if isinstance(res, Exception):
-            solutions.append(None)
-            errors.append(f"{type(res).__name__}: {res}")
-        else:
-            solutions.append(res)
-            errors.append(None)
+    # the nu = 1 field of the escape probe, and of the shared on-ray run
+    unit = make_regularization(1.0) if generic else None
 
     n = len(nu_values)
+    regs = [_safe(make_regularization)(nu) for nu in nu_values]
+    results = list(regs)  # per nu: its samples, or the exception that failed it
+    runs: List[SweepRun] = []
+    t_end = float(t_grid[-1]) * (1 + 1e-12)
+
+    shared = []
+    if on_ray and generic and opts.max_step == math.inf and t_grid[-1] > t_b:
+        shared = [
+            k for k in range(n)
+            if nu_values[k] <= r0 and not isinstance(regs[k], Exception)
+            and _safe(_scales_like)(regs[k], unit, field.alpha) is True
+        ]
+    if shared:
+        p = 1.0 - field.alpha
+        tau0, tau_b = t0 / r0**p, t_b / r0**p
+        tau_end = (tau_b + (t_end - t_b) / float(np.min(nu_values[shared])) ** p) * (1 + 1e-12)
+        X = _safe(_recorded)(
+            runs, shared, r0, lambda: integrate_regularized(unit, y0, tau0, tau_end, opts)
+        )
+        pre, _ = fixed_point_solutions(y0, star.mean_radial, t_b=t_b, alpha=field.alpha)
+
+        def sample(nu):
+            tau = tau_b + (t_grid - t_b) / nu**p
+            ahead = tau >= tau0  # x_nu has reached its ball, |x_nu| = nu
+            sol = np.empty((len(t_grid), len(x0)))
+            sol[~ahead] = pre(t_grid[~ahead])
+            sol[ahead] = nu * X.sample(tau[ahead])
+            return sol
+
+        for k in shared:
+            results[k] = X if isinstance(X, Exception) else _safe(sample)(float(nu_values[k]))
+
+    for k, rf in enumerate(regs):
+        if k in shared or isinstance(rf, Exception):
+            continue
+        traj = _safe(_recorded)(
+            runs, [k], float(nu_values[k]),
+            lambda: integrate_regularized(rf, x0, t0, t_end, opts),
+        )
+        results[k] = traj if isinstance(traj, Exception) else _safe(traj.sample)(t_grid)
+
+    solutions = [None if isinstance(res, Exception) else res for res in results]
+    errors = [
+        None if not isinstance(res, Exception)
+        else f"{type(res).__name__}: {res}" + (
+            f" (in the shared on-ray run at scale |x0| = {r0!r})" if k in shared else ""
+        )
+        for k, res in enumerate(results)
+    ]
+
     distances = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -685,16 +785,14 @@ def inviscid_sweep(
                 distances[i, j] = distances[j, i] = dd
 
     report = SweepReport(
-        nu_values, t_grid, solutions, errors, distances, "undetermined", t_b
+        nu_values, t_grid, solutions, errors, distances, "undetermined", t_b, runs=runs
     )
     if not generic:
         report.verdict = "undetermined"
         report.reference = "non-generic blowup direction"
         return report
 
-    esc = rescaled_escape(
-        field, make_regularization(1.0), star.location, opts, catalog=catalog
-    )
+    esc = rescaled_escape(field, unit, star.location, opts, catalog=catalog)
     report.escape = esc
     good = [k for k in range(n) if solutions[k] is not None]
     post = t_grid > t_b + 1e-12
@@ -761,12 +859,47 @@ _PROGRAMMING_ERRORS = (TypeError, KeyError, AttributeError, NameError)
 
 
 def _safe(fn):
-    def wrapped(arg):
+    def wrapped(*args):
         try:
-            return fn(arg)
+            return fn(*args)
         except _PROGRAMMING_ERRORS:
             raise
         except Exception as exc:  # per-nu isolation by design
             return exc
 
     return wrapped
+
+
+def _recorded(runs: List[SweepRun], indices, scale: float, run):
+    """run(), a regularized integration, listed in runs whether it returns or raises.
+
+    A failure is listed with the partial trajectory its exception carries,
+    if any.
+    """
+    try:
+        traj = run()
+    except Exception as exc:
+        traj = getattr(exc, "trajectory", None)
+        runs.append(SweepRun(list(indices), scale, "failed") if traj is None
+                    else SweepRun(list(indices), scale, traj.status, traj.stats))
+        raise
+    runs.append(SweepRun(list(indices), scale, traj.status, traj.stats))
+    return traj
+
+
+def _scales_like(rf: RegularizedField, unit: RegularizedField, alpha: float) -> bool:
+    """Whether f_nu(nu X) = nu^alpha f_1(X), to _PROBE_RTOL relative, at fixed X.
+
+    f_nu is rf's patched field and f_1 unit's; X runs over _PROBE_RADII
+    along fixed generic directions, no random draws.  A NaN value fails.
+    """
+    nu = float(rf.nu)
+    f_nu, f_1 = regularized_rhs(rf), regularized_rhs(unit)
+    k = np.arange(1.0, rf.base.dimension + 1.0)
+    for j, radius in enumerate(_PROBE_RADII):
+        v = np.cos(k * (j + 1.3))
+        X = radius * v / np.linalg.norm(v)
+        a, b = f_nu(0.0, nu * X), nu**alpha * f_1(0.0, X)
+        if not np.linalg.norm(a - b) <= _PROBE_RTOL * np.linalg.norm(b):
+            return False
+    return True

@@ -406,3 +406,36 @@ def test_sweep_without_radii_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025\n", ""))
     assert main(["sweep", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 2
     assert "sweep needs nu.list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "sweep.t_start = 2.5\nsweep.t_stop = 0.0\n",
+        "sweep.t_start = -0.5\nsweep.t_stop = 2.5\n",
+        "sweep.t_start = 0.0\nsweep.t_stop = 2.5\nsweep.t_points = 1\n",
+    ],
+)
+def test_sweep_grid_outside_the_run_exits_2(tmp_path, capsys, grid):
+    # a reversed grid, or one from before t0, used to fail every nu and
+    # write a sweep.json of errors
+    text = SWEEP_EXPEL_CFG.replace("sweep.t_start = 0.0\nsweep.t_stop = 2.5\nsweep.t_points = 61\n",
+                                   grid)
+    out = tmp_path / "out"
+    assert main(["sweep", write(tmp_path, "run.cfg", text), "--outdir", str(out), "--quiet"]) == 2
+    assert "sweep.t_start < sweep.t_stop" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
+
+
+def test_sweep_json_lists_its_runs(tmp_path):
+    # the on-ray expelling sweep makes one shared run serving all three radii
+    cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out), "--quiet"]) == 0
+    runs = json.loads((out / "sweep.json").read_text())["runs"]
+    assert len(runs) == 1
+    run = runs[0]
+    assert run["nu_indices"] == [0, 1, 2] and run["scale"] == 1.0
+    assert run["status"] == "completed"
+    assert run["accepted"] > 0 and run["rhs_calls"] > run["accepted"]
+    assert 0.0 < run["h_min"] <= run["h_max"]

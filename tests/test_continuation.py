@@ -502,6 +502,136 @@ def test_sweep_generic_blowup_start(g0, nus, verdict):
     assert rep.verdict == verdict
 
 
+def test_sweep_rejects_a_grid_that_is_not_increasing_or_starts_before_t0(saddle_sweep_grid):
+    # the shared run maps t_grid to its own time monotonically, and a direct
+    # run samples it from t0 on: either grid would have failed every nu
+    field = sf.builtin_field("saddle2d", ALPHA)
+    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    for t_grid in (saddle_sweep_grid[::-1], saddle_sweep_grid - 0.5, [0.0, 1.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sf.inviscid_sweep(field, mk, [-1.0, 0.0], t_grid, [0.1, 0.05])
+
+
+@pytest.fixture(scope="module")
+def cycle_sweep():
+    # the perfbench cycle config at chi = 0.7 (n = 1..9)
+    field = sf.builtin_field("sphere3d")
+    nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
+    t_grid = np.linspace(3.1, 4.0, 90)
+    mk = lambda nu: sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], nu)
+    return mk, t_grid, sf.inviscid_sweep(field, mk, [0.0, 0.0, -1.0], t_grid, nus)
+
+
+def test_on_ray_sweep_is_one_regularized_run(cycle_sweep):
+    _, _, rep = cycle_sweep
+    assert rep.reference == "cycle_family" and not any(rep.errors)
+    assert len(rep.runs) == 1
+    run = rep.runs[0]
+    assert run.nu_indices == list(range(9)) and run.scale == 1.0
+    assert run.status == "completed" and run.stats.accepted > 0
+    entry = rep.to_dict()["runs"][0]
+    assert entry["nu_indices"] == list(range(9)) and entry["h_min"] > 0
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_on_ray_sweep_matches_a_tight_reference(cycle_sweep, n):
+    # every nu of the shared run is within 1e-6 relative of a direct run in
+    # physical units at rtol 1e-13, atol 1e-20 (a direct run at the default
+    # tolerances is off by 7.6e-5 at n = 9: atol is atol / nu in ball units)
+    mk, t_grid, rep = cycle_sweep
+    nu = rep.nu_values[n - 1]
+    tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
+    ref = sf.integrate_regularized(mk(nu), [0.0, 0.0, -1.0], 0.0, 4.0 * (1 + 1e-12), tight)
+    ref = ref.sample(t_grid)
+    err = np.linalg.norm(rep.solutions[n - 1] - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.max(err) <= 1e-6
+
+
+def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
+    # samples from before x_nu reaches its ball come from pre(t) on the ray;
+    # every sample is checked against a tight direct run in physical units
+    field = sf.builtin_field("saddle2d", ALPHA)
+    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    t_grid = np.linspace(0.0, 2.5, 61)
+    nus = [0.1, 0.003125]
+    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], t_grid, nus)
+    assert [r.nu_indices for r in rep.runs] == [[0, 1]]
+    tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
+    for sol, nu in zip(rep.solutions, nus):
+        ref = sf.integrate_regularized(mk(nu), [-1.0, 0.0], 0.0, 2.5 * (1 + 1e-12), tight)
+        ref = ref.sample(t_grid)
+        err = np.linalg.norm(sol - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        before = 1.5 + (t_grid - 1.5) / nu ** (2.0 / 3.0) < 0.0  # t_b = 1.5, tau0 = 0
+        assert np.count_nonzero(before) >= 29
+        assert np.max(err[before]) <= 1e-9 and np.max(err) <= 1e-6
+
+
+def _nu_dependent_blend(field):
+    # g0 scaled by 1 + nu: make_regularization(nu) is not the nu = 1 field rescaled
+    return lambda nu: sf.make_polynomial_blend(field, [1.0 + nu, -2.0 * (1.0 + nu)], nu)
+
+
+@pytest.mark.parametrize(
+    "case, x0, nus, direct",
+    [
+        ("nu_dependent", [-1.0, 0.0], [0.1, 0.05], [0, 1]),
+        ("max_step", [-1.0, 0.0], [0.1, 0.05], [0, 1]),
+        ("nu_above_r0", [-1.0, 0.0], [2.0, 0.1], [0]),
+        ("off_ray", [math.cos(math.radians(160.0)), math.sin(math.radians(160.0))],
+         [0.1, 0.03, 0.01], [0, 1, 2]),
+    ],
+)
+def test_sweep_runs_the_nu_the_shared_run_cannot_serve_directly(case, x0, nus, direct):
+    # each is bitwise the direct run from x0 at t0, as before the shared run
+    field = sf.builtin_field("saddle2d", ALPHA)
+    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    if case == "nu_dependent":
+        mk = _nu_dependent_blend(field)
+    opts = sf.IntegrationOptions(max_step=0.5) if case == "max_step" else sf.IntegrationOptions()
+    t_grid = np.concatenate([np.linspace(0.0, 1.45, 8), np.linspace(1.8, 2.8, 48)])
+    rep = sf.inviscid_sweep(field, mk, x0, t_grid, nus, opts)
+    for k in direct:
+        traj = sf.integrate_regularized(mk(nus[k]), x0, 0.0, t_grid[-1] * (1 + 1e-12), opts)
+        assert np.array_equal(rep.solutions[k], traj.sample(t_grid))
+    direct_runs = [r for r in rep.runs if r.scale != 1.0]
+    assert [r.nu_indices for r in direct_runs] == [[k] for k in direct]
+    assert [r.scale for r in direct_runs] == [nus[k] for k in direct]
+    shared = [k for k in range(len(nus)) if k not in direct]
+    assert [r.nu_indices for r in rep.runs if r.scale == 1.0] == ([shared] if shared else [])
+
+
+def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypatch):
+    import singularflow.continuation as cont
+
+    field = sf.builtin_field("saddle2d", ALPHA)
+    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    real = cont.integrate_regularized
+    partial_stats = []
+
+    def underflowing(rf, x0, t0, t1, opts):
+        if rf.nu != 1.0:
+            return real(rf, x0, t0, t1, opts)
+        partial = dataclasses.replace(real(rf, x0, t0, t0 + 0.1, opts), status="step_failure")
+        partial_stats.append(partial.stats)
+        raise sf.StepFailure("synthetic underflow", partial)
+
+    monkeypatch.setattr(cont, "integrate_regularized", underflowing)
+    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
+    assert all(sol is None for sol in rep.solutions)
+    for err in rep.errors:
+        assert err.startswith("StepFailure: synthetic underflow")
+        assert "shared on-ray run at scale |x0| = 1.0" in err
+    assert len(rep.runs) == 1
+    run = rep.runs[0]
+    assert run.nu_indices == [0, 1, 2] and run.status == "step_failure"
+    assert run.stats == partial_stats[0] and run.stats.accepted > 0
+    assert rep.verdict == "undetermined"
+    # a run that failed before accepting a step has no smallest step
+    assert rep.runs[0].to_dict()["h_min"] > 0
+    bare = dataclasses.replace(run, stats=sf.SolverStats(rhs_calls=1))
+    assert bare.to_dict()["h_min"] is None and bare.to_dict()["h_max"] == 0.0
+
+
 def rotated_cycles(catalog, rows):
     """The catalog with each cycle's orbit table started rows samples later."""
     out = []
