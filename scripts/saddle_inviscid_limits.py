@@ -33,8 +33,8 @@ def main():
         ("trapping", [1.0, 1.3], [0.1 * 0.5**k for k in range(6)]),
         ("expelling", [1.0, -2.0], list(np.geomspace(0.1, args.nu_min, 5))),
     ):
-        mk = lambda nu: sf.make_polynomial_blend(field, g0, nu)
-        rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], t_grid, nus)
+        rf = sf.make_polynomial_blend(field, g0, 1.0)
+        rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
         print(f"[{tag}] verdict: {rep.verdict}")
         print(f"[{tag}] escape probe: {rep.escape.outcome} ({rep.escape.certificate})")
         if rep.decay_exponent is not None:

@@ -703,7 +703,7 @@ def rescaled_escape(
     fr_star = decompose(field, y_ent).radial
     t_ent = tau_entry(fr_star, field.alpha)
 
-    rhs = regularized_rhs(rf.with_nu(1.0))
+    rhs = regularized_rhs(dataclasses.replace(rf, nu=1.0))
     ball = _Sphere(1.0)
     if catalog is None:
         catalog = find_fixed_points(field, n_seeds=_FP_SEEDS)

@@ -51,11 +51,22 @@ def _make_outdir(path):
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from None
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None, so it is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _write_json(path, payload):
-    payload = dict(payload)
+    payload = _strict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -63,13 +74,11 @@ def _field_from_config(cfg: RunConfig):
     return builtin_field(cfg.field_name, cfg.alpha)
 
 
-def _regularization_factory(cfg: RunConfig, field):
+def _regularization(cfg: RunConfig, field, nu: float):
     if cfg.reg_kind == "polynomial_blend":
-        g0 = cfg.reg_g0
-        return lambda nu: make_polynomial_blend(field, g0, float(nu))
+        return make_polynomial_blend(field, cfg.reg_g0, nu)
     if cfg.reg_kind == "preset1d":
-        sigma = cfg.reg_sigma
-        return lambda nu: make_preset_1d(field, sigma, float(nu))
+        return make_preset_1d(field, cfg.reg_sigma, nu)
     return None
 
 
@@ -91,13 +100,12 @@ def _nu_values(cfg: RunConfig):
 def cmd_simulate(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int:
     field = _field_from_config(cfg)
     opts = _scaled_options(cfg.options, tol_scale)
-    factory = _regularization_factory(cfg, field)
     summary = {"field": cfg.field_name, "alpha": cfg.alpha, "t0": cfg.t0, "t1": cfg.t1}
     try:
-        if factory is not None:
+        if cfg.reg_kind is not None:
             if cfg.nu is None:
                 raise ConfigError("simulate with a regularization needs a nu value")
-            rf = factory(cfg.nu)
+            rf = _regularization(cfg, field, cfg.nu)
             traj = integrate_regularized(rf, cfg.x0, cfg.t0, cfg.t1, opts)
             summary["nu"] = cfg.nu
         else:
@@ -153,8 +161,8 @@ def cmd_classify(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
 def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int:
     field = _field_from_config(cfg)
     opts = _scaled_options(cfg.options, tol_scale)
-    factory = _regularization_factory(cfg, field)
-    if factory is None:
+    rf = _regularization(cfg, field, 1.0)
+    if rf is None:
         raise ConfigError("sweep needs a regularization.kind")
     nus = _nu_values(cfg)
     if not nus:
@@ -164,7 +172,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int
         t_grid = np.linspace(a, b, npts)
     else:
         t_grid = np.linspace(cfg.t0, cfg.t1, 201)
-    report = inviscid_sweep(field, factory, cfg.x0, t_grid, nus, opts, t0=cfg.t0)
+    report = inviscid_sweep(field, rf, cfg.x0, t_grid, nus, opts, t0=cfg.t0)
     payload = report.to_dict()
     payload["chi"] = cfg.geo["chi"] if cfg.geo else None
     csv_refs = []

@@ -84,6 +84,17 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def _radius(value, key: str) -> float:
+    """value as a regularization radius: a positive finite float, else ConfigError."""
+    try:
+        nu = float(value)
+    except (TypeError, ValueError):
+        nu = math.nan
+    if not (math.isfinite(nu) and nu > 0):
+        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+    return nu
+
+
 def emit_config(mapping: dict) -> str:
     return "\n".join(f"{k} = {_emit_value(v)}" for k, v in mapping.items()) + "\n"
 
@@ -176,10 +187,11 @@ class RunConfig:
                 raise ConfigError("preset1d needs regularization.sigma (+1, -1 or 0)")
 
         nu = take("nu")
-        nu = float(nu) if nu is not None else None
+        nu = _radius(nu, "nu") if nu is not None else None
         nu_list = take("nu.list")
-        if nu_list is not None and not isinstance(nu_list, list):
-            nu_list = [float(nu_list)]
+        if nu_list is not None:
+            nu_list = [_radius(v, "nu.list entry")
+                       for v in (nu_list if isinstance(nu_list, list) else [nu_list])]
         geo = None
         if any(k.startswith("nu.geometric.") for k in m):
             geo = {
@@ -189,8 +201,13 @@ class RunConfig:
                 "n_first": int(take("nu.geometric.n_first", 1)),
                 "n_last": int(take("nu.geometric.n_last", 5)),
             }
-            if geo["T"] <= 0 or geo["mean_fr"] <= 0:
-                raise ConfigError("nu.geometric needs positive T and mean_fr")
+            if not (0 < geo["T"] < math.inf and 0 < geo["mean_fr"] < math.inf
+                    and math.isfinite(geo["chi"])):
+                raise ConfigError("nu.geometric needs positive finite T and mean_fr, and finite chi")
+            if geo["n_last"] < geo["n_first"]:
+                raise ConfigError(
+                    f"nu.geometric.n_last ({geo['n_last']}) is below n_first ({geo['n_first']})"
+                )
         sweep_t = None
         if any(k.startswith("sweep.") for k in m):
             sweep_t = (

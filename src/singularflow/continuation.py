@@ -26,7 +26,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .integrators import (
     _integrate_to_crossing,
     integrate,
 )
-from .regularize import RegularizedField, integrate_regularized, regularized_rhs
+from .regularize import RegularizedField, integrate_regularized
 from .renorm import classify_blowup, renormalized_system
 
 _MEAN_DELTA = 1e-6
@@ -57,11 +57,6 @@ _FAMILY_GRID = 2048
 _PANEL_ORDER = 12
 # time step of residual_check's central differences
 _RESIDUAL_STEP = 1e-6
-# the sweep's scaling probe: radii of its fixed points X, inside and outside
-# the unit ball, and the relative agreement f_nu(nu X) = nu^alpha f_1(X) must
-# reach at each of them
-_PROBE_RADII = (0.25, 0.75, 1.5, 4.0)
-_PROBE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +639,7 @@ def blowup_time_on_ray(r0: float, f_r_star: float, alpha: float, t0: float = 0.0
 
 def inviscid_sweep(
     field: SingularField,
-    make_regularization: Callable[[float], RegularizedField],
+    regularization: RegularizedField,
     x0,
     t_grid,
     nu_list,
@@ -654,13 +649,15 @@ def inviscid_sweep(
 ) -> SweepReport:
     """Run the regularized problem for each nu and classify the limit.
 
-    make_regularization(nu) builds the regularized field for one nu value.
-    The blowup time is anchored on the ideal problem (closed form on the
-    collapse ray, renormalized classification otherwise); the rescaled
+    Only regularization's inner map matters: the field at a given nu is
+    dataclasses.replace(regularization, nu=nu), so it may be built at any
+    nu.  The blowup time is anchored on the ideal problem (closed form on
+    the collapse ray, renormalized classification otherwise); the rescaled
     escape probe then decides which limit to compare against: the trivial
     rest solution, the unique ray, or the cycle family with a fitted phase.
-    Per-nu failures are recorded without aborting the sweep.  t_grid must be
-    strictly increasing and start at or after t0 (ValueError otherwise).
+    Per-nu failures are recorded without aborting the sweep.  Every nu must
+    be positive and finite, and t_grid strictly increasing from t0 on
+    (ValueError otherwise).
 
     A start on a stable collapse ray stays on it at every scale, and the
     patched field scales exactly, f_nu(x) = nu^alpha f_1(x / nu).  So with
@@ -675,14 +672,9 @@ def inviscid_sweep(
     serves.  A nu is served when the start is on the ray and the blowup
     direction generic, opts.max_step is infinite (a cap in the run's own
     time would cost (t_end - t_b) / nu^p / max_step steps), t_grid ends
-    after t_b, nu <= |x0| (the start is outside the ball), and
-    make_regularization(nu) returns a field that passes a probe of the
-    contract the escape probe also relies on: make_regularization(nu)
-    equals make_regularization(1).with_nu(nu), checked as
-    f_nu(nu X) = nu^alpha f_1(X) to _PROBE_RTOL (1e-12) relative at fixed
-    points inside and outside the unit ball.  Every other nu is run
-    directly from x0 at t0.  A failure of the shared run fails every nu it
-    serves, and each error names the shared run and its scale.
+    after t_b, and nu <= |x0| (the start is outside the ball).  Every other
+    nu is run directly from x0 at t0.  A failure of the shared run fails
+    every nu it serves, and each error names the shared run and its scale.
     report.runs lists every integration made, with its solver stats.
 
     No attractor catalog is built: the collapse direction is the nearest of
@@ -696,6 +688,9 @@ def inviscid_sweep(
     if not (t_grid.ndim == 1 and t_grid.size and t_grid[0] >= t0 and np.all(np.diff(t_grid) > 0)):
         raise ValueError("t_grid must be strictly increasing and start at or after t0")
     nu_values = np.asarray(list(nu_list), dtype=float)
+    bad = nu_values[~(np.isfinite(nu_values) & (nu_values > 0))]
+    if bad.size:
+        raise ValueError(f"every nu must be positive and finite, got {float(bad[0])!r}")
     r0 = float(np.linalg.norm(x0))
     if r0 == 0.0:
         raise ValueError("the sweep starts at x0 = 0, the singular point, which has no direction")
@@ -722,21 +717,16 @@ def inviscid_sweep(
         star = min(fps, key=lambda a: a.distance_to(y_end), default=None)
         generic = star is not None and star.stable and star.distance_to(y_end) < 1e-6
     # the nu = 1 field of the escape probe, and of the shared on-ray run
-    unit = make_regularization(1.0) if generic else None
+    unit = dataclasses.replace(regularization, nu=1.0)
 
     n = len(nu_values)
-    regs = [_safe(make_regularization)(nu) for nu in nu_values]
-    results = list(regs)  # per nu: its samples, or the exception that failed it
+    results = [None] * n  # per nu: its samples, or the exception that failed it
     runs: List[SweepRun] = []
     t_end = float(t_grid[-1]) * (1 + 1e-12)
 
     shared = []
     if on_ray and generic and opts.max_step == math.inf and t_grid[-1] > t_b:
-        shared = [
-            k for k in range(n)
-            if nu_values[k] <= r0 and not isinstance(regs[k], Exception)
-            and _safe(_scales_like)(regs[k], unit, field.alpha) is True
-        ]
+        shared = [k for k in range(n) if nu_values[k] <= r0]
     if shared:
         p = 1.0 - field.alpha
         tau0, tau_b = t0 / r0**p, t_b / r0**p
@@ -757,12 +747,13 @@ def inviscid_sweep(
         for k in shared:
             results[k] = X if isinstance(X, Exception) else _safe(sample)(float(nu_values[k]))
 
-    for k, rf in enumerate(regs):
-        if k in shared or isinstance(rf, Exception):
+    for k in range(n):
+        if k in shared:
             continue
+        nu = float(nu_values[k])
+        rf = dataclasses.replace(regularization, nu=nu)
         traj = _safe(_recorded)(
-            runs, [k], float(nu_values[k]),
-            lambda: integrate_regularized(rf, x0, t0, t_end, opts),
+            runs, [k], nu, lambda: integrate_regularized(rf, x0, t0, t_end, opts)
         )
         results[k] = traj if isinstance(traj, Exception) else _safe(traj.sample)(t_grid)
 
@@ -885,21 +876,3 @@ def _recorded(runs: List[SweepRun], indices, scale: float, run):
         raise
     runs.append(SweepRun(list(indices), scale, traj.status, traj.stats))
     return traj
-
-
-def _scales_like(rf: RegularizedField, unit: RegularizedField, alpha: float) -> bool:
-    """Whether f_nu(nu X) = nu^alpha f_1(X), to _PROBE_RTOL relative, at fixed X.
-
-    f_nu is rf's patched field and f_1 unit's; X runs over _PROBE_RADII
-    along fixed generic directions, no random draws.  A NaN value fails.
-    """
-    nu = float(rf.nu)
-    f_nu, f_1 = regularized_rhs(rf), regularized_rhs(unit)
-    k = np.arange(1.0, rf.base.dimension + 1.0)
-    for j, radius in enumerate(_PROBE_RADII):
-        v = np.cos(k * (j + 1.3))
-        X = radius * v / np.linalg.norm(v)
-        a, b = f_nu(0.0, nu * X), nu**alpha * f_1(0.0, X)
-        if not np.linalg.norm(a - b) <= _PROBE_RTOL * np.linalg.norm(b):
-            return False
-    return True

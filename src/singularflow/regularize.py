@@ -58,9 +58,6 @@ class RegularizedField:
         if not self.nu > 0:
             raise ValueError("nu must be positive")
 
-    def with_nu(self, nu: float) -> "RegularizedField":
-        return RegularizedField(self.base, nu, self.inner_map, self.blend_kind)
-
 
 def _power(r, a):
     """r ** a on Python floats, overflowing to inf as NumPy does (r > 0)."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singularflow.cli import main
+from singularflow.errors import StepFailure
 
 POWER_CFG = """
 field = power1d
@@ -439,3 +440,54 @@ def test_sweep_json_lists_its_runs(tmp_path):
     assert run["status"] == "completed"
     assert run["accepted"] > 0 and run["rhs_calls"] > run["accepted"]
     assert 0.0 < run["h_min"] <= run["h_max"]
+
+
+@pytest.mark.parametrize(
+    "command, radii, fragment",
+    [
+        ("sweep", "nu.list = 0.1, 0.05, -0.025, 0.0", "nu.list entry must be positive"),
+        ("sweep", "nu.list = 0.1, 0.05, inf", "nu.list entry must be positive"),
+        ("sweep", "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+                  "nu.geometric.n_first = 5\nnu.geometric.n_last = 4", "n_last (4)"),
+        ("simulate", "nu = 0", "nu must be positive"),
+        ("simulate", "nu = nan", "nu must be positive"),
+    ],
+)
+def test_unusable_radii_exit_2_and_write_nothing(tmp_path, capsys, command, radii, fragment):
+    # a radius that is not positive and finite, or an empty nu.geometric
+    # range, is a configuration error: nothing runs and nothing is written
+    cfg = write(tmp_path, "run.cfg",
+                SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025", radii))
+    out = tmp_path / "out"
+    assert main([command, cfg, "--outdir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and fragment in err
+    assert not list(out.iterdir())
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sweep_json_is_strict_json(tmp_path, monkeypatch):
+    # nu = 2 > |x0| is run directly, and fails: its distances are not
+    # numbers, and are written as null, not as a bare NaN token
+    import singularflow.continuation as cont
+
+    real = cont.integrate_regularized
+
+    def failing(rf, x0, t0, t1, opts):
+        if rf.nu == 2.0:
+            raise StepFailure("synthetic failure")
+        return real(rf, x0, t0, t1, opts)
+
+    monkeypatch.setattr(cont, "integrate_regularized", failing)
+    cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025",
+                                                             "nu.list = 2.0, 0.1, 0.05"))
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out), "--quiet"]) == 0
+    report = json.loads((out / "sweep.json").read_text(), parse_constant=_reject_constant)
+    assert report["errors"][0].startswith("StepFailure: synthetic failure")
+    d = report["distances"]
+    assert d[0] == [0.0, None, None] and d[1][0] is None and d[2][0] is None
+    assert d[1][2] == d[2][1] > 0.0

@@ -71,6 +71,27 @@ def test_single_element_list_round_trip():
         ),
         ("no equals sign here", "key"),
         ("field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0\nintegrator.rtol = -1", "positive"),
+        # a radius is positive and finite, and a geometric spec yields at least one
+        *(
+            (f"field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0\n{line}", fragment)
+            for line, fragment in [
+                ("nu = 0", "nu must be positive and finite"),
+                ("nu = -0.1", "nu must be positive and finite"),
+                ("nu = nan", "nu must be positive and finite"),
+                ("nu = inf", "nu must be positive and finite"),
+                ("nu = abc", "nu must be positive and finite"),
+                ("nu.list = 0.1, 0.05, -0.025, 0.0", "nu.list entry must be positive"),
+                ("nu.list = 0.1, 0.05, inf", "nu.list entry must be positive"),
+                ("nu.list = 0.1, nan", "nu.list entry must be positive"),
+                ("nu.list = 0.0", "nu.list entry must be positive"),
+                ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\n"
+                 "nu.geometric.n_first = 5\nnu.geometric.n_last = 4", "n_last (4)"),
+                ("nu.geometric.T = nan\nnu.geometric.mean_fr = 0.25", "positive finite T"),
+                ("nu.geometric.T = inf\nnu.geometric.mean_fr = 0.25", "positive finite T"),
+                ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.chi = nan",
+                 "finite chi"),
+            ]
+        ),
     ],
 )
 def test_validation_errors(text, fragment):

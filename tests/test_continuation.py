@@ -397,9 +397,9 @@ def saddle_sweep_grid():
 
 def test_sweep_trapping_verdict(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, 1.3], nu)
+    rf = sf.make_polynomial_blend(field, [1.0, 1.3], 1.0)
     nus = [0.1 * 0.5**k for k in range(6)]
-    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, nus)
+    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, nus)
     assert rep.verdict == "trivial_zero"
     assert rep.t_b == pytest.approx(1.5, abs=1e-9)
     assert rep.decay_exponent > 0
@@ -412,8 +412,8 @@ def test_sweep_trapping_verdict(saddle_sweep_grid):
 
 def test_sweep_expelling_verdict(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
     assert rep.verdict == "converged_to(fixed_ray)"
     assert rep.reference == "fixed_ray"
     assert rep.escape.outcome == "expelled"
@@ -423,53 +423,66 @@ def test_sweep_expelling_verdict(saddle_sweep_grid):
     assert np.all(np.diag(D) == 0)
 
 
-def test_sweep_records_per_nu_failures(saddle_sweep_grid):
+OFF_RAY_X0 = [math.cos(math.radians(160.0)), math.sin(math.radians(160.0))]
+OFF_RAY_GRID = np.concatenate([np.linspace(0.0, 1.7, 8), np.linspace(1.8, 2.8, 48)])
+
+
+def _failing_below(monkeypatch, exc_type, message):
+    """Make every regularized run of the sweep at nu < 0.05 raise exc_type(message)."""
+    import singularflow.continuation as cont
+
+    real = cont.integrate_regularized
+
+    def failing(rf, x0, t0, t1, opts):
+        if rf.nu < 0.05:
+            raise exc_type(message)
+        return real(rf, x0, t0, t1, opts)
+
+    monkeypatch.setattr(cont, "integrate_regularized", failing)
+
+
+def test_sweep_records_per_nu_failures(monkeypatch):
+    # off the ray every nu is its own run, and a failed run fails its nu only
     field = sf.builtin_field("saddle2d", ALPHA)
-
-    def mk(nu):
-        if nu < 0.05:
-            raise RuntimeError("synthetic failure")
-        return sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-
-    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.02])
+    _failing_below(monkeypatch, sf.StepFailure, "synthetic failure")
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    rep = sf.inviscid_sweep(field, rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.05, 0.02])
     assert rep.solutions[2] is None
     assert "synthetic failure" in rep.errors[2]
-    assert rep.solutions[0] is not None
+    assert rep.solutions[0] is not None and rep.solutions[1] is not None
+    assert [(r.nu_indices, r.status) for r in rep.runs] == [
+        ([0], "completed"), ([1], "completed"), ([2], "failed")
+    ]
 
 
-def test_sweep_propagates_programming_errors(saddle_sweep_grid):
-    # a TypeError is a bug in the caller's code, not a failure of one nu
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # a TypeError is a bug in the code, not a failure of one nu
     field = sf.builtin_field("saddle2d", ALPHA)
-
-    def mk(nu):
-        if nu < 0.05:
-            raise TypeError("synthetic bug")
-        return sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-
+    _failing_below(monkeypatch, TypeError, "synthetic bug")
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     with pytest.raises(TypeError, match="synthetic bug"):
-        sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.02])
+        sf.inviscid_sweep(field, rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.02])
 
 
 def test_sweep_nongeneric_direction_is_undetermined(saddle_sweep_grid):
     # the downward axis collapses onto the unstable direction (zero measure)
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-    rep = sf.inviscid_sweep(field, mk, [0.0, -1.0], saddle_sweep_grid, [0.1, 0.05])
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    rep = sf.inviscid_sweep(field, rf, [0.0, -1.0], saddle_sweep_grid, [0.1, 0.05])
     assert rep.verdict == "undetermined"
     assert rep.reference == "non-generic blowup direction"
 
 
-def test_sweep_with_an_undetermined_escape_names_no_reference(saddle_sweep_grid):
-    # the escape probe (the blend at nu = 1) fails inside the ball, so
-    # nothing selects a limit: the runs are kept and no reference is named
+def test_sweep_with_an_undetermined_escape_names_no_reference(saddle_sweep_grid, monkeypatch):
+    # the escape probe decides nothing, so nothing selects a limit: the runs
+    # are kept and no reference is named
+    import singularflow.continuation as cont
+
     field = sf.builtin_field("saddle2d", ALPHA)
-
-    def mk(nu):
-        if nu == 1.0:
-            return sf.RegularizedField(field, nu, lambda X: np.full(2, np.nan))
-        return sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-
-    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
+    undetermined = sf.EscapeResult("undetermined", 0.0, certificate="synthetic: no decision")
+    monkeypatch.setattr(cont, "rescaled_escape", lambda *args, **kwargs: undetermined)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
     assert rep.escape.outcome == "undetermined"
     assert rep.verdict == "undetermined"
     assert rep.reference is None and rep.family is None
@@ -478,9 +491,9 @@ def test_sweep_with_an_undetermined_escape_names_no_reference(saddle_sweep_grid)
 
 def test_sweep_rejects_non_blowup_start(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     with pytest.raises(ValueError):
-        sf.inviscid_sweep(field, mk, [1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
+        sf.inviscid_sweep(field, rf, [1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
 
 
 @pytest.mark.parametrize(
@@ -494,10 +507,8 @@ def test_sweep_generic_blowup_start(g0, nus, verdict):
     # off the collapse ray, t_b comes from classify_blowup and the collapse
     # direction from the fixed point its renormalized run ends on
     field = sf.builtin_field("saddle2d", ALPHA)
-    th = math.radians(160.0)
-    t_grid = np.concatenate([np.linspace(0.0, 1.7, 8), np.linspace(1.8, 2.8, 48)])
-    mk = lambda nu: sf.make_polynomial_blend(field, g0, nu)
-    rep = sf.inviscid_sweep(field, mk, [math.cos(th), math.sin(th)], t_grid, nus)
+    rf = sf.make_polynomial_blend(field, g0, 1.0)
+    rep = sf.inviscid_sweep(field, rf, OFF_RAY_X0, OFF_RAY_GRID, nus)
     assert rep.t_b == pytest.approx(1.76047, abs=1e-5)
     assert rep.verdict == verdict
 
@@ -506,10 +517,19 @@ def test_sweep_rejects_a_grid_that_is_not_increasing_or_starts_before_t0(saddle_
     # the shared run maps t_grid to its own time monotonically, and a direct
     # run samples it from t0 on: either grid would have failed every nu
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     for t_grid in (saddle_sweep_grid[::-1], saddle_sweep_grid - 0.5, [0.0, 1.0, 1.0, 2.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            sf.inviscid_sweep(field, mk, [-1.0, 0.0], t_grid, [0.1, 0.05])
+            sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, [0.1, 0.05])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.05, math.nan, math.inf])
+def test_sweep_rejects_a_nu_that_is_not_positive_and_finite(saddle_sweep_grid, bad):
+    # every nu's field is the given one at that nu, which must be a radius
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, bad, 0.025])
 
 
 @pytest.fixture(scope="module")
@@ -518,8 +538,8 @@ def cycle_sweep():
     field = sf.builtin_field("sphere3d")
     nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
     t_grid = np.linspace(3.1, 4.0, 90)
-    mk = lambda nu: sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], nu)
-    return mk, t_grid, sf.inviscid_sweep(field, mk, [0.0, 0.0, -1.0], t_grid, nus)
+    rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
+    return rf, t_grid, sf.inviscid_sweep(field, rf, [0.0, 0.0, -1.0], t_grid, nus)
 
 
 def test_on_ray_sweep_is_one_regularized_run(cycle_sweep):
@@ -538,10 +558,12 @@ def test_on_ray_sweep_matches_a_tight_reference(cycle_sweep, n):
     # every nu of the shared run is within 1e-6 relative of a direct run in
     # physical units at rtol 1e-13, atol 1e-20 (a direct run at the default
     # tolerances is off by 7.6e-5 at n = 9: atol is atol / nu in ball units)
-    mk, t_grid, rep = cycle_sweep
+    rf, t_grid, rep = cycle_sweep
     nu = rep.nu_values[n - 1]
     tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
-    ref = sf.integrate_regularized(mk(nu), [0.0, 0.0, -1.0], 0.0, 4.0 * (1 + 1e-12), tight)
+    ref = sf.integrate_regularized(
+        dataclasses.replace(rf, nu=nu), [0.0, 0.0, -1.0], 0.0, 4.0 * (1 + 1e-12), tight
+    )
     ref = ref.sample(t_grid)
     err = np.linalg.norm(rep.solutions[n - 1] - ref, axis=1) / np.linalg.norm(ref, axis=1)
     assert np.max(err) <= 1e-6
@@ -551,14 +573,16 @@ def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
     # samples from before x_nu reaches its ball come from pre(t) on the ray;
     # every sample is checked against a tight direct run in physical units
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     t_grid = np.linspace(0.0, 2.5, 61)
     nus = [0.1, 0.003125]
-    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], t_grid, nus)
+    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
     assert [r.nu_indices for r in rep.runs] == [[0, 1]]
     tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
     for sol, nu in zip(rep.solutions, nus):
-        ref = sf.integrate_regularized(mk(nu), [-1.0, 0.0], 0.0, 2.5 * (1 + 1e-12), tight)
+        ref = sf.integrate_regularized(
+            dataclasses.replace(rf, nu=nu), [-1.0, 0.0], 0.0, 2.5 * (1 + 1e-12), tight
+        )
         ref = ref.sample(t_grid)
         err = np.linalg.norm(sol - ref, axis=1) / np.linalg.norm(ref, axis=1)
         before = 1.5 + (t_grid - 1.5) / nu ** (2.0 / 3.0) < 0.0  # t_b = 1.5, tau0 = 0
@@ -566,15 +590,10 @@ def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
         assert np.max(err[before]) <= 1e-9 and np.max(err) <= 1e-6
 
 
-def _nu_dependent_blend(field):
-    # g0 scaled by 1 + nu: make_regularization(nu) is not the nu = 1 field rescaled
-    return lambda nu: sf.make_polynomial_blend(field, [1.0 + nu, -2.0 * (1.0 + nu)], nu)
-
-
 @pytest.mark.parametrize(
     "case, x0, nus, direct",
     [
-        ("nu_dependent", [-1.0, 0.0], [0.1, 0.05], [0, 1]),
+        ("grid_before_t_b", [-1.0, 0.0], [0.1, 0.05], [0, 1]),
         ("max_step", [-1.0, 0.0], [0.1, 0.05], [0, 1]),
         ("nu_above_r0", [-1.0, 0.0], [2.0, 0.1], [0]),
         ("off_ray", [math.cos(math.radians(160.0)), math.sin(math.radians(160.0))],
@@ -584,14 +603,16 @@ def _nu_dependent_blend(field):
 def test_sweep_runs_the_nu_the_shared_run_cannot_serve_directly(case, x0, nus, direct):
     # each is bitwise the direct run from x0 at t0, as before the shared run
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-    if case == "nu_dependent":
-        mk = _nu_dependent_blend(field)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     opts = sf.IntegrationOptions(max_step=0.5) if case == "max_step" else sf.IntegrationOptions()
     t_grid = np.concatenate([np.linspace(0.0, 1.45, 8), np.linspace(1.8, 2.8, 48)])
-    rep = sf.inviscid_sweep(field, mk, x0, t_grid, nus, opts)
+    if case == "grid_before_t_b":
+        t_grid = t_grid[:8]  # t_b = 1.5
+    rep = sf.inviscid_sweep(field, rf, x0, t_grid, nus, opts)
     for k in direct:
-        traj = sf.integrate_regularized(mk(nus[k]), x0, 0.0, t_grid[-1] * (1 + 1e-12), opts)
+        traj = sf.integrate_regularized(
+            dataclasses.replace(rf, nu=nus[k]), x0, 0.0, t_grid[-1] * (1 + 1e-12), opts
+        )
         assert np.array_equal(rep.solutions[k], traj.sample(t_grid))
     direct_runs = [r for r in rep.runs if r.scale != 1.0]
     assert [r.nu_indices for r in direct_runs] == [[k] for k in direct]
@@ -604,7 +625,7 @@ def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypa
     import singularflow.continuation as cont
 
     field = sf.builtin_field("saddle2d", ALPHA)
-    mk = lambda nu: sf.make_polynomial_blend(field, [1.0, -2.0], nu)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     real = cont.integrate_regularized
     partial_stats = []
 
@@ -616,7 +637,7 @@ def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypa
         raise sf.StepFailure("synthetic underflow", partial)
 
     monkeypatch.setattr(cont, "integrate_regularized", underflowing)
-    rep = sf.inviscid_sweep(field, mk, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
+    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
     assert all(sol is None for sol in rep.solutions)
     for err in rep.errors:
         assert err.startswith("StepFailure: synthetic underflow")
@@ -650,10 +671,10 @@ def test_sweep_phase_origin_is_intrinsic():
     field = sf.builtin_field("sphere3d")
     nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
     t_grid = np.linspace(3.1, 4.0, 90)
-    mk = lambda nu: sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], nu)
+    rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
     catalog = sf.catalog_attractors(field)
     reports = [
-        sf.inviscid_sweep(field, mk, [0.0, 0.0, -1.0], t_grid, nus, catalog=cat)
+        sf.inviscid_sweep(field, rf, [0.0, 0.0, -1.0], t_grid, nus, catalog=cat)
         for cat in (None, catalog, rotated_cycles(catalog, 300))
     ]
     span = reports[0].family.zeta_period

@@ -30,6 +30,46 @@ def test_power1d_closed_form():
     assert traj.final_state[0] == pytest.approx(exact, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [-1.9, -1.25, -0.5, 0.0, 1.0 / 3.0, 0.6, 0.9])
+def test_power1d_closed_form_across_alpha(alpha):
+    # dx/dt = sgn(x)|x|^alpha points away from the origin on both sides:
+    # from x0 = +-1, x(t) = +-(1 + (1 - alpha) t)^(1/(1 - alpha))
+    field = sf.builtin_field("power1d", alpha)
+    rhs = lambda t, x: sf.eval_field(field, x)
+    opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-15)
+    p = 1.0 - alpha
+    for sign in (1.0, -1.0):
+        traj = sf.integrate(rhs, [sign], 0.0, 2.0, opts)
+        assert traj.status == "completed" and traj.t_end == 2.0
+        # at the accepted steps, clear of the dense output's interpolation error
+        exact = sign * (1.0 + p * traj.times) ** (1.0 / p)
+        assert np.max(np.abs(traj.states[:, 0] / exact - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "name, alpha, x0",
+    [
+        ("spiral2d", 1.0 / 3.0, [1.0, 0.0]),
+        ("saddle2d", -0.5, [math.cos(0.7), math.sin(0.7)]),
+        ("sphere3d", None, [0.6, 0.0, 0.8]),
+    ],
+)
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 7.0, 1e3])
+def test_integrate_is_scaling_equivariant(name, alpha, x0, lam):
+    # f(lam x) = lam^alpha f(x), so the run from lam x0 at lam^(1 - alpha) t
+    # is lam times the run from x0 at t
+    field = sf.builtin_field(name, alpha)
+    rhs = lambda t, x: sf.eval_field(field, x)
+    opts = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
+    c = lam ** (1.0 - field.alpha)
+    ts = np.linspace(0.0, 2.0, 41)
+    base = sf.integrate(rhs, x0, 0.0, 2.0 * (1 + 1e-12), opts).sample(ts)
+    scaled = sf.integrate(rhs, lam * np.array(x0), 0.0, 2.0 * c * (1 + 1e-12), opts)
+    got = scaled.sample(c * ts) / lam
+    err = np.linalg.norm(got - base, axis=1) / np.linalg.norm(base, axis=1)
+    assert np.max(err) <= 1e-9
+
+
 def test_zero_rhs_constant():
     traj = sf.integrate(lambda t, x: np.zeros_like(x), [1.0, -2.0], 0.0, 5.0)
     assert np.all(traj.states == traj.states[0])
