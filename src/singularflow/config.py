@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .continuation import geometric_sequence
 from .errors import ConfigError
 from .fields import BUILTIN_NAMES
 from .integrators import IntegrationOptions
@@ -208,6 +209,12 @@ class RunConfig:
                 raise ConfigError(
                     f"nu.geometric.n_last ({geo['n_last']}) is below n_first ({geo['n_first']})"
                 )
+            # nu_n is monotone in n: the two ends bound every radius of the range
+            ends = (geo["n_first"], geo["n_last"])
+            with np.errstate(over="ignore"):  # an end that overflows is inf, and rejected
+                nus = geometric_sequence(geo["T"], geo["mean_fr"], geo["chi"], ends)
+            for n, nu_n in zip(ends, nus):
+                _radius(float(nu_n), f"nu.geometric radius at n = {n}")
         sweep_t = None
         if any(k.startswith("sweep.") for k in m):
             sweep_t = (

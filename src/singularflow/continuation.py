@@ -44,8 +44,9 @@ from .regularize import RegularizedField, integrate_regularized
 from .renorm import classify_blowup, renormalized_system
 
 _MEAN_DELTA = 1e-6
-# phases per broadcast block of the estimate_phase scan: with the 90-point
-# time grids of the sweeps, the scan's temporaries peak near 0.5 MB
+# phases per broadcast block of the _fit_phases scan, whose family points
+# every sample set of a sweep shares: with the 90-point time grids of the
+# sweeps, the scan's temporaries peak near 0.5 MB
 _SCAN_BLOCK = 90
 # a coordinate whose range over a cycle's orbit table exceeds this varies on it
 _ANCHOR_RANGE = 1e-3
@@ -519,42 +520,55 @@ def estimate_phase(fam: ContinuationFamily, t_grid, samples, n_grid: int = 720):
 
     Coarse scan over n_grid phases, then golden-section refinement; returns
     (zeta, sup_distance, uncertainty) with zeta reduced to [0, zeta_period).
-    fam must be a cycle family (ValueError otherwise).  The scan evaluates
-    blocks of phases at once, each giving the same distances as one fam.eval
-    per phase.
+    fam must be a cycle family (ValueError otherwise).  This is _fit_phases
+    on one sample set, which inviscid_sweep calls on all its radii at once.
     """
     if fam.kind != "cycle_family":
         raise ValueError("estimate_phase needs a cycle_family")
-    t_grid = np.asarray(t_grid, dtype=float)
-    samples = np.asarray(samples, dtype=float)
+    return _fit_phases(fam, t_grid, [samples], n_grid)[0]
+
+
+def _fit_phases(fam: ContinuationFamily, t_grid, sample_sets, n_grid: int = 720):
+    """estimate_phase for each sample set on the same t_grid, in one pass.
+
+    The scan evaluates blocks of phases once and measures every set against
+    them; the golden-section steps run for all sets in lockstep, one family
+    evaluation per step.  Every family entry is computed elementwise, so each
+    set gets the bits of a fit of its own with one fam.eval per phase.
+    """
+    dt = fam._elapsed(np.asarray(t_grid, dtype=float))
+    sets = np.asarray(sample_sets, dtype=float)
     span = fam.zeta_period
 
-    def dist(z):
-        return float(np.max(np.linalg.norm(samples - fam.eval(t_grid, z), axis=1)))
+    def sup_dist(samples, points):  # np.linalg.norm's own formula for real q
+        q = samples - points
+        q *= q
+        return np.max(np.sqrt(np.add.reduce(q, axis=-1)), axis=-1)
+
+    def dist(z):  # the sup distance of each set to the family at its own phase
+        return sup_dist(sets, fam._cycle_points(dt, z[:, None]))
+
+    def scan(zb):  # every set's distances to one block of phases
+        points = fam._cycle_points(dt, zb[:, None])
+        return [sup_dist(samples, points) for samples in sets]
 
     zg = np.linspace(0.0, span, n_grid, endpoint=False)
-    dt = fam._elapsed(t_grid)
-    vals = np.concatenate([
-        np.max(np.linalg.norm(samples - fam._cycle_points(dt, zb[:, None]), axis=-1), axis=1)
-        for zb in np.split(zg, range(_SCAN_BLOCK, n_grid, _SCAN_BLOCK))
-    ])
-    i = int(np.argmin(vals))
+    blocks = np.split(zg, range(_SCAN_BLOCK, n_grid, _SCAN_BLOCK))
+    zi = zg[np.argmin(np.concatenate([scan(zb) for zb in blocks], axis=1), axis=1)]
     step = span / n_grid
-    a, b = zg[i] - step, zg[i] + step
+    a, b = zi - step, zi + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, dpt = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = dist(c), dist(dpt)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = dist(c), dist(d)
     for _ in range(60):
-        if fc < fd:
-            b, dpt, fd = dpt, c, fc
-            c = b - invphi * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, dpt, fd
-            dpt = a + invphi * (b - a)
-            fd = dist(dpt)
+        left = fc < fd  # per set: keep [a, d] and probe a new c, else [c, b] and a new d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        z = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fz = dist(z)
+        c, d, fc, fd = (np.where(left, z, d), np.where(left, c, z),
+                        np.where(left, fz, fd), np.where(left, fc, fz))
     z = 0.5 * (a + b)
-    return z % span, dist(z), b - a
+    return [tuple(map(float, fit)) for fit in zip(z % span, dist(z), b - a)]
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +843,10 @@ def inviscid_sweep(
     fam = build_cycle_family(field, esc.attractor, t_b, opts=opts)
     report.family = fam
     report.reference = "cycle_family"
-    zs = []
-    unc = None
-    for k in good:
-        z, _, u = estimate_phase(fam, t_grid[post], solutions[k][post])
-        zs.append(z)
-        unc = u
+    fits = _fit_phases(fam, t_grid[post], [solutions[k][post] for k in good])
+    zs = [z for z, _, _ in fits]
     report.matched_zeta = zs
-    report.zeta_uncertainty = unc
+    report.zeta_uncertainty = fits[-1][2]
     span = fam.zeta_period
     difs = np.abs(np.diff(zs))
     difs = np.minimum(difs, span - difs) / span  # wrapped, as a fraction of the period

@@ -57,6 +57,8 @@ class IntegrationOptions:
             raise ValueError(
                 f"rtol and atol must be positive and finite, got {self.rtol!r} and {self.atol!r}"
             )
+        if not self.max_step > 0:  # NaN fails too: it would cap no step
+            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
         if self.r_floor < 0:
             raise ValueError("r_floor must be nonnegative")
 
@@ -207,17 +209,18 @@ def _error_norm(err, ay0, ay1, atol, rtol):
 
 
 def _initial_step(f, t0, y0, f0, atol, rtol, max_step):
-    # Hairer/Wanner starting-step heuristic, on arrays; f is a float form.
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = np.array(f(t0 + h0, (y0 + h0 * f0).tolist()))
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+    # Hairer/Wanner starting-step heuristic, on arrays; f is a float form.  A
+    # norm that overflows (atol far below |y0| or |f0|) measures no more than
+    # one too small to measure, and both take the fallback steps.
+    with np.errstate(over="ignore"):
+        scale = atol + rtol * np.abs(y0)
+        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+        h0 = 0.01 * d0 / d1 if 1e-5 <= min(d0, d1) and max(d0, d1) < math.inf else 1e-6
+        f1 = np.array(f(t0 + h0, (y0 + h0 * f0).tolist()))
+        d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d12 = max(d1, d2)
+    h1 = (0.01 / d12) ** 0.2 if 1e-15 < d12 < math.inf else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, max_step)
 
 

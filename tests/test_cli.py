@@ -103,6 +103,17 @@ def test_simulate_invalid_alpha_exits_2(tmp_path):
     assert main(["simulate", cfg, "--outdir", str(tmp_path), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("atol", [1e-300, 5e-324])
+def test_simulate_with_a_tolerance_far_below_the_state_ends_cleanly(tmp_path, capsys, atol):
+    # the zero component of x0 makes the starting-step heuristic's norms
+    # overflow: the run still starts, and either ends or names its StepFailure
+    cfg = write(tmp_path, "run.cfg", SPIRAL_CFG + f"integrator.atol = {atol!r}\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", cfg, "--outdir", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == 3 and "StepFailure" in err), (rc, err)
+
+
 def test_simulate_missing_key_exits_2(tmp_path):
     cfg = write(tmp_path, "bad.cfg", "field = saddle2d\nalpha = 0.3\n")
     assert main(["simulate", cfg, "--outdir", str(tmp_path), "--quiet"]) == 2
@@ -451,6 +462,10 @@ def test_sweep_json_lists_its_runs(tmp_path):
                   "nu.geometric.n_first = 5\nnu.geometric.n_last = 4", "n_last (4)"),
         ("simulate", "nu = 0", "nu must be positive"),
         ("simulate", "nu = nan", "nu must be positive"),
+        # the benchmark's cycle radii run on to n = 500, where they underflow to 0
+        ("sweep", "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+                  "nu.geometric.chi = 0.7\nnu.geometric.n_first = 1\nnu.geometric.n_last = 500",
+         "radius at n = 500"),
     ],
 )
 def test_unusable_radii_exit_2_and_write_nothing(tmp_path, capsys, command, radii, fragment):

@@ -71,6 +71,7 @@ def test_single_element_list_round_trip():
         ),
         ("no equals sign here", "key"),
         ("field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0\nintegrator.rtol = -1", "positive"),
+        ("field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0\nintegrator.max_step = 0", "max_step"),
         # a radius is positive and finite, and a geometric spec yields at least one
         *(
             (f"field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0\n{line}", fragment)
@@ -90,6 +91,15 @@ def test_single_element_list_round_trip():
                 ("nu.geometric.T = inf\nnu.geometric.mean_fr = 0.25", "positive finite T"),
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.chi = nan",
                  "finite chi"),
+                # nu_n = exp(-T mean_fr n + chi) underflows to 0 or overflows to inf
+                ("nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+                 "nu.geometric.chi = 0.7\nnu.geometric.n_first = 1\nnu.geometric.n_last = 500",
+                 "radius at n = 500 must be positive and finite, got 0.0"),
+                ("nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+                 "nu.geometric.n_first = -500\nnu.geometric.n_last = 9",
+                 "radius at n = -500 must be positive and finite, got inf"),
+                ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.chi = 1000",
+                 "radius at n = 1 must be positive and finite, got inf"),
             ]
         ),
     ],

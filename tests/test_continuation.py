@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import singularflow as sf
+from singularflow.continuation import _fit_phases
 
 ALPHA = 1.0 / 3.0
 
@@ -334,6 +335,18 @@ def test_estimate_phase_scan_matches_scalar_evaluation(n_grid):
         got = sf.estimate_phase(fam, ts, samples, n_grid=n_grid)
         want = _estimate_phase_by_scalar_scan(fam, ts, samples, n_grid)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    # one _fit_phases call fits each of several sets, whose golden sections
+    # branch apart, to the bits of the scalar scan on that set alone
+    for n_sets in (1, 3, 9):
+        sets = [
+            fam.eval(ts, z_true) * (1.0 + 1e-3 * np.sin(w * ts))[:, None]
+            for z_true, w in zip(np.linspace(0.1, 1.5, n_sets), range(3, 3 + n_sets))
+        ]
+        fits = _fit_phases(fam, ts, sets, n_grid=n_grid)
+        assert len(fits) == n_sets
+        for got, samples in zip(fits, sets):
+            want = _estimate_phase_by_scalar_scan(fam, ts, samples, n_grid)
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 @pytest.mark.parametrize("make_family", [sphere_family, spiral_family], ids=["sphere3d", "spiral2d"])
@@ -551,6 +564,16 @@ def test_on_ray_sweep_is_one_regularized_run(cycle_sweep):
     assert run.status == "completed" and run.stats.accepted > 0
     entry = rep.to_dict()["runs"][0]
     assert entry["nu_indices"] == list(range(9)) and entry["h_min"] > 0
+
+
+def test_cycle_sweep_phases_are_those_of_one_fit_per_radius(cycle_sweep):
+    # the sweep fits all its radii in one batch, bit for bit as estimate_phase
+    # fits each radius on its own
+    _, t_grid, rep = cycle_sweep
+    post = t_grid > rep.t_b + 1e-12
+    fits = [sf.estimate_phase(rep.family, t_grid[post], sol[post]) for sol in rep.solutions]
+    assert [float(z).hex() for z in rep.matched_zeta] == [z.hex() for z, _, _ in fits]
+    assert float(rep.zeta_uncertainty).hex() == fits[-1][2].hex()
 
 
 @pytest.mark.parametrize("n", [1, 9])

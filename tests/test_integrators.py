@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -665,6 +666,31 @@ def test_options_validation():
         sf.IntegrationOptions(r_floor=-1.0)
     with pytest.raises(ValueError):
         sf.integrate(power1d_rhs(), [1.0], 1.0, 0.5)
+    for bad in (0.0, -1.0, math.nan):  # a cap that fails every first step, or caps none
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            sf.IntegrationOptions(max_step=bad)
+
+
+@pytest.mark.parametrize("rtol", [1e-300, 1e-9, 1e300])
+@pytest.mark.parametrize("atol", [5e-324, 1e-300, 1e-12, 1e300])
+def test_initial_step_is_positive_and_finite_for_every_accepted_tolerance(atol, rtol):
+    # a zero component of x0 puts atol alone in the scale of the starting-step
+    # heuristic; where its norms overflow, it falls back to a fixed step
+    from singularflow.integrators import _float_form, _initial_step
+
+    f = sf.builtin_field("spiral2d", ALPHA)
+    rhs = _float_form(lambda t, x: sf.eval_field(f, x))
+    for x0 in ([1.0, 0.0], [1e-150, 0.0], [1e100, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowed norm is expected, and silent
+            h = _initial_step(rhs, 0.0, np.array(x0), np.array(rhs(0.0, x0)), atol, rtol, math.inf)
+        assert 0.0 < h < math.inf, (x0, h)
+    opts = sf.IntegrationOptions(rtol=rtol, atol=atol)
+    try:
+        traj = sf.integrate(lambda t, x: sf.eval_field(f, x), [1.0, 0.0], 0.0, 1.0, opts)
+    except sf.StepFailure:
+        return
+    assert traj.status == "completed"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
