@@ -39,8 +39,7 @@ _RETURN_TOL = 1e-8
 # the Newton refinement on the sphere: its iterations and its residual target
 _NEWTON_MAX_ITER = 60
 _NEWTON_TOL = 1e-13
-# seed directions of the fixed-point search wherever the package runs it,
-# and of the catalog's cycle searches
+# seed directions of the catalog's fixed-point and cycle searches
 _FP_SEEDS = 32
 _CYCLE_SEEDS = 8
 # A transient this close to a sink is taken to have entered its basin and
@@ -227,16 +226,8 @@ def _seed_directions(d: int, n_seeds: int, seed: int) -> List[np.ndarray]:
 def find_fixed_points(field: SingularField, n_seeds: int = 64, seed: int = 0) -> List[AttractorInfo]:
     """Locate fixed points of the spherical flow, stable and unstable alike."""
     d = field.dimension
-    results: List[AttractorInfo] = []
     if d == 1:
-        for y in (np.array([1.0]), np.array([-1.0])):
-            fr = decompose(field, y).radial
-            results.append(
-                AttractorInfo(
-                    "fixed_point", y, fr, _label(fr), True, np.zeros(0), None, None
-                )
-            )
-        return results
+        return [_fixed_point_info(field, np.array([sign])) for sign in (1.0, -1.0)]
     found: List[np.ndarray] = []
     for y0 in _seed_directions(d, n_seeds, seed):
         y = _newton_on_sphere(field, y0)
@@ -245,26 +236,49 @@ def find_fixed_points(field: SingularField, n_seeds: int = 64, seed: int = 0) ->
         if any(np.linalg.norm(y - q) < _MERGE_DISTANCE for q in found):
             continue
         found.append(y)
-    for y in found:
-        if np.linalg.norm(_tangential(field, y)) > _FP_RESIDUAL_TOL:
-            continue
-        B = tangential_flow_jacobian(field, y)
-        exps = np.sort(np.real(np.linalg.eigvals(B)))[::-1]
-        fr = decompose(field, y).radial
-        results.append(
-            AttractorInfo(
-                "fixed_point",
-                y,
-                fr,
-                _label(fr),
-                bool(np.max(exps) < 0),
-                exps,
-                None,
-                None,
-            )
-        )
+    results = [a for a in (_fixed_point_info(field, y) for y in found) if a is not None]
     results.sort(key=lambda a: tuple(np.round(a.location, 9)))
     return results
+
+
+def _fixed_point_info(field: SingularField, y: np.ndarray) -> Optional[AttractorInfo]:
+    """The fixed point y as a catalog lists it, or None if |F_s(y)| exceeds
+    _FP_RESIDUAL_TOL.
+
+    Its exponents are the real parts of the tangent linearization's
+    eigenvalues, largest first, and it is stable when all are negative; on
+    the two points of the 0-sphere (d = 1) there is no tangent space, and
+    each counts as stable with no exponent.
+    """
+    if np.linalg.norm(_tangential(field, y)) > _FP_RESIDUAL_TOL:
+        return None
+    fr = decompose(field, y).radial
+    if field.dimension == 1:
+        return AttractorInfo("fixed_point", y, fr, _label(fr), True, np.zeros(0), None, None)
+    B = tangential_flow_jacobian(field, y)
+    exps = np.sort(np.real(np.linalg.eigvals(B)))[::-1]
+    return AttractorInfo("fixed_point", y, fr, _label(fr), bool(np.max(exps) < 0), exps, None, None)
+
+
+def _fixed_point_near(field: SingularField, y, tol: float,
+                      catalog: Optional[Sequence[AttractorInfo]] = None) -> Optional[AttractorInfo]:
+    """The fixed point within tol of the unit direction y, or None.
+
+    With a catalog, it is the nearest of the catalog's fixed points.
+    Without one, it is looked up: one Newton solve from y itself
+    (_newton_on_sphere, which returns only roots with |F_s| < 1e-12), built
+    as find_fixed_points builds each root.  A direction on a fixed point
+    returns at once, and one within a root's Newton basin converges onto it,
+    wherever the catalog's seeds lie.
+    """
+    if catalog is not None:
+        fps = [a for a in catalog if a.kind == "fixed_point"]
+        star = min(fps, key=lambda a: a.distance_to(y), default=None)
+        return star if star is not None and star.distance_to(y) < tol else None
+    root = _newton_on_sphere(field, y)
+    if root is None or not np.linalg.norm(root - y) < tol:
+        return None
+    return _fixed_point_info(field, root)
 
 
 def find_limit_cycle(
@@ -304,7 +318,7 @@ def find_limit_cycle(
         tubes = [_Tube(c) for c in _known]
         reached = []
 
-        def in_known_tube(_t, u, _partial):
+        def in_known_tube(_t, u, _f, _partial):
             reached.extend(tube.attractor for tube in tubes if tube.holds(u[:d]))
             return bool(reached)
 
@@ -608,12 +622,12 @@ def _interior_sink(rhs, x, tau):
 class _SinkWatch:
     """The until of rescaled_escape's inside run: it stops at a certified sink.
 
-    Every _SINK_POLL accepted steps it evaluates the speed |f| at the
-    accepted state, one right-hand-side call; a speed below _SINK_SPEED
-    (never a NaN or inf one) runs _interior_sink from that state.
-    certificate is the sink's once the run has stopped on it.  rhs_calls
-    counts the right-hand-side calls of the polls and the sink searches,
-    which charge adds to the stats of the watched run.
+    Every _SINK_POLL accepted steps it reads the speed |f| off the
+    derivative the run hands it at the accepted state, at no right-hand-side
+    call; a speed below _SINK_SPEED (never a NaN or inf one) runs
+    _interior_sink from that state.  certificate is the sink's once the run
+    has stopped on it.  rhs_calls counts the right-hand-side calls of the
+    sink searches, which charge adds to the stats of the watched run.
     """
 
     def __init__(self, rhs):
@@ -627,11 +641,10 @@ class _SinkWatch:
 
         self.rhs = counted
 
-    def __call__(self, tau, x, _partial):
+    def __call__(self, tau, x, f, _partial):
         self.steps += 1
         if self.steps % _SINK_POLL:
             return False
-        f = self.rhs(tau, x)
         if not math.sqrt(float(f.dot(f))) < _SINK_SPEED:
             return False
         self.certificate = _interior_sink(self.rhs, x, tau)
@@ -643,12 +656,16 @@ class _SinkWatch:
             traj.stats.rhs_calls += self.rhs_calls
 
 
-def _identify_attractor(field, y_end, catalog, opts, window):
-    # y_end ends an excursion that ran window units of the direction flow:
-    # the search's transient is what is left of its default
-    for a in catalog:
-        tol = 1e-5 if a.kind == "fixed_point" else 5e-3
-        if a.distance_to(y_end) < tol:
+def _identify_attractor(field, y_end, catalog, opts, window, cycles=()):
+    # y_end ends an excursion that ran window units of the direction flow: a
+    # fixed point within 1e-5 (_fixed_point_near), else a cycle of catalog
+    # or cycles within 5e-3, else the cycle a search finds, whose transient
+    # is what is left of its default
+    found = _fixed_point_near(field, y_end, 1e-5, catalog)
+    if found is not None:
+        return found
+    for a in [*(catalog or ()), *cycles]:
+        if a.kind == "limit_cycle" and a.distance_to(y_end) < 5e-3:
             return a
     try:
         return find_limit_cycle(field, y_end, opts, transient=max(0.0, _TRANSIENT - window))
@@ -687,11 +704,13 @@ def rescaled_escape(
     excursion beyond r_bound_cap, or a run that fails inside the ball, is
     undetermined.
 
-    The direction an excursion ends on is matched against catalog (by
-    default the field's fixed points from _FP_SEEDS seeds, as
-    catalog_attractors finds them), and otherwise resolved by a
-    find_limit_cycle search from it, whose transient counts the excursion's
-    window toward the search's default 80 units.  The confirmation window
+    The direction an excursion ends on is identified as the fixed point
+    within 1e-5 of it, found by one Newton solve from that direction
+    (_fixed_point_near), or as a cycle within 5e-3 of it, and otherwise
+    resolved by a find_limit_cycle search from it, whose transient counts
+    the excursion's window toward the search's default 80 units.  A caller
+    that holds a catalog may pass it: its fixed points and cycles then
+    stand in for the Newton solve.  The confirmation window
     is _CONFIRM_WINDOW (50); once the excursion settles on a cycle whose
     five periods exceed it, the window becomes those five periods, and the
     excursion is run again from the same exit and identified again.
@@ -705,8 +724,6 @@ def rescaled_escape(
 
     rhs = regularized_rhs(dataclasses.replace(rf, nu=1.0))
     ball = _Sphere(1.0)
-    if catalog is None:
-        catalog = find_fixed_points(field, n_seeds=_FP_SEEDS)
     window = _CONFIRM_WINDOW
 
     in_opts = dataclasses.replace(opts, r_floor=0.0)
@@ -767,7 +784,7 @@ def rescaled_escape(
                 out = _outside_excursion(field, y_exit, window, opts)
                 if not out["reentered"]:
                     attr = _identify_attractor(
-                        field, out["y_end"], [*catalog, attr], opts, window
+                        field, out["y_end"], catalog, opts, window, cycles=[attr]
                     )
         r_max = max(r_max, math.exp(out["z_max"]))
         if out["reentered"]:

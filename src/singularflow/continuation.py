@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .attractors import _FP_SEEDS, AttractorInfo, EscapeResult, find_fixed_points, rescaled_escape
+from .attractors import AttractorInfo, EscapeResult, _fixed_point_near, rescaled_escape
 from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
 from .integrators import (
@@ -691,11 +691,17 @@ def inviscid_sweep(
     every nu it serves, and each error names the shared run and its scale.
     report.runs lists every integration made, with its solver stats.
 
-    No attractor catalog is built: the collapse direction is the nearest of
-    the field's fixed points (those catalog_attractors would list), and the
-    attractor the escape lands on is looked up by rescaled_escape, which
-    searches for a cycle only when the landing direction is no fixed point.
-    A caller that already holds a catalog may pass it as catalog.
+    No attractor catalog is built.  The two attractors the sweep needs are
+    looked up where it meets them, each fixed point by one Newton solve on
+    the sphere from the direction in question (attractors._fixed_point_near):
+    the start is on a collapse ray when that solve from y0 returns a
+    focusing fixed point within 1e-9 of it; off the ray, the blowup
+    direction is generic when the solve from the end of classify_blowup's
+    run returns a stable one within 1e-6.  rescaled_escape looks up the
+    attractor the escape lands on in the same way, and searches for a cycle
+    only when the landing direction is no fixed point.  A caller that
+    already holds a catalog may pass it as catalog: its fixed points and
+    cycles then stand in for the Newton solves.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -710,12 +716,8 @@ def inviscid_sweep(
         raise ValueError("the sweep starts at x0 = 0, the singular point, which has no direction")
     y0 = x0 / r0
 
-    if catalog is None:
-        catalog = find_fixed_points(field, n_seeds=_FP_SEEDS)
-    fps = [a for a in catalog if a.kind == "fixed_point"]
-
-    star = min(fps, key=lambda a: a.distance_to(y0), default=None)
-    on_ray = star is not None and star.distance_to(y0) < 1e-9 and star.label == "focusing"
+    star = _fixed_point_near(field, y0, 1e-9, catalog)
+    on_ray = star is not None and star.label == "focusing"
     if on_ray:
         t_b = blowup_time_on_ray(r0, star.mean_radial, field.alpha, t0)
         generic = star.stable
@@ -727,9 +729,8 @@ def inviscid_sweep(
                 "a sweep across t_b is meaningless"
             )
         t_b = verdict.t_b
-        y_end = verdict.renorm.y[-1]
-        star = min(fps, key=lambda a: a.distance_to(y_end), default=None)
-        generic = star is not None and star.stable and star.distance_to(y_end) < 1e-6
+        star = _fixed_point_near(field, verdict.renorm.y[-1], 1e-6, catalog)
+        generic = star is not None and star.stable
     # the nu = 1 field of the escape probe, and of the shared on-ray run
     unit = dataclasses.replace(regularization, nu=1.0)
 

@@ -341,10 +341,13 @@ def integrate(
     right-hand-side call.
 
     until, if given, is polled after every accepted step as
-    until(t, y, partial), where y is the accepted state at t and partial()
-    builds the trajectory up to t (at a cost that grows with its length); a
-    true result ends the run at that step with status stopped.  The steps
-    taken never depend on it, so a stopped run is a prefix of the full one.
+    until(t, y, f, partial), where y is the accepted state at t, f the
+    derivative the stepper already holds there (its FSAL stage, rhs(t, y)
+    bit for bit; with a postprocess, the derivative at the state before the
+    adjustment) and partial() builds the trajectory up to t (at a cost that
+    grows with its length); a true result ends the run at that step with
+    status stopped.  The steps taken never depend on it, so a stopped run is
+    a prefix of the full one.
 
     rhs and postprocess may carry a float form as their .floats attribute,
     a function (t, y) -> list on lists of Python floats that the stepper
@@ -409,7 +412,7 @@ def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direct
             times.append(t_new)
             states.append(y_new)
             derivs.append(f_new)
-            if until is not None and until(t_new, y_new, partial):
+            if until is not None and until(t_new, y_new, f_new, partial):
                 status = "stopped"
                 break
     except StepFailure as exc:

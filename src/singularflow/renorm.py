@@ -185,10 +185,11 @@ def renorm_integrate(
 
     The direction is re-projected onto the sphere after every accepted step,
     keeping max | |y|-1 | at the level of the local error.  until, if given,
-    is polled after every accepted step as until(s, u, partial), where u is
-    the accepted state (y, z, t) at s and partial() builds the
-    RenormTrajectory up to s (at a cost that grows with its length); a true
-    result ends the run there, on a prefix of the full run.
+    is polled after every accepted step as until(s, u, f, partial), where u
+    is the accepted state (y, z, t) at s, f the derivative integrate hands
+    its until and partial() builds the RenormTrajectory up to s (at a cost
+    that grows with its length); a true result ends the run there, on a
+    prefix of the full run.
     """
     y0 = np.asarray(y0, dtype=float)
     n0 = math.sqrt(float(y0 @ y0))
@@ -200,7 +201,7 @@ def renorm_integrate(
     run_opts = dataclasses.replace(opts, r_floor=0.0)
     poll = None
     if until is not None:
-        poll = lambda s, u, partial: until(s, u, lambda: RenormTrajectory(field, partial()))
+        poll = lambda s, u, f, partial: until(s, u, f, lambda: RenormTrajectory(field, partial()))
     rhs, project = renormalized_system(field)
     base = integrate(rhs, u0, 0.0, s_max, run_opts, postprocess=project, until=poll)
     return RenormTrajectory(field, base)
@@ -267,7 +268,7 @@ def classify_blowup(
     passed = 0  # stage boundaries behind the run
     prev = av = None
 
-    def stabilized(s, _u, partial):
+    def stabilized(s, _u, _f, partial):
         nonlocal passed, prev, av
         if s < stages[passed]:
             return False

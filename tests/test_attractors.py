@@ -472,6 +472,43 @@ def sink_of(res):
     return np.array([float(v) for v in m.group(1).split(",")]), float(m.group(2))
 
 
+def comb_field():
+    """F(y) = cos(theta) y + sin(20 theta) y_perp: 40 fixed points on the circle,
+    at theta = k pi / 20, the stable ones at odd k."""
+
+    def smap(y):
+        y = np.asarray(y, dtype=float)
+        theta = math.atan2(y[1], y[0])
+        return math.cos(theta) * y + math.sin(20 * theta) * np.array([-y[1], y[0]])
+
+    return sf.SingularField(2, ALPHA, smap)
+
+
+def test_escape_lands_on_a_fixed_point_the_seeded_catalog_misses():
+    # 32 seeds find 32 of the 40 fixed points, and not the stable defocusing
+    # one at 27 degrees.  A constant inner field carries the entry at 180
+    # degrees across the ball to an exit at 24 degrees, in that point's basin
+    # (18 to 36 degrees), and the excursion settles there.  The landing
+    # direction is looked up by a Newton solve from it, not matched against
+    # seeded roots, so the escape is certified on that point.
+    field = comb_field()
+    target = np.array([math.cos(math.radians(27.0)), math.sin(math.radians(27.0))])
+    seeded = sf.find_fixed_points(field, n_seeds=32)
+    assert len(seeded) == 32
+    assert min(np.linalg.norm(a.location - target) for a in seeded) > 0.1
+    chord = np.array([math.cos(math.radians(12.0)), math.sin(math.radians(12.0))])
+    rf = sf.RegularizedField(field, 1.0, lambda X: chord)
+    res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+    assert res.y_esc == pytest.approx([math.cos(math.radians(24.0)), math.sin(math.radians(24.0))])
+    assert res.outcome == "expelled"
+    assert res.certificate.endswith("direction settled on the defocusing fixed_point")
+    fp = res.attractor
+    assert fp.kind == "fixed_point" and fp.stable and fp.label == "defocusing"
+    assert np.linalg.norm(fp.location - target) < 1e-12
+    assert fp.mean_radial == pytest.approx(math.cos(math.radians(27.0)), rel=1e-12)
+    assert fp.stability_exponents == pytest.approx([-20.0], rel=1e-6)
+
+
 def test_rescaled_escape_trapping_blend_settles_on_interior_sink():
     # the inside run ends on the stable focus x*, long before tau = 1000
     field = saddle()
@@ -598,14 +635,24 @@ def test_rescaled_escape_stays_in_the_ball_without_a_sink():
 
 
 def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
-    # the polls, the Newton Jacobians and the boundary samples are charged
-    # to the inside run, whose stats then count every call of the rescaled
-    # right-hand side
+    # the sink search's Newton Jacobians and boundary samples are charged to
+    # the inside run, whose stats then count every call of the rescaled
+    # right-hand side; the speed polls read the stepper's own derivative and
+    # make none
     from singularflow import attractors
 
     calls = [0]
     runs = []
+    sink_calls = [0]
     build, search = attractors.regularized_rhs, attractors._integrate_to_crossing
+    sink = attractors._interior_sink
+
+    def counted_sink(rhs, x, tau):
+        def counted(t, z):
+            sink_calls[0] += 1
+            return rhs(t, z)
+
+        return sink(counted, x, tau)
 
     def counted_rhs(rf):
         rhs = build(rf)
@@ -625,13 +672,17 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
 
     monkeypatch.setattr(attractors, "regularized_rhs", counted_rhs)
     monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
+    monkeypatch.setattr(attractors, "_interior_sink", counted_sink)
     A = np.array([[-1.0, -0.5], [0.5, -1.0]])
     field = sf.SingularField(2, ALPHA, lambda y: -np.asarray(y, dtype=float))
     rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - 0.2))
     res = sf.rescaled_escape(field, rf, [1.0, 0.0], catalog=[])
     assert res.outcome == "trapped" and len(runs) == 1
     stats = runs[0].stats
-    assert stats.rhs_calls == calls[0] > 1 + 6 * (stats.accepted + stats.rejected)
+    # the start, the starting-step probe, six stages per attempted step and
+    # the sink search: nothing else
+    assert sink_calls[0] > 0
+    assert stats.rhs_calls == calls[0] == 2 + 6 * (stats.accepted + stats.rejected) + sink_calls[0]
 
 
 def test_max_step_reaches_every_internal_run(monkeypatch):

@@ -687,26 +687,77 @@ def rotated_cycles(catalog, rows):
     return out
 
 
-def test_sweep_phase_origin_is_intrinsic():
+def counted_newton(monkeypatch):
+    """The directions each Newton solve on the sphere starts from, as a list."""
+    from singularflow import attractors
+
+    starts = []
+    newton = attractors._newton_on_sphere
+    monkeypatch.setattr(attractors, "_newton_on_sphere",
+                        lambda field, y: starts.append(y) or newton(field, y))
+    return starts
+
+
+def test_sweep_phase_origin_is_intrinsic(monkeypatch):
     # the perfbench cycle config at chi = 0.7: the family's zeta = 0 is a
     # point fixed by the cycle itself, so the matched phases do not depend
-    # on which search found the cycle or where its orbit table starts
+    # on which search found the cycle or where its orbit table starts.  The
+    # sweep without a catalog looks up its two fixed points on demand, one
+    # Newton solve each (the start on the ray, the landing direction, which
+    # is on no fixed point), and selects what the catalog sweeps select.
     field = sf.builtin_field("sphere3d")
     nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
     t_grid = np.linspace(3.1, 4.0, 90)
     rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
     catalog = sf.catalog_attractors(field)
+    starts = counted_newton(monkeypatch)
     reports = [
         sf.inviscid_sweep(field, rf, [0.0, 0.0, -1.0], t_grid, nus, catalog=cat)
         for cat in (None, catalog, rotated_cycles(catalog, 300))
     ]
+    assert len(starts) == 2
     span = reports[0].family.zeta_period
     reference = np.array(reports[0].matched_zeta)
     for rep in reports:
         assert rep.reference == "cycle_family"
         assert rep.verdict == reports[0].verdict
+        assert rep.escape.outcome == reports[0].escape.outcome == "expelled"
+        assert rep.t_b == pytest.approx(reports[0].t_b, rel=1e-13)
         d = (np.array(rep.matched_zeta) - reference) % span
         assert np.max(np.minimum(d, span - d)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "g0, nus",
+    [
+        # the perfbench sweep-ray configs: two trapping and two expelling
+        # blends, each inside the +-0.05 jitter the benchmark draws from
+        ((1.03, 1.27), [0.1 * 0.5**k for k in range(6)]),
+        ((0.96, 1.34), [0.1 * 0.5**k for k in range(6)]),
+        ((1.04, -1.97), [0.1, 0.03, 0.01, 0.003, 0.001]),
+        ((0.97, -2.03), [0.1, 0.03, 0.01, 0.003, 0.001]),
+    ],
+)
+def test_on_ray_sweep_looks_up_what_the_catalog_lists(g0, nus, monkeypatch):
+    # a sweep without a catalog makes one Newton solve from the start and,
+    # when expelled, one from the landing direction; what it selects is
+    # what the same sweep selects from the full catalog
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, g0, 1.0)
+    t_grid = np.linspace(0.0, 2.5, 61)
+    catalog = sf.catalog_attractors(field)
+    starts = counted_newton(monkeypatch)
+    on_demand = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
+    expelled = on_demand.escape.outcome == "expelled"
+    assert len(starts) == (2 if expelled else 1)
+    assert np.array_equal(starts[0], [-1.0, 0.0])
+    listed = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus, catalog=catalog)
+    assert len(starts) == (2 if expelled else 1)  # the catalog sweep makes none
+    assert on_demand.verdict == listed.verdict
+    assert on_demand.verdict == ("converged_to(fixed_ray)" if g0[1] < 0 else "trivial_zero")
+    assert on_demand.reference == listed.reference
+    assert on_demand.escape.outcome == listed.escape.outcome
+    assert on_demand.t_b == pytest.approx(listed.t_b, rel=1e-13)
 
 
 def test_scaling_collapse_of_rescaled_trajectories():

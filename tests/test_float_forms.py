@@ -172,7 +172,7 @@ def test_solver_stats_count_the_run():
     assert st.h_max == pytest.approx(steps.max(), rel=1e-12)
 
     # a run that stops early keeps the counts up to its stop
-    stopped = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, until=lambda t, y, p: t > 5.0)
+    stopped = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, until=lambda t, y, f, p: t > 5.0)
     assert stopped.status == "stopped"
     assert stopped.stats.accepted == len(stopped.times) - 1 < st.accepted
 

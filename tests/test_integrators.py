@@ -217,17 +217,29 @@ def test_no_event_carries_the_run_to_the_horizon():
 
 def test_integrate_until_stops_on_a_prefix():
     full = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
+    rhs = power1d_rhs()
     seen = []
 
-    def until(t, y, partial):
+    def until(t, y, f, partial):
+        # the derivative handed over is the stepper's own: rhs at (t, y),
+        # bit for bit, so a caller needs no call of its own
+        assert np.array_equal(f, rhs(t, y))
         seen.append(t)
         return t >= 0.5 and partial().t_end == t
 
-    run = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0, until=until)
+    run = sf.integrate(rhs, [1.0], 0.0, 1.0, until=until)
     assert run.status == "stopped"
     assert run.t_end == seen[-1] >= 0.5 > seen[-2]
     n = len(run.times)
     assert np.array_equal(run.states, full.states[:n])
+    assert np.array_equal(run.derivs, full.derivs[:n])
+    # so it is for a right-hand side the stepper runs through its float form
+    from singularflow.regularize import regularized_rhs
+
+    blend = regularized_rhs(sf.make_polynomial_blend(sf.builtin_field("saddle2d", ALPHA),
+                                                     [1.0, -2.0], 0.5))
+    differs = lambda t, y, f, _partial: not np.array_equal(f, blend(t, y))
+    assert sf.integrate(blend, [-1.0, 0.2], 0.0, 2.0, until=differs).status == "completed"
 
 
 def test_event_search_until_stops_with_no_event():
@@ -240,7 +252,7 @@ def test_event_search_until_stops_with_no_event():
         rhs, [1.0], 0.0, level, +1, opts, 10.0
     )
 
-    def halfway(t, y, partial):
+    def halfway(t, y, f, partial):
         return t >= 0.5 * t_cross
 
     # an until that fires before the crossing ends the search there
@@ -252,7 +264,7 @@ def test_event_search_until_stops_with_no_event():
     assert np.array_equal(stopped.states, full.states[: len(stopped.times)])
     # one that fires on the step the crossing is located in loses to it
     t_e, x_e, run = integrators._integrate_to_crossing(
-        rhs, [1.0], 0.0, level, +1, opts, 10.0, until=lambda t, y, p: y[0] >= 1.5
+        rhs, [1.0], 0.0, level, +1, opts, 10.0, until=lambda t, y, f, p: y[0] >= 1.5
     )
     assert run.status == "hit_event"
     assert t_e == t_cross and np.array_equal(x_e, x_cross)
