@@ -34,7 +34,7 @@ def main():
         ("expelling", [1.0, -2.0], list(np.geomspace(0.1, args.nu_min, 5))),
     ):
         rf = sf.make_polynomial_blend(field, g0, 1.0)
-        rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
+        rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
         print(f"[{tag}] verdict: {rep.verdict}")
         print(f"[{tag}] escape probe: {rep.escape.outcome} ({rep.escape.certificate})")
         if rep.decay_exponent is not None:

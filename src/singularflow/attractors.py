@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import LimitCycleNotFound, NoEvent, SignError, StepFailure
+from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
     DEFAULT_OPTIONS,
@@ -68,6 +68,13 @@ _SINK_LEVELS = 8
 _SINK_SAMPLES = 64
 # the escape's confirmation window before an identified cycle stretches it
 _CONFIRM_WINDOW = 50.0
+# rescaled_escape's tau budget: the trapping blends of the examples settle on
+# a certified sink by tau = 50, so twenty times that ends only undecided runs
+_TAU_BUDGET = 1e3
+# the largest excursion, in ball radii, whose return still counts toward
+# trapping: far beyond the ball a finite run cannot tell a bounded orbit from
+# one whose excursions keep growing
+_R_BOUND_CAP = 50.0
 
 
 @dataclass
@@ -260,21 +267,15 @@ def _fixed_point_info(field: SingularField, y: np.ndarray) -> Optional[Attractor
     return AttractorInfo("fixed_point", y, fr, _label(fr), bool(np.max(exps) < 0), exps, None, None)
 
 
-def _fixed_point_near(field: SingularField, y, tol: float,
-                      catalog: Optional[Sequence[AttractorInfo]] = None) -> Optional[AttractorInfo]:
+def _fixed_point_near(field: SingularField, y, tol: float) -> Optional[AttractorInfo]:
     """The fixed point within tol of the unit direction y, or None.
 
-    With a catalog, it is the nearest of the catalog's fixed points.
-    Without one, it is looked up: one Newton solve from y itself
-    (_newton_on_sphere, which returns only roots with |F_s| < 1e-12), built
-    as find_fixed_points builds each root.  A direction on a fixed point
+    It is looked up by one Newton solve from y itself (_newton_on_sphere,
+    which returns only roots with |F_s| < 1e-12), built as
+    find_fixed_points builds each root.  A direction on a fixed point
     returns at once, and one within a root's Newton basin converges onto it,
     wherever the catalog's seeds lie.
     """
-    if catalog is not None:
-        fps = [a for a in catalog if a.kind == "fixed_point"]
-        star = min(fps, key=lambda a: a.distance_to(y), default=None)
-        return star if star is not None and star.distance_to(y) < tol else None
     root = _newton_on_sphere(field, y)
     if root is None or not np.linalg.norm(root - y) < tol:
         return None
@@ -349,12 +350,15 @@ def find_limit_cycle(
         # each lap starts on the section or on the side a return crossed
         # to, where an upward crossing cannot fire again at once
         try:
-            t_ret, u_ret, lap = _integrate_to_crossing(
+            lap = _integrate_to_crossing(
                 rhs, u_here, t_here, section, +1, sec_opts,
                 t_here + _RETURN_HORIZON, postprocess=project,
             )
-        except (NoEvent, StepFailure):
-            raise LimitCycleNotFound("no recurrence within the return horizon") from None
+        except StepFailure as exc:
+            lap = exc.trajectory
+        if lap.status != "hit_event":
+            raise LimitCycleNotFound("no recurrence within the return horizon")
+        t_ret, u_ret = lap.t_end, lap.final_state
         if np.linalg.norm(rhs(0.0, u_ret)[:d]) < 1e-7:
             raise LimitCycleNotFound("orbit converges to a fixed point")
         distances.append(float(np.linalg.norm(u_ret[:d] - u_here[:d])))
@@ -652,21 +656,19 @@ class _SinkWatch:
 
     def charge(self, traj):
         """Count the watch's right-hand-side calls in the stats of traj."""
-        if traj is not None:
-            traj.stats.rhs_calls += self.rhs_calls
+        traj.stats.rhs_calls += self.rhs_calls
 
 
-def _identify_attractor(field, y_end, catalog, opts, window, cycles=()):
+def _identify_attractor(field, y_end, opts, window, cycle=None):
     # y_end ends an excursion that ran window units of the direction flow: a
-    # fixed point within 1e-5 (_fixed_point_near), else a cycle of catalog
-    # or cycles within 5e-3, else the cycle a search finds, whose transient
-    # is what is left of its default
-    found = _fixed_point_near(field, y_end, 1e-5, catalog)
+    # fixed point within 1e-5 (_fixed_point_near), else cycle when within
+    # 5e-3, else the cycle a search finds, whose transient is what is left
+    # of its default
+    found = _fixed_point_near(field, y_end, 1e-5)
     if found is not None:
         return found
-    for a in [*(catalog or ()), *cycles]:
-        if a.kind == "limit_cycle" and a.distance_to(y_end) < 5e-3:
-            return a
+    if cycle is not None and cycle.distance_to(y_end) < 5e-3:
+        return cycle
     try:
         return find_limit_cycle(field, y_end, opts, transient=max(0.0, _TRANSIENT - window))
     except (LimitCycleNotFound, StepFailure):
@@ -674,13 +676,9 @@ def _identify_attractor(field, y_end, catalog, opts, window, cycles=()):
 
 
 def rescaled_escape(
-    field: SingularField,
     rf: RegularizedField,
     y_ent,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
-    tau_budget: float = 1e3,
-    r_bound_cap: float = 50.0,
-    catalog: Optional[List[AttractorInfo]] = None,
 ) -> EscapeResult:
     """Decide whether the regularization expels or traps the blowup solution.
 
@@ -688,8 +686,9 @@ def rescaled_escape(
     dependence scales out) from the entry state on the unit sphere.  Escape
     is certified by exit through R = 1 followed by a confirmation window in
     renormalized variables with growing log-radius and the direction settled
-    in the basin of a defocusing attractor.  rf regularizes field: the
-    rescaled system is rf at nu = 1.
+    in the basin of a defocusing attractor.  The rescaled system is rf at
+    nu = 1, and the ideal field outside the ball is rf.base, so only rf's
+    inner map and base matter, not its nu.
 
     Trapping is certified by an interior sink: the run inside the ball
     polls its speed (_SinkWatch) and, once it is small, stops as soon as
@@ -697,26 +696,26 @@ def rescaled_escape(
     Lyapunov level set that lies in the ball and holds the state.  The
     certificate names x*, the eigenvalues of Df(x*), the level and the tau
     at which it held; x(t) = nu X(...) then tends to the rest solution.
-    Failing that, the tau budget decides, as a fallback: a solution that
-    never leaves the ball up to it ("stayed in the unit ball until tau =
-    ...") or keeps revisiting it, at least three visits within the bound
-    cap ("tau budget reached after N visits"), counts as trapped.  An
-    excursion beyond r_bound_cap, or a run that fails inside the ball, is
-    undetermined.
+    Failing that, the tau budget _TAU_BUDGET (1000) decides, as a
+    fallback: a solution that never leaves the ball up to it ("stayed in the
+    unit ball until tau = ...") or keeps revisiting it, at least three
+    visits within the bound cap _R_BOUND_CAP (50) ("tau budget reached
+    after N visits"), counts as trapped.  An excursion beyond the bound cap,
+    or a run that fails inside the ball, is undetermined.
 
     The direction an excursion ends on is identified as the fixed point
     within 1e-5 of it, found by one Newton solve from that direction
-    (_fixed_point_near), or as a cycle within 5e-3 of it, and otherwise
-    resolved by a find_limit_cycle search from it, whose transient counts
-    the excursion's window toward the search's default 80 units.  A caller
-    that holds a catalog may pass it: its fixed points and cycles then
-    stand in for the Newton solve.  The confirmation window
-    is _CONFIRM_WINDOW (50); once the excursion settles on a cycle whose
-    five periods exceed it, the window becomes those five periods, and the
-    excursion is run again from the same exit and identified again.
+    (_fixed_point_near), and otherwise resolved by a find_limit_cycle search
+    from it, whose transient counts the excursion's window toward the
+    search's default 80 units.  The confirmation window is _CONFIRM_WINDOW
+    (50); once the excursion settles on a cycle whose five periods exceed
+    it, the window becomes those five periods, and the excursion is run
+    again from the same exit and identified again, as that cycle when it
+    ends within 5e-3 of it.
 
     Every run inherits opts with the radius floor off, max_step included.
     """
+    field = rf.base
     y_ent = np.asarray(y_ent, dtype=float)
     y_ent = y_ent / np.linalg.norm(y_ent)
     fr_star = decompose(field, y_ent).radial
@@ -731,107 +730,65 @@ def rescaled_escape(
     x = y_ent.copy()
     visits = 0
     r_max = 1.0
-    while tau < tau_budget:
+
+    def result(outcome, certificate, **found):
+        return EscapeResult(outcome, t_ent, revisits=visits, certificate=certificate, **found)
+
+    while tau < _TAU_BUDGET:
         visits += 1
         # inside phase: run until the solution exits the unit ball or
         # settles on a certified interior sink
         watch = _SinkWatch(rhs)
         try:
-            tau_x, x_x, seg = _integrate_to_crossing(
-                rhs, x, tau, ball, +1, in_opts, tau_budget, until=watch
-            )
+            seg = _integrate_to_crossing(rhs, x, tau, ball, +1, in_opts, _TAU_BUDGET, until=watch)
         except StepFailure as exc:
             watch.charge(exc.trajectory)
-            return EscapeResult(
-                "undetermined",
-                t_ent,
-                r_bound=r_max,
-                revisits=visits,
-                certificate=f"integration failed inside the unit ball at visit {visits}: {exc}",
-            )
-        except NoEvent as exc:
-            watch.charge(exc.trajectory)
-            if watch.certificate is not None:
-                return EscapeResult(
-                    "trapped",
-                    t_ent,
-                    r_bound=r_max,
-                    revisits=visits,
-                    certificate=(
-                        f"{watch.certificate}; after {visits} visit(s); "
-                        f"sup R = {r_max:.6g}"
-                    ),
-                )
-            return EscapeResult(
-                "trapped",
-                t_ent,
-                r_bound=r_max,
-                revisits=visits,
-                certificate=(
-                    f"stayed in the unit ball until tau = {tau_budget:g} "
-                    f"after {visits} visit(s); sup R = {r_max:.6g}"
-                ),
-            )
+            failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
+            return result("undetermined", failure, r_bound=r_max)
         watch.charge(seg)
+        if seg.status != "hit_event":
+            # stopped on a certified sink, or completed at the budget
+            held = (
+                f"{watch.certificate};" if seg.status == "stopped"
+                else f"stayed in the unit ball until tau = {_TAU_BUDGET:g}"
+            )
+            certificate = f"{held} after {visits} visit(s); sup R = {r_max:.6g}"
+            return result("trapped", certificate, r_bound=r_max)
+        tau_x, x_x = seg.t_end, seg.final_state
         # outside phase in renormalized variables: Z = 0 at the exit sphere
         y_exit = x_x / np.linalg.norm(x_x)
         out = _outside_excursion(field, y_exit, window, opts)
         if not out["reentered"]:
-            attr = _identify_attractor(field, out["y_end"], catalog, opts, window)
+            attr = _identify_attractor(field, out["y_end"], opts, window)
             if attr is not None and attr.kind == "limit_cycle" and 5 * attr.period > window:
                 # confirm over five periods of the cycle the direction settled on
                 window = 5 * attr.period
                 out = _outside_excursion(field, y_exit, window, opts)
                 if not out["reentered"]:
-                    attr = _identify_attractor(
-                        field, out["y_end"], catalog, opts, window, cycles=[attr]
-                    )
+                    attr = _identify_attractor(field, out["y_end"], opts, window, cycle=attr)
         r_max = max(r_max, math.exp(out["z_max"]))
         if out["reentered"]:
-            if r_max > r_bound_cap:
-                return EscapeResult(
-                    "undetermined",
-                    t_ent,
-                    revisits=visits,
-                    r_bound=r_max,
-                    certificate=f"excursion exceeded the bound cap {r_bound_cap:g}",
-                )
+            if r_max > _R_BOUND_CAP:
+                certificate = f"excursion exceeded the bound cap {_R_BOUND_CAP:g}"
+                return result("undetermined", certificate, r_bound=r_max)
             tau = tau_x + out["dtau"]
             x = out["y_end"]
             continue
         # never re-entered within the window: certify expulsion
         grew = out["z_end"] > 0.5 and out["mean_tail"] > LABEL_DELTA and out["z_min_tail"] > 0.0
         if attr is not None and attr.label == "defocusing" and grew:
-            return EscapeResult(
-                "expelled",
-                t_ent,
-                tau_esc=tau_x,
-                y_esc=y_exit,
-                revisits=visits,
-                attractor=attr,
-                certificate=(
-                    f"exited at tau = {tau_x:.6g}; log-radius grew to {out['z_end']:.3g} "
-                    f"over a window of {window:g} renormalized units with tail mean "
-                    f"F_r = {out['mean_tail']:.6g}; direction settled on the "
-                    f"{attr.label} {attr.kind}"
-                ),
+            outcome, certificate = "expelled", (
+                f"exited at tau = {tau_x:.6g}; log-radius grew to {out['z_end']:.3g} "
+                f"over a window of {window:g} renormalized units with tail mean "
+                f"F_r = {out['mean_tail']:.6g}; direction settled on the "
+                f"{attr.label} {attr.kind}"
             )
-        return EscapeResult(
-            "undetermined",
-            t_ent,
-            tau_esc=tau_x,
-            y_esc=y_exit,
-            revisits=visits,
-            attractor=attr,
-            certificate="exit without a defocusing-basin certificate",
-        )
-    return EscapeResult(
-        "trapped" if r_max <= r_bound_cap and visits >= 3 else "undetermined",
-        t_ent,
-        r_bound=r_max,
-        revisits=visits,
-        certificate=f"tau budget reached after {visits} visits; sup R = {r_max:.6g}",
-    )
+        else:
+            outcome, certificate = "undetermined", "exit without a defocusing-basin certificate"
+        return result(outcome, certificate, tau_esc=tau_x, y_esc=y_exit, attractor=attr)
+    outcome = "trapped" if r_max <= _R_BOUND_CAP and visits >= 3 else "undetermined"
+    return result(outcome, f"tau budget reached after {visits} visits; sup R = {r_max:.6g}",
+                  r_bound=r_max)
 
 
 def _outside_excursion(field, y_exit, window, opts):
@@ -839,39 +796,26 @@ def _outside_excursion(field, y_exit, window, opts):
 
     Re-entry is the first downward crossing of Z = 0, located as the event
     _Level(d) on the state (y, Z, t); the run starts at Z = 0, which only a
-    crossing from Z > 0 can end.
+    crossing from Z > 0 can end.  A run that reaches the window end also
+    reports Z there, and Z's mean slope and its minimum over the second half.
     """
     d = field.dimension
     y0 = np.asarray(y_exit, dtype=float)
     u0 = np.concatenate([y0 / math.sqrt(float(y0 @ y0)), [0.0, 0.0]])
     rhs, project = renormalized_system(field)
     run_opts = dataclasses.replace(opts, r_floor=0.0)
-    try:
-        _, u, run = _integrate_to_crossing(
-            rhs, u0, 0.0, _Level(d), -1, run_opts, window, postprocess=project
-        )
-    except NoEvent as exc:
-        run = exc.trajectory
-    else:
-        return {
-            "reentered": True,
-            "y_end": u[:d] / np.linalg.norm(u[:d]),
-            "dtau": float(u[d + 1]),  # physical-time quadrature started at 0
-            "z_max": float(np.max(run.states[:, d])),
-            "z_end": 0.0,
-            "mean_tail": 0.0,
-            "z_min_tail": 0.0,
-        }
+    run = _integrate_to_crossing(rhs, u0, 0.0, _Level(d), -1, run_opts, window, postprocess=project)
     s, z = run.times, run.states[:, d]
-    half = s[-1] / 2
-    mean_tail = (z[-1] - float(run.sample(half)[d])) / (s[-1] - half)
     y_end = run.states[-1, :d]
-    return {
-        "reentered": False,
+    out = {
+        "reentered": run.status == "hit_event",
         "y_end": y_end / np.linalg.norm(y_end),
-        "dtau": float(run.states[-1, d + 1]),
+        "dtau": float(run.states[-1, d + 1]),  # physical-time quadrature started at 0
         "z_max": float(np.max(z)),
-        "z_end": float(z[-1]),
-        "mean_tail": float(mean_tail),
-        "z_min_tail": float(np.min(z[s >= half])),
     }
+    if not out["reentered"]:
+        half = s[-1] / 2
+        out["z_end"] = float(z[-1])
+        out["mean_tail"] = float((z[-1] - float(run.sample(half)[d])) / (s[-1] - half))
+        out["z_min_tail"] = float(np.min(z[s >= half]))
+    return out

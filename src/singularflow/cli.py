@@ -172,7 +172,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int
         t_grid = np.linspace(a, b, npts)
     else:
         t_grid = np.linspace(cfg.t0, cfg.t1, 201)
-    report = inviscid_sweep(field, rf, cfg.x0, t_grid, nus, opts, t0=cfg.t0)
+    report = inviscid_sweep(rf, cfg.x0, t_grid, nus, opts, t0=cfg.t0)
     payload = report.to_dict()
     payload["chi"] = cfg.geo["chi"] if cfg.geo else None
     csv_refs = []

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .continuation import geometric_sequence
-from .errors import ConfigError
-from .fields import BUILTIN_NAMES
+from .errors import ConfigError, UnknownField
+from .fields import BUILTIN_NAMES, builtin_field
 from .integrators import IntegrationOptions
 
 
@@ -83,6 +83,33 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: missing key")
         out[key] = _parse_value(raw)
     return out
+
+
+def _number(value, key: str) -> float:
+    """value as a float, else ConfigError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(value, key: str) -> int:
+    """value as an int, else ConfigError: a float only when it is a whole number."""
+    number = value if isinstance(value, int) else _number(value, key)
+    if isinstance(number, float) and not number.is_integer():  # NaN and inf fail too
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _vector(value, key: str, dimension: int) -> np.ndarray:
+    """value as an array of dimension floats, else ConfigError."""
+    try:
+        v = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (dimension,):
+        raise ConfigError(f"{key} must be {dimension} number(s), got {value!r}")
+    return v
 
 
 def _radius(value, key: str) -> float:
@@ -145,29 +172,33 @@ class RunConfig:
         alpha = take("alpha")
         if alpha is None:
             raise ConfigError("alpha is required")
-        alpha = float(alpha)
+        alpha = _number(alpha, "alpha")
         if not (math.isfinite(alpha) and alpha < 1.0):
             raise ConfigError(f"alpha must be finite and < 1, got {alpha}")
+        try:
+            dimension = builtin_field(name, alpha).dimension
+        except UnknownField as exc:
+            raise ConfigError(str(exc)) from None
         x0 = take("x0")
         if x0 is None:
             raise ConfigError("x0 is required")
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        x0 = _vector(x0, "x0", dimension)
         if not np.all(np.isfinite(x0)):
             raise ConfigError("x0 must be finite")
-        t0 = float(take("t0", 0.0))
-        t1 = float(take("t1", t0 + 1.0))
+        t0 = _number(take("t0", 0.0), "t0")
+        t1 = _number(take("t1", t0 + 1.0), "t1")
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ConfigError("t0 and t1 must be finite")
         if not t1 > t0:
             raise ConfigError(f"t1 must exceed t0 (got t0 = {t0!r}, t1 = {t1!r})")
-        seed = int(take("seed", 0))
+        seed = _integer(take("seed", 0), "seed")
         outputs = take("outputs")
         try:
             options = IntegrationOptions(
-                rtol=float(take("integrator.rtol", 1e-9)),
-                atol=float(take("integrator.atol", 1e-12)),
-                max_step=float(take("integrator.max_step", math.inf)),
-                r_floor=float(take("integrator.r_floor", 1e-10)),
+                rtol=_number(take("integrator.rtol", 1e-9), "integrator.rtol"),
+                atol=_number(take("integrator.atol", 1e-12), "integrator.atol"),
+                max_step=_number(take("integrator.max_step", math.inf), "integrator.max_step"),
+                r_floor=_number(take("integrator.r_floor", 1e-10), "integrator.r_floor"),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -175,10 +206,12 @@ class RunConfig:
         reg_kind = take("regularization.kind")
         reg_g0 = take("regularization.g0")
         if reg_g0 is not None:
-            reg_g0 = np.atleast_1d(np.asarray(reg_g0, dtype=float))
+            reg_g0 = _vector(reg_g0, "regularization.g0", dimension)
         reg_sigma = take("regularization.sigma")
         if reg_sigma is not None:
-            reg_sigma = int(reg_sigma)
+            reg_sigma = _integer(reg_sigma, "regularization.sigma")
+            if reg_sigma not in (-1, 0, 1):
+                raise ConfigError(f"regularization.sigma must be +1, -1 or 0, got {reg_sigma}")
         if reg_kind is not None:
             if reg_kind not in ("polynomial_blend", "preset1d"):
                 raise ConfigError(f"unknown regularization.kind {reg_kind!r}")
@@ -186,6 +219,8 @@ class RunConfig:
                 raise ConfigError("polynomial_blend needs regularization.g0")
             if reg_kind == "preset1d" and reg_sigma is None:
                 raise ConfigError("preset1d needs regularization.sigma (+1, -1 or 0)")
+            if reg_kind == "preset1d" and dimension != 1:
+                raise ConfigError(f"preset1d needs a one-dimensional field, not {name}")
 
         nu = take("nu")
         nu = _radius(nu, "nu") if nu is not None else None
@@ -196,11 +231,11 @@ class RunConfig:
         geo = None
         if any(k.startswith("nu.geometric.") for k in m):
             geo = {
-                "T": float(take("nu.geometric.T", 0.0)),
-                "mean_fr": float(take("nu.geometric.mean_fr", 0.0)),
-                "chi": float(take("nu.geometric.chi", 0.0)),
-                "n_first": int(take("nu.geometric.n_first", 1)),
-                "n_last": int(take("nu.geometric.n_last", 5)),
+                "T": _number(take("nu.geometric.T", 0.0), "nu.geometric.T"),
+                "mean_fr": _number(take("nu.geometric.mean_fr", 0.0), "nu.geometric.mean_fr"),
+                "chi": _number(take("nu.geometric.chi", 0.0), "nu.geometric.chi"),
+                "n_first": _integer(take("nu.geometric.n_first", 1), "nu.geometric.n_first"),
+                "n_last": _integer(take("nu.geometric.n_last", 5), "nu.geometric.n_last"),
             }
             if not (0 < geo["T"] < math.inf and 0 < geo["mean_fr"] < math.inf
                     and math.isfinite(geo["chi"])):
@@ -218,9 +253,9 @@ class RunConfig:
         sweep_t = None
         if any(k.startswith("sweep.") for k in m):
             sweep_t = (
-                float(take("sweep.t_start", t0)),
-                float(take("sweep.t_stop", t1)),
-                int(take("sweep.t_points", 101)),
+                _number(take("sweep.t_start", t0), "sweep.t_start"),
+                _number(take("sweep.t_stop", t1), "sweep.t_stop"),
+                _integer(take("sweep.t_points", 101), "sweep.t_points"),
             )
             a, b, npts = sweep_t
             if not (t0 <= a < b < math.inf and npts >= 2):
@@ -229,7 +264,9 @@ class RunConfig:
                     f"sweep.t_points >= 2 (got t0 = {t0!r}, t_start = {a!r}, "
                     f"t_stop = {b!r}, t_points = {npts})"
                 )
-        s_budget = float(take("classify.s_budget", 2.0e4))
+        s_budget = _number(take("classify.s_budget", 2.0e4), "classify.s_budget")
+        if not 0 < s_budget < math.inf:
+            raise ConfigError(f"classify.s_budget must be positive and finite, got {s_budget!r}")
         if m:
             raise ConfigError(f"unknown config keys: {sorted(m)}")
         return cls(

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .attractors import AttractorInfo, EscapeResult, _fixed_point_near, rescaled_escape
-from .errors import NonPositiveMean, OutOfDomain, SignError
+from .errors import NoEvent, NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
 from .integrators import (
     DEFAULT_OPTIONS,
@@ -372,6 +372,7 @@ def _cycle_anchor(field: SingularField, cycle: AttractorInfo, opts: IntegrationO
     dy_k/ds = 0 after the table sample _ANCHOR_LEAD rows before the table's
     largest y_k, located on the dense output of the renormalized flow.  It
     is a property of the cycle, not of where its table happens to start.
+    A search that finds none within two periods raises NoEvent.
     """
     orbit = cycle.location
     ranges = np.ptp(orbit, axis=0)
@@ -383,9 +384,12 @@ def _cycle_anchor(field: SingularField, cycle: AttractorInfo, opts: IntegrationO
     def slope(t, y):
         return float(rhs(t, y)[k])
 
-    _, y, _ = _integrate_to_crossing(
+    run = _integrate_to_crossing(
         rhs, start, 0.0, slope, -1, opts, 2.0 * float(cycle.period), postprocess=project
     )
+    if run.status != "hit_event":
+        raise NoEvent(f"no maximum of y_{k + 1} within two periods of the cycle", run)
+    y = run.final_state
     return y / np.linalg.norm(y)
 
 
@@ -652,18 +656,17 @@ def blowup_time_on_ray(r0: float, f_r_star: float, alpha: float, t0: float = 0.0
 
 
 def inviscid_sweep(
-    field: SingularField,
     regularization: RegularizedField,
     x0,
     t_grid,
     nu_list,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     t0: float = 0.0,
-    catalog: Optional[List[AttractorInfo]] = None,
 ) -> SweepReport:
     """Run the regularized problem for each nu and classify the limit.
 
-    Only regularization's inner map matters: the field at a given nu is
+    The ideal field is regularization.base, and only regularization's inner
+    map matters besides: the field at a given nu is
     dataclasses.replace(regularization, nu=nu), so it may be built at any
     nu.  The blowup time is anchored on the ideal problem (closed form on
     the collapse ray, renormalized classification otherwise); the rescaled
@@ -699,10 +702,9 @@ def inviscid_sweep(
     direction is generic when the solve from the end of classify_blowup's
     run returns a stable one within 1e-6.  rescaled_escape looks up the
     attractor the escape lands on in the same way, and searches for a cycle
-    only when the landing direction is no fixed point.  A caller that
-    already holds a catalog may pass it as catalog: its fixed points and
-    cycles then stand in for the Newton solves.
+    only when the landing direction is no fixed point.
     """
+    field = regularization.base
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if not (t_grid.ndim == 1 and t_grid.size and t_grid[0] >= t0 and np.all(np.diff(t_grid) > 0)):
@@ -716,7 +718,7 @@ def inviscid_sweep(
         raise ValueError("the sweep starts at x0 = 0, the singular point, which has no direction")
     y0 = x0 / r0
 
-    star = _fixed_point_near(field, y0, 1e-9, catalog)
+    star = _fixed_point_near(field, y0, 1e-9)
     on_ray = star is not None and star.label == "focusing"
     if on_ray:
         t_b = blowup_time_on_ray(r0, star.mean_radial, field.alpha, t0)
@@ -729,7 +731,7 @@ def inviscid_sweep(
                 "a sweep across t_b is meaningless"
             )
         t_b = verdict.t_b
-        star = _fixed_point_near(field, verdict.renorm.y[-1], 1e-6, catalog)
+        star = _fixed_point_near(field, verdict.renorm.y[-1], 1e-6)
         generic = star is not None and star.stable
     # the nu = 1 field of the escape probe, and of the shared on-ray run
     unit = dataclasses.replace(regularization, nu=1.0)
@@ -798,7 +800,7 @@ def inviscid_sweep(
         report.reference = "non-generic blowup direction"
         return report
 
-    esc = rescaled_escape(field, unit, star.location, opts, catalog=catalog)
+    esc = rescaled_escape(unit, star.location, opts)
     report.escape = esc
     good = [k for k in range(n) if solutions[k] is not None]
     post = t_grid > t_b + 1e-12

@@ -30,9 +30,11 @@ class StepFailure(SingularFlowError):
 
 
 class NoEvent(SingularFlowError):
-    """No event crossing found within the integration horizon.
+    """No event crossing found: raised by integrate_to_event, whose run
+    reached the horizon or the radius floor or failed first, and by
+    build_cycle_family when its anchor search finds no maximum.
 
-    Carries the trajectory integrated before giving up, when there is one.
+    Carries the run, whose status says why it ended, when there is one.
     """
 
     def __init__(self, message, trajectory=None):

@@ -615,31 +615,23 @@ def _scan_step(event, direction, g_prev, step):
 
 def _integrate_to_crossing(
     rhs, x0, t0, event, direction, opts, t_max, postprocess=None, until=None
-):
+) -> Trajectory:
     """Event search without the strict start-side precondition.
 
     Detects the first crossing of event through zero in the requested
     direction strictly after t0, scanning the dense output of each accepted
-    step.  Returns (t_event, x_event, trajectory ending at the event).  When
-    the run reaches t_max without a crossing, the NoEvent it raises carries
-    the completed trajectory to t_max, and when it reaches the radius floor
-    first, the trajectory ending there; a StepFailure propagates with the
-    partial trajectory.  until is polled as in integrate: when it ends the
-    run first, the NoEvent carries the trajectory stopped there (status
-    stopped).  A crossing located on the same accepted step wins, since a
-    step is scanned before until sees it.
+    step, and returns the run; its status says why it ended.  It is
+    hit_event at a located crossing, whose time and state are the run's
+    last sample; completed at t_max with no crossing; hit_radius_floor when
+    the run reaches the radius floor first; and stopped when until, polled
+    as in integrate, ends it first.  A crossing located on the same accepted
+    step wins, since a step is scanned before until sees it.  A StepFailure
+    propagates with the partial trajectory.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (upward) or -1 (downward)")
-    traj = _run(rhs, x0, t0, t_max, opts, postprocess, until=until, event=event,
+    return _run(rhs, x0, t0, t_max, opts, postprocess, until=until, event=event,
                 direction=direction)
-    if traj.status == "hit_event":
-        return traj.t_end, traj.final_state, traj
-    if traj.status == "hit_radius_floor":
-        raise NoEvent("trajectory hit the radius floor before the event", traj)
-    if traj.status == "stopped":
-        raise NoEvent(f"run stopped before the event, at t = {traj.t_end!r}", traj)
-    raise NoEvent(f"no event crossing within horizon t <= {t_max!r}", traj)
 
 
 def integrate_to_event(
@@ -654,7 +646,9 @@ def integrate_to_event(
 
     direction=+1 looks for an upward crossing (the event function must be
     strictly negative at t0), direction=-1 for a downward one.  The search
-    spans t0 .. t0 + opts.horizon.
+    spans t0 .. t0 + opts.horizon.  Returns (t_event, x_event, trajectory
+    ending at the event).  Raises NoEvent, carrying the run, when it reaches
+    the horizon or the radius floor first, or fails.
     """
     x0 = np.asarray(x0, dtype=float)
     g0 = float(event(t0, x0))
@@ -666,10 +660,16 @@ def integrate_to_event(
         raise NoEventDirection(
             f"event already at or past a downward crossing at t0 (event = {g0!r})"
         )
+    t_max = t0 + opts.horizon
     try:
-        return _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t0 + opts.horizon)
+        traj = _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max)
     except StepFailure as exc:
         raise NoEvent(f"integration failed before the event: {exc}", exc.trajectory) from None
+    if traj.status == "hit_radius_floor":
+        raise NoEvent("trajectory hit the radius floor before the event", traj)
+    if traj.status != "hit_event":
+        raise NoEvent(f"no event crossing within horizon t <= {t_max!r}", traj)
+    return traj.t_end, traj.final_state, traj
 
 
 def estimate_blowup_time(traj: Trajectory, alpha: float):

@@ -152,7 +152,7 @@ def test_criterion_06_trapping_limit():
     rf = sf.make_polynomial_blend(field, [1.0, 1.3], 1.0)
     t_grid = np.concatenate([np.linspace(0.0, 1.4, 6), np.linspace(1.6, 2.5, 60)])
     nus = [0.1 * 0.5**k for k in range(6)]
-    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
     note(6, f"{'PASS' if rep.verdict == 'trivial_zero' else 'FAIL'} "
             f"q = {rep.decay_exponent:.3f}, R^2 = {rep.decay_r2:.5f}")
     assert rep.verdict == "trivial_zero"
@@ -184,7 +184,7 @@ def test_criterion_07_unique_expelling_limit():
     results = {}
     for g0 in ((1.0, -2.0), (1.1, -1.9)):
         rf = sf.make_polynomial_blend(field, list(g0), 1.0)
-        rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
+        rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
         assert rep.verdict == "converged_to(fixed_ray)"
         post = np.isin(t_grid, window)
         set_d, point_d = [], []

@@ -288,7 +288,7 @@ def test_tau_entry_value():
 def test_rescaled_escape_trapping_blend():
     field = saddle()
     rf = sf.make_polynomial_blend(field, [1.0, 1.3], 0.1)
-    res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+    res = sf.rescaled_escape(rf, [-1.0, 0.0])
     assert res.outcome == "trapped"
     assert res.tau_ent == pytest.approx(-1.5, rel=1e-12)
     assert res.r_bound is not None and res.r_bound < 2.0
@@ -298,7 +298,7 @@ def test_rescaled_escape_trapping_blend():
 def test_rescaled_escape_expelling_blend():
     field = saddle()
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 0.1)
-    res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+    res = sf.rescaled_escape(rf, [-1.0, 0.0])
     assert res.outcome == "expelled"
     assert res.tau_esc is not None and res.tau_esc > res.tau_ent
     assert np.linalg.norm(res.y_esc) == pytest.approx(1.0, abs=1e-10)
@@ -312,7 +312,7 @@ def test_rescaled_escape_step_failure_is_undetermined():
     # a failed run inside the ball proves nothing about trapping
     field = saddle()
     rf = sf.RegularizedField(field, 0.1, lambda X: np.full(2, np.nan))
-    res = sf.rescaled_escape(field, rf, [-1.0, 0.0], catalog=[])
+    res = sf.rescaled_escape(rf, [-1.0, 0.0])
     assert res.outcome == "undetermined"
     assert "integration failed" in res.certificate
     assert "non-finite" in res.certificate
@@ -323,7 +323,7 @@ def test_rescaled_escape_is_scale_invariant():
     outcomes = []
     for nu in (1.0, 0.1, 0.003):
         rf = sf.make_polynomial_blend(field, [1.0, -2.0], nu)
-        res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+        res = sf.rescaled_escape(rf, [-1.0, 0.0])
         outcomes.append((res.outcome, res.tau_esc))
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
@@ -342,24 +342,16 @@ def quarter_speed_sphere():
 
 
 def test_rescaled_escape_window_stretches_to_the_landing_cycle():
-    # with no catalog, the cycle is known only once the excursion lands on
-    # it; the window is then stretched to five of its periods, as a catalog
-    # holding the cycle from the start gives
+    # the cycle is known only once the excursion lands on it; the window is
+    # then stretched to five of its periods, five closed-form 8 pi
     field = quarter_speed_sphere()
     rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
-    on_demand = sf.rescaled_escape(field, rf, [0.0, 0.0, -1.0])
-    cataloged = sf.rescaled_escape(
-        field, rf, [0.0, 0.0, -1.0], catalog=sf.catalog_attractors(field)
-    )
-
-    def window(res):
-        return float(re.search(r"over a window of (\S+) renormalized", res.certificate).group(1))
-
-    assert on_demand.outcome == cataloged.outcome == "expelled"
-    assert on_demand.attractor.kind == "limit_cycle"
-    assert on_demand.attractor.period == pytest.approx(cataloged.attractor.period, abs=1e-8)
-    assert on_demand.attractor.period == pytest.approx(8 * math.pi, abs=1e-8)
-    assert window(on_demand) == window(cataloged) == pytest.approx(40 * math.pi, abs=1e-2)
+    res = sf.rescaled_escape(rf, [0.0, 0.0, -1.0])
+    window = float(re.search(r"over a window of (\S+) renormalized", res.certificate).group(1))
+    assert res.outcome == "expelled"
+    assert res.attractor.kind == "limit_cycle" and res.attractor.label == "defocusing"
+    assert res.attractor.period == pytest.approx(8 * math.pi, abs=1e-8)
+    assert window == pytest.approx(5 * 8 * math.pi, abs=1e-2)
 
 
 def test_outside_excursion_ends_at_reentry(monkeypatch):
@@ -382,7 +374,9 @@ def test_outside_excursion_ends_at_reentry(monkeypatch):
     monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
     out = attractors._outside_excursion(field, y_exit, 50.0, opts)
     assert out["reentered"]
-    (s_re, u_re, run), = located
+    (run,) = located
+    assert run.status == "hit_event"
+    s_re, u_re = run.t_end, run.final_state
     full = sf.renorm_integrate(
         field, y_exit, 0.0, 50.0, sf.IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
     )
@@ -456,7 +450,7 @@ def test_landing_search_counts_the_excursion_as_transient(monkeypatch):
     monkeypatch.setattr(attractors, "find_limit_cycle", recorded)
     field = sf.builtin_field("sphere3d")
     rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
-    res = sf.rescaled_escape(field, rf, [0.0, 0.0, -1.0])
+    res = sf.rescaled_escape(rf, [0.0, 0.0, -1.0])
     assert res.outcome == "expelled" and res.attractor.kind == "limit_cycle"
     assert res.attractor.period == pytest.approx(2 * math.pi, abs=1e-8)
     assert [s.get("transient") for s in searches] == [30.0]
@@ -498,7 +492,7 @@ def test_escape_lands_on_a_fixed_point_the_seeded_catalog_misses():
     assert min(np.linalg.norm(a.location - target) for a in seeded) > 0.1
     chord = np.array([math.cos(math.radians(12.0)), math.sin(math.radians(12.0))])
     rf = sf.RegularizedField(field, 1.0, lambda X: chord)
-    res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+    res = sf.rescaled_escape(rf, [-1.0, 0.0])
     assert res.y_esc == pytest.approx([math.cos(math.radians(24.0)), math.sin(math.radians(24.0))])
     assert res.outcome == "expelled"
     assert res.certificate.endswith("direction settled on the defocusing fixed_point")
@@ -513,7 +507,7 @@ def test_rescaled_escape_trapping_blend_settles_on_interior_sink():
     # the inside run ends on the stable focus x*, long before tau = 1000
     field = saddle()
     rf = sf.make_polynomial_blend(field, [1.0, 1.3], 0.1)
-    res = sf.rescaled_escape(field, rf, [-1.0, 0.0])
+    res = sf.rescaled_escape(rf, [-1.0, 0.0])
     assert res.outcome == "trapped"
     x_star, tau = sink_of(res)
     assert x_star == pytest.approx([-0.5129, 0.4792], abs=1e-3)
@@ -530,7 +524,7 @@ def test_rescaled_escape_certifies_a_linear_sink(d):
     p = np.full(d, 0.2)
     field = sf.SingularField(d, ALPHA, lambda y: -np.asarray(y, dtype=float))
     rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - p))
-    res = sf.rescaled_escape(field, rf, np.eye(d)[0], catalog=[])
+    res = sf.rescaled_escape(rf, np.eye(d)[0])
     assert res.outcome == "trapped" and res.revisits == 1
     x_star, tau = sink_of(res)
     assert x_star == pytest.approx(p, abs=1e-6)
@@ -555,7 +549,7 @@ def test_rescaled_escape_lingering_at_a_saddle_is_not_trapped(monkeypatch):
     field = saddle()
     rf = sf.RegularizedField(field, 1.0, lambda X: np.array([-X[0] + 2.0 * X[1], X[1]]))
     delta = 1e-4
-    res = sf.rescaled_escape(field, rf, [-math.cos(delta), math.sin(delta)])
+    res = sf.rescaled_escape(rf, [-math.cos(delta), math.sin(delta)])
     # a certificate on the speed alone would have stopped the run here
     assert tried and all(sink is None for sink in tried)
     assert res.outcome == "expelled"
@@ -586,11 +580,12 @@ def center_regularization(field):
     return sf.RegularizedField(field, 1.0, inner)
 
 
-def test_rescaled_escape_bound_cap_exit():
+def test_rescaled_escape_bound_cap_exit(monkeypatch):
+    from singularflow import attractors
+
+    monkeypatch.setattr(attractors, "_R_BOUND_CAP", 1.5)
     field = center_field()
-    res = sf.rescaled_escape(
-        field, center_regularization(field), [-1.0, 0.0], r_bound_cap=1.5, catalog=[]
-    )
+    res = sf.rescaled_escape(center_regularization(field), [-1.0, 0.0])
     assert res.outcome == "undetermined"
     assert res.certificate == "excursion exceeded the bound cap 1.5"
     assert res.revisits == 1
@@ -598,10 +593,12 @@ def test_rescaled_escape_bound_cap_exit():
 
 
 @pytest.mark.parametrize("visits, outcome", [(2, "undetermined"), (3, "trapped")])
-def test_rescaled_escape_tau_budget_after_visits(visits, outcome):
+def test_rescaled_escape_tau_budget_after_visits(visits, outcome, monkeypatch):
     # a lap spends dtau = e^((1-alpha) z) ds inside the ball and as much
     # again outside, by the midpoint rule; a budget halfway through the
     # last excursion ends the loop at that excursion's re-entry
+    from singularflow import attractors
+
     field = center_field()
     n = 4096
     theta = (np.arange(n) + 0.5) * (math.pi / n)
@@ -611,25 +608,27 @@ def test_rescaled_escape_tau_budget_after_visits(visits, outcome):
 
     t_in, t_out = half_lap(math.pi), half_lap(0.0)
     budget = sf.tau_entry(-CENTER_A, ALPHA) + (visits - 1) * (t_in + t_out) + t_in + t_out / 2
-    res = sf.rescaled_escape(
-        field, center_regularization(field), [-1.0, 0.0], tau_budget=budget, catalog=[]
-    )
+    monkeypatch.setattr(attractors, "_TAU_BUDGET", budget)
+    res = sf.rescaled_escape(center_regularization(field), [-1.0, 0.0])
     assert res.outcome == outcome
     assert res.certificate.startswith(f"tau budget reached after {visits} visits; sup R = ")
     assert res.revisits == visits
     assert res.r_bound == pytest.approx(math.exp(CENTER_A), rel=1e-5)
 
 
-def test_rescaled_escape_stays_in_the_ball_without_a_sink():
+def test_rescaled_escape_stays_in_the_ball_without_a_sink(monkeypatch):
     # Hopf normal form inside the ball: an attracting cycle of radius 1/2
     # around an unstable focus, where the speed stays near 1/2, so no sink
     # is sought and the tau budget decides
+    from singularflow import attractors
+
+    monkeypatch.setattr(attractors, "_TAU_BUDGET", 30.0)
     field = saddle()
     rf = sf.RegularizedField(
         field, 1.0,
         lambda X: (0.25 - float(np.dot(X, X))) * np.asarray(X) + np.array([-X[1], X[0]]),
     )
-    res = sf.rescaled_escape(field, rf, [-1.0, 0.0], tau_budget=30.0, catalog=[])
+    res = sf.rescaled_escape(rf, [-1.0, 0.0])
     assert res.outcome == "trapped"
     assert res.certificate == "stayed in the unit ball until tau = 30 after 1 visit(s); sup R = 1"
 
@@ -664,11 +663,8 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
         return counted
 
     def recorded(*args, **kwargs):
-        try:
-            return search(*args, **kwargs)
-        except sf.NoEvent as exc:
-            runs.append(exc.trajectory)
-            raise
+        runs.append(search(*args, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(attractors, "regularized_rhs", counted_rhs)
     monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
@@ -676,8 +672,8 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
     A = np.array([[-1.0, -0.5], [0.5, -1.0]])
     field = sf.SingularField(2, ALPHA, lambda y: -np.asarray(y, dtype=float))
     rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - 0.2))
-    res = sf.rescaled_escape(field, rf, [1.0, 0.0], catalog=[])
-    assert res.outcome == "trapped" and len(runs) == 1
+    res = sf.rescaled_escape(rf, [1.0, 0.0])
+    assert res.outcome == "trapped" and [run.status for run in runs] == ["stopped"]
     stats = runs[0].stats
     # the start, the starting-step probe, six stages per attempted step and
     # the sink search: nothing else
@@ -705,7 +701,7 @@ def test_max_step_reaches_every_internal_run(monkeypatch):
     searched = len(caps)
     field = saddle()
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 0.1)
-    assert sf.rescaled_escape(field, rf, [-1.0, 0.0], opts).outcome == "expelled"
+    assert sf.rescaled_escape(rf, [-1.0, 0.0], opts).outcome == "expelled"
     escaped = len(caps)
     sf.build_cycle_family(spiral, cycle, 0.0, opts)
     assert 0 < searched < escaped < len(caps)

@@ -506,3 +506,26 @@ def test_sweep_json_is_strict_json(tmp_path, monkeypatch):
     d = report["distances"]
     assert d[0] == [0.0, None, None] and d[1][0] is None and d[2][0] is None
     assert d[1][2] == d[2][1] > 0.0
+
+
+@pytest.mark.parametrize(
+    "command, old, new, fragment",
+    [
+        ("classify", "alpha = 0.3333333333333333", "alpha = abc", "alpha must be a number"),
+        ("classify", "t1 = 2.5", "t1 = 2.5\nclassify.s_budget = -5",
+         "classify.s_budget must be positive and finite"),
+        ("classify", "x0 = -1.0, 0.0", "x0 = -1.0, 0.0, 0.0", "x0 must be 2 number(s)"),
+        ("sweep", "x0 = -1.0, 0.0", "x0 = -1.0, 0.0, 0.0", "x0 must be 2 number(s)"),
+        ("sweep", "sweep.t_points = 61", "sweep.t_points = 60.5", "sweep.t_points must be an integer"),
+        ("classify", "field = saddle2d\nalpha = 0.3333333333333333", "field = sphere3d\nalpha = 0.3",
+         "sphere3d pins alpha = 1/3"),
+    ],
+)
+def test_config_errors_exit_2_before_any_output(tmp_path, capsys, command, old, new, fragment):
+    # each used to run, write a partial output or both, then exit 3
+    cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, cfg, "--outdir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and fragment in err
+    assert not list(out.iterdir())

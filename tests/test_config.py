@@ -100,8 +100,39 @@ def test_single_element_list_round_trip():
                  "radius at n = -500 must be positive and finite, got inf"),
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.chi = 1000",
                  "radius at n = 1 must be positive and finite, got inf"),
+                # a numeric key holds a number, an integer key a whole one
+                ("t1 = abc", "t1 must be a number, got 'abc'"),
+                ("integrator.rtol = abc", "integrator.rtol must be a number"),
+                ("nu.geometric.T = abc\nnu.geometric.mean_fr = 0.25", "nu.geometric.T must be a number"),
+                ("seed = 1.5", "seed must be an integer, got 1.5"),
+                ("seed = abc", "seed must be a number"),
+                ("regularization.kind = preset1d\nregularization.sigma = 0.5",
+                 "regularization.sigma must be an integer"),
+                ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.n_first = 1.5",
+                 "nu.geometric.n_first must be an integer"),
+                ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.n_last = 9.5",
+                 "nu.geometric.n_last must be an integer"),
+                ("sweep.t_points = 2.5", "sweep.t_points must be an integer"),
+                ("classify.s_budget = -5", "classify.s_budget must be positive and finite"),
+                ("classify.s_budget = 0", "classify.s_budget must be positive and finite"),
+                ("classify.s_budget = inf", "classify.s_budget must be positive and finite"),
+                ("classify.s_budget = nan", "classify.s_budget must be positive and finite"),
+                # vectors have the field's dimension, and a preset is one-dimensional
+                ("regularization.kind = polynomial_blend\nregularization.g0 = 1.0, -2.0, 0.5",
+                 "regularization.g0 must be 2 number(s)"),
+                ("regularization.kind = preset1d\nregularization.sigma = 1",
+                 "preset1d needs a one-dimensional field, not saddle2d"),
             ]
         ),
+        ("field = saddle2d\nalpha = abc\nx0 = 1.0, 0.0", "alpha must be a number, got 'abc'"),
+        ("field = sphere3d\nalpha = 0.3\nx0 = 0.0, 0.0, -1.0", "sphere3d pins alpha = 1/3"),
+        ("field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0, 0.0",
+         "x0 must be 2 number(s)"),
+        ("field = sphere3d\nalpha = 0.3333333333333333\nx0 = 1.0, 0.0",
+         "x0 must be 3 number(s)"),
+        ("field = saddle2d\nalpha = 0.3\nx0 = abc", "x0 must be 2 number(s), got 'abc'"),
+        ("field = power1d\nalpha = 0.3\nx0 = 1.0,\nregularization.sigma = 2",
+         "regularization.sigma must be +1, -1 or 0, got 2"),
     ],
 )
 def test_validation_errors(text, fragment):

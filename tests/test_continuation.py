@@ -412,7 +412,7 @@ def test_sweep_trapping_verdict(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, 1.3], 1.0)
     nus = [0.1 * 0.5**k for k in range(6)]
-    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, nus)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, nus)
     assert rep.verdict == "trivial_zero"
     assert rep.t_b == pytest.approx(1.5, abs=1e-9)
     assert rep.decay_exponent > 0
@@ -426,7 +426,7 @@ def test_sweep_trapping_verdict(saddle_sweep_grid):
 def test_sweep_expelling_verdict(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
-    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
     assert rep.verdict == "converged_to(fixed_ray)"
     assert rep.reference == "fixed_ray"
     assert rep.escape.outcome == "expelled"
@@ -459,7 +459,7 @@ def test_sweep_records_per_nu_failures(monkeypatch):
     field = sf.builtin_field("saddle2d", ALPHA)
     _failing_below(monkeypatch, sf.StepFailure, "synthetic failure")
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
-    rep = sf.inviscid_sweep(field, rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.05, 0.02])
+    rep = sf.inviscid_sweep(rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.05, 0.02])
     assert rep.solutions[2] is None
     assert "synthetic failure" in rep.errors[2]
     assert rep.solutions[0] is not None and rep.solutions[1] is not None
@@ -474,14 +474,14 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     _failing_below(monkeypatch, TypeError, "synthetic bug")
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     with pytest.raises(TypeError, match="synthetic bug"):
-        sf.inviscid_sweep(field, rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.02])
+        sf.inviscid_sweep(rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.02])
 
 
 def test_sweep_nongeneric_direction_is_undetermined(saddle_sweep_grid):
     # the downward axis collapses onto the unstable direction (zero measure)
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
-    rep = sf.inviscid_sweep(field, rf, [0.0, -1.0], saddle_sweep_grid, [0.1, 0.05])
+    rep = sf.inviscid_sweep(rf, [0.0, -1.0], saddle_sweep_grid, [0.1, 0.05])
     assert rep.verdict == "undetermined"
     assert rep.reference == "non-generic blowup direction"
 
@@ -495,7 +495,7 @@ def test_sweep_with_an_undetermined_escape_names_no_reference(saddle_sweep_grid,
     undetermined = sf.EscapeResult("undetermined", 0.0, certificate="synthetic: no decision")
     monkeypatch.setattr(cont, "rescaled_escape", lambda *args, **kwargs: undetermined)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
-    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
     assert rep.escape.outcome == "undetermined"
     assert rep.verdict == "undetermined"
     assert rep.reference is None and rep.family is None
@@ -506,7 +506,7 @@ def test_sweep_rejects_non_blowup_start(saddle_sweep_grid):
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     with pytest.raises(ValueError):
-        sf.inviscid_sweep(field, rf, [1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
+        sf.inviscid_sweep(rf, [1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
 
 
 @pytest.mark.parametrize(
@@ -521,7 +521,7 @@ def test_sweep_generic_blowup_start(g0, nus, verdict):
     # direction from the fixed point its renormalized run ends on
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, g0, 1.0)
-    rep = sf.inviscid_sweep(field, rf, OFF_RAY_X0, OFF_RAY_GRID, nus)
+    rep = sf.inviscid_sweep(rf, OFF_RAY_X0, OFF_RAY_GRID, nus)
     assert rep.t_b == pytest.approx(1.76047, abs=1e-5)
     assert rep.verdict == verdict
 
@@ -533,7 +533,7 @@ def test_sweep_rejects_a_grid_that_is_not_increasing_or_starts_before_t0(saddle_
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     for t_grid in (saddle_sweep_grid[::-1], saddle_sweep_grid - 0.5, [0.0, 1.0, 1.0, 2.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, [0.1, 0.05])
+            sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.05])
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.05, math.nan, math.inf])
@@ -542,7 +542,7 @@ def test_sweep_rejects_a_nu_that_is_not_positive_and_finite(saddle_sweep_grid, b
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     with pytest.raises(ValueError, match="positive and finite"):
-        sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, bad, 0.025])
+        sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, bad, 0.025])
 
 
 @pytest.fixture(scope="module")
@@ -552,7 +552,7 @@ def cycle_sweep():
     nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
     t_grid = np.linspace(3.1, 4.0, 90)
     rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
-    return rf, t_grid, sf.inviscid_sweep(field, rf, [0.0, 0.0, -1.0], t_grid, nus)
+    return rf, t_grid, sf.inviscid_sweep(rf, [0.0, 0.0, -1.0], t_grid, nus)
 
 
 def test_on_ray_sweep_is_one_regularized_run(cycle_sweep):
@@ -599,7 +599,7 @@ def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     t_grid = np.linspace(0.0, 2.5, 61)
     nus = [0.1, 0.003125]
-    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
     assert [r.nu_indices for r in rep.runs] == [[0, 1]]
     tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
     for sol, nu in zip(rep.solutions, nus):
@@ -631,7 +631,7 @@ def test_sweep_runs_the_nu_the_shared_run_cannot_serve_directly(case, x0, nus, d
     t_grid = np.concatenate([np.linspace(0.0, 1.45, 8), np.linspace(1.8, 2.8, 48)])
     if case == "grid_before_t_b":
         t_grid = t_grid[:8]  # t_b = 1.5
-    rep = sf.inviscid_sweep(field, rf, x0, t_grid, nus, opts)
+    rep = sf.inviscid_sweep(rf, x0, t_grid, nus, opts)
     for k in direct:
         traj = sf.integrate_regularized(
             dataclasses.replace(rf, nu=nus[k]), x0, 0.0, t_grid[-1] * (1 + 1e-12), opts
@@ -660,7 +660,7 @@ def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypa
         raise sf.StepFailure("synthetic underflow", partial)
 
     monkeypatch.setattr(cont, "integrate_regularized", underflowing)
-    rep = sf.inviscid_sweep(field, rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
     assert all(sol is None for sol in rep.solutions)
     for err in rep.errors:
         assert err.startswith("StepFailure: synthetic underflow")
@@ -702,28 +702,31 @@ def test_sweep_phase_origin_is_intrinsic(monkeypatch):
     # the perfbench cycle config at chi = 0.7: the family's zeta = 0 is a
     # point fixed by the cycle itself, so the matched phases do not depend
     # on which search found the cycle or where its orbit table starts.  The
-    # sweep without a catalog looks up its two fixed points on demand, one
-    # Newton solve each (the start on the ray, the landing direction, which
-    # is on no fixed point), and selects what the catalog sweeps select.
+    # sweep looks up its two fixed points on demand, one Newton solve each
+    # (the start on the ray, the landing direction, which is on no fixed
+    # point).  The families built from the catalog's cycle, with its table
+    # as found and started 300 rows later, fit the sweep's samples at the
+    # phases the sweep matched.
     field = sf.builtin_field("sphere3d")
     nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
     t_grid = np.linspace(3.1, 4.0, 90)
     rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
-    catalog = sf.catalog_attractors(field)
     starts = counted_newton(monkeypatch)
-    reports = [
-        sf.inviscid_sweep(field, rf, [0.0, 0.0, -1.0], t_grid, nus, catalog=cat)
-        for cat in (None, catalog, rotated_cycles(catalog, 300))
-    ]
+    rep = sf.inviscid_sweep(rf, [0.0, 0.0, -1.0], t_grid, nus)
     assert len(starts) == 2
-    span = reports[0].family.zeta_period
-    reference = np.array(reports[0].matched_zeta)
-    for rep in reports:
-        assert rep.reference == "cycle_family"
-        assert rep.verdict == reports[0].verdict
-        assert rep.escape.outcome == reports[0].escape.outcome == "expelled"
-        assert rep.t_b == pytest.approx(reports[0].t_b, rel=1e-13)
-        d = (np.array(rep.matched_zeta) - reference) % span
+    assert rep.reference == "cycle_family" and rep.escape.outcome == "expelled"
+    catalog = sf.catalog_attractors(field)
+    landed = rep.escape.attractor
+    post = t_grid > rep.t_b + 1e-12
+    span = rep.family.zeta_period
+    for cat in (catalog, rotated_cycles(catalog, 300)):
+        cycle = min((a for a in cat if a.kind == "limit_cycle"),
+                    key=lambda a: a.distance_to(landed.anchor))
+        assert cycle.period == pytest.approx(landed.period, abs=1e-8)
+        fam = sf.build_cycle_family(field, cycle, rep.t_b)
+        zs = np.array([sf.estimate_phase(fam, t_grid[post], sol[post])[0]
+                       for sol in rep.solutions])
+        d = (zs - np.array(rep.matched_zeta)) % span
         assert np.max(np.minimum(d, span - d)) <= 1e-6
 
 
@@ -739,25 +742,37 @@ def test_sweep_phase_origin_is_intrinsic(monkeypatch):
     ],
 )
 def test_on_ray_sweep_looks_up_what_the_catalog_lists(g0, nus, monkeypatch):
-    # a sweep without a catalog makes one Newton solve from the start and,
-    # when expelled, one from the landing direction; what it selects is
-    # what the same sweep selects from the full catalog
+    # the sweep makes one Newton solve from the start and, when expelled,
+    # one from the landing direction; the star it finds and the attractor
+    # the escape lands on are the catalog's entries there
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, g0, 1.0)
     t_grid = np.linspace(0.0, 2.5, 61)
-    catalog = sf.catalog_attractors(field)
     starts = counted_newton(monkeypatch)
-    on_demand = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus)
-    expelled = on_demand.escape.outcome == "expelled"
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
+    expelled = g0[1] < 0
+    assert rep.escape.outcome == ("expelled" if expelled else "trapped")
     assert len(starts) == (2 if expelled else 1)
     assert np.array_equal(starts[0], [-1.0, 0.0])
-    listed = sf.inviscid_sweep(field, rf, [-1.0, 0.0], t_grid, nus, catalog=catalog)
-    assert len(starts) == (2 if expelled else 1)  # the catalog sweep makes none
-    assert on_demand.verdict == listed.verdict
-    assert on_demand.verdict == ("converged_to(fixed_ray)" if g0[1] < 0 else "trivial_zero")
-    assert on_demand.reference == listed.reference
-    assert on_demand.escape.outcome == listed.escape.outcome
-    assert on_demand.t_b == pytest.approx(listed.t_b, rel=1e-13)
+    assert rep.verdict == ("converged_to(fixed_ray)" if expelled else "trivial_zero")
+    catalog = sf.catalog_attractors(field)
+
+    def listed(y):
+        return min((a for a in catalog if a.kind == "fixed_point"), key=lambda a: a.distance_to(y))
+
+    star = listed([-1.0, 0.0])
+    assert star.distance_to([-1.0, 0.0]) < 1e-9 and star.label == "focusing" and star.stable
+    assert rep.t_b == pytest.approx(sf.blowup_time_on_ray(1.0, star.mean_radial, ALPHA),
+                                    rel=1e-13)
+    assert rep.escape.tau_ent == pytest.approx(sf.tau_entry(star.mean_radial, ALPHA), rel=1e-13)
+    if expelled:
+        landed = rep.escape.attractor
+        entry = listed(landed.location)
+        assert landed.kind == entry.kind == "fixed_point"
+        assert landed.distance_to(entry.location) < 1e-9
+        assert landed.label == entry.label == "defocusing" and landed.stable == entry.stable
+        assert landed.mean_radial == pytest.approx(entry.mean_radial, rel=1e-12)
+        assert landed.stability_exponents == pytest.approx(entry.stability_exponents, rel=1e-9)
 
 
 def test_scaling_collapse_of_rescaled_trajectories():

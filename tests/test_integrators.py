@@ -203,16 +203,21 @@ def test_no_event_within_horizon():
 
 
 def test_no_event_carries_the_run_to_the_horizon():
-    # the search already integrated to the horizon: that run equals integrate
+    # the search already integrated to the horizon, or to the radius floor
+    # on the collapse ray (t_b = 1.5): that run equals integrate
     event = lambda t, x: np.linalg.norm(x) - 5.0
-    opts = sf.IntegrationOptions(horizon=0.5)
-    with pytest.raises(sf.NoEvent) as exc:
-        sf.integrate_to_event(saddle_rhs(), [-1.0, 0.0], 0.0, event, +1, opts)
-    run = exc.value.trajectory
-    direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 0.5, opts)
-    assert run.status == "completed"
-    assert np.array_equal(run.times, direct.times)
-    assert np.array_equal(run.states, direct.states)
+    for horizon, status, message in (
+        (0.5, "completed", "no event crossing within horizon t <= 0.5"),
+        (3.0, "hit_radius_floor", "trajectory hit the radius floor before the event"),
+    ):
+        opts = sf.IntegrationOptions(horizon=horizon)
+        with pytest.raises(sf.NoEvent, match=message) as exc:
+            sf.integrate_to_event(saddle_rhs(), [-1.0, 0.0], 0.0, event, +1, opts)
+        run = exc.value.trajectory
+        direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, horizon, opts)
+        assert run.status == direct.status == status
+        assert np.array_equal(run.times, direct.times)
+        assert np.array_equal(run.states, direct.states)
 
 
 def test_integrate_until_stops_on_a_prefix():
@@ -248,26 +253,29 @@ def test_event_search_until_stops_with_no_event():
     rhs = power1d_rhs()
     opts = sf.IntegrationOptions(r_floor=0.0)
     level = lambda t, x: float(x[0]) - 1.5  # x(t) = (1 + 2t/3)^(3/2) crosses 1.5 upward
-    t_cross, x_cross, full = integrators._integrate_to_crossing(
-        rhs, [1.0], 0.0, level, +1, opts, 10.0
-    )
+    full = integrators._integrate_to_crossing(rhs, [1.0], 0.0, level, +1, opts, 10.0)
+    assert full.status == "hit_event"
+    t_cross = full.t_end
 
     def halfway(t, y, f, partial):
         return t >= 0.5 * t_cross
 
     # an until that fires before the crossing ends the search there
-    with pytest.raises(sf.NoEvent, match="stopped before the event") as exc:
-        integrators._integrate_to_crossing(rhs, [1.0], 0.0, level, +1, opts, 10.0, until=halfway)
-    stopped = exc.value.trajectory
+    stopped = integrators._integrate_to_crossing(
+        rhs, [1.0], 0.0, level, +1, opts, 10.0, until=halfway
+    )
     assert stopped.status == "stopped"
     assert 0.5 * t_cross <= stopped.t_end < t_cross
     assert np.array_equal(stopped.states, full.states[: len(stopped.times)])
     # one that fires on the step the crossing is located in loses to it
-    t_e, x_e, run = integrators._integrate_to_crossing(
+    run = integrators._integrate_to_crossing(
         rhs, [1.0], 0.0, level, +1, opts, 10.0, until=lambda t, y, f, p: y[0] >= 1.5
     )
     assert run.status == "hit_event"
-    assert t_e == t_cross and np.array_equal(x_e, x_cross)
+    assert run.t_end == t_cross and np.array_equal(run.final_state, full.final_state)
+    # with no crossing before t_max the search completes there
+    short = integrators._integrate_to_crossing(rhs, [1.0], 0.0, level, +1, opts, 0.5 * t_cross)
+    assert short.status == "completed" and short.t_end == 0.5 * t_cross
     # integrate's until stops the event-free run on the same prefix
     plain = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=halfway)
     assert plain.status == "stopped"
@@ -511,10 +519,11 @@ def test_small_sphere_is_located_to_its_own_scale():
 
     R = 1e-6
     opts = sf.IntegrationOptions(r_floor=0.0)
-    t_e, x_e, traj = integrators._integrate_to_crossing(
+    traj = integrators._integrate_to_crossing(
         saddle_rhs(), np.array([-1.0, 0.0]), 0.0, integrators._Sphere(R), -1, opts, 3.0
     )
     assert traj.status == "hit_event"
+    t_e, x_e = traj.t_end, traj.final_state
     assert abs(np.linalg.norm(x_e) - R) <= 1e-9 * R
     assert t_e == pytest.approx(1.5 - 1.5 * R ** (2.0 / 3.0), abs=1e-7)
 

@@ -224,6 +224,38 @@ def test_classify_scaling_symmetry(theta, z0, log_lam):
         assert b.t_b == pytest.approx(expected, rel=1e-9)
 
 
+# a latitude of sphere3d, clear of its poles
+_LATITUDES = st.floats(-0.95, 0.95)
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(st.sampled_from(["saddle2d", "sphere3d"]), _GENERIC_ANGLES, _LATITUDES,
+       st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.floats(-3.0, 3.0))
+def test_renorm_integrate_is_scaling_equivariant(name, theta, y3, z0, t0, log_lam):
+    # x -> lam x, t -> lam^(1-alpha) t maps solutions to solutions: the run
+    # from (y0, z0 + log lam) at t0 lam^(1-alpha) has the same y(s), and
+    # z(s) + log lam and t(s) lam^(1-alpha).  The two runs take different
+    # steps, so they agree to their global error, which stays below 2e3 rtol
+    # on these starts; the bound is 1e4 rtol, relative to max(1, |value|)
+    if name == "saddle2d":
+        field, y0 = saddle(), [math.cos(theta), math.sin(theta)]
+    else:
+        rho = math.sqrt(1.0 - y3 * y3)
+        field, y0 = sf.builtin_field(name), [rho * math.cos(theta), rho * math.sin(theta), y3]
+    d, c = field.dimension, math.exp((1.0 - field.alpha) * log_lam)
+    opts = sf.IntegrationOptions()
+    base = sf.renorm_integrate(field, y0, z0, 10.0, opts, t0=t0)
+    scaled = sf.renorm_integrate(field, y0, z0 + log_lam, 10.0, opts, t0=t0 * c)
+    s = np.linspace(0.0, 10.0, 201)
+    u, v = base.base.sample(s), scaled.base.sample(s)
+    # each run starts at the time asked for, so t(s) is the physical time
+    assert (u[0, d + 1], v[0, d + 1]) == (t0, t0 * c)
+    bound = 1e4 * opts.rtol
+    assert np.max(np.abs(v[:, :d] - u[:, :d])) <= bound
+    for want, got in ((u[:, d] + log_lam, v[:, d]), (u[:, d + 1] * c, v[:, d + 1])):
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= bound
+
+
 def test_windowed_bracket_off_the_attractor():
     # started off the y3 = 1/2 cycle, the windowed increment forgets the
     # approach; the running mean (z(s) - z0)/s still carries it as C/s
