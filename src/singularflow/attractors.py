@@ -30,7 +30,7 @@ from .integrators import (
     integrate,
 )
 from .regularize import RegularizedField, regularized_rhs
-from .renorm import renormalized_system
+from .renorm import RenormTrajectory, renormalized_system
 
 LABEL_DELTA = 1e-6
 _FP_RESIDUAL_TOL = 1e-10
@@ -713,6 +713,8 @@ def rescaled_escape(
     again from the same exit and identified again, as that cycle when it
     ends within 5e-3 of it.
 
+    r_bound, the "sup R" of the certificates, is the largest radius the
+    excursions reach, between their samples included (_outside_excursion).
     Every run inherits opts with the radius floor off, max_step included.
     """
     field = rf.base
@@ -795,25 +797,31 @@ def _outside_excursion(field, y_exit, window, opts):
     """Renormalized run outside the ball until re-entry (Z = 0) or the window end.
 
     Re-entry is the first downward crossing of Z = 0, located as the event
-    _Level(d) on the state (y, Z, t); the run starts at Z = 0, which only a
-    crossing from Z > 0 can end.  A run that reaches the window end also
-    reports Z there, and Z's mean slope and its minimum over the second half.
+    _Level(d) on the state (y, Z); the run starts at Z = 0, which only a
+    crossing from Z > 0 can end.  z_max is the supremum of Z over the run,
+    between samples included (RenormTrajectory.z_max).  A re-entering run
+    also reports dtau, its physical-time quadrature from 0; a run that
+    reaches the window end reports Z there, and Z's mean slope and its
+    minimum over the second half.
     """
     d = field.dimension
     y0 = np.asarray(y_exit, dtype=float)
-    u0 = np.concatenate([y0 / math.sqrt(float(y0 @ y0)), [0.0, 0.0]])
+    u0 = np.concatenate([y0 / math.sqrt(float(y0 @ y0)), [0.0]])
     rhs, project = renormalized_system(field)
     run_opts = dataclasses.replace(opts, r_floor=0.0)
-    run = _integrate_to_crossing(rhs, u0, 0.0, _Level(d), -1, run_opts, window, postprocess=project)
+    run = _integrate_to_crossing(rhs, u0, 0.0, _Level(d), -1, run_opts, window,
+                                 postprocess=project, dense_index=d)
+    rt = RenormTrajectory(field, run)
     s, z = run.times, run.states[:, d]
     y_end = run.states[-1, :d]
     out = {
         "reentered": run.status == "hit_event",
         "y_end": y_end / np.linalg.norm(y_end),
-        "dtau": float(run.states[-1, d + 1]),  # physical-time quadrature started at 0
-        "z_max": float(np.max(z)),
+        "z_max": rt.z_max(),
     }
-    if not out["reentered"]:
+    if out["reentered"]:
+        out["dtau"] = float(rt.t[-1])
+    else:
         half = s[-1] / 2
         out["z_end"] = float(z[-1])
         out["mean_tail"] = float((z[-1] - float(run.sample(half)[d])) / (s[-1] - half))

@@ -2,15 +2,17 @@
 
 A hand-rolled Dormand-Prince 5(4) embedded pair drives everything in this
 package: it keeps the trajectories bitwise deterministic, exposes cubic
-Hermite dense output between accepted steps, and lets event crossings be
-located by bisection on that dense output.  Blowup times are recovered from
-trajectory tails through the exact linearity of r^(1-alpha) in t on the
-self-similar collapse.
+Hermite dense output between accepted steps (and, for one component on
+request, the pair's own order-4 continuous extension), and lets event
+crossings be located by bisection on the Hermite dense output.  Blowup
+times are recovered from trajectory tails through the exact linearity of
+r^(1-alpha) in t on the self-similar collapse.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +34,18 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
+# Its continuous extension of order 4 (ibid., section II.6): at fraction
+# theta of a step of length h, y = y_0 + h sum_i k_i sum_p _DENSE[i][p] theta^(p+1)
+# over the seven stages.  At theta = 1 the rows sum to the b_i above.
+_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -89,7 +103,12 @@ class Trajectory:
 
     status is one of completed | stopped | hit_radius_floor | hit_event |
     step_failure and explains the terminal sample; stats is what the run
-    cost the stepper.
+    cost the stepper.  stages is None unless the run was asked to keep the
+    stages of one component (integrate's dense_index): then row i holds
+    accepted step i's full length h and that component's seven stage
+    derivatives, the input of its order-4 continuous extension
+    (dense_coefficients).  The last step of a run that ends at a located
+    crossing keeps the full step's row, past the crossing.
     """
 
     times: np.ndarray
@@ -98,6 +117,7 @@ class Trajectory:
     status: str
     t_b_estimate: Optional[tuple] = None
     stats: SolverStats = field(default_factory=SolverStats)
+    stages: Optional[np.ndarray] = None
 
     @property
     def t0(self) -> float:
@@ -116,15 +136,8 @@ class Trajectory:
 
     def sample(self, t):
         """Dense evaluation at scalar or array times within the sampled span."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         ts = self.times
-        lo, hi = ts[0], ts[-1]
-        pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-        # written so that a NaN time fails the test too
-        if not np.all((t_arr >= lo - pad) & (t_arr <= hi + pad)):
-            raise OutOfRange(f"query outside sampled range [{lo}, {hi}]")
-        tq = np.clip(t_arr, lo, hi)
-        idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+        tq, idx = _locate(ts, t)
         h = ts[idx + 1] - ts[idx]
         s = np.where(h > 0, (tq - ts[idx]) / np.where(h > 0, h, 1.0), 0.0)
         out = _hermite(
@@ -141,6 +154,19 @@ class Trajectory:
     def to_csv(self, path):
         header = ["t"] + [f"x{i+1}" for i in range(self.states.shape[1])]
         write_csv(path, header, ((t, *x) for t, x in zip(self.times, self.states)))
+
+
+def _locate(times, t):
+    """Scalar or array times within the sampled span, as a clipped 1-d array,
+    and the index of the step that holds each; OutOfRange outside."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    lo, hi = times[0], times[-1]
+    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+    # written so that a NaN time fails the test too
+    if not np.all((t_arr >= lo - pad) & (t_arr <= hi + pad)):
+        raise OutOfRange(f"query outside sampled range [{lo}, {hi}]")
+    tq = np.clip(t_arr, lo, hi)
+    return tq, np.clip(np.searchsorted(times, tq, side="right") - 1, 0, len(times) - 2)
 
 
 def write_csv(path, header, rows):
@@ -224,7 +250,7 @@ def _initial_step(f, t0, y0, f0, atol, rtol, max_step):
     return min(100 * h0, h1, max_step)
 
 
-def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
+def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
     """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new).
 
     x0 and f0 are arrays, f0 = rhs(t0, x0), which every caller has already
@@ -236,7 +262,9 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
     integrate functions collect samples and statuses.  stats, a
     SolverStats, counts the right-hand-side calls made here and the steps.
     A non-finite start or error estimate (NaN or inf in the state or the
-    right-hand side) raises StepFailure: no step size can repair it.
+    right-hand side) raises StepFailure: no step size can repair it.  keep,
+    if given, is (i, buf) with buf an array("d"): each accepted step extends
+    buf by its length h and component i of its seven stages k1 .. k7.
     """
     if x0.shape != f0.shape:
         raise ValueError("rhs output shape does not match the state shape")
@@ -249,6 +277,8 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
     stats.rhs_calls += 1
     t, y, k1, y_arr, f_arr = t0, x0.tolist(), f0.tolist(), x0, f0
     ay = [abs(v) for v in y]
+    if keep is not None:
+        i, buf = keep
     attempts = 0
     while t < t1:
         if attempts == _MAX_STEPS:
@@ -295,6 +325,8 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
                 y_new = post(t_new, y_new)
                 ay_new = [abs(v) for v in y_new]
             stats.accepted += 1
+            if keep is not None:
+                buf.extend((h, k1[i], k2[i], k3[i], k4[i], k5[i], k6[i], k7[i]))
             if h < stats.h_min:
                 stats.h_min = h
             if h > stats.h_max:
@@ -311,8 +343,26 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * enorm ** -0.2))
 
 
-def _trajectory(times, states, derivs, status, stats) -> Trajectory:
-    return Trajectory(np.array(times), np.array(states), np.array(derivs), status, stats=stats)
+def _trajectory(times, states, derivs, status, stats, buf=None) -> Trajectory:
+    stages = None if buf is None else np.array(buf).reshape(-1, 8)
+    return Trajectory(np.array(times), np.array(states), np.array(derivs), status, stats=stats,
+                      stages=stages)
+
+
+def dense_coefficients(stages):
+    """The order-4 continuous extension of the kept component, step by step.
+
+    stages are rows of Trajectory.stages.  Returns (h, c), c of shape (n, 4):
+    on the step from t_i, the component at t_i + theta h is
+    x_i + c_1 theta + c_2 theta^2 + c_3 theta^3 + c_4 theta^4.  Each row is
+    formed on its own, so a step's coefficients do not depend on which
+    other steps are asked for.
+    """
+    h, k = stages[:, 0], stages[:, 1:]
+    c = k[:, :1] * _DENSE[0]
+    for j in range(1, 7):
+        c = c + k[:, j:j + 1] * _DENSE[j]
+    return h, h[:, None] * c
 
 
 def integrate(
@@ -323,6 +373,7 @@ def integrate(
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     postprocess=None,
     until: Optional[Callable] = None,
+    dense_index: Optional[int] = None,
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with adaptive 5(4) stepping.
 
@@ -355,17 +406,20 @@ def integrate(
     y.tolist())) bit for bit, as _with_floats builds it.  Any other callable
     is called on arrays, with the same steps bit for bit.  The trajectory's
     stats count the right-hand-side calls, the accepted and rejected steps
-    and the range of accepted step sizes.
+    and the range of accepted step sizes.  dense_index, if given, names a
+    state component whose stages the trajectory keeps (Trajectory.stages),
+    for that component's order-4 continuous extension.
 
     This is one of the two entry points of _run, the one loop that also
     runs the event searches (_integrate_to_crossing).
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    return _run(rhs, x0, t0, t1, opts, postprocess, until=until)
+    return _run(rhs, x0, t0, t1, opts, postprocess, until=until, dense_index=dense_index)
 
 
-def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direction=0):
+def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direction=0,
+         dense_index=None):
     """The integration loop under integrate and _integrate_to_crossing.
 
     It watches event crossed in direction (status hit_event) and, when
@@ -374,7 +428,9 @@ def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direct
     (_scan_step); the run ends at the earliest located crossing
     (_locate_crossing), whose state and derivative close the trajectory.
     Otherwise it ends when until says so (stopped) or at t1 (completed).  A
-    StepFailure is raised again carrying the partial trajectory.
+    StepFailure is raised again carrying the partial trajectory.  Given a
+    dense_index, every trajectory it builds keeps the stages of that state
+    component (Trajectory.stages); the steps are the same either way.
     """
     x0 = np.array(x0, dtype=float)
     times = [t0]
@@ -388,12 +444,14 @@ def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direct
         watched.append((_Sphere(opts.r_floor), -1, "hit_radius_floor"))
     g = [float(ev(t0, x0)) for ev, _, _ in watched]
     status = "completed"
+    buf = None if dense_index is None else array("d")
+    keep = None if buf is None else (dense_index, buf)
 
     def partial():
-        return _trajectory(times, states, derivs, "stopped", stats)
+        return _trajectory(times, states, derivs, "stopped", stats, buf)
 
     try:
-        for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess):
+        for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess, keep):
             hit = None
             for i, (ev, sense, name) in enumerate(watched):
                 bracket, g[i] = _scan_step(ev, sense, g[i], step)
@@ -417,9 +475,9 @@ def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direct
                 break
     except StepFailure as exc:
         raise StepFailure(
-            str(exc), _trajectory(times, states, derivs, "step_failure", stats)
+            str(exc), _trajectory(times, states, derivs, "step_failure", stats, buf)
         ) from None
-    return _trajectory(times, states, derivs, status, stats)
+    return _trajectory(times, states, derivs, status, stats, buf)
 
 
 def _hermite_weights(s, uu):
@@ -614,7 +672,7 @@ def _scan_step(event, direction, g_prev, step):
 
 
 def _integrate_to_crossing(
-    rhs, x0, t0, event, direction, opts, t_max, postprocess=None, until=None
+    rhs, x0, t0, event, direction, opts, t_max, postprocess=None, until=None, dense_index=None
 ) -> Trajectory:
     """Event search without the strict start-side precondition.
 
@@ -626,12 +684,12 @@ def _integrate_to_crossing(
     the run reaches the radius floor first; and stopped when until, polled
     as in integrate, ends it first.  A crossing located on the same accepted
     step wins, since a step is scanned before until sees it.  A StepFailure
-    propagates with the partial trajectory.
+    propagates with the partial trajectory.  dense_index is _run's.
     """
     if direction not in (+1, -1):
         raise ValueError("direction must be +1 (upward) or -1 (downward)")
     return _run(rhs, x0, t0, t_max, opts, postprocess, until=until, event=event,
-                direction=direction)
+                direction=direction, dense_index=dense_index)
 
 
 def integrate_to_event(

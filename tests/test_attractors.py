@@ -385,8 +385,9 @@ def test_outside_excursion_ends_at_reentry(monkeypatch):
     assert full.s[k - 1] < s_re <= full.s[k] < full.s_end
     assert -1e-12 * max(z[k - 1], -z[k]) <= u_re[d] <= 0.0
     # the search takes the full run's steps up to the crossing
-    assert np.array_equal(run.states[:k], full.base.states[:k])
-    assert out["dtau"] == u_re[d + 1]
+    assert np.array_equal(run.states[:k], full.run.states[:k])
+    # the time quadrature stops at the crossing's fraction of its full step
+    assert out["dtau"] == sf.physical_time(full, s_re)
     assert np.array_equal(out["y_end"], u_re[:d] / np.linalg.norm(u_re[:d]))
 
 
@@ -706,3 +707,16 @@ def test_max_step_reaches_every_internal_run(monkeypatch):
     sf.build_cycle_family(spiral, cycle, 0.0, opts)
     assert 0 < searched < escaped < len(caps)
     assert set(caps) == {0.5}
+
+
+def test_rescaled_escape_bound_reads_the_dense_maximum(monkeypatch):
+    # at loose tolerances the steps are long, and the largest accepted
+    # sample of Z misses the orbit's sup R = e^a by 1.5e-3; the maximum of
+    # the dense Z on the turning step does not
+    from singularflow import attractors
+
+    monkeypatch.setattr(attractors, "_R_BOUND_CAP", 1.5)
+    opts = sf.IntegrationOptions(rtol=1e-6, atol=1e-9)
+    res = sf.rescaled_escape(center_regularization(center_field()), [-1.0, 0.0], opts)
+    assert res.certificate == "excursion exceeded the bound cap 1.5"
+    assert res.r_bound == pytest.approx(math.exp(CENTER_A), rel=1e-4)

@@ -529,3 +529,19 @@ def test_config_errors_exit_2_before_any_output(tmp_path, capsys, command, old, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and fragment in err
     assert not list(out.iterdir())
+
+
+def test_classify_verdict_reports_its_run(tmp_path):
+    # the renormalized run's solver stats ride along in verdict.json; on the
+    # collapse ray t_b is the closed form 1.5 r0^(2/3) to rounding
+    cfg = write(tmp_path, "run.cfg", SADDLE_CFG.replace("x0 = -1.0, 0.0", "x0 = -2.0, 0.0"))
+    out = tmp_path / "out"
+    assert main(["classify", cfg, "--outdir", str(out), "--quiet"]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["schema_version"] == "1"
+    assert verdict["t_b"] == pytest.approx(1.5 * 2 ** (2 / 3), rel=1e-13)
+    run = verdict["run"]
+    assert set(run) == {"rhs_calls", "accepted", "rejected", "h_min", "h_max", "s_end"}
+    assert 0 < run["accepted"] and run["rhs_calls"] >= 6 * run["accepted"]
+    assert 0 < run["h_min"] <= run["h_max"]
+    assert run["s_end"] >= verdict["s_budget"]

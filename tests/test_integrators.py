@@ -720,3 +720,26 @@ def test_options_reject_non_positive_or_non_finite_tolerances(which, bad):
     # NaN passes a "<= 0" test, so a NaN tolerance used to be accepted
     with pytest.raises(ValueError, match="positive and finite"):
         sf.IntegrationOptions(**{which: bad})
+
+
+def test_kept_stages_change_no_step_and_extend_the_component():
+    # a run that keeps one component's stages takes the same steps bit for
+    # bit; each step's continuous extension ends at the next sample, matches
+    # its derivative at both ends and, at theta = 1, has the weights b_i
+    from singularflow import integrators
+
+    rhs = lambda t, x: np.array([x[1], -x[0] + 0.3 * math.cos(t)])
+    plain = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0)
+    kept = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, dense_index=0)
+    assert plain.stages is None
+    for name in ("times", "states", "derivs"):
+        assert getattr(plain, name).tobytes() == getattr(kept, name).tobytes()
+    assert kept.stages.shape == (len(kept.times) - 1, 8)
+    h, c = integrators.dense_coefficients(kept.stages)
+    assert np.max(np.abs(h - np.diff(kept.times))) <= 1e-13
+    x, f = kept.states[:, 0], kept.derivs[:, 0]
+    assert np.max(np.abs(x[:-1] + c.sum(axis=1) - x[1:])) <= 1e-14
+    assert np.max(np.abs(c[:, 0] - h * f[:-1])) <= 1e-14
+    assert np.max(np.abs(c @ [1.0, 2.0, 3.0, 4.0] - h * f[1:])) <= 1e-14
+    b = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+    assert np.allclose(integrators._DENSE.sum(axis=1), b, rtol=0.0, atol=1e-15)

@@ -55,32 +55,34 @@ def _random_directions(d, n, seed):
 def test_renormalized_system_rhs(name):
     field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
     d = field.dimension
-    full, _ = renormalized_system(field)
+    default, _ = renormalized_system(field)
     fwd, _ = renormalized_system(field, extras=("z",))
     bwd, _ = renormalized_system(field, extras=("z",), reverse=True)
     for y in _random_directions(d, 16, seed=d):
-        du = full(0.0, np.concatenate([y, [0.3, 2.0]]))
-        assert du.shape == (d + 2,)
-        assert abs(float(y @ du[:d])) <= 1e-15  # the direction stays on the sphere
-        assert du[d + 1] == math.exp((1.0 - field.alpha) * 0.3)
         u = np.concatenate([y, [0.3]])
         f, b = fwd(0.0, u), bwd(0.0, u)
+        assert f.shape == (d + 1,)
+        assert abs(float(y @ f[:d])) <= 1e-15  # the direction stays on the sphere
+        assert np.array_equal(default(0.0, u), f)
         assert np.array_equal(b[:d], -f[:d])
-        assert b[d] == f[d] == du[d]
+        assert b[d] == f[d]
 
 
 def test_renormalized_system_state_length_and_projection():
     field = sf.builtin_field("sphere3d")
-    for extras in ((), ("z",), ("z", "t")):
+    for extras in ((), ("z",)):
         rhs, project = renormalized_system(field, extras=extras)
-        u = np.concatenate([[0.0, 0.0, -1.0], [0.5, 1.0][: len(extras)]])
+        u = np.concatenate([[0.0, 0.0, -1.0], [0.5][: len(extras)]])
         assert rhs(0.0, u).shape == (3 + len(extras),)
         assert project(0.0, u) is u
-        off = np.concatenate([[0.0, 3.0, 4.0], [0.5, 1.0][: len(extras)]])
+        off = np.concatenate([[0.0, 3.0, 4.0], [0.5][: len(extras)]])
         v = project(0.0, off)
         assert v is not off and off[1] == 3.0
         assert np.array_equal(v[:3], [0.0, 0.6, 0.8])
         assert np.array_equal(v[3:], off[3:])
+    # physical time is a quadrature along the run, not a state component
+    with pytest.raises(ValueError):
+        renormalized_system(field, extras=("z", "t"))
 
 
 def test_renormalized_run_keeps_fsal_across_the_projection(monkeypatch):
@@ -348,3 +350,115 @@ def test_verdict_record_round_trip():
     assert d["t_b"] == pytest.approx(1.5, abs=1e-6)
     assert set(d["averages"]) == {"lower", "upper", "horizon"}
     assert d["s_budget"] > 0
+
+
+# Physical time is a quadrature over the dense z of each step, not a state
+# component: it sets no step and is exact on a collapse ray, where z is linear
+
+_RAYS = [("saddle2d", (-1.0, 0.0), -1.0), ("saddle2d", (0.0, -1.0), -1.0),
+         ("sphere3d", (0.0, 0.0, -1.0), -0.5)]
+
+
+@pytest.mark.parametrize("name, direction, fr", _RAYS)
+@pytest.mark.parametrize("r0", [0.2, 1.0, 2.0])
+def test_on_ray_blowup_time_is_the_closed_form(name, direction, fr, r0):
+    field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
+    v = sf.classify_blowup(field, direction, math.log(r0))
+    closed = r0 ** (1.0 - field.alpha) / ((field.alpha - 1.0) * fr)
+    assert v.verdict == "blowup"
+    assert v.t_b == pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("degrees", [40.0, 70.0])
+def test_escape_starts_take_steps_for_the_direction_only(degrees):
+    # t grows like e^((2/3) s) here; under error control it held the step
+    # near 0.24, and 357-479 steps reached s = 64
+    th = math.radians(degrees)
+    rt = sf.renorm_integrate(saddle(), [math.cos(th), math.sin(th)], 0.0, 64.0)
+    steps = len(rt.s) - 1
+    assert steps <= 210
+    assert rt.stats.accepted == steps
+
+
+@pytest.mark.parametrize("degrees", [115.0, 120.0, 160.0, 200.0, 220.0])
+@pytest.mark.parametrize("z0", [0.0, 1.0])
+def test_off_ray_blowup_time_matches_a_tight_run(degrees, z0):
+    th = math.radians(degrees)
+    y0 = [math.cos(th), math.sin(th)]
+    tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-16)
+    v = sf.classify_blowup(saddle(), y0, z0)
+    ref = sf.classify_blowup(saddle(), y0, z0, tight)
+    assert v.verdict == ref.verdict == "blowup"
+    assert v.t_b == pytest.approx(ref.t_b, rel=3e-10)
+
+
+@pytest.mark.parametrize("offset", [1e-14, 1e-12, 1e-10, 1e-8, 1e-6])
+@pytest.mark.parametrize("name, direction, tangent", [
+    ("saddle2d", (-1.0, 0.0), (0.0, 1.0)),
+    ("saddle2d", (-1.0, 0.0), (0.0, -1.0)),
+    # (0, -1) repels the direction flow; this side of it leads to (-1, 0)
+    ("saddle2d", (0.0, -1.0), (-1.0, 0.0)),
+    ("sphere3d", (0.0, 0.0, -1.0), (0.6, 0.8, 0.0)),
+])
+def test_starts_next_to_a_ray_keep_the_blowup_verdict(offset, name, direction, tangent):
+    # the steps on a ray grow long; a start next to it is still followed
+    field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
+    y0 = np.array(direction) + offset * np.array(tangent)
+    v = sf.classify_blowup(field, y0 / np.linalg.norm(y0))
+    assert v.verdict == "blowup"
+
+
+def test_physical_time_integrates_the_partial_step():
+    # on the ray the steps grow to tens of units; between samples the time
+    # comes from the dense z of the step, not from a Hermite of t
+    rt = sf.renorm_integrate(saddle(), [-1.0, 0.0], 0.0, 64.0)
+    assert rt.stats.h_max > 10.0
+    s = np.linspace(0.0, 64.0, 257)
+    closed = 1.5 * (1.0 - np.exp(-2.0 * s / 3.0))
+    assert np.max(np.abs(sf.physical_time(rt, s) - closed)) <= 1e-14
+    assert np.max(np.abs(rt.t - 1.5 * (1.0 - np.exp(-2.0 * rt.s / 3.0)))) <= 1e-14
+    assert sf.physical_time(rt, rt.s_end) == rt.t[-1]
+    # a start at t0 shifts the time and nothing else
+    shifted = sf.renorm_integrate(saddle(), [-1.0, 0.0], 0.0, 64.0, t0=2.0)
+    assert np.array_equal(shifted.run.states, rt.run.states)
+    assert np.max(np.abs(shifted.t - 2.0 - rt.t)) <= 1e-15
+
+
+def test_an_escape_verdict_reads_no_physical_time():
+    v = sf.classify_blowup(saddle(), [0.6, 0.8])
+    assert v.verdict == "escape_to_infinity"
+    assert "t" not in vars(v.renorm) and "base" not in vars(v.renorm)
+
+
+def test_verdict_record_carries_the_run_stats():
+    v = sf.classify_blowup(saddle(), [-0.6, 0.8])
+    run = v.to_dict()["run"]
+    stats = v.renorm.stats
+    assert run == {"rhs_calls": stats.rhs_calls, "accepted": stats.accepted,
+                   "rejected": stats.rejected, "h_min": stats.h_min, "h_max": stats.h_max,
+                   "s_end": v.renorm.s_end}
+    assert run["accepted"] == len(v.renorm.s) - 1
+    assert run["s_end"] >= v.s_budget
+
+
+def test_time_quadrature_rule_is_gauss_legendre():
+    # the hand-written 8-point rule, mapped to [0, 1], is NumPy's bit for bit
+    from singularflow import renorm
+
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(renorm._GL_NODES, 0.5 * (x + 1.0))
+    assert np.array_equal(renorm._GL_WEIGHTS, 0.5 * w)
+
+
+def test_physical_time_past_the_float_range_is_inf():
+    # an escape run's time leaves the float range near s = 1066; from there
+    # t is inf, at the samples and between them, never NaN
+    th = math.radians(40.0)
+    rt = sf.renorm_integrate(saddle(), [math.cos(th), math.sin(th)], 0.0, 1200.0)
+    t = rt.t
+    assert not np.isnan(t).any() and np.all(np.diff(t[np.isfinite(t)]) > 0)
+    k = int(np.argmax(~np.isfinite(t)))
+    assert 0 < k and np.all(np.isinf(t[k:]))
+    s = [rt.s[k - 1], rt.s[k + 2], 0.5 * (rt.s[k + 2] + rt.s[k + 3])]
+    assert sf.physical_time(rt, s[0]) == t[k - 1]
+    assert np.isinf(sf.physical_time(rt, np.array(s[1:]))).all()
