@@ -583,8 +583,9 @@ def _fit_phases(fam: ContinuationFamily, t_grid, sample_sets, n_grid: int = 720)
 class SweepRun:
     """One integration a sweep made: the nu values it served and its cost.
 
-    scale is |x0| for the shared on-ray run and nu for a direct one.  status
-    is the trajectory's, or "failed" when the run raised without a partial
+    scale is the radius of the regularization the run integrated: |x0| for
+    the shared on-ray run, nu for a run of its own.  status is the
+    trajectory's, or "failed" when the run raised without a partial
     trajectory; stats is then None.
     """
 
@@ -678,21 +679,24 @@ def inviscid_sweep(
 
     A start on a stable collapse ray stays on it at every scale, and the
     patched field scales exactly, f_nu(x) = nu^alpha f_1(x / nu).  So with
-    p = 1 - alpha, r0 = |x0| and X one run of the nu = 1 field from x0 / r0
-    at t0 / r0^p (the ball units of |x0|),
+    p = 1 - alpha and k = (scale / nu)^p, one run x_scale of the field at
+    radius scale from x0 at t0 gives the run at every radius nu,
 
-        x_nu(t) = nu X(t_b / r0^p + (t - t_b) / nu^p),
+        x_nu(t) = (nu / scale) x_scale(t k + t_b (1 - k)),
 
-    and before that time reaches t0 / r0^p, x_nu is outside its ball on the
+    and where that time falls before t0, x_nu is outside its ball on the
     ray, where it is the closed form pre(t) of fixed_point_solutions.  The
-    sweep makes that one run, under opts, and samples it for every nu it
-    serves.  A nu is served when the start is on the ray and the blowup
-    direction generic, opts.max_step is infinite (a cap in the run's own
-    time would cost (t_end - t_b) / nu^p / max_step steps), t_grid ends
-    after t_b, and nu <= |x0| (the start is outside the ball).  Every other
-    nu is run directly from x0 at t0.  A failure of the shared run fails
-    every nu it serves, and each error names the shared run and its scale.
-    report.runs lists every integration made, with its solver stats.
+    radii one run serves at scale = |x0| are those for which the start is
+    on the ray and the blowup direction generic, opts.max_step is infinite
+    (a cap in the run's own time would cost (t_end - t_b) k / max_step
+    steps), t_grid ends after t_b, and nu <= |x0| (the start is outside the
+    ball).  Every other nu is a run of its own at scale = nu, where k = 1
+    and the map is the identity in floating point.  Each run is one
+    integrate_regularized call under opts, ending where the map sends the
+    end of t_grid for the smallest nu it serves.  A failure of the shared
+    run fails every nu it serves, and each error names the shared run and
+    its scale.  report.runs lists every integration made, with its solver
+    stats.
 
     No attractor catalog is built.  The two attractors the sweep needs are
     looked up where it meets them, each fixed point by one Newton solve on
@@ -733,46 +737,41 @@ def inviscid_sweep(
         t_b = verdict.t_b
         star = _fixed_point_near(field, verdict.renorm.y[-1], 1e-6)
         generic = star is not None and star.stable
-    # the nu = 1 field of the escape probe, and of the shared on-ray run
-    unit = dataclasses.replace(regularization, nu=1.0)
 
     n = len(nu_values)
     results = [None] * n  # per nu: its samples, or the exception that failed it
     runs: List[SweepRun] = []
     t_end = float(t_grid[-1]) * (1 + 1e-12)
-
     shared = []
     if on_ray and generic and opts.max_step == math.inf and t_grid[-1] > t_b:
         shared = [k for k in range(n) if nu_values[k] <= r0]
-    if shared:
-        p = 1.0 - field.alpha
-        tau0, tau_b = t0 / r0**p, t_b / r0**p
-        tau_end = (tau_b + (t_end - t_b) / float(np.min(nu_values[shared])) ** p) * (1 + 1e-12)
-        X = _safe(_recorded)(
-            runs, shared, r0, lambda: integrate_regularized(unit, y0, tau0, tau_end, opts)
-        )
+    groups = [(shared, r0)] if shared else []
+    groups += [([k], float(nu_values[k])) for k in range(n) if k not in shared]
+    p = 1.0 - field.alpha
+    if on_ray:
         pre, _ = fixed_point_solutions(y0, star.mean_radial, t_b=t_b, alpha=field.alpha)
 
-        def sample(nu):
-            tau = tau_b + (t_grid - t_b) / nu**p
-            ahead = tau >= tau0  # x_nu has reached its ball, |x_nu| = nu
-            sol = np.empty((len(t_grid), len(x0)))
+    def sample(run, nu, scale):
+        k = (scale / nu) ** p
+        t = t_grid * k + t_b * (1 - k)
+        ahead = t >= t0  # x_nu has reached its ball, |x_nu| = nu
+        sol = np.empty((len(t_grid), len(x0)))
+        if not ahead.all():
             sol[~ahead] = pre(t_grid[~ahead])
-            sol[ahead] = nu * X.sample(tau[ahead])
-            return sol
+        sol[ahead] = (nu / scale) * run.sample(t[ahead])
+        return sol
 
-        for k in shared:
-            results[k] = X if isinstance(X, Exception) else _safe(sample)(float(nu_values[k]))
-
-    for k in range(n):
-        if k in shared:
-            continue
-        nu = float(nu_values[k])
-        rf = dataclasses.replace(regularization, nu=nu)
-        traj = _safe(_recorded)(
-            runs, [k], nu, lambda: integrate_regularized(rf, x0, t0, t_end, opts)
+    for indices, scale in groups:
+        k_min = (scale / float(np.min(nu_values[indices]))) ** p
+        t_stop = t_end * k_min + t_b * (1 - k_min)
+        rf = dataclasses.replace(regularization, nu=scale)
+        run = _safe(_recorded)(
+            runs, indices, scale, lambda: integrate_regularized(rf, x0, t0, t_stop, opts)
         )
-        results[k] = traj if isinstance(traj, Exception) else _safe(traj.sample)(t_grid)
+        for k in indices:
+            results[k] = run if isinstance(run, Exception) else _safe(sample)(
+                run, float(nu_values[k]), scale
+            )
 
     solutions = [None if isinstance(res, Exception) else res for res in results]
     errors = [
@@ -800,7 +799,7 @@ def inviscid_sweep(
         report.reference = "non-generic blowup direction"
         return report
 
-    esc = rescaled_escape(unit, star.location, opts)
+    esc = rescaled_escape(regularization, star.location, opts)
     report.escape = esc
     good = [k for k in range(n) if solutions[k] is not None]
     post = t_grid > t_b + 1e-12

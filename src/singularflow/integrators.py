@@ -115,7 +115,6 @@ class Trajectory:
     states: np.ndarray
     derivs: np.ndarray
     status: str
-    t_b_estimate: Optional[tuple] = None
     stats: SolverStats = field(default_factory=SolverStats)
     stages: Optional[np.ndarray] = None
 

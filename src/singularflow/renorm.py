@@ -65,8 +65,8 @@ class RenormTrajectory:
 
     run is the integrated Trajectory of the state (y, z), which keeps the
     stages of z (Trajectory.stages); t0 is the physical time at its start.
-    t, and base that carries it, are computed on first read, so a reader of
-    y and z alone pays nothing for them.
+    t is computed on first read, so a reader of y and z alone pays nothing
+    for it.
     """
 
     field: SingularField
@@ -99,20 +99,6 @@ class RenormTrajectory:
         steps = np.arange(len(self.s) - 1)
         inc = _elapsed(self, steps, np.diff(self.s) / self.run.stages[:, 0])
         return np.cumsum(np.concatenate([[self.t0], inc]))
-
-    @cached_property
-    def base(self) -> Trajectory:
-        """The run as a Trajectory of (y, z, t), with e^((1-alpha) z) as dt/ds.
-
-        Its dense output is the cubic Hermite of the t samples, which can
-        miss by 1e-6 relative over a ray's long steps; physical_time
-        integrates the dense z instead, to rounding.
-        """
-        run = self.run
-        with np.errstate(over="ignore"):
-            dt = np.exp((1.0 - self.field.alpha) * self.z)
-        return Trajectory(run.times, np.column_stack([run.states, self.t]),
-                          np.column_stack([run.derivs, dt]), run.status, stats=run.stats)
 
     def z_max(self) -> float:
         """The largest z over the run, between its samples included.
@@ -334,12 +320,16 @@ def radial_averages(rt: RenormTrajectory, window: float) -> RadialAverages:
     O(amplitude/s) around the cycle mean, which the min/max bracket keeps.
     s is measured from the start of the run.
     """
-    s_end = rt.s_end
+    return _bracket(rt, window, rt.s_end)
+
+
+def _bracket(rt: RenormTrajectory, window: float, s_end: float) -> RadialAverages:
+    """radial_averages over the window that ends at s_end, within the run."""
     if not s_end >= 2 * window:
         raise ValueError("trajectory must cover at least twice the averaging window")
     s0 = float(rt.s[0])
     lo = s_end - window
-    mask = rt.s >= lo
+    mask = (rt.s >= lo) & (rt.s <= s_end)
     s_samples = np.unique(np.concatenate([rt.s[mask], np.linspace(lo, s_end, 513)]))
     s_samples = s_samples[s_samples > s0]
     s_half = 0.5 * (s0 + s_samples)
@@ -359,18 +349,19 @@ def classify_blowup(
 ) -> BlowupVerdict:
     """Decide blowup vs escape from the sign of the stabilized radial average.
 
-    One renormalized run heads for s_budget.  Each time it passes a stage
-    boundary (_S_START = 16, 32, 64, ..., s_budget) the windowed
-    radial-average bracket over the trailing half-stage is taken, and the run
-    stops as soon as the bracket moves by less than _STABILIZE_TOL (1e-4)
-    between stages ("stabilized"), so its cost follows the transient, not the
-    budget.  A stabilized bracket below -_VERDICT_DELTA (1e-3) means
-    finite-time blowup: t_b is the run's physical-time quadrature to its
-    end plus the closed-form tail at the bracket's mean.  A bracket above
+    One renormalized run heads for s_budget.  At every stage boundary
+    (_S_START = 16, 32, 64, ..., s_budget) the run passes, in order, the
+    windowed radial-average bracket over the half-stage that ends at that
+    boundary is taken, and the run stops at the first boundary whose
+    bracket moved by less than _STABILIZE_TOL (1e-4) from the one before
+    ("stabilized"), so its cost follows the transient, not the budget.  A
+    stabilized bracket below -_VERDICT_DELTA (1e-3) means finite-time
+    blowup: t_b is the run's physical-time quadrature to its end plus the
+    closed-form tail at the bracket's mean.  A bracket above
     +_VERDICT_DELTA means escape to infinity, a verdict that reads no
     physical time, so an escaping run never computes it.  Anything else is
     reported as undetermined.  s_budget of the verdict is the stage that
-    decided it.
+    decided it; the run ends at the accepted step that passed it.
     """
     stages = []
     s = _S_START
@@ -385,13 +376,15 @@ def classify_blowup(
         nonlocal passed, prev, av
         if s < stages[passed]:
             return False
+        rt = partial()
         while passed < len(stages) and stages[passed] <= s:
+            prev, av = av, _bracket(rt, stages[passed] / 2, stages[passed])
             passed += 1
-        prev, av = av, radial_averages(partial(), window=stages[passed - 1] / 2)
-        if prev is None:
-            return False
-        moved = max(abs(av.lower - prev.lower), abs(av.upper - prev.upper))
-        return moved < _STABILIZE_TOL
+            if prev is not None:
+                moved = max(abs(av.lower - prev.lower), abs(av.upper - prev.upper))
+                if moved < _STABILIZE_TOL:
+                    return True
+        return False
 
     rt = renorm_integrate(field, y0, z0, s_budget, opts, t0=t0, until=stabilized)
     s_stage = stages[passed - 1]

@@ -613,6 +613,27 @@ def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
         assert np.max(err[before]) <= 1e-9 and np.max(err) <= 1e-6
 
 
+def test_on_ray_sweep_from_outside_the_unit_sphere_is_one_run_at_its_radius():
+    # |x0| = 2: the shared run integrates the field at radius |x0| from x0,
+    # and the scaling map gives every radius within 1e-6 relative of a
+    # tight run at that radius
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    t_grid = np.linspace(0.0, 4.0, 81)
+    nus = [1.0, 0.1, 0.01, 0.001]
+    rep = sf.inviscid_sweep(rf, [-2.0, 0.0], t_grid, nus)
+    assert [(r.nu_indices, r.scale) for r in rep.runs] == [([0, 1, 2, 3], 2.0)]
+    assert rep.verdict == "converged_to(fixed_ray)"
+    tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
+    for sol, nu in zip(rep.solutions, nus):
+        ref = sf.integrate_regularized(
+            dataclasses.replace(rf, nu=nu), [-2.0, 0.0], 0.0, 4.0 * (1 + 1e-12), tight
+        )
+        ref = ref.sample(t_grid)
+        err = np.linalg.norm(sol - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(err) <= 1e-6
+
+
 @pytest.mark.parametrize(
     "case, x0, nus, direct",
     [

@@ -202,9 +202,18 @@ def test_classify_is_one_run(y0):
 
 def test_classify_stops_at_a_stage_passed_by_the_run():
     v = sf.classify_blowup(saddle(), [-0.6, 0.8])
-    assert v.renorm.base.status == "stopped"
+    assert v.renorm.run.status == "stopped"
     assert v.s_budget <= v.renorm.s_end
     assert v.averages.horizon == v.s_budget / 2
+
+
+def test_classify_reports_the_stage_it_measured_at():
+    # on the ray one step runs past s = 32 and 64; each boundary gets its
+    # own bracket, and the bracket at 32 already agrees with the one at 16
+    v = sf.classify_blowup(saddle(), [-1.0, 0.0], math.log(2.0))
+    assert v.verdict == "blowup"
+    assert v.s_budget == 32.0 and v.averages.horizon == 16.0
+    assert v.t_b == pytest.approx(1.5 * 2 ** (2 / 3), rel=1e-13)
 
 
 # start angles at least 0.17 rad from the unstable directions pi/2, 3 pi/2
@@ -249,7 +258,7 @@ def test_renorm_integrate_is_scaling_equivariant(name, theta, y3, z0, t0, log_la
     base = sf.renorm_integrate(field, y0, z0, 10.0, opts, t0=t0)
     scaled = sf.renorm_integrate(field, y0, z0 + log_lam, 10.0, opts, t0=t0 * c)
     s = np.linspace(0.0, 10.0, 201)
-    u, v = base.base.sample(s), scaled.base.sample(s)
+    u, v = (np.column_stack([rt.run.sample(s), sf.physical_time(rt, s)]) for rt in (base, scaled))
     # each run starts at the time asked for, so t(s) is the physical time
     assert (u[0, d + 1], v[0, d + 1]) == (t0, t0 * c)
     bound = 1e4 * opts.rtol
