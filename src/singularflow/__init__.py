@@ -34,7 +34,6 @@ from .errors import (
     ConfigError,
     LimitCycleNotFound,
     NoEvent,
-    NoEventDirection,
     NonPositiveMean,
     NotBlowingUp,
     NotUnitVector,
@@ -65,7 +64,6 @@ from .integrators import (
     Trajectory,
     estimate_blowup_time,
     integrate,
-    integrate_to_event,
 )
 from .regularize import (
     RegularizedField,

@@ -21,16 +21,9 @@ import numpy as np
 
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
-from .integrators import (
-    DEFAULT_OPTIONS,
-    IntegrationOptions,
-    _integrate_to_crossing,
-    _Level,
-    _Sphere,
-    integrate,
-)
+from .integrators import DEFAULT_OPTIONS, IntegrationOptions, _Level, _Sphere, integrate
 from .regularize import RegularizedField, regularized_rhs
-from .renorm import RenormTrajectory, renormalized_system
+from .renorm import renorm_integrate, renormalized_system
 
 LABEL_DELTA = 1e-6
 _FP_RESIDUAL_TOL = 1e-10
@@ -311,67 +304,61 @@ def find_limit_cycle(
     if d < 2:
         raise LimitCycleNotFound("no spherical flow in one dimension")
     y0 = np.asarray(y0, dtype=float)
-    y0 = y0 / np.linalg.norm(y0)
-    # the state is (y, z): z integrates F_r along the traversal
-    rhs, project = renormalized_system(field, extras=("z",), reverse=_reverse)
-    p0 = y0
+    p0 = y0 / np.linalg.norm(y0)
     if transient > 0:
         tubes = [_Tube(c) for c in _known]
         reached = []
 
-        def in_known_tube(_t, u, _f, _partial):
+        def in_known_tube(_s, u, _f, _partial):
             reached.extend(tube.attractor for tube in tubes if tube.holds(u[:d]))
             return bool(reached)
 
-        run = integrate(rhs, np.append(y0, 0.0), 0.0, transient,
-                        dataclasses.replace(opts, r_floor=0.0),
-                        postprocess=project, until=in_known_tube)
+        run = renorm_integrate(field, p0, 0.0, transient, opts, until=in_known_tube,
+                               reverse=_reverse)
         if reached:
             if reached[0].kind == "fixed_point":
                 raise LimitCycleNotFound("orbit converges to a fixed point")
             return reached[0]
-        p0 = run.final_state[:d] / np.linalg.norm(run.final_state[:d])
-    u_here = np.append(p0, 0.0)
-    v0 = rhs(0.0, u_here)[:d]
+        p0 = run.y[-1] / np.linalg.norm(run.y[-1])
+    rhs, _ = renormalized_system(field, _reverse)
+    v0 = rhs(0.0, np.append(p0, 0.0))[:d]
     speed = np.linalg.norm(v0)
     if speed < 1e-7:
         raise LimitCycleNotFound("orbit converges to a fixed point")
     normal = v0 / speed
 
-    def section(_t, u):
+    def section(_s, u):
         return float(normal @ (u[:d] - p0))
 
-    sec_opts = dataclasses.replace(
-        opts, rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13), r_floor=0.0
-    )
-    t_here = 0.0
+    sec_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13))
+    y_here, z_here = p0, 0.0
     distances = []  # successive return-point separations
     for _ in range(_MAX_RETURNS):
         # each lap starts on the section or on the side a return crossed
-        # to, where an upward crossing cannot fire again at once
+        # to, where an upward crossing cannot fire again at once; a return
+        # lies off the sphere by the dense output's error, and the next
+        # lap starts from its projection
         try:
-            lap = _integrate_to_crossing(
-                rhs, u_here, t_here, section, +1, sec_opts,
-                t_here + _RETURN_HORIZON, postprocess=project,
-            )
-        except StepFailure as exc:
-            lap = exc.trajectory
-        if lap.status != "hit_event":
+            lap = renorm_integrate(field, y_here, z_here, _RETURN_HORIZON, sec_opts,
+                                   event=section, direction=+1, reverse=_reverse)
+        except StepFailure:
+            lap = None
+        if lap is None or lap.run.status != "hit_event":
             raise LimitCycleNotFound("no recurrence within the return horizon")
-        t_ret, u_ret = lap.t_end, lap.final_state
-        if np.linalg.norm(rhs(0.0, u_ret)[:d]) < 1e-7:
+        if np.linalg.norm(lap.run.derivs[-1][:d]) < 1e-7:
             raise LimitCycleNotFound("orbit converges to a fixed point")
-        distances.append(float(np.linalg.norm(u_ret[:d] - u_here[:d])))
+        y_ret = lap.y[-1] / np.linalg.norm(lap.y[-1])
+        distances.append(float(np.linalg.norm(y_ret - y_here)))
         if distances[-1] < _RETURN_TOL:
             break
-        t_here, u_here = t_ret, u_ret
+        y_here, z_here = y_ret, float(lap.z[-1])
     else:
         raise LimitCycleNotFound(
             f"returns did not converge below {_RETURN_TOL} in {_MAX_RETURNS} laps"
         )
-    period = t_ret - t_here
+    period = lap.s_end
     s_grid = np.linspace(0.0, period, _ORBIT_SAMPLES + 1)
-    uu = lap.sample(t_here + s_grid)
+    uu = lap.run.sample(s_grid)
     orbit = uu[:, :d] / np.linalg.norm(uu[:, :d], axis=1)[:, None]
     radial_integral = uu[:, d] - uu[0, d]
     # contraction rate from the geometric decay of return distances
@@ -722,7 +709,8 @@ def rescaled_escape(
         # settles on a certified interior sink
         watch = _SinkWatch(rhs)
         try:
-            seg = _integrate_to_crossing(rhs, x, tau, ball, +1, in_opts, _TAU_BUDGET, until=watch)
+            seg = integrate(rhs, x, tau, _TAU_BUDGET, in_opts, until=watch, event=ball,
+                            direction=+1)
         except StepFailure as exc:
             watch.charge(exc.trajectory)
             failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
@@ -785,17 +773,10 @@ def _outside_excursion(field, y_exit, window, opts):
     minimum over the second half.
     """
     d = field.dimension
-    y0 = np.asarray(y_exit, dtype=float)
-    u0 = np.concatenate([y0 / math.sqrt(float(y0 @ y0)), [0.0]])
-    rhs, project = renormalized_system(field)
-    run_opts = dataclasses.replace(opts, r_floor=0.0)
-    run = _integrate_to_crossing(rhs, u0, 0.0, _Level(d), -1, run_opts, window,
-                                 postprocess=project, dense_index=d)
-    rt = RenormTrajectory(field, run)
-    s, z = run.times, run.states[:, d]
-    y_end = run.states[-1, :d]
+    rt = renorm_integrate(field, y_exit, 0.0, window, opts, event=_Level(d), direction=-1)
+    s, z, y_end = rt.s, rt.z, rt.y[-1]
     out = {
-        "reentered": run.status == "hit_event",
+        "reentered": rt.run.status == "hit_event",
         "y_end": y_end / np.linalg.norm(y_end),
         "z_max": rt.z_max(),
     }
@@ -804,6 +785,6 @@ def _outside_excursion(field, y_exit, window, opts):
     else:
         half = s[-1] / 2
         out["z_end"] = float(z[-1])
-        out["mean_tail"] = float((z[-1] - float(run.sample(half)[d])) / (s[-1] - half))
+        out["mean_tail"] = float((z[-1] - float(rt.run.sample(half)[d])) / (s[-1] - half))
         out["z_min_tail"] = float(np.min(z[s >= half]))
     return out

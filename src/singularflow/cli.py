@@ -28,7 +28,7 @@ from . import figures
 from .attractors import catalog_attractors
 from .config import ConfigError, RunConfig
 from .continuation import geometric_sequence, inviscid_sweep
-from .errors import SingularFlowError, StepFailure
+from .errors import NotBlowingUp, SingularFlowError, StepFailure
 from .fields import builtin_field, eval_field
 from .integrators import IntegrationOptions, estimate_blowup_time, integrate, write_csv
 from .regularize import integrate_regularized, make_polynomial_blend, make_preset_1d
@@ -118,11 +118,15 @@ def cmd_simulate(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
     summary["status"] = traj.status
     summary["t_end"] = traj.t_end
     summary["final_state"] = traj.final_state.tolist()
+    summary["run"] = dataclasses.asdict(traj.stats)
     if traj.status == "hit_radius_floor":
-        t_b, exponent, resid = estimate_blowup_time(traj, field.alpha)
-        summary["t_b"] = t_b
-        summary["blowup_exponent"] = exponent
-        summary["blowup_fit_residual"] = resid
+        # a tail too short to fit leaves the finished run's summary standing
+        try:
+            fit = estimate_blowup_time(traj, field.alpha)
+        except NotBlowingUp as exc:
+            fit = (None, None, None)
+            summary["blowup_fit_error"] = str(exc)
+        summary["t_b"], summary["blowup_exponent"], summary["blowup_fit_residual"] = fit
     _write_json(os.path.join(outdir, "summary.json"), summary)
     if not quiet:
         print(f"simulate: status {traj.status}, wrote {outdir}/trajectory.csv")

@@ -33,15 +33,9 @@ import numpy as np
 from .attractors import AttractorInfo, EscapeResult, _fixed_point_near, rescaled_escape
 from .errors import NoEvent, NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
-from .integrators import (
-    DEFAULT_OPTIONS,
-    IntegrationOptions,
-    SolverStats,
-    _integrate_to_crossing,
-    integrate,
-)
+from .integrators import DEFAULT_OPTIONS, IntegrationOptions, SolverStats
 from .regularize import RegularizedField, integrate_regularized
-from .renorm import classify_blowup, renormalized_system
+from .renorm import classify_blowup, renorm_integrate, renormalized_system
 
 _MEAN_DELTA = 1e-6
 # phases per broadcast block of the _fit_phases scan, whose family points
@@ -379,17 +373,16 @@ def _cycle_anchor(field: SingularField, cycle: AttractorInfo, opts: IntegrationO
     k = next((i for i, r in enumerate(ranges) if r > _ANCHOR_RANGE), int(np.argmax(ranges)))
     rows = len(orbit) - 1  # the last row repeats the first
     start = orbit[(int(np.argmax(orbit[:-1, k])) - _ANCHOR_LEAD) % rows]
-    rhs, project = renormalized_system(field, extras=())
+    rhs, _ = renormalized_system(field)
 
-    def slope(t, y):
-        return float(rhs(t, y)[k])
+    def slope(s, u):
+        return float(rhs(s, u)[k])
 
-    run = _integrate_to_crossing(
-        rhs, start, 0.0, slope, -1, opts, 2.0 * float(cycle.period), postprocess=project
-    )
-    if run.status != "hit_event":
-        raise NoEvent(f"no maximum of y_{k + 1} within two periods of the cycle", run)
-    y = run.final_state
+    rt = renorm_integrate(field, start, 0.0, 2.0 * float(cycle.period), opts, event=slope,
+                          direction=-1)
+    if rt.run.status != "hit_event":
+        raise NoEvent(f"no maximum of y_{k + 1} within two periods of the cycle", rt.run)
+    y = rt.y[-1]
     return y / np.linalg.norm(y)
 
 
@@ -426,14 +419,10 @@ def build_cycle_family(
 
     T = float(cycle.period)
 
-    rhs, project = renormalized_system(field, extras=("z",))
-    run_opts = dataclasses.replace(
-        opts, rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14), r_floor=0.0
-    )
+    run_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14))
     anchor = _cycle_anchor(field, cycle, run_opts)
-    traj = integrate(rhs, np.concatenate([anchor, [0.0]]), 0.0, T, run_opts, postprocess=project)
     s_grid = np.linspace(0.0, T, _FAMILY_GRID + 1)
-    uu = traj.sample(s_grid)
+    uu = renorm_integrate(field, anchor, 0.0, T, run_opts).run.sample(s_grid)
     orbit = uu[:, :d]
     orbit /= np.linalg.norm(orbit, axis=1)[:, None]
     J_tab = uu[:, d].copy()

@@ -30,9 +30,8 @@ class StepFailure(SingularFlowError):
 
 
 class NoEvent(SingularFlowError):
-    """No event crossing found: raised by integrate_to_event, whose run
-    reached the horizon or the radius floor or failed first, and by
-    build_cycle_family when its anchor search finds no maximum.
+    """No event crossing found: raised by build_cycle_family when its
+    anchor search finds no maximum.
 
     Carries the run, whose status says why it ended, when there is one.
     """
@@ -40,10 +39,6 @@ class NoEvent(SingularFlowError):
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class NoEventDirection(NoEvent):
-    """Event function already on (or past) the crossing side at the start."""
 
 
 class NotBlowingUp(SingularFlowError):

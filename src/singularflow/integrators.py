@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoEvent, NoEventDirection, NotBlowingUp, OutOfRange, StepFailure
+from .errors import NotBlowingUp, OutOfRange, StepFailure
 
 # Dormand-Prince 5(4) tableau (FSAL: the last stage is f at the new point),
 # Hairer, Norsett and Wanner, Solving ODEs I, section II.5.  The stepper
@@ -64,7 +64,6 @@ class IntegrationOptions:
     atol: float = 1e-12
     max_step: float = math.inf
     r_floor: float = 1e-10
-    horizon: float = 1e3
 
     def __post_init__(self):
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):  # NaN fails too
@@ -372,16 +371,31 @@ def integrate(
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     postprocess=None,
     until: Optional[Callable] = None,
+    event: Optional[Callable] = None,
+    direction: int = 0,
     dense_index: Optional[int] = None,
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with adaptive 5(4) stepping.
 
-    Stops early with status hit_radius_floor at the located crossing of
-    |x| = opts.r_floor, downward (the ideal singular field cannot be followed
-    into the origin); a run that starts inside that sphere is not stopped by
-    it, and an r_floor of 0 disables it.  Raises StepFailure,
-    carrying the partial trajectory, when the step size underflows or the
-    state turns non-finite.
+    The returned trajectory's status says why the run ended: completed at
+    t1, stopped by until, hit_event or hit_radius_floor at a located
+    crossing; a StepFailure, raised when the step size underflows or the
+    state turns non-finite, carries the partial trajectory (status
+    step_failure).
+
+    event, if given, is a function event(t, x) whose first zero crossing in
+    direction (+1 upward, -1 downward, required with an event) strictly
+    after t0 ends the run with status hit_event.  A start at zero or on the
+    side the crossing leads to is no crossing: the event must first return
+    to the other side, so a run restarted from a located crossing does not
+    fire on it again.  The radius floor is the same kind of event: the
+    sphere |x| = opts.r_floor crossed downward ends the run with status
+    hit_radius_floor (the ideal singular field cannot be followed into the
+    origin); a run that starts inside that sphere is not stopped by it, and
+    an r_floor of 0 disables it.  Each accepted step is scanned for both
+    (_scan_step), and the run ends at the earliest located crossing
+    (_locate_crossing), whose time, state and derivative close the
+    trajectory.
 
     postprocess, if given, is applied to every accepted state as
     postprocess(t, y) and returns the adjusted state, which the run keeps.
@@ -397,7 +411,8 @@ def integrate(
     adjustment) and partial() builds the trajectory up to t (at a cost that
     grows with its length); a true result ends the run at that step with
     status stopped.  The steps taken never depend on it, so a stopped run is
-    a prefix of the full one.
+    a prefix of the full one.  A crossing located on an accepted step beats
+    until: the step is scanned before until sees it.
 
     rhs and postprocess may carry a float form as their .floats attribute,
     a function (t, y) -> list on lists of Python floats that the stepper
@@ -407,30 +422,13 @@ def integrate(
     stats count the right-hand-side calls, the accepted and rejected steps
     and the range of accepted step sizes.  dense_index, if given, names a
     state component whose stages the trajectory keeps (Trajectory.stages),
-    for that component's order-4 continuous extension.
-
-    This is one of the two entry points of _run, the one loop that also
-    runs the event searches (_integrate_to_crossing).
+    for that component's order-4 continuous extension; the steps are the
+    same either way.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    return _run(rhs, x0, t0, t1, opts, postprocess, until=until, dense_index=dense_index)
-
-
-def _run(rhs, x0, t0, t1, opts, postprocess=None, until=None, event=None, direction=0,
-         dense_index=None):
-    """The integration loop under integrate and _integrate_to_crossing.
-
-    It watches event crossed in direction (status hit_event) and, when
-    opts.r_floor > 0, the sphere |x| = r_floor crossed downward (status
-    hit_radius_floor).  Each accepted step is scanned for both
-    (_scan_step); the run ends at the earliest located crossing
-    (_locate_crossing), whose state and derivative close the trajectory.
-    Otherwise it ends when until says so (stopped) or at t1 (completed).  A
-    StepFailure is raised again carrying the partial trajectory.  Given a
-    dense_index, every trajectory it builds keeps the stages of that state
-    component (Trajectory.stages); the steps are the same either way.
-    """
+    if event is not None and direction not in (+1, -1):
+        raise ValueError("direction must be +1 (upward) or -1 (downward)")
     x0 = np.array(x0, dtype=float)
     times = [t0]
     states = [x0]
@@ -668,65 +666,6 @@ def _scan_step(event, direction, g_prev, step):
             return (ta, ga, tq, gq), gq
         ta, ga = tq, gq
     return None, ga
-
-
-def _integrate_to_crossing(
-    rhs, x0, t0, event, direction, opts, t_max, postprocess=None, until=None, dense_index=None
-) -> Trajectory:
-    """Event search without the strict start-side precondition.
-
-    Detects the first crossing of event through zero in the requested
-    direction strictly after t0, scanning the dense output of each accepted
-    step, and returns the run; its status says why it ended.  It is
-    hit_event at a located crossing, whose time and state are the run's
-    last sample; completed at t_max with no crossing; hit_radius_floor when
-    the run reaches the radius floor first; and stopped when until, polled
-    as in integrate, ends it first.  A crossing located on the same accepted
-    step wins, since a step is scanned before until sees it.  A StepFailure
-    propagates with the partial trajectory.  dense_index is _run's.
-    """
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 (upward) or -1 (downward)")
-    return _run(rhs, x0, t0, t_max, opts, postprocess, until=until, event=event,
-                direction=direction, dense_index=dense_index)
-
-
-def integrate_to_event(
-    rhs: Callable,
-    x0,
-    t0: float,
-    event: Callable,
-    direction: int,
-    opts: IntegrationOptions = DEFAULT_OPTIONS,
-):
-    """Locate the first directional zero crossing of event(t, x).
-
-    direction=+1 looks for an upward crossing (the event function must be
-    strictly negative at t0), direction=-1 for a downward one.  The search
-    spans t0 .. t0 + opts.horizon.  Returns (t_event, x_event, trajectory
-    ending at the event).  Raises NoEvent, carrying the run, when it reaches
-    the horizon or the radius floor first, or fails.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    g0 = float(event(t0, x0))
-    if direction > 0 and g0 >= 0.0:
-        raise NoEventDirection(
-            f"event already at or past an upward crossing at t0 (event = {g0!r})"
-        )
-    if direction < 0 and g0 <= 0.0:
-        raise NoEventDirection(
-            f"event already at or past a downward crossing at t0 (event = {g0!r})"
-        )
-    t_max = t0 + opts.horizon
-    try:
-        traj = _integrate_to_crossing(rhs, x0, t0, event, direction, opts, t_max)
-    except StepFailure as exc:
-        raise NoEvent(f"integration failed before the event: {exc}", exc.trajectory) from None
-    if traj.status == "hit_radius_floor":
-        raise NoEvent("trajectory hit the radius floor before the event", traj)
-    if traj.status != "hit_event":
-        raise NoEvent(f"no event crossing within horizon t <= {t_max!r}", traj)
-    return traj.t_end, traj.final_state, traj
 
 
 def estimate_blowup_time(traj: Trajectory, alpha: float):

@@ -14,9 +14,11 @@ continuous extension of z, computed when first read (RenormTrajectory.t,
 physical_time).
 
 renormalized_system is the single definition of this system and of its
-projection onto the sphere: the blowup classification here, and the cycle
-searches, orbit tables and continuation families elsewhere, all run it,
-each carrying only the components it needs.
+projection onto the sphere, and renorm_integrate is the one run of it: the
+blowup classification here, and the cycle searches, escape excursions,
+cycle anchors and continuation families elsewhere, are all renorm_integrate
+calls.  Elsewhere renormalized_system is only evaluated, for a speed or a
+slope.
 """
 
 from __future__ import annotations
@@ -206,30 +208,28 @@ class BlowupVerdict:
         return out
 
 
-def renormalized_system(field: SingularField, extras=("z",), reverse: bool = False):
+def renormalized_system(field: SingularField, reverse: bool = False):
     """The renormalized system and its sphere projection, as (rhs, project).
 
-    The state is the direction y followed by the extras: ("z",) appends z,
-    which integrates dz/ds = F_r(y), and () leaves y alone.  Physical time
-    is no component: it is a quadrature along the run (physical_time).
-    reverse negates dy/ds only; z still accumulates F_r along the
-    traversal.  project(s, u) rescales y back onto the unit sphere after an
-    accepted step, and leaves u as it is when |y| is already exactly 1.  rhs
-    normalizes y itself and z does not feed back into it, so rhs is
-    invariant under project, as integrate requires of a postprocess.
+    The state is the direction y followed by z, which integrates
+    dz/ds = F_r(y).  Physical time is no component: it is a quadrature
+    along the run (physical_time).  reverse negates dy/ds only; z still
+    accumulates F_r along the traversal.  project(s, u) rescales y back
+    onto the unit sphere after an accepted step, and leaves u as it is when
+    |y| is already exactly 1.  rhs normalizes y itself and z does not feed
+    back into it, so rhs is invariant under project, as integrate requires
+    of a postprocess.
 
     Both are written once, on lists of Python floats, and exposed as their
     .floats attribute (see integrate); rhs and project themselves are the
     array callables np.array(form(s, _floats(u))).  The sphere map runs
     through its own float form when the field's map has one.
     """
-    if tuple(extras) not in ((), ("z",)):
-        raise ValueError(f"extras must be ('z',) or (), got {extras!r}")
     d = field.dimension
     smap = _map_float_form(field.sphere_map)
 
     def rhs(_s, u):
-        y = u[:d] if extras else u
+        y = u[:d]
         r = math.hypot(*y)
         y = [v / r for v in y] if r else [math.nan] * d
         F = smap(y)
@@ -240,18 +240,16 @@ def renormalized_system(field: SingularField, extras=("z",), reverse: bool = Fal
             dy = [fr * q - p for p, q in zip(F, y)]
         else:
             dy = [p - fr * q for p, q in zip(F, y)]
-        if extras:
-            dy.append(fr)
+        dy.append(fr)
         return dy
 
     def project(_s, u):
-        y = u[:d] if extras else u
+        y = u[:d]
         norm = math.hypot(*y)
         if norm == 1.0:
             return u
         out = [v / norm for v in y] if norm else [math.nan] * d
-        if extras:
-            out += u[d:]
+        out.append(u[d])
         return out
 
     return _with_floats(rhs), _with_floats(project)
@@ -265,18 +263,30 @@ def renorm_integrate(
     opts: IntegrationOptions = DEFAULT_OPTIONS,
     t0: float = 0.0,
     until: Optional[Callable] = None,
+    event: Optional[Callable] = None,
+    direction: int = 0,
+    reverse: bool = False,
 ) -> RenormTrajectory:
-    """Integrate the renormalized system up to fictitious time s_max.
+    """Integrate the renormalized system from s = 0 up to fictitious time s_max.
 
-    The direction is re-projected onto the sphere after every accepted step,
-    keeping max | |y|-1 | at the level of the local error.  The stepper
-    integrates (y, z) and keeps the stages of z; physical time starts at t0
-    and is a quadrature read on demand (RenormTrajectory.t, physical_time).
+    y0 must lie within 1e-9 of the unit sphere (NotUnitVector otherwise);
+    the run starts from its projection.  The direction is re-projected onto
+    the sphere after every accepted step, keeping max | |y|-1 | at the level
+    of the local error.  The stepper integrates (y, z) with opts, its radius
+    floor off, and keeps the stages of z; physical time starts at t0 and is
+    a quadrature read on demand (RenormTrajectory.t, physical_time).
+    reverse runs the reversed direction flow (renormalized_system).
+
     until, if given, is polled after every accepted step as until(s, u, f,
     partial), where u is the accepted state (y, z) at s, f the derivative
     integrate hands its until and partial() builds the RenormTrajectory up
     to s (at a cost that grows with its length); a true result ends the run
-    there, on a prefix of the full run.
+    there, on a prefix of the full run.  event(s, u) and direction are
+    integrate's: the run ends at the first located crossing, with status
+    hit_event.  A crossing's state is the dense output's, so its y lies off
+    the sphere by the interpolant's error (2e-9 on a sphere3d section
+    return), more than y0 may: a run restarted from it starts from its
+    projection, as find_limit_cycle's laps do.
     """
     y0 = np.asarray(y0, dtype=float)
     n0 = math.sqrt(float(y0 @ y0))
@@ -292,8 +302,9 @@ def renorm_integrate(
         poll = lambda s, u, f, partial: until(
             s, u, f, lambda: RenormTrajectory(field, partial(), t0)
         )
-    rhs, project = renormalized_system(field)
-    run = integrate(rhs, u0, 0.0, s_max, run_opts, project, until=poll, dense_index=len(u0) - 1)
+    rhs, project = renormalized_system(field, reverse)
+    run = integrate(rhs, u0, 0.0, s_max, run_opts, project, until=poll, event=event,
+                    direction=direction, dense_index=len(u0) - 1)
     return RenormTrajectory(field, run, t0)
 
 

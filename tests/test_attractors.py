@@ -178,20 +178,23 @@ def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
 
     field = sf.builtin_field(name, alpha)
     transients = []  # (accepted steps, end) of each search's transient, in order
-    run = attractors.integrate
+    lapped = []  # per cycle search: whether it reached its return laps
+    run = attractors.renorm_integrate
 
     def counted_run(*args, **kwargs):
-        traj = run(*args, **kwargs)
-        if "until" in kwargs:
-            transients.append((len(traj.times) - 1, traj.t_end))
-        return traj
+        rt = run(*args, **kwargs)
+        if "event" in kwargs:  # a return lap
+            if lapped:
+                lapped[-1] = True
+        elif "until" in kwargs:
+            transients.append((len(rt.s) - 1, rt.s_end))
+        return rt
 
-    monkeypatch.setattr(attractors, "integrate", counted_run)
+    monkeypatch.setattr(attractors, "renorm_integrate", counted_run)
     reference = _catalog_without_early_stop(field)
     full, transients[:] = list(transients), []
-    lapped = []  # per cycle search: whether it reached its return laps
     sink_bound = []  # per cycle search: whether it ended at a fixed point
-    search, crossing = attractors.find_limit_cycle, attractors._integrate_to_crossing
+    search = attractors.find_limit_cycle
 
     def counted_search(*args, **kwargs):
         lapped.append(False)
@@ -202,12 +205,7 @@ def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
             sink_bound[-1] = "fixed point" in str(exc)
             raise
 
-    def counted_crossing(*args, **kwargs):
-        lapped[-1] = True
-        return crossing(*args, **kwargs)
-
     monkeypatch.setattr(attractors, "find_limit_cycle", counted_search)
-    monkeypatch.setattr(attractors, "_integrate_to_crossing", counted_crossing)
     catalog = sf.catalog_attractors(field)
     assert [_bits(a) for a in catalog] == [_bits(a) for a in reference]
     # one search per cycle and pass: sphere3d has one cycle in each direction,
@@ -365,13 +363,14 @@ def test_outside_excursion_ends_at_reentry(monkeypatch):
     y_exit = np.array([-0.324, 0.946]) / math.hypot(-0.324, 0.946)
     opts = sf.IntegrationOptions()
     located = []
-    search = attractors._integrate_to_crossing
+    search = attractors.renorm_integrate
 
     def recorded(*args, **kwargs):
-        located.append(search(*args, **kwargs))
-        return located[-1]
+        rt = search(*args, **kwargs)
+        located.append(rt.run)
+        return rt
 
-    monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
+    monkeypatch.setattr(attractors, "renorm_integrate", recorded)
     out = attractors._outside_excursion(field, y_exit, 50.0, opts)
     assert out["reentered"]
     (run,) = located
@@ -644,7 +643,7 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
     calls = [0]
     runs = []
     sink_calls = [0]
-    build, search = attractors.regularized_rhs, attractors._integrate_to_crossing
+    build, search = attractors.regularized_rhs, attractors.integrate
     sink = attractors._interior_sink
 
     def counted_sink(rhs, x, tau):
@@ -668,7 +667,7 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(attractors, "regularized_rhs", counted_rhs)
-    monkeypatch.setattr(attractors, "_integrate_to_crossing", recorded)
+    monkeypatch.setattr(attractors, "integrate", recorded)
     monkeypatch.setattr(attractors, "_interior_sink", counted_sink)
     A = np.array([[-1.0, -0.5], [0.5, -1.0]])
     field = sf.SingularField(2, ALPHA, lambda y: -np.asarray(y, dtype=float))
@@ -686,16 +685,19 @@ def test_max_step_reaches_every_internal_run(monkeypatch):
     # every internal run inherits the caller's options with only the radius
     # floor turned off, so a step cap bounds the cycle search, the escape
     # probe (inside and outside the ball) and the family runs alike
-    from singularflow import integrators
+    from singularflow import attractors, renorm
 
     caps = []
-    run = integrators._run
+    run = renorm.integrate
 
     def recorded(rhs, x0, t0, t1, opts, *args, **kwargs):
         caps.append(opts.max_step)
         return run(rhs, x0, t0, t1, opts, *args, **kwargs)
 
-    monkeypatch.setattr(integrators, "_run", recorded)
+    # the modules that call integrate: renorm_integrate's runs, and the
+    # escape probe's inside run
+    monkeypatch.setattr(renorm, "integrate", recorded)
+    monkeypatch.setattr(attractors, "integrate", recorded)
     opts = sf.IntegrationOptions(max_step=0.5)
     spiral = sf.builtin_field("spiral2d", ALPHA)
     cycle = sf.find_limit_cycle(spiral, [1.0, 0.0], opts)
@@ -720,3 +722,14 @@ def test_rescaled_escape_bound_reads_the_dense_maximum(monkeypatch):
     res = sf.rescaled_escape(center_regularization(center_field()), [-1.0, 0.0], opts)
     assert res.certificate == "excursion exceeded the bound cap 1.5"
     assert res.r_bound == pytest.approx(math.exp(CENTER_A), rel=1e-4)
+
+
+def test_cycle_search_laps_restart_from_projected_returns():
+    # a located section return lies off the sphere by the dense output's
+    # error (|y| = 0.9999999978 on the first return here), more than
+    # renorm_integrate accepts of a start: each lap starts from the
+    # projection of the return before it
+    cyc = sf.find_limit_cycle(sf.builtin_field("sphere3d"), [1.0, 0.0, 0.35], transient=6.0)
+    assert cyc.period == pytest.approx(2 * math.pi, abs=1e-8)
+    assert np.abs(cyc.location[:, 2] - 0.5).max() < 1e-6
+    assert cyc.mean_radial == pytest.approx(0.25, abs=1e-8)

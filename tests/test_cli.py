@@ -545,3 +545,47 @@ def test_classify_verdict_reports_its_run(tmp_path):
     assert 0 < run["accepted"] and run["rhs_calls"] >= 6 * run["accepted"]
     assert 0 < run["h_min"] <= run["h_max"]
     assert run["s_end"] >= verdict["s_budget"]
+
+
+def test_simulate_keeps_its_summary_when_the_tail_fit_fails(tmp_path):
+    # a start on the collapse ray at |x0| = 1e-8 reaches the radius floor in
+    # 5 samples, too few for the tail fit: the run still has its summary,
+    # with the fit's values null and its reason named
+    cfg = write(tmp_path, "run.cfg",
+                SADDLE_CFG.replace("x0 = -1.0, 0.0", "x0 = -1e-8, 0.0").replace("t1 = 3.0", "t1 = 1.0"))
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 0
+    assert (out / "trajectory.csv").is_file()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "hit_radius_floor"
+    assert summary["t_b"] is None
+    assert summary["blowup_exponent"] is None and summary["blowup_fit_residual"] is None
+    assert "monotonically decreasing samples" in summary["blowup_fit_error"]
+    assert summary["run"]["accepted"] > 0
+
+
+def test_simulate_summary_reports_its_run(tmp_path, monkeypatch):
+    # the run's solver stats ride along in summary.json, as in verdict.json
+    cfg = write(tmp_path, "run.cfg", SADDLE_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["schema_version"] == "1"
+    assert "blowup_fit_error" not in summary
+    run = summary["run"]
+    assert set(run) == {"rhs_calls", "accepted", "rejected", "h_min", "h_max"}
+    rows = len((out / "trajectory.csv").read_text().strip().split("\n")) - 1
+    assert run["accepted"] == rows - 1 and run["rhs_calls"] >= 6 * run["accepted"]
+    assert 0 < run["h_min"] <= run["h_max"]
+    # with no accepted step counted, h_min (inf) is written as null
+    import dataclasses
+
+    from singularflow import cli
+    from singularflow.integrators import SolverStats
+
+    run_it = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: dataclasses.replace(
+        run_it(*a, **k), stats=SolverStats()))
+    assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 0
+    run = json.loads((out / "summary.json").read_text())["run"]
+    assert run == {"rhs_calls": 0, "accepted": 0, "rejected": 0, "h_min": None, "h_max": 0.0}

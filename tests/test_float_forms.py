@@ -38,21 +38,20 @@ def test_builtin_maps_agree_with_their_float_forms(field):
 
 
 @pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
-@pytest.mark.parametrize("extras", [(), ("z",)])
 @pytest.mark.parametrize("reverse", [False, True])
-def test_renormalized_float_and_array_forms_agree(field, extras, reverse):
-    rhs, project = renormalized_system(field, extras=extras, reverse=reverse)
+def test_renormalized_float_and_array_forms_agree(field, reverse):
+    rhs, project = renormalized_system(field, reverse=reverse)
     d = field.dimension
     rng = np.random.default_rng(11)
     for k in range(500):
         y = rng.standard_normal(d)
         # unit, off the unit sphere, and far off it
         y *= (1.0, 1.0 + 1e-9, 3.7)[k % 3] / np.linalg.norm(y)
-        u = np.concatenate([y, rng.uniform(-100.0, 100.0, len(extras))])
+        u = np.concatenate([y, rng.uniform(-100.0, 100.0, 1)])
         assert same_bits(rhs.floats(0.3, u.tolist()), rhs(0.3, u))
         assert same_bits(project.floats(0.3, u.tolist()), project(0.3, u))
     # a projection with nothing to do returns the state itself, in both forms
-    u = [1.0] + [0.0] * (d - 1) + [0.5] * len(extras)
+    u = [1.0] + [0.0] * (d - 1) + [0.5]
     assert project.floats(0.0, u) is u
 
 
@@ -113,7 +112,7 @@ def test_a_plain_wrapper_gives_the_same_trajectory_bitwise():
     reg = regularized_rhs(rf)
     ball = integrators._Sphere(0.1)
     runs = [
-        integrators._integrate_to_crossing(f, np.array([-1.0, 0.0]), 0.0, ball, -1, opts, 2.5)
+        sf.integrate(f, np.array([-1.0, 0.0]), 0.0, 2.5, opts, event=ball, direction=-1)
         for f in (reg, lambda t, x: reg(t, x))
     ]
     assert [run.status for run in runs] == ["hit_event", "hit_event"]
@@ -177,10 +176,8 @@ def test_solver_stats_count_the_run():
 
     # an event run counts the derivative at the located crossing too
     calls.clear()
-    seg = integrators._integrate_to_crossing(
-        rhs, np.array([1.0, 0.0]), 0.0, lambda t, x: float(x[0]), -1,
-        integrators.DEFAULT_OPTIONS, 20.0,
-    )
+    seg = sf.integrate(rhs, np.array([1.0, 0.0]), 0.0, 20.0,
+                       event=lambda t, x: float(x[0]), direction=-1)
     assert seg.status == "hit_event" and 0.0 < seg.t_end < 2.0
     assert seg.stats.rhs_calls == len(calls)
     assert seg.stats.accepted == len(seg.times) - 1

@@ -113,9 +113,9 @@ for name, rhs in [("late", late_nan), ("start", lambda t, x: np.full(2, np.nan))
         out[name] = [exc.trajectory.status, exc.trajectory.t_end, str(exc)]
 event = lambda t, x: x[0] - 2.0
 try:
-    sf.integrate_to_event(late_nan, [0.0], 0.0, event, +1)
-except sf.NoEvent as exc:
-    out["event"] = str(exc)
+    sf.integrate(late_nan, [0.0], 0.0, 1000.0, event=event, direction=+1)
+except sf.StepFailure as exc:
+    out["event"] = [exc.trajectory.status, str(exc)]
 print(json.dumps(out))
 """
 
@@ -138,7 +138,8 @@ def test_non_finite_rhs_raises_step_failure():
     assert "non-finite" in msg
     status, t_end, msg = out["start"]
     assert status == "step_failure" and t_end == 0.0 and "non-finite" in msg
-    assert "non-finite" in out["event"]
+    status, msg = out["event"]
+    assert status == "step_failure" and "non-finite" in msg
 
 
 def test_tolerance_ladder_convergence():
@@ -172,49 +173,38 @@ def test_event_ball_entry_time():
     nu = 0.1
     expected = 1.5 - 1.5 * nu ** (2.0 / 3.0)
     event = lambda t, x: np.linalg.norm(x) - nu
-    t_e, x_e, traj = sf.integrate_to_event(
-        saddle_rhs(), [-1.0, 0.0], 0.0, event, -1, sf.IntegrationOptions(horizon=3.0)
-    )
+    traj = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=-1)
+    assert traj.status == "hit_event"
+    t_e, x_e = traj.t_end, traj.final_state
     assert t_e == pytest.approx(expected, abs=1e-7)
     assert np.linalg.norm(x_e) == pytest.approx(nu, abs=1e-10)
-    assert traj.status == "hit_event"
-    assert traj.t_end == t_e
 
 
-def test_event_direction_precondition():
+def test_event_counts_only_crossings_after_the_start():
     event = lambda t, x: np.linalg.norm(x) - 0.1
-    # already on the wrong side for a downward crossing
-    with pytest.raises(sf.NoEventDirection):
-        sf.integrate_to_event(saddle_rhs(), [-0.05, 0.0], 0.0, event, -1, sf.IntegrationOptions())
-    # idempotence: restart exactly at the located event
-    t_e, x_e, _ = sf.integrate_to_event(
-        saddle_rhs(), [-1.0, 0.0], 0.0, event, -1, sf.IntegrationOptions(horizon=3.0)
-    )
-    with pytest.raises(sf.NoEventDirection):
-        sf.integrate_to_event(saddle_rhs(), x_e, t_e, event, -1, sf.IntegrationOptions(horizon=3.0))
+    # a start already on the side a downward crossing leads to is no
+    # crossing: the run goes on to the radius floor
+    inside = sf.integrate(saddle_rhs(), [-0.05, 0.0], 0.0, 3.0, event=event, direction=-1)
+    assert inside.status == "hit_radius_floor"
+    # idempotence: a restart exactly at the located event does not fire on it
+    located = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=-1)
+    assert located.status == "hit_event"
+    again = sf.integrate(saddle_rhs(), located.final_state, located.t_end, 3.0,
+                         event=event, direction=-1)
+    assert again.status == "hit_radius_floor"
+    # an event needs a direction
+    for direction in (0, 2):
+        with pytest.raises(ValueError, match="direction"):
+            sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=direction)
 
 
-def test_no_event_within_horizon():
+def test_event_run_with_no_crossing_is_the_plain_run():
+    # a run that meets no crossing ends at t1, or at the radius floor on the
+    # collapse ray (t_b = 1.5), with the steps of the run without the event
     event = lambda t, x: np.linalg.norm(x) - 5.0
-    with pytest.raises(sf.NoEvent):
-        sf.integrate_to_event(
-            saddle_rhs(), [-1.0, 0.0], 0.0, event, +1, sf.IntegrationOptions(horizon=0.5)
-        )
-
-
-def test_no_event_carries_the_run_to_the_horizon():
-    # the search already integrated to the horizon, or to the radius floor
-    # on the collapse ray (t_b = 1.5): that run equals integrate
-    event = lambda t, x: np.linalg.norm(x) - 5.0
-    for horizon, status, message in (
-        (0.5, "completed", "no event crossing within horizon t <= 0.5"),
-        (3.0, "hit_radius_floor", "trajectory hit the radius floor before the event"),
-    ):
-        opts = sf.IntegrationOptions(horizon=horizon)
-        with pytest.raises(sf.NoEvent, match=message) as exc:
-            sf.integrate_to_event(saddle_rhs(), [-1.0, 0.0], 0.0, event, +1, opts)
-        run = exc.value.trajectory
-        direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, horizon, opts)
+    for t1, status in ((0.5, "completed"), (3.0, "hit_radius_floor")):
+        run = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1, event=event, direction=+1)
+        direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1)
         assert run.status == direct.status == status
         assert np.array_equal(run.times, direct.times)
         assert np.array_equal(run.states, direct.states)
@@ -248,12 +238,10 @@ def test_integrate_until_stops_on_a_prefix():
 
 
 def test_event_search_until_stops_with_no_event():
-    from singularflow import integrators
-
     rhs = power1d_rhs()
     opts = sf.IntegrationOptions(r_floor=0.0)
     level = lambda t, x: float(x[0]) - 1.5  # x(t) = (1 + 2t/3)^(3/2) crosses 1.5 upward
-    full = integrators._integrate_to_crossing(rhs, [1.0], 0.0, level, +1, opts, 10.0)
+    full = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, event=level, direction=+1)
     assert full.status == "hit_event"
     t_cross = full.t_end
 
@@ -261,20 +249,17 @@ def test_event_search_until_stops_with_no_event():
         return t >= 0.5 * t_cross
 
     # an until that fires before the crossing ends the search there
-    stopped = integrators._integrate_to_crossing(
-        rhs, [1.0], 0.0, level, +1, opts, 10.0, until=halfway
-    )
+    stopped = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=halfway, event=level, direction=+1)
     assert stopped.status == "stopped"
     assert 0.5 * t_cross <= stopped.t_end < t_cross
     assert np.array_equal(stopped.states, full.states[: len(stopped.times)])
     # one that fires on the step the crossing is located in loses to it
-    run = integrators._integrate_to_crossing(
-        rhs, [1.0], 0.0, level, +1, opts, 10.0, until=lambda t, y, f, p: y[0] >= 1.5
-    )
+    run = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=lambda t, y, f, p: y[0] >= 1.5,
+                       event=level, direction=+1)
     assert run.status == "hit_event"
     assert run.t_end == t_cross and np.array_equal(run.final_state, full.final_state)
-    # with no crossing before t_max the search completes there
-    short = integrators._integrate_to_crossing(rhs, [1.0], 0.0, level, +1, opts, 0.5 * t_cross)
+    # with no crossing before t1 the search completes there
+    short = sf.integrate(rhs, [1.0], 0.0, 0.5 * t_cross, opts, event=level, direction=+1)
     assert short.status == "completed" and short.t_end == 0.5 * t_cross
     # integrate's until stops the event-free run on the same prefix
     plain = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=halfway)
@@ -296,7 +281,8 @@ def test_rhs_evaluated_once_at_the_start_point():
     assert calls.count(0.0) == 1
     assert len(calls) == 116
     calls.clear()
-    sf.integrate_to_event(rhs, [1.0], 0.0, lambda t, x: 0.5 - x[0], +1)
+    run = sf.integrate(rhs, [1.0], 0.0, 10.0, event=lambda t, x: 0.5 - x[0], direction=+1)
+    assert run.status == "hit_event"
     assert calls.count(0.0) == 1
 
 
@@ -519,9 +505,8 @@ def test_small_sphere_is_located_to_its_own_scale():
 
     R = 1e-6
     opts = sf.IntegrationOptions(r_floor=0.0)
-    traj = integrators._integrate_to_crossing(
-        saddle_rhs(), np.array([-1.0, 0.0]), 0.0, integrators._Sphere(R), -1, opts, 3.0
-    )
+    traj = sf.integrate(saddle_rhs(), np.array([-1.0, 0.0]), 0.0, 3.0, opts,
+                        event=integrators._Sphere(R), direction=-1)
     assert traj.status == "hit_event"
     t_e, x_e = traj.t_end, traj.final_state
     assert abs(np.linalg.norm(x_e) - R) <= 1e-9 * R
@@ -578,9 +563,7 @@ def test_step_cap_ends_every_run(monkeypatch):
     assert 2 <= len(partial.times) <= 6 and partial.t_end < 100.0
     never = lambda t, x: float(x[0]) + 1.0  # x decays to 0 and never reaches -1
     with pytest.raises(sf.StepFailure, match="after 5 attempted steps") as exc:
-        integrators._integrate_to_crossing(
-            decay, np.array([1.0]), 0.0, never, -1, integrators.DEFAULT_OPTIONS, 100.0
-        )
+        sf.integrate(decay, np.array([1.0]), 0.0, 100.0, event=never, direction=-1)
     assert exc.value.trajectory.status == "step_failure"
     assert 2 <= len(exc.value.trajectory.times) <= 6
 
@@ -597,10 +580,12 @@ def test_rescaled_escape_event_reaches_unit_sphere():
         return np.asarray(rf.inner_map(x), float)
 
     event = lambda t, x: np.linalg.norm(x) - 1.0
-    opts = sf.IntegrationOptions(horizon=100.0, r_floor=0.0)
+    opts = sf.IntegrationOptions(r_floor=0.0)
     # start just inside, on the entry ray
     x0 = np.array([-1.0, 0.0]) * (1 - 1e-9)
-    t_esc, x_esc, _ = sf.integrate_to_event(rhs, x0, -1.5, event, +1, opts)
+    run = sf.integrate(rhs, x0, -1.5, 98.5, opts, event=event, direction=+1)
+    assert run.status == "hit_event"
+    t_esc, x_esc = run.t_end, run.final_state
     assert np.linalg.norm(x_esc) == pytest.approx(1.0, abs=1e-10)
     assert -1.5 < t_esc < 10.0
 

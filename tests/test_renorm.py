@@ -55,34 +55,30 @@ def _random_directions(d, n, seed):
 def test_renormalized_system_rhs(name):
     field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
     d = field.dimension
-    default, _ = renormalized_system(field)
-    fwd, _ = renormalized_system(field, extras=("z",))
-    bwd, _ = renormalized_system(field, extras=("z",), reverse=True)
+    fwd, _ = renormalized_system(field)
+    bwd, _ = renormalized_system(field, reverse=True)
     for y in _random_directions(d, 16, seed=d):
         u = np.concatenate([y, [0.3]])
         f, b = fwd(0.0, u), bwd(0.0, u)
         assert f.shape == (d + 1,)
         assert abs(float(y @ f[:d])) <= 1e-15  # the direction stays on the sphere
-        assert np.array_equal(default(0.0, u), f)
         assert np.array_equal(b[:d], -f[:d])
         assert b[d] == f[d]
 
 
 def test_renormalized_system_state_length_and_projection():
     field = sf.builtin_field("sphere3d")
-    for extras in ((), ("z",)):
-        rhs, project = renormalized_system(field, extras=extras)
-        u = np.concatenate([[0.0, 0.0, -1.0], [0.5][: len(extras)]])
-        assert rhs(0.0, u).shape == (3 + len(extras),)
-        assert project(0.0, u) is u
-        off = np.concatenate([[0.0, 3.0, 4.0], [0.5][: len(extras)]])
-        v = project(0.0, off)
-        assert v is not off and off[1] == 3.0
-        assert np.array_equal(v[:3], [0.0, 0.6, 0.8])
-        assert np.array_equal(v[3:], off[3:])
-    # physical time is a quadrature along the run, not a state component
-    with pytest.raises(ValueError):
-        renormalized_system(field, extras=("z", "t"))
+    # the state is (y, z): physical time is a quadrature along the run, not
+    # a state component
+    rhs, project = renormalized_system(field)
+    u = np.array([0.0, 0.0, -1.0, 0.5])
+    assert rhs(0.0, u).shape == (4,)
+    assert project(0.0, u) is u
+    off = np.array([0.0, 3.0, 4.0, 0.5])
+    v = project(0.0, off)
+    assert v is not off and off[1] == 3.0
+    assert np.array_equal(v[:3], [0.0, 0.6, 0.8])
+    assert np.array_equal(v[3:], off[3:])
 
 
 def test_renormalized_run_keeps_fsal_across_the_projection(monkeypatch):
