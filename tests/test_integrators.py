@@ -192,22 +192,25 @@ def test_event_counts_only_crossings_after_the_start():
     again = sf.integrate(saddle_rhs(), located.final_state, located.t_end, 3.0,
                          event=event, direction=-1)
     assert again.status == "hit_radius_floor"
-    # an event needs a direction
-    for direction in (0, 2):
-        with pytest.raises(ValueError, match="direction"):
-            sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=direction)
 
 
-def test_event_run_with_no_crossing_is_the_plain_run():
+@pytest.mark.parametrize("direction", [0, 2])
+def test_event_needs_a_direction(direction):
+    event = lambda t, x: np.linalg.norm(x) - 0.1
+    with pytest.raises(ValueError, match="direction"):
+        sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=direction)
+
+
+@pytest.mark.parametrize("t1, status", [(0.5, "completed"), (3.0, "hit_radius_floor")])
+def test_event_run_with_no_crossing_is_the_plain_run(t1, status):
     # a run that meets no crossing ends at t1, or at the radius floor on the
     # collapse ray (t_b = 1.5), with the steps of the run without the event
     event = lambda t, x: np.linalg.norm(x) - 5.0
-    for t1, status in ((0.5, "completed"), (3.0, "hit_radius_floor")):
-        run = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1, event=event, direction=+1)
-        direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1)
-        assert run.status == direct.status == status
-        assert np.array_equal(run.times, direct.times)
-        assert np.array_equal(run.states, direct.states)
+    run = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1, event=event, direction=+1)
+    direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1)
+    assert run.status == direct.status == status
+    assert np.array_equal(run.times, direct.times)
+    assert np.array_equal(run.states, direct.states)
 
 
 def test_integrate_until_stops_on_a_prefix():

@@ -81,6 +81,52 @@ def test_renormalized_system_state_length_and_projection():
     assert np.array_equal(v[3:], off[3:])
 
 
+@pytest.mark.parametrize(
+    "name, y0",
+    [("saddle2d", [-0.6, 0.8]), ("spiral2d", [0.6, 0.8]), ("sphere3d", [0.48, 0.6, 0.64])],
+)
+def test_reverse_run_retraces_the_forward_run(name, y0):
+    # reverse negates dy/ds only: a reversed run from the end of a forward
+    # run brings y back to its start, and z, which still accumulates F_r
+    # along the traversal, gains the forward run's increment once more
+    field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
+    y0 = np.array(y0) / np.linalg.norm(y0)
+    fwd = sf.renorm_integrate(field, y0, 0.0, 3.0)
+    y_end = fwd.y[-1] / np.linalg.norm(fwd.y[-1])
+    bwd = sf.renorm_integrate(field, y_end, fwd.z[-1], 3.0, reverse=True)
+    assert fwd.run.status == bwd.run.status == "completed"
+    assert np.abs(bwd.y[-1] - y0).max() < 1e-7
+    assert bwd.z[-1] - fwd.z[-1] == pytest.approx(fwd.z[-1], abs=1e-7)
+
+
+def test_renorm_integrate_ends_at_the_first_section_crossing():
+    # spiral2d's direction turns at unit angular speed with F_r = 1: from
+    # angle th0 the section y2 = 0 is crossed downward at s = pi - th0 and
+    # upward at s = 2 pi - th0, and z = s there
+    field = sf.builtin_field("spiral2d", ALPHA)
+    th0 = math.atan2(0.8, 0.6)
+    section = lambda s, u: float(u[1])
+    for direction, s_cross in ((-1, math.pi - th0), (+1, 2.0 * math.pi - th0)):
+        rt = sf.renorm_integrate(field, [0.6, 0.8], 0.0, 40.0, event=section,
+                                 direction=direction)
+        assert rt.run.status == "hit_event"
+        assert rt.s_end == pytest.approx(s_cross, abs=1e-6)
+        assert rt.z[-1] == pytest.approx(s_cross, abs=1e-6)
+        assert abs(rt.y[-1][1]) < 1e-12
+        assert np.sign(rt.y[-1][0]) == direction
+        # the crossing's state is the dense output's, off the sphere by the
+        # interpolant's error
+        assert abs(np.linalg.norm(rt.y[-1]) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("direction", [0, 2])
+def test_renorm_integrate_event_needs_a_direction(direction):
+    section = lambda s, u: float(u[1])
+    with pytest.raises(ValueError, match="direction"):
+        sf.renorm_integrate(sf.builtin_field("spiral2d", ALPHA), [0.6, 0.8], 0.0, 40.0,
+                            event=section, direction=direction)
+
+
 def test_renormalized_run_keeps_fsal_across_the_projection(monkeypatch):
     # six RHS calls per attempted step (accepted or rejected), plus one at
     # the start point and one for the initial-step probe: the projection
