@@ -56,6 +56,7 @@ from .fields import (
     eval_field,
     eval_sphere_map,
     exponent_normalize,
+    integrate_ideal,
     sphere_jacobian,
 )
 from .integrators import (

@@ -682,7 +682,7 @@ def rescaled_escape(
 
     r_bound, the "sup R" of the certificates, is the largest radius the
     excursions reach, between their samples included (_outside_excursion).
-    Every run inherits opts with the radius floor off, max_step included.
+    Every run inherits opts, max_step included.
     """
     field = rf.base
     y_ent = np.asarray(y_ent, dtype=float)
@@ -694,7 +694,6 @@ def rescaled_escape(
     ball = _Sphere(1.0)
     window = _CONFIRM_WINDOW
 
-    in_opts = dataclasses.replace(opts, r_floor=0.0)
     tau = t_ent
     x = y_ent.copy()
     visits = 0
@@ -709,7 +708,7 @@ def rescaled_escape(
         # settles on a certified interior sink
         watch = _SinkWatch(rhs)
         try:
-            seg = integrate(rhs, x, tau, _TAU_BUDGET, in_opts, until=watch, event=ball,
+            seg = integrate(rhs, x, tau, _TAU_BUDGET, opts, until=watch, event=ball,
                             direction=+1)
         except StepFailure as exc:
             watch.charge(exc.trajectory)

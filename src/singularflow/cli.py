@@ -29,8 +29,8 @@ from .attractors import catalog_attractors
 from .config import ConfigError, RunConfig
 from .continuation import geometric_sequence, inviscid_sweep
 from .errors import NotBlowingUp, SingularFlowError, StepFailure
-from .fields import builtin_field, eval_field
-from .integrators import IntegrationOptions, estimate_blowup_time, integrate, write_csv
+from .fields import builtin_field, integrate_ideal
+from .integrators import IntegrationOptions, estimate_blowup_time, write_csv
 from .regularize import integrate_regularized, make_polynomial_blend, make_preset_1d
 from .renorm import classify_blowup
 
@@ -109,8 +109,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
             traj = integrate_regularized(rf, cfg.x0, cfg.t0, cfg.t1, opts)
             summary["nu"] = cfg.nu
         else:
-            rhs = lambda t, x: eval_field(field, x)
-            traj = integrate(rhs, cfg.x0, cfg.t0, cfg.t1, opts)
+            traj = integrate_ideal(field, cfg.x0, cfg.t0, cfg.t1, opts, cfg.r_floor)
     except StepFailure as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 3
@@ -184,7 +183,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int
         if sol is None:
             csv_refs.append(None)
             continue
-        name = f"nu_{nu:g}.csv"
+        name = f"nu_{float(nu)!r}.csv"  # the round-trip digits: one file per radius
         header = ["t"] + [f"x{i+1}" for i in range(sol.shape[1])]
         rows = ((t, *x) for t, x in zip(report.t_grid, sol))
         write_csv(os.path.join(outdir, name), header, rows)
@@ -209,7 +208,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--outdir", default=".", help="output directory")
+        sp.add_argument("--outdir", help="output directory (default: the config's outputs, else .)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     for name in ("simulate", "classify", "sweep"):
@@ -232,12 +231,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         outdir = args.outdir
-        _make_outdir(outdir)
+        if outdir is not None:
+            _make_outdir(outdir)
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, outdir, args.quiet)
+            return cmd_reproduce(args.figure, outdir or ".", args.quiet)
         cfg = RunConfig.from_file(args.config)
-        if cfg.outputs is not None and args.outdir == ".":
-            outdir = cfg.outputs
+        if outdir is None:
+            outdir = "." if cfg.outputs is None else cfg.outputs
             _make_outdir(outdir)
         if args.command == "simulate":
             return cmd_simulate(cfg, outdir, args.quiet, args.tol_scale)

@@ -137,6 +137,7 @@ class RunConfig:
     seed: int = 0
     outputs: Optional[str] = None
     options: IntegrationOptions = dc_field(default_factory=IntegrationOptions)
+    r_floor: float = 1e-10  # the ideal field's stop radius (fields.integrate_ideal)
     reg_kind: Optional[str] = None  # polynomial_blend | preset1d
     reg_g0: Optional[np.ndarray] = None
     reg_sigma: Optional[int] = None
@@ -198,10 +199,12 @@ class RunConfig:
                 rtol=_number(take("integrator.rtol", 1e-9), "integrator.rtol"),
                 atol=_number(take("integrator.atol", 1e-12), "integrator.atol"),
                 max_step=_number(take("integrator.max_step", math.inf), "integrator.max_step"),
-                r_floor=_number(take("integrator.r_floor", 1e-10), "integrator.r_floor"),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        r_floor = _number(take("integrator.r_floor", 1e-10), "integrator.r_floor")
+        if not r_floor >= 0:  # NaN fails too
+            raise ConfigError(f"integrator.r_floor must be nonnegative, got {r_floor!r}")
 
         reg_kind = take("regularization.kind")
         reg_g0 = take("regularization.g0")
@@ -278,6 +281,7 @@ class RunConfig:
             seed=seed,
             outputs=outputs,
             options=options,
+            r_floor=r_floor,
             reg_kind=reg_kind,
             reg_g0=reg_g0,
             reg_sigma=reg_sigma,
@@ -299,7 +303,7 @@ class RunConfig:
         m["integrator.rtol"] = o.rtol
         m["integrator.atol"] = o.atol
         m["integrator.max_step"] = o.max_step
-        m["integrator.r_floor"] = o.r_floor
+        m["integrator.r_floor"] = self.r_floor
         if self.reg_kind is not None:
             m["regularization.kind"] = self.reg_kind
         if self.reg_g0 is not None:

@@ -16,7 +16,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotUnitVector, OriginEvaluation, UnknownField
-from .integrators import _floats
+from .integrators import (
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _floats, _Sphere, integrate,
+)
 
 # Guard for r**alpha overflow at negative alpha; the ideal field is singular
 # at the origin regardless.
@@ -100,6 +102,23 @@ def eval_field(field: SingularField, x, r_floor: float = R_FLOOR_DEFAULT) -> np.
             "regularized or renormalized representation"
         )
     return r**field.alpha * np.asarray(field.sphere_map(x / r), dtype=float)
+
+
+def integrate_ideal(field: SingularField, x0, t0: float, t1: float,
+                    opts: IntegrationOptions = DEFAULT_OPTIONS,
+                    r_floor: float = 1e-10) -> Trajectory:
+    """Integrate the ideal field from t0 to t1, as integrate does, down to |x| = r_floor.
+
+    The field cannot be followed into the origin: crossing that sphere downward
+    ends the run with status hit_radius_floor.  A start inside the sphere is not
+    stopped by it, an r_floor of 0 watches no sphere, and a negative one raises
+    ValueError.
+    """
+    if not r_floor >= 0:  # NaN fails too
+        raise ValueError(f"r_floor must be nonnegative, got {r_floor!r}")
+    traj = integrate(lambda t, x: eval_field(field, x), x0, t0, t1, opts,
+                     event=_Sphere(r_floor) if r_floor > 0 else None, direction=-1)
+    return replace(traj, status="hit_radius_floor") if traj.status == "hit_event" else traj
 
 
 def decompose(field: SingularField, y) -> SphericalDecomposition:

@@ -15,8 +15,8 @@ import numpy as np
 from .attractors import find_limit_cycle, tau_entry
 from .continuation import build_cycle_family, fixed_point_solutions, geometric_sequence
 from .errors import StepFailure, UnknownFigure
-from .fields import builtin_field, eval_field
-from .integrators import IntegrationOptions, integrate, write_csv
+from .fields import builtin_field, eval_field, integrate_ideal
+from .integrators import IntegrationOptions, write_csv
 from .regularize import (
     eval_regularized,
     integrate_regularized,
@@ -26,7 +26,8 @@ from .regularize import (
 
 FIGURE_IDS = ("fig1", "fig3", "fig3b", "fig6", "fig8n", "figTriv")
 
-_OPTS = IntegrationOptions(rtol=1e-9, atol=1e-12, r_floor=1e-8)
+_OPTS = IntegrationOptions(rtol=1e-9, atol=1e-12)
+_R_FLOOR = 1e-8  # the stop radius of the ideal-field runs
 
 
 def _quiver_rows(field, extent, n):
@@ -54,10 +55,6 @@ def _emit(files, outdir, name, header, rows, description):
     files.append({"name": name, "columns": ",".join(header), "description": description})
 
 
-def _ideal_rhs(field):
-    return lambda t, x: eval_field(field, x)
-
-
 def _fig1(outdir):
     field = builtin_field("saddle2d", 1.0 / 3.0)
     files = []
@@ -68,7 +65,7 @@ def _fig1(outdir):
     for k, a in enumerate(angles):
         x0 = 1.2 * np.array([math.cos(a), math.sin(a)])
         try:
-            traj = integrate(_ideal_rhs(field), x0, 0.0, 3.0, _OPTS)
+            traj = integrate_ideal(field, x0, 0.0, 3.0, _OPTS, _R_FLOOR)
         except StepFailure as exc:
             traj = exc.trajectory
         _emit(files, outdir, f"fig1_traj_{k:02d}.csv", ["t", "x1", "x2"],
@@ -94,7 +91,7 @@ def _fig3(outdir):
     angles = np.linspace(-0.45 * np.pi, 0.45 * np.pi, 9)
     for k, a in enumerate(angles):
         x0 = 1e-6 * np.array([math.cos(a), math.sin(a)])
-        traj = integrate(_ideal_rhs(field), x0, 0.0, 2.0, _OPTS)
+        traj = integrate_ideal(field, x0, 0.0, 2.0, _OPTS, _R_FLOOR)
         _emit(files, outdir, f"fig3_origin_traj_{k:02d}.csv", ["t", "x1", "x2"],
               _trajectory_rows(traj), "solution emanating from (almost) the origin")
     _, ray = fixed_point_solutions(
@@ -127,7 +124,7 @@ def _fig3b(outdir):
     for k, a in enumerate(np.linspace(0.55 * np.pi, 1.45 * np.pi, 7)):
         x0k = np.array([math.cos(a), math.sin(a)])
         try:
-            traj = integrate(_ideal_rhs(field), x0k, 0.0, 3.0, _OPTS)
+            traj = integrate_ideal(field, x0k, 0.0, 3.0, _OPTS, _R_FLOOR)
         except StepFailure as exc:
             traj = exc.trajectory
         _emit(files, outdir, f"fig3b_blowup_traj_{k:02d}.csv", ["t", "x1", "x2"],

@@ -63,7 +63,6 @@ class IntegrationOptions:
     rtol: float = 1e-9
     atol: float = 1e-12
     max_step: float = math.inf
-    r_floor: float = 1e-10
 
     def __post_init__(self):
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):  # NaN fails too
@@ -72,8 +71,6 @@ class IntegrationOptions:
             )
         if not self.max_step > 0:  # NaN fails too: it would cap no step
             raise ValueError(f"max_step must be positive, got {self.max_step!r}")
-        if self.r_floor < 0:
-            raise ValueError("r_floor must be nonnegative")
 
 
 DEFAULT_OPTIONS = IntegrationOptions()
@@ -100,14 +97,14 @@ class SolverStats:
 class Trajectory:
     """Sampled solution with cubic Hermite dense output per accepted step.
 
-    status is one of completed | stopped | hit_radius_floor | hit_event |
-    step_failure and explains the terminal sample; stats is what the run
-    cost the stepper.  stages is None unless the run was asked to keep the
-    stages of one component (integrate's dense_index): then row i holds
-    accepted step i's full length h and that component's seven stage
-    derivatives, the input of its order-4 continuous extension
-    (dense_coefficients).  The last step of a run that ends at a located
-    crossing keeps the full step's row, past the crossing.
+    status is one of completed | stopped | hit_event | step_failure, or
+    hit_radius_floor from integrate_ideal, and explains the terminal sample;
+    stats is what the run cost the stepper.  stages is None unless the run
+    was asked to keep the stages of one component (integrate's
+    dense_index): then row i holds accepted step i's full length h and that
+    component's seven stage derivatives, the input of its order-4
+    continuous extension (dense_coefficients).  The last step of a run that
+    ends at a located crossing keeps the full step's row, past the crossing.
     """
 
     times: np.ndarray
@@ -378,24 +375,19 @@ def integrate(
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with adaptive 5(4) stepping.
 
     The returned trajectory's status says why the run ended: completed at
-    t1, stopped by until, hit_event or hit_radius_floor at a located
-    crossing; a StepFailure, raised when the step size underflows or the
-    state turns non-finite, carries the partial trajectory (status
-    step_failure).
+    t1, stopped by until, hit_event at a located crossing; a StepFailure,
+    raised when the step size underflows or the state turns non-finite,
+    carries the partial trajectory (status step_failure).
 
     event, if given, is a function event(t, x) whose first zero crossing in
     direction (+1 upward, -1 downward, required with an event) strictly
     after t0 ends the run with status hit_event.  A start at zero or on the
     side the crossing leads to is no crossing: the event must first return
     to the other side, so a run restarted from a located crossing does not
-    fire on it again.  The radius floor is the same kind of event: the
-    sphere |x| = opts.r_floor crossed downward ends the run with status
-    hit_radius_floor (the ideal singular field cannot be followed into the
-    origin); a run that starts inside that sphere is not stopped by it, and
-    an r_floor of 0 disables it.  Each accepted step is scanned for both
-    (_scan_step), and the run ends at the earliest located crossing
+    fire on it again.  Each accepted step is scanned for a crossing
+    (_scan_step), and the run ends at the first one located
     (_locate_crossing), whose time, state and derivative close the
-    trajectory.
+    trajectory.  No other crossing ends a run.
 
     postprocess, if given, is applied to every accepted state as
     postprocess(t, y) and returns the adjusted state, which the run keeps.
@@ -434,12 +426,7 @@ def integrate(
     states = [x0]
     derivs = [np.asarray(rhs(t0, x0), dtype=float)]
     stats = SolverStats(rhs_calls=1)
-    watched = []  # (event, direction, status) of each crossing that ends the run
-    if event is not None:
-        watched.append((event, direction, "hit_event"))
-    if opts.r_floor > 0.0:
-        watched.append((_Sphere(opts.r_floor), -1, "hit_radius_floor"))
-    g = [float(ev(t0, x0)) for ev, _, _ in watched]
+    g = None if event is None else float(event(t0, x0))
     status = "completed"
     buf = None if dense_index is None else array("d")
     keep = None if buf is None else (dense_index, buf)
@@ -449,20 +436,16 @@ def integrate(
 
     try:
         for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess, keep):
-            hit = None
-            for i, (ev, sense, name) in enumerate(watched):
-                bracket, g[i] = _scan_step(ev, sense, g[i], step)
+            if event is not None:
+                bracket, g = _scan_step(event, direction, g, step)
                 if bracket is not None:
-                    t_e, x_e = _locate_crossing(ev, step, bracket)
-                    if hit is None or t_e < hit[0]:
-                        hit = (t_e, x_e, name)
-            if hit is not None:
-                t_e, x_e, status = hit
-                times.append(t_e)
-                states.append(x_e)
-                derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
-                stats.rhs_calls += 1
-                break
+                    t_e, x_e = _locate_crossing(event, step, bracket)
+                    times.append(t_e)
+                    states.append(x_e)
+                    derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
+                    stats.rhs_calls += 1
+                    status = "hit_event"
+                    break
             _, _, _, t_new, y_new, f_new = step
             times.append(t_new)
             states.append(y_new)

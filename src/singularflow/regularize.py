@@ -10,7 +10,6 @@ sgn(x)|x|^alpha prototype.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -249,8 +248,7 @@ def integrate_regularized(
     rejected steps at the seam each time the run crosses it;
     check_smoothness reports such a map.
 
-    opts applies with r_floor = 0, since the patched field is defined at the
-    origin.  Raises ValueError unless t1 > t0, and StepFailure, carrying the
-    partial trajectory, as integrate does.
+    Raises ValueError unless t1 > t0, and StepFailure, carrying the partial
+    trajectory, as integrate does.
     """
-    return integrate(regularized_rhs(rf), x0, t0, t1, dataclasses.replace(opts, r_floor=0.0))
+    return integrate(regularized_rhs(rf), x0, t0, t1, opts)

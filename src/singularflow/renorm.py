@@ -272,10 +272,10 @@ def renorm_integrate(
     y0 must lie within 1e-9 of the unit sphere (NotUnitVector otherwise);
     the run starts from its projection.  The direction is re-projected onto
     the sphere after every accepted step, keeping max | |y|-1 | at the level
-    of the local error.  The stepper integrates (y, z) with opts, its radius
-    floor off, and keeps the stages of z; physical time starts at t0 and is
-    a quadrature read on demand (RenormTrajectory.t, physical_time).
-    reverse runs the reversed direction flow (renormalized_system).
+    of the local error.  The stepper integrates (y, z) with opts and keeps
+    the stages of z; physical time starts at t0 and is a quadrature read on
+    demand (RenormTrajectory.t, physical_time).  reverse runs the reversed
+    direction flow (renormalized_system).
 
     until, if given, is polled after every accepted step as until(s, u, f,
     partial), where u is the accepted state (y, z) at s, f the derivative
@@ -296,14 +296,13 @@ def renorm_integrate(
         raise ValueError("s_max must be positive")
     t0 = float(t0)
     u0 = np.concatenate([y0 / n0, [float(z0)]])
-    run_opts = dataclasses.replace(opts, r_floor=0.0)
     poll = None
     if until is not None:
         poll = lambda s, u, f, partial: until(
             s, u, f, lambda: RenormTrajectory(field, partial(), t0)
         )
     rhs, project = renormalized_system(field, reverse)
-    run = integrate(rhs, u0, 0.0, s_max, run_opts, project, until=poll, event=event,
+    run = integrate(rhs, u0, 0.0, s_max, opts, project, until=poll, event=event,
                     direction=direction, dense_index=len(u0) - 1)
     return RenormTrajectory(field, run, t0)
 

@@ -48,7 +48,7 @@ def test_criterion_02_blowup_time_both_routes():
     field = saddle()
     verdict = sf.classify_blowup(field, [-1.0, 0.0])
     assert verdict.verdict == "blowup"
-    traj = sf.integrate(lambda t, x: sf.eval_field(field, x), [-1.0, 0.0], 0.0, 3.0)
+    traj = sf.integrate_ideal(field, [-1.0, 0.0], 0.0, 3.0)
     t_fit, exponent, _ = sf.estimate_blowup_time(traj, ALPHA)
     e_quad = abs(verdict.t_b - 1.5)
     e_fit = abs(t_fit - 1.5)
@@ -377,7 +377,7 @@ def test_criterion_11_smoothness_of_builtin_blends():
 # ---------------------------------------------------------------------------
 
 def test_criterion_12_cross_oracle_consistency():
-    opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14, r_floor=0.0)
+    opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14)
     worst = 0.0
     for name in ("power1d", "saddle2d", "spiral2d", "sphere3d"):
         field = sf.builtin_field(name) if name == "sphere3d" else sf.builtin_field(name, ALPHA)

@@ -109,6 +109,24 @@ def test_limit_cycle_not_found_in_fixed_point_basin():
         sf.find_limit_cycle(saddle(), np.array([-0.8, 0.6]))
 
 
+def test_limit_cycle_search_endings_name_their_cause(monkeypatch):
+    from singularflow import attractors
+
+    with pytest.raises(sf.LimitCycleNotFound, match="no spherical flow in one dimension"):
+        sf.find_limit_cycle(sf.builtin_field("power1d", ALPHA), np.array([1.0]))
+    # from 0.3 rad the saddle's direction flows into the sink at angle 0:
+    # the first lap never comes back to the section
+    with pytest.raises(sf.LimitCycleNotFound, match="no recurrence within the return horizon"):
+        sf.find_limit_cycle(saddle(), np.array([math.cos(0.3), math.sin(0.3)]), transient=0.0)
+    # a sphere3d start off its latitude cycle recurs, but two laps do not
+    # bring the returns within 1e-8 of each other
+    monkeypatch.setattr(attractors, "_MAX_RETURNS", 2)
+    y0 = np.array([1.0, 0.0, 0.35]) / np.linalg.norm([1.0, 0.0, 0.35])
+    with pytest.raises(sf.LimitCycleNotFound,
+                       match="returns did not converge below 1e-08 in 2 laps"):
+        sf.find_limit_cycle(sf.builtin_field("sphere3d"), y0, transient=0.0)
+
+
 def test_mean_radial_two_quadratures_agree():
     field = sf.builtin_field("sphere3d")
     cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0, 0.05]))
@@ -377,7 +395,7 @@ def test_outside_excursion_ends_at_reentry(monkeypatch):
     assert run.status == "hit_event"
     s_re, u_re = run.t_end, run.final_state
     full = sf.renorm_integrate(
-        field, y_exit, 0.0, 50.0, sf.IntegrationOptions(rtol=opts.rtol, atol=opts.atol, r_floor=0.0)
+        field, y_exit, 0.0, 50.0, sf.IntegrationOptions(rtol=opts.rtol, atol=opts.atol)
     )
     z = full.z
     k = next(i for i in range(1, len(z)) if z[i] <= 0.0)

@@ -98,6 +98,15 @@ def test_simulate_saddle_reports_blowup(tmp_path):
     assert summary["t_b"] == pytest.approx(1.5, abs=1e-6)
 
 
+def test_simulate_stops_at_the_configured_radius_floor(tmp_path):
+    cfg = write(tmp_path, "run.cfg", SADDLE_CFG + "integrator.r_floor = 1e-4\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "hit_radius_floor"
+    assert np.linalg.norm(summary["final_state"]) == pytest.approx(1e-4, rel=1e-9)
+
+
 def test_simulate_invalid_alpha_exits_2(tmp_path):
     cfg = write(tmp_path, "bad.cfg", POWER_CFG.replace("0.3333333333333333", "1.5"))
     assert main(["simulate", cfg, "--outdir", str(tmp_path), "--quiet"]) == 2
@@ -414,6 +423,44 @@ def test_sweep_with_one_nu_compares_nothing(tmp_path):
     assert report["verdict"] == "undetermined" and report["reference"] is None
 
 
+def test_sweep_radii_write_one_file_each(tmp_path, monkeypatch):
+    # radii that agree to six digits still get a file each, named by the
+    # round-trip digits, and each file holds its own radius's samples
+    from singularflow import cli
+
+    reports = []
+    sweep = cli.inviscid_sweep
+
+    def recorded(*args, **kwargs):
+        reports.append(sweep(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "inviscid_sweep", recorded)
+    cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace(
+        "nu.list = 0.1, 0.05, 0.025", "nu.list = 0.1, 0.1000001, 0.01"))
+    out = tmp_path / "out"
+    assert main(["sweep", cfg, "--outdir", str(out), "--quiet"]) == 0
+    names = json.loads((out / "sweep.json").read_text())["trajectory_files"]
+    assert names == ["nu_0.1.csv", "nu_0.1000001.csv", "nu_0.01.csv"]
+    (report,) = reports
+    for name, sol in zip(names, report.solutions):
+        rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], report.t_grid)
+        assert np.array_equal(rows[:, 1:], sol)
+
+
+def test_outdir_overrides_the_config_outputs(tmp_path, monkeypatch):
+    # an explicit --outdir wins over outputs, even when it names ., and
+    # outputs wins over the default .
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "run.cfg", POWER_CFG + "outputs = fromcfg\n")
+    assert main(["simulate", cfg, "--outdir", ".", "--quiet"]) == 0
+    assert (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "fromcfg").exists()
+    assert main(["simulate", cfg, "--quiet"]) == 0
+    assert (tmp_path / "fromcfg" / "summary.json").exists()
+
+
 def test_sweep_without_radii_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025\n", ""))
     assert main(["sweep", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 2
@@ -583,8 +630,8 @@ def test_simulate_summary_reports_its_run(tmp_path, monkeypatch):
     from singularflow import cli
     from singularflow.integrators import SolverStats
 
-    run_it = cli.integrate
-    monkeypatch.setattr(cli, "integrate", lambda *a, **k: dataclasses.replace(
+    run_it = cli.integrate_ideal
+    monkeypatch.setattr(cli, "integrate_ideal", lambda *a, **k: dataclasses.replace(
         run_it(*a, **k), stats=SolverStats()))
     assert main(["simulate", cfg, "--outdir", str(out), "--quiet"]) == 0
     run = json.loads((out / "summary.json").read_text())["run"]

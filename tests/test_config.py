@@ -36,6 +36,14 @@ def test_parse_good_config():
     assert cfg.nu == 0.1
 
 
+def test_radius_floor_is_read_and_emitted():
+    assert RunConfig.from_text(GOOD).r_floor == 1e-10  # default
+    cfg = RunConfig.from_text(GOOD + "integrator.r_floor = 1e-6\n")
+    assert cfg.r_floor == 1e-6
+    assert "\nintegrator.r_floor = 1e-06\n" in cfg.emit()
+    assert RunConfig.from_text(cfg.emit()).r_floor == 1e-6
+
+
 def test_round_trip_text():
     m1 = parse_config(GOOD)
     text = emit_config(m1)
@@ -113,6 +121,8 @@ def test_single_element_list_round_trip():
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.n_last = 9.5",
                  "nu.geometric.n_last must be an integer"),
                 ("sweep.t_points = 2.5", "sweep.t_points must be an integer"),
+                ("integrator.r_floor = -1e-10", "integrator.r_floor must be nonnegative"),
+                ("integrator.r_floor = nan", "integrator.r_floor must be nonnegative"),
                 ("classify.s_budget = -5", "classify.s_budget must be positive and finite"),
                 ("classify.s_budget = 0", "classify.s_budget must be positive and finite"),
                 ("classify.s_budget = inf", "classify.s_budget must be positive and finite"),

@@ -77,6 +77,37 @@ def test_eval_field_origin_guard():
     assert np.isfinite(sf.eval_field(f, [1e-3, 0.0], r_floor=1e-3)).all()  # the floor is in
 
 
+def _bits(traj):
+    return traj.times.tobytes(), traj.states.tobytes(), traj.derivs.tobytes()
+
+
+def test_integrate_ideal_stops_at_its_floor_sphere():
+    # the ideal run is integrate on the field with the floor sphere as its
+    # one event, the crossing reported as hit_radius_floor
+    from singularflow.integrators import _Sphere
+
+    f = sf.builtin_field("saddle2d", ALPHA)
+    rhs = lambda t, x: sf.eval_field(f, x)
+    for r_floor in (1e-10, 1e-4):
+        run = sf.integrate_ideal(f, [-1.0, 0.0], 0.0, 3.0, r_floor=r_floor)
+        ref = sf.integrate(rhs, [-1.0, 0.0], 0.0, 3.0, event=_Sphere(r_floor), direction=-1)
+        assert run.status == "hit_radius_floor" and ref.status == "hit_event"
+        assert _bits(run) == _bits(ref) and run.stats == ref.stats
+        assert np.linalg.norm(run.final_state) == pytest.approx(r_floor, rel=1e-9)
+    # an r_floor of 0 watches no sphere: before t_b = 1.5 it is the plain run
+    run = sf.integrate_ideal(f, [-1.0, 0.0], 0.0, 1.4, r_floor=0.0)
+    assert run.status == "completed"
+    assert _bits(run) == _bits(sf.integrate(rhs, [-1.0, 0.0], 0.0, 1.4))
+    # a start inside the sphere is not stopped by it: the expanding ray
+    # leaves the origin, r(t) = ((2/3) t)^(3/2) to within the start's 1e-12
+    out = sf.integrate_ideal(f, [1e-12, 0.0], 0.0, 1.0)
+    assert out.status == "completed"
+    assert out.final_state[0] == pytest.approx((2.0 / 3.0) ** 1.5, rel=1e-6)
+    for bad in (-1e-10, math.nan):
+        with pytest.raises(ValueError, match="r_floor must be nonnegative"):
+            sf.integrate_ideal(f, [-1.0, 0.0], 0.0, 3.0, r_floor=bad)
+
+
 @pytest.mark.parametrize("bad, shown", [([np.inf, 0.0], "inf"), ([np.nan, 0.0], "nan")])
 def test_eval_field_names_a_non_finite_state(bad, shown):
     # an overflowed or NaN state is not a state below the radius floor

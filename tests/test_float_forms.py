@@ -99,11 +99,10 @@ def test_a_plain_wrapper_gives_the_same_trajectory_bitwise():
     # a wrapper hides the float form, so the run goes through the array
     # adapter; the steps must not change by a bit
     field = sf.builtin_field("sphere3d")
-    opts = sf.IntegrationOptions(r_floor=0.0)
     rhs, project = renormalized_system(field)
     u0 = np.array([0.6, 0.0, 0.8, 0.0])
-    native = sf.integrate(rhs, u0, 0.0, 30.0, opts, postprocess=project)
-    wrapped = sf.integrate(lambda t, x: rhs(t, x), u0, 0.0, 30.0, opts,
+    native = sf.integrate(rhs, u0, 0.0, 30.0, postprocess=project)
+    wrapped = sf.integrate(lambda t, x: rhs(t, x), u0, 0.0, 30.0,
                            postprocess=lambda t, x: project(t, x))
     assert len(native.times) > 100
     assert _bits(native) == _bits(wrapped)
@@ -112,7 +111,7 @@ def test_a_plain_wrapper_gives_the_same_trajectory_bitwise():
     reg = regularized_rhs(rf)
     ball = integrators._Sphere(0.1)
     runs = [
-        sf.integrate(f, np.array([-1.0, 0.0]), 0.0, 2.5, opts, event=ball, direction=-1)
+        sf.integrate(f, np.array([-1.0, 0.0]), 0.0, 2.5, event=ball, direction=-1)
         for f in (reg, lambda t, x: reg(t, x))
     ]
     assert [run.status for run in runs] == ["hit_event", "hit_event"]
@@ -140,7 +139,7 @@ def test_twelve_component_array_rhs_matches_its_closed_form(monkeypatch):
 
     monkeypatch.setattr(integrators, "_error_norm", recorded)
     x0 = np.linspace(-1.0, 1.0, 12)
-    opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-14, r_floor=0.0)
+    opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-14)
     traj = sf.integrate(rhs, x0, 0.0, 5.0, opts)
     assert not hasattr(rhs, "floats")
     assert set(sizes) == {12}

@@ -78,7 +78,7 @@ def test_zero_rhs_constant():
 
 
 def test_saddle_hits_radius_floor_before_blowup_time():
-    traj = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0)
+    traj = sf.integrate_ideal(sf.builtin_field("saddle2d", ALPHA), [-1.0, 0.0], 0.0, 3.0)
     assert traj.status == "hit_radius_floor"
     assert traj.t_end < 1.5 + 1e-6
     assert np.linalg.norm(traj.final_state) == pytest.approx(1e-10, rel=1e-6)
@@ -87,9 +87,8 @@ def test_saddle_hits_radius_floor_before_blowup_time():
 def test_step_failure_on_finite_time_escape():
     # x' = 1 + x^2 reaches infinity at t = pi/2: the step size underflows
     # and the partial trajectory is carried by the exception
-    opts = sf.IntegrationOptions(r_floor=0.0)
     with pytest.raises(sf.StepFailure) as exc:
-        sf.integrate(lambda t, x: 1.0 + x * x, [0.0], 0.0, 2.0, opts)
+        sf.integrate(lambda t, x: 1.0 + x * x, [0.0], 0.0, 2.0)
     partial = exc.value.trajectory
     assert partial.status == "step_failure"
     assert partial.t_end == pytest.approx(math.pi / 2, abs=1e-6)
@@ -183,15 +182,17 @@ def test_event_ball_entry_time():
 def test_event_counts_only_crossings_after_the_start():
     event = lambda t, x: np.linalg.norm(x) - 0.1
     # a start already on the side a downward crossing leads to is no
-    # crossing: the run goes on to the radius floor
-    inside = sf.integrate(saddle_rhs(), [-0.05, 0.0], 0.0, 3.0, event=event, direction=-1)
-    assert inside.status == "hit_radius_floor"
-    # idempotence: a restart exactly at the located event does not fire on it
+    # crossing: the run goes on toward the origin (t_b = 0.2036 from
+    # |x0| = 0.05 on the collapse ray) and completes at t1
+    inside = sf.integrate(saddle_rhs(), [-0.05, 0.0], 0.0, 0.15, event=event, direction=-1)
+    assert inside.status == "completed"
+    # idempotence: a restart exactly at the located event does not fire on
+    # it, up to t1 = 1.4 < t_b = 1.5
     located = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=-1)
     assert located.status == "hit_event"
-    again = sf.integrate(saddle_rhs(), located.final_state, located.t_end, 3.0,
+    again = sf.integrate(saddle_rhs(), located.final_state, located.t_end, 1.4,
                          event=event, direction=-1)
-    assert again.status == "hit_radius_floor"
+    assert again.status == "completed"
 
 
 @pytest.mark.parametrize("direction", [0, 2])
@@ -201,14 +202,14 @@ def test_event_needs_a_direction(direction):
         sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0, event=event, direction=direction)
 
 
-@pytest.mark.parametrize("t1, status", [(0.5, "completed"), (3.0, "hit_radius_floor")])
-def test_event_run_with_no_crossing_is_the_plain_run(t1, status):
-    # a run that meets no crossing ends at t1, or at the radius floor on the
-    # collapse ray (t_b = 1.5), with the steps of the run without the event
+@pytest.mark.parametrize("t1", [0.5, 1.4999])
+def test_event_run_with_no_crossing_is_the_plain_run(t1):
+    # a run that meets no crossing ends at t1, also deep in the collapse on
+    # the ray (t_b = 1.5), with the steps of the run without the event
     event = lambda t, x: np.linalg.norm(x) - 5.0
     run = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1, event=event, direction=+1)
     direct = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, t1)
-    assert run.status == direct.status == status
+    assert run.status == direct.status == "completed"
     assert np.array_equal(run.times, direct.times)
     assert np.array_equal(run.states, direct.states)
 
@@ -242,9 +243,8 @@ def test_integrate_until_stops_on_a_prefix():
 
 def test_event_search_until_stops_with_no_event():
     rhs = power1d_rhs()
-    opts = sf.IntegrationOptions(r_floor=0.0)
     level = lambda t, x: float(x[0]) - 1.5  # x(t) = (1 + 2t/3)^(3/2) crosses 1.5 upward
-    full = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, event=level, direction=+1)
+    full = sf.integrate(rhs, [1.0], 0.0, 10.0, event=level, direction=+1)
     assert full.status == "hit_event"
     t_cross = full.t_end
 
@@ -252,20 +252,20 @@ def test_event_search_until_stops_with_no_event():
         return t >= 0.5 * t_cross
 
     # an until that fires before the crossing ends the search there
-    stopped = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=halfway, event=level, direction=+1)
+    stopped = sf.integrate(rhs, [1.0], 0.0, 10.0, until=halfway, event=level, direction=+1)
     assert stopped.status == "stopped"
     assert 0.5 * t_cross <= stopped.t_end < t_cross
     assert np.array_equal(stopped.states, full.states[: len(stopped.times)])
     # one that fires on the step the crossing is located in loses to it
-    run = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=lambda t, y, f, p: y[0] >= 1.5,
+    run = sf.integrate(rhs, [1.0], 0.0, 10.0, until=lambda t, y, f, p: y[0] >= 1.5,
                        event=level, direction=+1)
     assert run.status == "hit_event"
     assert run.t_end == t_cross and np.array_equal(run.final_state, full.final_state)
     # with no crossing before t1 the search completes there
-    short = sf.integrate(rhs, [1.0], 0.0, 0.5 * t_cross, opts, event=level, direction=+1)
+    short = sf.integrate(rhs, [1.0], 0.0, 0.5 * t_cross, event=level, direction=+1)
     assert short.status == "completed" and short.t_end == 0.5 * t_cross
     # integrate's until stops the event-free run on the same prefix
-    plain = sf.integrate(rhs, [1.0], 0.0, 10.0, opts, until=halfway)
+    plain = sf.integrate(rhs, [1.0], 0.0, 10.0, until=halfway)
     assert plain.status == "stopped"
     assert np.array_equal(plain.times, stopped.times)
     assert np.array_equal(plain.states, stopped.states)
@@ -507,8 +507,7 @@ def test_small_sphere_is_located_to_its_own_scale():
     from singularflow import integrators
 
     R = 1e-6
-    opts = sf.IntegrationOptions(r_floor=0.0)
-    traj = sf.integrate(saddle_rhs(), np.array([-1.0, 0.0]), 0.0, 3.0, opts,
+    traj = sf.integrate(saddle_rhs(), np.array([-1.0, 0.0]), 0.0, 3.0,
                         event=integrators._Sphere(R), direction=-1)
     assert traj.status == "hit_event"
     t_e, x_e = traj.t_end, traj.final_state
@@ -583,10 +582,9 @@ def test_rescaled_escape_event_reaches_unit_sphere():
         return np.asarray(rf.inner_map(x), float)
 
     event = lambda t, x: np.linalg.norm(x) - 1.0
-    opts = sf.IntegrationOptions(r_floor=0.0)
     # start just inside, on the entry ray
     x0 = np.array([-1.0, 0.0]) * (1 - 1e-9)
-    run = sf.integrate(rhs, x0, -1.5, 98.5, opts, event=event, direction=+1)
+    run = sf.integrate(rhs, x0, -1.5, 98.5, event=event, direction=+1)
     assert run.status == "hit_event"
     t_esc, x_esc = run.t_end, run.final_state
     assert np.linalg.norm(x_esc) == pytest.approx(1.0, abs=1e-10)
@@ -594,7 +592,7 @@ def test_rescaled_escape_event_reaches_unit_sphere():
 
 
 def test_blowup_fit_on_ray():
-    traj = sf.integrate(saddle_rhs(), [-1.0, 0.0], 0.0, 3.0)
+    traj = sf.integrate_ideal(sf.builtin_field("saddle2d", ALPHA), [-1.0, 0.0], 0.0, 3.0)
     t_b, p, resid = sf.estimate_blowup_time(traj, ALPHA)
     assert t_b == pytest.approx(1.5, abs=1e-6)
     assert p == pytest.approx(1.5, rel=0.01)
@@ -616,8 +614,7 @@ def test_blowup_fit_exact_self_similar_samples():
 
 def test_blowup_fit_sphere3d_axis():
     field = sf.builtin_field("sphere3d")
-    rhs = lambda t, x: sf.eval_field(field, x)
-    traj = sf.integrate(rhs, [0.0, 0.0, -1.0], 0.0, 4.0)
+    traj = sf.integrate_ideal(field, [0.0, 0.0, -1.0], 0.0, 4.0)
     assert traj.status == "hit_radius_floor"
     t_b, p, _ = sf.estimate_blowup_time(traj, field.alpha)
     assert t_b == pytest.approx(3.0, abs=1e-6)
@@ -671,8 +668,8 @@ def test_csv_format(tmp_path):
 def test_options_validation():
     with pytest.raises(ValueError):
         sf.IntegrationOptions(rtol=0.0)
-    with pytest.raises(ValueError):
-        sf.IntegrationOptions(r_floor=-1.0)
+    with pytest.raises(ValueError, match="r_floor must be nonnegative"):
+        sf.integrate_ideal(sf.builtin_field("power1d", ALPHA), [1.0], 0.0, 1.0, r_floor=-1.0)
     with pytest.raises(ValueError):
         sf.integrate(power1d_rhs(), [1.0], 1.0, 0.5)
     for bad in (0.0, -1.0, math.nan):  # a cap that fails every first step, or caps none

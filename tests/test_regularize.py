@@ -186,8 +186,7 @@ def test_integrate_regularized_is_one_run():
     # with no restart at the ball boundary
     rf = sf.make_polynomial_blend(saddle(), [1.0, -2.0], 0.1)
     traj = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 2.5)
-    ref = sf.integrate(regularized_rhs(rf), [-1.0, 0.0], 0.0, 2.5,
-                       sf.IntegrationOptions(r_floor=0.0))
+    ref = sf.integrate(regularized_rhs(rf), [-1.0, 0.0], 0.0, 2.5)
     assert np.array_equal(traj.times, ref.times)
     assert np.array_equal(traj.states, ref.states)
     assert np.array_equal(traj.derivs, ref.derivs)

@@ -17,7 +17,7 @@ def saddle():
 def test_fixed_point_run_closed_forms():
     # from the collapsing direction: y stays put, z(s) = -s,
     # t(s) = 1.5 (1 - exp(-2s/3)); dense queries need small steps
-    opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-15, max_step=0.25, r_floor=0.0)
+    opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-15, max_step=0.25)
     rt = sf.renorm_integrate(saddle(), [-1.0, 0.0], 0.0, 20.0, opts)
     assert np.abs(rt.y - np.array([-1.0, 0.0])).max() < 1e-9
     assert np.abs(rt.z + rt.s).max() < 1e-8
@@ -168,7 +168,7 @@ def test_radial_integral_cross_check():
     from scipy.integrate import simpson
 
     field = saddle()
-    opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14, r_floor=0.0)
+    opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14)
     rt = sf.renorm_integrate(field, [-0.6, 0.8], 0.0, 30.0, opts)
     s = np.linspace(0.0, 30.0, 8193)
     y = rt.y_at(s)
@@ -340,8 +340,7 @@ def test_classify_blowup_time_matches_tail_fit():
     y0 /= np.linalg.norm(y0)
     v = sf.classify_blowup(field, y0)
     assert v.verdict == "blowup"
-    rhs = lambda t, x: sf.eval_field(field, x)
-    traj = sf.integrate(rhs, y0, 0.0, v.t_b + 1.0)
+    traj = sf.integrate_ideal(field, y0, 0.0, v.t_b + 1.0)
     t_fit, _, _ = sf.estimate_blowup_time(traj, ALPHA)
     assert abs(t_fit - v.t_b) <= 1e-5 * abs(v.t_b)
 
@@ -369,7 +368,7 @@ def test_cross_oracle_reconstruct_vs_direct(name):
     # integration of the ideal field on the overlap r in [1e-6, r_b]
     field = sf.builtin_field(name) if name == "sphere3d" else sf.builtin_field(name, ALPHA)
     rng = np.random.default_rng(hash(name) % 2**32)
-    opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14, r_floor=0.0)
+    opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14)
     for _ in range(10):
         y0 = rng.standard_normal(field.dimension)
         y0 /= np.linalg.norm(y0)
