@@ -194,6 +194,8 @@ class RunConfig:
             raise ConfigError(f"t1 must exceed t0 (got t0 = {t0!r}, t1 = {t1!r})")
         seed = _integer(take("seed", 0), "seed")
         outputs = take("outputs")
+        if outputs is not None and not isinstance(outputs, str):
+            raise ConfigError(f"outputs must be a directory name, got {outputs!r}")
         try:
             options = IntegrationOptions(
                 rtol=_number(take("integrator.rtol", 1e-9), "integrator.rtol"),

@@ -1,12 +1,12 @@
 """Adaptive explicit integration with dense output and event location.
 
 A hand-rolled Dormand-Prince 5(4) embedded pair drives everything in this
-package: it keeps the trajectories bitwise deterministic, exposes cubic
-Hermite dense output between accepted steps (and, for one component on
-request, the pair's own order-4 continuous extension), and lets event
-crossings be located by bisection on the Hermite dense output.  Blowup
-times are recovered from trajectory tails through the exact linearity of
-r^(1-alpha) in t on the self-similar collapse.
+package: it keeps the trajectories bitwise deterministic, and its dense
+output between accepted steps is the pair's own order-4 continuous
+extension, written as the cubic Hermite of the step's ends plus one term
+per step.  Event crossings are located by bisection on that dense output.
+Blowup times are recovered from trajectory tails through the exact
+linearity of r^(1-alpha) in t on the self-similar collapse.
 """
 
 from __future__ import annotations
@@ -34,18 +34,13 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
-# Its continuous extension of order 4 (ibid., section II.6): at fraction
-# theta of a step of length h, y = y_0 + h sum_i k_i sum_p _DENSE[i][p] theta^(p+1)
-# over the seven stages.  At theta = 1 the rows sum to the b_i above.
-_DENSE = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Its continuous extension of order 4 (ibid., II.6; Shampine, Math. Comp. 46,
+# 1986) is the cubic Hermite of the step's ends plus theta^2 (1 - theta)^2 e:
+# e = h (d_1 k_1 + d_3 k_3 + ... + d_7 k_7) is its theta^4 coefficient.
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -95,16 +90,15 @@ class SolverStats:
 
 @dataclass
 class Trajectory:
-    """Sampled solution with cubic Hermite dense output per accepted step.
+    """Sampled solution with the stepper's order-4 dense output per accepted step.
 
     status is one of completed | stopped | hit_event | step_failure, or
     hit_radius_floor from integrate_ideal, and explains the terminal sample;
-    stats is what the run cost the stepper.  stages is None unless the run
-    was asked to keep the stages of one component (integrate's
-    dense_index): then row i holds accepted step i's full length h and that
-    component's seven stage derivatives, the input of its order-4
-    continuous extension (dense_coefficients).  The last step of a run that
-    ends at a located crossing keeps the full step's row, past the crossing.
+    stats is what the run cost the stepper.  Row i of quartic is accepted
+    step i's term e of the dense output (_hermite), None for samples alone
+    (reconstruct's), which have no dense output.  A run that ends at a
+    located crossing keeps its last step whole: cut is that step's end
+    (t, state, derivative), past the crossing.
     """
 
     times: np.ndarray
@@ -112,7 +106,8 @@ class Trajectory:
     derivs: np.ndarray
     status: str
     stats: SolverStats = field(default_factory=SolverStats)
-    stages: Optional[np.ndarray] = None
+    quartic: Optional[np.ndarray] = None
+    cut: Optional[tuple] = None
 
     @property
     def t0(self) -> float:
@@ -131,17 +126,25 @@ class Trajectory:
 
     def sample(self, t):
         """Dense evaluation at scalar or array times within the sampled span."""
-        ts = self.times
-        tq, idx = _locate(ts, t)
-        h = ts[idx + 1] - ts[idx]
-        s = np.where(h > 0, (tq - ts[idx]) / np.where(h > 0, h, 1.0), 0.0)
-        out = _hermite(
-            s[:, None], h[:, None],
-            self.states[idx], self.derivs[idx], self.states[idx + 1], self.derivs[idx + 1],
-        )
+        tq, idx = _locate(self.times, t)
+        tp, h, *ends = self._steps(idx)
+        s = np.where(h > 0, (tq - tp) / np.where(h > 0, h, 1.0), 0.0)
+        out = _hermite(s[:, None], h[:, None], *ends)
         if np.isscalar(t) or np.ndim(t) == 0:
             return out[0]
         return out
+
+    def _steps(self, idx):
+        """Steps idx as the dense output takes them: (t, h, y0, f0, y1, f1, e),
+        with a cut last step's full end."""
+        if self.quartic is None:
+            raise ValueError("this trajectory has no dense output: it holds samples only")
+        ends = [a[1:] for a in (self.times, self.states, self.derivs)]
+        if self.cut is not None:
+            ends = [np.concatenate([a[:-1], [b]]) for a, b in zip(ends, self.cut)]
+        t1, y1, f1 = (a[idx] for a in ends)
+        tp = self.times[idx]
+        return tp, t1 - tp, self.states[idx], self.derivs[idx], y1, f1, self.quartic[idx]
 
     def radii(self) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", self.states, self.states))
@@ -245,8 +248,8 @@ def _initial_step(f, t0, y0, f0, atol, rtol, max_step):
     return min(100 * h0, h1, max_step)
 
 
-def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
-    """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new).
+def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
+    """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new, e).
 
     x0 and f0 are arrays, f0 = rhs(t0, x0), which every caller has already
     evaluated for its first stored derivative.  The stages, the state and
@@ -257,9 +260,8 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
     integrate functions collect samples and statuses.  stats, a
     SolverStats, counts the right-hand-side calls made here and the steps.
     A non-finite start or error estimate (NaN or inf in the state or the
-    right-hand side) raises StepFailure: no step size can repair it.  keep,
-    if given, is (i, buf) with buf an array("d"): each accepted step extends
-    buf by its length h and component i of its seven stages k1 .. k7.
+    right-hand side) raises StepFailure: no step size can repair it.  e is
+    the step's term of the dense output (_hermite), a list of floats.
     """
     if x0.shape != f0.shape:
         raise ValueError("rhs output shape does not match the state shape")
@@ -272,8 +274,6 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
     stats.rhs_calls += 1
     t, y, k1, y_arr, f_arr = t0, x0.tolist(), f0.tolist(), x0, f0
     ay = [abs(v) for v in y]
-    if keep is not None:
-        i, buf = keep
     attempts = 0
     while t < t1:
         if attempts == _MAX_STEPS:
@@ -304,10 +304,13 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
         k7 = f_of(t_new, y_new)
         stats.rhs_calls += 6
         ay_new = [abs(v) for v in y_new]
-        enorm = _error_norm([
-            h * (_E1 * p + _E3 * r + _E4 * w + _E5 * x + _E6 * z + _E7 * q)
-            for p, r, w, x, z, q in zip(k1, k3, k4, k5, k6, k7)
-        ], ay, ay_new, atol, rtol)
+        # the error estimate and the dense output's term e in one loop, which
+        # costs a fraction of what a second comprehension would
+        err, e = [], []
+        for p, r, w, x, z, q in zip(k1, k3, k4, k5, k6, k7):
+            err.append(h * (_E1 * p + _E3 * r + _E4 * w + _E5 * x + _E6 * z + _E7 * q))
+            e.append(h * (_D1 * p + _D3 * r + _D4 * w + _D5 * x + _D6 * z + _D7 * q))
+        enorm = _error_norm(err, ay, ay_new, atol, rtol)
         if not math.isfinite(enorm):
             raise StepFailure(
                 f"non-finite state or right-hand side in the step from t = {t!r} (h = {h!r})",
@@ -320,14 +323,12 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
                 y_new = post(t_new, y_new)
                 ay_new = [abs(v) for v in y_new]
             stats.accepted += 1
-            if keep is not None:
-                buf.extend((h, k1[i], k2[i], k3[i], k4[i], k5[i], k6[i], k7[i]))
             if h < stats.h_min:
                 stats.h_min = h
             if h > stats.h_max:
                 stats.h_max = h
             y_new_arr, f_new_arr = np.array(y_new), np.array(k7)
-            yield t, y_arr, f_arr, t_new, y_new_arr, f_new_arr
+            yield t, y_arr, f_arr, t_new, y_new_arr, f_new_arr, e
             t, y, k1, ay, y_arr, f_arr = t_new, y_new, k7, ay_new, y_new_arr, f_new_arr
             factor = _MAX_FACTOR if enorm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * enorm ** -0.2
@@ -338,26 +339,9 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None, keep=None):
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * enorm ** -0.2))
 
 
-def _trajectory(times, states, derivs, status, stats, buf=None) -> Trajectory:
-    stages = None if buf is None else np.array(buf).reshape(-1, 8)
+def _trajectory(times, states, derivs, status, stats, quartic, cut=None) -> Trajectory:
     return Trajectory(np.array(times), np.array(states), np.array(derivs), status, stats=stats,
-                      stages=stages)
-
-
-def dense_coefficients(stages):
-    """The order-4 continuous extension of the kept component, step by step.
-
-    stages are rows of Trajectory.stages.  Returns (h, c), c of shape (n, 4):
-    on the step from t_i, the component at t_i + theta h is
-    x_i + c_1 theta + c_2 theta^2 + c_3 theta^3 + c_4 theta^4.  Each row is
-    formed on its own, so a step's coefficients do not depend on which
-    other steps are asked for.
-    """
-    h, k = stages[:, 0], stages[:, 1:]
-    c = k[:, :1] * _DENSE[0]
-    for j in range(1, 7):
-        c = c + k[:, j:j + 1] * _DENSE[j]
-    return h, h[:, None] * c
+                      quartic=np.array(quartic).reshape(-1, len(states[0])), cut=cut)
 
 
 def integrate(
@@ -370,7 +354,6 @@ def integrate(
     until: Optional[Callable] = None,
     event: Optional[Callable] = None,
     direction: int = 0,
-    dense_index: Optional[int] = None,
 ) -> Trajectory:
     """Integrate dx/dt = rhs(t, x) from t0 to t1 with adaptive 5(4) stepping.
 
@@ -387,7 +370,8 @@ def integrate(
     fire on it again.  Each accepted step is scanned for a crossing
     (_scan_step), and the run ends at the first one located
     (_locate_crossing), whose time, state and derivative close the
-    trajectory.  No other crossing ends a run.
+    trajectory; the step keeps its full length (Trajectory.cut).  No other
+    crossing ends a run.
 
     postprocess, if given, is applied to every accepted state as
     postprocess(t, y) and returns the adjusted state, which the run keeps.
@@ -412,10 +396,8 @@ def integrate(
     y.tolist())) bit for bit, as _with_floats builds it.  Any other callable
     is called on arrays, with the same steps bit for bit.  The trajectory's
     stats count the right-hand-side calls, the accepted and rejected steps
-    and the range of accepted step sizes.  dense_index, if given, names a
-    state component whose stages the trajectory keeps (Trajectory.stages),
-    for that component's order-4 continuous extension; the steps are the
-    same either way.
+    and the range of accepted step sizes.  Its dense output (sample) is the
+    stepper's order-4 continuous extension on every step.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -428,14 +410,16 @@ def integrate(
     stats = SolverStats(rhs_calls=1)
     g = None if event is None else float(event(t0, x0))
     status = "completed"
-    buf = None if dense_index is None else array("d")
-    keep = None if buf is None else (dense_index, buf)
+    quartic = array("d")
+    cut = None
 
     def partial():
-        return _trajectory(times, states, derivs, "stopped", stats, buf)
+        return _trajectory(times, states, derivs, "stopped", stats, quartic)
 
     try:
-        for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess, keep):
+        for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess):
+            _, _, _, t_new, y_new, f_new, e = step
+            quartic.extend(e)
             if event is not None:
                 bracket, g = _scan_step(event, direction, g, step)
                 if bracket is not None:
@@ -445,8 +429,8 @@ def integrate(
                     derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
                     stats.rhs_calls += 1
                     status = "hit_event"
+                    cut = (t_new, y_new, f_new)
                     break
-            _, _, _, t_new, y_new, f_new = step
             times.append(t_new)
             states.append(y_new)
             derivs.append(f_new)
@@ -455,52 +439,61 @@ def integrate(
                 break
     except StepFailure as exc:
         raise StepFailure(
-            str(exc), _trajectory(times, states, derivs, "step_failure", stats, buf)
+            str(exc), _trajectory(times, states, derivs, "step_failure", stats, quartic)
         ) from None
-    return _trajectory(times, states, derivs, status, stats, buf)
+    return _trajectory(times, states, derivs, status, stats, quartic, cut)
 
 
-def _hermite_weights(s, uu):
-    """Cubic Hermite weights (h00, h10, h01, h11) at fraction s of a step.
+def _hermite_weights(s):
+    """The weights of y0, h f0, y1, h f1 and e in the dense output at fraction s."""
+    u = 1 - s
+    ss, uu = s * s, u * u
+    return (1 + 2 * s) * uu, s * uu, ss * (3 - 2 * s), ss * (s - 1), ss * uu
 
-    uu is (1 - s) squared, formed by the caller: NumPy's ** 2 on an array is
-    u * u, while ** 2 on a scalar is C pow, which differs from u * u in the
-    last bit about once in a thousand.  Each caller keeps the square it has
-    always used, so every dense state keeps its bits.
+
+def _hermite(s, h, y0, f0, y1, f1, e):
+    """The dense output at fractions s (an array) of a step of length h.
+
+    The cubic Hermite of the step's ends plus s^2 (1 - s)^2 e is the
+    stepper's order-4 continuous extension: both are quartics with the
+    same ends, end slopes and s^4 coefficient e.
     """
-    ss = s * s
-    return (1 + 2 * s) * uu, s * uu, ss * (3 - 2 * s), ss * (s - 1)
+    h00, h10, h01, h11, q = _hermite_weights(s)
+    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1 + q * e
 
 
-def _hermite(s, h, y0, f0, y1, f1):
-    """Cubic Hermite interpolant at fractions s (an array) of a step of length h."""
-    h00, h10, h01, h11 = _hermite_weights(s, (1 - s) ** 2)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-def _hermite_point(s, uu, h, y0, f0, y1, f1):
+def _hermite_point(s, h, y0, f0, y1, f1, e):
     """One dense state from the components of the step's ends, on Python floats.
 
     The sum runs in _hermite's order, so the state is bitwise what _hermite
-    gives at the same s and uu, at about half its cost for one state
-    of a few components.
+    gives at the same s, at about half its cost for one state of a few
+    components.
     """
-    h00, h10, h01, h11 = _hermite_weights(s, uu)
+    h00, h10, h01, h11, q = _hermite_weights(s)
     a, b = h10 * h, h11 * h
-    return np.array([((h00 * p + a * q) + h01 * r) + b * w for p, q, r, w in zip(y0, f0, y1, f1)])
+    return np.array([
+        (((h00 * p + a * v) + h01 * r) + b * w) + q * c
+        for p, v, r, w, c in zip(y0, f0, y1, f1, e)
+    ])
 
 
-def _hermite_eval(t, tp, yp, fp, tn, yn, fn):
-    """The dense state at a scalar time t; the ends may be arrays or lists."""
-    h = tn - tp
-    s = (t - tp) / h
-    return _hermite_point(s, (1 - s) ** 2, h, yp, fp, yn, fn)
+def _monomials(traj, steps, i):
+    """Component i's dense output on steps, as (h, c) with c of shape (n, 4).
+
+    h is each step's full length; on the step from t_k, the component at
+    t_k + theta h is x_k + c_1 theta + ... + c_4 theta^4, _hermite in
+    monomial form.  Each row depends on its own step only.
+    """
+    _, h, y0, f0, y1, f1, e = traj._steps(steps)
+    rise, hf0, hf1, e = y1[:, i] - y0[:, i], h * f0[:, i], h * f1[:, i], e[:, i]
+    c = (hf0, 3 * rise - 2 * hf0 - hf1 + e, -2 * rise + hf0 + hf1 - 2 * e, e)
+    return h, np.stack(c, axis=1)
 
 
 def _locate_crossing(event, step, bracket):
     """Bisect the dense output of one accepted step for the event root.
 
-    step is the full Hermite interval (tp, yp, fp, tn, yn, fn); bracket is
+    step is the full step (tp, yp, fp, tn, yn, fn, e); bracket is
     (ta, ga, tb, gb) with the sign change between ta and tb.  The bisection
     keeps tb on the side the crossing leads to, and so does the (t, x) it
     returns: the event there is within 1e-12 of zero relative to the
@@ -511,8 +504,9 @@ def _locate_crossing(event, step, bracket):
     excursion rescaled_escape starts where its inside run leaves the unit
     ball, then starts on the side it crossed to.
     """
-    tp, yp, fp, tn, yn, fn = step
-    y0, f0, y1, f1 = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist()
+    tp, yp, fp, tn, yn, fn, e = step
+    y0, f0, y1, f1, e = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), _floats(e)
+    h = tn - tp
     lo, glo, hi, ghi = bracket
     y_hi = None
     scale = max(abs(glo), abs(ghi))
@@ -520,14 +514,14 @@ def _locate_crossing(event, step, bracket):
         if abs(ghi) <= 1e-12 * scale or hi - lo <= 16 * _EPS * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        ymid = _hermite_eval(mid, tp, y0, f0, tn, y1, f1)
+        ymid = _hermite_point((mid - tp) / h, h, y0, f0, y1, f1, e)
         gmid = float(event(mid, ymid))
         if (gmid > 0) == (glo > 0):
             lo, glo = mid, gmid
         else:
             hi, ghi, y_hi = mid, gmid, ymid
     if y_hi is None:
-        y_hi = yn if hi == tn else _hermite_eval(hi, tp, y0, f0, tn, y1, f1)
+        y_hi = yn if hi == tn else _hermite_point((hi - tp) / h, h, y0, f0, y1, f1, e)
     return hi, y_hi
 
 
@@ -535,10 +529,10 @@ class _Sphere:
     """The event |x| - radius, whose crossings _scan_step can rule out per step.
 
     Its value is bitwise that of the closure math.sqrt(float(x.dot(x))) -
-    radius.  A step's cubic Hermite is a convex combination of its Bezier
-    points y_p, y_p + h f_p / 3, y_n - h f_n / 3 and y_n, so when all four
-    lie strictly inside the sphere, or strictly outside it, so does every
-    subsample, and no crossing can be found.
+    radius.  A step's dense output is a convex combination of the
+    quartic's five Bezier points (_bezier), so when all five lie strictly
+    inside the sphere, or strictly outside it, so does every subsample, and
+    no crossing can be found.
     """
 
     __slots__ = ("radius",)
@@ -556,23 +550,20 @@ class _Sphere:
         g_prev, the event at the step's start, must agree with the side found,
         so that the answer is the full scan's for any caller.  The margin
         bounds the rounding of the subsample states (a dozen roundings of
-        terms whose sum is at most 4 times the hull's 1-norm, since
-        |h f / 3| is the distance between two hull points), of their norms
+        terms whose sum is at most 4 times the hull's 1-norm, since h f_p,
+        h f_n and e are combinations of the hull points), of their norms
         (d + 2 more), and of the hull computed here, for any dimension d.
         """
-        tp, yp, fp, tn, yn, fn = step
-        y0, f0, y1, f1 = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist()
-        h3 = (tn - tp) / 3.0
-        p1 = [a + h3 * b for a, b in zip(y0, f0)]
-        p2 = [a - h3 * b for a, b in zip(y1, f1)]
+        tp, yp, fp, tn, yn, fn, e = step
+        ends = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), _floats(e)
+        hull = list(zip(*map(_bezier, [tn - tp] * len(yp), *ends)))  # five points
         r = self.radius
-        margin = 128 * (len(y0) + 2) * _EPS * (sum(map(abs, y0 + p1 + p2 + y1)) + r)
+        margin = 128 * (len(yp) + 2) * _EPS * (sum(abs(v) for p in hull for v in p) + r)
         if g_prev < 0.0:
-            reach = max(math.hypot(*y0), math.hypot(*p1), math.hypot(*p2), math.hypot(*y1))
-            return reach + margin < r
+            return max(math.hypot(*p) for p in hull) + margin < r
         if g_prev > 0.0:
-            c = [0.5 * (a + b) for a, b in zip(y0, y1)]
-            spread = max(math.hypot(*(a - b for a, b in zip(p, c))) for p in (y0, p1, p2, y1))
+            c = [0.5 * (a + b) for a, b in zip(hull[0], hull[4])]
+            spread = max(math.hypot(*(a - b for a, b in zip(p, c))) for p in hull)
             return math.hypot(*c) - spread - margin > r
         return False
 
@@ -580,10 +571,10 @@ class _Sphere:
 class _Level:
     """The event x[index] - level, whose crossings _scan_step can rule out per step.
 
-    Component index of a step's cubic Hermite is the same convex
-    combination of that component of its four Bezier points as in _Sphere,
-    so when all four lie strictly below the level, or strictly above it, so
-    does every subsample, and no crossing can be found.
+    Component index of a step's dense output is a convex combination of
+    that component of its five Bezier points (_bezier), so when all five lie
+    strictly below the level, or strictly above it, so does every
+    subsample, and no crossing can be found.
     """
 
     __slots__ = ("index", "level")
@@ -602,18 +593,24 @@ class _Level:
         side found, and the margin bounds the rounding of the subsample
         component and of the hull computed here.
         """
-        tp, yp, fp, tn, yn, fn = step
+        tp, yp, fp, tn, yn, fn, e = step
         i = self.index
-        a, b = float(yp[i]), float(yn[i])
-        h3 = (tn - tp) / 3.0
-        p1, p2 = a + h3 * float(fp[i]), b - h3 * float(fn[i])
+        q = _bezier(tn - tp, float(yp[i]), float(fp[i]), float(yn[i]), float(fn[i]), float(e[i]))
         level = self.level
-        margin = 384 * _EPS * (abs(a) + abs(p1) + abs(p2) + abs(b) + abs(level))
+        margin = 384 * _EPS * (sum(map(abs, q)) + abs(level))
         if g_prev < 0.0:
-            return max(a, p1, p2, b) + margin < level
+            return max(q) + margin < level
         if g_prev > 0.0:
-            return min(a, p1, p2, b) - margin > level
+            return min(q) - margin > level
         return False
+
+
+def _bezier(h, a, fa, b, fb, c):
+    """The five Bezier points Q_j of one component's dense output on a step
+    of length h from (a, fa) to (b, fb) with term c: _hermite is
+    sum_j C(4, j) s^j (1 - s)^(4 - j) Q_j, for s in [0, 1] a convex
+    combination of them."""
+    return a, a + h / 4.0 * fa, 0.5 * (a + b) + h / 6.0 * (fa - fb) + c / 6.0, b - h / 4.0 * fb, b
 
 
 def _scan_step(event, direction, g_prev, step):
@@ -622,26 +619,25 @@ def _scan_step(event, direction, g_prev, step):
     The step is cut into _EVENT_SUBSAMPLES equal parts so a double crossing
     inside it is not skipped; subsample k sits at k * (h / _EVENT_SUBSAMPLES)
     past the step's start, which is how np.linspace places it, bit for bit,
-    and its state comes from _hermite_point.  An event with a clear_of
-    method (_Sphere, _Level) skips the subsamples of a step it is clear of.
+    and its state comes from _hermite_point.  step is as _stepper yields it.
+    An event with a clear_of method (_Sphere, _Level) skips the subsamples
+    of a step it is clear of.
     g_prev is the event at the step's start.  Returns (bracket, g_end):
     bracket is (ta, ga, tb, gb) around the first crossing, or None with
     g_end the event at the step's end.
     """
-    tp, yp, fp, tn, yn, fn = step
+    tp, yp, fp, tn, yn, fn, e = step
     clear_of = getattr(event, "clear_of", None)
     if clear_of is not None and clear_of(g_prev, step):
         return None, event(tn, yn)
     h = tn - tp
     dt = h / _EVENT_SUBSAMPLES
-    y0, f0, y1, f1 = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist()
+    y0, f0, y1, f1, e = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), _floats(e)
     ta, ga = tp, g_prev
     for k in range(1, _EVENT_SUBSAMPLES + 1):
         if k < _EVENT_SUBSAMPLES:
             tq = k * dt + tp
-            s = (tq - tp) / h
-            u = 1.0 - s
-            yq = _hermite_point(s, u * u, h, y0, f0, y1, f1)
+            yq = _hermite_point((tq - tp) / h, h, y0, f0, y1, f1, e)
         else:
             tq, yq = tn, yn
         gq = float(event(tq, yq))
@@ -656,12 +652,13 @@ def estimate_blowup_time(traj: Trajectory, alpha: float):
 
     p is the fitted exponent of r against (t_b - t), which equals 1/(1-alpha)
     for a self-similar blowup.  resid is the rms misfit of the linear law
-    relative to the tail amplitude.  Raises NotBlowingUp when the tail radius
-    is not monotonically decreasing over at least 20 samples.
+    relative to the tail amplitude.  Only integrated nodes are fitted, not
+    the located crossing that ends a hit_event or hit_radius_floor run.
+    Raises NotBlowingUp when the tail radius is not monotonically
+    decreasing over at least 20 samples.
     """
-    r = traj.radii()
-    t = traj.times
-    n = len(r)
+    n = len(traj.times) - (traj.status in ("hit_event", "hit_radius_floor"))
+    r, t = traj.radii()[:n], traj.times[:n]
     i = n - 1
     while i > 0 and r[i - 1] > r[i]:
         i -= 1

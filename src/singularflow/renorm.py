@@ -8,10 +8,9 @@ unit-order speed turns the singular problem into the autonomous system
 along which physical time is the quadrature dt/ds = e^((1-alpha) z).
 Blowup corresponds to s -> infinity with z -> -infinity, so the collapse can
 be followed for as long as needed.  The stepper integrates (y, z) alone, so
-t sets no step: a renormalized run keeps the stages of z, and t(s) is a
-Gauss-Legendre quadrature of e^((1-alpha) z) over each step's order-4
-continuous extension of z, computed when first read (RenormTrajectory.t,
-physical_time).
+t sets no step: t(s) is a Gauss-Legendre quadrature of e^((1-alpha) z) over
+z's dense output on each step, the stepper's order-4 continuous extension,
+computed when first read (RenormTrajectory.t, physical_time).
 
 renormalized_system is the single definition of this system and of its
 projection onto the sphere, and renorm_integrate is the one run of it: the
@@ -38,8 +37,8 @@ from .integrators import (
     IntegrationOptions,
     Trajectory,
     _locate,
+    _monomials,
     _with_floats,
-    dense_coefficients,
     integrate,
     write_csv,
 )
@@ -65,8 +64,8 @@ _PIECE_RISE = 0.25
 class RenormTrajectory:
     """A renormalized run: s, unit direction y, log-radius z and time t.
 
-    run is the integrated Trajectory of the state (y, z), which keeps the
-    stages of z (Trajectory.stages); t0 is the physical time at its start.
+    run is the integrated Trajectory of the state (y, z), with its dense
+    output; t0 is the physical time at its start.
     t is computed on first read, so a reader of y and z alone pays nothing
     for it.
     """
@@ -98,8 +97,7 @@ class RenormTrajectory:
     @cached_property
     def t(self) -> np.ndarray:
         """Physical time at every sample: t0 plus the quadrature of each step."""
-        steps = np.arange(len(self.s) - 1)
-        inc = _elapsed(self, steps, np.diff(self.s) / self.run.stages[:, 0])
+        inc = _elapsed(self, np.arange(len(self.s) - 1), self.s[1:])
         return np.cumsum(np.concatenate([[self.t0], inc]))
 
     def z_max(self) -> float:
@@ -107,10 +105,10 @@ class RenormTrajectory:
 
         A maximum between samples lies on a step over which the dense dz/ds
         turns from positive to nonpositive; on each such step the zero of
-        the derivative of z's continuous extension is found by bisection.
+        the derivative of z's dense output is found by bisection.
         """
         run = self.run
-        h, c = dense_coefficients(run.stages)
+        h, c = _monomials(run, np.arange(len(run.times) - 1), self.dimension)
         theta = np.diff(run.times) / h
         slope_end = ((4 * c[:, 3] * theta + 3 * c[:, 2]) * theta + 2 * c[:, 1]) * theta + c[:, 0]
         best = float(np.max(self.z))
@@ -140,19 +138,20 @@ class RenormTrajectory:
         write_csv(path, header, rows)
 
 
-def _elapsed(rt: RenormTrajectory, steps, theta) -> np.ndarray:
-    """Physical time from the start of each step in steps to fraction theta of it.
+def _elapsed(rt: RenormTrajectory, steps, s) -> np.ndarray:
+    """Physical time from the start of each step in steps to s on it.
 
-    theta is a fraction of the step's full length, the one its stages were
-    taken over.  e^((1-alpha) z) is integrated over the step's continuous
-    extension of z, cut into equal pieces over each of which (1-alpha) z
+    s is read as a fraction theta of the step's full length (a cut last
+    step's too).  e^((1-alpha) z) is integrated over z's dense output on
+    the step (_monomials), cut into equal pieces over each of which (1-alpha) z
     moves by at most _PIECE_RISE (bounded through |dz/dtheta|), by the
     Gauss-Legendre rule on each piece.  Each step's value depends on its
     own row only.  Past the float range the time is inf, and a step's
     start (theta = 0) adds exactly 0.
     """
     a = 1.0 - rt.field.alpha
-    h, c = dense_coefficients(rt.run.stages[steps])
+    h, c = _monomials(rt.run, steps, rt.dimension)
+    theta = (s - rt.s[steps]) / h
     slope = np.abs(c[:, 0]) + 2 * np.abs(c[:, 1]) + 3 * np.abs(c[:, 2]) + 4 * np.abs(c[:, 3])
     pieces = np.maximum(1, np.ceil(abs(a) / _PIECE_RISE * theta * slope)).astype(np.int64)
     step = np.repeat(np.arange(len(h)), pieces)
@@ -272,8 +271,8 @@ def renorm_integrate(
     y0 must lie within 1e-9 of the unit sphere (NotUnitVector otherwise);
     the run starts from its projection.  The direction is re-projected onto
     the sphere after every accepted step, keeping max | |y|-1 | at the level
-    of the local error.  The stepper integrates (y, z) with opts and keeps
-    the stages of z; physical time starts at t0 and is a quadrature read on
+    of the local error.  The stepper integrates (y, z) with opts; physical
+    time starts at t0 and is a quadrature over z's dense output, read on
     demand (RenormTrajectory.t, physical_time).  reverse runs the reversed
     direction flow (renormalized_system).
 
@@ -284,8 +283,8 @@ def renorm_integrate(
     there, on a prefix of the full run.  event(s, u) and direction are
     integrate's: the run ends at the first located crossing, with status
     hit_event.  A crossing's state is the dense output's, so its y lies off
-    the sphere by the interpolant's error (2e-9 on a sphere3d section
-    return), more than y0 may: a run restarted from it starts from its
+    the sphere by the interpolant's error (up to 2.4e-12 on sphere3d
+    section returns), and a run restarted from it starts from its
     projection, as find_limit_cycle's laps do.
     """
     y0 = np.asarray(y0, dtype=float)
@@ -303,7 +302,7 @@ def renorm_integrate(
         )
     rhs, project = renormalized_system(field, reverse)
     run = integrate(rhs, u0, 0.0, s_max, opts, project, until=poll, event=event,
-                    direction=direction, dense_index=len(u0) - 1)
+                    direction=direction)
     return RenormTrajectory(field, run, t0)
 
 
@@ -311,12 +310,11 @@ def physical_time(rt: RenormTrajectory, s):
     """Physical time at renormalized time s, a scalar or an array.
 
     At a sample it is rt.t there; between samples the quadrature of the
-    partial step, over the step's own continuous extension of z, is added.
+    partial step, over z's dense output on the step, is added.
     Raises OutOfRange outside the run.
     """
     sq, steps = _locate(rt.s, s)
-    theta = (sq - rt.s[steps]) / rt.run.stages[steps, 0]
-    t = rt.t[steps] + _elapsed(rt, steps, theta)
+    t = rt.t[steps] + _elapsed(rt, steps, sq)
     return float(t[0]) if np.ndim(s) == 0 else t
 
 
@@ -420,10 +418,7 @@ def _blowup_time_from_run(rt: RenormTrajectory, av: RadialAverages) -> float:
 
 def reconstruct(rt: RenormTrajectory) -> Trajectory:
     """Map the renormalized samples back to a physical trajectory x(t) = e^z y."""
-    d = rt.dimension
-    y = rt.y
-    z = rt.z
-    t = rt.t
+    y, z, t = rt.y, rt.z, rt.t
     x = np.exp(z)[:, None] * y
     # dx/dt = r^alpha F(y), evaluated sample-wise for the dense output
     F = np.array([rt.field.sphere_map(yi) for yi in y], dtype=float)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -121,6 +122,16 @@ def test_simulate_with_a_tolerance_far_below_the_state_ends_cleanly(tmp_path, ca
     rc = main(["simulate", cfg, "--outdir", str(out), "--quiet"])
     err = capsys.readouterr().err
     assert rc == 0 or (rc == 3 and "StepFailure" in err), (rc, err)
+
+
+def test_numeric_outputs_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    # without --outdir the config's outputs names the directory; a number
+    # is a configuration error, not a traceback from making the directory
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "run.cfg", SADDLE_CFG + "outputs = 5\n")
+    assert main(["simulate", "run.cfg", "--quiet"]) == 2
+    assert "outputs must be a directory name" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_simulate_missing_key_exits_2(tmp_path):

@@ -121,6 +121,9 @@ def test_single_element_list_round_trip():
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.n_last = 9.5",
                  "nu.geometric.n_last must be an integer"),
                 ("sweep.t_points = 2.5", "sweep.t_points must be an integer"),
+                # outputs names a directory: a number or a list is no name
+                ("outputs = 5", "outputs must be a directory name, got 5"),
+                ("outputs = 1.0, 2.0", "outputs must be a directory name, got [1.0, 2.0]"),
                 ("integrator.r_floor = -1e-10", "integrator.r_floor must be nonnegative"),
                 ("integrator.r_floor = nan", "integrator.r_floor must be nonnegative"),
                 ("classify.s_budget = -5", "classify.s_budget must be positive and finite"),

@@ -223,8 +223,9 @@ def test_located_crossings_lie_on_the_side_crossed_to():
     for _ in range(3000):
         d = 1 + int(rng.integers(3))
         yp, fp, yn, fn = rng.standard_normal((4, d))
+        e = rng.standard_normal(d) * rng.choice([0.0, 1e-6, 1e-3])
         tp = float(rng.uniform(-2.0, 2.0))
-        step = (tp, yp, fp, tp + float(rng.uniform(1e-3, 2.0)), yn, fn)
+        step = (tp, yp, fp, tp + float(rng.uniform(1e-3, 2.0)), yn, fn, e)
         sphere = integrators._Sphere(float(rng.uniform(0.3, 2.0)))
         g0 = sphere(tp, yp)
         for direction in (+1, -1):

@@ -290,13 +290,13 @@ def test_rhs_evaluated_once_at_the_start_point():
 
 
 def _scalar_scan(event, direction, g_prev, step):
-    # reference: np.linspace subsample times, one scalar Hermite call each
-    from singularflow.integrators import _hermite_eval
+    # reference: np.linspace subsample times, one scalar dense state each
+    from singularflow.integrators import _hermite_point
 
-    tp, yp, fp, tn, yn, fn = step
+    tp, yp, fp, tn, yn, fn, e = step
     ta, ga = tp, g_prev
     for tq in np.linspace(tp, tn, 9)[1:]:
-        yq = yn if tq == tn else _hermite_eval(tq, tp, yp, fp, tn, yn, fn)
+        yq = yn if tq == tn else _hermite_point((tq - tp) / (tn - tp), tn - tp, yp, fp, yn, fn, e)
         gq = float(event(tq, yq))
         if (ga < 0.0 <= gq) if direction > 0 else (ga > 0.0 >= gq):
             return (ta, ga, tq, gq)
@@ -306,17 +306,19 @@ def _scalar_scan(event, direction, g_prev, step):
 
 def _crafted_steps():
     # x(s) = 1 - 6 s (1 - s) on a step with h f = -6 at its start and +6 at
-    # its end: x dips to -1/2 and comes back, so both ends read x = 1 and
-    # only the subsamples see the double crossing
+    # its end and e = 0: x dips to -1/2 and comes back, so both ends read
+    # x = 1 and only the subsamples see the double crossing.  The random
+    # steps carry a term e of up to a few percent of their states
     for tp, h in ((0.0, 1.0), (2.0, 0.5), (-3.0, 0.125)):
         yield (tp, np.array([1.0]), np.array([-6.0 / h]),
-               tp + h, np.array([1.0]), np.array([6.0 / h]))
+               tp + h, np.array([1.0]), np.array([6.0 / h]), np.zeros(1))
     rng = np.random.default_rng(7)
     for _ in range(300):
         tp = float(rng.uniform(-5.0, 5.0))
         h = float(rng.uniform(1e-3, 2.0))
         yp, fp, yn, fn = rng.standard_normal((4, 2))
-        yield tp, yp, fp, tp + h, yn, fn
+        e = rng.standard_normal(2) * rng.choice([0.0, 1e-6, 1e-2])
+        yield tp, yp, fp, tp + h, yn, fn, e
 
 
 def test_event_scan_matches_a_scalar_reference():
@@ -358,7 +360,10 @@ def test_event_scan_matches_a_scalar_reference():
 def _sphere_steps(rng, n):
     # random steps about a sphere of radius R, d = 1..3: generic ones, steps
     # with both ends within 1e-15 R of the sphere, short steps in a 1e-6 R
-    # shell about it, and shallow chords just inside it
+    # shell about it, and shallow chords just inside it.  Each carries a
+    # term e sized like a real step's, up to 1e-5 of the step's motion
+    # |y_n - y_p| + h |f_p| + h |f_n| per component, which can push a
+    # chord's dense output out through the sphere
     for i in range(n):
         d = 1 + i % 3
         R = float(10.0 ** rng.uniform(-2.0, 1.0))
@@ -380,24 +385,31 @@ def _sphere_steps(rng, n):
             w -= (w @ u) * u
             yp, yn = R * (1.0 - 1e-9) * u + 1e-5 * R * w, R * (1.0 - 1e-9) * u - 1e-5 * R * w
         fp, fn = rng.standard_normal((2, d)) * (R / h) * rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0])
-        yield R, (tp, yp, fp, tp + h, yn, fn)
+        e = rng.standard_normal(d) * rng.choice([0.0, 1e-7, 1e-5])
+        e *= np.abs(yn - yp) + h * (np.abs(fp) + np.abs(fn))
+        yield R, (tp, yp, fp, tp + h, yn, fn, e)
 
 
 def _crafted_sphere_steps():
-    # R = 1.  The hull touches the sphere (P1 = P2 = 1) while the curve peaks
-    # at 0.975; the curve R + 1e-3 - (s - 7/16)^2 leaves and re-enters the
-    # ball inside the subsample (3/8, 1/2), where no scan can see it; one
-    # plain exit; ends at 1 -+ 1e-15 with zero and nonzero slopes
-    yield (0.0, np.array([0.9]), np.array([0.3]), 1.0, np.array([0.9]), np.array([-0.3]))
+    # R = 1, e = 0 unless said.  The hull touches the sphere (Q2 = 1) while
+    # the curve peaks at 0.975; the curve R + 1e-3 - (s - 7/16)^2 leaves
+    # and re-enters the ball inside the subsample (3/8, 1/2), where no scan
+    # can see it; one plain exit; a flat step at 0.9 that only its term
+    # e = 2 carries out, to 0.9 + 2/16 at s = 1/2; ends at 1 -+ 1e-15 with
+    # zero and nonzero slopes
+    yield (0.0, np.array([0.9]), np.array([0.3]), 1.0, np.array([0.9]), np.array([-0.3]),
+           np.array([0.0]))
     top = 1.0 + 1e-3
     yield (0.0, np.array([top - (7 / 16) ** 2]), np.array([7 / 8]),
-           1.0, np.array([top - (9 / 16) ** 2]), np.array([-9 / 8]))
+           1.0, np.array([top - (9 / 16) ** 2]), np.array([-9 / 8]), np.array([0.0]))
     yield (0.0, np.array([0.9, 0.0]), np.array([0.2, 0.1]), 1.0, np.array([1.1, 0.1]),
-           np.array([0.2, 0.1]))
+           np.array([0.2, 0.1]), np.zeros(2))
+    yield (0.0, np.array([0.9]), np.array([0.0]), 1.0, np.array([0.9]), np.array([0.0]),
+           np.array([2.0]))
     for a, b in ((-1e-15, 1e-15), (1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)):
         for slope in (0.0, 1e-3):
             yield (2.0, np.array([1.0 + a, 0.0]), np.array([0.0, slope]),
-                   2.5, np.array([0.0, 1.0 + b]), np.array([-slope, 0.0]))
+                   2.5, np.array([0.0, 1.0 + b]), np.array([-slope, 0.0]), np.zeros(2))
 
 
 def test_sphere_event_scan_matches_the_plain_closure():
@@ -419,12 +431,16 @@ def test_sphere_event_scan_matches_the_plain_closure():
     # both branches ran: many steps skipped, many crossings found
     assert skipped > 5000 and brackets > 1000
     crafted = list(_crafted_sphere_steps())
-    touching, hidden, exit_step = crafted[:3]
+    touching, hidden, exit_step, bumped = crafted[:4]
     one = _Sphere(1.0)
     for step in (touching, hidden):
         assert not one.clear_of(one(0.0, step[1]), step)
         assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is None
-    assert _scan_step(one, +1, one(0.0, exit_step[1]), exit_step)[0] is not None
+    for step in (exit_step, bumped):
+        assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is not None
+    # the bump is e's alone: without it the hull clears the step
+    assert not one.clear_of(-0.1, bumped)
+    assert one.clear_of(-0.1, bumped[:6] + (np.zeros(1),))
 
 
 def _level_steps(rng, n):
@@ -433,7 +449,8 @@ def _level_steps(rng, n):
     # the level, short steps in a 1e-6 band about it, shallow bumps whose
     # ends sit 1e-9 below (or above) it while the curve pokes through, and
     # flat steps a few ulps off it, where only the rounding of the
-    # subsamples can reach it
+    # subsamples can reach it.  Each carries a term e sized like a real
+    # step's, as in _sphere_steps
     for k in range(n):
         d = 1 + k % 3
         i = int(rng.integers(d))
@@ -443,6 +460,7 @@ def _level_steps(rng, n):
         tp = float(rng.uniform(-5.0, 5.0))
         yp, yn = rng.standard_normal((2, d)) * scale
         fp, fn = rng.standard_normal((2, d)) * (scale / h) * rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0])
+        e = rng.standard_normal(d) * rng.choice([0.0, 1e-7, 1e-5])
         kind = (k // 4) % 5
         if kind == 1:
             yp[i] = L + rng.choice([-1e-15, 0.0, 1e-15]) * max(scale, abs(L))
@@ -457,22 +475,23 @@ def _level_steps(rng, n):
             fn[i] = -side * 1e-8 * scale / h * rng.uniform(0.5, 8.0)
         elif kind == 4:
             toward = rng.choice([-math.inf, math.inf])
-            yp[i] = yn[i] = L if L else 1e-300 * toward
+            yp[i] = yn[i] = L if L else math.copysign(1e-300, toward)
             for _ in range(int(rng.integers(1, 4))):
                 yp[i] = yn[i] = math.nextafter(yp[i], toward)
             fp[i], fn[i] = rng.choice([0.0, 1e-17, -1e-17], 2)
-        yield i, L, (tp, yp, fp, tp + h, yn, fn)
+        e *= np.abs(yn - yp) + h * (np.abs(fp) + np.abs(fn))
+        yield i, L, (tp, yp, fp, tp + h, yn, fn, e)
 
 
 def _crafted_level_steps():
-    # level 1 of component 0: the touching, hidden and plain-exit cases of
-    # the unit sphere, whose first component is |x| or crosses 1 with it,
-    # and ends at 1 -+ 1e-15 with zero and nonzero slopes
-    yield from list(_crafted_sphere_steps())[:3]
+    # level 1 of component 0: the touching, hidden, plain-exit and bumped
+    # cases of the unit sphere, whose first component is |x| or crosses 1
+    # with it, and ends at 1 -+ 1e-15 with zero and nonzero slopes
+    yield from list(_crafted_sphere_steps())[:4]
     for a, b in ((-1e-15, 1e-15), (1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)):
         for slope in (0.0, 1e-3):
             yield (2.0, np.array([1.0 + a, 0.0]), np.array([slope, 0.0]),
-                   2.5, np.array([1.0 + b, 1.0]), np.array([-slope, 0.0]))
+                   2.5, np.array([1.0 + b, 1.0]), np.array([-slope, 0.0]), np.zeros(2))
 
 
 def test_level_event_scan_matches_the_plain_closure():
@@ -493,12 +512,15 @@ def test_level_event_scan_matches_the_plain_closure():
             brackets += got[0] is not None
     # both branches ran: many steps skipped, many crossings found
     assert skipped > 4000 and brackets > 1000
-    touching, hidden, cross = list(_crafted_level_steps())[:3]
+    touching, hidden, cross, bumped = list(_crafted_level_steps())[:4]
     one = _Level(0, 1.0)
     for step in (touching, hidden):
         assert not one.clear_of(one(0.0, step[1]), step)
         assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is None
-    assert _scan_step(one, +1, one(0.0, cross[1]), cross)[0] is not None
+    for step in (cross, bumped):
+        assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is not None
+    assert not one.clear_of(-0.1, bumped)
+    assert one.clear_of(-0.1, bumped[:6] + (np.zeros(1),))
 
 
 def test_small_sphere_is_located_to_its_own_scale():
@@ -628,7 +650,8 @@ def test_blowup_fit_rejects_growth():
 
 
 def test_dense_output_accuracy():
-    # cubic Hermite interpolation: error bounded by h^4/384 * max|y''''|
+    # the order-4 dense output is within the cubic Hermite's error bound
+    # h^4/384 * max|y''''|
     rhs = lambda t, x: np.array([math.cos(t)])
     traj = sf.integrate(rhs, [0.0], 0.0, 10.0)
     ts = np.linspace(0.0, 10.0, 777)
@@ -707,24 +730,81 @@ def test_options_reject_non_positive_or_non_finite_tolerances(which, bad):
         sf.IntegrationOptions(**{which: bad})
 
 
-def test_kept_stages_change_no_step_and_extend_the_component():
-    # a run that keeps one component's stages takes the same steps bit for
-    # bit; each step's continuous extension ends at the next sample, matches
-    # its derivative at both ends and, at theta = 1, has the weights b_i
-    from singularflow import integrators
+# The Dormand-Prince 5(4) tableau and its order-4 continuous extension
+# (Hairer, Norsett and Wanner, Solving ODEs I, sections II.5 and II.6): at
+# fraction theta of a step of length h, y = y_0 + h sum_i k_i sum_p
+# _DP_DENSE[i][p] theta^(p+1) over the seven stages, the last of which is f
+# at the step's end
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_DENSE = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
+
+def _stage_extension(rhs, tp, yp, h, theta):
+    # the seven stages of the step from (tp, yp), recomputed from the
+    # tableau, and the continuous extension at fractions theta of it
+    k = []
+    for c, a in zip(_DP_C, _DP_A):
+        k.append(rhs(tp + c * h, yp + h * sum((w * kj for w, kj in zip(a, k)), np.zeros_like(yp))))
+    powers = np.power.outer(theta, np.arange(1, 5))  # theta, ..., theta^4
+    return yp + h * (powers @ _DP_DENSE.T) @ np.array(k)
+
+
+def test_dense_output_is_the_stage_based_order_4_extension():
+    # sample on every step, and on a last step cut at a located crossing
+    # (over the full step it keeps), is the order-4 continuous extension
+    # formed from the step's seven stages; the cubic Hermite of the step's
+    # ends is not, by about 1e-8 of the state here
+    b = _DP_A[6] + (0.0,)  # the reference's rows sum to the weights b_i
+    assert np.allclose(_DP_DENSE.sum(axis=1), b, rtol=0.0, atol=1e-15)
     rhs = lambda t, x: np.array([x[1], -x[0] + 0.3 * math.cos(t)])
-    plain = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0)
-    kept = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, dense_index=0)
-    assert plain.stages is None
-    for name in ("times", "states", "derivs"):
-        assert getattr(plain, name).tobytes() == getattr(kept, name).tobytes()
-    assert kept.stages.shape == (len(kept.times) - 1, 8)
-    h, c = integrators.dense_coefficients(kept.stages)
-    assert np.max(np.abs(h - np.diff(kept.times))) <= 1e-13
-    x, f = kept.states[:, 0], kept.derivs[:, 0]
-    assert np.max(np.abs(x[:-1] + c.sum(axis=1) - x[1:])) <= 1e-14
-    assert np.max(np.abs(c[:, 0] - h * f[:-1])) <= 1e-14
-    assert np.max(np.abs(c @ [1.0, 2.0, 3.0, 4.0] - h * f[1:])) <= 1e-14
-    b = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-    assert np.allclose(integrators._DENSE.sum(axis=1), b, rtol=0.0, atol=1e-15)
+    theta = np.linspace(0.0, 1.0, 9)[1:-1]
+    full = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0)
+    cut = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, event=lambda t, x: x[0] + 0.9, direction=-1)
+    assert cut.status == "hit_event" and full.cut is None
+    scale = np.abs(full.states).max()
+    worst = 0.0
+    for run in (full, cut):
+        ends = list(run.times[1:-1]) + [run.cut[0] if run.cut else run.times[-1]]
+        for tp, yp, tn in zip(run.times, run.states, ends):
+            h = tn - tp
+            want = _stage_extension(rhs, tp, yp, h, theta)
+            t = tp + theta * h
+            inside = t <= run.t_end
+            got = run.sample(t[inside])
+            worst = max(worst, float(np.abs(got - want[inside]).max(initial=0.0)))
+    assert worst <= 1e-14 * scale
+    # the cut run's last step is the full run's step, sampled up to the crossing
+    k = len(cut.times) - 2
+    assert cut.cut[0] == full.times[k + 1]
+    assert np.array_equal(cut.quartic, full.quartic[: k + 1])
+    t = np.linspace(cut.times[k], cut.t_end, 7)
+    assert np.abs(cut.sample(t) - full.sample(t)).max() <= 1e-15 * scale
+
+
+def test_a_trajectory_without_dense_output_says_so():
+    rt = sf.renorm_integrate(sf.builtin_field("saddle2d", ALPHA), [-1.0, 0.0], 0.0, 5.0)
+    samples_only = (
+        sf.reconstruct(rt),
+        sf.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros((2, 1)), "completed"),
+    )
+    for traj in samples_only:
+        assert traj.quartic is None
+        with pytest.raises(ValueError, match="no dense output"):
+            traj.sample(traj.t0)
