@@ -15,7 +15,6 @@ from .attractors import (
     find_limit_cycle,
     rescaled_escape,
     tau_entry,
-    verify_defocusing_condition,
 )
 from .config import RunConfig, emit_config, parse_config
 from .continuation import (

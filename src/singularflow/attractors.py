@@ -481,24 +481,6 @@ def catalog_attractors(
     return out
 
 
-def verify_defocusing_condition(field: SingularField, attractor: AttractorInfo) -> str:
-    """Check the escape condition on an attractor: satisfied/violated/inconclusive.
-
-    The condition is the integral lower bound I(S', S) >= c1 (S - S') + c0
-    on the radial integral along the attractor, with some c1 > 0 and finite
-    c0, and it is decided by the sign of the mean radial rate m alone.  At
-    a fixed point I(S', S) = m (S - S').  On a cycle I(S', S) = m (S - S')
-    + P(S) - P(S') with P periodic and bounded, so for m > 0 the bound
-    holds with c1 = m / 2, and for m < 0 no c1 > 0 gives one: a probe over
-    sampled pairs could only confirm the sign.  A mean within LABEL_DELTA
-    of 0 is inconclusive.  field is not read; the mean is the attractor's.
-    """
-    mean = attractor.mean_radial
-    if mean > LABEL_DELTA:
-        return "satisfied"
-    return "violated" if mean < -LABEL_DELTA else "inconclusive"
-
-
 # ---------------------------------------------------------------------------
 # Rescaled escape decision
 # ---------------------------------------------------------------------------

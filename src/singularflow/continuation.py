@@ -13,8 +13,10 @@ The family is discretely self-similar: with p = 1/(1-alpha),
     G(xi) = exp(-phi(s, s)) y_c(s)  at  s = psi_inv(xi),
 
 and the log-profile G is periodic in xi with period zeta_period = T <F_r>.
-The tables, G among them, are periodic cubic splines (_PeriodicCubic, numpy
-only) built from one high-resolution period of the cycle.  The improper
+The family holds one renormalized run over one period of the cycle, from
+which the radial integral, the orbit and psi are read (psi through the
+run's physical time, renorm.physical_time), and one periodic cubic spline
+of G (_PeriodicCubic, numpy only) tabulated from that run.  The improper
 integral defining the phase map psi is reduced exactly through the
 periodicity of the radial integral (a geometric series over past periods),
 so no truncation of the infinite history is needed.
@@ -35,7 +37,7 @@ from .errors import NoEvent, NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
 from .integrators import DEFAULT_OPTIONS, IntegrationOptions, SolverStats
 from .regularize import RegularizedField, integrate_regularized
-from .renorm import classify_blowup, renorm_integrate, renormalized_system
+from .renorm import classify_blowup, physical_time, renorm_integrate, renormalized_system
 
 _MEAN_DELTA = 1e-6
 # phases per broadcast block of the _fit_phases scan, whose family points
@@ -46,10 +48,8 @@ _SCAN_BLOCK = 90
 _ANCHOR_RANGE = 1e-3
 # orbit-table rows before the largest sample at which the anchor search starts
 _ANCHOR_LEAD = 4
-# uniform intervals of the cycle family's period tables, and the Gauss-Legendre
-# nodes per interval of the quadrature of its exponential weight
+# uniform intervals of the period grid on which the cycle family tabulates G
 _FAMILY_GRID = 2048
-_PANEL_ORDER = 12
 # time step of residual_check's central differences
 _RESIDUAL_STEP = 1e-6
 
@@ -87,23 +87,32 @@ class ContinuationFamily:
 
     # -- phase-map accessors (cycle_family only) ---------------------------
 
-    def radial_integral(self, s):
-        """Integral of F_r along the cycle from 0 to s."""
-        tb = self._tables
+    def _on_run(self, s):
+        """s reduced into the family's one-period run, s - k T for k =
+        floor(s / T), flattened, with k zeta_period in the shape of s: J and
+        psi each gain T <F_r> per period."""
         s = np.asarray(s, dtype=float)
-        return tb["mean"] * s + tb["J_per"](s)
+        k = np.floor(s / self.period)
+        return (s - k * self.period).ravel(), k * self.zeta_period
+
+    def radial_integral(self, s):
+        """Integral of F_r along the cycle from 0 to s: z on the run."""
+        rt = self._tables["run"]
+        s_red, shift = self._on_run(s)
+        return rt.run.sample(s_red)[:, rt.dimension].reshape(shift.shape) + shift
 
     def psi(self, s):
+        """log(K(s)) / (1 - alpha), with K - K(0) the run's physical time."""
         tb = self._tables
-        s = np.asarray(s, dtype=float)
-        return tb["mean"] * s + tb["psi_per"](s)
+        s_red, shift = self._on_run(s)
+        K = tb["K0"] + physical_time(tb["run"], s_red)
+        return (np.log(K) / (1.0 - self.alpha)).reshape(shift.shape) + shift
 
     def psi_inv(self, xi):
         """Monotone inverse of psi: a linear-interpolation seed, then Newton polish."""
         tb = self._tables
         xi = np.asarray(xi, dtype=float)
-        T, mean = tb["T"], tb["mean"]
-        span = T * mean
+        T, span = self.period, self.zeta_period
         k = np.floor((xi - tb["psi0"]) / span)
         xi_red = xi - k * span  # in [psi(0), psi(T))
         s = tb["psi_inv_base"](xi_red)
@@ -125,7 +134,9 @@ class ContinuationFamily:
         return self.psi(s) - self.radial_integral(s)
 
     def orbit_point(self, s):
-        y = self._tables["orbit"](s)
+        rt = self._tables["run"]
+        s_red, shift = self._on_run(s)
+        y = rt.run.sample(s_red)[:, : rt.dimension].reshape(shift.shape + (-1,))
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     # -- evaluation ---------------------------------------------------------
@@ -218,26 +229,30 @@ def trivial_rest_family(t_b: float, alpha: float, dimension: int) -> Continuatio
 # Cycle family
 # ---------------------------------------------------------------------------
 
-class _PeriodicGrid:
-    """The nodes x_0 < ... < x_n of periodic cubic splines, factored once.
+class _PeriodicCubic:
+    """The C2 periodic cubic spline through (x_k, y_k), k = 0..n, with y_n = y_0.
 
-    With h_k = x_{k+1} - x_k, the node slopes m_k of the spline through
-    (x_k, y_k) solve the cyclic tridiagonal system (indices mod n)
+    This is the interpolant of CubicSpline(x, y, bc_type="periodic").  With
+    h_k = x_{k+1} - x_k and delta_k = (y_{k+1} - y_k) / h_k, the node slopes
+    m_k solve the cyclic tridiagonal system (indices mod n)
 
-        h_k m_{k-1} + 2 (h_{k-1} + h_k) m_k + h_{k-1} m_{k+1} = rhs_k(y),
+        h_k m_{k-1} + 2 (h_{k-1} + h_k) m_k + h_{k-1} m_{k+1}
+            = 3 (h_k delta_{k-1} + h_{k-1} delta_k).
 
-    whose matrix depends on the nodes alone.  The grid eliminates it once,
-    for every spline over it: the cyclic matrix A, with corners
-    a = A[0, n-1] = h_0 and c = A[n-1, 0] = h_{n-2}, is T + u v^T for a
-    tridiagonal T, u = (g, 0, ..., 0, c) and v = (1, 0, ..., 0, a/g); with
-    T m = rhs and T z = u, the slopes are m - z (v.m) / (1 + v.z).  The grid
-    keeps T's Thomas pivots and z, so a spline costs one forward and back
-    substitution per column.  It also keeps the table of 2n equal buckets
-    of the period through which a call finds each piece.
+    The cyclic matrix A, with corners a = A[0, n-1] = h_0 and
+    c = A[n-1, 0] = h_{n-2}, is T + u v^T for a tridiagonal T,
+    u = (g, 0, ..., 0, c) and v = (1, 0, ..., 0, a/g); with T m = rhs and
+    T z = u, the slopes are m - z (v.m) / (1 + v.z).  One Thomas pass
+    solves the right-hand-side columns and u together.  y holds scalars,
+    shape (n+1,), or rows, shape (n+1, d); a call returns q.shape +
+    y.shape[1:].  A call reduces q to x_0 + (q - x_0) mod P with
+    P = x_n - x_0, finds each piece through a table of 2n equal buckets of
+    the period, and evaluates the piece's cubic by Horner.
     """
 
-    def __init__(self, x):
+    def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         h = np.diff(x)
         n = len(h)
         h_prev = np.roll(h, 1)
@@ -246,19 +261,20 @@ class _PeriodicGrid:
         a, c = h[0], h_prev[-1]
         diag[0] -= g
         diag[-1] -= a * c / g
-        # Thomas elimination of T (its lower[0] and upper[n-1] are unused),
-        # on Python floats: with n in the thousands, a NumPy call per row
-        # would cost more than the arithmetic
-        up = h_prev.tolist()
-        w, piv = [0.0], [float(diag[0])]
-        for lk, dk, uk in zip(h.tolist()[1:], diag.tolist()[1:], up):
-            w.append(lk / piv[-1])
-            piv.append(dk - w[-1] * uk)
-        self._thomas = w, piv, up
+        self._shape = y.shape[1:]
+        rows = y.reshape(n + 1, -1)
+        delta = np.diff(rows, axis=0) / h[:, None]
         u = np.zeros((n, 1))
         u[0], u[-1] = g, c
-        self.h, self.h_prev, self._a_g = h, h_prev, a / g
-        self._z = self.solve(u)
+        rhs = 3.0 * (h[:, None] * np.roll(delta, 1, axis=0) + h_prev[:, None] * delta)
+        mz = _thomas(h[1:], diag, h_prev, np.hstack([rhs, u]))
+        m, z, a_g = mz[:, :-1], mz[:, -1:], a / g
+        m -= z * ((m[0] + a_g * m[-1]) / (1.0 + z[0] + a_g * z[-1]))
+        # per piece, c3 t^3 + c2 t^2 + m_k t + y_k with t = q - x_k; four
+        # contiguous (n, d) gathers cost less than one strided (n, 4, d) one
+        hc = h[:, None]
+        curv = (m + np.roll(m, -1, axis=0) - 2.0 * delta) / hc
+        self._coef = (curv / hc, (delta - m) / hc - curv, np.ascontiguousarray(m), rows[:-1])
 
         self.x0, self.period = x[0], x[-1] - x[0]
         self.starts = x[:-1]
@@ -271,68 +287,14 @@ class _PeriodicGrid:
         self.first = np.maximum(np.searchsorted(buckets, np.arange(2 * n)) - 1, 0)
         self.passes = int(np.bincount(buckets).max())
 
-    def solve(self, rhs):
-        """T x = rhs for the m columns of rhs, shape (n, m)."""
-        w, piv, up = self._thomas
-        cols = []
-        for r in rhs.T.tolist():
-            acc, fwd = 0.0, []
-            for wk, rk in zip(w, r):
-                acc = rk - wk * acc
-                fwd.append(acc)
-            acc, back = 0.0, []
-            for rk, uk, pk in zip(reversed(fwd), reversed(up), reversed(piv)):
-                acc = (rk - uk * acc) / pk
-                back.append(acc)
-            cols.append(back[::-1])
-        return np.array(cols).T
-
-    def slopes(self, rhs):
-        """The cyclic system's solution A m = rhs, shape (n, m)."""
-        m, z, a_g = self.solve(rhs), self._z, self._a_g
-        m -= z * ((m[0] + a_g * m[-1]) / (1.0 + z[0] + a_g * z[-1]))
-        return m
-
-
-class _PeriodicCubic:
-    """The C2 periodic cubic spline through (x_k, y_k), k = 0..n, with y_n = y_0.
-
-    This is the interpolant of CubicSpline(x, y, bc_type="periodic"): with
-    delta_k = (y_{k+1} - y_k) / h_k, the node slopes solve the cyclic system
-    of _PeriodicGrid with rhs_k = 3 (h_k delta_{k-1} + h_{k-1} delta_k).  x
-    is the node array or a _PeriodicGrid, which splines over the same nodes
-    share.  y holds scalars, shape (n+1,), or rows, shape (n+1, d); a call
-    returns q.shape + y.shape[1:].  A call reduces q to x_0 + (q - x_0) mod
-    P with P = x_n - x_0, finds each piece through the grid's bucket table,
-    and evaluates the piece's cubic by Horner.
-    """
-
-    def __init__(self, x, y):
-        grid = x if isinstance(x, _PeriodicGrid) else _PeriodicGrid(x)
-        y = np.asarray(y, dtype=float)
-        self._grid = grid
-        self._shape = y.shape[1:]
-        rows = y.reshape(len(grid.h) + 1, -1)
-        h, h_prev = grid.h, grid.h_prev
-        delta = np.diff(rows, axis=0) / h[:, None]
-        m = grid.slopes(
-            3.0 * (h[:, None] * np.roll(delta, 1, axis=0) + h_prev[:, None] * delta)
-        )
-        # per piece, c3 t^3 + c2 t^2 + m_k t + y_k with t = q - x_k; four
-        # contiguous (n, d) gathers cost less than one strided (n, 4, d) one
-        hc = h[:, None]
-        curv = (m + np.roll(m, -1, axis=0) - 2.0 * delta) / hc
-        self._coef = (curv / hc, (delta - m) / hc - curv, np.ascontiguousarray(m), rows[:-1])
-
     def __call__(self, q):
-        g = self._grid
         q = np.asarray(q, dtype=float)
-        q = g.x0 + (q - g.x0) % g.period
+        q = self.x0 + (q - self.x0) % self.period
         # mode="clip" maps the top end q = x_n, and NaN, to an end bucket
-        k = g.first.take(((q - g.x0) * g.scale).astype(np.intp), mode="clip")
-        for _ in range(g.passes):
-            k += q >= g.next.take(k)
-        t = (q - g.starts.take(k))[..., None]
+        k = self.first.take(((q - self.x0) * self.scale).astype(np.intp), mode="clip")
+        for _ in range(self.passes):
+            k += q >= self.next.take(k)
+        t = (q - self.starts.take(k))[..., None]
         c3, c2, c1, c0 = self._coef
         out = c3.take(k, axis=0) * t
         out += c2.take(k, axis=0)
@@ -343,18 +305,29 @@ class _PeriodicCubic:
         return out.reshape(q.shape + self._shape)
 
 
-def _panel_gauss_cumulative(s_grid, f_vals_fn):
-    """Cumulative integral of a smooth function over the grid panels, by
-    _PANEL_ORDER-point Gauss-Legendre on each."""
-    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    a = s_grid[:-1]
-    b = s_grid[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    pts = mid + half * nodes[None, :]
-    vals = f_vals_fn(pts.ravel()).reshape(pts.shape)
-    panel = (vals * weights[None, :]).sum(axis=1) * half[:, 0]
-    return np.concatenate([[0.0], np.cumsum(panel)])
+def _thomas(lower, diag, upper, rhs):
+    """T x = rhs for the tridiagonal T with sub-, main and superdiagonals
+    lower (n-1), diag (n) and upper (n, its last entry unused), for the m
+    columns of rhs, shape (n, m).  The elimination runs on Python floats:
+    with n in the thousands, a NumPy call per row would cost more than the
+    arithmetic."""
+    up = upper.tolist()
+    w, piv = [0.0], [float(diag[0])]
+    for lk, dk, uk in zip(lower.tolist(), diag.tolist()[1:], up):
+        w.append(lk / piv[-1])
+        piv.append(dk - w[-1] * uk)
+    cols = []
+    for r in rhs.T.tolist():
+        acc, fwd = 0.0, []
+        for wk, rk in zip(w, r):
+            acc = rk - wk * acc
+            fwd.append(acc)
+        acc, back = 0.0, []
+        for rk, uk, pk in zip(reversed(fwd), reversed(up), reversed(piv)):
+            acc = (rk - uk * acc) / pk
+            back.append(acc)
+        cols.append(back[::-1])
+    return np.array(cols).T
 
 
 def _cycle_anchor(field: SingularField, cycle: AttractorInfo, opts: IntegrationOptions):
@@ -394,22 +367,22 @@ def build_cycle_family(
 ) -> ContinuationFamily:
     """Tabulate the post-blowup family generated by a defocusing limit cycle.
 
-    One period of the cycle is re-integrated at tight tolerance to sample the
-    orbit and the running integral J of F_r on a uniform grid of _FAMILY_GRID
-    intervals.  The run starts at _cycle_anchor, the maximum on the cycle of
-    its first varying coordinate, so s = 0 and the phase origin zeta = 0 are
-    fixed by the cycle itself, whichever search found it and wherever its
-    table starts.
-    The phase map psi and the radial profile follow from the cumulative
-    exponential weight K(s) = integral_{-inf}^s exp((1-alpha) J(u)) du,
-    whose tail over past periods sums exactly as a geometric series.  The
-    log-profile G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is then
-    known with no inversion at the nodes xi_k = psi(s_k); one periodic cubic
-    spline through them, of period zeta_period = T <F_r>, is what eval uses.
-    The four periodic tables are _PeriodicCubic splines, which reduce their
-    argument into the period themselves; the three over s_grid share one
-    elimination of their slope system.  psi_inv's Newton seed is np.interp
-    over the increasing psi table.
+    One period of the cycle is re-integrated at tight tolerance, as one
+    renormalized run from z = 0 whose z(s) is the running integral J of F_r.
+    The run starts at _cycle_anchor, the maximum on the cycle of its first
+    varying coordinate, so s = 0 and the phase origin zeta = 0 are fixed by
+    the cycle itself, whichever search found it and wherever its table
+    starts.  The phase map psi and the radial profile follow from the
+    cumulative exponential weight K(s) = integral_{-inf}^s exp((1-alpha)
+    J(u)) du: over [0, s] it is the run's physical time t(s)
+    (renorm.physical_time), and its tail over past periods sums exactly as
+    a geometric series.  The family keeps the run: radial_integral, psi and
+    orbit_point read its dense output at s mod T.  The log-profile
+    G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is
+    known with no inversion at the nodes xi_k = psi(s_k) of a uniform grid
+    of _FAMILY_GRID intervals; one periodic cubic spline through them, of
+    period zeta_period = T <F_r>, is what eval uses.  psi_inv's Newton seed
+    is np.interp over the increasing psi table.
     """
     if cycle.kind != "limit_cycle":
         raise ValueError("build_cycle_family needs a limit-cycle attractor")
@@ -422,7 +395,8 @@ def build_cycle_family(
     run_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14))
     anchor = _cycle_anchor(field, cycle, run_opts)
     s_grid = np.linspace(0.0, T, _FAMILY_GRID + 1)
-    uu = renorm_integrate(field, anchor, 0.0, T, run_opts).run.sample(s_grid)
+    rt = renorm_integrate(field, anchor, 0.0, T, run_opts)
+    uu = rt.run.sample(s_grid)
     orbit = uu[:, :d]
     orbit /= np.linalg.norm(orbit, axis=1)[:, None]
     J_tab = uu[:, d].copy()
@@ -431,44 +405,22 @@ def build_cycle_family(
     if mean <= _MEAN_DELTA:
         raise NonPositiveMean(f"cycle mean radial value {mean!r} is not positive")
 
-    # periodic part of J; endpoints agree exactly by construction of mean
-    Jp = J_tab - mean * s_grid
-    Jp[-1] = Jp[0]
-    orbit[-1] = orbit[0]
-    grid = _PeriodicGrid(s_grid)  # J_per, orbit and psi_per share its elimination
-    J_per = _PeriodicCubic(grid, Jp)
-    orbit_sp = _PeriodicCubic(grid, orbit)
-
-    def weight(s):
-        return np.exp(one_minus_a * (mean * s + J_per(s)))
-
-    K_partial = _panel_gauss_cumulative(s_grid, weight)
-    W = K_partial[-1]
+    K_partial = physical_time(rt, s_grid)
     q = math.exp(-one_minus_a * mean * T)
-    K0 = W * q / (1.0 - q)  # exact geometric tail over s < 0
-    K_tab = K0 + K_partial
-
-    psi_tab = np.log(K_tab) / one_minus_a
-    psi_per = psi_tab - mean * s_grid
-    psi_per[-1] = psi_per[0]  # exact identity K(T) = K(0)/q up to quadrature
-    psi_per_sp = _PeriodicCubic(grid, psi_per)
-    psi_inv_base = partial(np.interp, xp=psi_tab, fp=s_grid)  # psi_tab increases
+    K0 = K_partial[-1] * q / (1.0 - q)  # exact geometric tail over s < 0
+    psi_tab = np.log(K0 + K_partial) / one_minus_a
 
     xi_nodes = psi_tab.copy()
     xi_nodes[-1] = psi_tab[0] + mean * T  # psi(T) = psi(0) + T <F_r> exactly
     G = np.exp(J_tab - psi_tab)[:, None] * orbit
     G[-1] = G[0]
-    profile = _PeriodicCubic(xi_nodes, G)
 
     tables = {
-        "T": T,
-        "mean": mean,
-        "J_per": J_per,
-        "orbit": orbit_sp,
-        "psi_per": psi_per_sp,
-        "psi_inv_base": psi_inv_base,
+        "run": rt,
+        "K0": K0,
+        "psi_inv_base": partial(np.interp, xp=psi_tab, fp=s_grid),  # psi_tab increases
         "psi0": psi_tab[0],
-        "profile": profile,
+        "profile": _PeriodicCubic(xi_nodes, G),
     }
     return ContinuationFamily(
         "cycle_family",

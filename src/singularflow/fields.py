@@ -20,9 +20,9 @@ from .integrators import (
     DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _floats, _Sphere, integrate,
 )
 
-# Guard for r**alpha overflow at negative alpha; the ideal field is singular
-# at the origin regardless.
-R_FLOOR_DEFAULT = 1e-300
+# The smallest |x| at which the ideal field is evaluated: below it r**alpha
+# may overflow at negative alpha, and at 0 the field is singular regardless.
+OVERFLOW_GUARD = 1e-300
 
 UNIT_TOL = 1e-9
 
@@ -84,22 +84,22 @@ def eval_sphere_map(field: SingularField, y) -> np.ndarray:
     return np.asarray(field.sphere_map(yu), dtype=float)
 
 
-def eval_field(field: SingularField, x, r_floor: float = R_FLOOR_DEFAULT) -> np.ndarray:
+def eval_field(field: SingularField, x) -> np.ndarray:
     """Evaluate the ideal field r^alpha * F(x/r); the origin is out of domain.
 
-    Raises OriginEvaluation below r_floor, and for a non-finite |x| (an
-    overflowed or NaN state), with a message that tells the two apart.
+    Raises OriginEvaluation below OVERFLOW_GUARD, and for a non-finite |x|
+    (an overflowed or NaN state), with a message that tells the two apart.
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(x.dot(x))  # x.dot(x) is x @ x bit for bit, with less overhead
-    if not r_floor <= r < np.inf:  # NaN fails both comparisons
+    if not OVERFLOW_GUARD <= r < np.inf:  # NaN fails both comparisons
         if not np.isfinite(r):
             raise OriginEvaluation(
                 f"|x| = {float(r)!r} is non-finite: the state overflowed or holds a NaN"
             )
         raise OriginEvaluation(
-            f"|x| = {float(r)!r} below r_floor = {float(r_floor)!r}; switch to a "
-            "regularized or renormalized representation"
+            f"|x| = {float(r)!r} is at the origin, where the field is singular; switch "
+            "to a regularized or renormalized representation"
         )
     return r**field.alpha * np.asarray(field.sphere_map(x / r), dtype=float)
 

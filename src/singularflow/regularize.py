@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularBlend
 from .fields import (
-    R_FLOOR_DEFAULT,
+    OVERFLOW_GUARD,
     SingularField,
     _map_float_form,
     _map_with_floats,
@@ -146,7 +146,7 @@ def regularized_rhs(rf: RegularizedField):
         xa = np.array(x)
         r = math.sqrt(float(xa.dot(xa)))
         if r > nu:
-            if not R_FLOOR_DEFAULT <= r < math.inf:
+            if not OVERFLOW_GUARD <= r < math.inf:
                 eval_field(rf.base, xa)  # raises OriginEvaluation
             scale = _power(r, alpha)
             return [scale * f for f in smap([v / r for v in x])]

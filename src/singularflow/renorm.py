@@ -10,7 +10,10 @@ Blowup corresponds to s -> infinity with z -> -infinity, so the collapse can
 be followed for as long as needed.  The stepper integrates (y, z) alone, so
 t sets no step: t(s) is a Gauss-Legendre quadrature of e^((1-alpha) z) over
 z's dense output on each step, the stepper's order-4 continuous extension,
-computed when first read (RenormTrajectory.t, physical_time).
+computed when first read (RenormTrajectory.t, physical_time).  It is the
+package's one quadrature: the cycle family's phase map reads it too
+(continuation.build_cycle_family, whose weight K(s) over one period is a
+run's physical time).
 
 renormalized_system is the single definition of this system and of its
 projection onto the sphere, and renorm_integrate is the one run of it: the
@@ -127,10 +130,6 @@ class RenormTrajectory:
     @property
     def stats(self):
         return self.run.stats
-
-    def y_at(self, s):
-        u = self.run.sample(s)
-        return u[..., : self.dimension]
 
     def to_csv(self, path):
         header = ["s"] + [f"y{i+1}" for i in range(self.dimension)] + ["z", "t"]

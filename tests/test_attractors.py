@@ -280,19 +280,19 @@ def test_label_consistency_with_renorm_averages():
     assert cyc.label == "defocusing" and av.lower > 0
 
 
-def test_verify_defocusing_condition_cases():
+def test_defocusing_label_cases():
     field = sf.builtin_field("sphere3d")
     cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0, 0.05]))
-    assert sf.verify_defocusing_condition(field, cyc) == "satisfied"
+    assert cyc.label == "defocusing"
     fps = sf.find_fixed_points(saddle())
     plus = min(fps, key=lambda p: np.linalg.norm(p.location - np.array([1.0, 0.0])))
-    assert sf.verify_defocusing_condition(saddle(), plus) == "satisfied"
+    assert plus.label == "defocusing"
     minus = min(fps, key=lambda p: np.linalg.norm(p.location - np.array([-1.0, 0.0])))
-    assert sf.verify_defocusing_condition(saddle(), minus) == "violated"
+    assert minus.label == "focusing"
     # degenerate synthetic cycle with F_r = 0 everywhere
     rot = sf.SingularField(2, ALPHA, lambda y: np.array([-y[1], y[0]]))
     cyc0 = sf.find_limit_cycle(rot, np.array([1.0, 0.0]))
-    assert sf.verify_defocusing_condition(rot, cyc0) in ("violated", "inconclusive")
+    assert cyc0.label in ("focusing", "degenerate")
 
 
 def test_tau_entry_value():
@@ -422,18 +422,18 @@ def _rotating_circle(mean):
     return sf.SingularField(2, ALPHA, lambda y: (mean + 0.5 * y[0]) * y + np.array([-y[1], y[0]]))
 
 
-def test_verify_defocusing_condition_sampled_pair_probe():
+def test_defocusing_label_of_a_cycle_whose_radial_rate_changes_sign():
     field = _rotating_circle(0.25)
     cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0]))
     assert cyc.period == pytest.approx(2 * math.pi, abs=1e-8)
     assert cyc.mean_radial == pytest.approx(0.25, abs=1e-8)
-    # min F_r < 0 rules out the pointwise certificate: the answer is the probe's
+    # min F_r < 0 on the cycle: the label follows the sign of the mean alone
     assert min(sf.decompose(field, y).radial for y in cyc.location) < 0.0
-    assert sf.verify_defocusing_condition(field, cyc) == "satisfied"
+    assert cyc.label == "defocusing"
     field = _rotating_circle(-0.25)
     cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0]))
     assert cyc.mean_radial == pytest.approx(-0.25, abs=1e-8)
-    assert sf.verify_defocusing_condition(field, cyc) == "violated"
+    assert cyc.label == "focusing"
 
 
 def test_cycle_table_is_the_converged_lap(monkeypatch):

@@ -419,7 +419,7 @@ def test_classify_from_the_origin_exits_3(tmp_path, capsys):
 def test_simulate_from_the_origin_names_the_radius_as_a_float(tmp_path, capsys):
     cfg = write(tmp_path, "run.cfg", SADDLE_CFG.replace("x0 = -1.0, 0.0", "x0 = 0.0, 0.0"))
     assert main(["simulate", cfg, "--outdir", str(tmp_path / "out"), "--quiet"]) == 3
-    assert "error: |x| = 0.0 below r_floor = 1e-300;" in capsys.readouterr().err
+    assert "error: |x| = 0.0 is at the origin, where the field is singular;" in capsys.readouterr().err
 
 
 def test_sweep_with_one_nu_compares_nothing(tmp_path):

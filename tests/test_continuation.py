@@ -155,13 +155,13 @@ def test_psi_inv_evaluates_psi_once_per_newton_step(monkeypatch):
     _, fam = sphere_family()
     xi = np.linspace(-3.0, 5.0, 101)
     tb = fam._tables
-    span = tb["T"] * tb["mean"]
+    span = fam.zeta_period
     k = np.floor((xi - tb["psi0"]) / span)
     xi_red = xi - k * span
     s = tb["psi_inv_base"](xi_red)
     for _ in range(3):  # the Newton polish with psi evaluated twice per step
         s = s - (fam.psi(s) - xi_red) / fam.psi_prime(s)
-    want = s + k * tb["T"]
+    want = s + k * fam.period
     calls = []
     psi = sf.ContinuationFamily.psi
     monkeypatch.setattr(sf.ContinuationFamily, "psi", lambda f, s: calls.append(s) or psi(f, s))
@@ -188,6 +188,29 @@ def test_radial_integral_periodic_in_both_arguments():
         )
         assert abs(shift1 - base) < 1e-8
         assert abs(shift2 - base) < 1e-8
+
+
+def test_family_on_a_cycle_with_a_nonlinear_radial_integral():
+    # F(y) = (1/4 + y1/2) y + (-y2, y1): the unit circle is a cycle of period
+    # 2 pi, and from its anchor (1, 0) it is y(s) = (cos s, sin s), along
+    # which F_r = 1/4 + cos(s)/2 and J(s) = s/4 + sin(s)/2
+    from scipy.integrate import quad
+
+    field = sf.SingularField(2, ALPHA, lambda y: (0.25 + 0.5 * y[0]) * y + np.array([-y[1], y[0]]))
+    cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0]))
+    fam = sf.build_cycle_family(field, cyc, 0.0)
+    s = np.linspace(-7.0, 13.0, 41)
+    assert np.abs(fam.radial_integral(s) - (s / 4 + np.sin(s) / 2)).max() < 1e-9
+    circle = np.stack([np.cos(s), np.sin(s)], axis=1)
+    assert np.abs(fam.orbit_point(s) - circle).max() < 1e-9
+    # psi(s) = log K(s) / (1-a), K(s) the integral of e^((1-a) J) over
+    # (-inf, s]; the integrand decays like e^(u/6), so [s - 400, s] holds it
+    a = 1.0 - ALPHA
+    weight = lambda u: math.exp(a * (u / 4 + math.sin(u) / 2))
+    K = [quad(weight, v - 400.0, v, limit=1000, epsabs=0.0, epsrel=1e-13)[0] for v in s]
+    assert np.abs(fam.psi(s) - np.log(K) / a).max() < 1e-9
+    assert np.abs(fam.psi_inv(fam.psi(s)) - s).max() < 1e-9
+    assert sf.residual_check(fam, field, np.linspace(0.01, 1.0, 40), 0.7) <= 1e-6
 
 
 def test_periodic_cubic_matches_scipy_periodic_spline():

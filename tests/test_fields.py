@@ -69,12 +69,9 @@ def test_eval_field_origin_guard():
     f = sf.builtin_field("saddle2d", ALPHA)
     with pytest.raises(sf.OriginEvaluation):
         sf.eval_field(f, [0.0, 0.0])
-    with pytest.raises(sf.OriginEvaluation):
-        sf.eval_field(f, [1e-4, 0.0], r_floor=1e-3)
     for bad in ([np.inf, 0.0], [np.nan, 0.0]):
         with pytest.raises(sf.OriginEvaluation):
             sf.eval_field(f, bad)
-    assert np.isfinite(sf.eval_field(f, [1e-3, 0.0], r_floor=1e-3)).all()  # the floor is in
 
 
 def _bits(traj):
@@ -110,12 +107,12 @@ def test_integrate_ideal_stops_at_its_floor_sphere():
 
 @pytest.mark.parametrize("bad, shown", [([np.inf, 0.0], "inf"), ([np.nan, 0.0], "nan")])
 def test_eval_field_names_a_non_finite_state(bad, shown):
-    # an overflowed or NaN state is not a state below the radius floor
+    # an overflowed or NaN state is not a state at the origin
     f = sf.builtin_field("saddle2d", ALPHA)
     with pytest.raises(sf.OriginEvaluation) as exc:
         sf.eval_field(f, bad)
     assert f"|x| = {shown} is non-finite" in str(exc.value)
-    assert "below r_floor" not in str(exc.value)
+    assert "at the origin" not in str(exc.value)
 
 
 def test_eval_field_is_the_formula_bitwise():

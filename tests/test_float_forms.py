@@ -8,7 +8,6 @@ import pytest
 
 import singularflow as sf
 from singularflow import integrators
-from singularflow.continuation import _PeriodicCubic, _PeriodicGrid
 from singularflow.regularize import regularized_rhs
 from singularflow.renorm import renormalized_system
 
@@ -238,16 +237,3 @@ def test_located_crossings_lie_on_the_side_crossed_to():
             assert bracket[0] < t_e <= bracket[2]
             assert (g >= 0.0) if direction > 0 else (g <= 0.0)
     assert hits > 500
-
-
-def test_splines_over_a_shared_grid_are_the_separate_ones_bitwise():
-    rng = np.random.default_rng(6)
-    x = np.sort(np.concatenate([[0.0], rng.uniform(0.0, 5.0, 200), [5.0]]))
-    grid = _PeriodicGrid(x)
-    for shape in ((len(x),), (len(x), 3)):
-        y = rng.standard_normal(shape)
-        y[-1] = y[0]
-        shared, alone = _PeriodicCubic(grid, y), _PeriodicCubic(x, y)
-        assert all(same_bits(a, b) for a, b in zip(shared._coef, alone._coef))
-        q = rng.uniform(-6.0, 11.0, 1000)
-        assert same_bits(shared(q), alone(q))

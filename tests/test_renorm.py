@@ -171,7 +171,7 @@ def test_radial_integral_cross_check():
     opts = sf.IntegrationOptions(rtol=1e-11, atol=1e-14)
     rt = sf.renorm_integrate(field, [-0.6, 0.8], 0.0, 30.0, opts)
     s = np.linspace(0.0, 30.0, 8193)
-    y = rt.y_at(s)
+    y = rt.run.sample(s)[:, :2]
     y /= np.linalg.norm(y, axis=1)[:, None]
     fr = np.array([sf.decompose(field, yi).radial for yi in y])
     quad = simpson(fr, x=s)
