@@ -32,7 +32,6 @@ from .continuation import (
 from .errors import (
     ConfigError,
     LimitCycleNotFound,
-    NoEvent,
     NonPositiveMean,
     NotBlowingUp,
     NotUnitVector,
@@ -54,7 +53,6 @@ from .fields import (
     decompose,
     eval_field,
     eval_sphere_map,
-    exponent_normalize,
     integrate_ideal,
     sphere_jacobian,
 )

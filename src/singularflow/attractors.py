@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
-from .integrators import DEFAULT_OPTIONS, IntegrationOptions, _Level, _Sphere, integrate
+from .integrators import (
+    DEFAULT_OPTIONS, IntegrationOptions, _dense_max, _Level, _Sphere, integrate
+)
 from .regularize import RegularizedField, regularized_rhs
 from .renorm import renorm_integrate, renormalized_system
 
@@ -748,7 +750,7 @@ def _outside_excursion(field, y_exit, window, opts):
     Re-entry is the first downward crossing of Z = 0, located as the event
     _Level(d) on the state (y, Z); the run starts at Z = 0, which only a
     crossing from Z > 0 can end.  z_max is the supremum of Z over the run,
-    between samples included (RenormTrajectory.z_max).  A re-entering run
+    between samples included (integrators._dense_max).  A re-entering run
     also reports dtau, its physical-time quadrature from 0; a run that
     reaches the window end reports Z there, and Z's mean slope and its
     minimum over the second half.
@@ -759,7 +761,7 @@ def _outside_excursion(field, y_exit, window, opts):
     out = {
         "reentered": rt.run.status == "hit_event",
         "y_end": y_end / np.linalg.norm(y_end),
-        "z_max": rt.z_max(),
+        "z_max": _dense_max(rt.run, d)[1],
     }
     if out["reentered"]:
         out["dtau"] = float(rt.t[-1])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import figures
 from .attractors import catalog_attractors
-from .config import ConfigError, RunConfig
+from .config import SWEEP_POINTS, ConfigError, RunConfig
 from .continuation import geometric_sequence, inviscid_sweep
 from .errors import NotBlowingUp, SingularFlowError, StepFailure
 from .fields import builtin_field, integrate_ideal
@@ -174,7 +174,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int
         a, b, npts = cfg.sweep_t
         t_grid = np.linspace(a, b, npts)
     else:
-        t_grid = np.linspace(cfg.t0, cfg.t1, 201)
+        t_grid = np.linspace(cfg.t0, cfg.t1, SWEEP_POINTS)
     report = inviscid_sweep(rf, cfg.x0, t_grid, nus, opts, t0=cfg.t0)
     payload = report.to_dict()
     payload["chi"] = cfg.geo["chi"] if cfg.geo else None

@@ -33,6 +33,9 @@ from .errors import ConfigError, UnknownField
 from .fields import BUILTIN_NAMES, builtin_field
 from .integrators import IntegrationOptions
 
+# points of the sweep grid when the config gives no sweep.t_points
+SWEEP_POINTS = 201
+
 
 def _parse_value(raw: str):
     raw = raw.strip()
@@ -260,7 +263,7 @@ class RunConfig:
             sweep_t = (
                 _number(take("sweep.t_start", t0), "sweep.t_start"),
                 _number(take("sweep.t_stop", t1), "sweep.t_stop"),
-                _integer(take("sweep.t_points", 101), "sweep.t_points"),
+                _integer(take("sweep.t_points", SWEEP_POINTS), "sweep.t_points"),
             )
             a, b, npts = sweep_t
             if not (t0 <= a < b < math.inf and npts >= 2):

@@ -16,7 +16,9 @@ and the log-profile G is periodic in xi with period zeta_period = T <F_r>.
 The family holds one renormalized run over one period of the cycle, from
 which the radial integral, the orbit and psi are read (psi through the
 run's physical time, renorm.physical_time), and one periodic cubic spline
-of G (_PeriodicCubic, numpy only) tabulated from that run.  The improper
+of G (_PeriodicCubic, numpy only) tabulated from that run.  The phase
+origin s = 0, zeta = 0 is the maximum of one coordinate on that run, kept
+as two constants: the run's time s_a and its z_a there.  The improper
 integral defining the phase map psi is reduced exactly through the
 periodicity of the radial integral (a geometric series over past periods),
 so no truncation of the infinite history is needed.
@@ -33,11 +35,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .attractors import AttractorInfo, EscapeResult, _fixed_point_near, rescaled_escape
-from .errors import NoEvent, NonPositiveMean, OutOfDomain, SignError
+from .errors import NonPositiveMean, OutOfDomain, SignError
 from .fields import SingularField, eval_field
-from .integrators import DEFAULT_OPTIONS, IntegrationOptions, SolverStats
+from .integrators import DEFAULT_OPTIONS, IntegrationOptions, SolverStats, _dense_max
 from .regularize import RegularizedField, integrate_regularized
-from .renorm import classify_blowup, physical_time, renorm_integrate, renormalized_system
+from .renorm import classify_blowup, physical_time, renorm_integrate
 
 _MEAN_DELTA = 1e-6
 # phases per broadcast block of the _fit_phases scan, whose family points
@@ -46,8 +48,6 @@ _MEAN_DELTA = 1e-6
 _SCAN_BLOCK = 90
 # a coordinate whose range over a cycle's orbit table exceeds this varies on it
 _ANCHOR_RANGE = 1e-3
-# orbit-table rows before the largest sample at which the anchor search starts
-_ANCHOR_LEAD = 4
 # uniform intervals of the period grid on which the cycle family tabulates G
 _FAMILY_GRID = 2048
 # time step of residual_check's central differences
@@ -88,25 +88,28 @@ class ContinuationFamily:
     # -- phase-map accessors (cycle_family only) ---------------------------
 
     def _on_run(self, s):
-        """s reduced into the family's one-period run, s - k T for k =
-        floor(s / T), flattened, with k zeta_period in the shape of s: J and
-        psi each gain T <F_r> per period."""
-        s = np.asarray(s, dtype=float)
-        k = np.floor(s / self.period)
-        return (s - k * self.period).ravel(), k * self.zeta_period
+        """s as a time on the family's one-period run, u - k T for
+        u = s + s_a and k = floor(u / T), flattened, with k zeta_period in
+        the shape of s: J and psi each gain T <F_r> per period.  s_a is the
+        anchor's time on the run, where s = 0."""
+        u = np.asarray(s, dtype=float) + self._tables["s_a"]
+        k = np.floor(u / self.period)
+        return (u - k * self.period).ravel(), k * self.zeta_period
 
     def radial_integral(self, s):
-        """Integral of F_r along the cycle from 0 to s: z on the run."""
-        rt = self._tables["run"]
+        """Integral of F_r along the cycle from 0 to s: z on the run, less z_a."""
+        tb = self._tables
+        rt = tb["run"]
         s_red, shift = self._on_run(s)
-        return rt.run.sample(s_red)[:, rt.dimension].reshape(shift.shape) + shift
+        return rt.run.sample(s_red)[:, rt.dimension].reshape(shift.shape) + shift - tb["z_a"]
 
     def psi(self, s):
-        """log(K(s)) / (1 - alpha), with K - K(0) the run's physical time."""
+        """log(K(s)) / (1 - alpha): log(K0 + t) / (1 - alpha) - z_a, with t
+        the run's physical time."""
         tb = self._tables
         s_red, shift = self._on_run(s)
         K = tb["K0"] + physical_time(tb["run"], s_red)
-        return (np.log(K) / (1.0 - self.alpha)).reshape(shift.shape) + shift
+        return (np.log(K) / (1.0 - self.alpha)).reshape(shift.shape) + shift - tb["z_a"]
 
     def psi_inv(self, xi):
         """Monotone inverse of psi: a linear-interpolation seed, then Newton polish."""
@@ -114,7 +117,7 @@ class ContinuationFamily:
         xi = np.asarray(xi, dtype=float)
         T, span = self.period, self.zeta_period
         k = np.floor((xi - tb["psi0"]) / span)
-        xi_red = xi - k * span  # in [psi(0), psi(T))
+        xi_red = xi - k * span  # in [psi(-s_a), psi(T - s_a)), the run's span
         s = tb["psi_inv_base"](xi_red)
         for _ in range(3):
             psi_s = self.psi(s)
@@ -167,14 +170,16 @@ class ContinuationFamily:
     def _cycle_points(self, dt, zeta):
         """Cycle-family points dt^p G(p log dt + zeta) for the phases zeta.
 
-        One lookup in the periodic cubic spline of the log-profile G, which
-        reduces xi into [psi(0), psi(0) + zeta_period) itself.  dt and zeta
-        broadcast against each other; the points gain a last axis of length
-        d.  Every entry is computed elementwise, so a phase in a broadcast
-        block gives the same bits as on its own.
+        One lookup in the periodic cubic spline of the log-profile, which
+        is tabulated against psi + z_a, the run's own phase, and reduces its
+        argument into one period itself.  dt and zeta broadcast against each
+        other; the points gain a last axis of length d.  Every entry is
+        computed elementwise, so a phase in a broadcast block gives the same
+        bits as on its own.
         """
+        tb = self._tables
         p = 1.0 / (1.0 - self.alpha)
-        return (dt**p)[..., None] * self._tables["profile"](p * np.log(dt) + zeta)
+        return (dt**p)[..., None] * tb["profile"](p * np.log(dt) + zeta + tb["z_a"])
 
 
 def fixed_point_solutions(
@@ -330,35 +335,6 @@ def _thomas(lower, diag, upper, rhs):
     return np.array(cols).T
 
 
-def _cycle_anchor(field: SingularField, cycle: AttractorInfo, opts: IntegrationOptions):
-    """The point of the cycle where y_k is largest: the family's phase origin.
-
-    k is the first coordinate whose range over the orbit table exceeds
-    _ANCHOR_RANGE (a fixed rule, since coordinates can tie: y_1 and y_2 on a
-    latitude circle).  The maximum is the first downward crossing of
-    dy_k/ds = 0 after the table sample _ANCHOR_LEAD rows before the table's
-    largest y_k, located on the dense output of the renormalized flow.  It
-    is a property of the cycle, not of where its table happens to start.
-    A search that finds none within two periods raises NoEvent.
-    """
-    orbit = cycle.location
-    ranges = np.ptp(orbit, axis=0)
-    k = next((i for i, r in enumerate(ranges) if r > _ANCHOR_RANGE), int(np.argmax(ranges)))
-    rows = len(orbit) - 1  # the last row repeats the first
-    start = orbit[(int(np.argmax(orbit[:-1, k])) - _ANCHOR_LEAD) % rows]
-    rhs, _ = renormalized_system(field)
-
-    def slope(s, u):
-        return float(rhs(s, u)[k])
-
-    rt = renorm_integrate(field, start, 0.0, 2.0 * float(cycle.period), opts, event=slope,
-                          direction=-1)
-    if rt.run.status != "hit_event":
-        raise NoEvent(f"no maximum of y_{k + 1} within two periods of the cycle", rt.run)
-    y = rt.y[-1]
-    return y / np.linalg.norm(y)
-
-
 def build_cycle_family(
     field: SingularField,
     cycle: AttractorInfo,
@@ -368,21 +344,25 @@ def build_cycle_family(
     """Tabulate the post-blowup family generated by a defocusing limit cycle.
 
     One period of the cycle is re-integrated at tight tolerance, as one
-    renormalized run from z = 0 whose z(s) is the running integral J of F_r.
-    The run starts at _cycle_anchor, the maximum on the cycle of its first
-    varying coordinate, so s = 0 and the phase origin zeta = 0 are fixed by
-    the cycle itself, whichever search found it and wherever its table
-    starts.  The phase map psi and the radial profile follow from the
-    cumulative exponential weight K(s) = integral_{-inf}^s exp((1-alpha)
-    J(u)) du: over [0, s] it is the run's physical time t(s)
-    (renorm.physical_time), and its tail over past periods sums exactly as
-    a geometric series.  The family keeps the run: radial_integral, psi and
-    orbit_point read its dense output at s mod T.  The log-profile
+    renormalized run from z = 0 whose z is the running integral J of F_r.
+    It starts at the orbit-table row where y_k is largest, for the first
+    coordinate k whose range over the table exceeds _ANCHOR_RANGE (a fixed
+    rule, since coordinates can tie: y_1 and y_2 on a latitude circle).
+    The maximum of y_k on the run's dense output (integrators._dense_max),
+    at s_a with z_a = z(s_a), is the family's s = 0 and phase origin
+    zeta = 0: a point fixed by the cycle itself, whichever search found it
+    and wherever its table starts.  The phase map psi and the radial
+    profile follow from the cumulative exponential weight K(s) =
+    integral_{-inf}^s exp((1-alpha) J(u)) du: on the run it is the physical
+    time (renorm.physical_time) plus a tail over past periods that sums
+    exactly as a geometric series.  The family keeps the run:
+    radial_integral, psi and orbit_point read its dense output at
+    (s + s_a) mod T, and J and psi subtract z_a.  The log-profile
     G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is
-    known with no inversion at the nodes xi_k = psi(s_k) of a uniform grid
-    of _FAMILY_GRID intervals; one periodic cubic spline through them, of
-    period zeta_period = T <F_r>, is what eval uses.  psi_inv's Newton seed
-    is np.interp over the increasing psi table.
+    known with no inversion at the nodes psi + z_a of a uniform grid of the
+    run of _FAMILY_GRID intervals; one periodic cubic spline through them,
+    of period zeta_period = T <F_r>, is what eval reads at xi + z_a.
+    psi_inv's Newton seed is np.interp over the increasing psi table.
     """
     if cycle.kind != "limit_cycle":
         raise ValueError("build_cycle_family needs a limit-cycle attractor")
@@ -391,15 +371,20 @@ def build_cycle_family(
     d = field.dimension
 
     T = float(cycle.period)
+    table = cycle.location
+    ranges = np.ptp(table, axis=0)
+    k = next((i for i, r in enumerate(ranges) if r > _ANCHOR_RANGE), int(np.argmax(ranges)))
+    start = table[int(np.argmax(table[:-1, k]))]  # the last row repeats the first
 
     run_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14))
-    anchor = _cycle_anchor(field, cycle, run_opts)
+    rt = renorm_integrate(field, start, 0.0, T, run_opts)
+    s_a, _ = _dense_max(rt.run, k)
+    z_a = float(rt.run.sample(s_a)[d])
     s_grid = np.linspace(0.0, T, _FAMILY_GRID + 1)
-    rt = renorm_integrate(field, anchor, 0.0, T, run_opts)
     uu = rt.run.sample(s_grid)
     orbit = uu[:, :d]
     orbit /= np.linalg.norm(orbit, axis=1)[:, None]
-    J_tab = uu[:, d].copy()
+    J_tab = uu[:, d]
 
     mean = J_tab[-1] / T
     if mean <= _MEAN_DELTA:
@@ -408,19 +393,19 @@ def build_cycle_family(
     K_partial = physical_time(rt, s_grid)
     q = math.exp(-one_minus_a * mean * T)
     K0 = K_partial[-1] * q / (1.0 - q)  # exact geometric tail over s < 0
-    psi_tab = np.log(K0 + K_partial) / one_minus_a
-
-    xi_nodes = psi_tab.copy()
-    xi_nodes[-1] = psi_tab[0] + mean * T  # psi(T) = psi(0) + T <F_r> exactly
-    G = np.exp(J_tab - psi_tab)[:, None] * orbit
+    xi_tab = np.log(K0 + K_partial) / one_minus_a  # psi(s_grid - s_a) + z_a
+    xi_tab[-1] = xi_tab[0] + mean * T  # psi(T) = psi(0) + T <F_r> exactly
+    G = np.exp(J_tab - xi_tab)[:, None] * orbit
     G[-1] = G[0]
 
     tables = {
         "run": rt,
+        "s_a": s_a,
+        "z_a": z_a,
         "K0": K0,
-        "psi_inv_base": partial(np.interp, xp=psi_tab, fp=s_grid),  # psi_tab increases
-        "psi0": psi_tab[0],
-        "profile": _PeriodicCubic(xi_nodes, G),
+        "psi_inv_base": partial(np.interp, xp=xi_tab - z_a, fp=s_grid - s_a),  # increasing
+        "psi0": xi_tab[0] - z_a,
+        "profile": _PeriodicCubic(xi_tab, G),
     }
     return ContinuationFamily(
         "cycle_family",

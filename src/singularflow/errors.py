@@ -29,18 +29,6 @@ class StepFailure(SingularFlowError):
         self.trajectory = trajectory
 
 
-class NoEvent(SingularFlowError):
-    """No event crossing found: raised by build_cycle_family when its
-    anchor search finds no maximum.
-
-    Carries the run, whose status says why it ended, when there is one.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
-
-
 class NotBlowingUp(SingularFlowError):
     """Trajectory tail is not monotonically collapsing toward the origin."""
 

@@ -160,40 +160,6 @@ def _central_jacobian(fn, y) -> np.ndarray:
     return J
 
 
-def exponent_normalize(field: SingularField) -> SingularField:
-    """Return the equivalent field with alpha reduced to zero.
-
-    The new sphere map is (1-alpha)*F_r(y)*y + F_s(y); fixed points of the
-    spherical flow and the signs of their radial values are preserved.
-    """
-    a = field.alpha
-    if a == 0.0:
-        return field
-    base_map = field.sphere_map
-    base_jac = field.jacobian_on_sphere
-
-    def new_map(y, _f=base_map, _a=a):
-        F = np.asarray(_f(y), dtype=float)
-        return F - _a * (F @ y) * y
-
-    new_jac = None
-    if base_jac is not None:
-
-        def new_jac(y, _f=base_map, _j=base_jac, _a=a):
-            F = np.asarray(_f(y), dtype=float)
-            J = np.asarray(_j(y), dtype=float)
-            grad_fr = J.T @ y + F
-            return J - _a * (np.outer(y, grad_fr) + (F @ y) * np.eye(len(y)))
-
-    return replace(
-        field,
-        alpha=0.0,
-        sphere_map=new_map,
-        jacobian_on_sphere=new_jac,
-        name=field.name + "_normalized",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Built-in example fields
 # ---------------------------------------------------------------------------

@@ -121,9 +121,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def __call__(self, t):
-        return self.sample(t)
-
     def sample(self, t):
         """Dense evaluation at scalar or array times within the sampled span."""
         tq, idx = _locate(self.times, t)
@@ -488,6 +485,36 @@ def _monomials(traj, steps, i):
     rise, hf0, hf1, e = y1[:, i] - y0[:, i], h * f0[:, i], h * f1[:, i], e[:, i]
     c = (hf0, 3 * rise - 2 * hf0 - hf1 + e, -2 * rise + hf0 + hf1 - 2 * e, e)
     return h, np.stack(c, axis=1)
+
+
+def _dense_max(traj, i):
+    """The largest value of component i over the run, between samples
+    included, and where it is: (t, value).
+
+    A maximum between samples lies on a step over which the dense
+    derivative turns from positive to nonpositive; on each such step the
+    zero of the derivative of the component's dense output (_monomials) is
+    found by bisection.
+    """
+    times, x = traj.times, traj.states[:, i]
+    h, c = _monomials(traj, np.arange(len(times) - 1), i)
+    theta = np.diff(times) / h  # a cut last step ends before its full length
+    slope_end = ((4 * c[:, 3] * theta + 3 * c[:, 2]) * theta + 2 * c[:, 1]) * theta + c[:, 0]
+    j = int(np.argmax(x))
+    t_best, best = float(times[j]), float(x[j])
+    for k in np.flatnonzero((c[:, 0] > 0.0) & (slope_end <= 0.0)).tolist():
+        c1, c2, c3, c4 = c[k].tolist()
+        lo, hi = 0.0, float(theta[k])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if ((4 * c4 * mid + 3 * c3) * mid + 2 * c2) * mid + c1 > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        value = float(x[k]) + (((c4 * lo + c3) * lo + c2) * lo + c1) * lo
+        if value > best:
+            t_best, best = float(times[k]) + lo * float(h[k]), value
+    return t_best, best
 
 
 def _locate_crossing(event, step, bracket):

@@ -17,10 +17,9 @@ run's physical time).
 
 renormalized_system is the single definition of this system and of its
 projection onto the sphere, and renorm_integrate is the one run of it: the
-blowup classification here, and the cycle searches, escape excursions,
-cycle anchors and continuation families elsewhere, are all renorm_integrate
-calls.  Elsewhere renormalized_system is only evaluated, for a speed or a
-slope.
+blowup classification here, and the cycle searches, escape excursions and
+continuation families elsewhere, are all renorm_integrate calls.  Elsewhere
+renormalized_system is only evaluated, for a speed.
 """
 
 from __future__ import annotations
@@ -102,30 +101,6 @@ class RenormTrajectory:
         """Physical time at every sample: t0 plus the quadrature of each step."""
         inc = _elapsed(self, np.arange(len(self.s) - 1), self.s[1:])
         return np.cumsum(np.concatenate([[self.t0], inc]))
-
-    def z_max(self) -> float:
-        """The largest z over the run, between its samples included.
-
-        A maximum between samples lies on a step over which the dense dz/ds
-        turns from positive to nonpositive; on each such step the zero of
-        the derivative of z's dense output is found by bisection.
-        """
-        run = self.run
-        h, c = _monomials(run, np.arange(len(run.times) - 1), self.dimension)
-        theta = np.diff(run.times) / h
-        slope_end = ((4 * c[:, 3] * theta + 3 * c[:, 2]) * theta + 2 * c[:, 1]) * theta + c[:, 0]
-        best = float(np.max(self.z))
-        for i in np.flatnonzero((c[:, 0] > 0.0) & (slope_end <= 0.0)).tolist():
-            c1, c2, c3, c4 = c[i].tolist()
-            lo, hi = 0.0, float(theta[i])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if ((4 * c4 * mid + 3 * c3) * mid + 2 * c2) * mid + c1 > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            best = max(best, float(self.z[i]) + (((c4 * lo + c3) * lo + c2) * lo + c1) * lo)
-        return best
 
     @property
     def stats(self):

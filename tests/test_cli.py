@@ -434,6 +434,19 @@ def test_sweep_with_one_nu_compares_nothing(tmp_path):
     assert report["verdict"] == "undetermined" and report["reference"] is None
 
 
+@pytest.mark.parametrize("sweep_keys", ["", "sweep.t_stop = 2.0\n"], ids=["none", "t_stop"])
+def test_sweep_grid_has_one_default_point_count(tmp_path, sweep_keys):
+    # with no sweep.t_points, the grid has 201 points whether or not the
+    # config gives another sweep.* key
+    text = SWEEP_EXPEL_CFG.replace("nu.list = 0.1, 0.05, 0.025", "nu = 0.1")
+    text = text[: text.index("sweep.t_start")] + sweep_keys
+    out = tmp_path / "out"
+    assert main(["sweep", write(tmp_path, "run.cfg", text), "--outdir", str(out), "--quiet"]) == 0
+    t_grid = json.loads((out / "sweep.json").read_text())["t_grid"]
+    assert len(t_grid) == 201
+    assert t_grid[-1] == (2.0 if sweep_keys else 2.5)
+
+
 def test_sweep_radii_write_one_file_each(tmp_path, monkeypatch):
     # radii that agree to six digits still get a file each, named by the
     # round-trip digits, and each file holds its own radius's samples

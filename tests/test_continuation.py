@@ -213,6 +213,26 @@ def test_family_on_a_cycle_with_a_nonlinear_radial_integral():
     assert sf.residual_check(fam, field, np.linspace(0.01, 1.0, 40), 0.7) <= 1e-6
 
 
+def test_cycle_family_is_one_renormalized_run(monkeypatch):
+    # the anchor is read off the one-period run the family keeps (the cycle
+    # search runs through attractors' own name, which this leaves alone)
+    import singularflow.continuation as cont
+
+    calls = []
+    run = cont.renorm_integrate
+    monkeypatch.setattr(cont, "renorm_integrate", lambda *a, **k: calls.append(a) or run(*a, **k))
+    sphere_family()
+    assert len(calls) == 1
+
+
+def test_sphere_family_phase_origin_is_the_closed_form_maximum():
+    # s = 0 is the maximum of y_1 on the y_3 = 1/2 latitude cycle
+    _, fam = sphere_family()
+    want = np.array([math.sqrt(3.0) / 2.0, 0.0, 0.5])
+    assert np.abs(fam.orbit_point(0.0) - want).max() <= 1e-12
+    assert fam.radial_integral(0.0) == 0.0
+
+
 def test_periodic_cubic_matches_scipy_periodic_spline():
     # independent reference, a test-only dependency
     from scipy.interpolate import CubicSpline

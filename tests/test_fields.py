@@ -209,55 +209,6 @@ def test_jacobian_matches_finite_differences(field):
         assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
-def test_exponent_normalize_saddle():
-    f = sf.builtin_field("saddle2d", ALPHA)
-    g = sf.exponent_normalize(f)
-    assert g.alpha == 0.0
-    dec = sf.decompose(g, [-1.0, 0.0])
-    assert dec.radial == pytest.approx(-2.0 / 3.0, abs=1e-14)
-    # tangential part is untouched
-    y = unit_vector(2, 5)
-    assert sf.decompose(g, y).tangential == pytest.approx(
-        sf.decompose(f, y).tangential, abs=1e-13
-    )
-
-
-def test_exponent_normalize_identity_at_zero():
-    f = sf.SingularField(2, 0.0, lambda y: np.array([y[1], -y[0]]))
-    assert sf.exponent_normalize(f) is f
-
-
-def test_exponent_normalize_power1d():
-    f = sf.builtin_field("power1d", ALPHA)
-    g = sf.exponent_normalize(f)
-    # normalized dynamics is (2/3) sgn(x)
-    assert sf.eval_field(g, [8.0])[0] == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert sf.eval_field(g, [-0.37])[0] == pytest.approx(-2.0 / 3.0, rel=1e-14)
-
-
-def test_exponent_normalize_keeps_fixed_point_signs():
-    f = sf.builtin_field("saddle2d", ALPHA)
-    g = sf.exponent_normalize(f)
-    for ang in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-        y = np.array([math.cos(ang), math.sin(ang)])
-        a = sf.decompose(f, y)
-        b = sf.decompose(g, y)
-        assert np.linalg.norm(b.tangential) == pytest.approx(
-            np.linalg.norm(a.tangential), abs=1e-13
-        )
-        assert math.copysign(1, a.radial) == math.copysign(1, b.radial)
-    # normalized jacobian still agrees with finite differences
-    y = unit_vector(2, 9)
-    J = sf.sphere_jacobian(g, y)
-    h = 1e-6
-    J_fd = np.empty((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        J_fd[:, j] = (np.asarray(g.sphere_map(y + e)) - np.asarray(g.sphere_map(y - e))) / (2 * h)
-    assert np.max(np.abs(J - J_fd)) < 1e-5
-
-
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3]))
 def test_decompose_orthogonality_property(seed, which):

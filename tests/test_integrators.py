@@ -661,6 +661,19 @@ def test_dense_output_accuracy():
     assert np.max(np.abs(vals - np.sin(ts))) < bound
 
 
+def test_dense_max_finds_a_peak_between_samples():
+    # dx/dt = (x2, -x1) from (0, 1) is (sin t, cos t): x1 peaks at t = pi/2
+    # with value 1, inside a step, and x2 at the first sample
+    from singularflow.integrators import _dense_max
+
+    traj = sf.integrate(lambda t, x: np.array([x[1], -x[0]]), [0.0, 1.0], 0.0, 3.0)
+    assert np.min(np.abs(traj.times - math.pi / 2)) > 1e-3
+    t, value = _dense_max(traj, 0)
+    assert t == pytest.approx(math.pi / 2, abs=1e-9)
+    assert value == pytest.approx(1.0, abs=1e-9)
+    assert _dense_max(traj, 1) == (0.0, 1.0)
+
+
 def test_sample_out_of_range():
     traj = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
     with pytest.raises(sf.OutOfRange):
