@@ -52,7 +52,6 @@ from .fields import (
     builtin_field,
     decompose,
     eval_field,
-    eval_sphere_map,
     integrate_ideal,
     sphere_jacobian,
 )

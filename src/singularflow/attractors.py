@@ -50,6 +50,8 @@ _TRANSIENT = 80.0
 _MAX_RETURNS = 64
 _RETURN_HORIZON = 400.0
 _ORBIT_SAMPLES = 1024
+# the orbit-table rows, uniform in s, that a cycle's exponent averages over
+_DIVERGENCE_NODES = 64
 # The inside run of rescaled_escape polls the speed every _SINK_POLL
 # accepted steps and, below _SINK_SPEED, looks for an interior sink
 # (_interior_sink): Newton steps, the largest Lyapunov level as a fraction
@@ -78,8 +80,10 @@ class AttractorInfo:
 
     location is the point itself (fixed point) or closed orbit samples with
     first row repeated last (limit cycle); stability_exponents holds the
-    tangent-linearization eigenvalue real parts for a fixed point, or the
-    single return-map contraction rate for a cycle (positive = stable).
+    tangent-linearization eigenvalue real parts for a fixed point, or for a
+    cycle minus the orbit mean of div_S F_s (positive = stable; none for
+    d = 2): by Liouville's formula its one exponent on S^2 (d = 3), the sum
+    of its d - 2 exponents for d >= 4.
     """
 
     kind: str  # fixed_point | limit_cycle
@@ -169,6 +173,14 @@ def tangential_flow_jacobian(field: SingularField, y: np.ndarray) -> np.ndarray:
     JFs = J - np.outer(y, grad_fr) - float(F @ y) * np.eye(d)
     Q = _tangent_basis(y)
     return Q.T @ JFs @ Q
+
+
+def _surface_divergence(field, y) -> float:
+    """div_S F_s at the unit vector y: tr J - y.J y - (d - 1) F_r(y), with J
+    the ambient Jacobian sphere_jacobian."""
+    J = sphere_jacobian(field, y)
+    F = np.asarray(field.sphere_map(y), dtype=float)
+    return float(np.trace(J) - y @ J @ y - (len(y) - 1) * (F @ y))
 
 
 def _tangential(field, y):
@@ -292,6 +304,10 @@ def find_limit_cycle(
     lap whose return distance falls below 1e-8 is the cycle: its length is
     the period, and its dense output at _ORBIT_SAMPLES + 1 uniform times is
     the orbit table, with the log-radius it carries as the radial integral.
+    On S^2 the return map's multipliers are 1 and exp(period * mean div_S
+    F_s) (Liouville's formula), so the cycle's exponent is minus that mean,
+    taken by the periodic trapezoid rule on _DIVERGENCE_NODES (64) uniform
+    rows of the table, where it converges geometrically.
     A search converges only onto a cycle that attracts the flow it runs, so
     the cycle is stable unless the flow is reversed.  Raises
     LimitCycleNotFound when the orbit collapses onto a fixed point or never
@@ -334,7 +350,6 @@ def find_limit_cycle(
 
     sec_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13))
     y_here, z_here = p0, 0.0
-    distances = []  # successive return-point separations
     for _ in range(_MAX_RETURNS):
         # each lap starts on the section or on the side a return crossed
         # to, where an upward crossing cannot fire again at once; a return
@@ -350,8 +365,7 @@ def find_limit_cycle(
         if np.linalg.norm(lap.run.derivs[-1][:d]) < 1e-7:
             raise LimitCycleNotFound("orbit converges to a fixed point")
         y_ret = lap.y[-1] / np.linalg.norm(lap.y[-1])
-        distances.append(float(np.linalg.norm(y_ret - y_here)))
-        if distances[-1] < _RETURN_TOL:
+        if np.linalg.norm(y_ret - y_here) < _RETURN_TOL:
             break
         y_here, z_here = y_ret, float(lap.z[-1])
     else:
@@ -363,18 +377,17 @@ def find_limit_cycle(
     uu = lap.run.sample(s_grid)
     orbit = uu[:, :d] / np.linalg.norm(uu[:, :d], axis=1)[:, None]
     radial_integral = uu[:, d] - uu[0, d]
-    # contraction rate from the geometric decay of return distances
-    usable = [x for x in distances if 1e-11 < x < 1e-2]
-    rate = float(np.mean(np.diff(-np.log(usable))) / period) if len(usable) >= 2 else math.nan
     if _reverse:
         # re-parametrize along the forward flow
         s_grid = s_grid[::-1].copy()
         s_grid = s_grid[0] - s_grid  # 0 .. period increasing
         orbit = orbit[::-1].copy()
         radial_integral = (radial_integral[-1] - radial_integral)[::-1].copy()
-        rate = -rate
     mean_radial = float(radial_integral[-1] / period)
-    exps = np.zeros(0) if d == 2 else np.array([rate])
+    exps = np.zeros(0)
+    if d > 2:
+        nodes = orbit[:-1:_ORBIT_SAMPLES // _DIVERGENCE_NODES]
+        exps = np.array([-float(np.mean([_surface_divergence(field, y) for y in nodes]))])
     return AttractorInfo("limit_cycle", orbit, mean_radial, _label(mean_radial), not _reverse,
                          exps, float(period), s_grid)
 

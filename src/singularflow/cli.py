@@ -87,11 +87,8 @@ def _nu_values(cfg: RunConfig):
         return [float(v) for v in cfg.nu_list]
     if cfg.geo is not None:
         g = cfg.geo
-        return list(
-            geometric_sequence(
-                g["T"], g["mean_fr"], g["chi"], range(g["n_first"], g["n_last"] + 1)
-            )
-        )
+        n = range(g["n_first"], g["n_last"] + 1)
+        return list(geometric_sequence(g["T"], g["mean_fr"], g["chi"], n))
     if cfg.nu is not None:
         return [cfg.nu]
     return []

@@ -15,7 +15,7 @@ Recognized keys (see README for the full table):
     integrator.rtol / .atol / .max_step / .r_floor
     regularization.kind (polynomial_blend | preset1d)
     regularization.g0, regularization.sigma, nu, nu.list
-    nu.geometric.T / .mean_fr / .chi / .n_first / .n_last
+    nu.geometric.T / .mean_fr / .chi / .n_first / .n_last (not with nu.list)
     sweep.t_start / .t_stop / .t_points
     classify.s_budget
 """
@@ -238,6 +238,8 @@ class RunConfig:
                        for v in (nu_list if isinstance(nu_list, list) else [nu_list])]
         geo = None
         if any(k.startswith("nu.geometric.") for k in m):
+            if nu_list is not None:
+                raise ConfigError("nu.list and nu.geometric are two radius specs: give one")
             geo = {
                 "T": _number(take("nu.geometric.T", 0.0), "nu.geometric.T"),
                 "mean_fr": _number(take("nu.geometric.mean_fr", 0.0), "nu.geometric.mean_fr"),

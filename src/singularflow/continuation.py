@@ -124,17 +124,10 @@ class ContinuationFamily:
             s = s - (psi_s - xi_red) / self._psi_prime(s, psi_s)
         return s + k * T
 
-    def psi_prime(self, s):
-        return self._psi_prime(s, self.psi(s))
-
     def _psi_prime(self, s, psi_s):
         """d psi / ds at s, given psi_s = psi(s)."""
         one_minus_a = 1.0 - self.alpha
         return np.exp(one_minus_a * (self.radial_integral(s) - psi_s)) / one_minus_a
-
-    def phi_diag(self, s):
-        """phi(s, s): log of the radial profile of the periodic solution."""
-        return self.psi(s) - self.radial_integral(s)
 
     def orbit_point(self, s):
         rt = self._tables["run"]

@@ -10,6 +10,7 @@ of an angle) so that d = 1, d = 2 and d = 3 share one interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import NotUnitVector, OriginEvaluation, UnknownField
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _floats, _Sphere, integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _Sphere, _with_floats,
+    integrate,
 )
 
 # The smallest |x| at which the ideal field is evaluated: below it r**alpha
@@ -40,9 +42,10 @@ class SingularField:
     helpers project defensively and reject |y| off by more than 1e-9.  A
     sphere_map may carry a float form as its .floats attribute: a function
     from a list of Python floats to a list of Python floats, bitwise the
-    array map on the same components.  The kernels built on the field
-    (renormalized_system, regularized_rhs) call it directly; a map without
-    one is called on arrays.  The built-in maps have one.
+    array map on the same components, as integrators._with_floats builds
+    it.  The kernels built on the field (the ideal field's _ideal_kernel,
+    renormalized_system) call it directly; a map without one is called on
+    arrays.  The built-in maps have one.
     jacobian_on_sphere, when given, is the ambient Jacobian dF_i/dy_j of the
     same formula; a central finite-difference fallback is used otherwise.
     """
@@ -78,30 +81,63 @@ def _checked_unit(y, d):
     return y / n
 
 
-def eval_sphere_map(field: SingularField, y) -> np.ndarray:
-    """Evaluate F at a unit vector, projecting defensively onto the sphere."""
-    yu = _checked_unit(y, field.dimension)
-    return np.asarray(field.sphere_map(yu), dtype=float)
+def _ideal_kernel(field: SingularField):
+    """The ideal field's float kernel (x, r) -> r^alpha F(x/r).
+
+    x is a list of Python floats and r = |x| > 0 as the caller took it,
+    math.hypot(*x); F runs through its float form.  This is the package's
+    one evaluation of the formula: eval_field, integrate_ideal, the outer
+    branch of the regularized field and the ideal term of the polynomial
+    blend all call it.  It checks nothing, so the blend evaluates it at any
+    rho > 0; r^alpha past the float range is inf, as in NumPy.
+    """
+    alpha = field.alpha
+    smap = _float_form(field.sphere_map)
+
+    def ideal(x, r):
+        try:
+            scale = r**alpha
+        except OverflowError:
+            scale = math.inf
+        return [scale * f for f in smap([v / r for v in x])]
+
+    return ideal
+
+
+def _checked_radius(r: float) -> float:
+    """r = |x| where the ideal field is defined, else OriginEvaluation: below
+    OVERFLOW_GUARD, or non-finite (an overflowed or NaN state)."""
+    if not OVERFLOW_GUARD <= r < math.inf:  # NaN fails both comparisons
+        if not math.isfinite(r):
+            raise OriginEvaluation(
+                f"|x| = {r!r} is non-finite: the state overflowed or holds a NaN"
+            )
+        raise OriginEvaluation(
+            f"|x| = {r!r} is at the origin, where the field is singular; switch "
+            "to a regularized or renormalized representation"
+        )
+    return r
+
+
+def _ideal_rhs(field: SingularField):
+    """The ideal field as a right-hand side (t, x), carrying its float form."""
+    ideal = _ideal_kernel(field)
+
+    def rhs(_t, x):
+        return ideal(x, _checked_radius(math.hypot(*x)))
+
+    return _with_floats(rhs)
 
 
 def eval_field(field: SingularField, x) -> np.ndarray:
     """Evaluate the ideal field r^alpha * F(x/r); the origin is out of domain.
 
-    Raises OriginEvaluation below OVERFLOW_GUARD, and for a non-finite |x|
-    (an overflowed or NaN state), with a message that tells the two apart.
+    It is the array form of the float kernel (_ideal_kernel) at r =
+    math.hypot(*x).  Raises OriginEvaluation below OVERFLOW_GUARD, and for
+    a non-finite |x| (an overflowed or NaN state), with a message that
+    tells the two apart.
     """
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(x.dot(x))  # x.dot(x) is x @ x bit for bit, with less overhead
-    if not OVERFLOW_GUARD <= r < np.inf:  # NaN fails both comparisons
-        if not np.isfinite(r):
-            raise OriginEvaluation(
-                f"|x| = {float(r)!r} is non-finite: the state overflowed or holds a NaN"
-            )
-        raise OriginEvaluation(
-            f"|x| = {float(r)!r} is at the origin, where the field is singular; switch "
-            "to a regularized or renormalized representation"
-        )
-    return r**field.alpha * np.asarray(field.sphere_map(x / r), dtype=float)
+    return _ideal_rhs(field)(0.0, np.asarray(x, dtype=float))
 
 
 def integrate_ideal(field: SingularField, x0, t0: float, t1: float,
@@ -109,14 +145,15 @@ def integrate_ideal(field: SingularField, x0, t0: float, t1: float,
                     r_floor: float = 1e-10) -> Trajectory:
     """Integrate the ideal field from t0 to t1, as integrate does, down to |x| = r_floor.
 
-    The field cannot be followed into the origin: crossing that sphere downward
-    ends the run with status hit_radius_floor.  A start inside the sphere is not
-    stopped by it, an r_floor of 0 watches no sphere, and a negative one raises
-    ValueError.
+    The right-hand side is eval_field's, whose float form the stepper calls
+    directly.  The field cannot be followed into the origin: crossing that
+    sphere downward ends the run with status hit_radius_floor.  A start
+    inside the sphere is not stopped by it, an r_floor of 0 watches no
+    sphere, and a negative one raises ValueError.
     """
     if not r_floor >= 0:  # NaN fails too
         raise ValueError(f"r_floor must be nonnegative, got {r_floor!r}")
-    traj = integrate(lambda t, x: eval_field(field, x), x0, t0, t1, opts,
+    traj = integrate(_ideal_rhs(field), x0, t0, t1, opts,
                      event=_Sphere(r_floor) if r_floor > 0 else None, direction=-1)
     return replace(traj, status="hit_radius_floor") if traj.status == "hit_event" else traj
 
@@ -163,33 +200,6 @@ def _central_jacobian(fn, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Built-in example fields
 # ---------------------------------------------------------------------------
-
-def _map_with_floats(form):
-    """The array sphere map of a float form, carrying it as .floats.
-
-    form maps a list of floats to a list of floats; the array map is
-    np.array(form(_floats(y))), so the two cannot disagree.  It accepts an
-    array or a list, of Python floats or of NumPy scalars.
-    """
-
-    def sphere_map(y):
-        return np.array(form(_floats(y)))
-
-    sphere_map.floats = form
-    return sphere_map
-
-
-def _map_float_form(sphere_map):
-    """sphere_map's float form: .floats when it has one, else through arrays."""
-    form = getattr(sphere_map, "floats", None)
-    if form is not None:
-        return form
-
-    def through_arrays(y):
-        return np.asarray(sphere_map(np.array(y)), dtype=float).tolist()
-
-    return through_arrays
-
 
 def _power1d_floats(y):
     return [y[0]]
@@ -245,10 +255,10 @@ def _sphere3d_jac(y):
     ])
 
 
-_power1d_map = _map_with_floats(_power1d_floats)
-_saddle2d_map = _map_with_floats(_saddle2d_floats)
-_spiral2d_map = _map_with_floats(_spiral2d_floats)
-_sphere3d_map = _map_with_floats(_sphere3d_floats)
+_power1d_map = _with_floats(_power1d_floats)
+_saddle2d_map = _with_floats(_saddle2d_floats)
+_spiral2d_map = _with_floats(_spiral2d_floats)
+_sphere3d_map = _with_floats(_sphere3d_floats)
 
 
 def builtin_field(name: str, alpha: Optional[float] = None) -> SingularField:

@@ -180,17 +180,19 @@ def _floats(x):
 
 
 def _with_floats(form):
-    """The array callable (t, x) -> f of a float form, carrying it as .floats.
+    """The array callable of a float form, carrying it as .floats.
 
-    form maps t and a list of floats to a list of floats; the array callable
-    is np.array(form(t, _floats(x))), so the two cannot disagree.  A form
-    that returns its input list (a projection with nothing to do) gives x
-    back as it is.
+    form maps its arguments, the state last ((t, x) for a right-hand side,
+    (y) for a sphere map) as a list of floats, to a list of floats; the
+    array callable is np.array(form(..., _floats(x))), so the two cannot
+    disagree.  A form that returns its input list (a projection with
+    nothing to do) gives x back as it is.
     """
 
-    def fn(t, x):
+    def fn(*args):
+        x = args[-1]
         xs = _floats(x)
-        out = form(t, xs)
+        out = form(*args[:-1], xs)
         return np.asarray(x, dtype=float) if out is xs else np.array(out)
 
     fn.floats = form
@@ -203,8 +205,8 @@ def _float_form(fn):
     if form is not None:
         return form
 
-    def through_arrays(t, y):
-        return np.asarray(fn(t, np.array(y)), dtype=float).tolist()
+    def through_arrays(*args):
+        return np.asarray(fn(*args[:-1], np.array(args[-1])), dtype=float).tolist()
 
     return through_arrays
 

@@ -17,19 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularBlend
-from .fields import (
-    OVERFLOW_GUARD,
-    SingularField,
-    _map_float_form,
-    _map_with_floats,
-    eval_field,
-)
+from .fields import SingularField, _checked_radius, _ideal_kernel, eval_field
 from .integrators import (
-    DEFAULT_OPTIONS,
-    IntegrationOptions,
-    Trajectory,
-    _with_floats,
-    integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _with_floats, integrate,
 )
 
 # check_smoothness's probe directions, difference step as a fraction of nu,
@@ -58,16 +48,10 @@ class RegularizedField:
             raise ValueError("nu must be positive")
 
 
-def _power(r, a):
-    """r ** a on Python floats, overflowing to inf as NumPy does (r > 0)."""
-    try:
-        return r**a
-    except OverflowError:
-        return math.inf
-
-
 def _blend_inner_map(base: SingularField, core):
-    """The inner map xi(rho) rho^alpha F(X / rho) + (1 - xi(rho)) core(X) of a blend.
+    """The inner map xi(rho) f(X) + (1 - xi(rho)) core(X) of a blend, with f
+    the ideal field's kernel (fields._ideal_kernel) at rho = math.hypot(*X),
+    any rho > 0.
 
     core maps X, a list of Python floats, to a list of the same length.  The
     cubic weight kills the r^alpha singularity only for alpha > -2; below
@@ -79,17 +63,17 @@ def _blend_inner_map(base: SingularField, core):
         raise SingularBlend(
             f"polynomial blend needs alpha > -2 (got {alpha}); supply a custom inner_map"
         )
-    smap = _map_float_form(base.sphere_map)
+    ideal = _ideal_kernel(base)
 
     def inner(X):
         rho = math.hypot(*X)
         if rho == 0.0:
             return list(core(X))
         w = blend_weight(rho)
-        scale, rest = w * _power(rho, alpha), 1.0 - w
-        return [scale * f + rest * g for f, g in zip(smap([v / rho for v in X]), core(X))]
+        rest = 1.0 - w
+        return [w * f + rest * g for f, g in zip(ideal(X, rho), core(X))]
 
-    return _map_with_floats(inner)
+    return _with_floats(inner)
 
 
 def make_polynomial_blend(base: SingularField, g0, nu: float) -> RegularizedField:
@@ -129,27 +113,22 @@ def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
 def regularized_rhs(rf: RegularizedField):
     """The right-hand side (t, x) -> patched field at x, built once per rf.
 
-    Outside the ball it is eval_field bit for bit, which raises
+    With r = math.hypot(*x), it is the ideal field's kernel
+    (fields._ideal_kernel) for r > nu, eval_field bit for bit, which raises
     OriginEvaluation for an infinite state; a NaN state takes the inner
     branch.  It is written once, on lists of Python floats, and exposed as
     its .floats attribute (see integrate); the inner map runs through its
-    float form when it has one.  |x| is the BLAS dot of eval_field, on a
-    small array.
+    float form when it has one.
     """
     nu = float(rf.nu)
-    alpha = rf.base.alpha
-    smap = _map_float_form(rf.base.sphere_map)
-    inner_map = _map_float_form(rf.inner_map)
-    inner_scale = float(rf.nu**alpha)
+    ideal = _ideal_kernel(rf.base)
+    inner_map = _float_form(rf.inner_map)
+    inner_scale = float(rf.nu**rf.base.alpha)
 
     def rhs(_t, x):
-        xa = np.array(x)
-        r = math.sqrt(float(xa.dot(xa)))
+        r = math.hypot(*x)
         if r > nu:
-            if not OVERFLOW_GUARD <= r < math.inf:
-                eval_field(rf.base, xa)  # raises OriginEvaluation
-            scale = _power(r, alpha)
-            return [scale * f for f in smap([v / r for v in x])]
+            return ideal(x, _checked_radius(r))
         return [inner_scale * g for g in inner_map([v / nu for v in x])]
 
     return _with_floats(rhs)

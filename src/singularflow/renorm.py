@@ -33,11 +33,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotUnitVector
-from .fields import SingularField, _map_float_form
+from .fields import SingularField
 from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
     Trajectory,
+    _float_form,
     _locate,
     _monomials,
     _with_floats,
@@ -199,7 +200,7 @@ def renormalized_system(field: SingularField, reverse: bool = False):
     through its own float form when the field's map has one.
     """
     d = field.dimension
-    smap = _map_float_form(field.sphere_map)
+    smap = _float_form(field.sphere_map)
 
     def rhs(_s, u):
         y = u[:d]

@@ -32,7 +32,7 @@ def test_saddle_fixed_point_catalog():
     assert not by_angle[round(3 * math.pi / 2, 6)].stable
     for p in fps:
         assert np.linalg.norm(
-            sf.eval_sphere_map(saddle(), p.location)
+            saddle().sphere_map(p.location)
             - p.mean_radial * p.location
         ) <= 1e-10  # tangential residual
         assert p.label == ("focusing" if p.mean_radial < 0 else "defocusing")
@@ -93,7 +93,7 @@ def test_sphere3d_cycle_contraction_rate():
     field = sf.builtin_field("sphere3d")
     cyc = sf.find_limit_cycle(field, np.array([1.0, 0.0, 0.35]), transient=6.0)
     rate = cyc.stability_exponents[0]
-    assert rate == pytest.approx(0.75, rel=0.1)
+    assert rate == pytest.approx(0.75, abs=1e-8)
 
 
 def test_spiral_whole_circle_orbit():
@@ -152,6 +152,16 @@ def test_catalog_sphere3d_two_cycles():
     assert np.abs(unstable[0].location[:, 2] + 0.5).max() < 1e-6
     assert stable[0].mean_radial == pytest.approx(0.25, abs=1e-8)
     assert unstable[0].mean_radial == pytest.approx(-0.25, abs=1e-8)
+    # on S^2 the return map's multiplier is exp(-T * exponent), the exponent
+    # minus the orbit mean of div_S F_s (Liouville's formula)
+    assert stable[0].stability_exponents == pytest.approx([0.75], abs=1e-8)
+    assert unstable[0].stability_exponents == pytest.approx([-0.75], abs=1e-8)
+
+
+@pytest.mark.parametrize("name", sf.BUILTIN_NAMES)
+def test_no_builtin_catalog_holds_a_nan(name):
+    cat = sf.catalog_attractors(sf.builtin_field(name, None if name == "sphere3d" else ALPHA))
+    assert cat and not any(np.isnan(a.stability_exponents).any() for a in cat)
 
 
 def _catalog_without_early_stop(field, n_seeds=32, cycle_seeds=8, seed=0):

@@ -531,6 +531,9 @@ def test_sweep_json_lists_its_runs(tmp_path):
         ("sweep", "nu.list = 0.1, 0.05, inf", "nu.list entry must be positive"),
         ("sweep", "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
                   "nu.geometric.n_first = 5\nnu.geometric.n_last = 4", "n_last (4)"),
+        ("sweep", "nu.list = 0.5, 0.25\nnu.geometric.T = 6.283185307179586\n"
+                  "nu.geometric.mean_fr = 0.25\nnu.geometric.chi = 0.7",
+         "nu.list and nu.geometric are two radius specs"),
         ("simulate", "nu = 0", "nu must be positive"),
         ("simulate", "nu = nan", "nu must be positive"),
         # the benchmark's cycle radii run on to n = 500, where they underflow to 0

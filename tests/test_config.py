@@ -95,6 +95,10 @@ def test_single_element_list_round_trip():
                 ("nu.list = 0.0", "nu.list entry must be positive"),
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\n"
                  "nu.geometric.n_first = 5\nnu.geometric.n_last = 4", "n_last (4)"),
+                # two radius specs: the sweep would run one and report the other's chi
+                ("nu.list = 0.5, 0.25\nnu.geometric.T = 6.283185307179586\n"
+                 "nu.geometric.mean_fr = 0.25\nnu.geometric.chi = 0.7",
+                 "nu.list and nu.geometric are two radius specs"),
                 ("nu.geometric.T = nan\nnu.geometric.mean_fr = 0.25", "positive finite T"),
                 ("nu.geometric.T = inf\nnu.geometric.mean_fr = 0.25", "positive finite T"),
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.chi = nan",
@@ -198,25 +202,35 @@ def test_unreadable_config_file_is_a_config_error(tmp_path):
 
 def test_round_trip_runconfig_sweep_keys():
     # nu.list, every nu.geometric key and regularization.sigma survive
-    # parse -> emit -> parse, none of them at its default
-    text = (
+    # parse -> emit -> parse, none of them at its default; the two radius
+    # specs go in two configs, since one config takes only one of them
+    head = (
         "field = power1d\nalpha = 0.25\nx0 = 0.5,\n"
         "regularization.kind = preset1d\nregularization.sigma = -1\n"
-        "nu.list = 0.1, 0.05, 0.025\n"
-        "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
-        "nu.geometric.chi = 0.7\nnu.geometric.n_first = 2\nnu.geometric.n_last = 7\n"
     )
-    cfg = RunConfig.from_text(text)
-    emitted = cfg.emit()
-    for key in ("regularization.sigma", "nu.list", "nu.geometric.T", "nu.geometric.mean_fr",
-                "nu.geometric.chi", "nu.geometric.n_first", "nu.geometric.n_last"):
-        assert f"\n{key} = " in emitted
-    cfg2 = RunConfig.from_text(emitted)
-    for f in dataclasses.fields(RunConfig):
-        a, b = getattr(cfg, f.name), getattr(cfg2, f.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), f.name
-        else:
-            assert a == b, f.name
-    assert cfg2.reg_sigma == -1 and cfg2.nu_list == [0.1, 0.05, 0.025]
-    assert cfg2.geo == {"T": 2 * math.pi, "mean_fr": 0.25, "chi": 0.7, "n_first": 2, "n_last": 7}
+    specs = {
+        ("nu.list",): "nu.list = 0.1, 0.05, 0.025\n",
+        ("nu.geometric.T", "nu.geometric.mean_fr", "nu.geometric.chi", "nu.geometric.n_first",
+         "nu.geometric.n_last"): (
+            "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+            "nu.geometric.chi = 0.7\nnu.geometric.n_first = 2\nnu.geometric.n_last = 7\n"
+        ),
+    }
+    parsed = []
+    for keys, spec in specs.items():
+        cfg = RunConfig.from_text(head + spec)
+        emitted = cfg.emit()
+        for key in ("regularization.sigma",) + keys:
+            assert f"\n{key} = " in emitted
+        cfg2 = RunConfig.from_text(emitted)
+        for f in dataclasses.fields(RunConfig):
+            a, b = getattr(cfg, f.name), getattr(cfg2, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+        parsed.append(cfg2)
+    by_list, by_geo = parsed
+    assert by_list.reg_sigma == -1 and by_list.nu_list == [0.1, 0.05, 0.025]
+    assert by_list.geo is None and by_geo.nu_list is None
+    assert by_geo.geo == {"T": 2 * math.pi, "mean_fr": 0.25, "chi": 0.7, "n_first": 2, "n_last": 7}

@@ -101,7 +101,7 @@ def test_spiral_phase_map_closed_forms():
     _, fam = spiral_family()
     const = -math.log(1 - ALPHA) / (1 - ALPHA)  # = 1.5 ln(3/2) = 0.60819766...
     s = np.linspace(-3.0, 9.0, 25)
-    assert np.abs(fam.phi_diag(s) - const).max() < 1e-10
+    assert np.abs(fam.psi(s) - fam.radial_integral(s) - const).max() < 1e-10  # phi(s, s)
     assert np.abs(fam.psi(s) - (s + const)).max() < 1e-10
     xi = np.linspace(-5.0, 11.0, 33)
     assert np.abs(fam.psi_inv(xi) - (xi - const)).max() < 1e-8
@@ -160,7 +160,7 @@ def test_psi_inv_evaluates_psi_once_per_newton_step(monkeypatch):
     xi_red = xi - k * span
     s = tb["psi_inv_base"](xi_red)
     for _ in range(3):  # the Newton polish with psi evaluated twice per step
-        s = s - (fam.psi(s) - xi_red) / fam.psi_prime(s)
+        s = s - (fam.psi(s) - xi_red) / fam._psi_prime(s, fam.psi(s))
     want = s + k * fam.period
     calls = []
     psi = sf.ContinuationFamily.psi
@@ -407,7 +407,8 @@ def test_profile_spline_is_the_phase_map_formula(make_family):
 
     for zeta in np.linspace(0.0, 3.0 * span, 13):
         s = fam.psi_inv(p * np.log(dt) + zeta)
-        want = (dt**p * np.exp(-fam.phi_diag(s)))[:, None] * fam.orbit_point(s)
+        phi = fam.psi(s) - fam.radial_integral(s)  # phi(s, s)
+        want = (dt**p * np.exp(-phi))[:, None] * fam.orbit_point(s)
         got = fam.eval(ts, zeta)
         assert rel(got, want) < 1e-12
         assert rel(fam.eval(ts, zeta + span), got) < 1e-13

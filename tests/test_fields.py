@@ -120,12 +120,39 @@ def test_eval_field_is_the_formula_bitwise():
     rng = np.random.default_rng(5)
     for _ in range(200):
         x = rng.standard_normal(2) * 10.0 ** rng.uniform(-6, 6)
-        r = np.sqrt(x @ x)
+        r = math.hypot(*x)  # the kernel's norm
         want = r**f.alpha * np.asarray(f.sphere_map(x / r), dtype=float)
         assert np.array_equal(sf.eval_field(f, x), want)
     steep = sf.builtin_field("saddle2d", -2.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # NumPy overflows to inf, no raise
+    with np.errstate(invalid="ignore"):  # r^alpha overflows to inf, no raise
         assert np.isinf(sf.eval_field(steep, [1e-155, 0.0])).any()
+
+
+@pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
+def test_eval_field_is_the_float_kernel_bitwise(field, monkeypatch):
+    # the ideal field is one float kernel: eval_field is its array form, and
+    # integrate_ideal hands the stepper a right-hand side carrying it
+    from singularflow import fields
+
+    kernel = fields._ideal_kernel(field)
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        x = rng.standard_normal(field.dimension) * 10.0 ** rng.uniform(-8, 8)
+        got = sf.eval_field(field, x)
+        want = kernel(x.tolist(), math.hypot(*x))
+        assert all(type(v) is float for v in want)
+        assert got.tobytes() == np.array(want).tobytes()
+    seen = []
+
+    def recording(rhs, *args, **kwargs):
+        seen.append(rhs)
+        return sf.integrate(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "integrate", recording)
+    x0 = np.ones(field.dimension)
+    sf.integrate_ideal(field, x0, 0.0, 0.1)
+    (rhs,) = seen
+    assert rhs.floats(0.0, x0.tolist()) == kernel(x0.tolist(), math.hypot(*x0))
 
 
 # the reference: the built-in sphere-map formulas evaluated on NumPy scalars
@@ -177,7 +204,7 @@ def test_orthogonality_and_reconstruction(field):
         dec = sf.decompose(field, y)
         assert abs(float(dec.tangential @ y)) <= 1e-10 * (1 + np.linalg.norm(dec.tangential))
         rebuilt = dec.radial * y + dec.tangential
-        F = sf.eval_sphere_map(field, y)
+        F = np.asarray(field.sphere_map(y), dtype=float)
         assert np.linalg.norm(rebuilt - F) <= 1e-12 * (1 + np.linalg.norm(F))
 
 

@@ -237,3 +237,43 @@ def test_located_crossings_lie_on_the_side_crossed_to():
             assert bracket[0] < t_e <= bracket[2]
             assert (g >= 0.0) if direction > 0 else (g <= 0.0)
     assert hits > 500
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"a float kernel called np.{name}")
+
+
+def test_float_kernels_run_on_floats_alone(monkeypatch):
+    # every float form runs on Python floats: none builds an array
+    from singularflow import fields, regularize, renorm
+
+    saddle = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(saddle, [1.0, -2.0], 0.1)
+    kernels = [
+        (fields._ideal_rhs(saddle).floats, (0.0, [0.3, -0.4])),
+        (regularized_rhs(rf).floats, (0.0, [0.3, -0.4])),
+        (regularized_rhs(rf).floats, (0.0, [0.03, -0.04])),
+        (rf.inner_map.floats, ([0.3, -0.4],)),
+    ]
+    for field in all_builtins():
+        d = field.dimension
+        rhs, project = renormalized_system(field)
+        y = [0.6] + [0.8] + [0.0] * (d - 2) if d > 1 else [1.0]
+        kernels += [(field.sphere_map.floats, (y,)), (rhs.floats, (0.0, y + [0.5])),
+                    (project.floats, (0.0, [2.0 * v for v in y] + [0.5]))]
+    for module in (fields, regularize, renorm, integrators):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    for form, args in kernels:
+        assert all(type(v) is float for v in form(*args))
+
+
+def test_blend_evaluates_below_the_ideal_fields_overflow_guard():
+    # the regularized field is defined everywhere: the blend's ideal term
+    # takes any rho > 0, where the weight has underflowed to 0
+    field = sf.builtin_field("saddle2d", ALPHA)
+    inner = sf.make_polynomial_blend(field, [1.0, -2.0], 0.1).inner_map
+    for X in ([1e-310, 0.0], [-3e-305, 2e-306], [5e-324, 5e-324]):
+        assert 0.0 < math.hypot(*X) < sf.fields.OVERFLOW_GUARD
+        assert inner.floats(X) == [1.0, -2.0]
+        assert np.array_equal(inner(np.array(X)), [1.0, -2.0])
