@@ -42,8 +42,6 @@ _CYCLE_SEEDS = 8
 # does for the built-in fields; a sink of narrower basin could let a passing
 # transient stop early where a full run would have gone on to a cycle.
 _SINK_RADIUS = 1e-3
-# orbit samples per block of the cycle-tube poll's lower bound
-_TUBE_BLOCK = 32
 # a cycle search's default transient, its lap budget, its longest lap and
 # the uniform intervals of its orbit table over one period
 _TRANSIENT = 80.0
@@ -52,8 +50,9 @@ _RETURN_HORIZON = 400.0
 _ORBIT_SAMPLES = 1024
 # the orbit-table rows, uniform in s, that a cycle's exponent averages over
 _DIVERGENCE_NODES = 64
-# The inside run of rescaled_escape polls the speed every _SINK_POLL
-# accepted steps and, below _SINK_SPEED, looks for an interior sink
+# A cycle search's transient polls the known attractors every _SINK_POLL
+# accepted steps.  The inside run of rescaled_escape polls its speed as
+# often and, below _SINK_SPEED, looks for an interior sink
 # (_interior_sink): Newton steps, the largest Lyapunov level as a fraction
 # of the way from the sink to the unit sphere, the number of levels (each a
 # quarter of the last), and the boundary points sampled on the one tried
@@ -237,13 +236,17 @@ def _seed_directions(d: int, n_seeds: int, seed: int) -> List[np.ndarray]:
     return [p / np.linalg.norm(p) for p in pts]
 
 
-def find_fixed_points(field: SingularField, n_seeds: int = 64, seed: int = 0) -> List[AttractorInfo]:
-    """Locate fixed points of the spherical flow, stable and unstable alike."""
+def find_fixed_points(field: SingularField, n_seeds: int = 64) -> List[AttractorInfo]:
+    """Locate fixed points of the spherical flow, stable and unstable alike.
+
+    Newton runs from n_seeds directions (_seed_directions): a fixed grid
+    for d <= 3, a random one of seed 0 for d >= 4.
+    """
     d = field.dimension
     if d == 1:
         return [_fixed_point_info(field, np.array([sign])) for sign in (1.0, -1.0)]
     found: List[np.ndarray] = []
-    for y0 in _seed_directions(d, n_seeds, seed):
+    for y0 in _seed_directions(d, n_seeds, 0):
         y = _newton_on_sphere(field, y0)
         if y is None:
             continue
@@ -311,12 +314,15 @@ def find_limit_cycle(
     A search converges only onto a cycle that attracts the flow it runs, so
     the cycle is stable unless the flow is reversed.  Raises
     LimitCycleNotFound when the orbit collapses onto a fixed point or never
-    recurs within the budget.  A transient that enters the duplicate tube of
-    one of the _known cycles ends the search, which returns that cycle
-    object itself; one that comes within _SINK_RADIUS (1e-3) of one of the
-    _known fixed points, which must be sinks of the flow searched, ends it
+    recurs within the budget.  Every _SINK_POLL (8) accepted steps the
+    transient is checked against the _known attractors (_tube_radius).  One
+    found in the duplicate tube of a known cycle ends the search, which
+    returns that cycle object itself; one within _SINK_RADIUS (1e-3) of a
+    known fixed point, which must be a sink of the flow searched, ends it
     with LimitCycleNotFound.  That stop assumes the 1e-3 ball around each
-    such sink lies in its basin.
+    such sink lies in its basin.  A transient that ends before its next
+    check runs its laps, and a catalog drops the cycle they find as a
+    duplicate.
     """
     d = field.dimension
     if d < 2:
@@ -324,15 +330,20 @@ def find_limit_cycle(
     y0 = np.asarray(y0, dtype=float)
     p0 = y0 / np.linalg.norm(y0)
     if transient > 0:
-        tubes = [_Tube(c) for c in _known]
+        tubes = [(a, _tube_radius(a)) for a in _known]
         reached = []
+        steps = 0
 
         def in_known_tube(_s, u, _f, _partial):
-            reached.extend(tube.attractor for tube in tubes if tube.holds(u[:d]))
+            nonlocal steps
+            steps += 1
+            if steps % _SINK_POLL:
+                return False
+            reached.extend(a for a, radius in tubes if a.distance_to(u[:d]) < radius)
             return bool(reached)
 
-        run = renorm_integrate(field, p0, 0.0, transient, opts, until=in_known_tube,
-                               reverse=_reverse)
+        run = renorm_integrate(field, p0, 0.0, transient, opts,
+                               until=in_known_tube if tubes else None, reverse=_reverse)
         if reached:
             if reached[0].kind == "fixed_point":
                 raise LimitCycleNotFound("orbit converges to a fixed point")
@@ -405,66 +416,22 @@ def _tube_radius(attractor: AttractorInfo) -> float:
     return max(1e-4, 2.0 * gap)
 
 
-class _Tube:
-    """The duplicate tube of a known attractor, as find_limit_cycle polls it.
-
-    holds(y) is attractor.distance_to(y) < _tube_radius(attractor).  For a
-    cycle it first bounds the distance from below through blocks of
-    _TUBE_BLOCK orbit samples, each held in a ball: every sample of block j
-    lies within radii[j] of centres[j], so its distance from y is at least
-    |y - centres[j]| - radii[j].  A block whose bound clears the radius
-    holds no sample inside the tube, so the exact distance runs over the
-    samples of the other blocks only, and none at all when every block
-    clears it; the answer never changes.
-    """
-
-    # y and the samples are unit directions, so either computation rounds
-    # by a few eps per dimension; the bound must clear the radius by this
-    _SLACK = 1e-12
-
-    def __init__(self, attractor: AttractorInfo):
-        self.attractor = attractor
-        self.radius = _tube_radius(attractor)
-        self.blocks = self.centres = self.radii = None
-        if attractor.kind == "limit_cycle":
-            orbit = attractor.location
-            n, d = orbit.shape
-            # the padding repeats the last sample, so every row is a sample
-            pad = np.repeat(orbit[-1:], (-n) % _TUBE_BLOCK, axis=0)
-            self.blocks = np.concatenate([orbit, pad]).reshape(-1, _TUBE_BLOCK, d)
-            self.centres = self.blocks.mean(axis=1)
-            spread = self.blocks - self.centres[:, None]
-            self.radii = np.sqrt(np.max(np.einsum("ijk,ijk->ij", spread, spread), axis=1))
-
-    def holds(self, y) -> bool:
-        if self.blocks is None:
-            return self.attractor.distance_to(y) < self.radius
-        y = np.asarray(y, dtype=float)
-        diff = self.centres - y
-        bounds = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii
-        near = bounds - self._SLACK < self.radius
-        if not near.any():
-            return False
-        # distance_to over the samples of the near blocks, row for row
-        samples = self.blocks[near].reshape(-1, y.size)
-        return float(np.min(np.linalg.norm(samples - y[None, :], axis=1))) < self.radius
-
-
 def catalog_attractors(
     field: SingularField,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
-    seed: int = 0,
 ) -> List[AttractorInfo]:
     """Fixed points plus limit cycles (stable, and unstable via reversed flow).
 
     The fixed points come from _FP_SEEDS (32) Newton seeds, the cycles from
-    searches at _CYCLE_SEEDS (8) seed directions in each of two passes.
+    searches at _CYCLE_SEEDS (8) seed directions in each of two passes; for
+    d >= 4 those are random directions of seeds 0 and 1 (_seed_directions).
     Each pass (forward, then reversed) hands its searches the cycles it has
-    found so far and the sinks of its flow, so a seed whose transient
-    reaches one of them stops there: on a cycle instead of re-finding it, on
-    a sink instead of running out the transient.
+    found so far and the sinks of its flow, and a search checks its
+    transient against them every _SINK_POLL (8) accepted steps, so a seed
+    whose transient reaches one of them stops there: on a cycle instead of
+    re-finding it, on a sink instead of running out the transient.
     """
-    out = list(find_fixed_points(field, n_seeds=_FP_SEEDS, seed=seed))
+    out = list(find_fixed_points(field, n_seeds=_FP_SEEDS))
     fps = [a for a in out if a.kind == "fixed_point"]
     if field.dimension < 2:
         return out
@@ -473,7 +440,7 @@ def catalog_attractors(
         sign = -1.0 if reverse else 1.0
         sinks = [fp for fp in fps if np.all(sign * fp.stability_exponents < 0)]
         found: List[AttractorInfo] = []  # every cycle this pass's searches found
-        for y0 in _seed_directions(field.dimension, _CYCLE_SEEDS, seed + 1):
+        for y0 in _seed_directions(field.dimension, _CYCLE_SEEDS, 1):
             if any(np.linalg.norm(y0 - fp.location) < 1e-3 for fp in fps):
                 continue
             try:

@@ -135,7 +135,7 @@ def cmd_classify(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
     r0 = float(np.linalg.norm(cfg.x0))
     if r0 == 0.0:
         raise ValueError("classify starts at x0 = 0, the singular point, which has no direction")
-    catalog = catalog_attractors(field, opts=opts, seed=cfg.seed)
+    catalog = catalog_attractors(field, opts=opts)
     _write_json(
         os.path.join(outdir, "attractors.json"),
         {

@@ -11,7 +11,7 @@ mapping, which makes configs usable as reproducibility manifests.
 
 Recognized keys (see README for the full table):
 
-    field, alpha, x0, t0, t1, seed, outputs
+    field, alpha, x0, t0, t1, outputs
     integrator.rtol / .atol / .max_step / .r_floor
     regularization.kind (polynomial_blend | preset1d)
     regularization.g0, regularization.sigma, nu, nu.list
@@ -137,7 +137,6 @@ class RunConfig:
     x0: np.ndarray
     t0: float = 0.0
     t1: float = 1.0
-    seed: int = 0
     outputs: Optional[str] = None
     options: IntegrationOptions = dc_field(default_factory=IntegrationOptions)
     r_floor: float = 1e-10  # the ideal field's stop radius (fields.integrate_ideal)
@@ -195,7 +194,6 @@ class RunConfig:
             raise ConfigError("t0 and t1 must be finite")
         if not t1 > t0:
             raise ConfigError(f"t1 must exceed t0 (got t0 = {t0!r}, t1 = {t1!r})")
-        seed = _integer(take("seed", 0), "seed")
         outputs = take("outputs")
         if outputs is not None and not isinstance(outputs, str):
             raise ConfigError(f"outputs must be a directory name, got {outputs!r}")
@@ -215,6 +213,8 @@ class RunConfig:
         reg_g0 = take("regularization.g0")
         if reg_g0 is not None:
             reg_g0 = _vector(reg_g0, "regularization.g0", dimension)
+            if not np.all(np.isfinite(reg_g0)):
+                raise ConfigError("regularization.g0 must be finite")
         reg_sigma = take("regularization.sigma")
         if reg_sigma is not None:
             reg_sigma = _integer(reg_sigma, "regularization.sigma")
@@ -223,6 +223,10 @@ class RunConfig:
         if reg_kind is not None:
             if reg_kind not in ("polynomial_blend", "preset1d"):
                 raise ConfigError(f"unknown regularization.kind {reg_kind!r}")
+            # both kinds blend the ideal field into the ball, whose cubic
+            # weight tames r^alpha only for alpha > -2
+            if not alpha > -2.0:
+                raise ConfigError(f"regularization.kind {reg_kind} needs alpha > -2, got {alpha}")
             if reg_kind == "polynomial_blend" and reg_g0 is None:
                 raise ConfigError("polynomial_blend needs regularization.g0")
             if reg_kind == "preset1d" and reg_sigma is None:
@@ -285,7 +289,6 @@ class RunConfig:
             x0=x0,
             t0=t0,
             t1=t1,
-            seed=seed,
             outputs=outputs,
             options=options,
             r_floor=r_floor,
@@ -303,7 +306,6 @@ class RunConfig:
         m: dict = {"field": self.field_name, "alpha": self.alpha, "x0": list(self.x0)}
         m["t0"] = self.t0
         m["t1"] = self.t1
-        m["seed"] = self.seed
         if self.outputs is not None:
             m["outputs"] = self.outputs
         o = self.options

@@ -42,6 +42,8 @@ from .regularize import RegularizedField, integrate_regularized
 from .renorm import classify_blowup, physical_time, renorm_integrate
 
 _MEAN_DELTA = 1e-6
+# phases of the coarse scan that starts every phase fit
+_PHASE_GRID = 720
 # phases per broadcast block of the _fit_phases scan, whose family points
 # every sample set of a sweep shares: with the 90-point time grids of the
 # sweeps, the scan's temporaries peak near 0.5 MB
@@ -438,20 +440,21 @@ def geometric_sequence(T: float, mean_fr: float, chi: float, n_range: Sequence[i
     return np.exp(-T * mean_fr * n + chi)
 
 
-def estimate_phase(fam: ContinuationFamily, t_grid, samples, n_grid: int = 720):
+def estimate_phase(fam: ContinuationFamily, t_grid, samples):
     """Best-fit phase: minimize the sup distance to the family over zeta.
 
-    Coarse scan over n_grid phases, then golden-section refinement; returns
-    (zeta, sup_distance, uncertainty) with zeta reduced to [0, zeta_period).
+    Coarse scan over _PHASE_GRID (720) uniform phases, then golden-section
+    refinement; returns (zeta, sup_distance, uncertainty) with zeta reduced
+    to [0, zeta_period).
     fam must be a cycle family (ValueError otherwise).  This is _fit_phases
     on one sample set, which inviscid_sweep calls on all its radii at once.
     """
     if fam.kind != "cycle_family":
         raise ValueError("estimate_phase needs a cycle_family")
-    return _fit_phases(fam, t_grid, [samples], n_grid)[0]
+    return _fit_phases(fam, t_grid, [samples])[0]
 
 
-def _fit_phases(fam: ContinuationFamily, t_grid, sample_sets, n_grid: int = 720):
+def _fit_phases(fam: ContinuationFamily, t_grid, sample_sets):
     """estimate_phase for each sample set on the same t_grid, in one pass.
 
     The scan evaluates blocks of phases once and measures every set against
@@ -475,10 +478,10 @@ def _fit_phases(fam: ContinuationFamily, t_grid, sample_sets, n_grid: int = 720)
         points = fam._cycle_points(dt, zb[:, None])
         return [sup_dist(samples, points) for samples in sets]
 
-    zg = np.linspace(0.0, span, n_grid, endpoint=False)
-    blocks = np.split(zg, range(_SCAN_BLOCK, n_grid, _SCAN_BLOCK))
+    zg = np.linspace(0.0, span, _PHASE_GRID, endpoint=False)
+    blocks = np.split(zg, range(_SCAN_BLOCK, _PHASE_GRID, _SCAN_BLOCK))
     zi = zg[np.argmin(np.concatenate([scan(zb) for zb in blocks], axis=1), axis=1)]
-    step = span / n_grid
+    step = span / _PHASE_GRID
     a, b = zi - step, zi + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)

@@ -185,15 +185,11 @@ def _with_floats(form):
     form maps its arguments, the state last ((t, x) for a right-hand side,
     (y) for a sphere map) as a list of floats, to a list of floats; the
     array callable is np.array(form(..., _floats(x))), so the two cannot
-    disagree.  A form that returns its input list (a projection with
-    nothing to do) gives x back as it is.
+    disagree.
     """
 
     def fn(*args):
-        x = args[-1]
-        xs = _floats(x)
-        out = form(*args[:-1], xs)
-        return np.asarray(x, dtype=float) if out is xs else np.array(out)
+        return np.array(form(*args[:-1], _floats(args[-1])))
 
     fn.floats = form
     return fn
@@ -214,15 +210,12 @@ def _float_form(fn):
 def _error_norm(err, ay0, ay1, atol, rtol):
     """The RMS of err/scale, with ay0 and ay1 the |y| of the step's two ends.
 
-    err, ay0 and ay1 are sequences of floats.  Below 8 entries
-    np.add.reduce sums left to right, so the loop on Python floats is np.mean
-    of the NumPy formula bit for bit; from 8 on NumPy sums pairwise, and the
-    NumPy formula itself runs.
+    err, ay0 and ay1 are sequences of floats, and the squares are summed
+    left to right.  Below 8 entries np.add.reduce sums in that order too, so
+    this is np.mean of the NumPy formula bit for bit; from 8 on NumPy sums
+    pairwise, and the two can differ in the last bits.
     """
     n = len(err)
-    if n >= 8:
-        scale = atol + rtol * np.maximum(ay0, ay1)
-        return math.sqrt(float(np.add.reduce((np.asarray(err) / scale) ** 2)) / n)
     total = 0.0
     for e, a, b in zip(err, ay0, ay1):
         # the larger of a and b, or NaN if either is NaN, as np.maximum

@@ -189,10 +189,9 @@ def renormalized_system(field: SingularField, reverse: bool = False):
     dz/ds = F_r(y).  Physical time is no component: it is a quadrature
     along the run (physical_time).  reverse negates dy/ds only; z still
     accumulates F_r along the traversal.  project(s, u) rescales y back
-    onto the unit sphere after an accepted step, and leaves u as it is when
-    |y| is already exactly 1.  rhs normalizes y itself and z does not feed
-    back into it, so rhs is invariant under project, as integrate requires
-    of a postprocess.
+    onto the unit sphere after an accepted step.  rhs normalizes y itself
+    and z does not feed back into it, so rhs is invariant under project, as
+    integrate requires of a postprocess.
 
     Both are written once, on lists of Python floats, and exposed as their
     .floats attribute (see integrate); rhs and project themselves are the
@@ -220,8 +219,6 @@ def renormalized_system(field: SingularField, reverse: bool = False):
     def project(_s, u):
         y = u[:d]
         norm = math.hypot(*y)
-        if norm == 1.0:
-            return u
         out = [v / norm for v in y] if norm else [math.nan] * d
         out.append(u[d])
         return out

@@ -15,7 +15,6 @@ alpha = 0.3333333333333333
 x0 = -1.0, 0.0
 t0 = 0.0
 t1 = 3.0
-seed = 7
 integrator.rtol = 1e-10
 regularization.kind = polynomial_blend
 regularization.g0 = 1.0, -2.0
@@ -28,7 +27,6 @@ def test_parse_good_config():
     assert cfg.field_name == "saddle2d"
     assert cfg.alpha == pytest.approx(1 / 3)
     assert np.array_equal(cfg.x0, [-1.0, 0.0])
-    assert cfg.seed == 7
     assert cfg.options.rtol == 1e-10
     assert cfg.options.atol == 1e-12  # default
     assert cfg.reg_kind == "polynomial_blend"
@@ -116,8 +114,8 @@ def test_single_element_list_round_trip():
                 ("t1 = abc", "t1 must be a number, got 'abc'"),
                 ("integrator.rtol = abc", "integrator.rtol must be a number"),
                 ("nu.geometric.T = abc\nnu.geometric.mean_fr = 0.25", "nu.geometric.T must be a number"),
-                ("seed = 1.5", "seed must be an integer, got 1.5"),
-                ("seed = abc", "seed must be a number"),
+                # the catalog's seed grids are fixed: seed is no key
+                ("seed = 7", "unknown config keys: ['seed']"),
                 ("regularization.kind = preset1d\nregularization.sigma = 0.5",
                  "regularization.sigma must be an integer"),
                 ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25\nnu.geometric.n_first = 1.5",
@@ -139,6 +137,10 @@ def test_single_element_list_round_trip():
                  "regularization.g0 must be 2 number(s)"),
                 ("regularization.kind = preset1d\nregularization.sigma = 1",
                  "preset1d needs a one-dimensional field, not saddle2d"),
+                # a blend's constant core is finite
+                ("regularization.kind = polynomial_blend\nregularization.g0 = inf, 0.0",
+                 "regularization.g0 must be finite"),
+                ("regularization.g0 = nan, 0.0", "regularization.g0 must be finite"),
             ]
         ),
         ("field = saddle2d\nalpha = abc\nx0 = 1.0, 0.0", "alpha must be a number, got 'abc'"),
@@ -150,6 +152,11 @@ def test_single_element_list_round_trip():
         ("field = saddle2d\nalpha = 0.3\nx0 = abc", "x0 must be 2 number(s), got 'abc'"),
         ("field = power1d\nalpha = 0.3\nx0 = 1.0,\nregularization.sigma = 2",
          "regularization.sigma must be +1, -1 or 0, got 2"),
+        # both regularization kinds blend r^alpha into the ball: alpha > -2
+        ("field = power1d\nalpha = -3.0\nx0 = 1.0,\nregularization.kind = preset1d\n"
+         "regularization.sigma = 1", "regularization.kind preset1d needs alpha > -2, got -3.0"),
+        ("field = saddle2d\nalpha = -2.0\nx0 = 1.0, 0.0\nregularization.kind = polynomial_blend\n"
+         "regularization.g0 = 1.0, -2.0", "polynomial_blend needs alpha > -2, got -2.0"),
     ],
 )
 def test_validation_errors(text, fragment):

@@ -49,9 +49,10 @@ def test_renormalized_float_and_array_forms_agree(field, reverse):
         u = np.concatenate([y, rng.uniform(-100.0, 100.0, 1)])
         assert same_bits(rhs.floats(0.3, u.tolist()), rhs(0.3, u))
         assert same_bits(project.floats(0.3, u.tolist()), project(0.3, u))
-    # a projection with nothing to do returns the state itself, in both forms
+    # a state already on the sphere keeps its bits, in both forms
     u = [1.0] + [0.0] * (d - 1) + [0.5]
-    assert project.floats(0.0, u) is u
+    assert same_bits(project.floats(0.0, u), u)
+    assert same_bits(project(0.0, np.array(u)), u)
 
 
 def test_regularized_float_and_array_forms_agree():

