@@ -2,9 +2,13 @@
 """Phase selection by geometric subsequences on the 3-d sphere example.
 
 For each offset chi, integrates the regularized problem along the sequence
-nu_n = exp(-T <F_r> n + chi), fits the continuation-family phase zeta for
-every n, and prints the convergence table together with the zeta + chi
-invariant (which is the regularization constant c modulo the family period).
+nu_n = exp(-T <F_r> n + chi), reads the continuation-family phase zeta and
+the lag delta off the samples of every n, and prints the convergence table
+together with the zeta + chi invariant (which is the regularization
+constant c modulo the family period).  Each row gives zeta, the lag in the
+units of its scaling law, delta / nu^(2/3), the spread of the samples'
+phases about zeta, the sup distance to the lagged member, and the wrapped
+increment of zeta over the previous n.
 """
 
 import argparse
@@ -13,6 +17,7 @@ import math
 import numpy as np
 
 import singularflow as sf
+from singularflow.continuation import _read_phase
 
 
 def main():
@@ -37,9 +42,12 @@ def main():
         for n, nu in enumerate(nus, start=1):
             rf = sf.make_polynomial_blend(field, g0, float(nu))
             traj = sf.integrate_regularized(rf, [0.0, 0.0, -1.0], 0.0, 4.01)
-            z, dist, _ = sf.estimate_phase(fam, t_grid, traj.sample(t_grid))
+            samples = traj.sample(t_grid)
+            z, dist, spread = sf.estimate_phase(fam, t_grid, samples)
+            lag = _read_phase(fam, t_grid, samples)[1] / nu ** (2.0 / 3.0)
             inc = "" if prev is None else f" increment {min(abs(z-prev), span-abs(z-prev)):.4f}"
             print(f"chi = {chi:.4f}  n = {n}  nu = {nu:.3e}  zeta = {z:.6f}  "
+                  f"lag/nu^(2/3) = {lag:.4f}  spread = {spread:.1e}  "
                   f"fit dist = {dist:.2e}{inc}")
             prev = z
         finals[chi] = prev

@@ -283,6 +283,13 @@ class RunConfig:
             raise ConfigError(f"classify.s_budget must be positive and finite, got {s_budget!r}")
         if m:
             raise ConfigError(f"unknown config keys: {sorted(m)}")
+        # the blend's data and the radii configure a regularization: without
+        # its kind, a run would integrate the ideal field and ignore them
+        stray = [key for key, value in (
+            ("regularization.g0", reg_g0), ("regularization.sigma", reg_sigma), ("nu", nu),
+            ("nu.list", nu_list), ("nu.geometric", geo)) if value is not None]
+        if reg_kind is None and stray:
+            raise ConfigError(f"{', '.join(stray)} given without regularization.kind")
         return cls(
             field_name=name,
             alpha=alpha,

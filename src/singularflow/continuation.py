@@ -13,15 +13,21 @@ The family is discretely self-similar: with p = 1/(1-alpha),
     G(xi) = exp(-phi(s, s)) y_c(s)  at  s = psi_inv(xi),
 
 and the log-profile G is periodic in xi with period zeta_period = T <F_r>.
-The family holds one renormalized run over one period of the cycle, from
+The family is one renormalized run over one period of the cycle, from
 which the radial integral, the orbit and psi are read (psi through the
-run's physical time, renorm.physical_time), and one periodic cubic spline
-of G (_PeriodicCubic, numpy only) tabulated from that run.  The phase
-origin s = 0, zeta = 0 is the maximum of one coordinate on that run, kept
-as two constants: the run's time s_a and its z_a there.  The improper
+run's physical time, renorm.physical_time), and G through psi_inv.  The
+phase origin s = 0, zeta = 0 is the maximum of one coordinate on that run,
+kept as two constants: the run's time s_a and its z_a there.  The improper
 integral defining the phase map psi is reduced exactly through the
 periodicity of the radial integral (a geometric series over past periods),
 so no truncation of the infinite history is needed.
+
+A regularized solution trails the family by a lag delta = Lambda
+nu^(1-alpha), so a sample follows the member x(t - delta; zeta).  Each
+sample is read off in closed form (_read_phase, after Guckenheimer's
+isochrons, J. Math. Biol. 1, 1975): its direction fixes s on the cycle,
+then log|x| = J(s) - zeta gives its phase and dt = exp((1 - alpha)
+(psi(s) - zeta)) its lag, with no scan over zeta.
 """
 
 from __future__ import annotations
@@ -35,23 +41,26 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .attractors import AttractorInfo, EscapeResult, _fixed_point_near, rescaled_escape
-from .errors import NonPositiveMean, OutOfDomain, SignError
+from .errors import NonPositiveMean, OutOfDomain, SignError, SingularFlowError
 from .fields import SingularField, eval_field
 from .integrators import DEFAULT_OPTIONS, IntegrationOptions, SolverStats, _dense_max
 from .regularize import RegularizedField, integrate_regularized
 from .renorm import classify_blowup, physical_time, renorm_integrate
 
 _MEAN_DELTA = 1e-6
-# phases of the coarse scan that starts every phase fit
-_PHASE_GRID = 720
-# phases per broadcast block of the _fit_phases scan, whose family points
-# every sample set of a sweep shares: with the 90-point time grids of the
-# sweeps, the scan's temporaries peak near 0.5 MB
-_SCAN_BLOCK = 90
 # a coordinate whose range over a cycle's orbit table exceeds this varies on it
 _ANCHOR_RANGE = 1e-3
-# uniform intervals of the period grid on which the cycle family tabulates G
+# uniform intervals of the period grid on which the cycle family tabulates
+# psi (psi_inv's seed) and the orbit (the phase read-off's nearest rows)
 _FAMILY_GRID = 2048
+# Newton steps, and the central-difference step of their derivatives, that
+# project a sample's direction onto the cycle from its nearest seed row, one
+# of every _SEED_STRIDE rows of the period grid (256 rows, 0.025 apart in s
+# on the sphere3d cycle: a sample set's 90 x 256 dot products stay near
+# 0.2 MB)
+_SEED_STRIDE = 8
+_PROJECTION_STEPS = 3
+_TANGENT_STEP = 1e-5
 # time step of residual_check's central differences
 _RESIDUAL_STEP = 1e-6
 
@@ -132,9 +141,24 @@ class ContinuationFamily:
         return np.exp(one_minus_a * (self.radial_integral(s) - psi_s)) / one_minus_a
 
     def orbit_point(self, s):
-        rt = self._tables["run"]
+        """The cycle's direction at s.
+
+        The run's end misses its start by the error of the period (1.4e-11
+        on spiral2d), so over one table interval next to the seam the orbit
+        moves by that closure along a cubic ramp with flat ends: the family
+        is continuous across the seam, where a jump would spoil any
+        difference quotient that straddles it.  The ramp ends the run when
+        the anchor is in the run's first half and starts it otherwise, so
+        the orbit is the run's own near s = 0.
+        """
+        tb = self._tables
+        rt = tb["run"]
         s_red, shift = self._on_run(s)
-        y = rt.run.sample(s_red)[:, : rt.dimension].reshape(shift.shape + (-1,))
+        start, width, level, closure = tb["seam"]
+        x = np.clip((s_red - start) / width, 0.0, 1.0)
+        y = rt.run.sample(s_red)[:, : rt.dimension]
+        y = y + (x * x * (3.0 - 2.0 * x) + level)[:, None] * closure
+        y = y.reshape(shift.shape + (-1,))
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     # -- evaluation ---------------------------------------------------------
@@ -163,18 +187,16 @@ class ContinuationFamily:
         return t - self.t_b
 
     def _cycle_points(self, dt, zeta):
-        """Cycle-family points dt^p G(p log dt + zeta) for the phases zeta.
+        """Cycle-family points dt^p G(xi) at xi = p log dt + zeta, with
+        G(xi) = exp(J(s) - xi) y_c(s) at s = psi_inv(xi), read off the run.
 
-        One lookup in the periodic cubic spline of the log-profile, which
-        is tabulated against psi + z_a, the run's own phase, and reduces its
-        argument into one period itself.  dt and zeta broadcast against each
-        other; the points gain a last axis of length d.  Every entry is
-        computed elementwise, so a phase in a broadcast block gives the same
-        bits as on its own.
+        dt and zeta broadcast against each other; the points gain a last
+        axis of length d.
         """
-        tb = self._tables
         p = 1.0 / (1.0 - self.alpha)
-        return (dt**p)[..., None] * tb["profile"](p * np.log(dt) + zeta + tb["z_a"])
+        xi = p * np.log(dt) + zeta
+        s = self.psi_inv(xi)
+        return (dt**p * np.exp(self.radial_integral(s) - xi))[..., None] * self.orbit_point(s)
 
 
 def fixed_point_solutions(
@@ -229,107 +251,6 @@ def trivial_rest_family(t_b: float, alpha: float, dimension: int) -> Continuatio
 # Cycle family
 # ---------------------------------------------------------------------------
 
-class _PeriodicCubic:
-    """The C2 periodic cubic spline through (x_k, y_k), k = 0..n, with y_n = y_0.
-
-    This is the interpolant of CubicSpline(x, y, bc_type="periodic").  With
-    h_k = x_{k+1} - x_k and delta_k = (y_{k+1} - y_k) / h_k, the node slopes
-    m_k solve the cyclic tridiagonal system (indices mod n)
-
-        h_k m_{k-1} + 2 (h_{k-1} + h_k) m_k + h_{k-1} m_{k+1}
-            = 3 (h_k delta_{k-1} + h_{k-1} delta_k).
-
-    The cyclic matrix A, with corners a = A[0, n-1] = h_0 and
-    c = A[n-1, 0] = h_{n-2}, is T + u v^T for a tridiagonal T,
-    u = (g, 0, ..., 0, c) and v = (1, 0, ..., 0, a/g); with T m = rhs and
-    T z = u, the slopes are m - z (v.m) / (1 + v.z).  One Thomas pass
-    solves the right-hand-side columns and u together.  y holds scalars,
-    shape (n+1,), or rows, shape (n+1, d); a call returns q.shape +
-    y.shape[1:].  A call reduces q to x_0 + (q - x_0) mod P with
-    P = x_n - x_0, finds each piece through a table of 2n equal buckets of
-    the period, and evaluates the piece's cubic by Horner.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = np.diff(x)
-        n = len(h)
-        h_prev = np.roll(h, 1)
-        diag = 2.0 * (h_prev + h)
-        g = -diag[0]
-        a, c = h[0], h_prev[-1]
-        diag[0] -= g
-        diag[-1] -= a * c / g
-        self._shape = y.shape[1:]
-        rows = y.reshape(n + 1, -1)
-        delta = np.diff(rows, axis=0) / h[:, None]
-        u = np.zeros((n, 1))
-        u[0], u[-1] = g, c
-        rhs = 3.0 * (h[:, None] * np.roll(delta, 1, axis=0) + h_prev[:, None] * delta)
-        mz = _thomas(h[1:], diag, h_prev, np.hstack([rhs, u]))
-        m, z, a_g = mz[:, :-1], mz[:, -1:], a / g
-        m -= z * ((m[0] + a_g * m[-1]) / (1.0 + z[0] + a_g * z[-1]))
-        # per piece, c3 t^3 + c2 t^2 + m_k t + y_k with t = q - x_k; four
-        # contiguous (n, d) gathers cost less than one strided (n, 4, d) one
-        hc = h[:, None]
-        curv = (m + np.roll(m, -1, axis=0) - 2.0 * delta) / hc
-        self._coef = (curv / hc, (delta - m) / hc - curv, np.ascontiguousarray(m), rows[:-1])
-
-        self.x0, self.period = x[0], x[-1] - x[0]
-        self.starts = x[:-1]
-        self.next = np.append(x[1:-1], np.inf)
-        # the bucket map is monotone, so the piece holding q starts at or
-        # after first[bucket(q)], the last piece starting in an earlier
-        # bucket, and at most passes pieces start in q's own bucket
-        self.scale = 2 * n / self.period
-        buckets = np.minimum(((self.starts - self.x0) * self.scale).astype(np.intp), 2 * n - 1)
-        self.first = np.maximum(np.searchsorted(buckets, np.arange(2 * n)) - 1, 0)
-        self.passes = int(np.bincount(buckets).max())
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        q = self.x0 + (q - self.x0) % self.period
-        # mode="clip" maps the top end q = x_n, and NaN, to an end bucket
-        k = self.first.take(((q - self.x0) * self.scale).astype(np.intp), mode="clip")
-        for _ in range(self.passes):
-            k += q >= self.next.take(k)
-        t = (q - self.starts.take(k))[..., None]
-        c3, c2, c1, c0 = self._coef
-        out = c3.take(k, axis=0) * t
-        out += c2.take(k, axis=0)
-        out *= t
-        out += c1.take(k, axis=0)
-        out *= t
-        out += c0.take(k, axis=0)
-        return out.reshape(q.shape + self._shape)
-
-
-def _thomas(lower, diag, upper, rhs):
-    """T x = rhs for the tridiagonal T with sub-, main and superdiagonals
-    lower (n-1), diag (n) and upper (n, its last entry unused), for the m
-    columns of rhs, shape (n, m).  The elimination runs on Python floats:
-    with n in the thousands, a NumPy call per row would cost more than the
-    arithmetic."""
-    up = upper.tolist()
-    w, piv = [0.0], [float(diag[0])]
-    for lk, dk, uk in zip(lower.tolist(), diag.tolist()[1:], up):
-        w.append(lk / piv[-1])
-        piv.append(dk - w[-1] * uk)
-    cols = []
-    for r in rhs.T.tolist():
-        acc, fwd = 0.0, []
-        for wk, rk in zip(w, r):
-            acc = rk - wk * acc
-            fwd.append(acc)
-        acc, back = 0.0, []
-        for rk, uk, pk in zip(reversed(fwd), reversed(up), reversed(piv)):
-            acc = (rk - uk * acc) / pk
-            back.append(acc)
-        cols.append(back[::-1])
-    return np.array(cols).T
-
-
 def build_cycle_family(
     field: SingularField,
     cycle: AttractorInfo,
@@ -350,14 +271,12 @@ def build_cycle_family(
     profile follow from the cumulative exponential weight K(s) =
     integral_{-inf}^s exp((1-alpha) J(u)) du: on the run it is the physical
     time (renorm.physical_time) plus a tail over past periods that sums
-    exactly as a geometric series.  The family keeps the run:
+    exactly as a geometric series.  The family is the run:
     radial_integral, psi and orbit_point read its dense output at
-    (s + s_a) mod T, and J and psi subtract z_a.  The log-profile
-    G(xi) = exp(-phi(s, s)) y_c(s), with phi(s, s) = psi(s) - J(s), is
-    known with no inversion at the nodes psi + z_a of a uniform grid of the
-    run of _FAMILY_GRID intervals; one periodic cubic spline through them,
-    of period zeta_period = T <F_r>, is what eval reads at xi + z_a.
-    psi_inv's Newton seed is np.interp over the increasing psi table.
+    (s + s_a) mod T, and J and psi subtract z_a.  On a uniform grid of the
+    run of _FAMILY_GRID intervals it keeps psi, whose increasing table
+    seeds psi_inv's Newton polish through np.interp, and the orbit, whose
+    nearest row seeds the phase read-off's projection (_read_phase).
     """
     if cycle.kind != "limit_cycle":
         raise ValueError("build_cycle_family needs a limit-cycle attractor")
@@ -377,6 +296,7 @@ def build_cycle_family(
     z_a = float(rt.run.sample(s_a)[d])
     s_grid = np.linspace(0.0, T, _FAMILY_GRID + 1)
     uu = rt.run.sample(s_grid)
+    closure = uu[0, :d] - uu[-1, :d]
     orbit = uu[:, :d]
     orbit /= np.linalg.norm(orbit, axis=1)[:, None]
     J_tab = uu[:, d]
@@ -390,8 +310,6 @@ def build_cycle_family(
     K0 = K_partial[-1] * q / (1.0 - q)  # exact geometric tail over s < 0
     xi_tab = np.log(K0 + K_partial) / one_minus_a  # psi(s_grid - s_a) + z_a
     xi_tab[-1] = xi_tab[0] + mean * T  # psi(T) = psi(0) + T <F_r> exactly
-    G = np.exp(J_tab - xi_tab)[:, None] * orbit
-    G[-1] = G[0]
 
     tables = {
         "run": rt,
@@ -400,7 +318,11 @@ def build_cycle_family(
         "K0": K0,
         "psi_inv_base": partial(np.interp, xp=xi_tab - z_a, fp=s_grid - s_a),  # increasing
         "psi0": xi_tab[0] - z_a,
-        "profile": _PeriodicCubic(xi_tab, G),
+        # the closing ramp's start, width, level before it and closure (orbit_point)
+        "seam": (T - s_grid[1], s_grid[1], 0.0, closure) if s_a < T / 2
+        else (0.0, s_grid[1], -1.0, closure),
+        "rows": s_grid[:-1:_SEED_STRIDE] - s_a,  # the last row repeats the first
+        "orbit": np.ascontiguousarray(orbit[:-1:_SEED_STRIDE].T),  # a column per row
     }
     return ContinuationFamily(
         "cycle_family",
@@ -417,18 +339,17 @@ def residual_check(fam, field: SingularField, t_grid, zeta: float = 0.0) -> floa
     """Sup over the grid of |d/dt x(t) - f(x(t))| relative to |f|.
 
     d/dt is the central difference of step _RESIDUAL_STEP (1e-6).  fam may
-    be a ContinuationFamily or any callable x(t, zeta).
+    be a ContinuationFamily or any callable x(t, zeta) that takes an array
+    of times and returns one row per time.
     """
     h = _RESIDUAL_STEP
     ev = fam.eval if hasattr(fam, "eval") else fam
+    t = np.asarray(t_grid, dtype=float)
+    dx = (ev(t + h, zeta) - ev(t - h, zeta)) / (2 * h)
     worst = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        xm = ev(t - h, zeta)
-        xp = ev(t + h, zeta)
-        dx = (xp - xm) / (2 * h)
-        f = eval_field(field, ev(t, zeta))
-        denom = float(np.linalg.norm(f))
-        worst = max(worst, float(np.linalg.norm(dx - f)) / denom)
+    for x, dx_k in zip(ev(t, zeta), dx):
+        f = eval_field(field, x)
+        worst = max(worst, float(np.linalg.norm(dx_k - f)) / float(np.linalg.norm(f)))
     return worst
 
 
@@ -441,60 +362,72 @@ def geometric_sequence(T: float, mean_fr: float, chi: float, n_range: Sequence[i
 
 
 def estimate_phase(fam: ContinuationFamily, t_grid, samples):
-    """Best-fit phase: minimize the sup distance to the family over zeta.
+    """The family member that samples at t_grid follow: (zeta, sup_distance,
+    uncertainty).
 
-    Coarse scan over _PHASE_GRID (720) uniform phases, then golden-section
-    refinement; returns (zeta, sup_distance, uncertainty) with zeta reduced
-    to [0, zeta_period).
-    fam must be a cycle family (ValueError otherwise).  This is _fit_phases
-    on one sample set, which inviscid_sweep calls on all its radii at once.
+    zeta, in [0, zeta_period), and the lag are _read_phase's, and the
+    uncertainty is its spread; sup_distance is the sup over the grid of the
+    distance to the lagged member, x(t - lag; zeta).  fam must be a cycle
+    family (ValueError otherwise).
     """
     if fam.kind != "cycle_family":
         raise ValueError("estimate_phase needs a cycle_family")
-    return _fit_phases(fam, t_grid, [samples])[0]
+    zeta, lag, spread = _read_phase(fam, t_grid, samples)
+    member = fam._cycle_points(fam._elapsed(np.asarray(t_grid, dtype=float) - lag), zeta)
+    dist = np.max(np.linalg.norm(np.asarray(samples, dtype=float) - member, axis=1))
+    return zeta, float(dist), spread
 
 
-def _fit_phases(fam: ContinuationFamily, t_grid, sample_sets):
-    """estimate_phase for each sample set on the same t_grid, in one pass.
+def _read_phase(fam: ContinuationFamily, t_grid, samples):
+    """Phase, lag and spread of samples of a cycle-family member, read off
+    each sample in closed form: (zeta, lag, spread).
 
-    The scan evaluates blocks of phases once and measures every set against
-    them; the golden-section steps run for all sets in lockstep, one family
-    evaluation per step.  Every family entry is computed elementwise, so each
-    set gets the bits of a fit of its own with one fam.eval per phase.
+    On the member (zeta, delta) a sample at t is x = dt^p G(xi) with
+    dt = t - t_b - delta and xi = p log dt + zeta, so its direction is the
+    cycle's at s = psi_inv(xi) and log|x| = J(s) - zeta.  The direction
+    fixes s, as the nearest point of the cycle: the nearest of the seed
+    rows, then _PROJECTION_STEPS Newton steps on the squared
+    distance along the run's dense output, with central differences for
+    y' and y''.  Its second derivative |y'|^2 - y''.(u - y) is kept at
+    least |y'|^2 / 4, so that a direction near the cycle's focal set, where
+    that vanishes, steps toward its nearest point.  Then zeta = J(s) -
+    log|x|, dt = exp((1 - alpha)(psi(s) - zeta)) and delta = t - t_b - dt.
+    zeta is the circular mean of the samples' phases, reduced to
+    [0, zeta_period), the lag is the mean of their delta, and the spread is
+    the largest wrapped deviation of a sample's phase from zeta.  A sample
+    with no direction, or with a non-finite lag, raises SingularFlowError
+    naming it.
     """
-    dt = fam._elapsed(np.asarray(t_grid, dtype=float))
-    sets = np.asarray(sample_sets, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
+    elapsed = fam._elapsed(t)
+    x = np.asarray(samples, dtype=float)
+    r = np.linalg.norm(x, axis=1)
+
+    def check(ok, what):
+        if not np.all(ok):
+            i = int(np.argmin(ok))
+            raise SingularFlowError(f"sample {i} at t = {float(t[i])!r} has {what}: x = {x[i]}")
+
+    check(np.isfinite(r) & (r > 0.0), "no direction")
+    u = x / r[:, None]
+    tb = fam._tables
+    s = tb["rows"][np.argmax(u @ tb["orbit"], axis=1)]
+    h = _TANGENT_STEP
+    for _ in range(_PROJECTION_STEPS):
+        y, ahead, behind = fam.orbit_point(s + np.array([[0.0], [h], [-h]]))
+        tangent, bend, miss = (ahead - behind) / (2 * h), (ahead - 2 * y + behind) / h**2, u - y
+        tt = np.einsum("ij,ij->i", tangent, tangent)
+        curvature = np.maximum(tt - np.einsum("ij,ij->i", bend, miss), 0.25 * tt)
+        s = s + np.einsum("ij,ij->i", tangent, miss) / curvature
+    zetas = fam.radial_integral(s) - np.log(r)
+    with np.errstate(over="ignore"):
+        delta = elapsed - np.exp((1.0 - fam.alpha) * (fam.psi(s) - zetas))
+    check(np.isfinite(delta), "no finite lag")
     span = fam.zeta_period
-
-    def sup_dist(samples, points):  # np.linalg.norm's own formula for real q
-        q = samples - points
-        q *= q
-        return np.max(np.sqrt(np.add.reduce(q, axis=-1)), axis=-1)
-
-    def dist(z):  # the sup distance of each set to the family at its own phase
-        return sup_dist(sets, fam._cycle_points(dt, z[:, None]))
-
-    def scan(zb):  # every set's distances to one block of phases
-        points = fam._cycle_points(dt, zb[:, None])
-        return [sup_dist(samples, points) for samples in sets]
-
-    zg = np.linspace(0.0, span, _PHASE_GRID, endpoint=False)
-    blocks = np.split(zg, range(_SCAN_BLOCK, _PHASE_GRID, _SCAN_BLOCK))
-    zi = zg[np.argmin(np.concatenate([scan(zb) for zb in blocks], axis=1), axis=1)]
-    step = span / _PHASE_GRID
-    a, b = zi - step, zi + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = dist(c), dist(d)
-    for _ in range(60):
-        left = fc < fd  # per set: keep [a, d] and probe a new c, else [c, b] and a new d
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        z = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fz = dist(z)
-        c, d, fc, fd = (np.where(left, z, d), np.where(left, c, z),
-                        np.where(left, fz, fd), np.where(left, fc, fz))
-    z = 0.5 * (a + b)
-    return [tuple(map(float, fit)) for fit in zip(z % span, dist(z), b - a)]
+    angle = (2 * math.pi / span) * zetas
+    zeta = math.atan2(np.mean(np.sin(angle)), np.mean(np.cos(angle))) * span / (2 * math.pi) % span
+    dev = (zetas - zeta) % span
+    return float(zeta), float(np.mean(delta)), float(np.max(np.minimum(dev, span - dev)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +471,7 @@ class SweepReport:
     t_b: float
     reference: Optional[str] = None
     matched_zeta: Optional[list] = None
+    matched_lag: Optional[list] = None
     zeta_uncertainty: Optional[float] = None
     decay_exponent: Optional[float] = None
     decay_r2: Optional[float] = None
@@ -554,6 +488,7 @@ class SweepReport:
             "verdict": self.verdict,
             "reference": self.reference,
             "matched_zeta": self.matched_zeta,
+            "matched_lag": self.matched_lag,
             "zeta_uncertainty": self.zeta_uncertainty,
             "decay_exponent": self.decay_exponent,
             "decay_r2": self.decay_r2,
@@ -594,7 +529,8 @@ def inviscid_sweep(
     nu.  The blowup time is anchored on the ideal problem (closed form on
     the collapse ray, renormalized classification otherwise); the rescaled
     escape probe then decides which limit to compare against: the trivial
-    rest solution, the unique ray, or the cycle family with a fitted phase.
+    rest solution, the unique ray, or the cycle family with the phase and
+    lag read off each radius (_read_phase).
     Per-nu failures are recorded without aborting the sweep.  Every nu must
     be positive and finite, and t_grid strictly increasing from t0 on
     (ValueError otherwise).
@@ -767,10 +703,11 @@ def inviscid_sweep(
     fam = build_cycle_family(field, esc.attractor, t_b, opts=opts)
     report.family = fam
     report.reference = "cycle_family"
-    fits = _fit_phases(fam, t_grid[post], [solutions[k][post] for k in good])
-    zs = [z for z, _, _ in fits]
+    reads = [_read_phase(fam, t_grid[post], solutions[k][post]) for k in good]
+    zs = [z for z, _, _ in reads]
     report.matched_zeta = zs
-    report.zeta_uncertainty = fits[-1][2]
+    report.matched_lag = [lag for _, lag, _ in reads]
+    report.zeta_uncertainty = reads[-1][2]
     span = fam.zeta_period
     difs = np.abs(np.diff(zs))
     difs = np.minimum(difs, span - difs) / span  # wrapped, as a fraction of the period

@@ -143,7 +143,7 @@ def _fig6(outdir):
     for k in range(8):
         zeta = k * fam.zeta_period / 8
         _emit(files, outdir, f"fig6_family_{k}.csv", ["t", "x1", "x2"],
-              [(t, *fam.eval(t, zeta)) for t in ts],
+              [(t, *x) for t, x in zip(ts, fam.eval(ts, zeta))],
               f"origin-emanating solution, phase {k}/8 of the family period")
     return files
 
@@ -171,7 +171,7 @@ def _fig8n(outdir):
     for k in range(10):
         zeta = k * fam.zeta_period / 10
         _emit(files, outdir, f"fig8n_family_{k}.csv", ["t", "x1", "x2", "x3"],
-              [(t, *fam.eval(t, zeta)) for t in ts],
+              [(t, *x) for t, x in zip(ts, fam.eval(ts, zeta))],
               f"family member {k}/10 across one phase period")
     # cone surface swept by the family
     thetas = np.linspace(0.0, 2 * np.pi, 60)

@@ -273,17 +273,6 @@ def _wrapped_diff(a, b, span):
     return min(d, span - d)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "known budget mismatch: the fitted phase converges geometrically at "
-        "exp(-pi/3) ~ 0.35 per subsequence step (finite-nu time lag of the "
-        "escape, ~9 nu^{2/3} in rescaled units), so |zeta_n - zeta_{n+1}| "
-        "first drops below 1e-2 near n = 8-9, not within n <= 5; verified "
-        "against an independent integrator.  See the deep-subsequence test "
-        "below for the same tolerances at n <= 9."
-    ),
-)
 def test_criterion_09_phase_selection_as_stated(sphere_family_and_runs):
     field, cyc, fam, runs = sphere_family_and_runs
     span = fam.zeta_period

@@ -329,10 +329,8 @@ def test_sweep_is_deterministic(tmp_path):
 
 def test_sweep_cycle_family_end_to_end(tmp_path):
     # the geometric subsequence on the sphere3d cycle, through the command
-    # line: the family is built on the cycle and the matched phases settle
-    # (the increment the benchmark's oracle checks); the verdict itself is
-    # not pinned, since the finite-nu lag still makes it read
-    # diverging_phases at most chi
+    # line: the family is built on the cycle, the matched phases settle (the
+    # increment the benchmark's oracle checks), and the sweep says so
     cfg = write(tmp_path, "cycle.cfg", SWEEP_CYCLE_CFG)
     outputs = []
     for run in ("a", "b"):
@@ -342,6 +340,7 @@ def test_sweep_cycle_family_end_to_end(tmp_path):
         files = ["sweep.json"] + report["trajectory_files"]
         outputs.append({name: (out / name).read_bytes() for name in files})
     assert report["reference"] == "cycle_family"
+    assert report["verdict"] == "converged_to(cycle_family)"
     assert len(report["nu"]) == 9 and not any(report["errors"])
     span = 2.0 * math.pi * 0.25
     zs = report["matched_zeta"]

@@ -144,6 +144,19 @@ def test_single_element_list_round_trip():
             ]
         ),
         ("field = saddle2d\nalpha = abc\nx0 = 1.0, 0.0", "alpha must be a number, got 'abc'"),
+        # a blend's data or a radius configures a regularization: not without its kind
+        *(
+            (f"field = power1d\nalpha = 0.3\nx0 = 1.0,\n{lines}", fragment)
+            for lines, fragment in [
+                ("regularization.g0 = 1.0,\nnu = 0.1",
+                 "regularization.g0, nu given without regularization.kind"),
+                ("regularization.sigma = 1", "regularization.sigma given without regularization.kind"),
+                ("nu = 0.1", "nu given without regularization.kind"),
+                ("nu.list = 0.1, 0.05", "nu.list given without regularization.kind"),
+                ("nu.geometric.T = 1.0\nnu.geometric.mean_fr = 0.25",
+                 "nu.geometric given without regularization.kind"),
+            ]
+        ),
         ("field = sphere3d\nalpha = 0.3\nx0 = 0.0, 0.0, -1.0", "sphere3d pins alpha = 1/3"),
         ("field = saddle2d\nalpha = 0.3\nx0 = 1.0, 0.0, 0.0",
          "x0 must be 2 number(s)"),

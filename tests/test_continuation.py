@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import singularflow as sf
-from singularflow.continuation import _fit_phases
 
 ALPHA = 1.0 / 3.0
 
@@ -233,27 +232,19 @@ def test_sphere_family_phase_origin_is_the_closed_form_maximum():
     assert fam.radial_integral(0.0) == 0.0
 
 
-def test_periodic_cubic_matches_scipy_periodic_spline():
-    # independent reference, a test-only dependency
-    from scipy.interpolate import CubicSpline
-
-    from singularflow.continuation import _PeriodicCubic
-
-    rng = np.random.default_rng(8)
-    x = -1.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.8, 2048))]) / 512
-    period = x[-1] - x[0]
-    q = np.concatenate(
-        [rng.uniform(x[0] - 3 * period, x[-1] + 3 * period, 5000)]
-        + [x + j * period for j in range(-3, 4)]  # every knot and period end
-    )
-    for y in (rng.standard_normal(2049), rng.standard_normal((2049, 3))):
-        y[-1] = y[0]
-        want = CubicSpline(x, y, bc_type="periodic")(q)
-        got = _PeriodicCubic(x, y)(q)
-        assert got.shape == want.shape
-        # both solve the same diagonally dominant system (condition <= 3) and
-        # sum four cubic terms: a few tens of float64 ulps of the value scale
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+@pytest.mark.parametrize("make_family", [sphere_family, spiral_family], ids=["sphere3d", "spiral2d"])
+def test_family_is_continuous_across_the_seam_of_its_run(make_family):
+    # the run's end misses its start by the period's error (1.4e-11 on
+    # spiral2d); a jump there would read as a residual of 2.9e-4 on a
+    # central difference of step 1e-6 that straddles it
+    field, fam = make_family()
+    seam = fam.period - fam._tables["s_a"]  # s where the run wraps
+    p = 1.0 / (1.0 - fam.alpha)
+    zeta = 0.4
+    t = fam.t_b + math.exp((fam.psi(seam) - zeta) / p)
+    assert sf.residual_check(fam, field, [t], zeta) <= 1e-6
+    side = fam.orbit_point(np.array([seam - 1e-12, seam + 1e-12]))
+    assert np.linalg.norm(side[0] - side[1]) <= 1e-11
 
 
 def test_cycle_family_imports_no_scipy():
@@ -343,60 +334,40 @@ def test_estimate_phase_recovers_known_zeta():
         assert dist < 1e-10
 
 
-def _estimate_phase_by_scalar_scan(fam, t_grid, samples):
-    # one fam.eval per phase of the coarse scan, then the golden section
-    n_grid = 720
+def test_estimate_phase_reads_the_lag_of_a_lagged_member():
+    # samples of the member x(t - delta; zeta) give back zeta and delta,
+    # each sample on its own: the spread of their phases and the distance
+    # to the lagged member vanish to rounding
+    from singularflow.continuation import _read_phase
 
-    def dist(z):
-        return float(np.max(np.linalg.norm(samples - fam.eval(t_grid, z), axis=1)))
-
-    span = fam.zeta_period
-    zg = np.linspace(0.0, span, n_grid, endpoint=False)
-    i = int(np.argmin([dist(z) for z in zg]))
-    step = span / n_grid
-    a, b = zg[i] - step, zg[i] + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, dpt = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = dist(c), dist(dpt)
-    for _ in range(60):
-        if fc < fd:
-            b, dpt, fd = dpt, c, fc
-            c = b - invphi * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, dpt, fd
-            dpt = a + invphi * (b - a)
-            fd = dist(dpt)
-    z = 0.5 * (a + b)
-    return z % span, dist(z), b - a
-
-
-def test_estimate_phase_scan_matches_scalar_evaluation():
     _, fam = sphere_family()
+    span = fam.zeta_period
     ts = np.linspace(3.1, 4.0, 90)
-    for z_true in (0.2, 1.4):
-        samples = fam.eval(ts, z_true) * (1.0 + 1e-3 * np.sin(7.0 * ts))[:, None]
-        got = sf.estimate_phase(fam, ts, samples)
-        want = _estimate_phase_by_scalar_scan(fam, ts, samples)
-        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
-    # one _fit_phases call fits each of several sets, whose golden sections
-    # branch apart, to the bits of the scalar scan on that set alone
-    for n_sets in (1, 3, 9):
-        sets = [
-            fam.eval(ts, z_true) * (1.0 + 1e-3 * np.sin(w * ts))[:, None]
-            for z_true, w in zip(np.linspace(0.1, 1.5, n_sets), range(3, 3 + n_sets))
-        ]
-        fits = _fit_phases(fam, ts, sets)
-        assert len(fits) == n_sets
-        for got, samples in zip(fits, sets):
-            want = _estimate_phase_by_scalar_scan(fam, ts, samples)
-            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    for z_true, delta in ((0.2, -0.05), (1.4, 0.03), (span - 1e-9, -0.08)):
+        samples = fam.eval(ts - delta, z_true)
+        zeta, lag, spread = _read_phase(fam, ts, samples)
+        assert min(abs(zeta - z_true), span - abs(zeta - z_true)) <= 1e-11
+        assert abs(lag - delta) <= 1e-11
+        assert spread <= 1e-11
+        z_fit, dist, unc = sf.estimate_phase(fam, ts, samples)
+        assert (z_fit, unc) == (zeta, spread)
+        assert dist <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_estimate_phase_names_a_sample_with_no_phase(bad):
+    _, fam = sphere_family()
+    ts = np.linspace(3.1, 4.0, 12)
+    samples = fam.eval(ts, 0.4)
+    samples[5] = bad
+    with pytest.raises(sf.SingularFlowError, match=r"sample 5 at t = 3\.509\d* has no direction"):
+        sf.estimate_phase(fam, ts, samples)
 
 
 @pytest.mark.parametrize("make_family", [sphere_family, spiral_family], ids=["sphere3d", "spiral2d"])
-def test_profile_spline_is_the_phase_map_formula(make_family):
-    # eval is one lookup in the periodic spline of G; it must agree with the
-    # composite formula dt^p exp(-phi(s, s)) y_c(s) at s = psi_inv(xi)
+def test_eval_is_the_phase_map_formula(make_family):
+    # eval reads G off the run at s = psi_inv(xi); it must agree with the
+    # composite formula dt^p exp(-phi(s, s)) y_c(s), phi(s, s) = psi(s) - J(s)
     _, fam = make_family()
     p = 1.0 / (1.0 - fam.alpha)
     span = fam.zeta_period
@@ -413,12 +384,6 @@ def test_profile_spline_is_the_phase_map_formula(make_family):
         got = fam.eval(ts, zeta)
         assert rel(got, want) < 1e-12
         assert rel(fam.eval(ts, zeta + span), got) < 1e-13
-    # the block scan of estimate_phase gives the bits of one eval per phase
-    ts = fam.t_b + np.linspace(0.1, 1.0, 90)
-    samples = fam.eval(ts, 0.3 * span) * (1.0 + 1e-3 * np.sin(7.0 * ts))[:, None]
-    got = sf.estimate_phase(fam, ts, samples)
-    want = _estimate_phase_by_scalar_scan(fam, ts, samples)
-    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_estimate_phase_rejects_non_cycle_families():
@@ -612,13 +577,40 @@ def test_on_ray_sweep_is_one_regularized_run(cycle_sweep):
 
 
 def test_cycle_sweep_phases_are_those_of_one_fit_per_radius(cycle_sweep):
-    # the sweep fits all its radii in one batch, bit for bit as estimate_phase
-    # fits each radius on its own
+    # the sweep reads each radius's phase bit for bit as estimate_phase does
     _, t_grid, rep = cycle_sweep
     post = t_grid > rep.t_b + 1e-12
     fits = [sf.estimate_phase(rep.family, t_grid[post], sol[post]) for sol in rep.solutions]
     assert [float(z).hex() for z in rep.matched_zeta] == [z.hex() for z, _, _ in fits]
     assert float(rep.zeta_uncertainty).hex() == fits[-1][2].hex()
+
+
+def test_cycle_sweep_phases_are_resolved_to_rounding(cycle_sweep):
+    # each sample is read off in closed form, so samples scaled by 1 + 1e-15
+    # move each matched phase by rounding only (a minimum of the sup
+    # distance over zeta alone moved by 2.7e-9 at the smallest radius)
+    _, t_grid, rep = cycle_sweep
+    post = t_grid > rep.t_b + 1e-12
+    for sol, z in zip(rep.solutions, rep.matched_zeta):
+        moved = sf.estimate_phase(rep.family, t_grid[post], (1.0 + 1e-15) * sol[post])[0]
+        assert abs(moved - z) < 1e-12
+
+
+@pytest.mark.parametrize("chi", np.linspace(0.0, math.pi / 2, 9).tolist())
+def test_cycle_sweep_converges_at_every_chi(chi):
+    # the perfbench cycle config across its chi range: the phase increments
+    # shrink to a member, the lag settles at delta = Lambda nu^(2/3) with
+    # Lambda = -8.796, and zeta_9 + chi is one constant mod pi/2
+    field = sf.builtin_field("sphere3d")
+    nus = sf.geometric_sequence(2 * math.pi, 0.25, chi, range(1, 10))
+    rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
+    rep = sf.inviscid_sweep(rf, [0.0, 0.0, -1.0], np.linspace(3.1, 4.0, 90), nus)
+    assert rep.verdict == "converged_to(cycle_family)"
+    lags = rep.to_dict()["matched_lag"]
+    assert len(lags) == 9 and all(math.isfinite(v) for v in lags)
+    assert abs(lags[-1] / nus[-1] ** (2 / 3) + 8.796) <= 1e-3
+    assert abs((rep.matched_zeta[-1] + chi) % (math.pi / 2) - 0.2490) <= 1e-3
+    assert rep.zeta_uncertainty <= 1e-7
 
 
 @pytest.mark.parametrize("n", [1, 9])
