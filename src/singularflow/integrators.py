@@ -4,14 +4,20 @@ A hand-rolled Dormand-Prince 5(4) embedded pair drives everything in this
 package: it keeps the trajectories bitwise deterministic, and its dense
 output between accepted steps is the pair's own order-4 continuous
 extension, written as the cubic Hermite of the step's ends plus one term
-per step.  Event crossings are located by bisection on that dense output.
-Blowup times are recovered from trajectory tails through the exact
-linearity of r^(1-alpha) in t on the self-similar collapse.
+per step.  Its step loop is rendered once per state size, one Python float
+per component: on the package's states of 2 to 5 components a list
+comprehension per stage costs more than its arithmetic.  Event crossings
+are located by bisection on that dense output.  Blowup times are recovered
+from trajectory tails through the exact linearity of r^(1-alpha) in t on
+the self-similar collapse.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -240,95 +246,87 @@ def _initial_step(f, t0, y0, f0, atol, rtol, max_step):
     return min(100 * h0, h1, max_step)
 
 
-def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
-    """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new, e).
-
-    x0 and f0 are arrays, f0 = rhs(t0, x0), which every caller has already
-    evaluated for its first stored derivative.  The stages, the state and
-    the error estimate are lists of Python floats, and rhs and postprocess
-    run through their float forms (_float_form); the arrays of each
-    accepted state and derivative are built once, for the caller.  Raises
-    StopIteration values through generator return semantics; the calling
-    integrate functions collect samples and statuses.  stats, a
-    SolverStats, counts the right-hand-side calls made here and the steps.
-    A non-finite start or error estimate (NaN or inf in the state or the
-    right-hand side) raises StepFailure: no step size can repair it.  e is
-    the step's term of the dense output (_hermite), a list of floats.
-    """
-    if x0.shape != f0.shape:
+# _stepper's body, rendered for each state size by _rendered
+_STEPPER_TEMPLATE = '''\
+def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
+    if y_arr.shape != f_arr.shape:
         raise ValueError("rhs output shape does not match the state shape")
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(f0))):
-        raise StepFailure(f"non-finite state or right-hand side at t = {t0!r}", None)
+    if not (np.all(np.isfinite(y_arr)) and np.all(np.isfinite(f_arr))):
+        raise StepFailure("non-finite state or right-hand side at t = %r" % t, None)
     f_of = _float_form(rhs)
     post = None if postprocess is None else _float_form(postprocess)
     atol, rtol, max_step = opts.atol, opts.rtol, opts.max_step
-    h = min(_initial_step(f_of, t0, x0, f0, atol, rtol, max_step), t1 - t0)
+    h = min(_initial_step(f_of, t, y_arr, f_arr, atol, rtol, max_step), t1 - t)
     stats.rhs_calls += 1
-    t, y, k1, y_arr, f_arr = t0, x0.tolist(), f0.tolist(), x0, f0
-    ay = [abs(v) for v in y]
-    attempts = 0
+    {y_}, {k1_}, = *y_arr.tolist(), *f_arr.tolist()
     while t < t1:
-        if attempts == _MAX_STEPS:
-            raise StepFailure(f"no end after {attempts} attempted steps, at t = {t!r}", None)
-        attempts += 1
+        if stats.accepted + stats.rejected == _MAX_STEPS:
+            raise StepFailure("no end after %d attempted steps, at t = %r" % (_MAX_STEPS, t), None)
         h = min(h, max_step, t1 - t)
         if h < 16 * _EPS * max(1.0, abs(t)):
-            raise StepFailure(f"step size underflow at t = {t!r}", None)
-        # each stage state is y + h (a_i1 k1 + ... ), summed left to right
-        k2 = f_of(t + _C2 * h, [v + h * (_A21 * p) for v, p in zip(y, k1)])
-        k3 = f_of(t + _C3 * h, [v + h * (_A31 * p + _A32 * q) for v, p, q in zip(y, k1, k2)])
-        k4 = f_of(t + _C4 * h, [
-            v + h * (_A41 * p + _A42 * q + _A43 * r) for v, p, q, r in zip(y, k1, k2, k3)
-        ])
-        k5 = f_of(t + _C5 * h, [
-            v + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * w)
-            for v, p, q, r, w in zip(y, k1, k2, k3, k4)
-        ])
-        k6 = f_of(t + h, [
-            v + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * w + _A65 * x)
-            for v, p, q, r, w, x in zip(y, k1, k2, k3, k4, k5)
-        ])
-        y_new = [
-            v + h * (_B1 * p + _B3 * r + _B4 * w + _B5 * x + _B6 * z)
-            for v, p, r, w, x, z in zip(y, k1, k3, k4, k5, k6)
-        ]
+            raise StepFailure("step size underflow at t = %r" % t, None)
+        {k2_}, = f_of(t + _C2 * h, [{y_ + h * (_A21 * k1_)}])
+        {k3_}, = f_of(t + _C3 * h, [{y_ + h * (_A31 * k1_ + _A32 * k2_)}])
+        {k4_}, = f_of(t + _C4 * h, [{y_ + h * (_A41 * k1_ + _A42 * k2_ + _A43 * k3_)}])
+        {k5_}, = f_of(t + _C5 * h, [{y_ + h * (_A51 * k1_ + _A52 * k2_ + _A53 * k3_ + _A54 * k4_)}])
+        {k6_}, = f_of(t + h, [{
+            y_ + h * (_A61 * k1_ + _A62 * k2_ + _A63 * k3_ + _A64 * k4_ + _A65 * k5_)}])
+        {yn_}, = y_new = [{y_ + h * (_B1 * k1_ + _B3 * k3_ + _B4 * k4_ + _B5 * k5_ + _B6 * k6_)}]
         t_new = t + h
-        k7 = f_of(t_new, y_new)
+        {k7_}, = k7 = f_of(t_new, y_new)
         stats.rhs_calls += 6
-        ay_new = [abs(v) for v in y_new]
-        # the error estimate and the dense output's term e in one loop, which
-        # costs a fraction of what a second comprehension would
-        err, e = [], []
-        for p, r, w, x, z, q in zip(k1, k3, k4, k5, k6, k7):
-            err.append(h * (_E1 * p + _E3 * r + _E4 * w + _E5 * x + _E6 * z + _E7 * q))
-            e.append(h * (_D1 * p + _D3 * r + _D4 * w + _D5 * x + _D6 * z + _D7 * q))
-        enorm = _error_norm(err, ay, ay_new, atol, rtol)
+        err = [{h * (_E1 * k1_ + _E3 * k3_ + _E4 * k4_ + _E5 * k5_ + _E6 * k6_ + _E7 * k7_)}]
+        enorm = _error_norm(err, [{abs(y_)}], [{abs(yn_)}], atol, rtol)
         if not math.isfinite(enorm):
-            raise StepFailure(
-                f"non-finite state or right-hand side in the step from t = {t!r} (h = {h!r})",
-                None,
-            )
+            raise StepFailure("non-finite state or right-hand side in the step from t = %r "
+                              "(h = %r)" % (t, h), None)
         if enorm <= 1.0:
-            if post is not None:
-                # the right-hand side is invariant under postprocess, so
-                # k7 stays the derivative at the adjusted state
-                y_new = post(t_new, y_new)
-                ay_new = [abs(v) for v in y_new]
+            if post is not None:  # k7 holds: rhs is invariant under post
+                {yn_}, = y_new = post(t_new, y_new)
             stats.accepted += 1
             if h < stats.h_min:
                 stats.h_min = h
             if h > stats.h_max:
                 stats.h_max = h
+            e = [{h * (_D1 * k1_ + _D3 * k3_ + _D4 * k4_ + _D5 * k5_ + _D6 * k6_ + _D7 * k7_)}]
             y_new_arr, f_new_arr = np.array(y_new), np.array(k7)
             yield t, y_arr, f_arr, t_new, y_new_arr, f_new_arr, e
-            t, y, k1, ay, y_arr, f_arr = t_new, y_new, k7, ay_new, y_new_arr, f_new_arr
-            factor = _MAX_FACTOR if enorm == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * enorm ** -0.2
-            )
+            t, y_arr, f_arr = t_new, y_new_arr, f_new_arr
+            {y_}, {k1_}, = {yn_}, {k7_},
+            factor = _MAX_FACTOR if enorm == 0.0 else min(_MAX_FACTOR, _SAFETY * enorm ** -0.2)
             h *= max(_MIN_FACTOR, factor)
         else:
             stats.rejected += 1
             h *= max(_MIN_FACTOR, min(1.0, _SAFETY * enorm ** -0.2))
+'''
+_PER_COMPONENT = re.compile(r"\{([^{}]*)\}")
+_COMPONENT_NAME = re.compile(r"\b([a-z][a-z0-9]*_)(?!\w)")
+
+
+@functools.cache
+def _rendered(n):
+    """_STEPPER_TEMPLATE for n components, each a Python float of its own:
+    a name ending in "_" is one component, and each {expr} renders as expr
+    at components 0 to n - 1, comma-separated ([{y_ + h * k1_}] as
+    [y_0 + h * k1_0, y_1 + h * k1_1] at n = 2), so every sum keeps the
+    tableau's order.  It is compiled in this module's globals, where it
+    reads _MAX_STEPS and _error_norm as they are when it runs; linecache
+    holds its source for tracebacks."""
+    source = _PER_COMPONENT.sub(lambda m: ", ".join(
+        _COMPONENT_NAME.sub(rf"\g<1>{i}", m[1].strip()) for i in range(n)), _STEPPER_TEMPLATE)
+    filename = f"<singularflow stepper, n = {n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["stepper"]
+
+
+def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
+    """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new, e)
+    from the 1-d arrays x0 and f0 = rhs(t0, x0): e, the step's term of the
+    dense output (_hermite), is a list of floats, and stats, a SolverStats,
+    counts the right-hand-side calls made here and the steps."""
+    return _rendered(len(x0))(rhs, x0, f0, t0, t1, opts, stats, postprocess)
 
 
 def _trajectory(times, states, derivs, status, stats, quartic, cut=None) -> Trajectory:
@@ -396,6 +394,8 @@ def integrate(
     if event is not None and direction not in (+1, -1):
         raise ValueError("direction must be +1 (upward) or -1 (downward)")
     x0 = np.array(x0, dtype=float)
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError(f"x0 must be a non-empty 1-d vector, got shape {x0.shape}")
     times = [t0]
     states = [x0]
     derivs = [np.asarray(rhs(t0, x0), dtype=float)]

@@ -118,12 +118,15 @@ def test_a_plain_wrapper_gives_the_same_trajectory_bitwise():
     assert _bits(runs[0]) == _bits(runs[1])
 
 
-def test_twelve_component_array_rhs_matches_its_closed_form(monkeypatch):
-    # six decaying rotations, dx/dt = A x, with no float form: the state has
-    # more than 8 components, so the error norm takes its NumPy branch
-    rates = np.linspace(0.1, 0.6, 6)
-    freqs = np.linspace(0.5, 3.0, 6)
-    A = np.zeros((12, 12))
+@pytest.mark.parametrize("n", [2, 10, 12, 50])
+def test_array_rhs_matches_its_closed_form(monkeypatch, n):
+    # n / 2 decaying rotations, dx/dt = A x, with no float form: each size
+    # runs its own rendered step loop, whose per-component names (k1_0 to
+    # k1_49 at n = 50) must not shadow the loop's own
+    blocks = n // 2
+    rates = np.linspace(0.1, 0.6, blocks)
+    freqs = np.linspace(0.5, 3.0, blocks)
+    A = np.zeros((n, n))
     for k, (a, w) in enumerate(zip(rates, freqs)):
         A[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = [[-a, w], [-w, -a]]
 
@@ -138,13 +141,13 @@ def test_twelve_component_array_rhs_matches_its_closed_form(monkeypatch):
         return norm(err, *args)
 
     monkeypatch.setattr(integrators, "_error_norm", recorded)
-    x0 = np.linspace(-1.0, 1.0, 12)
+    x0 = np.linspace(-1.0, 1.0, n)
     opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-14)
     traj = sf.integrate(rhs, x0, 0.0, 5.0, opts)
     assert not hasattr(rhs, "floats")
-    assert set(sizes) == {12}
+    assert set(sizes) == {n}
     for t, x in zip(traj.times[::7], traj.states[::7]):
-        want = np.empty(12)
+        want = np.empty(n)
         for k, (a, w) in enumerate(zip(rates, freqs)):
             p, q = x0[2 * k: 2 * k + 2]
             c, s = math.cos(w * t), math.sin(w * t)

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import traceback
 import warnings
 
 import numpy as np
@@ -582,6 +584,44 @@ def test_non_finite_state_or_rhs_ends_in_step_failure():
                 sf.integrate(rhs, [0.0, 0.0], 0.0, 1.0, opts, postprocess=post)
         assert exc.value.trajectory.status == "step_failure"
         assert exc.value.trajectory.t_end <= 0.5 + 0.05
+
+
+@pytest.mark.parametrize("x0", [1.0, [], [[1.0, 2.0]]], ids=["scalar", "empty", "row"])
+def test_malformed_start_state_is_a_value_error_naming_its_shape(x0):
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return -x
+
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(x0)}")):
+        sf.integrate(rhs, x0, 0.0, 1.0)
+    assert calls == []
+
+
+def test_step_loop_is_rendered_once_per_state_size(monkeypatch):
+    from singularflow import integrators
+
+    decay = lambda t, x: -x
+    before = integrators._rendered.cache_info()
+    for _ in range(2):
+        sf.integrate(decay, np.ones(7), 0.0, 1.0)
+    after = integrators._rendered.cache_info()
+    assert after.misses - before.misses <= 1 and after.hits > before.hits
+    assert integrators._rendered(7) is integrators._rendered(7)
+
+    # a failure inside the rendered loop shows the rendered line
+    monkeypatch.setattr(integrators, "_MAX_STEPS", 5)
+    x0 = np.ones(3)
+    steps = integrators._stepper(decay, x0, decay(0.0, x0), 0.0, 100.0,
+                                 sf.IntegrationOptions(), sf.SolverStats())
+    with pytest.raises(sf.StepFailure, match="after 5 attempted steps") as exc:
+        for _ in steps:
+            pass
+    frame = traceback.extract_tb(exc.tb)[-1]
+    assert frame.filename == "<singularflow stepper, n = 3>"
+    assert frame.line.startswith("raise StepFailure(")
+    assert frame.line in "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
 
 
 def test_step_cap_ends_every_run(monkeypatch):
