@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import NotUnitVector, OriginEvaluation, UnknownField
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _Sphere, _with_floats,
-    integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _rendered, _Sphere,
+    _with_floats, integrate,
 )
 
 # The smallest |x| at which the ideal field is evaluated: below it r**alpha
@@ -81,27 +81,32 @@ def _checked_unit(y, d):
     return y / n
 
 
-def _ideal_kernel(field: SingularField):
-    """The ideal field's float kernel (x, r) -> r^alpha F(x/r).
-
-    x is a list of Python floats and r = |x| > 0 as the caller took it,
-    math.hypot(*x); F runs through its float form.  This is the package's
-    one evaluation of the formula: eval_field, integrate_ideal, the outer
-    branch of the regularized field and the ideal term of the polynomial
-    blend all call it.  It checks nothing, so the blend evaluates it at any
-    rho > 0; r^alpha past the float range is inf, as in NumPy.
-    """
-    alpha = field.alpha
-    smap = _float_form(field.sphere_map)
-
+_IDEAL_TEMPLATE = '''\
+def ideal_kernel(alpha, smap):
     def ideal(x, r):
         try:
             scale = r**alpha
         except OverflowError:
             scale = math.inf
-        return [scale * f for f in smap([v / r for v in x])]
-
+        {x_}, = x
+        {f_}, = smap([{x_ / r}])
+        return [{scale * f_}]
     return ideal
+'''
+
+
+def _ideal_kernel(field: SingularField):
+    """The ideal field's float kernel (x, r) -> r^alpha F(x/r).
+
+    x is a list of Python floats and r = |x| > 0 as the caller took it,
+    math.hypot(*x); F runs through its float form.  This is the package's
+    one evaluation of the formula, _IDEAL_TEMPLATE rendered once per
+    dimension: eval_field, integrate_ideal, the outer branch of the
+    regularized field and the ideal term of the polynomial blend all call
+    it.  It checks nothing, so the blend evaluates it at any rho > 0;
+    r^alpha past the float range is inf, as in NumPy.
+    """
+    return _rendered(_IDEAL_TEMPLATE, field.dimension)(field.alpha, _float_form(field.sphere_map))
 
 
 def _checked_radius(r: float) -> float:

@@ -4,12 +4,12 @@ A hand-rolled Dormand-Prince 5(4) embedded pair drives everything in this
 package: it keeps the trajectories bitwise deterministic, and its dense
 output between accepted steps is the pair's own order-4 continuous
 extension, written as the cubic Hermite of the step's ends plus one term
-per step.  Its step loop is rendered once per state size, one Python float
-per component: on the package's states of 2 to 5 components a list
-comprehension per stage costs more than its arithmetic.  Event crossings
-are located by bisection on that dense output.  Blowup times are recovered
-from trajectory tails through the exact linearity of r^(1-alpha) in t on
-the self-similar collapse.
+per step.  Its step loop, like the package's float kernels, is rendered
+once per state size (_rendered), one Python float per component: on states
+of 2 to 5 components a list comprehension costs more than its arithmetic.
+Event crossings are located by bisection on that dense output.  Blowup
+times are recovered from trajectory tails through the exact linearity of
+r^(1-alpha) in t on the self-similar collapse.
 """
 
 from __future__ import annotations
@@ -304,21 +304,29 @@ _COMPONENT_NAME = re.compile(r"\b([a-z][a-z0-9]*_)(?!\w)")
 
 
 @functools.cache
-def _rendered(n):
-    """_STEPPER_TEMPLATE for n components, each a Python float of its own:
-    a name ending in "_" is one component, and each {expr} renders as expr
-    at components 0 to n - 1, comma-separated ([{y_ + h * k1_}] as
-    [y_0 + h * k1_0, y_1 + h * k1_1] at n = 2), so every sum keeps the
-    tableau's order.  It is compiled in this module's globals, where it
-    reads _MAX_STEPS and _error_norm as they are when it runs; linecache
-    holds its source for tracebacks."""
-    source = _PER_COMPONENT.sub(lambda m: ", ".join(
-        _COMPONENT_NAME.sub(rf"\g<1>{i}", m[1].strip()) for i in range(n)), _STEPPER_TEMPLATE)
-    filename = f"<singularflow stepper, n = {n}>"
+def _rendered(template, n):
+    """The function template defines, for n components, each a Python float
+    of its own: a name ending in "_" is one component, and each {expr}
+    renders as expr at components 0 to n - 1, comma-separated ([{y_ + k_}]
+    as [y_0 + k_0, y_1 + k_1] at n = 2), or "+"-joined if it starts with "+"
+    ({+ y_} as y_0 + y_1), so every sum keeps its written order.  It is
+    compiled on first use in this module's globals, where the stepper reads
+    _MAX_STEPS and _error_norm as they are when it runs; linecache holds its
+    source for tracebacks."""
+
+    def unrolled(m):
+        expr, sep = m[1].strip(), ", "
+        if expr.startswith("+"):
+            expr, sep = expr[1:].lstrip(), " + "
+        return sep.join(_COMPONENT_NAME.sub(rf"\g<1>{i}", expr) for i in range(n))
+
+    source = _PER_COMPONENT.sub(unrolled, template)
+    name = re.match(r"def (\w+)", template)[1]
+    filename = f"<singularflow {name}, n = {n}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["stepper"]
+    return namespace[name]
 
 
 def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
@@ -326,7 +334,7 @@ def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
     from the 1-d arrays x0 and f0 = rhs(t0, x0): e, the step's term of the
     dense output (_hermite), is a list of floats, and stats, a SolverStats,
     counts the right-hand-side calls made here and the steps."""
-    return _rendered(len(x0))(rhs, x0, f0, t0, t1, opts, stats, postprocess)
+    return _rendered(_STEPPER_TEMPLATE, len(x0))(rhs, x0, f0, t0, t1, opts, stats, postprocess)
 
 
 def _trajectory(times, states, derivs, status, stats, quartic, cut=None) -> Trajectory:
@@ -429,10 +437,9 @@ def integrate(
             if until is not None and until(t_new, y_new, f_new, partial):
                 status = "stopped"
                 break
-    except StepFailure as exc:
-        raise StepFailure(
-            str(exc), _trajectory(times, states, derivs, "step_failure", stats, quartic)
-        ) from None
+    except StepFailure as exc:  # re-raised with its frames, down to the failing line
+        exc.trajectory = _trajectory(times, states, derivs, "step_failure", stats, quartic)
+        raise
     return _trajectory(times, states, derivs, status, stats, quartic, cut)
 
 
@@ -576,18 +583,29 @@ class _Sphere:
         h f_n and e are combinations of the hull points), of their norms
         (d + 2 more), and of the hull computed here, for any dimension d.
         """
-        tp, yp, fp, tn, yn, fn, e = step
-        ends = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), _floats(e)
-        hull = list(zip(*map(_bezier, [tn - tp] * len(yp), *ends)))  # five points
-        r = self.radius
-        margin = 128 * (len(yp) + 2) * _EPS * (sum(abs(v) for p in hull for v in p) + r)
-        if g_prev < 0.0:
-            return max(math.hypot(*p) for p in hull) + margin < r
-        if g_prev > 0.0:
-            c = [0.5 * (a + b) for a, b in zip(hull[0], hull[4])]
-            spread = max(math.hypot(*(a - b for a, b in zip(p, c))) for p in hull)
-            return math.hypot(*c) - spread - margin > r
-        return False
+        return _rendered(_SPHERE_TEMPLATE, len(step[1]))(self.radius, g_prev, step)
+
+
+# _Sphere.clear_of's body, rendered for each state size; p0_ to p4_ is the hull
+_SPHERE_TEMPLATE = '''\
+def sphere_clear_of(r, g_prev, step):
+    tp, yp, fp, tn, yn, fn, e = step
+    h = tn - tp
+    {a_}, {fa_}, {b_}, {fb_}, = *yp.tolist(), *fp.tolist(), *yn.tolist(), *fn.tolist()
+    {c_}, = _floats(e)
+    {(p0_, p1_, p2_, p3_, p4_)}, = {_bezier(h, a_, fa_, b_, fb_, c_)},
+    l1 = sum(({abs(p0_)}, {abs(p1_)}, {abs(p2_)}, {abs(p3_)}, {abs(p4_)}))  # point by point
+    margin = 128 * (len(yp) + 2) * _EPS * (l1 + r)
+    if g_prev < 0.0:
+        return max(math.hypot({p0_}), math.hypot({p1_}), math.hypot({p2_}), math.hypot({p3_}),
+                   math.hypot({p4_})) + margin < r
+    if g_prev > 0.0:
+        {m_}, = {0.5 * (p0_ + p4_)},
+        spread = max(math.hypot({p0_ - m_}), math.hypot({p1_ - m_}), math.hypot({p2_ - m_}),
+                     math.hypot({p3_ - m_}), math.hypot({p4_ - m_}))
+        return math.hypot({m_}) - spread - margin > r
+    return False
+'''
 
 
 class _Level:

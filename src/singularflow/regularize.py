@@ -10,7 +10,6 @@ sgn(x)|x|^alpha prototype.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +18,8 @@ import numpy as np
 from .errors import SingularBlend
 from .fields import SingularField, _checked_radius, _ideal_kernel, eval_field
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _with_floats, integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _rendered, _with_floats,
+    integrate,
 )
 
 # check_smoothness's probe directions, difference step as a fraction of nu,
@@ -48,6 +48,21 @@ class RegularizedField:
             raise ValueError("nu must be positive")
 
 
+_BLEND_TEMPLATE = '''\
+def blend_inner_map(ideal, core, weight):
+    def inner(X):
+        {x_}, = X
+        rho = math.hypot({x_})
+        if rho == 0.0:
+            return list(core(X))
+        w = weight(rho)
+        rest = 1.0 - w
+        {f_}, {g_}, = *ideal(X, rho), *core(X)
+        return [{w * f_ + rest * g_}]
+    return inner
+'''
+
+
 def _blend_inner_map(base: SingularField, core):
     """The inner map xi(rho) f(X) + (1 - xi(rho)) core(X) of a blend, with f
     the ideal field's kernel (fields._ideal_kernel) at rho = math.hypot(*X),
@@ -63,16 +78,7 @@ def _blend_inner_map(base: SingularField, core):
         raise SingularBlend(
             f"polynomial blend needs alpha > -2 (got {alpha}); supply a custom inner_map"
         )
-    ideal = _ideal_kernel(base)
-
-    def inner(X):
-        rho = math.hypot(*X)
-        if rho == 0.0:
-            return list(core(X))
-        w = blend_weight(rho)
-        rest = 1.0 - w
-        return [w * f + rest * g for f, g in zip(ideal(X, rho), core(X))]
-
+    inner = _rendered(_BLEND_TEMPLATE, base.dimension)(_ideal_kernel(base), core, blend_weight)
     return _with_floats(inner)
 
 
@@ -110,27 +116,32 @@ def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
     return regularized_rhs(rf)(0.0, x)
 
 
+_RHS_TEMPLATE = '''\
+def regularized_rhs(nu, ideal, checked_radius, inner_map, inner_scale):
+    def rhs(_t, x):
+        {x_}, = x
+        r = math.hypot({x_})
+        if r > nu:
+            return ideal(x, checked_radius(r))
+        {g_}, = inner_map([{x_ / nu}])
+        return [{inner_scale * g_}]
+    return rhs
+'''
+
+
 def regularized_rhs(rf: RegularizedField):
     """The right-hand side (t, x) -> patched field at x, built once per rf.
 
     With r = math.hypot(*x), it is the ideal field's kernel
     (fields._ideal_kernel) for r > nu, eval_field bit for bit, which raises
     OriginEvaluation for an infinite state; a NaN state takes the inner
-    branch.  It is written once, on lists of Python floats, and exposed as
-    its .floats attribute (see integrate); the inner map runs through its
-    float form when it has one.
+    branch.  It is written once, on Python floats, as _RHS_TEMPLATE
+    rendered once per dimension, and exposed as its .floats attribute (see
+    integrate); the inner map runs through its float form when it has one.
     """
-    nu = float(rf.nu)
-    ideal = _ideal_kernel(rf.base)
-    inner_map = _float_form(rf.inner_map)
-    inner_scale = float(rf.nu**rf.base.alpha)
-
-    def rhs(_t, x):
-        r = math.hypot(*x)
-        if r > nu:
-            return ideal(x, _checked_radius(r))
-        return [inner_scale * g for g in inner_map([v / nu for v in x])]
-
+    rhs = _rendered(_RHS_TEMPLATE, rf.base.dimension)(
+        float(rf.nu), _ideal_kernel(rf.base), _checked_radius, _float_form(rf.inner_map),
+        float(rf.nu**rf.base.alpha))
     return _with_floats(rhs)
 
 

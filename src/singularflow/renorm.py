@@ -16,7 +16,8 @@ package's one quadrature: the cycle family's phase map reads it too
 run's physical time).
 
 renormalized_system is the single definition of this system and of its
-projection onto the sphere, and renorm_integrate is the one run of it: the
+projection onto the sphere, as one template rendered once per dimension
+(_SYSTEM_TEMPLATE), and renorm_integrate is the one run of it: the
 blowup classification here, and the cycle searches, escape excursions and
 continuation families elsewhere, are all renorm_integrate calls.  Elsewhere
 renormalized_system is only evaluated, for a speed.
@@ -41,6 +42,7 @@ from .integrators import (
     _float_form,
     _locate,
     _monomials,
+    _rendered,
     _with_floats,
     integrate,
     write_csv,
@@ -182,6 +184,25 @@ class BlowupVerdict:
         return out
 
 
+# F_r keeps its 0.0 start and its left-to-right sum
+_SYSTEM_TEMPLATE = '''\
+def renormalized_system(smap, reverse):
+    def rhs(_s, u):
+        {y_}, _ = u
+        r = math.hypot({y_})
+        {y_}, = ({y_ / r},) if r else ({math.nan},)
+        {f_}, = smap([{y_}])
+        fr = 0.0 + {+ f_ * y_}
+        return [{fr * y_ - f_}, fr] if reverse else [{f_ - fr * y_}, fr]
+
+    def project(_s, u):
+        {y_}, z = u
+        norm = math.hypot({y_})
+        return [{y_ / norm}, z] if norm else [{math.nan}, z]
+    return rhs, project
+'''
+
+
 def renormalized_system(field: SingularField, reverse: bool = False):
     """The renormalized system and its sphere projection, as (rhs, project).
 
@@ -193,36 +214,14 @@ def renormalized_system(field: SingularField, reverse: bool = False):
     and z does not feed back into it, so rhs is invariant under project, as
     integrate requires of a postprocess.
 
-    Both are written once, on lists of Python floats, and exposed as their
-    .floats attribute (see integrate); rhs and project themselves are the
-    array callables np.array(form(s, _floats(u))).  The sphere map runs
-    through its own float form when the field's map has one.
+    Both are written once, on Python floats, as _SYSTEM_TEMPLATE rendered
+    once per dimension, and exposed as their .floats attribute (see
+    integrate); rhs and project themselves are the array callables
+    np.array(form(s, _floats(u))).  The sphere map runs through its own
+    float form when the field's map has one.
     """
-    d = field.dimension
-    smap = _float_form(field.sphere_map)
-
-    def rhs(_s, u):
-        y = u[:d]
-        r = math.hypot(*y)
-        y = [v / r for v in y] if r else [math.nan] * d
-        F = smap(y)
-        fr = 0.0
-        for p, q in zip(F, y):
-            fr += p * q
-        if reverse:
-            dy = [fr * q - p for p, q in zip(F, y)]
-        else:
-            dy = [p - fr * q for p, q in zip(F, y)]
-        dy.append(fr)
-        return dy
-
-    def project(_s, u):
-        y = u[:d]
-        norm = math.hypot(*y)
-        out = [v / norm for v in y] if norm else [math.nan] * d
-        out.append(u[d])
-        return out
-
+    rhs, project = _rendered(_SYSTEM_TEMPLATE, field.dimension)(
+        _float_form(field.sphere_map), reverse)
     return _with_floats(rhs), _with_floats(project)
 
 

@@ -1,7 +1,11 @@
 """The float forms of the kernels, the array forms that wrap them, and the
 solver counters of the float-native stepper."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,3 +285,255 @@ def test_blend_evaluates_below_the_ideal_fields_overflow_guard():
         assert 0.0 < math.hypot(*X) < sf.fields.OVERFLOW_GUARD
         assert inner.floats(X) == [1.0, -2.0]
         assert np.array_equal(inner(np.array(X)), [1.0, -2.0])
+
+
+# ---------------------------------------------------------------------------
+# The rendered kernels against the list-comprehension formulas they replaced,
+# kept here as the reference: the same float operations in the same order,
+# so every output must match bit for bit, and every failure by its type
+# ---------------------------------------------------------------------------
+
+
+def ref_ideal_kernel(field):
+    alpha = field.alpha
+    smap = integrators._float_form(field.sphere_map)
+
+    def ideal(x, r):
+        try:
+            scale = r**alpha
+        except OverflowError:
+            scale = math.inf
+        return [scale * f for f in smap([v / r for v in x])]
+
+    return ideal
+
+
+def ref_renormalized_system(field, reverse):
+    d = field.dimension
+    smap = integrators._float_form(field.sphere_map)
+
+    def rhs(_s, u):
+        y = u[:d]
+        r = math.hypot(*y)
+        y = [v / r for v in y] if r else [math.nan] * d
+        F = smap(y)
+        fr = 0.0
+        for p, q in zip(F, y):
+            fr += p * q
+        if reverse:
+            dy = [fr * q - p for p, q in zip(F, y)]
+        else:
+            dy = [p - fr * q for p, q in zip(F, y)]
+        dy.append(fr)
+        return dy
+
+    def project(_s, u):
+        y = u[:d]
+        norm = math.hypot(*y)
+        out = [v / norm for v in y] if norm else [math.nan] * d
+        out.append(u[d])
+        return out
+
+    return rhs, project
+
+
+def ref_blend_inner_map(base, core):
+    ideal = ref_ideal_kernel(base)
+
+    def inner(X):
+        rho = math.hypot(*X)
+        if rho == 0.0:
+            return list(core(X))
+        w = sf.regularize.blend_weight(rho)
+        rest = 1.0 - w
+        return [w * f + rest * g for f, g in zip(ideal(X, rho), core(X))]
+
+    return inner
+
+
+def ref_regularized_rhs(base, nu, inner_map):
+    ideal = ref_ideal_kernel(base)
+    inner_scale = float(nu**base.alpha)
+
+    def rhs(_t, x):
+        r = math.hypot(*x)
+        if r > nu:
+            return ideal(x, sf.fields._checked_radius(r))
+        return [inner_scale * g for g in inner_map([v / nu for v in x])]
+
+    return rhs
+
+
+def ref_hull(step, r):
+    """The five Bezier points of a step and the prefilter's margin at radius r."""
+    tp, yp, fp, tn, yn, fn, e = step
+    ends = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), integrators._floats(e)
+    hull = list(zip(*map(integrators._bezier, [tn - tp] * len(yp), *ends)))
+    margin = 128 * (len(yp) + 2) * integrators._EPS * (sum(abs(v) for p in hull for v in p) + r)
+    return hull, margin
+
+
+def ref_sphere_clear_of(r, g_prev, step):
+    hull, margin = ref_hull(step, r)
+    if g_prev < 0.0:
+        return max(math.hypot(*p) for p in hull) + margin < r
+    if g_prev > 0.0:
+        c = [0.5 * (a + b) for a, b in zip(hull[0], hull[4])]
+        spread = max(math.hypot(*(a - b for a, b in zip(p, c))) for p in hull)
+        return math.hypot(*c) - spread - margin > r
+    return False
+
+
+def _cyclic_floats(y):
+    d = len(y)
+    return [y[(i + 1) % d] - 0.5 * y[i] * y[i - 1] + 0.25 * y[i] * y[i] for i in range(d)]
+
+
+def _cyclic_array(y):  # the same map on arrays, with no float form
+    return np.roll(y, -1) - 0.5 * y * np.roll(y, 1) + 0.25 * y * y
+
+
+def oracle_fields():
+    """Fields at d = 1 to 5: the built-ins, a map with a float form at
+    d = 4 and 5, maps with none at d = 1 to 5, and a null map."""
+    out = all_builtins()
+    out += [sf.SingularField(d, -0.4, integrators._with_floats(_cyclic_floats), name=f"cyclic{d}")
+            for d in (4, 5)]
+    out += [sf.SingularField(d, 0.2, _cyclic_array, name=f"arrays{d}") for d in range(1, 6)]
+    # F = -0.0 y: every term of F_r is -0.0, and only its 0.0 start makes it 0.0
+    zero = integrators._with_floats(lambda y: [-0.0 * v for v in y])
+    out.append(sf.SingularField(2, 0.5, zero, name="zero2"))
+    return out
+
+
+def outcome(fn, *args):
+    """The output's bytes, or the type of what it raised."""
+    try:
+        return np.array(fn(*args), dtype=float).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
+        return type(exc)
+
+
+def special_points(d):
+    """r = 0, signed zeros, NaN and +-inf states of d components."""
+    one = [1.0] + [0.0] * (d - 1)
+    return [
+        [0.0] * d, [-0.0] * d, [-0.0] + [0.0] * (d - 1), [-v for v in one], one[::-1],
+        [-0.0] + [0.6] * (d - 1) if d > 1 else [-1.0],
+        [math.nan] + [0.5] * (d - 1), [0.5] * (d - 1) + [math.nan],
+        [math.inf] + [0.5] * (d - 1), [0.5] * (d - 1) + [-math.inf], [math.inf] * d,
+        [5e-324] * d, [1e-310] + [0.0] * (d - 1), [-3e-305] + [2e-306] * (d - 1),
+    ]
+
+
+def random_points(rng, d, count, scales):
+    return [(s * rng.standard_normal(d)).tolist() for s in scales for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", oracle_fields(), ids=lambda f: f.name)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_rendered_renormalized_system_is_the_reference_bitwise(field, reverse):
+    d = field.dimension
+    rhs, project = (form.floats for form in renormalized_system(field, reverse))
+    ref_rhs, ref_project = ref_renormalized_system(field, reverse)
+    rng = np.random.default_rng(20 + d)
+    points = random_points(rng, d, 60, (1.0, 1e-3, 3.7, 1e3)) + special_points(d)
+    with np.errstate(all="ignore"):
+        for y in points:
+            for z in (0.25, -0.0, math.nan):
+                u = y + [z]
+                assert outcome(rhs, 0.1, u) == outcome(ref_rhs, 0.1, u), u
+                assert outcome(project, 0.1, u) == outcome(ref_project, 0.1, u), u
+
+
+@pytest.mark.parametrize("field", oracle_fields(), ids=lambda f: f.name)
+def test_rendered_ideal_kernel_is_the_reference_bitwise(field):
+    d = field.dimension
+    rng = np.random.default_rng(30 + d)
+    points = random_points(rng, d, 100, (1.0, 1e-3, 1e3)) + special_points(d)
+    # alpha = -1.5 overflows r^alpha at the smallest radii
+    for f in (field, dataclasses.replace(field, alpha=-1.5)):
+        ideal, ref = sf.fields._ideal_kernel(f), ref_ideal_kernel(f)
+        with np.errstate(all="ignore"):
+            for x in points:
+                r = math.hypot(*x)
+                assert outcome(ideal, x, r) == outcome(ref, x, r), (x, r)
+        assert outcome(ideal, [5e-324] * d, 5e-324) == outcome(ref, [5e-324] * d, 5e-324)
+
+
+@pytest.mark.parametrize("field", oracle_fields(), ids=lambda f: f.name)
+def test_rendered_blend_and_regularized_field_are_the_reference_bitwise(field):
+    from singularflow.regularize import _blend_inner_map
+
+    d = field.dimension
+    rng = np.random.default_rng(40 + d)
+    g0 = rng.standard_normal(d).tolist()
+    cores = [lambda _X: g0]
+    if d == 1:  # the presets' affine cores
+        cores += [lambda X: [0.5 * (1.0 + X[0])], lambda X: [(1.0 - 8.0 * X[0]) / 6.0]]
+    for core in cores:
+        inner, ref_inner = _blend_inner_map(field, core).floats, ref_blend_inner_map(field, core)
+        points = random_points(rng, d, 100, (0.3, 1.0, 3.0)) + special_points(d)
+        with np.errstate(all="ignore"):
+            for X in points:
+                assert outcome(inner, X) == outcome(ref_inner, X), X
+        for nu in (0.1, 1.0):
+            rf = sf.RegularizedField(field, nu, integrators._with_floats(inner))
+            rhs = regularized_rhs(rf).floats
+            ref = ref_regularized_rhs(field, nu, ref_inner)
+            with np.errstate(all="ignore"):
+                for x in points:
+                    x = [nu * v for v in x]
+                    assert outcome(rhs, 0.0, x) == outcome(ref, 0.0, x), (nu, x)
+
+
+def test_rendered_sphere_prefilter_is_the_reference():
+    rng = np.random.default_rng(50)
+    answers = set()
+    for _ in range(1000):
+        d = 1 + int(rng.integers(5))
+        yp, fp, yn, fn = rng.standard_normal((4, d))
+        e = rng.standard_normal(d) * rng.choice([0.0, 1e-6, 1e-2])
+        if rng.random() < 0.5:
+            e = e.tolist()  # as the stepper yields it
+        tp = float(rng.uniform(-2.0, 2.0))
+        step = (tp, yp, fp, tp + float(rng.uniform(1e-4, 0.5)), yn, fn, e)
+        # radii across the hull, and within a margin of its inner and outer
+        # bounds, where only the margin decides
+        hull, margin = ref_hull(step, 0.0)
+        c = [0.5 * (a + b) for a, b in zip(hull[0], hull[4])]
+        inner = math.hypot(*c) - max(math.hypot(*(a - b for a, b in zip(p, c))) for p in hull)
+        outer = max(math.hypot(*p) for p in hull)
+        radii = [float(np.linalg.norm(yp)) * k for k in (0.2, 0.9, 1.0, 1.1, 5.0)]
+        radii += [bound + k * margin for bound in (inner, outer) for k in (-1.1, -0.9, 0.9, 1.1)]
+        for radius in radii:
+            sphere = integrators._Sphere(radius)
+            for g_prev in (sphere(tp, yp), -1.0, 0.0, 1.0, math.nan):
+                got = sphere.clear_of(g_prev, step)
+                assert got is ref_sphere_clear_of(radius, g_prev, step)
+                answers.add((g_prev > 0.0, got))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_each_template_is_rendered_once_per_size():
+    # in a fresh interpreter: importing the package renders nothing, the
+    # first classify_blowup run renders the stepper (3 components) and the
+    # renormalized system (dimension 2), and the second renders nothing
+    code = (
+        "import singularflow as sf, singularflow.cli\n"
+        "from singularflow import integrators\n"
+        "print(integrators._rendered.cache_info())\n"
+        "field = sf.builtin_field('saddle2d', 1 / 3)\n"
+        "for y0 in ([-1.0, 0.0], [0.6, 0.8]):\n"
+        "    sf.classify_blowup(field, y0, s_budget=64.0)\n"
+        "    print(integrators._rendered.cache_info())\n"
+    )
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = proc.stdout.splitlines()
+    assert at_import == "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)"
+    assert first == "CacheInfo(hits=0, misses=2, maxsize=None, currsize=2)"
+    assert second == "CacheInfo(hits=2, misses=2, maxsize=None, currsize=2)"

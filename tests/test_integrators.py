@@ -599,6 +599,14 @@ def test_malformed_start_state_is_a_value_error_naming_its_shape(x0):
     assert calls == []
 
 
+def _ends_at_rendered_line(exc, filename, start):
+    """The traceback's last frame is the rendered line, shown as source."""
+    frame = traceback.extract_tb(exc.tb)[-1]
+    assert frame.filename == filename
+    assert frame.line.startswith(start)
+    assert frame.line in "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
+
+
 def test_step_loop_is_rendered_once_per_state_size(monkeypatch):
     from singularflow import integrators
 
@@ -608,9 +616,11 @@ def test_step_loop_is_rendered_once_per_state_size(monkeypatch):
         sf.integrate(decay, np.ones(7), 0.0, 1.0)
     after = integrators._rendered.cache_info()
     assert after.misses - before.misses <= 1 and after.hits > before.hits
-    assert integrators._rendered(7) is integrators._rendered(7)
+    template = integrators._STEPPER_TEMPLATE
+    assert integrators._rendered(template, 7) is integrators._rendered(template, 7)
 
-    # a failure inside the rendered loop shows the rendered line
+    # a failure inside the rendered loop shows the rendered line, also when
+    # it is raised through integrate, which adds the partial trajectory
     monkeypatch.setattr(integrators, "_MAX_STEPS", 5)
     x0 = np.ones(3)
     steps = integrators._stepper(decay, x0, decay(0.0, x0), 0.0, 100.0,
@@ -618,10 +628,20 @@ def test_step_loop_is_rendered_once_per_state_size(monkeypatch):
     with pytest.raises(sf.StepFailure, match="after 5 attempted steps") as exc:
         for _ in steps:
             pass
-    frame = traceback.extract_tb(exc.tb)[-1]
-    assert frame.filename == "<singularflow stepper, n = 3>"
-    assert frame.line.startswith("raise StepFailure(")
-    assert frame.line in "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
+    _ends_at_rendered_line(exc, "<singularflow stepper, n = 3>", "raise StepFailure(")
+    with pytest.raises(sf.StepFailure, match="after 5 attempted steps") as exc:
+        sf.integrate(decay, x0, 0.0, 100.0)
+    assert exc.value.trajectory.status == "step_failure"
+    _ends_at_rendered_line(exc, "<singularflow stepper, n = 3>", "raise StepFailure(")
+
+    # so does an exception raised inside a rendered kernel: a sphere map of
+    # the wrong size fails where the ideal field unpacks it
+    from singularflow.integrators import _with_floats
+
+    short = sf.SingularField(2, ALPHA, _with_floats(lambda y: [y[0]]))
+    with pytest.raises(ValueError, match="not enough values to unpack") as exc:
+        sf.integrate_ideal(short, [1.0, 0.5], 0.0, 1.0)
+    _ends_at_rendered_line(exc, "<singularflow ideal_kernel, n = 2>", "f_0, f_1, = smap(")
 
 
 def test_step_cap_ends_every_run(monkeypatch):
