@@ -9,7 +9,9 @@ Prints one line "<name> <sha256>" per artifact:
   output digest, as `<workload>/s<seed>/<label>`;
 * each built-in field's `catalog_attractors` at alpha = 1/3, hashed from the
   JSON of its attractors' `to_dict()`, exponents included, as
-  `catalog/<field>`.
+  `catalog/<field>`;
+* each `reproduce` bundle (`singularflow.figures`), hashed from its files'
+  sorted names and bytes, as `reproduce/<figure>`.
 
 DIR (default: the checkout this script is in) is the tree whose `src/` and
 `perfbench/` are run, so the same script can hash two trees, such as a
@@ -41,7 +43,8 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"  # as the benchmark runs
 
 SEEDS = (1, 2, 3)
-MODULES = ("fields", "integrators", "renorm", "attractors", "regularize", "continuation", "cli")
+MODULES = ("fields", "integrators", "renorm", "attractors", "regularize", "continuation", "cli",
+           "figures")
 ALPHA = 1.0 / 3.0
 
 
@@ -70,6 +73,19 @@ def catalog_digests(mods):
         yield f"catalog/{name}", sha(json.dumps(catalog))
 
 
+def bundle_digests(mods):
+    figures = mods["figures"]
+    for figure in figures.FIGURE_IDS:
+        digest = hashlib.sha256()
+        with tempfile.TemporaryDirectory() as outdir:
+            figures.reproduce(figure, outdir)
+            for name in sorted(os.listdir(outdir)):
+                data = Path(outdir, name).read_bytes()
+                # name and length first, so no two bundles hash the same stream
+                digest.update(f"{name}\0{len(data)}\0".encode() + data)
+        yield f"reproduce/{figure}", digest.hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -84,7 +100,7 @@ def main(argv=None):
         return 2
     workloads = importlib.import_module("workloads")
     for name, digest in itertools.chain(operation_digests(workloads, mods),
-                                        catalog_digests(mods)):
+                                        catalog_digests(mods), bundle_digests(mods)):
         print(name, digest, flush=True)
     return 0
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, _dense_max, _Level, _Sphere, integrate
+    DEFAULT_OPTIONS, IntegrationOptions, _dense_max, _Level, _Plane, _Sphere, integrate
 )
 from .regularize import RegularizedField, regularized_rhs
 from .renorm import renorm_integrate, renormalized_system
@@ -354,11 +354,7 @@ def find_limit_cycle(
     speed = np.linalg.norm(v0)
     if speed < 1e-7:
         raise LimitCycleNotFound("orbit converges to a fixed point")
-    normal = v0 / speed
-
-    def section(_s, u):
-        return float(normal @ (u[:d] - p0))
-
+    section = _Plane(v0 / speed, p0)
     sec_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-11), atol=min(opts.atol, 1e-13))
     y_here, z_here = p0, 0.0
     for _ in range(_MAX_RETURNS):
@@ -559,10 +555,11 @@ class _SinkWatch:
 
     Every _SINK_POLL accepted steps it reads the speed |f| off the
     derivative the run hands it at the accepted state, at no right-hand-side
-    call; a speed below _SINK_SPEED (never a NaN or inf one) runs
-    _interior_sink from that state.  certificate is the sink's once the run
-    has stopped on it.  rhs_calls counts the right-hand-side calls of the
-    sink searches, which charge adds to the stats of the watched run.
+    call, and only then arrays of it and the state; a speed below
+    _SINK_SPEED (never NaN or inf) runs _interior_sink from there.  The
+    certificate is the sink's once the run has stopped on it; rhs_calls
+    counts the sink searches' right-hand-side calls, which charge adds to
+    the stats of the watched run.
     """
 
     def __init__(self, rhs):
@@ -580,9 +577,10 @@ class _SinkWatch:
         self.steps += 1
         if self.steps % _SINK_POLL:
             return False
+        f = np.array(f)
         if not math.sqrt(float(f.dot(f))) < _SINK_SPEED:
             return False
-        self.certificate = _interior_sink(self.rhs, x, tau)
+        self.certificate = _interior_sink(self.rhs, np.array(x), tau)
         return self.certificate is not None
 
     def charge(self, traj):
@@ -748,6 +746,6 @@ def _outside_excursion(field, y_exit, window, opts):
     else:
         half = s[-1] / 2
         out["z_end"] = float(z[-1])
-        out["mean_tail"] = float((z[-1] - float(rt.run.sample(half)[d])) / (s[-1] - half))
+        out["mean_tail"] = float((z[-1] - float(rt.run.sample(half, d))) / (s[-1] - half))
         out["z_min_tail"] = float(np.min(z[s >= half]))
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -200,6 +201,7 @@ def cmd_reproduce(figure_id: str, outdir: str, quiet: bool) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="singular-flow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

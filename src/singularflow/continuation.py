@@ -112,7 +112,7 @@ class ContinuationFamily:
         tb = self._tables
         rt = tb["run"]
         s_red, shift = self._on_run(s)
-        return rt.run.sample(s_red)[:, rt.dimension].reshape(shift.shape) + shift - tb["z_a"]
+        return rt.run.sample(s_red, rt.dimension).reshape(shift.shape) + shift - tb["z_a"]
 
     def psi(self, s):
         """log(K(s)) / (1 - alpha): log(K0 + t) / (1 - alpha) - z_a, with t
@@ -293,7 +293,7 @@ def build_cycle_family(
     run_opts = dataclasses.replace(opts, rtol=min(opts.rtol, 1e-12), atol=min(opts.atol, 1e-14))
     rt = renorm_integrate(field, start, 0.0, T, run_opts)
     s_a, _ = _dense_max(rt.run, k)
-    z_a = float(rt.run.sample(s_a)[d])
+    z_a = float(rt.run.sample(s_a, d))
     s_grid = np.linspace(0.0, T, _FAMILY_GRID + 1)
     uu = rt.run.sample(s_grid)
     closure = uu[0, :d] - uu[-1, :d]

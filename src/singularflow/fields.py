@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,6 +62,14 @@ class SingularField:
             raise ValueError("dimension must be a positive integer")
         if not self.alpha < 1.0:
             raise ValueError(f"alpha must be < 1, got {self.alpha}")
+
+    @cached_property
+    def _ideal(self):
+        """The ideal field as a right-hand side (_ideal_rhs), built once per field."""
+        return _ideal_rhs(self)
+
+    def __getstate__(self):  # the cached right-hand side is rebuilt, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_ideal"}
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ def eval_field(field: SingularField, x) -> np.ndarray:
     a non-finite |x| (an overflowed or NaN state), with a message that
     tells the two apart.
     """
-    return _ideal_rhs(field)(0.0, np.asarray(x, dtype=float))
+    return field._ideal(0.0, np.asarray(x, dtype=float))
 
 
 def integrate_ideal(field: SingularField, x0, t0: float, t1: float,
@@ -158,7 +167,7 @@ def integrate_ideal(field: SingularField, x0, t0: float, t1: float,
     """
     if not r_floor >= 0:  # NaN fails too
         raise ValueError(f"r_floor must be nonnegative, got {r_floor!r}")
-    traj = integrate(_ideal_rhs(field), x0, t0, t1, opts,
+    traj = integrate(field._ideal, x0, t0, t1, opts,
                      event=_Sphere(r_floor) if r_floor > 0 else None, direction=-1)
     return replace(traj, status="hit_radius_floor") if traj.status == "hit_event" else traj
 

@@ -127,27 +127,29 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def sample(self, t):
-        """Dense evaluation at scalar or array times within the sampled span."""
+    def sample(self, t, i=None):
+        """Dense evaluation at scalar or array times within the sampled span;
+        with i, of component i alone, bitwise sample(t)[..., i]."""
         tq, idx = _locate(self.times, t)
-        tp, h, *ends = self._steps(idx)
+        tp, h, *ends = self._steps(idx, i)
         s = np.where(h > 0, (tq - tp) / np.where(h > 0, h, 1.0), 0.0)
-        out = _hermite(s[:, None], h[:, None], *ends)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return out[0]
-        return out
+        out = _hermite(s, h, *ends) if i is not None else _hermite(s[:, None], h[:, None], *ends)
+        return out[0] if np.ndim(t) == 0 else out
 
-    def _steps(self, idx):
+    def _steps(self, idx, i=None):
         """Steps idx as the dense output takes them: (t, h, y0, f0, y1, f1, e),
-        with a cut last step's full end."""
+        with a cut last step's full end; with i, of component i alone."""
         if self.quartic is None:
             raise ValueError("this trajectory has no dense output: it holds samples only")
-        ends = [a[1:] for a in (self.times, self.states, self.derivs)]
+        col = slice(None) if i is None else i
+        states, derivs = self.states[:, col], self.derivs[:, col]
+        ends = [a[1:] for a in (self.times, states, derivs)]
         if self.cut is not None:
-            ends = [np.concatenate([a[:-1], [b]]) for a, b in zip(ends, self.cut)]
+            t, y, f = self.cut
+            ends = [np.concatenate([a[:-1], [b]]) for a, b in zip(ends, (t, y[col], f[col]))]
         t1, y1, f1 = (a[idx] for a in ends)
         tp = self.times[idx]
-        return tp, t1 - tp, self.states[idx], self.derivs[idx], y1, f1, self.quartic[idx]
+        return tp, t1 - tp, states[idx], derivs[idx], y1, f1, self.quartic[idx, col]
 
     def radii(self) -> np.ndarray:
         return np.sqrt(np.einsum("ij,ij->i", self.states, self.states))
@@ -258,7 +260,8 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
     atol, rtol, max_step = opts.atol, opts.rtol, opts.max_step
     h = min(_initial_step(f_of, t, y_arr, f_arr, atol, rtol, max_step), t1 - t)
     stats.rhs_calls += 1
-    {y_}, {k1_}, = *y_arr.tolist(), *f_arr.tolist()
+    {y_}, = y = y_arr.tolist()
+    {k1_}, = f = f_arr.tolist()
     while t < t1:
         if stats.accepted + stats.rejected == _MAX_STEPS:
             raise StepFailure("no end after %d attempted steps, at t = %r" % (_MAX_STEPS, t), None)
@@ -289,9 +292,8 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
             if h > stats.h_max:
                 stats.h_max = h
             e = [{h * (_D1 * k1_ + _D3 * k3_ + _D4 * k4_ + _D5 * k5_ + _D6 * k6_ + _D7 * k7_)}]
-            y_new_arr, f_new_arr = np.array(y_new), np.array(k7)
-            yield t, y_arr, f_arr, t_new, y_new_arr, f_new_arr, e
-            t, y_arr, f_arr = t_new, y_new_arr, f_new_arr
+            yield t, y, f, t_new, y_new, k7, e
+            t, y, f = t_new, y_new, k7
             {y_}, {k1_}, = {yn_}, {k7_},
             factor = _MAX_FACTOR if enorm == 0.0 else min(_MAX_FACTOR, _SAFETY * enorm ** -0.2)
             h *= max(_MIN_FACTOR, factor)
@@ -330,16 +332,17 @@ def _rendered(template, n):
 
 
 def _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess=None):
-    """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new, e)
-    from the 1-d arrays x0 and f0 = rhs(t0, x0): e, the step's term of the
-    dense output (_hermite), is a list of floats, and stats, a SolverStats,
-    counts the right-hand-side calls made here and the steps."""
+    """Generate accepted steps (t_prev, y_prev, f_prev, t_new, y_new, f_new, e),
+    one yield each, from the 1-d arrays x0 and f0 = rhs(t0, x0): the states,
+    derivatives and e, the step's term of the dense output (_hermite), are
+    lists of floats; stats, a SolverStats, counts the rhs calls and steps."""
     return _rendered(_STEPPER_TEMPLATE, len(x0))(rhs, x0, f0, t0, t1, opts, stats, postprocess)
 
 
-def _trajectory(times, states, derivs, status, stats, quartic, cut=None) -> Trajectory:
-    return Trajectory(np.array(times), np.array(states), np.array(derivs), status, stats=stats,
-                      quartic=np.array(quartic).reshape(-1, len(states[0])), cut=cut)
+def _trajectory(n, times, states, derivs, status, stats, quartic, cut=None) -> Trajectory:
+    # copies of the flat buffers, n floats a row, which the run can go on filling
+    states, derivs, quartic = (np.array(a).reshape(-1, n) for a in (states, derivs, quartic))
+    return Trajectory(np.array(times), states, derivs, status, stats, quartic, cut)
 
 
 def integrate(
@@ -382,7 +385,8 @@ def integrate(
     until(t, y, f, partial), where y is the accepted state at t, f the
     derivative the stepper already holds there (its FSAL stage, rhs(t, y)
     bit for bit; with a postprocess, the derivative at the state before the
-    adjustment) and partial() builds the trajectory up to t (at a cost that
+    adjustment), both lists of Python floats, and partial() builds the
+    trajectory up to t (one copy of the run's buffers, at a cost that
     grows with its length); a true result ends the run at that step with
     status stopped.  The steps taken never depend on it, so a stopped run is
     a prefix of the full one.  A crossing located on an accepted step beats
@@ -404,20 +408,19 @@ def integrate(
     x0 = np.array(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError(f"x0 must be a non-empty 1-d vector, got shape {x0.shape}")
-    times = [t0]
-    states = [x0]
-    derivs = [np.asarray(rhs(t0, x0), dtype=float)]
+    f0 = np.asarray(rhs(t0, x0), dtype=float)  # a misshapen one fails in the stepper
+    n = len(x0)  # floats per row of the run's buffers: state, derivative, quartic
+    times, states, derivs, quartic = (array("d", a) for a in ([t0], x0, f0.ravel(), ()))
     stats = SolverStats(rhs_calls=1)
     g = None if event is None else float(event(t0, x0))
     status = "completed"
-    quartic = array("d")
     cut = None
 
     def partial():
-        return _trajectory(times, states, derivs, "stopped", stats, quartic)
+        return _trajectory(n, times, states, derivs, "stopped", stats, quartic)
 
     try:
-        for step in _stepper(rhs, x0, derivs[0], t0, t1, opts, stats, postprocess):
+        for step in _stepper(rhs, x0, f0, t0, t1, opts, stats, postprocess):
             _, _, _, t_new, y_new, f_new, e = step
             quartic.extend(e)
             if event is not None:
@@ -425,22 +428,22 @@ def integrate(
                 if bracket is not None:
                     t_e, x_e = _locate_crossing(event, step, bracket)
                     times.append(t_e)
-                    states.append(x_e)
-                    derivs.append(np.asarray(rhs(t_e, x_e), dtype=float))
+                    states.extend(x_e.tolist())
+                    derivs.extend(np.asarray(rhs(t_e, x_e), dtype=float).tolist())
                     stats.rhs_calls += 1
                     status = "hit_event"
-                    cut = (t_new, y_new, f_new)
+                    cut = (t_new, np.array(y_new), np.array(f_new))
                     break
             times.append(t_new)
-            states.append(y_new)
-            derivs.append(f_new)
+            states.extend(y_new)
+            derivs.extend(f_new)
             if until is not None and until(t_new, y_new, f_new, partial):
                 status = "stopped"
                 break
     except StepFailure as exc:  # re-raised with its frames, down to the failing line
-        exc.trajectory = _trajectory(times, states, derivs, "step_failure", stats, quartic)
+        exc.trajectory = _trajectory(n, times, states, derivs, "step_failure", stats, quartic)
         raise
-    return _trajectory(times, states, derivs, status, stats, quartic, cut)
+    return _trajectory(n, times, states, derivs, status, stats, quartic, cut)
 
 
 def _hermite_weights(s):
@@ -483,8 +486,8 @@ def _monomials(traj, steps, i):
     t_k + theta h is x_k + c_1 theta + ... + c_4 theta^4, _hermite in
     monomial form.  Each row depends on its own step only.
     """
-    _, h, y0, f0, y1, f1, e = traj._steps(steps)
-    rise, hf0, hf1, e = y1[:, i] - y0[:, i], h * f0[:, i], h * f1[:, i], e[:, i]
+    _, h, y0, f0, y1, f1, e = traj._steps(steps, i)
+    rise, hf0, hf1 = y1 - y0, h * f0, h * f1
     c = (hf0, 3 * rise - 2 * hf0 - hf1 + e, -2 * rise + hf0 + hf1 - 2 * e, e)
     return h, np.stack(c, axis=1)
 
@@ -534,7 +537,7 @@ def _locate_crossing(event, step, bracket):
     ball, then starts on the side it crossed to.
     """
     tp, yp, fp, tn, yn, fn, e = step
-    y0, f0, y1, f1, e = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), _floats(e)
+    y0, f0, y1, f1, e = map(_floats, (yp, fp, yn, fn, e))
     h = tn - tp
     lo, glo, hi, ghi = bracket
     y_hi = None
@@ -550,7 +553,7 @@ def _locate_crossing(event, step, bracket):
         else:
             hi, ghi, y_hi = mid, gmid, ymid
     if y_hi is None:
-        y_hi = yn if hi == tn else _hermite_point((hi - tp) / h, h, y0, f0, y1, f1, e)
+        y_hi = np.array(y1) if hi == tn else _hermite_point((hi - tp) / h, h, y0, f0, y1, f1, e)
     return hi, y_hi
 
 
@@ -591,7 +594,7 @@ _SPHERE_TEMPLATE = '''\
 def sphere_clear_of(r, g_prev, step):
     tp, yp, fp, tn, yn, fn, e = step
     h = tn - tp
-    {a_}, {fa_}, {b_}, {fb_}, = *yp.tolist(), *fp.tolist(), *yn.tolist(), *fn.tolist()
+    {a_}, {fa_}, {b_}, {fb_}, = *_floats(yp), *_floats(fp), *_floats(yn), *_floats(fn)
     {c_}, = _floats(e)
     {(p0_, p1_, p2_, p3_, p4_)}, = {_bezier(h, a_, fa_, b_, fb_, c_)},
     l1 = sum(({abs(p0_)}, {abs(p1_)}, {abs(p2_)}, {abs(p3_)}, {abs(p4_)}))  # point by point
@@ -645,6 +648,55 @@ class _Level:
         return False
 
 
+class _Plane:
+    """The event normal . (x[:k] - point), normal a unit k-vector, whose
+    crossings _scan_step can rule out per step: it is affine, so on a step's
+    dense output, a convex combination of the five Bezier points (_bezier),
+    when all five are strictly on one side, so is every subsample."""
+
+    __slots__ = ("normal", "point", "_normal", "_point")
+
+    def __init__(self, normal, point):
+        self.normal, self.point = np.asarray(normal, dtype=float), np.asarray(point, dtype=float)
+        self._normal, self._point = self.normal.tolist(), self.point.tolist()
+
+    def __call__(self, _t, x):
+        return float(self.normal @ (x[: len(self.normal)] - self.point))
+
+    def clear_of(self, g_prev, step):
+        """True when no subsample of the step can reach the plane.
+
+        g_prev must agree with the side found, as for _Sphere.clear_of.  With
+        L the 1-norm of the hull's first k components and of point, the
+        margin 128 (k + 2) eps L bounds the rounding of a subsample's value,
+        (50 + k) eps L (a dozen roundings of terms at most 4 times the
+        hull's 1-norm, then k + 2 in the difference and the dot, |normal_i|
+        <= 1), plus that of the hull's values, (33 + k) eps L.
+        """
+        return _rendered(_PLANE_TEMPLATE, len(self.normal))(self._normal, self._point, g_prev, step)
+
+
+# _Plane.clear_of's body, rendered for each k; p0_ to p4_ is the hull, g its values
+_PLANE_TEMPLATE = '''\
+def plane_clear_of(normal, point, g_prev, step):
+    tp, yp, fp, tn, yn, fn, e = step
+    h = tn - tp
+    ({a_}, *_), ({fa_}, *_), ({b_}, *_) = _floats(yp), _floats(fp), _floats(yn)
+    ({fb_}, *_), ({c_}, *_) = _floats(fn), _floats(e)
+    {(p0_, p1_, p2_, p3_, p4_)}, = {_bezier(h, a_, fa_, b_, fb_, c_)},
+    ({n_},), ({o_},) = normal, point
+    g = ({+ n_ * (p0_ - o_)}, {+ n_ * (p1_ - o_)}, {+ n_ * (p2_ - o_)}, {+ n_ * (p3_ - o_)},
+         {+ n_ * (p4_ - o_)})
+    l1 = {+ abs(p0_) + abs(p1_) + abs(p2_) + abs(p3_) + abs(p4_) + abs(o_)}
+    margin = 128 * (len(normal) + 2) * _EPS * l1
+    if g_prev < 0.0:
+        return max(g) + margin < 0.0
+    if g_prev > 0.0:
+        return min(g) - margin > 0.0
+    return False
+'''
+
+
 def _bezier(h, a, fa, b, fb, c):
     """The five Bezier points Q_j of one component's dense output on a step
     of length h from (a, fa) to (b, fb) with term c: _hermite is
@@ -669,17 +721,17 @@ def _scan_step(event, direction, g_prev, step):
     tp, yp, fp, tn, yn, fn, e = step
     clear_of = getattr(event, "clear_of", None)
     if clear_of is not None and clear_of(g_prev, step):
-        return None, event(tn, yn)
+        return None, event(tn, np.array(yn))
     h = tn - tp
     dt = h / _EVENT_SUBSAMPLES
-    y0, f0, y1, f1, e = yp.tolist(), fp.tolist(), yn.tolist(), fn.tolist(), _floats(e)
+    y0, f0, y1, f1, e = map(_floats, (yp, fp, yn, fn, e))
     ta, ga = tp, g_prev
     for k in range(1, _EVENT_SUBSAMPLES + 1):
         if k < _EVENT_SUBSAMPLES:
             tq = k * dt + tp
             yq = _hermite_point((tq - tp) / h, h, y0, f0, y1, f1, e)
         else:
-            tq, yq = tn, yn
+            tq, yq = tn, np.array(y1)
         gq = float(event(tq, yq))
         if (ga < 0.0 <= gq) if direction > 0 else (ga > 0.0 >= gq):
             return (ta, ga, tq, gq), gq

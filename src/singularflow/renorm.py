@@ -248,15 +248,15 @@ def renorm_integrate(
     direction flow (renormalized_system).
 
     until, if given, is polled after every accepted step as until(s, u, f,
-    partial), where u is the accepted state (y, z) at s, f the derivative
-    integrate hands its until and partial() builds the RenormTrajectory up
-    to s (at a cost that grows with its length); a true result ends the run
-    there, on a prefix of the full run.  event(s, u) and direction are
-    integrate's: the run ends at the first located crossing, with status
-    hit_event.  A crossing's state is the dense output's, so its y lies off
-    the sphere by the interpolant's error (up to 2.4e-12 on sphere3d
-    section returns), and a run restarted from it starts from its
-    projection, as find_limit_cycle's laps do.
+    partial), where u is the accepted state (y, z) at s and f the
+    derivative integrate hands its until, both lists of Python floats, and
+    partial() builds the RenormTrajectory up to s (at a cost that grows
+    with its length); a true result ends the run on a prefix of the full
+    run.  event(s, u) and direction are integrate's: the run ends at the
+    first located crossing, with status hit_event.  A crossing's state is
+    the dense output's, so its y lies off the sphere by the interpolant's
+    error (up to 2.4e-12 on sphere3d section returns), and a run restarted
+    from it starts from its projection, as find_limit_cycle's laps do.
     """
     y0 = np.asarray(y0, dtype=float)
     n0 = math.sqrt(float(y0 @ y0))
@@ -312,8 +312,7 @@ def _bracket(rt: RenormTrajectory, window: float, s_end: float) -> RadialAverage
     s_samples = np.unique(np.concatenate([rt.s[mask], np.linspace(lo, s_end, 513)]))
     s_samples = s_samples[s_samples > s0]
     s_half = 0.5 * (s0 + s_samples)
-    z = rt.run.sample(s_samples)[:, rt.dimension]
-    z_half = rt.run.sample(s_half)[:, rt.dimension]
+    z, z_half = np.split(rt.run.sample(np.concatenate([s_samples, s_half]), rt.dimension), 2)
     means = (z - z_half) / (s_samples - s_half)
     return RadialAverages(float(means.min()), float(means.max()), window)
 

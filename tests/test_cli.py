@@ -303,6 +303,25 @@ def test_reproduce_rejects_tol_scale(tmp_path, capsys):
     assert "--tol-scale" in capsys.readouterr().err
 
 
+def test_main_calls_in_one_process_parse_their_own_arguments(tmp_path, monkeypatch):
+    # the parser is built once per process; each call parses into a fresh
+    # namespace, so no flag of one call leaks into the next
+    from singularflow import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate",
+                        lambda cfg, outdir, quiet, scale: seen.append((outdir, quiet, scale)) or 0)
+    monkeypatch.setattr(cli, "cmd_reproduce",
+                        lambda figure, outdir, quiet: seen.append((figure, outdir, quiet)) or 0)
+    cfg = write(tmp_path, "power.cfg", POWER_CFG)
+    a, b, c = (str(tmp_path / name) for name in "abc")
+    assert main(["simulate", cfg, "--outdir", a, "--quiet", "--tol-scale", "10"]) == 0
+    assert main(["reproduce", "fig1", "--outdir", b]) == 0
+    assert main(["simulate", cfg, "--outdir", c]) == 0
+    assert seen == [(a, True, 10.0), ("fig1", b, False), (c, False, 1.0)]
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig3", "fig3b", "fig6", "fig8n"])
 def test_reproduce_all_figures(tmp_path, figure):
     out = tmp_path / figure

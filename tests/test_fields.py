@@ -128,6 +128,33 @@ def test_eval_field_is_the_formula_bitwise():
         assert np.isinf(sf.eval_field(steep, [1e-155, 0.0])).any()
 
 
+def test_eval_field_builds_its_kernel_once_per_field(monkeypatch):
+    import dataclasses
+
+    from singularflow import fields
+
+    builds = []
+    kernel = fields._ideal_kernel
+    monkeypatch.setattr(fields, "_ideal_kernel", lambda f: builds.append(f) or kernel(f))
+    field = sf.builtin_field("saddle2d", 0.25)  # a new field: no kernel built on it yet
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        x = rng.standard_normal(2)
+        want = kernel(field)(x.tolist(), math.hypot(*x))
+        assert sf.eval_field(field, x).tobytes() == np.array(want).tobytes()
+    assert builds == [field]
+    # a field replaced with another exponent is a field of its own
+    steeper = dataclasses.replace(field, alpha=-0.5)
+    assert sf.eval_field(steeper, [0.3, 0.4]).tobytes() != sf.eval_field(field, [0.3, 0.4]).tobytes()
+    assert builds == [field, steeper]
+    # the cached right-hand side is no part of a field's pickled state
+    import pickle
+
+    plain = sf.SingularField(2, 0.3, np.negative)
+    want = sf.eval_field(plain, [0.3, 0.4])
+    assert sf.eval_field(pickle.loads(pickle.dumps(plain)), [0.3, 0.4]).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
 def test_eval_field_is_the_float_kernel_bitwise(field, monkeypatch):
     # the ideal field is one float kernel: eval_field is its array form, and

@@ -537,3 +537,154 @@ def test_each_template_is_rendered_once_per_size():
     assert at_import == "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)"
     assert first == "CacheInfo(hits=0, misses=2, maxsize=None, currsize=2)"
     assert second == "CacheInfo(hits=2, misses=2, maxsize=None, currsize=2)"
+
+
+# ---------------------------------------------------------------------------
+# The float step path: lists from the stepper to the trajectory's buffers,
+# the section plane's hull prefilter and one-component dense output
+# ---------------------------------------------------------------------------
+
+
+def _left_to_right(values):
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
+
+
+def ref_plane_clear_of(normal, point, g_prev, step):
+    """_Plane.clear_of as plain loops: the hull of the first k components,
+    the plane's value at each hull point and the margin, each sum left to
+    right in the rendered order."""
+    tp, yp, fp, tn, yn, fn, e = step
+    k = len(normal)
+    ends = [integrators._floats(a)[:k] for a in (yp, fp, yn, fn, e)]
+    hull = list(zip(*map(integrators._bezier, [tn - tp] * k, *ends)))
+    g = [_left_to_right([n * (v - o) for n, v, o in zip(normal, p, point)]) for p in hull]
+    l1 = _left_to_right([abs(v) for i in range(k) for v in [p[i] for p in hull] + [point[i]]])
+    margin = 128 * (k + 2) * integrators._EPS * l1
+    if g_prev < 0.0:
+        return max(g) + margin < 0.0
+    if g_prev > 0.0:
+        return min(g) - margin > 0.0
+    return False
+
+
+def test_rendered_plane_prefilter_is_the_reference_and_the_full_scan():
+    rng = np.random.default_rng(60)
+    answers = set()
+    for _ in range(600):
+        k = 1 + int(rng.integers(4))
+        n = k + int(rng.integers(2))  # a section of (y, z) reads y alone
+        yp, fp, yn, fn = rng.standard_normal((4, n))
+        e = rng.standard_normal(n) * rng.choice([0.0, 1e-6, 1e-2])
+        if rng.random() < 0.5:  # lists, as the stepper yields them
+            yp, fp, yn, fn, e = (a.tolist() for a in (yp, fp, yn, fn, e))
+        tp = float(rng.uniform(-2.0, 2.0))
+        step = (tp, yp, fp, tp + float(rng.uniform(1e-4, 0.5)), yn, fn, e)
+        normal = rng.standard_normal(k)
+        normal /= np.linalg.norm(normal)
+        # planes across the hull, and within a few margins of its lowest and
+        # highest value, where only the margin decides
+        origin = np.zeros(k)
+        ends = [integrators._floats(a)[:k] for a in (yp, fp, yn, fn, e)]
+        hull = list(zip(*map(integrators._bezier, [step[3] - tp] * k, *ends)))
+        values = [float(normal @ np.array(p)) for p in hull]
+        margin = 128 * (k + 2) * integrators._EPS * sum(abs(v) for p in hull for v in p)
+        shifts = [0.5 * (min(values) + max(values))]
+        shifts += [bound + f * margin for bound in (min(values), max(values))
+                   for f in (-3.0, -1.1, -0.9, 0.9, 1.1, 3.0)]
+        for shift in shifts:
+            plane = integrators._Plane(normal, origin + shift * normal)
+            plain = lambda t, x, p=plane: float(p.normal @ (x[:k] - p.point))
+            for g_prev in (plane(tp, np.asarray(yp)), -1.0, 0.0, 1.0, math.nan):
+                got = plane.clear_of(g_prev, step)
+                assert got is ref_plane_clear_of(plane._normal, plane._point, g_prev, step)
+                answers.add((g_prev > 0.0, got))
+                for direction in (+1, -1):
+                    # the full scan of the plain closure finds no crossing on
+                    # a step the prefilter clears, and the same one otherwise
+                    scan = integrators._scan_step(plain, direction, g_prev, step)
+                    assert integrators._scan_step(plane, direction, g_prev, step) == scan
+                    assert scan[0] is None or not got
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("name, y0", [("sphere3d", [0.8, 0.0, 0.6]), ("spiral2d", [0.6, 0.8])])
+def test_cycle_search_is_the_same_with_a_plain_section(name, y0, monkeypatch):
+    from singularflow import attractors
+
+    field = sf.builtin_field(name, None if name == "sphere3d" else ALPHA)
+    cleared = []
+
+    class CountedPlane(integrators._Plane):
+        __slots__ = ()
+
+        def clear_of(self, g_prev, step):
+            cleared.append(super().clear_of(g_prev, step))
+            return cleared[-1]
+
+    monkeypatch.setattr(attractors, "_Plane", CountedPlane)
+    with_prefilter = attractors.find_limit_cycle(field, y0).to_dict()
+    assert len(cleared) > 50 and sum(cleared) > 0.9 * len(cleared)
+
+    def closure(normal, point):
+        d = len(normal)
+        return lambda _s, u: float(normal @ (u[:d] - point))
+
+    monkeypatch.setattr(attractors, "_Plane", closure)
+    assert attractors.find_limit_cycle(field, y0).to_dict() == with_prefilter
+
+
+def test_one_component_samples_are_the_full_samples_bitwise():
+    field = sf.builtin_field("saddle2d", ALPHA)
+    traj = sf.integrate_ideal(field, [-1.0, 0.3], 0.0, 3.0, r_floor=1e-3)
+    assert traj.status == "hit_radius_floor" and traj.cut is not None
+    rng = np.random.default_rng(70)
+    ts = np.concatenate([np.sort(rng.uniform(traj.t0, traj.t_end, 200)), traj.times,
+                         np.linspace(traj.times[-2], traj.t_end, 9)])
+    full = traj.sample(ts)
+    for i in range(2):
+        got = traj.sample(ts, i)
+        assert got.flags.c_contiguous and got.tobytes() == full[:, i].tobytes()
+        for t in (traj.t0, float(ts[17]), traj.t_end):
+            assert np.asarray(traj.sample(t, i)).tobytes() == traj.sample(t)[i].tobytes()
+
+
+def test_until_receives_lists_of_floats():
+    seen = set()
+
+    def until(t, y, f, _partial):
+        seen.add((type(y), type(f), *{type(v) for v in [t, *y, *f]}))
+        return False
+
+    field = sf.builtin_field("saddle2d", ALPHA)
+    # through an array right-hand side, a float form and a renormalized run
+    sf.integrate(lambda t, x: sf.eval_field(field, x), [-1.0, 0.3], 0.0, 1.0, until=until)
+    sf.integrate(sf.fields._ideal_rhs(field), [-1.0, 0.3], 0.0, 1.0, until=until)
+    sf.renorm_integrate(field, [0.6, 0.8], 0.0, 20.0, until=until)
+    assert seen == {(list, list, float)}
+
+
+def test_a_partial_trajectory_is_the_prefix_of_the_run_bitwise():
+    field = sf.builtin_field("sphere3d")
+    partials = []
+
+    def until(t, _y, _f, partial):
+        if len(partials) < 3 and t > 5.0 * (len(partials) + 1):
+            partials.append(partial())
+        return False
+
+    rhs, project = renormalized_system(field)
+    run = sf.integrate(rhs, [0.6, 0.0, -0.8, 0.0], 0.0, 30.0, postprocess=project, until=until)
+    assert len(partials) == 3
+    for a in (run.times, run.states, run.derivs, run.quartic):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+    for part in partials:
+        m = len(part.times)
+        assert 1 < m < len(run.times) and part.status == "stopped"
+        pairs = [(part.times, run.times[:m]), (part.states, run.states[:m]),
+                 (part.derivs, run.derivs[:m]), (part.quartic, run.quartic[: m - 1])]
+        for got, want in pairs:
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
