@@ -22,7 +22,8 @@ import numpy as np
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, _dense_max, _Level, _Plane, _Sphere, integrate
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _dense_max, _Level, _locate_crossing, _Plane,
+    _scan_step, _Sphere, integrate,
 )
 from .regularize import RegularizedField, regularized_rhs
 from .renorm import renorm_integrate, renormalized_system
@@ -551,7 +552,7 @@ def _interior_sink(rhs, x, tau):
 
 
 class _SinkWatch:
-    """The until of rescaled_escape's inside run: it stops at a certified sink.
+    """The until of rescaled_escape's inside runs and replays: it stops at a certified sink.
 
     Every _SINK_POLL accepted steps it reads the speed |f| off the
     derivative the run hands it at the accepted state, at no right-hand-side
@@ -608,6 +609,7 @@ def rescaled_escape(
     rf: RegularizedField,
     y_ent,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
+    run: Optional[Trajectory] = None,
 ) -> EscapeResult:
     """Decide whether the regularization expels or traps the blowup solution.
 
@@ -618,6 +620,12 @@ def rescaled_escape(
     in the basin of a defocusing attractor.  The rescaled system is rf at
     nu = 1, and the ideal field outside the ball is rf.base, so only rf's
     inner map and base matter, not its nu.
+
+    run, if given, is a run of rf's field at nu = r0 = |x0| from x0 at t0 on
+    y_ent's ray (inviscid_sweep's shared run).  The first inside visit is
+    read off it (_replayed_visit) through X = x / r0, tau = t_ent + (t - t0)
+    / r0^(1 - alpha), bit for bit at r0 = 1, unless max_step is finite or
+    run ends, or reaches the tau budget, before an exit or a certified sink.
 
     Trapping is certified by an interior sink: the run inside the ball
     polls its speed (_SinkWatch) and, once it is small, stops as soon as
@@ -669,23 +677,28 @@ def rescaled_escape(
         # inside phase: run until the solution exits the unit ball or
         # settles on a certified interior sink
         watch = _SinkWatch(rhs)
-        try:
-            seg = integrate(rhs, x, tau, _TAU_BUDGET, opts, until=watch, event=ball,
-                            direction=+1)
-        except StepFailure as exc:
-            watch.charge(exc.trajectory)
-            failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
-            return result("undetermined", failure, r_bound=r_max)
-        watch.charge(seg)
-        if seg.status != "hit_event":
+        replay = visits == 1 and run is not None and opts.max_step == math.inf
+        end = _replayed_visit(run, t_ent, field.alpha, ball, watch) if replay else None
+        if end is None:
+            watch = _SinkWatch(rhs)
+            try:
+                seg = integrate(rhs, x, tau, _TAU_BUDGET, opts, until=watch, event=ball,
+                                direction=+1)
+            except StepFailure as exc:
+                watch.charge(exc.trajectory)
+                failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
+                return result("undetermined", failure, r_bound=r_max)
+            watch.charge(seg)
+            end = seg.status, seg.t_end, seg.final_state
+        status, tau_x, x_x = end
+        if status != "hit_event":
             # stopped on a certified sink, or completed at the budget
             held = (
-                f"{watch.certificate};" if seg.status == "stopped"
+                f"{watch.certificate};" if status == "stopped"
                 else f"stayed in the unit ball until tau = {_TAU_BUDGET:g}"
             )
             certificate = f"{held} after {visits} visit(s); sup R = {r_max:.6g}"
             return result("trapped", certificate, r_bound=r_max)
-        tau_x, x_x = seg.t_end, seg.final_state
         # outside phase in renormalized variables: Z = 0 at the exit sphere
         y_exit = x_x / np.linalg.norm(x_x)
         out = _outside_excursion(field, y_exit, window, opts)
@@ -720,6 +733,33 @@ def rescaled_escape(
     outcome = "trapped" if r_max <= _R_BOUND_CAP and visits >= 3 else "undetermined"
     return result(outcome, f"tau budget reached after {visits} visits; sup R = {r_max:.6g}",
                   r_bound=r_max)
+
+
+def _replayed_visit(run, t_ent, alpha, ball, watch):
+    """rescaled_escape's first inside visit, read off run one step at a time:
+    (status, tau, X) at the exit or certified sink, or None if run ends or
+    reaches _TAU_BUDGET first."""
+    r0 = math.sqrt(float(run.states[0].dot(run.states[0])))
+    t0, stretch, speed = run.t0, r0 ** (1.0 - alpha), r0**alpha
+
+    def at(i):  # sample i in the probe's units, on floats
+        x, f = run.states[i].tolist(), run.derivs[i].tolist()
+        tau = t_ent + (float(run.times[i]) - t0) / stretch
+        return tau, [v / r0 for v in x], [v / speed for v in f]
+
+    end = at(0)
+    g = ball(end[0], np.array(end[1]))
+    for i in range(1, len(run.times)):
+        start, end = end, at(i)
+        if end[0] >= _TAU_BUDGET:
+            return None
+        step = (*start, *end, [v / r0 for v in run.quartic[i - 1].tolist()])
+        bracket, g = _scan_step(ball, +1, g, step)
+        if bracket is not None:
+            return ("hit_event", *_locate_crossing(ball, step, bracket))
+        if watch(*end, None):
+            return "stopped", end[0], np.array(end[1])
+    return None
 
 
 def _outside_excursion(field, y_exit, window, opts):

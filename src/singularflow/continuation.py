@@ -553,8 +553,9 @@ def inviscid_sweep(
     integrate_regularized call under opts, ending where the map sends the
     end of t_grid for the smallest nu it serves.  A failure of the shared
     run fails every nu it serves, and each error names the shared run and
-    its scale.  report.runs lists every integration made, with its solver
-    stats.
+    its scale.  The escape probe reads its first inside visit off the
+    shared run (rescaled_escape's run).  report.runs lists every
+    integration made, with its solver stats.
 
     No attractor catalog is built.  The two attractors the sweep needs are
     looked up where it meets them, each fixed point by one Newton solve on
@@ -619,6 +620,7 @@ def inviscid_sweep(
         sol[ahead] = (nu / scale) * run.sample(t[ahead])
         return sol
 
+    shared_run = None
     for indices, scale in groups:
         k_min = (scale / float(np.min(nu_values[indices]))) ** p
         t_stop = t_end * k_min + t_b * (1 - k_min)
@@ -626,6 +628,8 @@ def inviscid_sweep(
         run = _safe(_recorded)(
             runs, indices, scale, lambda: integrate_regularized(rf, x0, t0, t_stop, opts)
         )
+        if indices is shared and not isinstance(run, Exception):
+            shared_run = run
         for k in indices:
             results[k] = run if isinstance(run, Exception) else _safe(sample)(
                 run, float(nu_values[k]), scale
@@ -657,7 +661,7 @@ def inviscid_sweep(
         report.reference = "non-generic blowup direction"
         return report
 
-    esc = rescaled_escape(regularization, star.location, opts)
+    esc = rescaled_escape(regularization, star.location, opts, run=shared_run)
     report.escape = esc
     good = [k for k in range(n) if solutions[k] is not None]
     post = t_grid > t_b + 1e-12

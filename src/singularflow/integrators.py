@@ -173,11 +173,11 @@ def _locate(times, t):
 
 
 def write_csv(path, header, rows):
-    """Write a header line and rows of numbers, each to round-trip precision."""
+    """Write a header line and rows of numbers, each to round-trip precision (%.17g)."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(",".join(("%.17g",) * len(row)) % tuple(row) + "\n")
 
 
 def _floats(x):

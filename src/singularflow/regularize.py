@@ -11,6 +11,7 @@ sgn(x)|x|^alpha prototype.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,15 +48,22 @@ class RegularizedField:
         if not self.nu > 0:
             raise ValueError("nu must be positive")
 
+    @cached_property
+    def _rhs(self):  # regularized_rhs, built once per field
+        return regularized_rhs(self)
+
+    def __getstate__(self):  # the cached right-hand side is rebuilt, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_rhs"}
+
 
 _BLEND_TEMPLATE = '''\
-def blend_inner_map(ideal, core, weight):
+def blend_inner_map(ideal, core):
     def inner(X):
         {x_}, = X
         rho = math.hypot({x_})
         if rho == 0.0:
             return list(core(X))
-        w = weight(rho)
+        w = 3.0 * rho**2 - 2.0 * rho**3  # blend_weight(rho), inline
         rest = 1.0 - w
         {f_}, {g_}, = *ideal(X, rho), *core(X)
         return [{w * f_ + rest * g_}]
@@ -78,7 +86,7 @@ def _blend_inner_map(base: SingularField, core):
         raise SingularBlend(
             f"polynomial blend needs alpha > -2 (got {alpha}); supply a custom inner_map"
         )
-    inner = _rendered(_BLEND_TEMPLATE, base.dimension)(_ideal_kernel(base), core, blend_weight)
+    inner = _rendered(_BLEND_TEMPLATE, base.dimension)(_ideal_kernel(base), core)
     return _with_floats(inner)
 
 
@@ -113,7 +121,7 @@ def make_preset_1d(base: SingularField, sigma: int, nu: float) -> RegularizedFie
 
 def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
     """Evaluate the patched field; defined everywhere including the origin."""
-    return regularized_rhs(rf)(0.0, x)
+    return rf._rhs(0.0, x)
 
 
 _RHS_TEMPLATE = '''\

@@ -661,6 +661,135 @@ def test_cycle_on_ray_sweep_is_as_accurate_as_the_order_4_dense_output(cycle_swe
     assert max(_sup_errors_against_tight_runs(rf, [0.0, 0.0, -1.0], t_grid, rep)) <= 5e-8
 
 
+# ---------------------------------------------------------------------------
+# the escape probe's first inside visit, read off the shared on-ray run
+# ---------------------------------------------------------------------------
+
+# the benchmark's saddle2d blends and radii (perfbench/workloads.py)
+TRAP_BLEND = ([1.0, 1.3], [0.1 * 0.5**k for k in range(6)])
+EXPEL_BLEND = ([1.0, -2.0], [0.1, 0.03, 0.01, 0.003, 0.001])
+
+
+def _inside_visits(monkeypatch):
+    """The entry tau of every inside visit the escape probe integrates."""
+    from singularflow import attractors
+
+    entries = []
+    run = attractors.integrate
+
+    def recorded(rhs, x0, t0, *args, **kwargs):
+        entries.append(t0)
+        return run(rhs, x0, t0, *args, **kwargs)
+
+    monkeypatch.setattr(attractors, "integrate", recorded)
+    return entries
+
+
+def _assert_same_escape(a, b, rel):
+    assert (a.outcome, a.revisits, a.certificate) == (b.outcome, b.revisits, b.certificate)
+    assert (a.r_bound is None) == (b.r_bound is None)
+    if a.r_bound is not None:
+        assert a.r_bound == pytest.approx(b.r_bound, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("r0, rel", [(1.0, 1e-12), (2.0, 1e-8)])
+@pytest.mark.parametrize("blend", [TRAP_BLEND, EXPEL_BLEND], ids=["trap", "expel"])
+def test_on_ray_escape_probe_replays_the_shared_run(blend, r0, rel, monkeypatch):
+    # on the ray the sweep's probe integrates no first visit: it reads it off
+    # the shared run, and decides as the probe run alone from the entry
+    # does.  At |x0| = 1 the replayed states are the probe's own bit for
+    # bit; at |x0| = 2 the shared run's atol, in physical units, is the
+    # probe's halved, so r_bound agrees to the tolerances (2.6e-10 here)
+    g0, nus = blend
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, g0, 1.0)
+    entries = _inside_visits(monkeypatch)
+    rep = sf.inviscid_sweep(rf, [-r0, 0.0], np.linspace(0.0, 2.5 * r0 ** (2 / 3), 61), nus)
+    on_ray = list(entries)
+    entries.clear()
+    alone = sf.rescaled_escape(rf, [-1.0, 0.0])
+    assert [r.nu_indices for r in rep.runs] == [list(range(len(nus)))]
+    assert entries[0] == alone.tau_ent and len(entries) == alone.revisits
+    assert len(on_ray) == alone.revisits - 1 and all(t > alone.tau_ent for t in on_ray)
+    _assert_same_escape(rep.escape, alone, rel)
+
+
+def test_escape_probe_integrates_its_first_visit_off_the_ray_and_with_a_step_cap(monkeypatch):
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    t_grid = np.linspace(0.0, 2.5, 61)
+    entries = _inside_visits(monkeypatch)
+    assert sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03]).escape.revisits == 1
+    assert not entries  # on the ray, uncapped: the shared run served the first visit
+    off_ray = sf.inviscid_sweep(rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.03])
+    assert entries == [off_ray.escape.tau_ent]
+    entries.clear()
+    capped = sf.IntegrationOptions(max_step=0.5)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03], capped)
+    assert [r.nu_indices for r in rep.runs] == [[0], [1]]
+    assert entries == [rep.escape.tau_ent]
+    # handed a run, the probe still integrates under a step cap
+    run = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 10.0)
+    entries.clear()
+    res = sf.rescaled_escape(rf, [-1.0, 0.0], capped, run=run)
+    assert entries == [res.tau_ent] and res.outcome == "expelled"
+
+
+@pytest.mark.parametrize("t1, budget", [(0.5, None), (10.0, 1.0)], ids=["short", "budget"])
+def test_escape_probe_falls_back_to_its_own_run(t1, budget, monkeypatch):
+    # a run that ends before the exit, or that would be read past the tau
+    # budget, is not replayed: the probe integrates its first visit, as a
+    # probe handed no run does, bit for bit
+    from singularflow import attractors
+
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    entries = _inside_visits(monkeypatch)
+    # a run to t = 10, past the exit at tau = 2.26, is replayed
+    full = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 10.0)
+    assert sf.rescaled_escape(rf, [-1.0, 0.0], run=full).outcome == "expelled" and not entries
+    if budget is not None:
+        monkeypatch.setattr(attractors, "_TAU_BUDGET", budget)
+    run = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, t1)
+    res = sf.rescaled_escape(rf, [-1.0, 0.0], run=run)
+    alone = sf.rescaled_escape(rf, [-1.0, 0.0])
+    assert entries == [res.tau_ent, alone.tau_ent]
+    assert res.to_dict() == alone.to_dict() and res.tau_esc == alone.tau_esc
+
+
+def test_sweep_with_a_failed_shared_run_integrates_the_first_visit(monkeypatch):
+    import singularflow.continuation as cont
+
+    def failing(*args):
+        raise sf.StepFailure("synthetic failure")
+
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    t_grid = np.linspace(0.0, 2.5, 61)
+    entries = _inside_visits(monkeypatch)
+    assert sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03]).escape.revisits == 1
+    assert not entries  # the shared run served the first visit
+    monkeypatch.setattr(cont, "integrate_regularized", failing)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03])
+    assert [r.status for r in rep.runs] == ["failed"] and all(rep.errors)
+    assert entries == [rep.escape.tau_ent] and rep.escape.outcome == "expelled"
+
+
+def test_escape_probe_replays_a_run_onto_a_certified_sink(monkeypatch):
+    # a first visit that settles on an interior sink is read off the run up
+    # to the poll that certifies it
+    A = np.array([[-1.0, -0.5], [0.5, -1.0]])
+    field = sf.SingularField(2, ALPHA, lambda y: -np.asarray(y, dtype=float))
+    rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - 0.2))
+    run = sf.integrate_regularized(rf, [1.0, 0.0], 0.0, 100.0)
+    entries = _inside_visits(monkeypatch)
+    res = sf.rescaled_escape(rf, [1.0, 0.0], run=run)
+    assert entries == []
+    alone = sf.rescaled_escape(rf, [1.0, 0.0])
+    assert res.outcome == "trapped" and "interior sink" in res.certificate
+    _assert_same_escape(res, alone, 1e-12)
+
+
 def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
     # samples from before x_nu reaches its ball come from pre(t) on the ray;
     # every sample is checked against a tight direct run in physical units

@@ -770,6 +770,25 @@ def test_csv_format(tmp_path):
     assert last[1] == traj.states[-1][0]
 
 
+def test_csv_rows_are_the_per_value_format(tmp_path):
+    # one "%.17g,...,%.17g" % row per row writes the bytes of f"{v:.17g}" per
+    # value: NaN, signed infinities and zero, a subnormal, the largest
+    # decades and NumPy floats
+    from singularflow.integrators import write_csv
+
+    rows = [
+        (math.nan, math.inf, -math.inf),
+        (-0.0, 0.0, 5e-324),
+        (1e308, -1.7976931348623157e308, 2.2250738585072014e-308),
+        (np.float64(0.1), np.float64(-1.0) / 3.0, np.float64(1e-300)),
+        (1, np.float64(math.nan), -np.float64(0.0)),
+    ]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b", "c"], iter(rows))
+    expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         sf.IntegrationOptions(rtol=0.0)

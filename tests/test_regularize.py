@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -49,6 +50,28 @@ def test_outside_is_exactly_the_ideal_field():
         a = sf.eval_regularized(rf, x)
         b = sf.eval_field(field, x)
         assert np.array_equal(a, b)  # same arithmetic, bitwise
+
+
+def test_eval_regularized_builds_its_right_hand_side_once_per_field(monkeypatch):
+    # the built right-hand side is cached on the field and left out of its
+    # copied (pickled) state, as SingularField's ideal kernel is
+    from singularflow import regularize
+
+    builds = []
+    build = regularize.regularized_rhs
+
+    def counted(rf):
+        builds.append(rf)
+        return build(rf)
+
+    monkeypatch.setattr(regularize, "regularized_rhs", counted)
+    rf = sf.make_polynomial_blend(saddle(), [1.0, 1.3], 0.1)
+    values = [sf.eval_regularized(rf, [0.03 * k, -0.04]) for k in range(3)]
+    assert builds == [rf]
+    twin = copy.copy(rf)
+    assert "_rhs" not in twin.__dict__ and twin == rf
+    assert np.array_equal(sf.eval_regularized(twin, [0.06, -0.04]), values[2])
+    assert len(builds) == 2
 
 
 def _patched_field_formula(rf, x):
