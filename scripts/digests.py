@@ -1,4 +1,4 @@
-"""One sha256 per benchmark operation and per built-in catalog, to compare trees.
+"""One sha256 per benchmark operation, built-in catalog, figure and script, to compare trees.
 
     python scripts/digests.py [--root DIR]
 
@@ -11,7 +11,11 @@ Prints one line "<name> <sha256>" per artifact:
   JSON of its attractors' `to_dict()`, exponents included, as
   `catalog/<field>`;
 * each `reproduce` bundle (`singularflow.figures`), hashed from its files'
-  sorted names and bytes, as `reproduce/<figure>`.
+  sorted names and bytes, as `reproduce/<figure>`;
+* each end-to-end script of the tree's `scripts/`, run at its defaults on
+  the tree's `src/` with any `--outdir` a fresh directory, hashed from its
+  stdout (that directory replaced by `OUTDIR`) and the files it writes, as
+  `script/<name>`.
 
 DIR (default: the checkout this script is in) is the tree whose `src/` and
 `perfbench/` are run, so the same script can hash two trees, such as a
@@ -35,6 +39,7 @@ import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +51,11 @@ SEEDS = (1, 2, 3)
 MODULES = ("fields", "integrators", "renorm", "attractors", "regularize", "continuation", "cli",
            "figures")
 ALPHA = 1.0 / 3.0
+# each end-to-end script with its arguments; "{outdir}" is a fresh directory
+SCRIPTS = (
+    ("saddle_inviscid_limits", ("--outdir", "{outdir}")),
+    ("sphere_phase_scan", ()),
+)
 
 
 def sha(text: str) -> str:
@@ -76,14 +86,30 @@ def catalog_digests(mods):
 def bundle_digests(mods):
     figures = mods["figures"]
     for figure in figures.FIGURE_IDS:
-        digest = hashlib.sha256()
         with tempfile.TemporaryDirectory() as outdir:
             figures.reproduce(figure, outdir)
-            for name in sorted(os.listdir(outdir)):
-                data = Path(outdir, name).read_bytes()
-                # name and length first, so no two bundles hash the same stream
-                digest.update(f"{name}\0{len(data)}\0".encode() + data)
-        yield f"reproduce/{figure}", digest.hexdigest()
+            yield f"reproduce/{figure}", files_digest(hashlib.sha256(), outdir)
+
+
+def files_digest(digest, outdir):
+    for name in sorted(os.listdir(outdir)):
+        data = Path(outdir, name).read_bytes()
+        # name and length first, so no two bundles hash the same stream
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def script_digests(root):
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, args in SCRIPTS:
+        with tempfile.TemporaryDirectory() as outdir:
+            command = [sys.executable, str(root / "scripts" / f"{name}.py")]
+            command += [a.format(outdir=outdir) for a in args]
+            stdout = subprocess.run(command, env=env, cwd=outdir, capture_output=True, text=True,
+                                    check=True).stdout
+            digest = hashlib.sha256(stdout.replace(outdir, "OUTDIR").encode())
+            yield f"script/{name}", files_digest(digest, outdir)
 
 
 def main(argv=None):
@@ -99,8 +125,8 @@ def main(argv=None):
         print(f"error: imported singularflow from {package}, not from {root}", file=sys.stderr)
         return 2
     workloads = importlib.import_module("workloads")
-    for name, digest in itertools.chain(operation_digests(workloads, mods),
-                                        catalog_digests(mods), bundle_digests(mods)):
+    for name, digest in itertools.chain(operation_digests(workloads, mods), catalog_digests(mods),
+                                        bundle_digests(mods), script_digests(root)):
         print(name, digest, flush=True)
     return 0
 

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _dense_max, _Level, _locate_crossing, _Plane,
-    _scan_step, _Sphere, integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _dense_max, _Level, _Plane, _Sphere, integrate
 )
 from .regularize import RegularizedField, regularized_rhs
 from .renorm import renorm_integrate, renormalized_system
@@ -134,6 +133,8 @@ class EscapeResult:
     revisits: int = 0
     attractor: Optional[AttractorInfo] = None
     certificate: str = ""
+    # the first inside visit, in ball units (rescaled_escape); not in to_dict
+    visit: Optional[Trajectory] = dataclasses.field(default=None, compare=False, repr=False)
 
     def to_dict(self):
         return {
@@ -552,7 +553,8 @@ def _interior_sink(rhs, x, tau):
 
 
 class _SinkWatch:
-    """The until of rescaled_escape's inside runs and replays: it stops at a certified sink.
+    """The until of rescaled_escape's inside runs, the passage's first visit
+    among them: it stops at a certified sink.
 
     Every _SINK_POLL accepted steps it reads the speed |f| off the
     derivative the run hands it at the accepted state, at no right-hand-side
@@ -609,7 +611,6 @@ def rescaled_escape(
     rf: RegularizedField,
     y_ent,
     opts: IntegrationOptions = DEFAULT_OPTIONS,
-    run: Optional[Trajectory] = None,
 ) -> EscapeResult:
     """Decide whether the regularization expels or traps the blowup solution.
 
@@ -621,11 +622,12 @@ def rescaled_escape(
     nu = 1, and the ideal field outside the ball is rf.base, so only rf's
     inner map and base matter, not its nu.
 
-    run, if given, is a run of rf's field at nu = r0 = |x0| from x0 at t0 on
-    y_ent's ray (inviscid_sweep's shared run).  The first inside visit is
-    read off it (_replayed_visit) through X = x / r0, tau = t_ent + (t - t0)
-    / r0^(1 - alpha), bit for bit at r0 = 1, unless max_step is finite or
-    run ends, or reaches the tau budget, before an exit or a certified sink.
+    The first inside visit, from y_ent at tau_ent to its located exit (or
+    to the certified sink, or to the tau budget), is kept as the result's
+    visit: on y_ent's collapse ray it is the passage through the ball that
+    every radius nu shares, x_nu(t) = nu X((t - t_b) / nu^(1 - alpha))
+    (inviscid_sweep).  A visit that fails is kept with its partial run
+    (status step_failure).
 
     Trapping is certified by an interior sink: the run inside the ball
     polls its speed (_SinkWatch) and, once it is small, stops as soon as
@@ -668,37 +670,37 @@ def rescaled_escape(
     x = y_ent.copy()
     visits = 0
     r_max = 1.0
+    first = None
 
     def result(outcome, certificate, **found):
-        return EscapeResult(outcome, t_ent, revisits=visits, certificate=certificate, **found)
+        return EscapeResult(outcome, t_ent, revisits=visits, certificate=certificate,
+                            visit=first, **found)
 
     while tau < _TAU_BUDGET:
         visits += 1
         # inside phase: run until the solution exits the unit ball or
         # settles on a certified interior sink
         watch = _SinkWatch(rhs)
-        replay = visits == 1 and run is not None and opts.max_step == math.inf
-        end = _replayed_visit(run, t_ent, field.alpha, ball, watch) if replay else None
-        if end is None:
-            watch = _SinkWatch(rhs)
-            try:
-                seg = integrate(rhs, x, tau, _TAU_BUDGET, opts, until=watch, event=ball,
-                                direction=+1)
-            except StepFailure as exc:
-                watch.charge(exc.trajectory)
-                failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
-                return result("undetermined", failure, r_bound=r_max)
-            watch.charge(seg)
-            end = seg.status, seg.t_end, seg.final_state
-        status, tau_x, x_x = end
-        if status != "hit_event":
+        failure = None
+        try:
+            seg = integrate(rhs, x, tau, _TAU_BUDGET, opts, until=watch, event=ball, direction=+1)
+        except StepFailure as exc:
+            seg = exc.trajectory
+            failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
+        watch.charge(seg)
+        if visits == 1:
+            first = seg
+        if failure is not None:
+            return result("undetermined", failure, r_bound=r_max)
+        if seg.status != "hit_event":
             # stopped on a certified sink, or completed at the budget
             held = (
-                f"{watch.certificate};" if status == "stopped"
+                f"{watch.certificate};" if seg.status == "stopped"
                 else f"stayed in the unit ball until tau = {_TAU_BUDGET:g}"
             )
             certificate = f"{held} after {visits} visit(s); sup R = {r_max:.6g}"
             return result("trapped", certificate, r_bound=r_max)
+        tau_x, x_x = seg.t_end, seg.final_state
         # outside phase in renormalized variables: Z = 0 at the exit sphere
         y_exit = x_x / np.linalg.norm(x_x)
         out = _outside_excursion(field, y_exit, window, opts)
@@ -733,33 +735,6 @@ def rescaled_escape(
     outcome = "trapped" if r_max <= _R_BOUND_CAP and visits >= 3 else "undetermined"
     return result(outcome, f"tau budget reached after {visits} visits; sup R = {r_max:.6g}",
                   r_bound=r_max)
-
-
-def _replayed_visit(run, t_ent, alpha, ball, watch):
-    """rescaled_escape's first inside visit, read off run one step at a time:
-    (status, tau, X) at the exit or certified sink, or None if run ends or
-    reaches _TAU_BUDGET first."""
-    r0 = math.sqrt(float(run.states[0].dot(run.states[0])))
-    t0, stretch, speed = run.t0, r0 ** (1.0 - alpha), r0**alpha
-
-    def at(i):  # sample i in the probe's units, on floats
-        x, f = run.states[i].tolist(), run.derivs[i].tolist()
-        tau = t_ent + (float(run.times[i]) - t0) / stretch
-        return tau, [v / r0 for v in x], [v / speed for v in f]
-
-    end = at(0)
-    g = ball(end[0], np.array(end[1]))
-    for i in range(1, len(run.times)):
-        start, end = end, at(i)
-        if end[0] >= _TAU_BUDGET:
-            return None
-        step = (*start, *end, [v / r0 for v in run.quartic[i - 1].tolist()])
-        bracket, g = _scan_step(ball, +1, g, step)
-        if bracket is not None:
-            return ("hit_event", *_locate_crossing(ball, step, bracket))
-        if watch(*end, None):
-            return "stopped", end[0], np.array(end[1])
-    return None
 
 
 def _outside_excursion(field, y_exit, window, opts):

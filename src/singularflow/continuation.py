@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .attractors import AttractorInfo, EscapeResult, _fixed_point_near, rescaled_escape
-from .errors import NonPositiveMean, OutOfDomain, SignError, SingularFlowError
+from .errors import NonPositiveMean, OutOfDomain, SignError, SingularFlowError, StepFailure
 from .fields import SingularField, eval_field
 from .integrators import DEFAULT_OPTIONS, IntegrationOptions, SolverStats, _dense_max
 from .regularize import RegularizedField, integrate_regularized
@@ -438,10 +438,11 @@ def _read_phase(fam: ContinuationFamily, t_grid, samples):
 class SweepRun:
     """One integration a sweep made: the nu values it served and its cost.
 
-    scale is the radius of the regularization the run integrated: |x0| for
-    the shared on-ray run, nu for a run of its own.  status is the
-    trajectory's, or "failed" when the run raised without a partial
-    trajectory; stats is then None.
+    scale is the radius of the regularization the run integrated: 1 for the
+    on-ray passage (its first visit's stats plus its continuation's), nu for
+    a run of its own.  status is the trajectory's (the passage's last run's),
+    or "failed" when the run raised without a partial trajectory; stats is
+    then None.
     """
 
     nu_indices: list
@@ -537,25 +538,22 @@ def inviscid_sweep(
 
     A start on a stable collapse ray stays on it at every scale, and the
     patched field scales exactly, f_nu(x) = nu^alpha f_1(x / nu).  So with
-    p = 1 - alpha and k = (scale / nu)^p, one run x_scale of the field at
-    radius scale from x0 at t0 gives the run at every radius nu,
-
-        x_nu(t) = (nu / scale) x_scale(t k + t_b (1 - k)),
-
-    and where that time falls before t0, x_nu is outside its ball on the
-    ray, where it is the closed form pre(t) of fixed_point_solutions.  The
-    radii one run serves at scale = |x0| are those for which the start is
-    on the ray and the blowup direction generic, opts.max_step is infinite
-    (a cap in the run's own time would cost (t_end - t_b) k / max_step
-    steps), t_grid ends after t_b, and nu <= |x0| (the start is outside the
-    ball).  Every other nu is a run of its own at scale = nu, where k = 1
-    and the map is the identity in floating point.  Each run is one
-    integrate_regularized call under opts, ending where the map sends the
-    end of t_grid for the smallest nu it serves.  A failure of the shared
-    run fails every nu it serves, and each error names the shared run and
-    its scale.  The escape probe reads its first inside visit off the
-    shared run (rescaled_escape's run).  report.runs lists every
-    integration made, with its solver stats.
+    p = 1 - alpha every radius nu reads one solution X(tau) of the nu = 1
+    problem in ball units, the passage: x_nu(t) = nu X((t - t_b) / nu^p)
+    from X = y* at tau_ent (tau = 0 is the ideal blowup), and before that,
+    outside its ball on the ray, the closed form pre(t) of
+    fixed_point_solutions.  The passage is the escape probe's first inside
+    visit, to its located exit or certified sink (EscapeResult.visit),
+    continued by one integrate_regularized run of the nu = 1 field to where
+    the smallest radius it serves reads the end of t_grid.  It serves the
+    radii nu <= |x0| (the start is outside the ball) when the start is on
+    the ray and the blowup direction generic, opts.max_step is infinite (a
+    cap in ball units would cost (t_end - t_b) / (nu^p max_step) steps) and
+    t_grid ends after t_b.  Every other nu is a direct run at radius nu
+    from x0 at t0 to the end of t_grid.  A failed visit or continuation
+    fails every nu the passage serves, with an error that names the
+    passage.  report.runs lists every integration made with its solver
+    stats, the passage as one entry at scale 1.
 
     No attractor catalog is built.  The two attractors the sweep needs are
     looked up where it meets them, each fixed point by one Newton solve on
@@ -601,46 +599,46 @@ def inviscid_sweep(
     results = [None] * n  # per nu: its samples, or the exception that failed it
     runs: List[SweepRun] = []
     t_end = float(t_grid[-1]) * (1 + 1e-12)
+    esc = rescaled_escape(regularization, star.location, opts) if generic else None
     shared = []
     if on_ray and generic and opts.max_step == math.inf and t_grid[-1] > t_b:
         shared = [k for k in range(n) if nu_values[k] <= r0]
-    groups = [(shared, r0)] if shared else []
-    groups += [([k], float(nu_values[k])) for k in range(n) if k not in shared]
-    p = 1.0 - field.alpha
-    if on_ray:
+
+    if shared:
+        p = 1.0 - field.alpha
         pre, _ = fixed_point_solutions(y0, star.mean_radial, t_b=t_b, alpha=field.alpha)
+        tau_stop = (t_end - t_b) / float(np.min(nu_values[shared])) ** p
+        rf = dataclasses.replace(regularization, nu=1.0)
+        passage = _safe(_passage)(runs, shared, esc, rf, tau_stop, opts)
 
-    def sample(run, nu, scale):
-        k = (scale / nu) ** p
-        t = t_grid * k + t_b * (1 - k)
-        ahead = t >= t0  # x_nu has reached its ball, |x_nu| = nu
-        sol = np.empty((len(t_grid), len(x0)))
-        if not ahead.all():
-            sol[~ahead] = pre(t_grid[~ahead])
-        sol[ahead] = (nu / scale) * run.sample(t[ahead])
-        return sol
+        def sample(visit, cont, nu):
+            tau = (t_grid - t_b) / nu**p
+            before, past = tau < visit.t0, tau > visit.t_end  # the entry, the visit's end
+            inside = ~(before | past)
+            sol = np.empty((len(t_grid), len(x0)))
+            if before.any():
+                sol[before] = pre(t_grid[before])
+            sol[inside] = nu * visit.sample(tau[inside])
+            if past.any():
+                sol[past] = nu * cont.sample(tau[past])
+            return sol
 
-    shared_run = None
-    for indices, scale in groups:
-        k_min = (scale / float(np.min(nu_values[indices]))) ** p
-        t_stop = t_end * k_min + t_b * (1 - k_min)
-        rf = dataclasses.replace(regularization, nu=scale)
-        run = _safe(_recorded)(
-            runs, indices, scale, lambda: integrate_regularized(rf, x0, t0, t_stop, opts)
-        )
-        if indices is shared and not isinstance(run, Exception):
-            shared_run = run
-        for k in indices:
-            results[k] = run if isinstance(run, Exception) else _safe(sample)(
-                run, float(nu_values[k]), scale
+        for k in shared:
+            results[k] = passage if isinstance(passage, Exception) else _safe(sample)(
+                *passage, float(nu_values[k])
             )
+    for k in range(n):
+        if k not in shared:
+            rf = dataclasses.replace(regularization, nu=float(nu_values[k]))
+            run = _safe(_recorded)(
+                runs, [k], rf.nu, lambda: integrate_regularized(rf, x0, t0, t_end, opts)
+            )
+            results[k] = run if isinstance(run, Exception) else _safe(run.sample)(t_grid)
 
     solutions = [None if isinstance(res, Exception) else res for res in results]
     errors = [
         None if not isinstance(res, Exception)
-        else f"{type(res).__name__}: {res}" + (
-            f" (in the shared on-ray run at scale |x0| = {r0!r})" if k in shared else ""
-        )
+        else f"{type(res).__name__}: {res}" + (" (in the on-ray passage)" if k in shared else "")
         for k, res in enumerate(results)
     ]
 
@@ -661,7 +659,6 @@ def inviscid_sweep(
         report.reference = "non-generic blowup direction"
         return report
 
-    esc = rescaled_escape(regularization, star.location, opts, run=shared_run)
     report.escape = esc
     good = [k for k in range(n) if solutions[k] is not None]
     post = t_grid > t_b + 1e-12
@@ -751,3 +748,26 @@ def _recorded(runs: List[SweepRun], indices, scale: float, run):
         raise
     runs.append(SweepRun(list(indices), scale, traj.status, traj.stats))
     return traj
+
+
+def _passage(runs: List[SweepRun], indices, esc: EscapeResult, rf: RegularizedField,
+             tau_stop: float, opts: IntegrationOptions):
+    """The on-ray passage in ball units, (visit, continuation), listed in runs
+    as one run at scale 1 whether it returns or raises: esc's first inside
+    visit, and rf's run from its end to tau_stop (None when the visit reaches
+    tau_stop).  A failed visit raises StepFailure with esc's certificate.
+    """
+    visit = esc.visit
+    if visit.status == "step_failure" or tau_stop <= visit.t_end:
+        runs.append(SweepRun(list(indices), 1.0, visit.status, visit.stats))
+        if visit.status == "step_failure":
+            raise StepFailure(esc.certificate)
+        return visit, None
+    try:
+        return visit, _recorded(runs, indices, 1.0, lambda: integrate_regularized(
+            rf, visit.final_state, visit.t_end, tau_stop, opts))
+    finally:  # the visit's stats plus the continuation's, h_min and h_max over both
+        a, b = visit.stats, runs[-1].stats or SolverStats()
+        runs[-1].stats = SolverStats(a.rhs_calls + b.rhs_calls, a.accepted + b.accepted,
+                                     a.rejected + b.rejected, min(a.h_min, b.h_min),
+                                     max(a.h_max, b.h_max))

@@ -529,7 +529,7 @@ def test_sweep_grid_outside_the_run_exits_2(tmp_path, capsys, grid):
 
 
 def test_sweep_json_lists_its_runs(tmp_path):
-    # the on-ray expelling sweep makes one shared run serving all three radii
+    # the on-ray expelling sweep makes one passage serving all three radii
     cfg = write(tmp_path, "run.cfg", SWEEP_EXPEL_CFG)
     out = tmp_path / "out"
     assert main(["sweep", cfg, "--outdir", str(out), "--quiet"]) == 0

@@ -502,8 +502,9 @@ def test_sweep_with_an_undetermined_escape_names_no_reference(saddle_sweep_grid,
     import singularflow.continuation as cont
 
     field = sf.builtin_field("saddle2d", ALPHA)
-    undetermined = sf.EscapeResult("undetermined", 0.0, certificate="synthetic: no decision")
-    monkeypatch.setattr(cont, "rescaled_escape", lambda *args, **kwargs: undetermined)
+    probe = cont.rescaled_escape
+    monkeypatch.setattr(cont, "rescaled_escape", lambda *args: dataclasses.replace(
+        probe(*args), outcome="undetermined", certificate="synthetic: no decision"))
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05])
     assert rep.escape.outcome == "undetermined"
@@ -537,7 +538,7 @@ def test_sweep_generic_blowup_start(g0, nus, verdict):
 
 
 def test_sweep_rejects_a_grid_that_is_not_increasing_or_starts_before_t0(saddle_sweep_grid):
-    # the shared run maps t_grid to its own time monotonically, and a direct
+    # the passage maps t_grid to its own time monotonically, and a direct
     # run samples it from t0 on: either grid would have failed every nu
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
@@ -662,7 +663,7 @@ def test_cycle_on_ray_sweep_is_as_accurate_as_the_order_4_dense_output(cycle_swe
 
 
 # ---------------------------------------------------------------------------
-# the escape probe's first inside visit, read off the shared on-ray run
+# the on-ray passage: the escape probe's first inside visit and its continuation
 # ---------------------------------------------------------------------------
 
 # the benchmark's saddle2d blends and radii (perfbench/workloads.py)
@@ -685,109 +686,153 @@ def _inside_visits(monkeypatch):
     return entries
 
 
-def _assert_same_escape(a, b, rel):
-    assert (a.outcome, a.revisits, a.certificate) == (b.outcome, b.revisits, b.certificate)
-    assert (a.r_bound is None) == (b.r_bound is None)
-    if a.r_bound is not None:
-        assert a.r_bound == pytest.approx(b.r_bound, rel=rel, abs=0.0)
+def _regularized_runs(monkeypatch):
+    """The (nu, t0) of every regularized run the sweep makes."""
+    import singularflow.continuation as cont
+
+    starts = []
+    real = cont.integrate_regularized
+
+    def recorded(rf, x0, t0, t1, opts):
+        starts.append((rf.nu, t0))
+        return real(rf, x0, t0, t1, opts)
+
+    monkeypatch.setattr(cont, "integrate_regularized", recorded)
+    return starts
 
 
-@pytest.mark.parametrize("r0, rel", [(1.0, 1e-12), (2.0, 1e-8)])
 @pytest.mark.parametrize("blend", [TRAP_BLEND, EXPEL_BLEND], ids=["trap", "expel"])
-def test_on_ray_escape_probe_replays_the_shared_run(blend, r0, rel, monkeypatch):
-    # on the ray the sweep's probe integrates no first visit: it reads it off
-    # the shared run, and decides as the probe run alone from the entry
-    # does.  At |x0| = 1 the replayed states are the probe's own bit for
-    # bit; at |x0| = 2 the shared run's atol, in physical units, is the
-    # probe's halved, so r_bound agrees to the tolerances (2.6e-10 here)
+def test_on_ray_sweep_is_the_same_passage_from_every_start_on_the_ray(blend):
+    # the paper's symmetry as the oracle: x0 = (-1, 0) and (-2, 0) are one
+    # solution shifted in time by the difference of their closed-form t_b,
+    # so the two sweeps make the same escape decision bit for bit, and read
+    # every radius after its entry off the same passage (to the rounding of
+    # t - t_b; 1.2e-14 here)
     g0, nus = blend
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, g0, 1.0)
+    f_r = sf.decompose(field, [-1.0, 0.0]).radial
+    t_grid = np.linspace(0.0, 2.5, 61)
+    shift = sf.blowup_time_on_ray(2.0, f_r, ALPHA) - sf.blowup_time_on_ray(1.0, f_r, ALPHA)
+    one = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
+    two = sf.inviscid_sweep(rf, [-2.0, 0.0], t_grid + shift, nus)
+    a, b = one.escape, two.escape
+    assert (a.outcome, a.revisits, a.certificate) == (b.outcome, b.revisits, b.certificate)
+    assert a.r_bound == b.r_bound and a.tau_esc == b.tau_esc
+    assert one.verdict == two.verdict
+    for nu, x1, x2 in zip(nus, one.solutions, two.solutions):
+        entered = (t_grid - one.t_b) / nu ** (2.0 / 3.0) >= a.tau_ent
+        assert np.count_nonzero(entered) >= 10
+        err = np.linalg.norm(x1 - x2, axis=1) / np.linalg.norm(x1, axis=1)
+        assert np.max(err[entered]) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["trap", "expel", "cycle"])
+def test_on_ray_sweep_integrates_the_first_visit_once(case, monkeypatch):
+    # the probe integrates each inside visit once, the first included, and
+    # the sweep's one regularized run on the ray is the passage's
+    # continuation from the end of that visit; the escape is the probe's
+    # own, made alone from the entry direction
+    if case == "cycle":
+        field = sf.builtin_field("sphere3d")
+        rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
+        x0, t_grid = [0.0, 0.0, -1.0], np.linspace(3.1, 4.0, 90)
+        nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
+    else:
+        g0, nus = TRAP_BLEND if case == "trap" else EXPEL_BLEND
+        field = sf.builtin_field("saddle2d", ALPHA)
+        rf = sf.make_polynomial_blend(field, g0, 1.0)
+        x0, t_grid = [-1.0, 0.0], np.linspace(0.0, 2.5, 61)
     entries = _inside_visits(monkeypatch)
-    rep = sf.inviscid_sweep(rf, [-r0, 0.0], np.linspace(0.0, 2.5 * r0 ** (2 / 3), 61), nus)
-    on_ray = list(entries)
-    entries.clear()
-    alone = sf.rescaled_escape(rf, [-1.0, 0.0])
-    assert [r.nu_indices for r in rep.runs] == [list(range(len(nus)))]
-    assert entries[0] == alone.tau_ent and len(entries) == alone.revisits
-    assert len(on_ray) == alone.revisits - 1 and all(t > alone.tau_ent for t in on_ray)
-    _assert_same_escape(rep.escape, alone, rel)
+    starts = _regularized_runs(monkeypatch)
+    rep = sf.inviscid_sweep(rf, x0, t_grid, nus)
+    esc = rep.escape
+    assert len(entries) == esc.revisits and entries[0] == esc.tau_ent
+    assert esc.visit.t0 == esc.tau_ent and esc.visit.status in ("hit_event", "stopped")
+    assert starts == [(1.0, esc.visit.t_end)]
+    assert [(r.nu_indices, r.scale) for r in rep.runs] == [(list(range(len(nus))), 1.0)]
+    assert esc.to_dict() == sf.rescaled_escape(rf, x0).to_dict()
+
+
+@pytest.mark.parametrize(
+    "g0, certificate, continued",
+    [([0.5, 1.3], "settled into the interior sink", True),
+     ([0.0, 0.0], "stayed in the unit ball until tau = 1000", False)],
+    ids=["sink", "budget"],
+)
+def test_on_ray_passage_whose_first_visit_stays_in_the_ball(g0, certificate, continued,
+                                                            monkeypatch):
+    # a first visit that ends on a certified sink is continued from there; one
+    # that stays in the ball to the tau budget, past where the smallest radius
+    # reads the end of the grid, is the whole passage.  Every sample is
+    # within 1e-6 relative of a tight direct run in physical units
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, g0, 1.0)
+    t_grid = np.linspace(0.0, 2.5, 61)
+    nus = [0.1, 0.01, 0.001]
+    starts = _regularized_runs(monkeypatch)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, nus)
+    esc = rep.escape
+    assert esc.outcome == "trapped" and esc.revisits == 1
+    assert esc.certificate.startswith(certificate)
+    assert starts == ([(1.0, esc.visit.t_end)] if continued else [])
+    run = rep.runs[0]
+    assert len(rep.runs) == 1 and run.nu_indices == [0, 1, 2]
+    if not continued:
+        assert run.status == esc.visit.status == "completed" and run.stats == esc.visit.stats
+    assert rep.verdict == "trivial_zero"
+    tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
+    for sol, nu in zip(rep.solutions, nus):
+        ref = sf.integrate_regularized(
+            dataclasses.replace(rf, nu=nu), [-1.0, 0.0], 0.0, 2.5 * (1 + 1e-12), tight
+        ).sample(t_grid)
+        err = np.linalg.norm(sol - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(err) <= 1e-6
 
 
 def test_escape_probe_integrates_its_first_visit_off_the_ray_and_with_a_step_cap(monkeypatch):
+    # neither sweep has a passage: every nu is a direct run, and the probe
+    # integrates its visit as on the ray
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     t_grid = np.linspace(0.0, 2.5, 61)
     entries = _inside_visits(monkeypatch)
-    assert sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03]).escape.revisits == 1
-    assert not entries  # on the ray, uncapped: the shared run served the first visit
     off_ray = sf.inviscid_sweep(rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.03])
     assert entries == [off_ray.escape.tau_ent]
+    assert [(r.nu_indices, r.scale) for r in off_ray.runs] == [([0], 0.1), ([1], 0.03)]
     entries.clear()
     capped = sf.IntegrationOptions(max_step=0.5)
     rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03], capped)
     assert [r.nu_indices for r in rep.runs] == [[0], [1]]
-    assert entries == [rep.escape.tau_ent]
-    # handed a run, the probe still integrates under a step cap
-    run = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 10.0)
-    entries.clear()
-    res = sf.rescaled_escape(rf, [-1.0, 0.0], capped, run=run)
-    assert entries == [res.tau_ent] and res.outcome == "expelled"
-
-
-@pytest.mark.parametrize("t1, budget", [(0.5, None), (10.0, 1.0)], ids=["short", "budget"])
-def test_escape_probe_falls_back_to_its_own_run(t1, budget, monkeypatch):
-    # a run that ends before the exit, or that would be read past the tau
-    # budget, is not replayed: the probe integrates its first visit, as a
-    # probe handed no run does, bit for bit
-    from singularflow import attractors
-
-    field = sf.builtin_field("saddle2d", ALPHA)
-    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
-    entries = _inside_visits(monkeypatch)
-    # a run to t = 10, past the exit at tau = 2.26, is replayed
-    full = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, 10.0)
-    assert sf.rescaled_escape(rf, [-1.0, 0.0], run=full).outcome == "expelled" and not entries
-    if budget is not None:
-        monkeypatch.setattr(attractors, "_TAU_BUDGET", budget)
-    run = sf.integrate_regularized(rf, [-1.0, 0.0], 0.0, t1)
-    res = sf.rescaled_escape(rf, [-1.0, 0.0], run=run)
-    alone = sf.rescaled_escape(rf, [-1.0, 0.0])
-    assert entries == [res.tau_ent, alone.tau_ent]
-    assert res.to_dict() == alone.to_dict() and res.tau_esc == alone.tau_esc
-
-
-def test_sweep_with_a_failed_shared_run_integrates_the_first_visit(monkeypatch):
-    import singularflow.continuation as cont
-
-    def failing(*args):
-        raise sf.StepFailure("synthetic failure")
-
-    field = sf.builtin_field("saddle2d", ALPHA)
-    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
-    t_grid = np.linspace(0.0, 2.5, 61)
-    entries = _inside_visits(monkeypatch)
-    assert sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03]).escape.revisits == 1
-    assert not entries  # the shared run served the first visit
-    monkeypatch.setattr(cont, "integrate_regularized", failing)
-    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], t_grid, [0.1, 0.03])
-    assert [r.status for r in rep.runs] == ["failed"] and all(rep.errors)
     assert entries == [rep.escape.tau_ent] and rep.escape.outcome == "expelled"
 
 
-def test_escape_probe_replays_a_run_onto_a_certified_sink(monkeypatch):
-    # a first visit that settles on an interior sink is read off the run up
-    # to the poll that certifies it
-    A = np.array([[-1.0, -0.5], [0.5, -1.0]])
-    field = sf.SingularField(2, ALPHA, lambda y: -np.asarray(y, dtype=float))
-    rf = sf.RegularizedField(field, 1.0, lambda X: A @ (np.asarray(X) - 0.2))
-    run = sf.integrate_regularized(rf, [1.0, 0.0], 0.0, 100.0)
-    entries = _inside_visits(monkeypatch)
-    res = sf.rescaled_escape(rf, [1.0, 0.0], run=run)
-    assert entries == []
-    alone = sf.rescaled_escape(rf, [1.0, 0.0])
-    assert res.outcome == "trapped" and "interior sink" in res.certificate
-    _assert_same_escape(res, alone, 1e-12)
+def test_sweep_with_a_failed_visit_fails_every_nu_the_passage_serves(monkeypatch):
+    # the probe's first visit fails: the escape is undetermined, and the
+    # passage, listed with the visit's partial stats, fails every nu it serves
+    from singularflow import attractors
+
+    real = attractors.integrate
+    partial_stats = []
+
+    def underflowing(rhs, x0, t0, t1, *args, **kwargs):
+        partial = dataclasses.replace(real(rhs, x0, t0, t0 + 0.1), status="step_failure")
+        partial_stats.append(partial.stats)
+        raise sf.StepFailure("synthetic underflow", partial)
+
+    monkeypatch.setattr(attractors, "integrate", underflowing)
+    starts = _regularized_runs(monkeypatch)
+    field = sf.builtin_field("saddle2d", ALPHA)
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], np.linspace(0.0, 2.5, 61), [0.1, 0.03])
+    assert rep.escape.outcome == "undetermined" and rep.verdict == "undetermined"
+    assert rep.escape.certificate.startswith("integration failed inside the unit ball at visit 1")
+    assert rep.escape.visit.status == "step_failure" and starts == []
+    assert all(sol is None for sol in rep.solutions)
+    for err in rep.errors:
+        assert err == f"StepFailure: {rep.escape.certificate} (in the on-ray passage)"
+    assert [(r.nu_indices, r.scale, r.status) for r in rep.runs] == [([0, 1], 1.0, "step_failure")]
+    assert rep.runs[0].stats == partial_stats[0] and partial_stats[0].accepted > 0
 
 
 def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
@@ -811,16 +856,16 @@ def test_on_ray_sweep_takes_the_closed_form_before_the_ball():
         assert np.max(err[before]) <= 1e-9 and np.max(err) <= 1e-6
 
 
-def test_on_ray_sweep_from_outside_the_unit_sphere_is_one_run_at_its_radius():
-    # |x0| = 2: the shared run integrates the field at radius |x0| from x0,
-    # and the scaling map gives every radius within 1e-6 relative of a
-    # tight run at that radius
+def test_on_ray_sweep_from_outside_the_unit_sphere_is_one_passage_in_ball_units():
+    # |x0| = 2: every radius, nu = 1 included, is read off the one passage
+    # through the unit ball, within 1e-6 relative of a tight run at that
+    # radius
     field = sf.builtin_field("saddle2d", ALPHA)
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     t_grid = np.linspace(0.0, 4.0, 81)
     nus = [1.0, 0.1, 0.01, 0.001]
     rep = sf.inviscid_sweep(rf, [-2.0, 0.0], t_grid, nus)
-    assert [(r.nu_indices, r.scale) for r in rep.runs] == [([0, 1, 2, 3], 2.0)]
+    assert [(r.nu_indices, r.scale) for r in rep.runs] == [([0, 1, 2, 3], 1.0)]
     assert rep.verdict == "converged_to(fixed_ray)"
     tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
     for sol, nu in zip(rep.solutions, nus):
@@ -863,7 +908,10 @@ def test_sweep_runs_the_nu_the_shared_run_cannot_serve_directly(case, x0, nus, d
     assert [r.nu_indices for r in rep.runs if r.scale == 1.0] == ([shared] if shared else [])
 
 
-def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypatch):
+def test_failed_continuation_fails_every_nu_the_passage_serves(saddle_sweep_grid, monkeypatch):
+    # the passage's continuation underflows: every nu it serves fails with an
+    # error naming the passage, and its one runs entry adds the partial
+    # continuation's stats to the first visit's, h_min and h_max over both
     import singularflow.continuation as cont
 
     field = sf.builtin_field("saddle2d", ALPHA)
@@ -872,9 +920,7 @@ def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypa
     partial_stats = []
 
     def underflowing(rf, x0, t0, t1, opts):
-        if rf.nu != 1.0:
-            return real(rf, x0, t0, t1, opts)
-        partial = dataclasses.replace(real(rf, x0, t0, t0 + 0.1, opts), status="step_failure")
+        partial = dataclasses.replace(real(rf, x0, t0, t0 + 5.0, opts), status="step_failure")
         partial_stats.append(partial.stats)
         raise sf.StepFailure("synthetic underflow", partial)
 
@@ -882,13 +928,16 @@ def test_shared_run_failure_fails_every_nu_it_serves(saddle_sweep_grid, monkeypa
     rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
     assert all(sol is None for sol in rep.solutions)
     for err in rep.errors:
-        assert err.startswith("StepFailure: synthetic underflow")
-        assert "shared on-ray run at scale |x0| = 1.0" in err
+        assert err == "StepFailure: synthetic underflow (in the on-ray passage)"
+    assert rep.escape.outcome == "expelled" and rep.verdict == "undetermined"
     assert len(rep.runs) == 1
-    run = rep.runs[0]
-    assert run.nu_indices == [0, 1, 2] and run.status == "step_failure"
-    assert run.stats == partial_stats[0] and run.stats.accepted > 0
-    assert rep.verdict == "undetermined"
+    run, visit, part = rep.runs[0], rep.escape.visit.stats, partial_stats[0]
+    assert run.nu_indices == [0, 1, 2] and run.scale == 1.0 and run.status == "step_failure"
+    assert run.stats == sf.SolverStats(
+        visit.rhs_calls + part.rhs_calls, visit.accepted + part.accepted,
+        visit.rejected + part.rejected, min(visit.h_min, part.h_min), max(visit.h_max, part.h_max),
+    )
+    assert run.stats.h_min < run.stats.h_max and part.h_max > visit.h_max
     # a run that failed before accepting a step has no smallest step
     assert rep.runs[0].to_dict()["h_min"] > 0
     bare = dataclasses.replace(run, stats=sf.SolverStats(rhs_calls=1))
