@@ -653,7 +653,9 @@ def rescaled_escape(
     ends within 5e-3 of it.
 
     r_bound, the "sup R" of the certificates, is the largest radius the
-    excursions reach, between their samples included (_outside_excursion).
+    excursions that re-enter the ball reach, between their samples included
+    (_outside_excursion), and inf past the float range (null in JSON); an
+    expelled result has none.
     Every run inherits opts, max_step included.
     """
     field = rf.base
@@ -712,8 +714,11 @@ def rescaled_escape(
                 out = _outside_excursion(field, y_exit, window, opts)
                 if not out["reentered"]:
                     attr = _identify_attractor(field, out["y_end"], opts, window, cycle=attr)
-        r_max = max(r_max, math.exp(out["z_max"]))
         if out["reentered"]:
+            try:
+                r_max = max(r_max, math.exp(out["z_max"]))
+            except OverflowError:  # a radius beyond the float range
+                r_max = math.inf
             if r_max > _R_BOUND_CAP:
                 certificate = f"excursion exceeded the bound cap {_R_BOUND_CAP:g}"
                 return result("undetermined", certificate, r_bound=r_max)

@@ -533,8 +533,9 @@ def inviscid_sweep(
     rest solution, the unique ray, or the cycle family with the phase and
     lag read off each radius (_read_phase).
     Per-nu failures are recorded without aborting the sweep.  Every nu must
-    be positive and finite, and t_grid strictly increasing from t0 on
-    (ValueError otherwise).
+    be positive and finite, in any order: the verdicts and zeta_uncertainty
+    read the radii by decreasing nu.  t_grid must be strictly increasing
+    from t0 on (ValueError otherwise).
 
     A start on a stable collapse ray stays on it at every scale, and the
     patched field scales exactly, f_nu(x) = nu^alpha f_1(x / nu).  So with
@@ -661,6 +662,7 @@ def inviscid_sweep(
 
     report.escape = esc
     good = [k for k in range(n) if solutions[k] is not None]
+    ranked = sorted(good, key=lambda k: -nu_values[k])  # ties keep the list's order
     post = t_grid > t_b + 1e-12
     if len(good) < 2 or not np.any(post):
         return report
@@ -692,7 +694,7 @@ def inviscid_sweep(
         report.reference = "fixed_ray"
         ray_vals = ray.eval(t_grid[post])
         dists = np.array(
-            [np.max(np.linalg.norm(solutions[k][post] - ray_vals, axis=1)) for k in good]
+            [np.max(np.linalg.norm(solutions[k][post] - ray_vals, axis=1)) for k in ranked]
         )
         decreasing = bool(np.all(np.diff(dists) < 0))
         report.verdict = (
@@ -704,13 +706,12 @@ def inviscid_sweep(
     fam = build_cycle_family(field, esc.attractor, t_b, opts=opts)
     report.family = fam
     report.reference = "cycle_family"
-    reads = [_read_phase(fam, t_grid[post], solutions[k][post]) for k in good]
-    zs = [z for z, _, _ in reads]
-    report.matched_zeta = zs
-    report.matched_lag = [lag for _, lag, _ in reads]
-    report.zeta_uncertainty = reads[-1][2]
+    reads = {k: _read_phase(fam, t_grid[post], solutions[k][post]) for k in good}
+    report.matched_zeta = [reads[k][0] for k in good]
+    report.matched_lag = [reads[k][1] for k in good]
+    report.zeta_uncertainty = reads[ranked[-1]][2]
     span = fam.zeta_period
-    difs = np.abs(np.diff(zs))
+    difs = np.abs(np.diff([reads[k][0] for k in ranked]))
     difs = np.minimum(difs, span - difs) / span  # wrapped, as a fraction of the period
     shrinking = bool(np.all(np.diff(difs) <= 0.05)) and difs[-1] <= 0.25
     report.verdict = "converged_to(cycle_family)" if shrinking else "diverging_phases"

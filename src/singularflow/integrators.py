@@ -7,6 +7,7 @@ extension, written as the cubic Hermite of the step's ends plus one term
 per step.  Its step loop, like the package's float kernels, is rendered
 once per state size (_rendered), one Python float per component: on states
 of 2 to 5 components a list comprehension costs more than its arithmetic.
+The loop computes its own starting step and error norm on those floats.
 Event crossings are located by bisection on that dense output.  Blowup
 times are recovered from trajectory tails through the exact linearity of
 r^(1-alpha) in t on the self-similar collapse.
@@ -215,39 +216,6 @@ def _float_form(fn):
     return through_arrays
 
 
-def _error_norm(err, ay0, ay1, atol, rtol):
-    """The RMS of err/scale, with ay0 and ay1 the |y| of the step's two ends.
-
-    err, ay0 and ay1 are sequences of floats, and the squares are summed
-    left to right.  Below 8 entries np.add.reduce sums in that order too, so
-    this is np.mean of the NumPy formula bit for bit; from 8 on NumPy sums
-    pairwise, and the two can differ in the last bits.
-    """
-    n = len(err)
-    total = 0.0
-    for e, a, b in zip(err, ay0, ay1):
-        # the larger of a and b, or NaN if either is NaN, as np.maximum
-        q = e / (atol + rtol * (a if a > b or a != a else b))
-        total += q * q
-    return math.sqrt(total / n)
-
-
-def _initial_step(f, t0, y0, f0, atol, rtol, max_step):
-    # Hairer/Wanner starting-step heuristic, on arrays; f is a float form.  A
-    # norm that overflows (atol far below |y0| or |f0|) measures no more than
-    # one too small to measure, and both take the fallback steps.
-    with np.errstate(over="ignore"):
-        scale = atol + rtol * np.abs(y0)
-        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-        h0 = 0.01 * d0 / d1 if 1e-5 <= min(d0, d1) and max(d0, d1) < math.inf else 1e-6
-        f1 = np.array(f(t0 + h0, (y0 + h0 * f0).tolist()))
-        d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    d12 = max(d1, d2)
-    h1 = (0.01 / d12) ** 0.2 if 1e-15 < d12 < math.inf else max(1e-6, h0 * 1e-3)
-    return min(100 * h0, h1, max_step)
-
-
 # _stepper's body, rendered for each state size by _rendered
 _STEPPER_TEMPLATE = '''\
 def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
@@ -258,10 +226,24 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
     f_of = _float_form(rhs)
     post = None if postprocess is None else _float_form(postprocess)
     atol, rtol, max_step = opts.atol, opts.rtol, opts.max_step
-    h = min(_initial_step(f_of, t, y_arr, f_arr, atol, rtol, max_step), t1 - t)
-    stats.rhs_calls += 1
+    n = len(y_arr)
     {y_}, = y = y_arr.tolist()
     {k1_}, = f = f_arr.tolist()
+    # Hairer and Wanner's starting step (Solving ODEs I, II.4); a norm that
+    # overflows (atol far below |y0| or |f0|) measures no more than one too
+    # small to measure, and both take the fallback steps.  Every RMS sums
+    # q * q left to right (a float ** raises OverflowError where q * q is
+    # inf); from 8 components on, NumPy's pairwise np.mean can differ from it
+    # in the last bits.  The loop caps h by max_step and t1 - t.
+    {sc_}, = {atol + rtol * abs(y_)},
+    {q_}, {r_}, = {y_ / sc_}, {k1_ / sc_},
+    d0, d1 = math.sqrt(({+ q_ * q_}) / n), math.sqrt(({+ r_ * r_}) / n)
+    h0 = 0.01 * d0 / d1 if 1e-5 <= min(d0, d1) and max(d0, d1) < math.inf else 1e-6
+    {f1_}, = f_of(t + h0, [{y_ + h0 * k1_}])
+    stats.rhs_calls += 1
+    {q_}, = {(f1_ - k1_) / sc_},
+    d12 = max(d1, math.sqrt(({+ q_ * q_}) / n) / h0)
+    h = min(100 * h0, (0.01 / d12) ** 0.2 if 1e-15 < d12 < math.inf else max(1e-6, h0 * 1e-3))
     while t < t1:
         if stats.accepted + stats.rejected == _MAX_STEPS:
             raise StepFailure("no end after %d attempted steps, at t = %r" % (_MAX_STEPS, t), None)
@@ -278,8 +260,12 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
         t_new = t + h
         {k7_}, = k7 = f_of(t_new, y_new)
         stats.rhs_calls += 6
-        err = [{h * (_E1 * k1_ + _E3 * k3_ + _E4 * k4_ + _E5 * k5_ + _E6 * k6_ + _E7 * k7_)}]
-        enorm = _error_norm(err, [{abs(y_)}], [{abs(yn_)}], atol, rtol)
+        {er_}, = {h * (_E1 * k1_ + _E3 * k3_ + _E4 * k4_ + _E5 * k5_ + _E6 * k6_ + _E7 * k7_)},
+        # the RMS of er over atol + rtol max(|y|, |y_new|), NaN if either is
+        # NaN, as np.maximum gives it
+        {a_}, {b_}, = {abs(y_)}, {abs(yn_)},
+        {q_}, = {er_ / (atol + rtol * (a_ if a_ > b_ or a_ != a_ else b_))},
+        enorm = math.sqrt(({+ q_ * q_}) / n)
         if not math.isfinite(enorm):
             raise StepFailure("non-finite state or right-hand side in the step from t = %r "
                               "(h = %r)" % (t, h), None)
@@ -313,8 +299,8 @@ def _rendered(template, n):
     as [y_0 + k_0, y_1 + k_1] at n = 2), or "+"-joined if it starts with "+"
     ({+ y_} as y_0 + y_1), so every sum keeps its written order.  It is
     compiled on first use in this module's globals, where the stepper reads
-    _MAX_STEPS and _error_norm as they are when it runs; linecache holds its
-    source for tracebacks."""
+    _MAX_STEPS as it is when it runs; linecache holds its source for
+    tracebacks."""
 
     def unrolled(m):
         expr, sep = m[1].strip(), ", "
@@ -400,6 +386,10 @@ def integrate(
     stats count the right-hand-side calls, the accepted and rejected steps
     and the range of accepted step sizes.  Its dense output (sample) is the
     stepper's order-4 continuous extension on every step.
+
+    The step loop computes its own starting step (Hairer and Wanner's) and
+    error norm, RMS sums of squares taken left to right: below 8 components
+    np.mean of the squares bit for bit, from 8 on within its last bits.
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")

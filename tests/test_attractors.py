@@ -752,6 +752,48 @@ def test_rescaled_escape_bound_reads_the_dense_maximum(monkeypatch):
     assert res.r_bound == pytest.approx(math.exp(CENTER_A), rel=1e-4)
 
 
+def test_rescaled_escape_confirmed_past_the_float_range_is_expelled():
+    # F(y) = (1 + 1.5 y1) y + 0.04 (-y2, y1): F_r(-1, 0) = -0.5, and the unit
+    # circle is a defocusing cycle of period 2 pi / 0.04 = 157 with mean
+    # F_r = 1, so the five-period confirmation window carries the log-radius
+    # to 785, past the range of exp (709.78), on an excursion that never
+    # re-enters the ball
+    field = sf.SingularField(
+        2, ALPHA, lambda y: (1.0 + 1.5 * y[0]) * y + 0.04 * np.array([-y[1], y[0]])
+    )
+    for g0 in ([1.0, -2.0], [2.0, 0.0]):
+        res = sf.rescaled_escape(sf.make_polynomial_blend(field, g0, 1.0), [-1.0, 0.0])
+        assert res.outcome == "expelled" and res.r_bound is None, res.certificate
+        assert res.attractor.kind == "limit_cycle" and res.attractor.label == "defocusing"
+        assert res.attractor.period == pytest.approx(2 * math.pi / 0.04, rel=1e-8)
+        assert re.search(r"log-radius grew to 78\d ", res.certificate), res.certificate
+
+
+def test_rescaled_escape_reentering_past_the_float_range_has_an_infinite_bound():
+    # the direction turns at unit speed and dz/ds = y1 (b + (a - b) max(y2, 0)^2),
+    # so every orbit is closed: inside the ball z >= -b, and the excursion
+    # from the exit at (1, 0) reaches z = b + (a - b) / 3 = 733.7 at (0, 1),
+    # beyond the range of exp, before it re-enters
+    from singularflow.cli import _strict
+
+    a, b = 2200.0, 0.5
+
+    def sphere_map(y):
+        y = np.asarray(y, dtype=float)
+        return np.array([-y[1], y[0]]) + y[0] * (b + (a - b) * max(y[1], 0.0) ** 2) * y
+
+    def inner(X):
+        r = float(np.linalg.norm(X))
+        return np.zeros(2) if r == 0.0 else r**ALPHA * sphere_map(np.asarray(X) / r)
+
+    field = sf.SingularField(2, ALPHA, sphere_map)
+    res = sf.rescaled_escape(sf.RegularizedField(field, 1.0, inner), [-1.0, 0.0])
+    assert res.outcome == "undetermined" and res.revisits == 1
+    assert res.certificate == "excursion exceeded the bound cap 50"
+    assert res.r_bound == math.inf
+    assert _strict(res.to_dict())["r_bound"] is None  # null in the JSON outputs
+
+
 def test_cycle_search_laps_restart_from_projected_returns():
     # a located section return lies off the sphere by the dense output's
     # error (|y| = 0.9999999978 on the first return here), more than

@@ -614,6 +614,25 @@ def test_cycle_sweep_converges_at_every_chi(chi):
     assert rep.zeta_uncertainty <= 1e-7
 
 
+def test_sweep_verdicts_read_the_radii_by_decreasing_nu(cycle_sweep):
+    # nu_list may come in any order: the fixed_ray rule, the phase
+    # increments of the cycle_family rule and zeta_uncertainty (the smallest
+    # radius's spread) rank the radii by decreasing nu, while the matched
+    # phases, lags and distances keep the list's order
+    rf = sf.make_polynomial_blend(sf.builtin_field("saddle2d", ALPHA), [1.0, -2.0], 1.0)
+    nus = [0.1, 0.03, 0.01, 0.003, 0.001]
+    for order in (nus, nus[::-1], [0.01, 0.1, 0.001, 0.03, 0.003]):
+        rep = sf.inviscid_sweep(rf, [-1.0, 0.0], np.linspace(0.0, 2.5, 61), order)
+        assert rep.verdict == "converged_to(fixed_ray)", order
+    rf, t_grid, rep = cycle_sweep
+    back = sf.inviscid_sweep(rf, [0.0, 0.0, -1.0], t_grid, rep.nu_values[::-1].tolist())
+    assert back.verdict == rep.verdict == "converged_to(cycle_family)"
+    assert back.zeta_uncertainty == rep.zeta_uncertainty <= 1e-7
+    assert back.matched_zeta == rep.matched_zeta[::-1]
+    assert back.matched_lag == rep.matched_lag[::-1]
+    assert np.array_equal(back.pairwise_sup_distances, rep.pairwise_sup_distances[::-1, ::-1])
+
+
 @pytest.mark.parametrize("n", [1, 9])
 def test_on_ray_sweep_matches_a_tight_reference(cycle_sweep, n):
     # every nu of the shared run is within 1e-6 relative of a direct run in

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_a_plain_wrapper_gives_the_same_trajectory_bitwise():
 
 
 @pytest.mark.parametrize("n", [2, 10, 12, 50])
-def test_array_rhs_matches_its_closed_form(monkeypatch, n):
+def test_array_rhs_matches_its_closed_form(n):
     # n / 2 decaying rotations, dx/dt = A x, with no float form: each size
     # runs its own rendered step loop, whose per-component names (k1_0 to
     # k1_49 at n = 50) must not shadow the loop's own
@@ -137,19 +138,18 @@ def test_array_rhs_matches_its_closed_form(monkeypatch, n):
     def rhs(_t, x):
         return A @ x
 
-    sizes = []
-    norm = integrators._error_norm
-
-    def recorded(err, *args):
-        sizes.append(len(err))
-        return norm(err, *args)
-
-    monkeypatch.setattr(integrators, "_error_norm", recorded)
     x0 = np.linspace(-1.0, 1.0, n)
     opts = sf.IntegrationOptions(rtol=1e-12, atol=1e-14)
     traj = sf.integrate(rhs, x0, 0.0, 5.0, opts)
     assert not hasattr(rhs, "floats")
-    assert set(sizes) == {n}
+    # the steps are the reference stepper's, whose norm and starting step
+    # take all n components
+    stats = sf.SolverStats(rhs_calls=1)
+    steps = list(ref_stepper(lambda t, y: rhs(t, np.array(y)).tolist(), x0.tolist(),
+                             rhs(0.0, x0).tolist(), 0.0, 5.0, opts, stats))
+    assert stats == traj.stats
+    assert same_bits(traj.times, [0.0] + [step[3] for step in steps])
+    assert same_bits(traj.states, [x0] + [step[4] for step in steps])
     for t, x in zip(traj.times[::7], traj.states[::7]):
         want = np.empty(n)
         for k, (a, w) in enumerate(zip(rates, freqs)):
@@ -384,6 +384,103 @@ def ref_sphere_clear_of(r, g_prev, step):
     return False
 
 
+def ref_error_norm(err, ay0, ay1, atol, rtol):
+    """The RMS of err/scale, with ay0 and ay1 the |y| of the step's two ends,
+    the squares summed left to right."""
+    n = len(err)
+    total = 0.0
+    for e, a, b in zip(err, ay0, ay1):
+        # the larger of a and b, or NaN if either is NaN, as np.maximum
+        q = e / (atol + rtol * (a if a > b or a != a else b))
+        total += q * q
+    return math.sqrt(total / n)
+
+
+def ref_mean(squares):
+    """np.mean of an array, its sum taken left to right."""
+    total = 0.0
+    for q in squares.tolist():
+        total += q
+    return total / len(squares)
+
+
+def ref_initial_step(f, t0, y0, f0, atol, rtol, max_step, mean=ref_mean):
+    # Hairer/Wanner starting-step heuristic, on arrays; f is a float form.  A
+    # norm that overflows (atol far below |y0| or |f0|) measures no more than
+    # one too small to measure, and both take the fallback steps.
+    with np.errstate(over="ignore"):
+        scale = atol + rtol * np.abs(y0)
+        d0 = math.sqrt(float(mean((y0 / scale) ** 2)))
+        d1 = math.sqrt(float(mean((f0 / scale) ** 2)))
+        h0 = 0.01 * d0 / d1 if 1e-5 <= min(d0, d1) and max(d0, d1) < math.inf else 1e-6
+        f1 = np.array(f(t0 + h0, (y0 + h0 * f0).tolist()))
+        d2 = math.sqrt(float(mean(((f1 - f0) / scale) ** 2))) / h0
+    d12 = max(d1, d2)
+    h1 = (0.01 / d12) ** 0.2 if 1e-15 < d12 < math.inf else max(1e-6, h0 * 1e-3)
+    return min(100 * h0, h1, max_step)
+
+
+_I = integrators
+# the Dormand-Prince 5(4) stages k2 to k6 as (c, weights), each weight (a, j)
+# on stage k_(j+1); then the weights of the solution and of the error
+REF_STAGES = (
+    (_I._C2, ((_I._A21, 0),)),
+    (_I._C3, ((_I._A31, 0), (_I._A32, 1))),
+    (_I._C4, ((_I._A41, 0), (_I._A42, 1), (_I._A43, 2))),
+    (_I._C5, ((_I._A51, 0), (_I._A52, 1), (_I._A53, 2), (_I._A54, 3))),
+    (1.0, ((_I._A61, 0), (_I._A62, 1), (_I._A63, 2), (_I._A64, 3), (_I._A65, 4))),
+)
+REF_SOLUTION = ((_I._B1, 0), (_I._B3, 2), (_I._B4, 3), (_I._B5, 4), (_I._B6, 5))
+REF_ERROR = ((_I._E1, 0), (_I._E3, 2), (_I._E4, 3), (_I._E5, 4), (_I._E6, 5), (_I._E7, 6))
+
+
+def ref_combination(h, weights, ks):
+    """h (a_1 k_1 + a_2 k_2 + ...) per component, each sum left to right."""
+    out = []
+    for i in range(len(ks[0])):
+        (a, j), *rest = weights
+        total = a * ks[j][i]
+        for a, j in rest:
+            total += a * ks[j][i]
+        out.append(h * total)
+    return out
+
+
+def ref_stepper(f, y, k1, t, t1, opts, stats):
+    """The step loop on lists, with ref_initial_step and ref_error_norm:
+    yields (t, y, f, t_new, y_new, f_new) per accepted step."""
+    atol, rtol, max_step = opts.atol, opts.rtol, opts.max_step
+    h = min(ref_initial_step(f, t, np.array(y), np.array(k1), atol, rtol, max_step), t1 - t)
+    stats.rhs_calls += 1
+    while t < t1:
+        h = min(h, max_step, t1 - t)
+        if h < 16 * _I._EPS * max(1.0, abs(t)):
+            raise sf.StepFailure("step size underflow at t = %r" % t)
+        ks = [k1]
+        for c, weights in REF_STAGES:
+            ks.append(f(t + c * h, [v + dv for v, dv in zip(y, ref_combination(h, weights, ks))]))
+        y_new = [v + dv for v, dv in zip(y, ref_combination(h, REF_SOLUTION, ks))]
+        t_new = t + h
+        ks.append(f(t_new, y_new))
+        stats.rhs_calls += 6
+        err = ref_combination(h, REF_ERROR, ks)
+        enorm = ref_error_norm(err, [abs(v) for v in y], [abs(v) for v in y_new], atol, rtol)
+        if not math.isfinite(enorm):
+            raise sf.StepFailure("non-finite state or right-hand side in the step from t = %r "
+                                 "(h = %r)" % (t, h))
+        if enorm <= 1.0:
+            stats.accepted += 1
+            stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
+            yield t, y, k1, t_new, y_new, ks[6]
+            t, y, k1 = t_new, y_new, ks[6]
+            factor = _I._MAX_FACTOR if enorm == 0.0 else min(_I._MAX_FACTOR,
+                                                            _I._SAFETY * enorm ** -0.2)
+            h *= max(_I._MIN_FACTOR, factor)
+        else:
+            stats.rejected += 1
+            h *= max(_I._MIN_FACTOR, min(1.0, _I._SAFETY * enorm ** -0.2))
+
+
 def _cyclic_floats(y):
     d = len(y)
     return [y[(i + 1) % d] - 0.5 * y[i] * y[i - 1] + 0.25 * y[i] * y[i] for i in range(d)]
@@ -513,6 +610,135 @@ def test_rendered_sphere_prefilter_is_the_reference():
                 assert got is ref_sphere_clear_of(radius, g_prev, step)
                 answers.add((g_prev > 0.0, got))
     assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_reference_norm_and_starting_step_are_the_numpy_formulas():
+    rng = np.random.default_rng(5)
+    for n in range(1, 10):
+        for _ in range(2000):
+            err = rng.standard_normal(n) * 10.0 ** rng.uniform(-14.0, 0.0, n)
+            ay0, ay1 = np.abs(rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-4.0, 4.0, (2, n)))
+            scale = 1e-12 + 1e-9 * np.maximum(ay0, ay1)
+            squares = (err / scale) ** 2
+            # np.add.reduce sums fewer than 8 terms left to right, and more
+            # pairwise, where the sequential mean stands in
+            want = math.sqrt(float(np.mean(squares) if n < 8 else ref_mean(squares)))
+            assert ref_error_norm(err, ay0.tolist(), ay1.tolist(), 1e-12, 1e-9) == want
+    # a NaN in either |y| poisons the norm, as np.maximum does; an infinite
+    # |y| only widens the scale
+    err = [1e-9, 0.0]
+    assert math.isnan(ref_error_norm(err, [math.nan, 1.0], [1.0, 1.0], 1e-12, 1e-9))
+    assert math.isnan(ref_error_norm(err, [1.0, 1.0], [1.0, math.nan], 1e-12, 1e-9))
+    assert ref_error_norm(err, [math.inf, 1.0], [1.0, 1.0], 1e-12, 1e-9) == 0.0
+    # below 8 components the sequential means are np.mean's, bit for bit
+    for n in range(1, 8):
+        for _ in range(300):
+            y0 = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+            mix = rng.standard_normal((n, n))
+            f = lambda _t, y: (mix @ np.array(y)).tolist()
+            f0 = np.array(f(0.0, y0))
+            atol, rtol = 10.0 ** rng.uniform(-14.0, -3.0, 2)
+            assert (ref_initial_step(f, 0.0, y0, f0, atol, rtol, math.inf)
+                    == ref_initial_step(f, 0.0, y0, f0, atol, rtol, math.inf, mean=np.mean))
+
+
+def rendered_stepper(f, y, k1, t, t1, opts, stats):
+    return integrators._stepper(integrators._with_floats(f), np.array(y), np.array(k1), t, t1,
+                                opts, stats)
+
+
+def stepper_record(stepper, form, x0, t1, opts):
+    """What a stepper does from x0 at t = 0: the bytes of its right-hand-side
+    calls and of its accepted steps, its stats, and its failure if any."""
+    calls, steps = [], []
+
+    def logged(t, y):
+        calls.append([t, *y])
+        return form(t, y)
+
+    stats = sf.SolverStats(rhs_calls=1)
+    failure = None
+    try:
+        for t, y, f, t_new, y_new, f_new, *_ in stepper(logged, x0, form(0.0, x0), 0.0, t1, opts,
+                                                         stats):
+            steps.append([t, *y, *f, t_new, *y_new, *f_new])
+    except sf.StepFailure as exc:
+        failure = str(exc)
+    return np.array(calls).tobytes(), np.array(steps).tobytes(), dataclasses.astuple(stats), failure
+
+
+def overflowing(t, y):
+    # from 1.79e308, component 0 runs at 1e307 a unit time and overflows to
+    # inf, which only widens its error scale, so the step is accepted; from
+    # t = 0.5 on it runs at -1.7e308, the solution's weighted sum overflows
+    # to -inf, and inf - inf is a NaN in the new state alone, which poisons
+    # the norm as np.maximum does (where max(inf, nan) would be inf)
+    return [1e307 if t < 0.5 else -1.7e308] + [-0.5 * v for v in y[1:]]
+
+
+def forced(t, y):
+    n = len(y)
+    return [math.cos(7.0 * t) * y[(i + 1) % n] - 0.2 * y[i] + math.sin(11.0 * t) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rendered_stepper_takes_the_reference_steps_bitwise(n):
+    # the stepper renders its norm and starting step on floats; a stepper
+    # calling ref_error_norm and ref_initial_step makes the same
+    # right-hand-side calls, accepts and rejects the same steps and fails
+    # the same way, bit for bit
+    rng = np.random.default_rng(60 + n)
+    loose = sf.IntegrationOptions(rtol=1e-4, atol=1e-7)
+    cases = [
+        (lambda t, y: _cyclic_floats(y), (0.5 * rng.standard_normal(n)).tolist(), 4.0, loose),
+        (lambda t, y: _cyclic_floats(y), (0.5 * rng.standard_normal(n)).tolist(), 4.0,
+         sf.IntegrationOptions()),
+        (forced, rng.standard_normal(n).tolist(), 6.0, loose),
+        (forced, (1e-150 * rng.standard_normal(n)).tolist(), 1.0, sf.IntegrationOptions(atol=1e-300)),
+        (overflowing, [1.79e308] + rng.standard_normal(n - 1).tolist(), 1.0, loose),
+    ]
+    rejected = 0
+    for form, x0, t1, opts in cases:
+        want = stepper_record(ref_stepper, form, x0, t1, opts)
+        assert stepper_record(rendered_stepper, form, x0, t1, opts) == want, (form, x0)
+        rejected += want[2][2]
+    assert rejected > 0
+    # the overflowing run accepts its infinite state and fails on the NaN
+    _, steps, stats, failure = want
+    assert failure.startswith("non-finite state or right-hand side in the step")
+    assert np.isinf(np.frombuffer(steps).reshape(stats[1], -1)[-1, 2 * n + 2])
+
+
+@pytest.mark.parametrize("rtol", [1e-300, 1e-9, 1e300])
+@pytest.mark.parametrize("atol", [5e-324, 1e-300, 1e-12, 1e300])
+def test_starting_step_is_positive_and_finite_for_every_accepted_tolerance(atol, rtol):
+    # a zero component of x0 puts atol alone in the scale of the starting-step
+    # heuristic; where its norms overflow, it falls back to a fixed step.
+    # From t = 0 the first stage after the probe is called at 0.2 h.  The
+    # run reaches an accepted step, or fails by step-size underflow, or on
+    # an error norm that overflows at the tiniest atol: never on a starting
+    # step that is not positive and finite
+    f = sf.builtin_field("spiral2d", ALPHA)
+    opts = sf.IntegrationOptions(rtol=rtol, atol=atol)
+    for x0 in ([1.0, 0.0], [1e-150, 0.0], [1e100, 0.0]):
+        times = []
+
+        def rhs(t, x):
+            times.append(t)
+            return sf.eval_field(f, x)
+
+        x0 = np.array(x0)
+        steps = integrators._stepper(rhs, x0, rhs(0.0, x0), 0.0, 1.0, opts, sf.SolverStats())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowed norm is expected, and silent
+            try:
+                next(steps)
+            except sf.StepFailure as exc:
+                assert str(exc).startswith(("step size underflow", "non-finite state or "
+                                            "right-hand side in the step")), (x0, exc)
+                if len(times) == 2:  # the start and the probe: h underflowed
+                    continue
+        assert 0.0 < times[2] < math.inf, (x0, times)
 
 
 def test_each_template_is_rendered_once_per_size():

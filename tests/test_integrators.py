@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import traceback
-import warnings
 
 import numpy as np
 import pytest
@@ -539,34 +538,6 @@ def test_small_sphere_is_located_to_its_own_scale():
     assert t_e == pytest.approx(1.5 - 1.5 * R ** (2.0 / 3.0), abs=1e-7)
 
 
-def test_error_norm_matches_the_numpy_formula():
-    from singularflow.integrators import _error_norm
-
-    rng = np.random.default_rng(5)
-    for n in range(1, 10):
-        for _ in range(2000):
-            err = rng.standard_normal(n) * 10.0 ** rng.uniform(-14.0, 0.0, n)
-            ay0, ay1 = np.abs(rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-4.0, 4.0, (2, n)))
-            scale = 1e-12 + 1e-9 * np.maximum(ay0, ay1)
-            squares = (err / scale) ** 2
-            if n < 8:
-                # np.add.reduce sums fewer than 8 terms left to right
-                want = math.sqrt(float(np.mean(squares)))
-            else:
-                # and more pairwise, so the sequential formula stands in
-                total = 0.0
-                for q in squares.tolist():
-                    total += q
-                want = math.sqrt(total / n)
-            assert _error_norm(err, ay0.tolist(), ay1.tolist(), 1e-12, 1e-9) == want
-    # a NaN in either |y| poisons the norm, as np.maximum does; an infinite
-    # |y| only widens the scale
-    err = np.array([1e-9, 0.0])
-    assert math.isnan(_error_norm(err, [math.nan, 1.0], [1.0, 1.0], 1e-12, 1e-9))
-    assert math.isnan(_error_norm(err, [1.0, 1.0], [1.0, math.nan], 1e-12, 1e-9))
-    assert _error_norm(err, [math.inf, 1.0], [1.0, 1.0], 1e-12, 1e-9) == 0.0
-
-
 def test_non_finite_state_or_rhs_ends_in_step_failure():
     # a NaN that only the error scale sees (a constant right-hand side, a
     # postprocess that breaks the state), and an infinite right-hand side
@@ -799,28 +770,6 @@ def test_options_validation():
     for bad in (0.0, -1.0, math.nan):  # a cap that fails every first step, or caps none
         with pytest.raises(ValueError, match="max_step must be positive"):
             sf.IntegrationOptions(max_step=bad)
-
-
-@pytest.mark.parametrize("rtol", [1e-300, 1e-9, 1e300])
-@pytest.mark.parametrize("atol", [5e-324, 1e-300, 1e-12, 1e300])
-def test_initial_step_is_positive_and_finite_for_every_accepted_tolerance(atol, rtol):
-    # a zero component of x0 puts atol alone in the scale of the starting-step
-    # heuristic; where its norms overflow, it falls back to a fixed step
-    from singularflow.integrators import _float_form, _initial_step
-
-    f = sf.builtin_field("spiral2d", ALPHA)
-    rhs = _float_form(lambda t, x: sf.eval_field(f, x))
-    for x0 in ([1.0, 0.0], [1e-150, 0.0], [1e100, 0.0]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an overflowed norm is expected, and silent
-            h = _initial_step(rhs, 0.0, np.array(x0), np.array(rhs(0.0, x0)), atol, rtol, math.inf)
-        assert 0.0 < h < math.inf, (x0, h)
-    opts = sf.IntegrationOptions(rtol=rtol, atol=atol)
-    try:
-        traj = sf.integrate(lambda t, x: sf.eval_field(f, x), [1.0, 0.0], 0.0, 1.0, opts)
-    except sf.StepFailure:
-        return
-    assert traj.status == "completed"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
