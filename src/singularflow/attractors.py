@@ -22,7 +22,8 @@ import numpy as np
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _dense_max, _Level, _Plane, _Sphere, integrate
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _bezier, _dense_max, _Level,
+    _locate_crossing, _monomials, _Plane, _scan_step, _Sphere, integrate,
 )
 from .regularize import RegularizedField, regularized_rhs
 from .renorm import renorm_integrate, renormalized_system
@@ -133,8 +134,8 @@ class EscapeResult:
     revisits: int = 0
     attractor: Optional[AttractorInfo] = None
     certificate: str = ""
-    # the first inside visit, in ball units (rescaled_escape); not in to_dict
-    visit: Optional[Trajectory] = dataclasses.field(default=None, compare=False, repr=False)
+    # the run in ball units below the bound cap (rescaled_escape); to_dict writes its stats
+    run: Optional[Trajectory] = dataclasses.field(default=None, compare=False, repr=False)
 
     def to_dict(self):
         return {
@@ -142,6 +143,7 @@ class EscapeResult:
             "certificate": self.certificate,
             "revisits": self.revisits,
             "r_bound": self.r_bound,
+            "run": None if self.run is None else self.run.stats.to_dict(),
         }
 
 
@@ -553,16 +555,16 @@ def _interior_sink(rhs, x, tau):
 
 
 class _SinkWatch:
-    """The until of rescaled_escape's inside runs, the passage's first visit
-    among them: it stops at a certified sink.
+    """The until of rescaled_escape's run: it stops at a certified sink.
 
     Every _SINK_POLL accepted steps it reads the speed |f| off the
     derivative the run hands it at the accepted state, at no right-hand-side
     call, and only then arrays of it and the state; a speed below
-    _SINK_SPEED (never NaN or inf) runs _interior_sink from there.  The
-    certificate is the sink's once the run has stopped on it; rhs_calls
-    counts the sink searches' right-hand-side calls, which charge adds to
-    the stats of the watched run.
+    _SINK_SPEED (never NaN or inf) at a state in the unit ball, the only
+    place a sink's level set can hold it, runs _interior_sink from there.
+    The certificate is the sink's once the run has stopped on it; rhs_calls
+    counts the sink searches' right-hand-side calls, which rescaled_escape
+    adds to the stats of the run.
     """
 
     def __init__(self, rhs):
@@ -581,28 +583,23 @@ class _SinkWatch:
         if self.steps % _SINK_POLL:
             return False
         f = np.array(f)
-        if not math.sqrt(float(f.dot(f))) < _SINK_SPEED:
+        if not (math.sqrt(float(f.dot(f))) < _SINK_SPEED and math.hypot(*x) < 1.0):
             return False
         self.certificate = _interior_sink(self.rhs, np.array(x), tau)
         return self.certificate is not None
 
-    def charge(self, traj):
-        """Count the watch's right-hand-side calls in the stats of traj."""
-        traj.stats.rhs_calls += self.rhs_calls
 
-
-def _identify_attractor(field, y_end, opts, window, cycle=None):
-    # y_end ends an excursion that ran window units of the direction flow: a
-    # fixed point within 1e-5 (_fixed_point_near), else cycle when within
-    # 5e-3, else the cycle a search finds, whose transient is what is left
-    # of its default
+def _identify_attractor(field, y_end, opts, cycle=None):
+    # the fixed point within 1e-5 of the excursion's end y_end, else cycle
+    # within 5e-3, else the cycle a search finds with no transient: the
+    # excursion, at least _CONFIRM_WINDOW long, served as one
     found = _fixed_point_near(field, y_end, 1e-5)
     if found is not None:
         return found
     if cycle is not None and cycle.distance_to(y_end) < 5e-3:
         return cycle
     try:
-        return find_limit_cycle(field, y_end, opts, transient=max(0.0, _TRANSIENT - window))
+        return find_limit_cycle(field, y_end, opts, transient=0.0)
     except (LimitCycleNotFound, StepFailure):
         return None
 
@@ -614,158 +611,160 @@ def rescaled_escape(
 ) -> EscapeResult:
     """Decide whether the regularization expels or traps the blowup solution.
 
-    Integrates the rescaled system (regularization at unit radius; the nu
-    dependence scales out) from the entry state on the unit sphere.  Escape
-    is certified by exit through R = 1 followed by a confirmation window in
-    renormalized variables with growing log-radius and the direction settled
-    in the basin of a defocusing attractor.  The rescaled system is rf at
-    nu = 1, and the ideal field outside the ball is rf.base, so only rf's
-    inner map and base matter, not its nu.
+    The rescaled system is rf at nu = 1: the nu dependence scales out, so
+    only rf's base and inner map matter.  Below the bound cap _R_BOUND_CAP
+    (50) it is one run in ball units from y_ent at tau_ent, kept as the
+    result's run (on y_ent's collapse ray, the passage that inviscid_sweep
+    reads every radius off), to the tau budget _TAU_BUDGET (1000), to where
+    |X| first reaches the cap, or to a certified interior sink (_SinkWatch,
+    _interior_sink), which traps; a failed run is undetermined.  revisits
+    is 1 plus the re-entries into the unit ball between the run's accepted
+    states.  A run that completes in the ball is trapped by the budget
+    fallback: "stayed in the unit ball until tau = ..." if it never left,
+    else "tau budget reached after N visits" for N >= 3.
 
-    The first inside visit, from y_ent at tau_ent to its located exit (or
-    to the certified sink, or to the tau budget), is kept as the result's
-    visit: on y_ent's collapse ray it is the passage through the ball that
-    every radius nu shares, x_nu(t) = nu X((t - t_b) / nu^(1 - alpha))
-    (inviscid_sweep).  A visit that fails is kept with its partial run
-    (status step_failure).
-
-    Trapping is certified by an interior sink: the run inside the ball
-    polls its speed (_SinkWatch) and, once it is small, stops as soon as
-    _interior_sink finds a stable equilibrium x* in the ball with a
-    Lyapunov level set that lies in the ball and holds the state.  The
-    certificate names x*, the eigenvalues of Df(x*), the level and the tau
-    at which it held; x(t) = nu X(...) then tends to the rest solution.
-    Failing that, the tau budget _TAU_BUDGET (1000) decides, as a
-    fallback: a solution that never leaves the ball up to it ("stayed in the
-    unit ball until tau = ...") or keeps revisiting it, at least three
-    visits within the bound cap _R_BOUND_CAP (50) ("tau budget reached
-    after N visits"), counts as trapped.  An excursion beyond the bound cap,
-    or a run that fails inside the ball, is undetermined.
-
-    The direction an excursion ends on is identified as the fixed point
-    within 1e-5 of it, found by one Newton solve from that direction
-    (_fixed_point_near), and otherwise resolved by a find_limit_cycle search
-    from it, whose transient counts the excursion's window toward the
-    search's default 80 units.  The confirmation window is _CONFIRM_WINDOW
-    (50); once the excursion settles on a cycle whose five periods exceed
-    it, the window becomes those five periods, and the excursion is run
-    again from the same exit and identified again, as that cycle when it
-    ends within 5e-3 of it.
-
-    r_bound, the "sup R" of the certificates, is the largest radius the
-    excursions that re-enter the ball reach, between their samples included
-    (_outside_excursion), and inf past the float range (null in JSON); an
-    expelled result has none.
+    Where the run reaches the cap, or the budget outside the ball, one
+    renormalized excursion from there (_outside_excursion) takes over.  If
+    it re-enters the ball, past the cap it is undetermined, below it the
+    budget fallback decides.  If not, the direction it ends on is
+    identified (_identify_attractor), and escape is certified when that
+    attractor is defocusing and the log-radius grew over the confirmation
+    window _CONFIRM_WINDOW (50), stretched to five periods of a landing
+    cycle when they are longer (the excursion is then run again).  tau_esc
+    and y_esc are the run's last exit through the unit sphere (_last_exit).
+    r_bound, the certificates' "sup R", is the largest |X| of the run
+    between samples included (_sup_radius), or past the cap the re-entering
+    excursion's, inf past the float range; an expelled result has none.
     Every run inherits opts, max_step included.
     """
     field = rf.base
     y_ent = np.asarray(y_ent, dtype=float)
     y_ent = y_ent / np.linalg.norm(y_ent)
-    fr_star = decompose(field, y_ent).radial
-    t_ent = tau_entry(fr_star, field.alpha)
-
+    t_ent = tau_entry(decompose(field, y_ent).radial, field.alpha)
     rhs = regularized_rhs(dataclasses.replace(rf, nu=1.0))
-    ball = _Sphere(1.0)
-    window = _CONFIRM_WINDOW
-
-    tau = t_ent
-    x = y_ent.copy()
-    visits = 0
-    r_max = 1.0
-    first = None
+    watch = _SinkWatch(rhs)
+    try:
+        run, failure = integrate(rhs, y_ent, t_ent, _TAU_BUDGET, opts, until=watch,
+                                 event=_Sphere(_R_BOUND_CAP), direction=+1), None
+    except StepFailure as exc:
+        run, failure = exc.trajectory, exc
+    run.stats.rhs_calls += watch.rhs_calls
+    radii = run.radii()
+    visits = 1 + int(np.count_nonzero((radii[1:-1] >= 1.0) & (radii[2:] < 1.0)))
+    r_max = _sup_radius(run)
 
     def result(outcome, certificate, **found):
-        return EscapeResult(outcome, t_ent, revisits=visits, certificate=certificate,
-                            visit=first, **found)
+        found.setdefault("r_bound", r_max)
+        return EscapeResult(outcome, t_ent, revisits=visits, certificate=certificate, run=run,
+                            **found)
 
-    while tau < _TAU_BUDGET:
-        visits += 1
-        # inside phase: run until the solution exits the unit ball or
-        # settles on a certified interior sink
-        watch = _SinkWatch(rhs)
-        failure = None
-        try:
-            seg = integrate(rhs, x, tau, _TAU_BUDGET, opts, until=watch, event=ball, direction=+1)
-        except StepFailure as exc:
-            seg = exc.trajectory
-            failure = f"integration failed inside the unit ball at visit {visits}: {exc}"
-        watch.charge(seg)
-        if visits == 1:
-            first = seg
-        if failure is not None:
-            return result("undetermined", failure, r_bound=r_max)
-        if seg.status != "hit_event":
-            # stopped on a certified sink, or completed at the budget
-            held = (
-                f"{watch.certificate};" if seg.status == "stopped"
-                else f"stayed in the unit ball until tau = {_TAU_BUDGET:g}"
-            )
-            certificate = f"{held} after {visits} visit(s); sup R = {r_max:.6g}"
-            return result("trapped", certificate, r_bound=r_max)
-        tau_x, x_x = seg.t_end, seg.final_state
-        # outside phase in renormalized variables: Z = 0 at the exit sphere
-        y_exit = x_x / np.linalg.norm(x_x)
-        out = _outside_excursion(field, y_exit, window, opts)
+    if failure is not None:
+        return result("undetermined", f"integration failed in ball units at visit {visits}: "
+                                      f"{failure}")
+    inside = run.status == "completed" and radii[-1] < 1.0
+    if run.status == "stopped" or (inside and visits == 1):
+        held = (f"{watch.certificate};" if run.status == "stopped"
+                else f"stayed in the unit ball until tau = {_TAU_BUDGET:g}")
+        return result("trapped", f"{held} after {visits} visit(s); sup R = {r_max:.6g}")
+    if not inside:  # at the cap, or at the budget outside the ball
+        window = _CONFIRM_WINDOW
+        out = _outside_excursion(field, run.final_state, window, opts)
         if not out["reentered"]:
-            attr = _identify_attractor(field, out["y_end"], opts, window)
+            attr = _identify_attractor(field, out["y_end"], opts)
             if attr is not None and attr.kind == "limit_cycle" and 5 * attr.period > window:
-                # confirm over five periods of the cycle the direction settled on
                 window = 5 * attr.period
-                out = _outside_excursion(field, y_exit, window, opts)
+                out = _outside_excursion(field, run.final_state, window, opts)
                 if not out["reentered"]:
-                    attr = _identify_attractor(field, out["y_end"], opts, window, cycle=attr)
-        if out["reentered"]:
-            try:
-                r_max = max(r_max, math.exp(out["z_max"]))
-            except OverflowError:  # a radius beyond the float range
-                r_max = math.inf
-            if r_max > _R_BOUND_CAP:
-                certificate = f"excursion exceeded the bound cap {_R_BOUND_CAP:g}"
-                return result("undetermined", certificate, r_bound=r_max)
-            tau = tau_x + out["dtau"]
-            x = out["y_end"]
-            continue
-        # never re-entered within the window: certify expulsion
-        grew = out["z_end"] > 0.5 and out["mean_tail"] > LABEL_DELTA and out["z_min_tail"] > 0.0
-        if attr is not None and attr.label == "defocusing" and grew:
-            outcome, certificate = "expelled", (
-                f"exited at tau = {tau_x:.6g}; log-radius grew to {out['z_end']:.3g} "
-                f"over a window of {window:g} renormalized units with tail mean "
-                f"F_r = {out['mean_tail']:.6g}; direction settled on the "
-                f"{attr.label} {attr.kind}"
-            )
-        else:
-            outcome, certificate = "undetermined", "exit without a defocusing-basin certificate"
-        return result(outcome, certificate, tau_esc=tau_x, y_esc=y_exit, attractor=attr)
-    outcome = "trapped" if r_max <= _R_BOUND_CAP and visits >= 3 else "undetermined"
-    return result(outcome, f"tau budget reached after {visits} visits; sup R = {r_max:.6g}",
-                  r_bound=r_max)
+                    attr = _identify_attractor(field, out["y_end"], opts, cycle=attr)
+        if not out["reentered"]:  # certify expulsion
+            tau_x, x_x = _last_exit(run)
+            expelled = (attr is not None and attr.label == "defocusing" and out["z_end"] > 0.5
+                        and out["mean_tail"] > LABEL_DELTA and out["z_min_tail"] > 0.0)
+            certificate = (
+                f"exited at tau = {tau_x:.6g}; log-radius grew to {out['z_end']:.3g} over a "
+                f"window of {window:g} renormalized units with tail mean F_r = "
+                f"{out['mean_tail']:.6g}; direction settled on the {attr.label} {attr.kind}"
+            ) if expelled else "exit without a defocusing-basin certificate"
+            return result("expelled" if expelled else "undetermined", certificate, r_bound=None,
+                          tau_esc=float(tau_x), y_esc=x_x / np.linalg.norm(x_x), attractor=attr)
+        try:
+            r_max = max(r_max, math.exp(out["z_max"]))
+        except OverflowError:  # a radius beyond the float range
+            r_max = math.inf
+        if r_max > _R_BOUND_CAP:
+            return result("undetermined", f"excursion exceeded the bound cap {_R_BOUND_CAP:g}")
+    outcome = "trapped" if visits >= 3 else "undetermined"
+    return result(outcome, f"tau budget reached after {visits} visits; sup R = {r_max:.6g}")
 
 
-def _outside_excursion(field, y_exit, window, opts):
-    """Renormalized run outside the ball until re-entry (Z = 0) or the window end.
+def _last_exit(run):
+    """The run's last upward crossing of the unit sphere, (tau, X), or its
+    start when it has none: each step from the last accepted state in the
+    ball on is scanned as integrate scans an event (_scan_step), and the
+    last crossing is located on the dense output (_locate_crossing): with
+    one visit, bit for bit where a run with that event would have ended."""
+    ball, last, n = _Sphere(1.0), None, len(run.times) - 1
+    inside = np.flatnonzero(run.radii()[:-1] <= 1.0 + 1e-9)
+    for k in range(inside[-1] if len(inside) else 0, n):
+        end = run.cut if run.cut is not None and k == n - 1 else (
+            run.times[k + 1], run.states[k + 1], run.derivs[k + 1])
+        step = (run.times[k], run.states[k], run.derivs[k], *end, run.quartic[k])
+        bracket, _ = _scan_step(ball, +1, ball(0.0, run.states[k]), step)
+        if bracket is not None:
+            last = step, bracket
+    return (run.t0, run.states[0]) if last is None else _locate_crossing(ball, *last)
 
-    Re-entry is the first downward crossing of Z = 0, located as the event
-    _Level(d) on the state (y, Z); the run starts at Z = 0, which only a
-    crossing from Z > 0 can end.  z_max is the supremum of Z over the run,
-    between samples included (integrators._dense_max).  A re-entering run
-    also reports dtau, its physical-time quadrature from 0; a run that
-    reaches the window end reports Z there, and Z's mean slope and its
-    minimum over the second half.
+
+def _sup_radius(run):
+    """The largest |X| over the run, between samples included: on each step
+    over which the radial rate X . f turns from positive to nonpositive and
+    whose Bezier hull (integrators._bezier), which holds its dense output,
+    reaches past the largest sample, the zero of the dense output's radial
+    slope (integrators._monomials) is found by bisection."""
+    best = float(np.max(run.radii()))
+    rate = np.einsum("ij,ij->i", run.states, run.derivs)
+    turns = np.flatnonzero((rate[:-1] > 0.0) & (rate[1:] <= 0.0))
+    if not len(turns):  # none, or a run that failed before its first step
+        return best
+    _, h, *ends = run._steps(turns)
+    reach = np.max([np.linalg.norm(q, axis=1) for q in _bezier(h[:, None], *ends)], axis=0)
+    for k in turns[reach > best].tolist():
+        length, c = _monomials(run, [k], slice(None))
+        # component i at the fraction u is x_i + c_i1 u + ... + c_i4 u^4
+        rows = list(zip(run.states[k].tolist(), *c[0].tolist()))
+        lo, hi = 0.0, float(run.times[k + 1] - run.times[k]) / float(length[0])
+        for _ in range(60):
+            u = 0.5 * (lo + hi)
+            slope = sum((x + u * (c1 + u * (c2 + u * (c3 + u * c4))))
+                        * (c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4)))
+                        for x, c1, c2, c3, c4 in rows)
+            lo, hi = (u, hi) if slope > 0.0 else (lo, u)
+        best = max(best, math.hypot(*(x + lo * (c1 + lo * (c2 + lo * (c3 + lo * c4)))
+                                      for x, c1, c2, c3, c4 in rows)))
+    return best
+
+
+def _outside_excursion(field, x, window, opts):
+    """Renormalized run from the state x, |x| >= 1 in ball units, until
+    re-entry (Z = 0) or the window end; Z starts at log|x|.
+
+    Re-entry is the first downward crossing of Z = 0, the unit sphere,
+    located as the event _Level(d) on the state (y, Z); a run that starts at
+    Z = 0 is ended only by a crossing from Z > 0.  The run reports z_max,
+    the supremum of Z over it, between samples included
+    (integrators._dense_max), and Z at its end, with Z's mean slope and its
+    minimum over its second half.
     """
-    d = field.dimension
-    rt = renorm_integrate(field, y_exit, 0.0, window, opts, event=_Level(d), direction=-1)
+    d, radius = field.dimension, float(np.linalg.norm(x))
+    rt = renorm_integrate(field, x / radius, math.log(radius), window, opts, event=_Level(d),
+                          direction=-1)
     s, z, y_end = rt.s, rt.z, rt.y[-1]
-    out = {
+    half = s[-1] / 2
+    return {
         "reentered": rt.run.status == "hit_event",
         "y_end": y_end / np.linalg.norm(y_end),
         "z_max": _dense_max(rt.run, d)[1],
+        "z_end": float(z[-1]),
+        "mean_tail": float((z[-1] - float(rt.run.sample(half, d))) / (s[-1] - half)),
+        "z_min_tail": float(np.min(z[s >= half])),
     }
-    if out["reentered"]:
-        out["dtau"] = float(rt.t[-1])
-    else:
-        half = s[-1] / 2
-        out["z_end"] = float(z[-1])
-        out["mean_tail"] = float((z[-1] - float(rt.run.sample(half, d))) / (s[-1] - half))
-        out["z_min_tail"] = float(np.min(z[s >= half]))
-    return out

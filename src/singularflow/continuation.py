@@ -439,10 +439,11 @@ class SweepRun:
     """One integration a sweep made: the nu values it served and its cost.
 
     scale is the radius of the regularization the run integrated: 1 for the
-    on-ray passage (its first visit's stats plus its continuation's), nu for
-    a run of its own.  status is the trajectory's (the passage's last run's),
-    or "failed" when the run raised without a partial trajectory; stats is
-    then None.
+    on-ray passage (the escape probe's run's stats plus its continuation's),
+    nu for a run of its own.  status is the trajectory's (the passage's
+    continuation's, or completed when the probe's run covers the grid
+    alone), or "failed" when the run raised without a partial trajectory;
+    stats is then None.
     """
 
     nu_indices: list
@@ -454,9 +455,7 @@ class SweepRun:
         if self.stats is None:
             stats = dict.fromkeys(f.name for f in dataclasses.fields(SolverStats))
         else:
-            stats = dataclasses.asdict(self.stats)
-            if math.isinf(stats["h_min"]):
-                stats["h_min"] = None  # no step was accepted
+            stats = self.stats.to_dict()
         return {"nu_indices": list(self.nu_indices), "scale": self.scale,
                 "status": self.status, **stats}
 
@@ -543,15 +542,16 @@ def inviscid_sweep(
     problem in ball units, the passage: x_nu(t) = nu X((t - t_b) / nu^p)
     from X = y* at tau_ent (tau = 0 is the ideal blowup), and before that,
     outside its ball on the ray, the closed form pre(t) of
-    fixed_point_solutions.  The passage is the escape probe's first inside
-    visit, to its located exit or certified sink (EscapeResult.visit),
-    continued by one integrate_regularized run of the nu = 1 field to where
-    the smallest radius it serves reads the end of t_grid.  It serves the
+    fixed_point_solutions.  The passage is the escape probe's run in ball
+    units (EscapeResult.run), to the bound cap, a certified sink or the tau
+    budget, continued from its end by one integrate_regularized run of the
+    nu = 1 field to where the smallest radius it serves reads the end of
+    t_grid, so no tau is integrated twice.  It serves the
     radii nu <= |x0| (the start is outside the ball) when the start is on
     the ray and the blowup direction generic, opts.max_step is infinite (a
     cap in ball units would cost (t_end - t_b) / (nu^p max_step) steps) and
     t_grid ends after t_b.  Every other nu is a direct run at radius nu
-    from x0 at t0 to the end of t_grid.  A failed visit or continuation
+    from x0 at t0 to the end of t_grid.  A failed probe run or continuation
     fails every nu the passage serves, with an error that names the
     passage.  report.runs lists every integration made with its solver
     stats, the passage as one entry at scale 1.
@@ -612,14 +612,14 @@ def inviscid_sweep(
         rf = dataclasses.replace(regularization, nu=1.0)
         passage = _safe(_passage)(runs, shared, esc, rf, tau_stop, opts)
 
-        def sample(visit, cont, nu):
+        def sample(probe, cont, nu):
             tau = (t_grid - t_b) / nu**p
-            before, past = tau < visit.t0, tau > visit.t_end  # the entry, the visit's end
+            before, past = tau < probe.t0, tau > probe.t_end  # the entry, the probe run's end
             inside = ~(before | past)
             sol = np.empty((len(t_grid), len(x0)))
             if before.any():
                 sol[before] = pre(t_grid[before])
-            sol[inside] = nu * visit.sample(tau[inside])
+            sol[inside] = nu * probe.sample(tau[inside])
             if past.any():
                 sol[past] = nu * cont.sample(tau[past])
             return sol
@@ -753,22 +753,24 @@ def _recorded(runs: List[SweepRun], indices, scale: float, run):
 
 def _passage(runs: List[SweepRun], indices, esc: EscapeResult, rf: RegularizedField,
              tau_stop: float, opts: IntegrationOptions):
-    """The on-ray passage in ball units, (visit, continuation), listed in runs
-    as one run at scale 1 whether it returns or raises: esc's first inside
-    visit, and rf's run from its end to tau_stop (None when the visit reaches
-    tau_stop).  A failed visit raises StepFailure with esc's certificate.
+    """The on-ray passage in ball units, (probe, continuation), listed in runs
+    as one run at scale 1 whether it returns or raises: esc's run, and rf's
+    run from its end to tau_stop (None, and the entry completed, when the
+    probe's run reaches tau_stop).  A failed probe run raises StepFailure
+    with esc's certificate.
     """
-    visit = esc.visit
-    if visit.status == "step_failure" or tau_stop <= visit.t_end:
-        runs.append(SweepRun(list(indices), 1.0, visit.status, visit.stats))
-        if visit.status == "step_failure":
+    probe = esc.run
+    if probe.status == "step_failure" or tau_stop <= probe.t_end:
+        status = "completed" if probe.status != "step_failure" else probe.status
+        runs.append(SweepRun(list(indices), 1.0, status, probe.stats))
+        if probe.status == "step_failure":
             raise StepFailure(esc.certificate)
-        return visit, None
+        return probe, None
     try:
-        return visit, _recorded(runs, indices, 1.0, lambda: integrate_regularized(
-            rf, visit.final_state, visit.t_end, tau_stop, opts))
-    finally:  # the visit's stats plus the continuation's, h_min and h_max over both
-        a, b = visit.stats, runs[-1].stats or SolverStats()
+        return probe, _recorded(runs, indices, 1.0, lambda: integrate_regularized(
+            rf, probe.final_state, probe.t_end, tau_stop, opts))
+    finally:  # the probe run's stats plus the continuation's, h_min and h_max over both
+        a, b = probe.stats, runs[-1].stats or SolverStats()
         runs[-1].stats = SolverStats(a.rhs_calls + b.rhs_calls, a.accepted + b.accepted,
                                      a.rejected + b.rejected, min(a.h_min, b.h_min),
                                      max(a.h_max, b.h_max))

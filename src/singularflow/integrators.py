@@ -20,7 +20,7 @@ import linecache
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,6 +93,14 @@ class SolverStats:
     rejected: int = 0
     h_min: float = math.inf
     h_max: float = 0.0
+
+    def to_dict(self):
+        """The counters as the JSON outputs write them: h_min None while no
+        step was accepted."""
+        out = asdict(self)
+        if math.isinf(self.h_min):
+            out["h_min"] = None
+        return out
 
 
 @dataclass
@@ -260,18 +268,23 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
         t_new = t + h
         {k7_}, = k7 = f_of(t_new, y_new)
         stats.rhs_calls += 6
-        {er_}, = {h * (_E1 * k1_ + _E3 * k3_ + _E4 * k4_ + _E5 * k5_ + _E6 * k6_ + _E7 * k7_)},
-        # the RMS of er over atol + rtol max(|y|, |y_new|), NaN if either is
-        # NaN, as np.maximum gives it
-        {a_}, {b_}, = {abs(y_)}, {abs(yn_)},
-        {q_}, = {er_ / (atol + rtol * (a_ if a_ > b_ or a_ != a_ else b_))},
-        enorm = math.sqrt(({+ q_ * q_}) / n)
-        if not math.isfinite(enorm):
+        # v - v is 0.0 for a finite v and NaN for inf or NaN
+        if {+ (yn_ - yn_) + (k7_ - k7_)} != 0.0:
             raise StepFailure("non-finite state or right-hand side in the step from t = %r "
                               "(h = %r)" % (t, h), None)
+        {er_}, = {h * (_E1 * k1_ + _E3 * k3_ + _E4 * k4_ + _E5 * k5_ + _E6 * k6_ + _E7 * k7_)},
+        # the RMS of er over atol + rtol max(|y|, |y_new|), both finite here;
+        # a norm that overflows (inf, or NaN from an er that did) is far past
+        # any tolerance, and rejects the step at the smallest factor
+        {a_}, {b_}, = {abs(y_)}, {abs(yn_)},
+        {q_}, = {er_ / (atol + rtol * (a_ if a_ > b_ else b_))},
+        enorm = math.sqrt(({+ q_ * q_}) / n)
         if enorm <= 1.0:
             if post is not None:  # k7 holds: rhs is invariant under post
                 {yn_}, = y_new = post(t_new, y_new)
+                if {+ (yn_ - yn_)} != 0.0:
+                    raise StepFailure("non-finite state after the postprocess at t = %r"
+                                      % t_new, None)
             stats.accepted += 1
             if h < stats.h_min:
                 stats.h_min = h
@@ -285,7 +298,8 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
             h *= max(_MIN_FACTOR, factor)
         else:
             stats.rejected += 1
-            h *= max(_MIN_FACTOR, min(1.0, _SAFETY * enorm ** -0.2))
+            factor = min(1.0, _SAFETY * enorm ** -0.2) if enorm < math.inf else 0.0
+            h *= max(_MIN_FACTOR, factor)
 '''
 _PER_COMPONENT = re.compile(r"\{([^{}]*)\}")
 _COMPONENT_NAME = re.compile(r"\b([a-z][a-z0-9]*_)(?!\w)")
@@ -346,8 +360,10 @@ def integrate(
 
     The returned trajectory's status says why the run ended: completed at
     t1, stopped by until, hit_event at a located crossing; a StepFailure,
-    raised when the step size underflows or the state turns non-finite,
-    carries the partial trajectory (status step_failure).
+    raised when the step size underflows or a step's new state (before or
+    after postprocess) or its derivative there is non-finite, carries the
+    partial trajectory (status step_failure).  An error norm that overflows
+    on finite values rejects the step at the smallest step-size factor.
 
     event, if given, is a function event(t, x) whose first zero crossing in
     direction (+1 upward, -1 downward, required with an event) strictly
@@ -523,8 +539,8 @@ def _locate_crossing(event, step, bracket):
     radius floor of 1e-10, say) is located to the same relative accuracy,
     or the bracket is a few ulps wide.  A run that restarts from the
     located state, such as the next lap of a Poincare-section search or the
-    excursion rescaled_escape starts where its inside run leaves the unit
-    ball, then starts on the side it crossed to.
+    excursion rescaled_escape starts where its run reaches the bound cap,
+    then starts on the side it crossed to.
     """
     tp, yp, fp, tn, yn, fn, e = step
     y0, f0, y1, f1, e = map(_floats, (yp, fp, yn, fn, e))

@@ -383,7 +383,8 @@ def test_rescaled_escape_window_stretches_to_the_landing_cycle():
 def test_outside_excursion_ends_at_reentry(monkeypatch):
     # re-entry is the located downward crossing of Z = 0: Z there is zero to
     # the locator's tolerance, on the side crossed to, and the crossing lies
-    # in the first step of the full-window run whose end has Z <= 0
+    # in the first step of the full-window run whose end has Z <= 0.  Z
+    # starts at log|x|
     from singularflow import attractors
 
     field = saddle()
@@ -404,8 +405,9 @@ def test_outside_excursion_ends_at_reentry(monkeypatch):
     (run,) = located
     assert run.status == "hit_event"
     s_re, u_re = run.t_end, run.final_state
+    r = float(np.linalg.norm(y_exit))  # 1 to rounding: Z starts at log r
     full = sf.renorm_integrate(
-        field, y_exit, 0.0, 50.0, sf.IntegrationOptions(rtol=opts.rtol, atol=opts.atol)
+        field, y_exit / r, math.log(r), 50.0, sf.IntegrationOptions(rtol=opts.rtol, atol=opts.atol)
     )
     z = full.z
     k = next(i for i in range(1, len(z)) if z[i] <= 0.0)
@@ -413,9 +415,9 @@ def test_outside_excursion_ends_at_reentry(monkeypatch):
     assert -1e-12 * max(z[k - 1], -z[k]) <= u_re[d] <= 0.0
     # the search takes the full run's steps up to the crossing
     assert np.array_equal(run.states[:k], full.run.states[:k])
-    # the time quadrature stops at the crossing's fraction of its full step
-    assert out["dtau"] == sf.physical_time(full, s_re)
     assert np.array_equal(out["y_end"], u_re[:d] / np.linalg.norm(u_re[:d]))
+    attractors._outside_excursion(field, 2.0 * y_exit, 50.0, opts)
+    assert located[-1].states[0][d] == math.log(2.0 * r) and located[-1].status == "hit_event"
 
 
 def test_attractor_serialization():
@@ -464,8 +466,9 @@ def test_cycle_table_is_the_converged_lap(monkeypatch):
 
 
 def test_landing_search_counts_the_excursion_as_transient(monkeypatch):
-    # the benchmark's cycle escape: the 50-unit excursion settles the
-    # direction, so its one landing search runs the remaining 30 units
+    # the benchmark's cycle escape: the excursion, 50 units past the bound
+    # cap, settles the direction, so its one landing search runs no
+    # transient of its own
     from singularflow import attractors
 
     searches = []
@@ -481,7 +484,7 @@ def test_landing_search_counts_the_excursion_as_transient(monkeypatch):
     res = sf.rescaled_escape(rf, [0.0, 0.0, -1.0])
     assert res.outcome == "expelled" and res.attractor.kind == "limit_cycle"
     assert res.attractor.period == pytest.approx(2 * math.pi, abs=1e-8)
-    assert [s.get("transient") for s in searches] == [30.0]
+    assert [s.get("transient") for s in searches] == [0.0]
 
 
 _SINK_CERTIFICATE = re.compile(r"interior sink x\* = \(([^)]*)\) at tau = (\S+):")
@@ -767,6 +770,30 @@ def test_rescaled_escape_confirmed_past_the_float_range_is_expelled():
         assert res.attractor.kind == "limit_cycle" and res.attractor.label == "defocusing"
         assert res.attractor.period == pytest.approx(2 * math.pi / 0.04, rel=1e-8)
         assert re.search(r"log-radius grew to 78\d ", res.certificate), res.certificate
+
+
+def test_rescaled_escape_hands_a_slow_landing_over_at_the_tau_budget():
+    # F(y) = (a + b y1) y + (y2^2, -y1 y2): the direction turns as
+    # dtheta/ds = -sin(theta), onto the defocusing point (1, 0), where F_r is
+    # only a + b = 0.012.  The run in ball units leaves the ball early but is
+    # still below the bound cap of 50 at the tau budget, so renormalized
+    # variables take over from there, and the escape is certified on (1, 0)
+    from singularflow import attractors
+
+    a, b = -0.494, 0.506
+    field = sf.SingularField(
+        2, ALPHA, lambda y: (a + b * y[0]) * np.asarray(y) + np.array([y[1] ** 2, -y[0] * y[1]])
+    )
+    for g0 in ([1.0, -2.0], [2.0, 0.5]):
+        res = sf.rescaled_escape(sf.make_polynomial_blend(field, g0, 1.0), [-1.0, 0.0])
+        radius = np.linalg.norm(res.run.final_state)
+        assert res.run.status == "completed" and res.run.t_end == attractors._TAU_BUDGET
+        assert 1.0 < radius < attractors._R_BOUND_CAP
+        assert res.outcome == "expelled" and res.revisits == 1, res.certificate
+        assert res.tau_esc < 10.0 and np.linalg.norm(res.y_esc) == pytest.approx(1.0, abs=1e-10)
+        assert res.attractor.kind == "fixed_point"
+        assert res.attractor.location == pytest.approx([1.0, 0.0], abs=1e-8)
+        assert res.attractor.mean_radial == pytest.approx(a + b, rel=1e-9)
 
 
 def test_rescaled_escape_reentering_past_the_float_range_has_an_infinite_bound():

@@ -747,11 +747,12 @@ def test_on_ray_sweep_is_the_same_passage_from_every_start_on_the_ray(blend):
 
 
 @pytest.mark.parametrize("case", ["trap", "expel", "cycle"])
-def test_on_ray_sweep_integrates_the_first_visit_once(case, monkeypatch):
-    # the probe integrates each inside visit once, the first included, and
-    # the sweep's one regularized run on the ray is the passage's
-    # continuation from the end of that visit; the escape is the probe's
-    # own, made alone from the entry direction
+def test_on_ray_sweep_integrates_the_probe_run_once(case, monkeypatch):
+    # below the bound cap the probe is one run in ball units, from the entry
+    # to a certified sink or to the cap, whatever the visits; the sweep's one
+    # regularized run on the ray continues it from its end, so no tau is
+    # integrated twice, and the passage's entry counts both runs.  The
+    # escape is the probe's own, made alone from the entry direction
     if case == "cycle":
         field = sf.builtin_field("sphere3d")
         rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
@@ -766,11 +767,15 @@ def test_on_ray_sweep_integrates_the_first_visit_once(case, monkeypatch):
     starts = _regularized_runs(monkeypatch)
     rep = sf.inviscid_sweep(rf, x0, t_grid, nus)
     esc = rep.escape
-    assert len(entries) == esc.revisits and entries[0] == esc.tau_ent
-    assert esc.visit.t0 == esc.tau_ent and esc.visit.status in ("hit_event", "stopped")
-    assert starts == [(1.0, esc.visit.t_end)]
-    assert [(r.nu_indices, r.scale) for r in rep.runs] == [(list(range(len(nus))), 1.0)]
+    assert entries == [esc.tau_ent] and esc.run.t0 == esc.tau_ent
+    assert esc.run.status == ("stopped" if case == "trap" else "hit_event")
+    assert esc.revisits == (2 if case == "trap" else 1)
+    assert starts == [(1.0, esc.run.t_end)]
+    (run,) = rep.runs
+    assert (run.nu_indices, run.scale, run.status) == (list(range(len(nus))), 1.0, "completed")
+    assert esc.run.stats.accepted > 0 and run.stats.accepted > esc.run.stats.accepted
     assert esc.to_dict() == sf.rescaled_escape(rf, x0).to_dict()
+    assert esc.to_dict()["run"] == dataclasses.asdict(esc.run.stats)
 
 
 @pytest.mark.parametrize(
@@ -794,11 +799,11 @@ def test_on_ray_passage_whose_first_visit_stays_in_the_ball(g0, certificate, con
     esc = rep.escape
     assert esc.outcome == "trapped" and esc.revisits == 1
     assert esc.certificate.startswith(certificate)
-    assert starts == ([(1.0, esc.visit.t_end)] if continued else [])
+    assert starts == ([(1.0, esc.run.t_end)] if continued else [])
     run = rep.runs[0]
     assert len(rep.runs) == 1 and run.nu_indices == [0, 1, 2]
     if not continued:
-        assert run.status == esc.visit.status == "completed" and run.stats == esc.visit.stats
+        assert run.status == esc.run.status == "completed" and run.stats == esc.run.stats
     assert rep.verdict == "trivial_zero"
     tight = sf.IntegrationOptions(rtol=1e-13, atol=1e-20)
     for sol, nu in zip(rep.solutions, nus):
@@ -827,8 +832,9 @@ def test_escape_probe_integrates_its_first_visit_off_the_ray_and_with_a_step_cap
 
 
 def test_sweep_with_a_failed_visit_fails_every_nu_the_passage_serves(monkeypatch):
-    # the probe's first visit fails: the escape is undetermined, and the
-    # passage, listed with the visit's partial stats, fails every nu it serves
+    # the probe's run fails in its first visit: the escape is undetermined,
+    # and the passage, listed with the run's partial stats, fails every nu
+    # it serves
     from singularflow import attractors
 
     real = attractors.integrate
@@ -845,8 +851,8 @@ def test_sweep_with_a_failed_visit_fails_every_nu_the_passage_serves(monkeypatch
     rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
     rep = sf.inviscid_sweep(rf, [-1.0, 0.0], np.linspace(0.0, 2.5, 61), [0.1, 0.03])
     assert rep.escape.outcome == "undetermined" and rep.verdict == "undetermined"
-    assert rep.escape.certificate.startswith("integration failed inside the unit ball at visit 1")
-    assert rep.escape.visit.status == "step_failure" and starts == []
+    assert rep.escape.certificate.startswith("integration failed in ball units at visit 1: ")
+    assert rep.escape.run.status == "step_failure" and starts == []
     assert all(sol is None for sol in rep.solutions)
     for err in rep.errors:
         assert err == f"StepFailure: {rep.escape.certificate} (in the on-ray passage)"
@@ -930,7 +936,9 @@ def test_sweep_runs_the_nu_the_shared_run_cannot_serve_directly(case, x0, nus, d
 def test_failed_continuation_fails_every_nu_the_passage_serves(saddle_sweep_grid, monkeypatch):
     # the passage's continuation underflows: every nu it serves fails with an
     # error naming the passage, and its one runs entry adds the partial
-    # continuation's stats to the first visit's, h_min and h_max over both
+    # continuation's stats to the probe run's, h_min and h_max over both.
+    # The smallest radius reads the grid's end at tau = 54, past the probe
+    # run's end at the bound cap
     import singularflow.continuation as cont
 
     field = sf.builtin_field("saddle2d", ALPHA)
@@ -944,13 +952,13 @@ def test_failed_continuation_fails_every_nu_the_passage_serves(saddle_sweep_grid
         raise sf.StepFailure("synthetic underflow", partial)
 
     monkeypatch.setattr(cont, "integrate_regularized", underflowing)
-    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.1, 0.05, 0.025])
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], saddle_sweep_grid, [0.01, 0.005, 0.0025])
     assert all(sol is None for sol in rep.solutions)
     for err in rep.errors:
         assert err == "StepFailure: synthetic underflow (in the on-ray passage)"
     assert rep.escape.outcome == "expelled" and rep.verdict == "undetermined"
     assert len(rep.runs) == 1
-    run, visit, part = rep.runs[0], rep.escape.visit.stats, partial_stats[0]
+    run, visit, part = rep.runs[0], rep.escape.run.stats, partial_stats[0]
     assert run.nu_indices == [0, 1, 2] and run.scale == 1.0 and run.status == "step_failure"
     assert run.stats == sf.SolverStats(
         visit.rhs_calls + part.rhs_calls, visit.accepted + part.accepted,

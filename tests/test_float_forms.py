@@ -463,11 +463,11 @@ def ref_stepper(f, y, k1, t, t1, opts, stats):
         t_new = t + h
         ks.append(f(t_new, y_new))
         stats.rhs_calls += 6
-        err = ref_combination(h, REF_ERROR, ks)
-        enorm = ref_error_norm(err, [abs(v) for v in y], [abs(v) for v in y_new], atol, rtol)
-        if not math.isfinite(enorm):
+        if not all(math.isfinite(v) for v in y_new + ks[6]):
             raise sf.StepFailure("non-finite state or right-hand side in the step from t = %r "
                                  "(h = %r)" % (t, h))
+        err = ref_combination(h, REF_ERROR, ks)
+        enorm = ref_error_norm(err, [abs(v) for v in y], [abs(v) for v in y_new], atol, rtol)
         if enorm <= 1.0:
             stats.accepted += 1
             stats.h_min, stats.h_max = min(stats.h_min, h), max(stats.h_max, h)
@@ -476,9 +476,10 @@ def ref_stepper(f, y, k1, t, t1, opts, stats):
             factor = _I._MAX_FACTOR if enorm == 0.0 else min(_I._MAX_FACTOR,
                                                             _I._SAFETY * enorm ** -0.2)
             h *= max(_I._MIN_FACTOR, factor)
-        else:
+        else:  # an overflowed norm, inf or NaN, rejects at the smallest factor
             stats.rejected += 1
-            h *= max(_I._MIN_FACTOR, min(1.0, _I._SAFETY * enorm ** -0.2))
+            h *= (max(_I._MIN_FACTOR, min(1.0, _I._SAFETY * enorm ** -0.2))
+                  if math.isfinite(enorm) else _I._MIN_FACTOR)
 
 
 def _cyclic_floats(y):
@@ -669,11 +670,9 @@ def stepper_record(stepper, form, x0, t1, opts):
 
 def overflowing(t, y):
     # from 1.79e308, component 0 runs at 1e307 a unit time and overflows to
-    # inf, which only widens its error scale, so the step is accepted; from
-    # t = 0.5 on it runs at -1.7e308, the solution's weighted sum overflows
-    # to -inf, and inf - inf is a NaN in the new state alone, which poisons
-    # the norm as np.maximum does (where max(inf, nan) would be inf)
-    return [1e307 if t < 0.5 else -1.7e308] + [-0.5 * v for v in y[1:]]
+    # inf at t = 0.077, where the error scale atol + rtol |y_new| would be
+    # inf too and count that component's error as 0: the step fails instead
+    return [1e307] + [-0.5 * v for v in y[1:]]
 
 
 def forced(t, y):
@@ -696,17 +695,23 @@ def test_rendered_stepper_takes_the_reference_steps_bitwise(n):
         (forced, rng.standard_normal(n).tolist(), 6.0, loose),
         (forced, (1e-150 * rng.standard_normal(n)).tolist(), 1.0, sf.IntegrationOptions(atol=1e-300)),
         (overflowing, [1.79e308] + rng.standard_normal(n - 1).tolist(), 1.0, loose),
+        # finite values whose error norm overflows: every step is rejected
+        (forced, rng.standard_normal(n).tolist(), 1.0,
+         sf.IntegrationOptions(atol=5e-324, rtol=1e-300)),
     ]
-    rejected = 0
+    records = []
     for form, x0, t1, opts in cases:
-        want = stepper_record(ref_stepper, form, x0, t1, opts)
-        assert stepper_record(rendered_stepper, form, x0, t1, opts) == want, (form, x0)
-        rejected += want[2][2]
-    assert rejected > 0
-    # the overflowing run accepts its infinite state and fails on the NaN
-    _, steps, stats, failure = want
+        records.append(stepper_record(ref_stepper, form, x0, t1, opts))
+        assert stepper_record(rendered_stepper, form, x0, t1, opts) == records[-1], (form, x0)
+    assert sum(stats[2] for _, _, stats, _ in records) > 0
+    # the overflowing run fails on the step that would overflow, having
+    # accepted finite states only
+    _, steps, stats, failure = records[-2]
     assert failure.startswith("non-finite state or right-hand side in the step")
-    assert np.isinf(np.frombuffer(steps).reshape(stats[1], -1)[-1, 2 * n + 2])
+    assert np.all(np.isfinite(np.frombuffer(steps)))
+    # the overflowing norm shrinks h, step after rejected step, to underflow
+    _, steps, stats, failure = records[-1]
+    assert failure.startswith("step size underflow") and stats[2] > 10
 
 
 @pytest.mark.parametrize("rtol", [1e-300, 1e-9, 1e300])
@@ -715,9 +720,10 @@ def test_starting_step_is_positive_and_finite_for_every_accepted_tolerance(atol,
     # a zero component of x0 puts atol alone in the scale of the starting-step
     # heuristic; where its norms overflow, it falls back to a fixed step.
     # From t = 0 the first stage after the probe is called at 0.2 h.  The
-    # run reaches an accepted step, or fails by step-size underflow, or on
-    # an error norm that overflows at the tiniest atol: never on a starting
-    # step that is not positive and finite
+    # run reaches an accepted step, or fails by step-size underflow, where
+    # at the tiniest atol an error norm that overflows rejects every step:
+    # never on a starting step that is not positive and finite, nor on a
+    # non-finite state
     f = sf.builtin_field("spiral2d", ALPHA)
     opts = sf.IntegrationOptions(rtol=rtol, atol=atol)
     for x0 in ([1.0, 0.0], [1e-150, 0.0], [1e100, 0.0]):
@@ -734,8 +740,7 @@ def test_starting_step_is_positive_and_finite_for_every_accepted_tolerance(atol,
             try:
                 next(steps)
             except sf.StepFailure as exc:
-                assert str(exc).startswith(("step size underflow", "non-finite state or "
-                                            "right-hand side in the step")), (x0, exc)
+                assert str(exc).startswith("step size underflow"), (x0, exc)
                 if len(times) == 2:  # the start and the probe: h underflowed
                     continue
         assert 0.0 < times[2] < math.inf, (x0, times)

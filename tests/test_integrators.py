@@ -539,8 +539,8 @@ def test_small_sphere_is_located_to_its_own_scale():
 
 
 def test_non_finite_state_or_rhs_ends_in_step_failure():
-    # a NaN that only the error scale sees (a constant right-hand side, a
-    # postprocess that breaks the state), and an infinite right-hand side
+    # a NaN that only the postprocess makes (under a constant right-hand
+    # side), and an infinite right-hand side
     def breaks_late(t, y):
         return np.array([math.nan if t > 0.5 else y[0], y[1]])
 
@@ -555,6 +555,33 @@ def test_non_finite_state_or_rhs_ends_in_step_failure():
                 sf.integrate(rhs, [0.0, 0.0], 0.0, 1.0, opts, postprocess=post)
         assert exc.value.trajectory.status == "step_failure"
         assert exc.value.trajectory.t_end <= 0.5 + 0.05
+        # no non-finite state is accepted, the postprocessed one included
+        assert np.all(np.isfinite(exc.value.trajectory.states))
+
+
+def test_a_state_that_overflows_to_inf_fails_its_step():
+    # component 0 runs from 1.79e308 at 1e307 a unit time and overflows at
+    # t = 0.077; its error scale atol + rtol |y_new| would then be inf and
+    # count its error as 0, so only the state itself can fail the step
+    with pytest.raises(sf.StepFailure, match="non-finite state or right-hand side") as exc:
+        sf.integrate(lambda t, x: np.array([1e307, -0.5 * x[1]]), [1.79e308, 1.0], 0.0, 1.0)
+    traj = exc.value.trajectory
+    assert traj.status == "step_failure" and np.all(np.isfinite(traj.states))
+    assert traj.t_end < 0.077
+
+
+def test_an_error_norm_that_overflows_on_finite_values_rejects_the_step():
+    # at atol = 5e-324 and rtol = 1e-300 the error over its scale overflows
+    # though the state, the right-hand side and h are finite: each attempt is
+    # rejected, h shrinks, and the run fails by step-size underflow, never
+    # on a non-finite state
+    field = sf.builtin_field("spiral2d", 1.0 / 3.0)
+    opts = sf.IntegrationOptions(atol=5e-324, rtol=1e-300)
+    with pytest.raises(sf.StepFailure) as exc:
+        sf.renorm_integrate(field, [1.0, 0.0], 0.0, 1.0, opts)
+    assert str(exc.value).startswith("step size underflow")
+    stats = exc.value.trajectory.stats
+    assert stats.rejected > 10 and np.all(np.isfinite(exc.value.trajectory.states))
 
 
 @pytest.mark.parametrize("x0", [1.0, [], [[1.0, 2.0]]], ids=["scalar", "empty", "row"])
