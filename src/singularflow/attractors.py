@@ -628,10 +628,11 @@ def rescaled_escape(
     it re-enters the ball, past the cap it is undetermined, below it the
     budget fallback decides.  If not, the direction it ends on is
     identified (_identify_attractor), and escape is certified when that
-    attractor is defocusing and the log-radius grew over the confirmation
-    window _CONFIRM_WINDOW (50), stretched to five periods of a landing
-    cycle when they are longer (the excursion is then run again).  tau_esc
-    and y_esc are the run's last exit through the unit sphere (_last_exit).
+    attractor is defocusing and the log-radius grew by more than 0.5 over
+    the confirmation window _CONFIRM_WINDOW (50), stretched to five periods
+    of a landing cycle when they are longer (the excursion is then run
+    again).  tau_esc and y_esc are the run's last exit through the unit
+    sphere (_last_exit).
     r_bound, the certificates' "sup R", is the largest |X| of the run
     between samples included (_sup_radius), or past the cap the re-entering
     excursion's, inf past the float range; an expelled result has none.
@@ -678,7 +679,8 @@ def rescaled_escape(
                     attr = _identify_attractor(field, out["y_end"], opts, cycle=attr)
         if not out["reentered"]:  # certify expulsion
             tau_x, x_x = _last_exit(run)
-            expelled = (attr is not None and attr.label == "defocusing" and out["z_end"] > 0.5
+            expelled = (attr is not None and attr.label == "defocusing"
+                        and out["z_end"] - out["z_start"] > 0.5
                         and out["mean_tail"] > LABEL_DELTA and out["z_min_tail"] > 0.0)
             certificate = (
                 f"exited at tau = {tau_x:.6g}; log-radius grew to {out['z_end']:.3g} over a "
@@ -746,7 +748,7 @@ def _sup_radius(run):
 
 def _outside_excursion(field, x, window, opts):
     """Renormalized run from the state x, |x| >= 1 in ball units, until
-    re-entry (Z = 0) or the window end; Z starts at log|x|.
+    re-entry (Z = 0) or the window end; Z starts at z_start = log|x|.
 
     Re-entry is the first downward crossing of Z = 0, the unit sphere,
     located as the event _Level(d) on the state (y, Z); a run that starts at
@@ -761,6 +763,7 @@ def _outside_excursion(field, x, window, opts):
     s, z, y_end = rt.s, rt.z, rt.y[-1]
     half = s[-1] / 2
     return {
+        "z_start": float(z[0]),
         "reentered": rt.run.status == "hit_event",
         "y_end": y_end / np.linalg.norm(y_end),
         "z_max": _dense_max(rt.run, d)[1],

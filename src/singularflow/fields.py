@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotUnitVector, OriginEvaluation, UnknownField
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _rendered, _Sphere,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _floats, _inlined, _rendered, _Sphere,
     _with_floats, integrate,
 )
 
@@ -40,13 +40,13 @@ class SingularField:
     """Ideal singular field r^alpha * F(x/r).
 
     sphere_map must accept unit vectors (|y| = 1 within 1e-12); evaluation
-    helpers project defensively and reject |y| off by more than 1e-9.  A
-    sphere_map may carry a float form as its .floats attribute: a function
-    from a list of Python floats to a list of Python floats, bitwise the
-    array map on the same components, as integrators._with_floats builds
-    it.  The kernels built on the field (the ideal field's _ideal_kernel,
-    renormalized_system) call it directly; a map without one is called on
-    arrays.  The built-in maps have one.
+    helpers project defensively and reject |y| off by more than 1e-9.  The
+    kernels built on the field (_ideal_kernel, renormalized_system, a
+    blend's regularized field) render the source a built-in map carries
+    (_SourceMap) in place of their call of it.  Any other map is called,
+    through its .floats when it has one: a function from a list of Python
+    floats to a list of Python floats, bitwise the array map on the same
+    components, as integrators._with_floats builds it; else on arrays.
     jacobian_on_sphere, when given, is the ambient Jacobian dF_i/dy_j of the
     same formula; a central finite-difference fallback is used otherwise.
     """
@@ -90,16 +90,24 @@ def _checked_unit(y, d):
     return y / n
 
 
+# The ideal field r^alpha F(x/r) from x_ and r > 0 to h_, r^alpha past the float
+# range inf as in NumPy: kernels render it in place of {h_}, = ideal([{x_}])
+_IDEAL_LINES = '''\
+try:
+    scale = r**alpha
+except OverflowError:
+    scale = math.inf
+{y_}, = {x_ / r},
+{f_}, = smap([{y_}])
+{h_}, = {scale * f_},
+'''
+
 _IDEAL_TEMPLATE = '''\
 def ideal_kernel(alpha, smap):
     def ideal(x, r):
-        try:
-            scale = r**alpha
-        except OverflowError:
-            scale = math.inf
         {x_}, = x
-        {f_}, = smap([{x_ / r}])
-        return [{scale * f_}]
+        {h_}, = ideal([{x_}])
+        return [{h_}]
     return ideal
 '''
 
@@ -108,14 +116,15 @@ def _ideal_kernel(field: SingularField):
     """The ideal field's float kernel (x, r) -> r^alpha F(x/r).
 
     x is a list of Python floats and r = |x| > 0 as the caller took it,
-    math.hypot(*x); F runs through its float form.  This is the package's
-    one evaluation of the formula, _IDEAL_TEMPLATE rendered once per
-    dimension: eval_field, integrate_ideal, the outer branch of the
-    regularized field and the ideal term of the polynomial blend all call
-    it.  It checks nothing, so the blend evaluates it at any rho > 0;
-    r^alpha past the float range is inf, as in NumPy.
+    math.hypot(*x); F is the map's source (_SourceMap) or a call of it.
+    This is _IDEAL_LINES rendered once per dimension and map: eval_field and
+    integrate_ideal run it, and the regularized field renders the same
+    lines outside the ball and as a blend's ideal term, at any rho > 0.  It
+    checks nothing.
     """
-    return _rendered(_IDEAL_TEMPLATE, field.dimension)(field.alpha, _float_form(field.sphere_map))
+    source, smap = _inlined(field.sphere_map)
+    return _rendered(_IDEAL_TEMPLATE, field.dimension, ideal=_IDEAL_LINES, smap=source)(
+        field.alpha, smap)
 
 
 def _checked_radius(r: float) -> float:
@@ -215,20 +224,37 @@ def _central_jacobian(fn, y) -> np.ndarray:
 # Built-in example fields
 # ---------------------------------------------------------------------------
 
-def _power1d_floats(y):
-    return [y[0]]
+class _SourceMap:
+    """A built-in sphere map, written once as template source, f_0 = ... from
+    y_0, ...: kernels render it in place of their call of the map
+    (integrators._rendered), and .floats renders it alone when first read."""
+
+    def __init__(self, dimension, source):
+        self.dimension, self.source = dimension, source
+
+    @cached_property
+    def floats(self):
+        return _rendered(_MAP_TEMPLATE, self.dimension, smap=self.source)(None)
+
+    def __call__(self, y):
+        return np.array(self.floats(_floats(y)))
+
+    def __reduce__(self):  # the rendered float form is rebuilt, not pickled
+        return _SourceMap, (self.dimension, self.source)
+
+
+_MAP_TEMPLATE = '''\
+def sphere_map(smap):
+    def floats(y):
+        {y_}, = y
+        {f_}, = smap([{y_}])
+        return [{f_}]
+    return floats
+'''
 
 
 def _power1d_jac(y):
     return np.array([[1.0]])
-
-
-def _saddle2d_floats(y):
-    y1, y2 = y
-    return [
-        y1 * y1 + y1 * y2 + y1 * y2 * y2,
-        y1 * y2 + y2 * y2 - y1 * y1 * y2,
-    ]
 
 
 def _saddle2d_jac(y):
@@ -239,24 +265,8 @@ def _saddle2d_jac(y):
     ])
 
 
-def _spiral2d_floats(y):
-    y1, y2 = y
-    return [y1 - y2, y1 + y2]
-
-
 def _spiral2d_jac(y):
     return np.array([[1.0, -1.0], [1.0, 1.0]])
-
-
-def _sphere3d_floats(y):
-    y1, y2, y3 = y
-    w = y3 * y3 - 0.25
-    # rotation part + radial part y3/2 * y + w * (rot x y)
-    return [
-        -y2 + 0.5 * y3 * y1 + w * y1 * y3,
-        y1 + 0.5 * y3 * y2 + w * y2 * y3,
-        0.5 * y3 * y3 - w * (y1 * y1 + y2 * y2),
-    ]
 
 
 def _sphere3d_jac(y):
@@ -269,10 +279,19 @@ def _sphere3d_jac(y):
     ])
 
 
-_power1d_map = _with_floats(_power1d_floats)
-_saddle2d_map = _with_floats(_saddle2d_floats)
-_spiral2d_map = _with_floats(_spiral2d_floats)
-_sphere3d_map = _with_floats(_sphere3d_floats)
+_power1d_map = _SourceMap(1, "f_0 = y_0\n")
+_saddle2d_map = _SourceMap(2, """\
+f_0 = y_0 * y_0 + y_0 * y_1 + y_0 * y_1 * y_1
+f_1 = y_0 * y_1 + y_1 * y_1 - y_0 * y_0 * y_1
+""")
+_spiral2d_map = _SourceMap(2, "f_0 = y_0 - y_1\nf_1 = y_0 + y_1\n")
+# rotation part + radial part y3/2 * y + w * (rot x y)
+_sphere3d_map = _SourceMap(3, """\
+w = y_2 * y_2 - 0.25
+f_0 = -y_1 + 0.5 * y_2 * y_0 + w * y_0 * y_2
+f_1 = y_0 + 0.5 * y_2 * y_1 + w * y_1 * y_2
+f_2 = 0.5 * y_2 * y_2 - w * (y_0 * y_0 + y_1 * y_1)
+""")
 
 
 def builtin_field(name: str, alpha: Optional[float] = None) -> SingularField:

@@ -19,6 +19,7 @@ import functools
 import linecache
 import math
 import re
+import zlib
 from array import array
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -224,6 +225,13 @@ def _float_form(fn):
     return through_arrays
 
 
+def _inlined(fn):
+    """A map for a rendered kernel: (fn.source, None) when fn carries the source
+    _rendered puts in place of its call, else (None, fn's float form)."""
+    source = getattr(fn, "source", None)
+    return (source, None) if source is not None else (None, _float_form(fn))
+
+
 # _stepper's body, rendered for each state size by _rendered
 _STEPPER_TEMPLATE = '''\
 def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
@@ -303,10 +311,14 @@ def stepper(rhs, y_arr, f_arr, t, t1, opts, stats, postprocess):
 '''
 _PER_COMPONENT = re.compile(r"\{([^{}]*)\}")
 _COMPONENT_NAME = re.compile(r"\b([a-z][a-z0-9]*_)(?!\w)")
+# a slot, a map's call alone on its line; a temporary, a name other than a
+# component that a source assigns
+_CALL_LINE = re.compile(r"^( *)\{\w+_\}, = (\w+)\(\[\{\w+_\}\]\)\n", re.M)
+_TEMPORARY = re.compile(r"^ *(?![a-z][a-z0-9]*_\d* =)(\w+) = ", re.M)
 
 
 @functools.cache
-def _rendered(template, n):
+def _rendered(template, n, **sources):
     """The function template defines, for n components, each a Python float
     of its own: a name ending in "_" is one component, and each {expr}
     renders as expr at components 0 to n - 1, comma-separated ([{y_ + k_}]
@@ -314,7 +326,27 @@ def _rendered(template, n):
     ({+ y_} as y_0 + y_1), so every sum keeps its written order.  It is
     compiled on first use in this module's globals, where the stepper reads
     _MAX_STEPS as it is when it runs; linecache holds its source for
-    tracebacks."""
+    tracebacks.
+
+    A line {f_}, = smap([{y_}]) is a slot for the map smap.  Where sources
+    gives smap a source, the source replaces the line, indented as it; with
+    None the line stays, a call of the kernel's argument smap.  A source
+    assigns the line's targets from its own components (f_0 from y_0, ...)
+    and may hold slots of its own, filled first.  The names it assigns then
+    take the suffix _smap (w as w_smap), where its own slots read them too,
+    so that they cannot shadow the kernel's names.  A kernel rendered with
+    the source of one of its arguments has a file name of its own."""
+
+    def spliced(text, arg=None):
+        def slot(m):
+            source = sources.get(m[2])
+            return m[0] if source is None else re.sub(r"(?m)^(?=.)", m[1], spliced(source, m[2]))
+
+        text = _CALL_LINE.sub(slot, text)
+        temps = set(_TEMPORARY.findall(text)) if arg else ()
+        return re.sub(r"\w+", lambda m: f"{m[0]}_{arg}" if m[0] in temps else m[0], text)
+
+    template = spliced(template)
 
     def unrolled(m):
         expr, sep = m[1].strip(), ", "
@@ -323,8 +355,10 @@ def _rendered(template, n):
         return sep.join(_COMPONENT_NAME.sub(rf"\g<1>{i}", expr) for i in range(n))
 
     source = _PER_COMPONENT.sub(unrolled, template)
-    name = re.match(r"def (\w+)", template)[1]
-    filename = f"<singularflow {name}, n = {n}>"
+    name, args = re.match(r"def (\w+)\((.*)\)", template).groups()
+    inlined = any(sources.get(arg) for arg in args.split(", "))
+    tag = f", {zlib.crc32(source.encode()):08x}" if inlined else ""
+    filename = f"<singularflow {name}, n = {n}{tag}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)

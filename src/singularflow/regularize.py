@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularBlend
-from .fields import SingularField, _checked_radius, _ideal_kernel, eval_field
+from .fields import _IDEAL_LINES, SingularField, _checked_radius, eval_field
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _rendered, _with_floats,
-    integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _float_form, _inlined, _rendered,
+    _with_floats, integrate,
 )
 
 # check_smoothness's probe directions, difference step as a fraction of nu,
@@ -56,38 +56,53 @@ class RegularizedField:
         return {k: v for k, v in self.__dict__.items() if k != "_rhs"}
 
 
-_BLEND_TEMPLATE = '''\
-def blend_inner_map(ideal, core):
+# A blend's inner map, from X as x_ to g_: the ideal field at X weighted by
+# the cubic blend_weight(r), r = |X|, plus the core c_; at r = 0 the core
+_BLEND_LINES = '''\
+r = math.hypot({x_})
+{c_}, = core([{x_}])
+{g_}, = {c_},
+if r != 0.0:
+    w = 3.0 * r**2 - 2.0 * r**3  # blend_weight, inline
+    rest = 1.0 - w
+    {h_}, = ideal([{x_}])
+    {g_}, = {w * h_ + rest * c_},
+'''
+
+_INNER_TEMPLATE = '''\
+def blend_inner_map(alpha, smap, core):
     def inner(X):
         {x_}, = X
-        rho = math.hypot({x_})
-        if rho == 0.0:
-            return list(core(X))
-        w = 3.0 * rho**2 - 2.0 * rho**3  # blend_weight(rho), inline
-        rest = 1.0 - w
-        {f_}, {g_}, = *ideal(X, rho), *core(X)
-        return [{w * f_ + rest * g_}]
+        {g_}, = inner([{x_}])
+        return [{g_}]
     return inner
 '''
 
 
-def _blend_inner_map(base: SingularField, core):
+def _blend_inner_map(base: SingularField, core, core_source=None):
     """The inner map xi(rho) f(X) + (1 - xi(rho)) core(X) of a blend, with f
-    the ideal field's kernel (fields._ideal_kernel) at rho = math.hypot(*X),
-    any rho > 0.
+    the ideal field (fields._IDEAL_LINES) at rho = math.hypot(*X) > 0.
 
-    core maps X, a list of Python floats, to a list of the same length.  The
-    cubic weight kills the r^alpha singularity only for alpha > -2; below
-    that the blend is not even continuous at the center, so it is rejected
-    and a custom inner map must be supplied instead.
+    core_source, lines c_0 = ... from X's components x_0, ..., is rendered
+    in place of the core's call (the polynomial blend's unpacks core, its
+    g0); with none, core maps X, a list of Python floats, to a list of the
+    same length.  The map carries .blend, (base, core, core_source), from
+    which regularized_rhs renders the same lines.  The cubic weight kills
+    the r^alpha singularity only for alpha > -2; below that the blend is not
+    even continuous at the center, so it is rejected and a custom inner map
+    must be supplied instead.
     """
     alpha = base.alpha
     if alpha <= -2.0:
         raise SingularBlend(
             f"polynomial blend needs alpha > -2 (got {alpha}); supply a custom inner_map"
         )
-    inner = _rendered(_BLEND_TEMPLATE, base.dimension)(_ideal_kernel(base), core)
-    return _with_floats(inner)
+    source, smap = _inlined(base.sphere_map)
+    inner = _with_floats(_rendered(_INNER_TEMPLATE, base.dimension, inner=_BLEND_LINES,
+                                   ideal=_IDEAL_LINES, smap=source, core=core_source)(
+        alpha, smap, core))
+    inner.blend = base, core, core_source
+    return inner
 
 
 def make_polynomial_blend(base: SingularField, g0, nu: float) -> RegularizedField:
@@ -95,8 +110,7 @@ def make_polynomial_blend(base: SingularField, g0, nu: float) -> RegularizedFiel
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (base.dimension,) or not np.all(np.isfinite(g0)):
         raise ValueError("g0 must be a finite vector matching the field dimension")
-    g0 = g0.tolist()
-    inner = _blend_inner_map(base, lambda _X: g0)
+    inner = _blend_inner_map(base, g0.tolist(), "{c_}, = core\n")
     return RegularizedField(base, nu, inner, blend_kind="polynomial_blend")
 
 
@@ -109,14 +123,14 @@ def make_preset_1d(base: SingularField, sigma: int, nu: float) -> RegularizedFie
     if base.dimension != 1:
         raise ValueError("1-d presets require a one-dimensional base field")
     if sigma in (1, -1):
-        core = (lambda X, s=float(sigma): [0.5 * (s + X[0])])
+        core = f"c_0 = 0.5 * ({float(sigma)!r} + x_0)\n"
         kind = "expel_right" if sigma == 1 else "expel_left"
     elif sigma == 0:
-        core = (lambda X: [(1.0 - 8.0 * X[0]) / 6.0])
+        core = "c_0 = (1.0 - 8.0 * x_0) / 6.0\n"
         kind = "trap"
     else:
         raise ValueError("sigma must be +1, -1 or 0 (trap)")
-    return RegularizedField(base, nu, _blend_inner_map(base, core), blend_kind=kind)
+    return RegularizedField(base, nu, _blend_inner_map(base, None, core), blend_kind=kind)
 
 
 def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
@@ -125,13 +139,16 @@ def eval_regularized(rf: RegularizedField, x) -> np.ndarray:
 
 
 _RHS_TEMPLATE = '''\
-def regularized_rhs(nu, ideal, checked_radius, inner_map, inner_scale):
+def regularized_rhs(nu, alpha, inner_scale, checked_radius, smap, inner, core):
     def rhs(_t, x):
         {x_}, = x
         r = math.hypot({x_})
         if r > nu:
-            return ideal(x, checked_radius(r))
-        {g_}, = inner_map([{x_ / nu}])
+            r = checked_radius(r)
+            {h_}, = ideal([{x_}])
+            return [{h_}]
+        {x_}, = {x_ / nu},
+        {g_}, = inner([{x_}])
         return [{inner_scale * g_}]
     return rhs
 '''
@@ -140,16 +157,22 @@ def regularized_rhs(nu, ideal, checked_radius, inner_map, inner_scale):
 def regularized_rhs(rf: RegularizedField):
     """The right-hand side (t, x) -> patched field at x, built once per rf.
 
-    With r = math.hypot(*x), it is the ideal field's kernel
-    (fields._ideal_kernel) for r > nu, eval_field bit for bit, which raises
-    OriginEvaluation for an infinite state; a NaN state takes the inner
-    branch.  It is written once, on Python floats, as _RHS_TEMPLATE
-    rendered once per dimension, and exposed as its .floats attribute (see
-    integrate); the inner map runs through its float form when it has one.
+    With r = math.hypot(*x), it is the ideal field (fields._IDEAL_LINES)
+    for r > nu, eval_field bit for bit, which raises OriginEvaluation for an
+    infinite state; a NaN state takes the inner branch.  It is written once,
+    on Python floats, as _RHS_TEMPLATE, and exposed as its .floats attribute
+    (see integrate).  A blend of rf.base (_blend_inner_map) is rendered in
+    it, core and sphere map included, so one call evaluates the field; any
+    other inner map is called, through its float form when it has one.
     """
-    rhs = _rendered(_RHS_TEMPLATE, rf.base.dimension)(
-        float(rf.nu), _ideal_kernel(rf.base), _checked_radius, _float_form(rf.inner_map),
-        float(rf.nu**rf.base.alpha))
+    base, blend = rf.base, getattr(rf.inner_map, "blend", None)
+    inner_source, inner, core, core_source = None, _float_form(rf.inner_map), None, None
+    if blend is not None and blend[0] == base:
+        inner_source, inner, (core, core_source) = _BLEND_LINES, None, blend[1:]
+    source, smap = _inlined(base.sphere_map)
+    rhs = _rendered(_RHS_TEMPLATE, base.dimension, inner=inner_source, ideal=_IDEAL_LINES,
+                    smap=source, core=core_source)(
+        float(rf.nu), base.alpha, float(rf.nu**base.alpha), _checked_radius, smap, inner, core)
     return _with_floats(rhs)
 
 

@@ -39,7 +39,7 @@ from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
     Trajectory,
-    _float_form,
+    _inlined,
     _locate,
     _monomials,
     _rendered,
@@ -215,13 +215,14 @@ def renormalized_system(field: SingularField, reverse: bool = False):
     integrate requires of a postprocess.
 
     Both are written once, on Python floats, as _SYSTEM_TEMPLATE rendered
-    once per dimension, and exposed as their .floats attribute (see
+    once per dimension and map, and exposed as their .floats attribute (see
     integrate); rhs and project themselves are the array callables
-    np.array(form(s, _floats(u))).  The sphere map runs through its own
-    float form when the field's map has one.
+    np.array(form(s, _floats(u))).  A built-in map's source
+    (fields._SourceMap) is rendered in place of its call; any other map is
+    called, through its float form when it has one.
     """
-    rhs, project = _rendered(_SYSTEM_TEMPLATE, field.dimension)(
-        _float_form(field.sphere_map), reverse)
+    source, smap = _inlined(field.sphere_map)
+    rhs, project = _rendered(_SYSTEM_TEMPLATE, field.dimension, smap=source)(smap, reverse)
     return _with_floats(rhs), _with_floats(project)
 
 

@@ -796,6 +796,25 @@ def test_rescaled_escape_hands_a_slow_landing_over_at_the_tau_budget():
         assert res.attractor.mean_radial == pytest.approx(a + b, rel=1e-9)
 
 
+def test_rescaled_escape_measures_growth_from_the_hand_over():
+    # the slow landing above with a + b = 0.008: the run hands over at |X| =
+    # 15.8 (log 15.8 = 2.76), and over the window of 50 the log-radius grows
+    # by only 50 (a + b) = 0.40, short of the 0.5 that certifies expulsion
+    # (it ends at 3.16, above 0.5 only because it started at the hand-over)
+    from singularflow import attractors
+
+    a, b = -0.498, 0.506
+    field = sf.SingularField(
+        2, ALPHA, lambda y: (a + b * y[0]) * np.asarray(y) + np.array([y[1] ** 2, -y[0] * y[1]])
+    )
+    for g0 in ([1.0, -2.0], [2.0, 0.5]):
+        res = sf.rescaled_escape(sf.make_polynomial_blend(field, g0, 1.0), [-1.0, 0.0])
+        assert res.run.status == "completed" and res.run.t_end == attractors._TAU_BUDGET
+        assert np.linalg.norm(res.run.final_state) == pytest.approx(15.8, abs=0.1)
+        assert res.outcome == "undetermined" and res.revisits == 1
+        assert res.certificate == "exit without a defocusing-basin certificate"
+
+
 def test_rescaled_escape_reentering_past_the_float_range_has_an_infinite_bound():
     # the direction turns at unit speed and dz/ds = y1 (b + (a - b) max(y2, 0)^2),
     # so every orbit is closed: inside the ball z >= -b, and the excursion

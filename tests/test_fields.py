@@ -150,9 +150,11 @@ def test_eval_field_builds_its_kernel_once_per_field(monkeypatch):
     # the cached right-hand side is no part of a field's pickled state
     import pickle
 
-    plain = sf.SingularField(2, 0.3, np.negative)
-    want = sf.eval_field(plain, [0.3, 0.4])
-    assert sf.eval_field(pickle.loads(pickle.dumps(plain)), [0.3, 0.4]).tobytes() == want.tobytes()
+    field.sphere_map([0.6, 0.8])  # a built-in map pickles as its source, also once called
+    for plain in (sf.SingularField(2, 0.3, np.negative), field):
+        want = sf.eval_field(plain, [0.3, 0.4])
+        got = sf.eval_field(pickle.loads(pickle.dumps(plain)), [0.3, 0.4])
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)

@@ -4,6 +4,7 @@ solver counters of the float-native stepper."""
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -570,19 +571,104 @@ def test_rendered_blend_and_regularized_field_are_the_reference_bitwise(field):
     if d == 1:  # the presets' affine cores
         cores += [lambda X: [0.5 * (1.0 + X[0])], lambda X: [(1.0 - 8.0 * X[0]) / 6.0]]
     for core in cores:
-        inner, ref_inner = _blend_inner_map(field, core).floats, ref_blend_inner_map(field, core)
+        blend, ref_inner = _blend_inner_map(field, core), ref_blend_inner_map(field, core)
+        inner = blend.floats
         points = random_points(rng, d, 100, (0.3, 1.0, 3.0)) + special_points(d)
         with np.errstate(all="ignore"):
             for X in points:
                 assert outcome(inner, X) == outcome(ref_inner, X), X
         for nu in (0.1, 1.0):
-            rf = sf.RegularizedField(field, nu, integrators._with_floats(inner))
-            rhs = regularized_rhs(rf).floats
             ref = ref_regularized_rhs(field, nu, ref_inner)
-            with np.errstate(all="ignore"):
-                for x in points:
-                    x = [nu * v for v in x]
-                    assert outcome(rhs, 0.0, x) == outcome(ref, 0.0, x), (nu, x)
+            # the blend's lines rendered in the field's kernel, and called
+            for inner_map in (blend, integrators._with_floats(inner)):
+                rhs = regularized_rhs(sf.RegularizedField(field, nu, inner_map)).floats
+                with np.errstate(all="ignore"):
+                    for x in points:
+                        x = [nu * v for v in x]
+                        assert outcome(rhs, 0.0, x) == outcome(ref, 0.0, x), (nu, x)
+
+
+def called(field):
+    """The same field with its sphere map behind a plain lambda, which carries
+    no source: every kernel built on it calls the map."""
+    smap = field.sphere_map
+    return dataclasses.replace(field, sphere_map=lambda y: smap(y))
+
+
+def builtin_blends(field, nu):
+    """The polynomial blend of field at nu, and for power1d the three presets."""
+    out = [sf.make_polynomial_blend(field, [0.3, -2.0, 1.0][: field.dimension], nu)]
+    if field.dimension == 1:
+        out += [sf.make_preset_1d(field, sigma, nu) for sigma in (1, -1, 0)]
+    return out
+
+
+@pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
+def test_rendered_maps_are_their_call_path_bitwise(field):
+    # a built-in map's source is rendered into the kernels built on it; the
+    # same field with the map behind a plain lambda runs the same templates
+    # through their call lines, and every outcome must be the same: the
+    # output's bits, or the type of what it raised.  sphere3d's map has a
+    # temporary w, as the blend has; were one to shadow the other, the
+    # blend's cases would differ
+    from singularflow import fields
+
+    d = field.dimension
+    plain = called(field)
+    rng = np.random.default_rng(60 + d)
+    points = random_points(rng, d, 60, (1.0, 1e-3, 3.7, 1e3)) + special_points(d)
+    with np.errstate(all="ignore"):
+        for reverse in (False, True):
+            pairs = zip(renormalized_system(field, reverse), renormalized_system(plain, reverse))
+            for fused, call in pairs:
+                for y in points:
+                    for z in (0.25, math.nan):
+                        u = y + [z]
+                        assert outcome(fused.floats, 0.1, u) == outcome(call.floats, 0.1, u), u
+        # alpha = -1.5 overflows r^alpha at the smallest radii
+        for alpha in (field.alpha, -1.5):
+            fused, call = (fields._ideal_kernel(dataclasses.replace(f, alpha=alpha))
+                           for f in (field, plain))
+            for x in points:
+                r = math.hypot(*x)
+                assert outcome(fused, x, r) == outcome(call, x, r), (alpha, x)
+        origin = [0.0] * d
+        assert outcome(field._ideal.floats, 0.0, origin) is sf.OriginEvaluation
+        assert outcome(plain._ideal.floats, 0.0, origin) is sf.OriginEvaluation
+        for nu in (0.1, 1.0):
+            # inside the ball, outside it, at its centre, NaN and infinite states
+            xs = [[nu * v for v in x] for x in random_points(rng, d, 60, (0.3, 1.0, 3.0))]
+            xs += [origin, [math.nan] * d, [math.inf] + [0.5] * (d - 1)]
+            for rf, rf_call in zip(builtin_blends(field, nu), builtin_blends(plain, nu)):
+                fused, call = regularized_rhs(rf).floats, regularized_rhs(rf_call).floats
+                for x in xs:
+                    assert outcome(fused, 0.0, x) == outcome(call, 0.0, x), (rf.blend_kind, nu, x)
+                    X = [v / nu for v in x]
+                    assert outcome(rf.inner_map.floats, X) == outcome(rf_call.inner_map.floats, X)
+                assert outcome(fused, 0.0, xs[-1]) is sf.OriginEvaluation
+
+
+@pytest.mark.parametrize("field", all_builtins(), ids=lambda f: f.name)
+def test_builtin_kernels_hold_no_map_call(field):
+    # the source each rendered kernel shows in tracebacks (linecache): the
+    # built-in map's lines stand in place of its call, and a blend's kernel
+    # calls neither the map, its ideal term nor its core; the same kernels on
+    # a map behind a lambda call it
+    import linecache
+
+    from singularflow import fields
+
+    def text(fn):
+        return "".join(linecache.getlines(fn.__code__.co_filename))
+
+    for f, calls in ((field, False), (called(field), True)):
+        rf = builtin_blends(f, 0.1)[0]
+        kernels = [renormalized_system(f)[0].floats, fields._ideal_kernel(f),
+                   regularized_rhs(rf).floats, rf.inner_map.floats]
+        for kernel in kernels:
+            source = text(kernel)
+            assert source.startswith("def ") and ("= smap(" in source) == calls, source
+            assert not re.search(r"= (ideal|inner|core)\(", source), source
 
 
 def test_rendered_sphere_prefilter_is_the_reference():
