@@ -15,7 +15,11 @@ Prints one line "<name> <sha256>" per artifact:
 * each end-to-end script of the tree's `scripts/`, run at its defaults on
   the tree's `src/` with any `--outdir` a fresh directory, hashed from its
   stdout (that directory replaced by `OUTDIR`) and the files it writes, as
-  `script/<name>`.
+  `script/<name>`;
+* each command-line run of the CI workflow (.github/workflows/tier1.yml),
+  its config written to a file and run through `cli.main` into a fresh
+  directory, hashed from that directory's sorted file names and bytes, as
+  `cli/<name>`.
 
 DIR (default: the checkout this script is in) is the tree whose `src/` and
 `perfbench/` are run, so the same script can hash two trees, such as a
@@ -55,6 +59,29 @@ ALPHA = 1.0 / 3.0
 SCRIPTS = (
     ("saddle_inviscid_limits", ("--outdir", "{outdir}")),
     ("sphere_phase_scan", ()),
+)
+_SADDLE = "field = saddle2d\nalpha = 0.3333333333333333\n"
+_BLEND = "regularization.kind = polynomial_blend\nregularization.g0 = 1.0, -2.0\n"
+_ONRAY = f"{_SADDLE}x0 = -2.0, 0.0\nt0 = 0.0\nt1 = 4.0\n{_BLEND}"
+# each command-line run of the CI workflow: (name, subcommand, config)
+CLI_RUNS = (
+    ("classify-sphere3d", "classify",
+     "field = sphere3d\nalpha = 0.3333333333333333\nx0 = 0.0, 0.0, -1.0\n"),
+    ("classify-ray", "classify", f"{_SADDLE}x0 = -2.0, 0.0\n"),
+    ("simulate-tiny", "simulate", f"{_SADDLE}x0 = -1e-8, 0.0\nt1 = 1.0\n"),
+    ("sweep-radii", "sweep",
+     f"{_SADDLE}x0 = -1.0, 0.0\nt1 = 2.5\n{_BLEND}nu.list = 0.1, 0.1000001, 0.01\n"),
+    ("sweep-cycle", "sweep",
+     "field = sphere3d\nalpha = 0.3333333333333333\nx0 = 0.0, 0.0, -1.0\nt0 = 0.0\nt1 = 4.01\n"
+     "regularization.kind = polynomial_blend\nregularization.g0 = 0.0, 0.1, 1.0\n"
+     "nu.geometric.T = 6.283185307179586\nnu.geometric.mean_fr = 0.25\n"
+     "nu.geometric.chi = 0.7\nnu.geometric.n_first = 1\nnu.geometric.n_last = 9\n"
+     "sweep.t_start = 3.1\nsweep.t_stop = 4.0\nsweep.t_points = 90\n"),
+    ("sweep-offray", "sweep",
+     f"{_SADDLE}x0 = -0.9396926207859083, 0.3420201433256689\nt0 = 0.0\nt1 = 2.8\n{_BLEND}"
+     "nu.list = 0.1, 0.03, 0.01\n"),
+    ("sweep-onray", "sweep", f"{_ONRAY}nu.list = 0.1, 0.03, 0.01\n"),
+    ("sweep-onray-up", "sweep", f"{_ONRAY}nu.list = 0.01, 0.03, 0.1\n"),
 )
 
 
@@ -112,6 +139,18 @@ def script_digests(root):
             yield f"script/{name}", files_digest(digest, outdir)
 
 
+def cli_digests(mods):
+    cli = mods["cli"]
+    for name, command, config in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            path, outdir = Path(tmp, "run.cfg"), Path(tmp, "out")
+            path.write_text(config)
+            code = cli.main([command, str(path), "--outdir", str(outdir), "--quiet"])
+            if code != 0:
+                raise RuntimeError(f"cli {name} exited {code}")
+            yield f"cli/{name}", files_digest(hashlib.sha256(), outdir)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -126,7 +165,8 @@ def main(argv=None):
         return 2
     workloads = importlib.import_module("workloads")
     for name, digest in itertools.chain(operation_digests(workloads, mods), catalog_digests(mods),
-                                        bundle_digests(mods), script_digests(root)):
+                                        bundle_digests(mods), script_digests(root),
+                                        cli_digests(mods)):
         print(name, digest, flush=True)
     return 0
 

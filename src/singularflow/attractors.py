@@ -22,8 +22,8 @@ import numpy as np
 from .errors import LimitCycleNotFound, SignError, StepFailure
 from .fields import SingularField, _central_jacobian, decompose, sphere_jacobian
 from .integrators import (
-    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _bezier, _dense_max, _Level,
-    _locate_crossing, _monomials, _Plane, _scan_step, _Sphere, integrate,
+    DEFAULT_OPTIONS, IntegrationOptions, Trajectory, _dense_max, _Level, _locate_crossing,
+    _Plane, _scan_step, _Sphere, integrate,
 )
 from .regularize import RegularizedField, regularized_rhs
 from .renorm import renorm_integrate, renormalized_system
@@ -634,8 +634,9 @@ def rescaled_escape(
     again).  tau_esc and y_esc are the run's last exit through the unit
     sphere (_last_exit).
     r_bound, the certificates' "sup R", is the largest |X| of the run
-    between samples included (_sup_radius), or past the cap the re-entering
-    excursion's, inf past the float range; an expelled result has none.
+    between samples included, read off its dense output by
+    integrators._dense_max, or past the cap the re-entering excursion's,
+    inf past the float range; an expelled result has none.
     Every run inherits opts, max_step included.
     """
     field = rf.base
@@ -652,7 +653,7 @@ def rescaled_escape(
     run.stats.rhs_calls += watch.rhs_calls
     radii = run.radii()
     visits = 1 + int(np.count_nonzero((radii[1:-1] >= 1.0) & (radii[2:] < 1.0)))
-    r_max = _sup_radius(run)
+    r_max = _dense_max(run)[1]
 
     def result(outcome, certificate, **found):
         found.setdefault("r_bound", r_max)
@@ -717,35 +718,6 @@ def _last_exit(run):
     return (run.t0, run.states[0]) if last is None else _locate_crossing(ball, *last)
 
 
-def _sup_radius(run):
-    """The largest |X| over the run, between samples included: on each step
-    over which the radial rate X . f turns from positive to nonpositive and
-    whose Bezier hull (integrators._bezier), which holds its dense output,
-    reaches past the largest sample, the zero of the dense output's radial
-    slope (integrators._monomials) is found by bisection."""
-    best = float(np.max(run.radii()))
-    rate = np.einsum("ij,ij->i", run.states, run.derivs)
-    turns = np.flatnonzero((rate[:-1] > 0.0) & (rate[1:] <= 0.0))
-    if not len(turns):  # none, or a run that failed before its first step
-        return best
-    _, h, *ends = run._steps(turns)
-    reach = np.max([np.linalg.norm(q, axis=1) for q in _bezier(h[:, None], *ends)], axis=0)
-    for k in turns[reach > best].tolist():
-        length, c = _monomials(run, [k], slice(None))
-        # component i at the fraction u is x_i + c_i1 u + ... + c_i4 u^4
-        rows = list(zip(run.states[k].tolist(), *c[0].tolist()))
-        lo, hi = 0.0, float(run.times[k + 1] - run.times[k]) / float(length[0])
-        for _ in range(60):
-            u = 0.5 * (lo + hi)
-            slope = sum((x + u * (c1 + u * (c2 + u * (c3 + u * c4))))
-                        * (c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4)))
-                        for x, c1, c2, c3, c4 in rows)
-            lo, hi = (u, hi) if slope > 0.0 else (lo, u)
-        best = max(best, math.hypot(*(x + lo * (c1 + lo * (c2 + lo * (c3 + lo * c4)))
-                                      for x, c1, c2, c3, c4 in rows)))
-    return best
-
-
 def _outside_excursion(field, x, window, opts):
     """Renormalized run from the state x, |x| >= 1 in ball units, until
     re-entry (Z = 0) or the window end; Z starts at z_start = log|x|.
@@ -754,7 +726,8 @@ def _outside_excursion(field, x, window, opts):
     located as the event _Level(d) on the state (y, Z); a run that starts at
     Z = 0 is ended only by a crossing from Z > 0.  The run reports z_max,
     the supremum of Z over it, between samples included
-    (integrators._dense_max), and Z at its end, with Z's mean slope and its
+    (integrators._dense_max on component d, the maximum rescaled_escape
+    also reads |X| with), and Z at its end, with Z's mean slope and its
     minimum over its second half.
     """
     d, radius = field.dimension, float(np.linalg.norm(x))

@@ -115,7 +115,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> 
     summary["status"] = traj.status
     summary["t_end"] = traj.t_end
     summary["final_state"] = traj.final_state.tolist()
-    summary["run"] = dataclasses.asdict(traj.stats)
+    summary["run"] = traj.stats.to_dict()
     if traj.status == "hit_radius_floor":
         # a tail too short to fit leaves the finished run's summary standing
         try:

@@ -520,45 +520,59 @@ def _hermite_point(s, h, y0, f0, y1, f1, e):
 
 
 def _monomials(traj, steps, i):
-    """Component i's dense output on steps, as (h, c) with c of shape (n, 4).
+    """Component i's dense output on steps, as (h, c) with c of shape (n, 4),
+    or (n, 4, m) for i a slice of m components.
 
     h is each step's full length; on the step from t_k, the component at
     t_k + theta h is x_k + c_1 theta + ... + c_4 theta^4, _hermite in
     monomial form.  Each row depends on its own step only.
     """
     _, h, y0, f0, y1, f1, e = traj._steps(steps, i)
-    rise, hf0, hf1 = y1 - y0, h * f0, h * f1
+    hs = h if np.ndim(y0) == 1 else h[:, None]
+    rise, hf0, hf1 = y1 - y0, hs * f0, hs * f1
     c = (hf0, 3 * rise - 2 * hf0 - hf1 + e, -2 * rise + hf0 + hf1 - 2 * e, e)
     return h, np.stack(c, axis=1)
 
 
-def _dense_max(traj, i):
-    """The largest value of component i over the run, between samples
-    included, and where it is: (t, value).
+def _dense_max(traj, i=None):
+    """The largest value over the run of component i, or with i None of the
+    radius |x|, between samples included, and where it is: (t, value).
 
-    A maximum between samples lies on a step over which the dense
-    derivative turns from positive to nonpositive; on each such step the
-    zero of the derivative of the component's dense output (_monomials) is
-    found by bisection.
+    A maximum between samples lies on a step over which the sampled rate,
+    f_i or x . f, turns from positive to nonpositive.  Of these, the steps
+    whose Bezier hull (_bezier), which holds their dense output, reaches
+    past the largest sample are kept, and on each the zero of the dense
+    output's slope (_monomials) is found by bisection.
     """
-    times, x = traj.times, traj.states[:, i]
-    h, c = _monomials(traj, np.arange(len(times) - 1), i)
-    theta = np.diff(times) / h  # a cut last step ends before its full length
-    slope_end = ((4 * c[:, 3] * theta + 3 * c[:, 2]) * theta + 2 * c[:, 1]) * theta + c[:, 0]
-    j = int(np.argmax(x))
-    t_best, best = float(times[j]), float(x[j])
-    for k in np.flatnonzero((c[:, 0] > 0.0) & (slope_end <= 0.0)).tolist():
-        c1, c2, c3, c4 = c[k].tolist()
-        lo, hi = 0.0, float(theta[k])
+    times, x, f = traj.times, traj.states, traj.derivs
+    col = slice(None) if i is None else slice(i, i + 1)
+    values, rate = (traj.radii(), np.einsum("ij,ij->i", x, f)) if i is None else (x[:, i], f[:, i])
+    j = int(np.argmax(values))
+    t_best, best = float(times[j]), float(values[j])
+    turns = np.flatnonzero((rate[:-1] > 0.0) & (rate[1:] <= 0.0))
+    _, h, *ends = traj._steps(turns, col)
+    reach = np.max([np.linalg.norm(q, axis=1) if i is None else q[:, 0]
+                    for q in _bezier(h[:, None], *ends)], axis=0)
+    turns = turns[reach > best]
+    h, c = _monomials(traj, turns, col)
+    for k, length, terms in zip(turns.tolist(), h.tolist(), c.tolist()):
+        # component m at the fraction u is p_m + c_m1 u + ... + c_m4 u^4
+        rows = list(zip(x[k, col].tolist(), *terms))
+
+        def at(u):  # the dense state and its slope at u
+            return ([p + u * (c1 + u * (c2 + u * (c3 + u * c4))) for p, c1, c2, c3, c4 in rows],
+                    [c1 + u * (2 * c2 + u * (3 * c3 + u * 4 * c4)) for _, c1, c2, c3, c4 in rows])
+
+        lo, hi = 0.0, float(times[k + 1] - times[k]) / length
         for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ((4 * c4 * mid + 3 * c3) * mid + 2 * c2) * mid + c1 > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        value = float(x[k]) + (((c4 * lo + c3) * lo + c2) * lo + c1) * lo
+            u = 0.5 * (lo + hi)
+            state, slope = at(u)  # the radius turns with x . x', a component with x_i'
+            rising = (sum(p * s for p, s in zip(state, slope)) if i is None else slope[0]) > 0.0
+            lo, hi = (u, hi) if rising else (lo, u)
+        state = at(lo)[0]
+        value = math.hypot(*state) if i is None else state[0]
         if value > best:
-            t_best, best = float(times[k]) + lo * float(h[k]), value
+            t_best, best = float(times[k]) + lo * length, value
     return t_best, best
 
 

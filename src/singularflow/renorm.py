@@ -25,7 +25,6 @@ renormalized_system is only evaluated, for a speed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotUnitVector
-from .fields import SingularField
+from .fields import SingularField, _checked_unit
 from .integrators import (
     DEFAULT_OPTIONS,
     IntegrationOptions,
@@ -180,7 +178,7 @@ class BlowupVerdict:
             "reason": self.reason,
         }
         if self.renorm is not None:
-            out["run"] = {**dataclasses.asdict(self.renorm.stats), "s_end": self.renorm.s_end}
+            out["run"] = {**self.renorm.stats.to_dict(), "s_end": self.renorm.s_end}
         return out
 
 
@@ -240,13 +238,14 @@ def renorm_integrate(
 ) -> RenormTrajectory:
     """Integrate the renormalized system from s = 0 up to fictitious time s_max.
 
-    y0 must lie within 1e-9 of the unit sphere (NotUnitVector otherwise);
-    the run starts from its projection.  The direction is re-projected onto
-    the sphere after every accepted step, keeping max | |y|-1 | at the level
-    of the local error.  The stepper integrates (y, z) with opts; physical
-    time starts at t0 and is a quadrature over z's dense output, read on
-    demand (RenormTrajectory.t, physical_time).  reverse runs the reversed
-    direction flow (renormalized_system).
+    y0 must be a vector of the field's dimension (ValueError otherwise)
+    within 1e-9 of the unit sphere (fields._checked_unit, NotUnitVector
+    otherwise); the run starts from its projection.  The direction is
+    re-projected onto the sphere after every accepted step, keeping
+    max | |y|-1 | at the level of the local error.  The stepper integrates
+    (y, z) with opts; physical time starts at t0 and is a quadrature over
+    z's dense output, read on demand (RenormTrajectory.t, physical_time).
+    reverse runs the reversed direction flow (renormalized_system).
 
     until, if given, is polled after every accepted step as until(s, u, f,
     partial), where u is the accepted state (y, z) at s and f the
@@ -259,14 +258,11 @@ def renorm_integrate(
     error (up to 2.4e-12 on sphere3d section returns), and a run restarted
     from it starts from its projection, as find_limit_cycle's laps do.
     """
-    y0 = np.asarray(y0, dtype=float)
-    n0 = math.sqrt(float(y0 @ y0))
-    if abs(n0 - 1.0) > 1e-9:
-        raise NotUnitVector(f"|y0| = {n0!r} is not on the unit sphere")
+    y0 = _checked_unit(y0, field.dimension)
     if not s_max > 0:
         raise ValueError("s_max must be positive")
     t0 = float(t0)
-    u0 = np.concatenate([y0 / n0, [float(z0)]])
+    u0 = np.concatenate([y0, [float(z0)]])
     poll = None
     if until is not None:
         poll = lambda s, u, f, partial: until(

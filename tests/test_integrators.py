@@ -741,6 +741,42 @@ def test_dense_max_finds_a_peak_between_samples():
     assert _dense_max(traj, 1) == (0.0, 1.0)
 
 
+def test_dense_max_finds_a_radius_peak_between_samples():
+    # dx/dt = (-x2 / 2, 2 x1) from (1, 0) is (cos t, 2 sin t): |x| peaks at
+    # t = pi/2 with value 2, inside a step
+    from singularflow.integrators import _dense_max, _monomials
+
+    traj = sf.integrate(lambda t, x: np.array([-0.5 * x[1], 2.0 * x[0]]), [1.0, 0.0], 0.0, 3.0)
+    # the nearest sample is 2.4e-4 from the peak, so |x| there is 4.4e-8 short
+    assert np.min(np.abs(traj.times - math.pi / 2)) > 1e-4
+    t, value = _dense_max(traj)
+    assert t == pytest.approx(math.pi / 2, abs=1e-9)
+    assert value == pytest.approx(2.0, abs=1e-9)
+    assert value > np.max(traj.radii()) + 2e-8
+    # the monomials of several components are each component's, bit for bit
+    steps = np.arange(len(traj.times) - 1)
+    h, c = _monomials(traj, steps, slice(None))
+    for m in range(2):
+        h_m, c_m = _monomials(traj, steps, m)
+        assert np.array_equal(h, h_m) and np.array_equal(c[:, :, m], c_m)
+
+
+def test_dense_max_of_a_run_without_a_turn_is_its_largest_sample():
+    from singularflow.integrators import _dense_max
+
+    # |x| decays from 5 on dx/dt = -x: no step turns, the first sample wins
+    traj = sf.integrate(lambda t, x: -x, [3.0, 4.0], 0.0, 2.0)
+    assert _dense_max(traj) == (0.0, 5.0)
+    # a run that fails at its first step holds its start alone
+    with pytest.raises(sf.StepFailure) as failure:
+        sf.integrate(lambda t, x: x if t == 0.0 else np.array([math.nan] * 2), [3.0, 4.0],
+                     0.0, 1.0)
+    one = failure.value.trajectory
+    assert len(one.times) == 1
+    assert _dense_max(one) == (0.0, 5.0)
+    assert _dense_max(one, 0) == (0.0, 3.0)
+
+
 def test_sample_out_of_range():
     traj = sf.integrate(power1d_rhs(), [1.0], 0.0, 1.0)
     with pytest.raises(sf.OutOfRange):

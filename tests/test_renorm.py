@@ -38,6 +38,15 @@ def test_physical_time_out_of_range():
         sf.renorm_integrate(saddle(), [-1.2, 0.0], 0.0, 5.0)
 
 
+def test_renorm_integrate_rejects_a_start_of_the_wrong_length():
+    # the package's one unit-vector check names the expected length
+    sphere3d = sf.builtin_field("sphere3d")
+    for call in (lambda: sf.renorm_integrate(sphere3d, [1.0, 0.0], 0.0, 1.0),
+                 lambda: sf.classify_blowup(sphere3d, [0.0, 1.0])):
+        with pytest.raises(ValueError, match=r"expected a vector of length 3, got shape \(2,\)"):
+            call()
+
+
 def test_sphere_projection_invariant():
     rt = sf.renorm_integrate(saddle(), [-0.6, 0.8], 0.0, 40.0)
     assert np.abs(np.linalg.norm(rt.y, axis=1) - 1.0).max() <= 1e-9
@@ -481,6 +490,16 @@ def test_verdict_record_carries_the_run_stats():
                    "s_end": v.renorm.s_end}
     assert run["accepted"] == len(v.renorm.s) - 1
     assert run["s_end"] >= v.s_budget
+
+
+def test_verdict_record_writes_the_stats_as_the_json_outputs_do():
+    # SolverStats.to_dict: h_min is None while no step is counted
+    from singularflow.integrators import SolverStats
+
+    v = sf.classify_blowup(saddle(), [-0.6, 0.8])
+    assert v.to_dict()["run"] == {**v.renorm.stats.to_dict(), "s_end": v.renorm.s_end}
+    v.renorm.run.stats = SolverStats()
+    assert v.to_dict()["run"]["h_min"] is None
 
 
 def test_time_quadrature_rule_is_gauss_legendre():
