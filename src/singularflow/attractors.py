@@ -51,13 +51,17 @@ _RETURN_HORIZON = 400.0
 _ORBIT_SAMPLES = 1024
 # the orbit-table rows, uniform in s, that a cycle's exponent averages over
 _DIVERGENCE_NODES = 64
-# A cycle search's transient polls the known attractors every _SINK_POLL
-# accepted steps.  The inside run of rescaled_escape polls its speed as
-# often and, below _SINK_SPEED, looks for an interior sink
+# A cycle search's transient polls the known attractors each time it passes
+# _SINK_POLL more units of s; the inside run of rescaled_escape polls its
+# speed as often in tau and, below _SINK_SPEED, looks for an interior sink
 # (_interior_sink): Newton steps, the largest Lyapunov level as a fraction
 # of the way from the sink to the unit sphere, the number of levels (each a
-# quarter of the last), and the boundary points sampled on the one tried
-_SINK_POLL = 8
+# quarter of the last), and the boundary points sampled on the one tried.
+# The saddle2d trapping blends (1 +- 0.05, 1.3 +- 0.05) were certified at
+# tau = 9.48 to 24.02 polling every 8 steps of the 5(4) pair, about 0.25 in
+# tau, and are at 9.55 to 23.78 polling every 0.25; 8 steps of the 8(5,3)
+# pair, 4 to 5 times longer, put them up to 2.7 later.
+_SINK_POLL = 0.25
 _SINK_SPEED = 0.1
 _NEWTON_ITERS = 20
 _SINK_REACH = 0.9
@@ -318,15 +322,15 @@ def find_limit_cycle(
     A search converges only onto a cycle that attracts the flow it runs, so
     the cycle is stable unless the flow is reversed.  Raises
     LimitCycleNotFound when the orbit collapses onto a fixed point or never
-    recurs within the budget.  Every _SINK_POLL (8) accepted steps the
-    transient is checked against the _known attractors (_tube_radius).  One
-    found in the duplicate tube of a known cycle ends the search, which
-    returns that cycle object itself; one within _SINK_RADIUS (1e-3) of a
-    known fixed point, which must be a sink of the flow searched, ends it
-    with LimitCycleNotFound.  That stop assumes the 1e-3 ball around each
-    such sink lies in its basin.  A transient that ends before its next
-    check runs its laps, and a catalog drops the cycle they find as a
-    duplicate.
+    recurs within the budget.  Each time the transient passes _SINK_POLL
+    (0.25) more units of s, it is checked against the _known attractors
+    (_tube_radius).  One found in the duplicate tube of a known cycle ends
+    the search, which returns that cycle object itself; one within
+    _SINK_RADIUS (1e-3) of a known fixed point, which must be a sink of the
+    flow searched, ends it with LimitCycleNotFound.  That stop assumes the
+    1e-3 ball around each such sink lies in its basin.  A transient that
+    ends before its next check runs its laps, and a catalog drops the cycle
+    they find as a duplicate.
     """
     d = field.dimension
     if d < 2:
@@ -336,13 +340,13 @@ def find_limit_cycle(
     if transient > 0:
         tubes = [(a, _tube_radius(a)) for a in _known]
         reached = []
-        steps = 0
+        due = _SINK_POLL
 
-        def in_known_tube(_s, u, _f, _partial):
-            nonlocal steps
-            steps += 1
-            if steps % _SINK_POLL:
+        def in_known_tube(s, u, _f, _partial):
+            nonlocal due
+            if s < due:
                 return False
+            due = s + _SINK_POLL
             reached.extend(a for a, radius in tubes if a.distance_to(u[:d]) < radius)
             return bool(reached)
 
@@ -427,7 +431,7 @@ def catalog_attractors(
     d >= 4 those are random directions of seeds 0 and 1 (_seed_directions).
     Each pass (forward, then reversed) hands its searches the cycles it has
     found so far and the sinks of its flow, and a search checks its
-    transient against them every _SINK_POLL (8) accepted steps, so a seed
+    transient against them every _SINK_POLL (0.25) units of s, so a seed
     whose transient reaches one of them stops there: on a cycle instead of
     re-finding it, on a sink instead of running out the transient.
     """
@@ -557,7 +561,8 @@ def _interior_sink(rhs, x, tau):
 class _SinkWatch:
     """The until of rescaled_escape's run: it stops at a certified sink.
 
-    Every _SINK_POLL accepted steps it reads the speed |f| off the
+    Each time the run passes _SINK_POLL more units of tau from tau0, the
+    first at tau0 + _SINK_POLL, it reads the speed |f| off the
     derivative the run hands it at the accepted state, at no right-hand-side
     call, and only then arrays of it and the state; a speed below
     _SINK_SPEED (never NaN or inf) at a state in the unit ball, the only
@@ -567,8 +572,8 @@ class _SinkWatch:
     adds to the stats of the run.
     """
 
-    def __init__(self, rhs):
-        self.steps = 0
+    def __init__(self, rhs, tau0):
+        self.due = tau0 + _SINK_POLL
         self.rhs_calls = 0
         self.certificate = None
 
@@ -579,9 +584,9 @@ class _SinkWatch:
         self.rhs = counted
 
     def __call__(self, tau, x, f, _partial):
-        self.steps += 1
-        if self.steps % _SINK_POLL:
+        if tau < self.due:
             return False
+        self.due = tau + _SINK_POLL
         f = np.array(f)
         if not (math.sqrt(float(f.dot(f))) < _SINK_SPEED and math.hypot(*x) < 1.0):
             return False
@@ -644,7 +649,7 @@ def rescaled_escape(
     y_ent = y_ent / np.linalg.norm(y_ent)
     t_ent = tau_entry(decompose(field, y_ent).radial, field.alpha)
     rhs = regularized_rhs(dataclasses.replace(rf, nu=1.0))
-    watch = _SinkWatch(rhs)
+    watch = _SinkWatch(rhs, t_ent)
     try:
         run, failure = integrate(rhs, y_ent, t_ent, _TAU_BUDGET, opts, until=watch,
                                  event=_Sphere(_R_BOUND_CAP), direction=+1), None
@@ -711,7 +716,7 @@ def _last_exit(run):
     for k in range(inside[-1] if len(inside) else 0, n):
         end = run.cut if run.cut is not None and k == n - 1 else (
             run.times[k + 1], run.states[k + 1], run.derivs[k + 1])
-        step = (run.times[k], run.states[k], run.derivs[k], *end, run.quartic[k])
+        step = (run.times[k], run.states[k], run.derivs[k], *end, run.dense[k])
         bracket, _ = _scan_step(ball, +1, ball(0.0, run.states[k]), step)
         if bracket is not None:
             last = step, bracket

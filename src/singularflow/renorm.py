@@ -9,7 +9,7 @@ along which physical time is the quadrature dt/ds = e^((1-alpha) z).
 Blowup corresponds to s -> infinity with z -> -infinity, so the collapse can
 be followed for as long as needed.  The stepper integrates (y, z) alone, so
 t sets no step: t(s) is a Gauss-Legendre quadrature of e^((1-alpha) z) over
-z's dense output on each step, the stepper's order-4 continuous extension,
+z's dense output on each step, the stepper's order-7 continuous extension,
 computed when first read (RenormTrajectory.t, physical_time).  It is the
 package's one quadrature: the cycle family's phase map reads it too
 (continuation.build_cycle_family, whose weight K(s) over one period is a
@@ -127,14 +127,17 @@ def _elapsed(rt: RenormTrajectory, steps, s) -> np.ndarray:
     a = 1.0 - rt.field.alpha
     h, c = _monomials(rt.run, steps, rt.dimension)
     theta = (s - rt.s[steps]) / h
-    slope = np.abs(c[:, 0]) + 2 * np.abs(c[:, 1]) + 3 * np.abs(c[:, 2]) + 4 * np.abs(c[:, 3])
+    slope = (np.abs(c) * np.arange(1, c.shape[1] + 1)).sum(axis=1)  # bounds |dz/dtheta|
     pieces = np.maximum(1, np.ceil(abs(a) / _PIECE_RISE * theta * slope)).astype(np.int64)
     step = np.repeat(np.arange(len(h)), pieces)
     index = np.arange(len(step)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     width = theta[step] / pieces[step]
     x = (index[:, None] + _GL_NODES) * width[:, None]  # fractions of the step
     cs = c[step]
-    dz = (((cs[:, 3:] * x + cs[:, 2:3]) * x + cs[:, 1:2]) * x + cs[:, :1]) * x
+    dz = cs[:, -1:]
+    for p in range(c.shape[1] - 2, -1, -1):
+        dz = dz * x + cs[:, p:p + 1]
+    dz = dz * x
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(a * (rt.z[steps][step, None] + dz))
         total = e[:, 0] * _GL_WEIGHTS[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import singularflow as sf
+from singularflow import integrators
 
 ALPHA = 1.0 / 3.0
 
@@ -255,8 +256,8 @@ def test_catalog_early_stop_keeps_the_catalog(name, alpha, monkeypatch):
 
 def test_search_inside_a_known_cycle_returns_it_at_the_first_poll(monkeypatch):
     # a transient that starts on a known cycle is inside its tube at the
-    # first check, _SINK_POLL accepted steps in, and the search returns the
-    # known object itself without running a lap
+    # first check, on the first accepted step at or past s = _SINK_POLL, and
+    # the search returns the known object itself without running a lap
     from singularflow import attractors
 
     field = sf.builtin_field("sphere3d")
@@ -266,7 +267,7 @@ def test_search_inside_a_known_cycle_returns_it_at_the_first_poll(monkeypatch):
 
     def counted_run(*args, **kwargs):
         rt = run(*args, **kwargs)
-        runs.append(len(rt.s) - 1)
+        runs.append(rt.s)
         return rt
 
     monkeypatch.setattr(attractors, "renorm_integrate", counted_run)
@@ -274,7 +275,7 @@ def test_search_inside_a_known_cycle_returns_it_at_the_first_poll(monkeypatch):
         runs.clear()
         y0 = cyc.location[k]
         assert attractors.find_limit_cycle(field, y0, _known=[cyc]) is cyc
-        assert runs == [attractors._SINK_POLL]
+        assert len(runs) == 1 and runs[0][-2] < attractors._SINK_POLL <= runs[0][-1]
 
 
 def test_label_consistency_with_renorm_averages():
@@ -706,10 +707,13 @@ def test_sink_watch_calls_count_in_the_inside_run_stats(monkeypatch):
     res = sf.rescaled_escape(rf, [1.0, 0.0])
     assert res.outcome == "trapped" and [run.status for run in runs] == ["stopped"]
     stats = runs[0].stats
-    # the start, the starting-step probe, six stages per attempted step and
-    # the sink search: nothing else
+    # the start, the starting-step probe, the stages of each attempted step,
+    # the dense output's stages of each accepted one and the sink search:
+    # nothing else
     assert sink_calls[0] > 0
-    assert stats.rhs_calls == calls[0] == 2 + 6 * (stats.accepted + stats.rejected) + sink_calls[0]
+    per_try, per_step = integrators._STAGES, integrators._DENSE_STAGES
+    steps = per_try * (stats.accepted + stats.rejected) + per_step * stats.accepted
+    assert stats.rhs_calls == calls[0] == 2 + steps + sink_calls[0]
 
 
 def test_max_step_reaches_every_internal_run(monkeypatch):

@@ -938,7 +938,8 @@ def test_failed_continuation_fails_every_nu_the_passage_serves(saddle_sweep_grid
     # error naming the passage, and its one runs entry adds the partial
     # continuation's stats to the probe run's, h_min and h_max over both.
     # The smallest radius reads the grid's end at tau = 54, past the probe
-    # run's end at the bound cap
+    # run's end at the bound cap; the partial continuation runs 10 units of
+    # tau, over which its steps outgrow the probe run's
     import singularflow.continuation as cont
 
     field = sf.builtin_field("saddle2d", ALPHA)
@@ -947,7 +948,7 @@ def test_failed_continuation_fails_every_nu_the_passage_serves(saddle_sweep_grid
     partial_stats = []
 
     def underflowing(rf, x0, t0, t1, opts):
-        partial = dataclasses.replace(real(rf, x0, t0, t0 + 5.0, opts), status="step_failure")
+        partial = dataclasses.replace(real(rf, x0, t0, t0 + 10.0, opts), status="step_failure")
         partial_stats.append(partial.stats)
         raise sf.StepFailure("synthetic underflow", partial)
 

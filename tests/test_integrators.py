@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import singularflow as sf
+from singularflow import integrators
 
 ALPHA = 1.0 / 3.0
 
@@ -143,20 +144,23 @@ def test_non_finite_rhs_raises_step_failure():
 
 
 def test_tolerance_ladder_convergence():
-    # The embedded 5(4) pair gives endpoint error ~ tol^(4/5): a 256x
-    # tolerance reduction must cut the error at least 4x until the 1e-12
-    # floor (endpoint error of an adaptive embedded pair scales like tol^{4/5}).
-    exact = (1.0 + 2.0 / 3.0) ** 1.5
+    # The 8(5,3) pair controls an error of order 7: a 256x tolerance
+    # reduction must cut the endpoint error at least 32x (tol^(7/8) gives
+    # 128x) until the 1e-12 floor.  Over t in [0, 10] the tolerance sets the
+    # steps (to t = 1 the pair takes 4 or 5 steps at every rung, set by the
+    # starting step and the growth cap, and the errors read 7.0e-11, 1.1e-11
+    # and 2.8e-12)
+    exact = (1.0 + 2.0 / 3.0 * 10.0) ** 1.5
     rhs = power1d_rhs()
     errs = []
     for rtol in (1e-5, 1e-5 / 256, 1e-5 / 256**2):
         opts = sf.IntegrationOptions(rtol=rtol, atol=rtol * 1e-3)
-        traj = sf.integrate(rhs, [1.0], 0.0, 1.0, opts)
-        errs.append(abs(traj.final_state[0] - exact))
+        traj = sf.integrate(rhs, [1.0], 0.0, 10.0, opts)
+        errs.append(abs(traj.final_state[0] - exact) / exact)
     for a, b in zip(errs, errs[1:]):
         if a < 1e-12:
             break
-        assert b <= a / 4.0
+        assert b <= a / 32.0
 
 
 def test_determinism_bitwise():
@@ -281,23 +285,30 @@ def test_rhs_evaluated_once_at_the_start_point():
         return -x
 
     run = sf.integrate(rhs, [1.0], 0.0, 1.0)
-    assert len(run.times) - 1 == 19
+    assert len(run.times) - 1 == 4 and run.stats.rejected == 0
     assert calls.count(0.0) == 1
-    assert len(calls) == 116
+    assert len(calls) == 2 + 4 * (integrators._STAGES + integrators._DENSE_STAGES) == 62
     calls.clear()
     run = sf.integrate(rhs, [1.0], 0.0, 10.0, event=lambda t, x: 0.5 - x[0], direction=+1)
     assert run.status == "hit_event"
     assert calls.count(0.0) == 1
 
 
+def _terms(e):
+    # a step's dense-output terms F_3 to F_6: e as F_3, which alone is the
+    # quartic term s^2 (1 - s)^2 e, and zero F_4 to F_6
+    e = np.atleast_1d(np.asarray(e, dtype=float))
+    return np.vstack([e, np.zeros((integrators._TERMS - 1, len(e)))])
+
+
 def _scalar_scan(event, direction, g_prev, step):
     # reference: np.linspace subsample times, one scalar dense state each
-    from singularflow.integrators import _hermite_point
+    from singularflow.integrators import _dense_point
 
-    tp, yp, fp, tn, yn, fn, e = step
+    tp, yp, fp, tn, yn, fn, terms = step
     ta, ga = tp, g_prev
     for tq in np.linspace(tp, tn, 9)[1:]:
-        yq = yn if tq == tn else _hermite_point((tq - tp) / (tn - tp), tn - tp, yp, fp, yn, fn, e)
+        yq = yn if tq == tn else _dense_point((tq - tp) / (tn - tp), tn - tp, yp, fp, yn, fn, terms)
         gq = float(event(tq, yq))
         if (ga < 0.0 <= gq) if direction > 0 else (ga > 0.0 >= gq):
             return (ta, ga, tq, gq)
@@ -307,19 +318,19 @@ def _scalar_scan(event, direction, g_prev, step):
 
 def _crafted_steps():
     # x(s) = 1 - 6 s (1 - s) on a step with h f = -6 at its start and +6 at
-    # its end and e = 0: x dips to -1/2 and comes back, so both ends read
+    # its end and no term: x dips to -1/2 and comes back, so both ends read
     # x = 1 and only the subsamples see the double crossing.  The random
-    # steps carry a term e of up to a few percent of their states
+    # steps carry terms of up to a few percent of their states
     for tp, h in ((0.0, 1.0), (2.0, 0.5), (-3.0, 0.125)):
         yield (tp, np.array([1.0]), np.array([-6.0 / h]),
-               tp + h, np.array([1.0]), np.array([6.0 / h]), np.zeros(1))
+               tp + h, np.array([1.0]), np.array([6.0 / h]), _terms(0.0))
     rng = np.random.default_rng(7)
     for _ in range(300):
         tp = float(rng.uniform(-5.0, 5.0))
         h = float(rng.uniform(1e-3, 2.0))
         yp, fp, yn, fn = rng.standard_normal((4, 2))
-        e = rng.standard_normal(2) * rng.choice([0.0, 1e-6, 1e-2])
-        yield tp, yp, fp, tp + h, yn, fn, e
+        terms = rng.standard_normal((integrators._TERMS, 2)) * rng.choice([0.0, 1e-6, 1e-2])
+        yield tp, yp, fp, tp + h, yn, fn, terms
 
 
 def test_event_scan_matches_a_scalar_reference():
@@ -361,8 +372,8 @@ def test_event_scan_matches_a_scalar_reference():
 def _sphere_steps(rng, n):
     # random steps about a sphere of radius R, d = 1..3: generic ones, steps
     # with both ends within 1e-15 R of the sphere, short steps in a 1e-6 R
-    # shell about it, and shallow chords just inside it.  Each carries a
-    # term e sized like a real step's, up to 1e-5 of the step's motion
+    # shell about it, and shallow chords just inside it.  Each carries terms
+    # sized like a real step's, up to 1e-5 of the step's motion
     # |y_n - y_p| + h |f_p| + h |f_n| per component, which can push a
     # chord's dense output out through the sphere
     for i in range(n):
@@ -386,31 +397,32 @@ def _sphere_steps(rng, n):
             w -= (w @ u) * u
             yp, yn = R * (1.0 - 1e-9) * u + 1e-5 * R * w, R * (1.0 - 1e-9) * u - 1e-5 * R * w
         fp, fn = rng.standard_normal((2, d)) * (R / h) * rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0])
-        e = rng.standard_normal(d) * rng.choice([0.0, 1e-7, 1e-5])
-        e *= np.abs(yn - yp) + h * (np.abs(fp) + np.abs(fn))
-        yield R, (tp, yp, fp, tp + h, yn, fn, e)
+        terms = rng.standard_normal((integrators._TERMS, d)) * rng.choice([0.0, 1e-7, 1e-5])
+        terms *= np.abs(yn - yp) + h * (np.abs(fp) + np.abs(fn))
+        yield R, (tp, yp, fp, tp + h, yn, fn, terms)
 
 
 def _crafted_sphere_steps():
-    # R = 1, e = 0 unless said.  The hull touches the sphere (Q2 = 1) while
-    # the curve peaks at 0.975; the curve R + 1e-3 - (s - 7/16)^2 leaves
-    # and re-enters the ball inside the subsample (3/8, 1/2), where no scan
-    # can see it; one plain exit; a flat step at 0.9 that only its term
-    # e = 2 carries out, to 0.9 + 2/16 at s = 1/2; ends at 1 -+ 1e-15 with
-    # zero and nonzero slopes
-    yield (0.0, np.array([0.9]), np.array([0.3]), 1.0, np.array([0.9]), np.array([-0.3]),
-           np.array([0.0]))
+    # R = 1, no terms unless said.  The hull touches the sphere (the
+    # degree-7 Bernstein points of 0.9 + 0.35 s (1 - s) peak at 0.9 + 0.35
+    # 2/7 = 1) while the curve peaks at 0.9875; the curve R + 1e-3 -
+    # (s - 7/16)^2 leaves and re-enters the ball inside the subsample
+    # (3/8, 1/2), where no scan can see it; one plain exit; a flat step at
+    # 0.9 that only its term F_3 = 2 carries out, to 0.9 + 2/16 at s = 1/2;
+    # ends at 1 -+ 1e-15 with zero and nonzero slopes
+    yield (0.0, np.array([0.9]), np.array([0.35]), 1.0, np.array([0.9]), np.array([-0.35]),
+           _terms(0.0))
     top = 1.0 + 1e-3
     yield (0.0, np.array([top - (7 / 16) ** 2]), np.array([7 / 8]),
-           1.0, np.array([top - (9 / 16) ** 2]), np.array([-9 / 8]), np.array([0.0]))
+           1.0, np.array([top - (9 / 16) ** 2]), np.array([-9 / 8]), _terms(0.0))
     yield (0.0, np.array([0.9, 0.0]), np.array([0.2, 0.1]), 1.0, np.array([1.1, 0.1]),
-           np.array([0.2, 0.1]), np.zeros(2))
+           np.array([0.2, 0.1]), _terms([0.0, 0.0]))
     yield (0.0, np.array([0.9]), np.array([0.0]), 1.0, np.array([0.9]), np.array([0.0]),
-           np.array([2.0]))
+           _terms(2.0))
     for a, b in ((-1e-15, 1e-15), (1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)):
         for slope in (0.0, 1e-3):
             yield (2.0, np.array([1.0 + a, 0.0]), np.array([0.0, slope]),
-                   2.5, np.array([0.0, 1.0 + b]), np.array([-slope, 0.0]), np.zeros(2))
+                   2.5, np.array([0.0, 1.0 + b]), np.array([-slope, 0.0]), _terms([0.0, 0.0]))
 
 
 def test_sphere_event_scan_matches_the_plain_closure():
@@ -439,9 +451,9 @@ def test_sphere_event_scan_matches_the_plain_closure():
         assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is None
     for step in (exit_step, bumped):
         assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is not None
-    # the bump is e's alone: without it the hull clears the step
+    # the bump is F_3's alone: without it the hull clears the step
     assert not one.clear_of(-0.1, bumped)
-    assert one.clear_of(-0.1, bumped[:6] + (np.zeros(1),))
+    assert one.clear_of(-0.1, bumped[:6] + (_terms(0.0),))
 
 
 def _level_steps(rng, n):
@@ -450,7 +462,7 @@ def _level_steps(rng, n):
     # the level, short steps in a 1e-6 band about it, shallow bumps whose
     # ends sit 1e-9 below (or above) it while the curve pokes through, and
     # flat steps a few ulps off it, where only the rounding of the
-    # subsamples can reach it.  Each carries a term e sized like a real
+    # subsamples can reach it.  Each carries terms sized like a real
     # step's, as in _sphere_steps
     for k in range(n):
         d = 1 + k % 3
@@ -461,7 +473,7 @@ def _level_steps(rng, n):
         tp = float(rng.uniform(-5.0, 5.0))
         yp, yn = rng.standard_normal((2, d)) * scale
         fp, fn = rng.standard_normal((2, d)) * (scale / h) * rng.choice([0.0, 1e-6, 1e-3, 0.1, 1.0])
-        e = rng.standard_normal(d) * rng.choice([0.0, 1e-7, 1e-5])
+        terms = rng.standard_normal((integrators._TERMS, d)) * rng.choice([0.0, 1e-7, 1e-5])
         kind = (k // 4) % 5
         if kind == 1:
             yp[i] = L + rng.choice([-1e-15, 0.0, 1e-15]) * max(scale, abs(L))
@@ -480,8 +492,8 @@ def _level_steps(rng, n):
             for _ in range(int(rng.integers(1, 4))):
                 yp[i] = yn[i] = math.nextafter(yp[i], toward)
             fp[i], fn[i] = rng.choice([0.0, 1e-17, -1e-17], 2)
-        e *= np.abs(yn - yp) + h * (np.abs(fp) + np.abs(fn))
-        yield i, L, (tp, yp, fp, tp + h, yn, fn, e)
+        terms *= np.abs(yn - yp) + h * (np.abs(fp) + np.abs(fn))
+        yield i, L, (tp, yp, fp, tp + h, yn, fn, terms)
 
 
 def _crafted_level_steps():
@@ -492,7 +504,7 @@ def _crafted_level_steps():
     for a, b in ((-1e-15, 1e-15), (1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)):
         for slope in (0.0, 1e-3):
             yield (2.0, np.array([1.0 + a, 0.0]), np.array([slope, 0.0]),
-                   2.5, np.array([1.0 + b, 1.0]), np.array([-slope, 0.0]), np.zeros(2))
+                   2.5, np.array([1.0 + b, 1.0]), np.array([-slope, 0.0]), _terms([0.0, 0.0]))
 
 
 def test_level_event_scan_matches_the_plain_closure():
@@ -521,7 +533,7 @@ def test_level_event_scan_matches_the_plain_closure():
     for step in (cross, bumped):
         assert _scan_step(one, +1, one(0.0, step[1]), step)[0] is not None
     assert not one.clear_of(-0.1, bumped)
-    assert one.clear_of(-0.1, bumped[:6] + (np.zeros(1),))
+    assert one.clear_of(-0.1, bumped[:6] + (_terms(0.0),))
 
 
 def test_small_sphere_is_located_to_its_own_scale():
@@ -557,6 +569,17 @@ def test_non_finite_state_or_rhs_ends_in_step_failure():
         assert exc.value.trajectory.t_end <= 0.5 + 0.05
         # no non-finite state is accepted, the postprocessed one included
         assert np.all(np.isfinite(exc.value.trajectory.states))
+    # a NaN at the first of the dense output's stages alone (the start, the
+    # starting-step probe and the first step's stages come before it) fails
+    # the step that would have been accepted
+    calls = []
+
+    def nan_in_dense_stage(t, x):
+        calls.append(t)
+        return np.array([math.nan if len(calls) == 3 + integrators._STAGES else 1.0])
+
+    with pytest.raises(sf.StepFailure, match="non-finite right-hand side in the dense output"):
+        sf.integrate(nan_in_dense_stage, [0.0], 0.0, 1.0)
 
 
 def test_a_state_that_overflows_to_inf_fails_its_step():
@@ -717,7 +740,7 @@ def test_blowup_fit_rejects_growth():
 
 
 def test_dense_output_accuracy():
-    # the order-4 dense output is within the cubic Hermite's error bound
+    # the order-7 dense output is within the cubic Hermite's error bound
     # h^4/384 * max|y''''|
     rhs = lambda t, x: np.array([math.cos(t)])
     traj = sf.integrate(rhs, [0.0], 0.0, 10.0)
@@ -728,16 +751,67 @@ def test_dense_output_accuracy():
     assert np.max(np.abs(vals - np.sin(ts))) < bound
 
 
+def test_dense_output_bases_are_the_one_polynomial():
+    # each step's monomial coefficients (_monomials) and Bernstein points
+    # (_hull, whose convex hull the event prefilters and _dense_max read)
+    # are the polynomial that sample evaluates
+    from singularflow.integrators import _hull, _monomials
+
+    rhs = lambda t, x: np.array([x[1], -x[0] + 0.3 * math.cos(t)])
+    traj = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0)
+    steps = np.arange(len(traj.times) - 1)
+    h, c = _monomials(traj, steps, slice(None))
+    d = c.shape[1]
+    assert d == integrators._TERMS + 3 == 7
+    theta = np.linspace(0.0, 1.0, 9)
+    for k in steps:
+        want = traj.sample(traj.times[k] + theta * h[k])
+        monomial = traj.states[k] + sum(np.multiply.outer(theta ** (p + 1), c[k, p])
+                                        for p in range(d))
+        columns, _ = _hull((traj.times[k], traj.states[k], traj.derivs[k], traj.times[k + 1],
+                            traj.states[k + 1], traj.derivs[k + 1], traj.dense[k]))
+        bernstein = sum(math.comb(d, j) * np.multiply.outer(theta ** j * (1 - theta) ** (d - j), q)
+                        for j, q in enumerate(zip(*columns)))
+        for got in (monomial, bernstein):
+            assert np.abs(got - want).max() <= 1e-13
+
+
+def _dense_error(traj, exact):
+    # the largest error of the run's dense output on a fine grid
+    ts = np.linspace(traj.t0, traj.t_end, 4001)
+    return float(np.abs(traj.sample(ts) - exact(ts)).max())
+
+
+def _is_the_dense_peak(traj, t, value, of):
+    # value is the dense output's own maximum, at t: no point of a fine grid
+    # over t's step reads more, and its neighbours 1e-6 away read less
+    k = int(np.searchsorted(traj.times, t)) - 1
+    grid = np.linspace(traj.times[k], traj.times[k + 1], 20001)
+    assert of(traj.sample(t)) == pytest.approx(value, rel=1e-15)
+    assert np.max(of(traj.sample(grid))) <= value * (1 + 1e-15)
+    assert max(of(traj.sample(t - 1e-6)), of(traj.sample(t + 1e-6))) < value
+
+
 def test_dense_max_finds_a_peak_between_samples():
     # dx/dt = (x2, -x1) from (0, 1) is (sin t, cos t): x1 peaks at t = pi/2
-    # with value 1, inside a step, and x2 at the first sample
+    # with value 1, inside a step, and x2 at the first sample.  The dense
+    # output's own peak is found to rounding.  Against (sin t, cos t) it is
+    # off by the interpolant's error: 1.7e-11 in value, within the 1e-9 the
+    # 5(4) pair met, and 2.0e-9 in t, where the order-4 extension of the
+    # 5(4) pair met 1e-9 (3.5e-11).  Between samples the order-7 extension
+    # of the pair's 4-5 times longer steps is about as accurate as the
+    # tolerance (2.0e-9 here), where the 5(4) pair's order-4 one was well
+    # within it; at rtol/64 the pair would meet 1e-9 again, for 1.55 times
+    # the steps
     from singularflow.integrators import _dense_max
 
     traj = sf.integrate(lambda t, x: np.array([x[1], -x[0]]), [0.0, 1.0], 0.0, 3.0)
     assert np.min(np.abs(traj.times - math.pi / 2)) > 1e-3
     t, value = _dense_max(traj, 0)
-    assert t == pytest.approx(math.pi / 2, abs=1e-9)
+    _is_the_dense_peak(traj, t, value, lambda x: x[..., 0])
+    assert t == pytest.approx(math.pi / 2, abs=5e-9)
     assert value == pytest.approx(1.0, abs=1e-9)
+    assert _dense_error(traj, lambda t: np.column_stack([np.sin(t), np.cos(t)])) <= 5e-9
     assert _dense_max(traj, 1) == (0.0, 1.0)
 
 
@@ -747,12 +821,18 @@ def test_dense_max_finds_a_radius_peak_between_samples():
     from singularflow.integrators import _dense_max, _monomials
 
     traj = sf.integrate(lambda t, x: np.array([-0.5 * x[1], 2.0 * x[0]]), [1.0, 0.0], 0.0, 3.0)
-    # the nearest sample is 2.4e-4 from the peak, so |x| there is 4.4e-8 short
-    assert np.min(np.abs(traj.times - math.pi / 2)) > 1e-4
+    # the nearest sample is 0.12 from the peak, so |x| there is 0.011 short.
+    # The dense output's own peak is found to rounding; against the ellipse
+    # it is off by the interpolant's error, 3.1e-8 in t (the peak is flat)
+    # and 1.1e-9 in value, where the 5(4) pair met 1e-9 in both (1.4e-11
+    # and 3.8e-10, a sample 2.4e-4 from the peak), as in the test above
+    assert np.min(np.abs(traj.times - math.pi / 2)) > 1e-1
     t, value = _dense_max(traj)
-    assert t == pytest.approx(math.pi / 2, abs=1e-9)
-    assert value == pytest.approx(2.0, abs=1e-9)
-    assert value > np.max(traj.radii()) + 2e-8
+    _is_the_dense_peak(traj, t, value, lambda x: np.linalg.norm(x, axis=-1))
+    assert t == pytest.approx(math.pi / 2, abs=1e-7)
+    error = _dense_error(traj, lambda t: np.column_stack([np.cos(t), 2 * np.sin(t)]))
+    assert abs(value - 2.0) <= error <= 5e-9
+    assert value > np.max(traj.radii()) + 1e-2
     # the monomials of several components are each component's, bit for bit
     steps = np.arange(len(traj.times) - 1)
     h, c = _monomials(traj, steps, slice(None))
@@ -843,72 +923,157 @@ def test_options_reject_non_positive_or_non_finite_tolerances(which, bad):
         sf.IntegrationOptions(**{which: bad})
 
 
-# The Dormand-Prince 5(4) tableau and its order-4 continuous extension
-# (Hairer, Norsett and Wanner, Solving ODEs I, sections II.5 and II.6): at
-# fraction theta of a step of length h, y = y_0 + h sum_i k_i sum_p
-# _DP_DENSE[i][p] theta^(p+1) over the seven stages, the last of which is f
-# at the step's end
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_DENSE = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+def _dense_tableau():
+    # the 8(5,3) tableau as arrays: c (16), A (16 x 16), b (12), the error
+    # weights e5 and e3 (13, the last on f at the new state) and the dense
+    # output's weights D (4 x 16)
+    def row(weights, size):
+        out = np.zeros(size)
+        for j, w in weights.items():
+            out[j] = w
+        return out
+
+    A = np.array([row(r, 16) for r in integrators._A])
+    E5, E3 = (row(r, 13) for r in (integrators._E5, integrators._E3))
+    D = np.array([row(r, 16) for r in integrators._D])
+    return np.array(integrators._C), A, A[12, :12], E5, E3, D
 
 
-def _stage_extension(rhs, tp, yp, h, theta):
-    # the seven stages of the step from (tp, yp), recomputed from the
-    # tableau, and the continuous extension at fractions theta of it
+def test_tableau_meets_the_order_conditions():
+    # each stage's weights sum to its node; the solution's weights integrate
+    # t^(q-1) exactly for q = 1 to 8 (order 8), the two error estimates
+    # vanish on t^(q-1) up to their orders 5 and 3, and the dense output's
+    # weights at theta integrate t^(q-1) over [0, theta] for q = 1 to 7
+    c, A, b, e5, e3, D = _dense_tableau()
+    assert np.abs(A.sum(axis=1) - c).max() <= 1e-14
+    q = np.arange(1, 9)
+    assert np.abs(c[:12] ** (q[:, None] - 1) @ b - 1.0 / q).max() <= 1e-14
+    powers = c[:13] ** (q[:, None] - 1)
+    assert np.abs(powers[:5] @ e5).max() <= 1e-14 and np.abs(powers[:3] @ e3).max() <= 1e-14
+    assert abs(powers[5] @ e5) > 1e-4 and abs(powers[3] @ e3) > 1e-4
+    # the weights of the dense output at theta (_dense with h = 1, y0 = 0
+    # and unit stages), in the quadrature conditions
+    for theta in (0.1, 0.37, 0.5, 0.8, 1.0):
+        weights = np.empty(16)
+        for i in range(16):
+            k = np.zeros(16)
+            k[i] = 1.0
+            f1 = 1.0 if i == 12 else 0.0
+            weights[i] = integrators._dense(theta, 1.0, 0.0, k[0], b @ k[:12], f1, *(D @ k))
+        got = c ** (q[:7, None] - 1) @ weights
+        assert np.abs(got - theta ** q[:7] / q[:7]).max() <= 1e-14, theta
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    # the published dop853 coefficients, as scipy carries them
+    coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    c, A, b, e5, e3, D = _dense_tableau()
+    pairs = [(c, coefficients.C), (A, coefficients.A), (b, coefficients.B),
+             (e5, coefficients.E5), (e3, coefficients.E3), (D, coefficients.D)]
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def _stage_extension(rhs, tp, yp, yn, fn, h, theta):
+    # the sixteen stages of the step from (tp, yp) to (tp + h, yn), recomputed
+    # from the tableau, and scipy's evaluation of dop853's continuous
+    # extension at fractions theta of it
+    c, A, _, _, _, D = _dense_tableau()
     k = []
-    for c, a in zip(_DP_C, _DP_A):
-        k.append(rhs(tp + c * h, yp + h * sum((w * kj for w, kj in zip(a, k)), np.zeros_like(yp))))
-    powers = np.power.outer(theta, np.arange(1, 5))  # theta, ..., theta^4
-    return yp + h * (powers @ _DP_DENSE.T) @ np.array(k)
+    for ci, a in zip(c, A):
+        k.append(rhs(tp + ci * h, yp + h * sum((w * kj for w, kj in zip(a, k)), np.zeros_like(yp))))
+    rise = yn - yp
+    F = [rise, h * k[0] - rise, 2 * rise - h * (fn + k[0]), *(h * D @ np.array(k))]
+    x = theta[:, None]
+    y = np.zeros((len(theta), len(yp)))
+    for i, term in enumerate(reversed(F)):
+        y = (y + term) * (x if i % 2 == 0 else 1 - x)
+    return yp + y
 
 
-def test_dense_output_is_the_stage_based_order_4_extension():
+def test_dense_output_is_the_stage_based_order_7_extension():
     # sample on every step, and on a last step cut at a located crossing
-    # (over the full step it keeps), is the order-4 continuous extension
-    # formed from the step's seven stages; the cubic Hermite of the step's
-    # ends is not, by about 1e-8 of the state here
-    b = _DP_A[6] + (0.0,)  # the reference's rows sum to the weights b_i
-    assert np.allclose(_DP_DENSE.sum(axis=1), b, rtol=0.0, atol=1e-15)
+    # (over the full step it keeps), is dop853's order-7 continuous
+    # extension formed from the step's sixteen stages; the cubic Hermite of
+    # the step's ends is not, by about 1e-6 of the state here
     rhs = lambda t, x: np.array([x[1], -x[0] + 0.3 * math.cos(t)])
     theta = np.linspace(0.0, 1.0, 9)[1:-1]
     full = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0)
     cut = sf.integrate(rhs, [1.0, 0.0], 0.0, 20.0, event=lambda t, x: x[0] + 0.9, direction=-1)
     assert cut.status == "hit_event" and full.cut is None
     scale = np.abs(full.states).max()
-    worst = 0.0
+    worst = hermite = 0.0
     for run in (full, cut):
-        ends = list(run.times[1:-1]) + [run.cut[0] if run.cut else run.times[-1]]
-        for tp, yp, tn in zip(run.times, run.states, ends):
+        ends = list(zip(run.times[1:-1], run.states[1:-1], run.derivs[1:-1]))
+        ends.append(run.cut if run.cut else (run.times[-1], run.states[-1], run.derivs[-1]))
+        for tp, yp, fp, (tn, yn, fn) in zip(run.times, run.states, run.derivs, ends):
             h = tn - tp
-            want = _stage_extension(rhs, tp, yp, h, theta)
+            want = _stage_extension(rhs, tp, yp, yn, fn, h, theta)
             t = tp + theta * h
             inside = t <= run.t_end
             got = run.sample(t[inside])
             worst = max(worst, float(np.abs(got - want[inside]).max(initial=0.0)))
+            cubic = integrators._dense(theta[:, None], h, yp, fp, yn, fn)
+            hermite = max(hermite, float(np.abs(cubic - want).max()))
     assert worst <= 1e-14 * scale
+    assert hermite > 1e-7 * scale
     # the cut run's last step is the full run's step, sampled up to the crossing
     k = len(cut.times) - 2
     assert cut.cut[0] == full.times[k + 1]
-    assert np.array_equal(cut.quartic, full.quartic[: k + 1])
+    assert np.array_equal(cut.dense, full.dense[: k + 1])
     t = np.linspace(cut.times[k], cut.t_end, 7)
     assert np.abs(cut.sample(t) - full.sample(t)).max() <= 1e-15 * scale
+
+
+def test_dense_output_reads_an_int_or_a_slice_of_columns():
+    # a list of columns would broadcast against the steps: it raises
+    traj = sf.integrate(lambda t, x: -x, [1.0, 2.0, 3.0], 0.0, 1.0)
+    steps = np.arange(len(traj.times) - 1)
+    assert traj._steps(steps, np.int64(1))[2].shape == steps.shape
+    assert traj._steps(steps, slice(0, 2))[6].shape == (len(steps), integrators._TERMS, 2)
+    for bad in ([0], [0, 1], np.array([1]), 1.0):
+        with pytest.raises(TypeError):
+            traj._steps(steps, bad)
+        with pytest.raises(TypeError):
+            traj.sample(0.5, bad)
+
+
+def test_one_step_holds_a_double_crossing_and_the_scan_finds_the_first():
+    # the 8(5,3) pair's steps are 4 to 5 times longer than the 5(4) pair's,
+    # and each is still scanned at _EVENT_SUBSAMPLES points: a level of x1
+    # on the circle (cos t, sin t) near its peak at t = 2 pi, and a sphere
+    # about the ellipse (cos t, 2 sin t) near its peak radius at t = pi / 2,
+    # that one accepted step leaves and re-enters with both its ends on one
+    # side, are located at their first crossing
+    from singularflow.integrators import _Level, _locate_crossing, _scan_step, _Sphere
+
+    cases = (
+        (lambda t, x: np.array([-x[1], x[0]]), 2 * math.pi, lambda w: _Level(0, math.cos(w))),
+        (lambda t, x: np.array([-0.5 * x[1], 2.0 * x[0]]), math.pi / 2,
+         lambda w: _Sphere(math.hypot(math.cos(math.pi / 2 - w), 2 * math.sin(math.pi / 2 - w)))),
+    )
+    for rhs, peak, event_at in cases:
+        traj = sf.integrate(rhs, [1.0, 0.0], 0.0, peak + 1.0)
+        k = int(np.searchsorted(traj.times, peak)) - 1
+        tp, tn = traj.times[k], traj.times[k + 1]
+        h = tn - tp
+        # the crossings at peak -+ w, a dip wider than two subsamples
+        w = 0.8 * min(peak - tp, tn - peak)
+        assert 2 * w > 2 * h / integrators._EVENT_SUBSAMPLES
+        event = event_at(w)
+        step = (tp, traj.states[k], traj.derivs[k], tn, traj.states[k + 1], traj.derivs[k + 1],
+                traj.dense[k])
+        g0 = event(tp, traj.states[k])
+        assert g0 < 0.0 and event(tn, traj.states[k + 1]) < 0.0
+        assert not event.clear_of(g0, step)
+        bracket, g_end = _scan_step(event, +1, g0, step)
+        assert bracket[0] < peak - w <= bracket[2] < peak
+        t_e, x_e = _locate_crossing(event, step, bracket)
+        assert t_e == pytest.approx(peak - w, abs=1e-7)
+        assert event(t_e, x_e) >= 0.0
+        # a run with the event ends there, on that step
+        run = sf.integrate(rhs, [1.0, 0.0], 0.0, peak + 1.0, event=event, direction=+1)
+        assert run.status == "hit_event" and run.t_end == t_e and run.cut[0] == tn
 
 
 def test_a_trajectory_without_dense_output_says_so():
@@ -918,6 +1083,6 @@ def test_a_trajectory_without_dense_output_says_so():
         sf.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)), np.zeros((2, 1)), "completed"),
     )
     for traj in samples_only:
-        assert traj.quartic is None
+        assert traj.dense is None
         with pytest.raises(ValueError, match="no dense output"):
             traj.sample(traj.t0)
