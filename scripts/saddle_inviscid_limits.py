@@ -48,7 +48,7 @@ def main():
                 print(f"[{tag}] nu = {nu:.4g}: sup distance to the selected ray = {d:.3e}")
         for nu, sol in zip(rep.nu_values, rep.solutions):
             path = os.path.join(args.outdir, f"{tag}_nu_{nu:.6g}.csv")
-            write_csv(path, ["t", "x1", "x2"], ((t, *x) for t, x in zip(t_grid, sol)))
+            write_csv(path, ["t", "x1", "x2"], np.column_stack([t_grid, sol]))
     print(f"wrote per-nu samples to {args.outdir}/")
 
 

@@ -183,8 +183,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str, quiet: bool, tol_scale: float) -> int
             continue
         name = f"nu_{float(nu)!r}.csv"  # the round-trip digits: one file per radius
         header = ["t"] + [f"x{i+1}" for i in range(sol.shape[1])]
-        rows = ((t, *x) for t, x in zip(report.t_grid, sol))
-        write_csv(os.path.join(outdir, name), header, rows)
+        write_csv(os.path.join(outdir, name), header, np.column_stack([report.t_grid, sol]))
         csv_refs.append(name)
     payload["trajectory_files"] = csv_refs
     _write_json(os.path.join(outdir, "sweep.json"), payload)

@@ -57,7 +57,7 @@ _FAMILY_GRID = 2048
 # project a sample's direction onto the cycle from its nearest seed row, one
 # of every _SEED_STRIDE rows of the period grid (256 rows, 0.025 apart in s
 # on the sphere3d cycle: a sample set's 90 x 256 dot products stay near
-# 0.2 MB)
+# 0.2 MB, taken a radius at a time when radii are stacked)
 _SEED_STRIDE = 8
 _PROJECTION_STEPS = 3
 _TANGENT_STEP = 1e-5
@@ -397,21 +397,29 @@ def _read_phase(fam: ContinuationFamily, t_grid, samples):
     the largest wrapped deviation of a sample's phase from zeta.  A sample
     with no direction, or with a non-finite lag, raises SingularFlowError
     naming it.
+
+    Samples of R radii stacked as (R, len(t_grid), d) give a list of R
+    triples, each bitwise its radius's own read, in one pass over all of
+    them but for the seed rows and the reductions; errors name the radius.
     """
     t = np.asarray(t_grid, dtype=float)
     elapsed = fam._elapsed(t)
     x = np.asarray(samples, dtype=float)
-    r = np.linalg.norm(x, axis=1)
+    stacked = x.ndim == 3
+    x = x.reshape((-1,) + x.shape[-2:])  # (radius, sample, component)
+    r = np.linalg.norm(x, axis=-1)
 
     def check(ok, what):
         if not np.all(ok):
-            i = int(np.argmin(ok))
-            raise SingularFlowError(f"sample {i} at t = {float(t[i])!r} has {what}: x = {x[i]}")
+            k, i = np.unravel_index(np.argmin(ok), ok.shape)
+            where = f"radius {k}, sample {i}" if stacked else f"sample {i}"
+            raise SingularFlowError(f"{where} at t = {float(t[i])!r} has {what}: x = {x[k, i]}")
 
     check(np.isfinite(r) & (r > 0.0), "no direction")
-    u = x / r[:, None]
+    u = x / r[..., None]
     tb = fam._tables
-    s = tb["rows"][np.argmax(u @ tb["orbit"], axis=1)]
+    s = tb["rows"][np.concatenate([np.argmax(uk @ tb["orbit"], axis=1) for uk in u])]
+    u = u.reshape(-1, u.shape[-1])
     h = _TANGENT_STEP
     for _ in range(_PROJECTION_STEPS):
         y, ahead, behind = fam.orbit_point(s + np.array([[0.0], [h], [-h]]))
@@ -419,15 +427,18 @@ def _read_phase(fam: ContinuationFamily, t_grid, samples):
         tt = np.einsum("ij,ij->i", tangent, tangent)
         curvature = np.maximum(tt - np.einsum("ij,ij->i", bend, miss), 0.25 * tt)
         s = s + np.einsum("ij,ij->i", tangent, miss) / curvature
-    zetas = fam.radial_integral(s) - np.log(r)
+    zetas = fam.radial_integral(s).reshape(r.shape) - np.log(r)
     with np.errstate(over="ignore"):
-        delta = elapsed - np.exp((1.0 - fam.alpha) * (fam.psi(s) - zetas))
+        delta = elapsed - np.exp((1.0 - fam.alpha) * (fam.psi(s).reshape(r.shape) - zetas))
     check(np.isfinite(delta), "no finite lag")
     span = fam.zeta_period
     angle = (2 * math.pi / span) * zetas
-    zeta = math.atan2(np.mean(np.sin(angle)), np.mean(np.cos(angle))) * span / (2 * math.pi) % span
-    dev = (zetas - zeta) % span
-    return float(zeta), float(np.mean(delta)), float(np.max(np.minimum(dev, span - dev)))
+    means = zip(np.mean(np.sin(angle), axis=-1), np.mean(np.cos(angle), axis=-1))
+    zeta = np.array([math.atan2(a, b) * span / (2 * math.pi) % span for a, b in means])
+    dev = (zetas - zeta[:, None]) % span
+    reads = list(zip(zeta.tolist(), np.mean(delta, axis=-1).tolist(),
+                     np.max(np.minimum(dev, span - dev), axis=-1).tolist()))
+    return reads if stacked else reads[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +541,7 @@ def inviscid_sweep(
     the collapse ray, renormalized classification otherwise); the rescaled
     escape probe then decides which limit to compare against: the trivial
     rest solution, the unique ray, or the cycle family with the phase and
-    lag read off each radius (_read_phase).
+    lag of every radius read off in one stacked call (_read_phase).
     Per-nu failures are recorded without aborting the sweep.  Every nu must
     be positive and finite, in any order: the verdicts and zeta_uncertainty
     read the radii by decreasing nu.  t_grid must be strictly increasing
@@ -551,10 +562,10 @@ def inviscid_sweep(
     the ray and the blowup direction generic, opts.max_step is infinite (a
     cap in ball units would cost (t_end - t_b) / (nu^p max_step) steps) and
     t_grid ends after t_b.  Every other nu is a direct run at radius nu
-    from x0 at t0 to the end of t_grid.  A failed probe run or continuation
-    fails every nu the passage serves, with an error that names the
-    passage.  report.runs lists every integration made with its solver
-    stats, the passage as one entry at scale 1.
+    from x0 at t0 to the end of t_grid, and the passage serves all its radii
+    in one sample call per run.  A failed probe run, continuation or sampling
+    fails every nu the passage serves, with an error that names the passage.
+    report.runs lists every integration made, the passage at scale 1.
 
     No attractor catalog is built.  The two attractors the sweep needs are
     looked up where it meets them, each fixed point by one Newton solve on
@@ -610,24 +621,10 @@ def inviscid_sweep(
         pre, _ = fixed_point_solutions(y0, star.mean_radial, t_b=t_b, alpha=field.alpha)
         tau_stop = (t_end - t_b) / float(np.min(nu_values[shared])) ** p
         rf = dataclasses.replace(regularization, nu=1.0)
-        passage = _safe(_passage)(runs, shared, esc, rf, tau_stop, opts)
-
-        def sample(probe, cont, nu):
-            tau = (t_grid - t_b) / nu**p
-            before, past = tau < probe.t0, tau > probe.t_end  # the entry, the probe run's end
-            inside = ~(before | past)
-            sol = np.empty((len(t_grid), len(x0)))
-            if before.any():
-                sol[before] = pre(t_grid[before])
-            sol[inside] = nu * probe.sample(tau[inside])
-            if past.any():
-                sol[past] = nu * cont.sample(tau[past])
-            return sol
-
-        for k in shared:
-            results[k] = passage if isinstance(passage, Exception) else _safe(sample)(
-                *passage, float(nu_values[k])
-            )
+        read = _safe(lambda: _read_passage(*_passage(runs, shared, esc, rf, tau_stop, opts),
+                                           pre, t_grid, t_b, nu_values[shared], p))()
+        for i, k in enumerate(shared):
+            results[k] = read if isinstance(read, Exception) else read[i]
     for k in range(n):
         if k not in shared:
             rf = dataclasses.replace(regularization, nu=float(nu_values[k]))
@@ -643,14 +640,12 @@ def inviscid_sweep(
         for k, res in enumerate(results)
     ]
 
+    failed = np.full((len(t_grid), len(x0)), math.nan)
+    stack = np.array([failed if sol is None else sol for sol in solutions])
     distances = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if solutions[i] is None or solutions[j] is None:
-                distances[i, j] = distances[j, i] = math.nan
-            else:
-                dd = float(np.max(np.linalg.norm(solutions[i] - solutions[j], axis=1)))
-                distances[i, j] = distances[j, i] = dd
+    for i in range(n):  # a row at a time: never an (n, n, len(t_grid), d) array
+        row = np.max(np.linalg.norm(stack[i + 1:] - stack[i], axis=-1), axis=-1)
+        distances[i, i + 1:] = distances[i + 1:, i] = row
 
     report = SweepReport(
         nu_values, t_grid, solutions, errors, distances, "undetermined", t_b, runs=runs
@@ -706,7 +701,7 @@ def inviscid_sweep(
     fam = build_cycle_family(field, esc.attractor, t_b, opts=opts)
     report.family = fam
     report.reference = "cycle_family"
-    reads = {k: _read_phase(fam, t_grid[post], solutions[k][post]) for k in good}
+    reads = dict(zip(good, _read_phase(fam, t_grid[post], stack[good][:, post])))
     report.matched_zeta = [reads[k][0] for k in good]
     report.matched_lag = [reads[k][1] for k in good]
     report.zeta_uncertainty = reads[ranked[-1]][2]
@@ -774,3 +769,19 @@ def _passage(runs: List[SweepRun], indices, esc: EscapeResult, rf: RegularizedFi
         runs[-1].stats = SolverStats(a.rhs_calls + b.rhs_calls, a.accepted + b.accepted,
                                      a.rejected + b.rejected, min(a.h_min, b.h_min),
                                      max(a.h_max, b.h_max))
+
+
+def _read_passage(probe, cont, pre, t_grid, t_b, nus, p):
+    """Samples nu X((t - t_b) / nu^p) per nu, pre(t) before the entry, in one
+    sample call per run; nu^p a float power (an array power rounds differently)."""
+    tau = np.concatenate([(t_grid - t_b) / float(nu) ** p for nu in nus])
+    scale = np.repeat(nus, len(t_grid))[:, None]
+    before, past = tau < probe.t0, tau > probe.t_end  # the entry, the probe run's end
+    inside = ~(before | past)
+    sol = np.empty((len(tau), probe.states.shape[1]))
+    if before.any():
+        sol[before] = pre(np.tile(t_grid, len(nus))[before])
+    sol[inside] = scale[inside] * probe.sample(tau[inside])
+    if past.any():
+        sol[past] = scale[past] * cont.sample(tau[past])
+    return np.split(sol, len(nus))

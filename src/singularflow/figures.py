@@ -45,8 +45,7 @@ def _quiver_rows(field, extent, n):
 
 def _trajectory_rows(traj, n=400):
     ts = np.linspace(traj.t0, traj.t_end, n)
-    xs = traj.sample(ts)
-    return [(t, *x) for t, x in zip(ts, xs)]
+    return np.column_stack([ts, traj.sample(ts)])
 
 
 def _emit(files, outdir, name, header, rows, description):

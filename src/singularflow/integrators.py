@@ -222,7 +222,7 @@ class Trajectory:
 
     def to_csv(self, path):
         header = ["t"] + [f"x{i+1}" for i in range(self.states.shape[1])]
-        write_csv(path, header, ((t, *x) for t, x in zip(self.times, self.states)))
+        write_csv(path, header, np.column_stack([self.times, self.states]))
 
 
 def _locate(times, t):
@@ -239,11 +239,12 @@ def _locate(times, t):
 
 
 def write_csv(path, header, rows):
-    """Write a header line and rows of numbers, each to round-trip precision (%.17g)."""
+    """Write a header line and rows of numbers (a 2-d array's as Python floats)
+    to round-trip precision (%.17g), the whole file in one % operation."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    lines = "".join([",".join(("%.17g",) * len(row)) + "\n" for row in rows])
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(("%.17g",) * len(row)) % tuple(row) + "\n")
+        fh.write(",".join(header) + "\n" + lines % tuple(v for row in rows for v in row))
 
 
 def _floats(x):

@@ -109,8 +109,7 @@ class RenormTrajectory:
 
     def to_csv(self, path):
         header = ["s"] + [f"y{i+1}" for i in range(self.dimension)] + ["z", "t"]
-        rows = ((s, *u, t) for s, u, t in zip(self.s, self.run.states, self.t))
-        write_csv(path, header, rows)
+        write_csv(path, header, np.column_stack([self.s, self.run.states, self.t]))
 
 
 def _elapsed(rt: RenormTrajectory, steps, s) -> np.ndarray:

@@ -478,6 +478,38 @@ def test_sweep_records_per_nu_failures(monkeypatch):
     ]
 
 
+def _pair_loop_distances(solutions):
+    """The sup distance of every pair of radii, one pair at a time; NaN
+    off the diagonal for a failed radius."""
+    n = len(solutions)
+    distances = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if solutions[i] is None or solutions[j] is None:
+                distances[i, j] = distances[j, i] = math.nan
+            else:
+                dd = float(np.max(np.linalg.norm(solutions[i] - solutions[j], axis=1)))
+                distances[i, j] = distances[j, i] = dd
+    return distances
+
+
+def test_sweep_distances_are_those_of_the_pair_loop(cycle_sweep, monkeypatch):
+    # the matrix built a row at a time is the pair loop's bit for bit, on
+    # the nine radii of the cycle sweep and off the ray with two failed radii
+    _, _, rep = cycle_sweep
+    assert rep.pairwise_sup_distances.tobytes() == _pair_loop_distances(rep.solutions).tobytes()
+    field = sf.builtin_field("saddle2d", ALPHA)
+    _failing_below(monkeypatch, sf.StepFailure, "synthetic failure")
+    rf = sf.make_polynomial_blend(field, [1.0, -2.0], 1.0)
+    off = sf.inviscid_sweep(rf, OFF_RAY_X0, OFF_RAY_GRID, [0.1, 0.02, 0.05, 0.01])
+    assert [sol is None for sol in off.solutions] == [False, True, False, True]
+    D = off.pairwise_sup_distances
+    assert D.tobytes() == _pair_loop_distances(off.solutions).tobytes()
+    assert np.array_equal(np.isnan(D), np.array([[0, 1, 0, 1], [1, 0, 1, 1],
+                                                 [0, 1, 0, 1], [1, 1, 1, 0]], dtype=bool))
+    assert np.all(np.diag(D) == 0.0)
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     # a TypeError is a bug in the code, not a failure of one nu
     field = sf.builtin_field("saddle2d", ALPHA)
@@ -584,6 +616,26 @@ def test_cycle_sweep_phases_are_those_of_one_fit_per_radius(cycle_sweep):
     fits = [sf.estimate_phase(rep.family, t_grid[post], sol[post]) for sol in rep.solutions]
     assert [float(z).hex() for z in rep.matched_zeta] == [z.hex() for z, _, _ in fits]
     assert float(rep.zeta_uncertainty).hex() == fits[-1][2].hex()
+
+
+def test_one_stacked_phase_read_is_each_radius_read_alone(cycle_sweep):
+    # the nine radii stacked as (9, P, 3) read in one call give each
+    # radius's own read bit for bit; a bad sample is named with its radius,
+    # and a read of one radius names the sample alone, as before
+    from singularflow.continuation import _read_phase
+
+    _, t_grid, rep = cycle_sweep
+    post = t_grid > rep.t_b + 1e-12
+    ts, stack = t_grid[post], np.array([sol[post] for sol in rep.solutions])
+    reads = _read_phase(rep.family, ts, stack)
+    alone = [_read_phase(rep.family, ts, samples) for samples in stack]
+    assert len(reads) == 9
+    assert [[v.hex() for v in read] for read in reads] == [[v.hex() for v in a] for a in alone]
+    stack[4, 5] = 0.0
+    with pytest.raises(sf.SingularFlowError, match=r"^radius 4, sample 5 at t = \S+ has no direction"):
+        _read_phase(rep.family, ts, stack)
+    with pytest.raises(sf.SingularFlowError, match=r"^sample 5 at t = \S+ has no direction"):
+        _read_phase(rep.family, ts, stack[4])
 
 
 def test_cycle_sweep_phases_are_resolved_to_rounding(cycle_sweep):
@@ -970,6 +1022,88 @@ def test_failed_continuation_fails_every_nu_the_passage_serves(saddle_sweep_grid
     assert rep.runs[0].to_dict()["h_min"] > 0
     bare = dataclasses.replace(run, stats=sf.SolverStats(rhs_calls=1))
     assert bare.to_dict()["h_min"] is None and bare.to_dict()["h_max"] == 0.0
+
+
+def _trajectories(monkeypatch):
+    """The trajectory of every regularized run the sweep makes, as a list."""
+    import singularflow.continuation as cont
+
+    made = []
+    real = cont.integrate_regularized
+
+    def recorded(rf, x0, t0, t1, opts):
+        made.append(real(rf, x0, t0, t1, opts))
+        return made[-1]
+
+    monkeypatch.setattr(cont, "integrate_regularized", recorded)
+    return made
+
+
+@pytest.mark.parametrize("case", ["trap", "cycle"])
+def test_on_ray_radii_are_their_passage_samples_bit_for_bit(case, monkeypatch):
+    # one sample call per run of the passage serves every radius: each is
+    # bitwise nu X((t - t_b) / nu^p) read radius by radius, with nu^p a
+    # Python float power (NumPy's array power rounds differently), from the
+    # probe's run up to its end, from the continuation past it, and pre(t)
+    # before the entry
+    from singularflow.attractors import _fixed_point_near
+
+    if case == "cycle":
+        field = sf.builtin_field("sphere3d")
+        rf = sf.make_polynomial_blend(field, [0.0, 0.1, 1.0], 1.0)
+        x0, t_grid = np.array([0.0, 0.0, -1.0]), np.linspace(3.1, 4.0, 90)
+        nus = sf.geometric_sequence(2 * math.pi, 0.25, 0.7, range(1, 10))
+    else:
+        field = sf.builtin_field("saddle2d", ALPHA)
+        g0, nus = TRAP_BLEND
+        rf = sf.make_polynomial_blend(field, g0, 1.0)
+        x0, t_grid = np.array([-1.0, 0.0]), np.linspace(0.0, 2.5, 61)
+    made = _trajectories(monkeypatch)
+    rep = sf.inviscid_sweep(rf, x0, t_grid, nus)
+    (cont,) = made
+    probe = rep.escape.run
+    y0 = x0 / np.linalg.norm(x0)
+    star = _fixed_point_near(field, y0, 1e-9)
+    pre, _ = sf.fixed_point_solutions(y0, star.mean_radial, t_b=rep.t_b, alpha=field.alpha)
+    p = 1.0 - field.alpha
+    pieces = np.zeros(3, dtype=int)
+    for nu, sol in zip(nus, rep.solutions):
+        tau = (t_grid - rep.t_b) / float(nu) ** p
+        before, past = tau < probe.t0, tau > probe.t_end
+        inside = ~(before | past)
+        want = np.empty_like(sol)
+        if before.any():
+            want[before] = pre(t_grid[before])
+        want[inside] = nu * probe.sample(tau[inside])
+        if past.any():
+            want[past] = nu * cont.sample(tau[past])
+        assert sol.tobytes() == want.tobytes(), nu
+        pieces += [np.count_nonzero(before), np.count_nonzero(inside), np.count_nonzero(past)]
+    assert np.all(pieces[1:] > 0) and (pieces[0] > 0) == (case == "trap"), pieces
+
+
+def test_failed_passage_sampling_fails_every_nu_the_passage_serves(monkeypatch):
+    # the radii are sampled off the passage in one call, so a sampling
+    # failure fails every nu the passage serves, with the passage's suffix
+    import singularflow.continuation as cont
+
+    real = cont.fixed_point_solutions
+
+    def failing_pre(*args, **kwargs):
+        def pre(t):
+            raise sf.OutOfDomain("synthetic")
+
+        return pre, real(*args, **kwargs)[1]
+
+    monkeypatch.setattr(cont, "fixed_point_solutions", failing_pre)
+    field = sf.builtin_field("saddle2d", ALPHA)
+    g0, nus = TRAP_BLEND
+    rf = sf.make_polynomial_blend(field, g0, 1.0)
+    rep = sf.inviscid_sweep(rf, [-1.0, 0.0], np.linspace(0.0, 2.5, 61), nus)
+    assert all(sol is None for sol in rep.solutions)
+    assert rep.errors == ["OutOfDomain: synthetic (in the on-ray passage)"] * len(nus)
+    assert [(r.nu_indices, r.status) for r in rep.runs] == [(list(range(len(nus))), "completed")]
+    assert rep.verdict == "undetermined"
 
 
 def rotated_cycles(catalog, rows):

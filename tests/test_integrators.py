@@ -903,6 +903,38 @@ def test_csv_rows_are_the_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def _row_by_row_csv(path, header, rows):
+    """The reference writer: one "%.17g" line per row, written as it is formatted."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(("%.17g",) * len(row)) % tuple(row) + "\n")
+
+
+def test_csv_file_is_the_row_by_row_format(tmp_path):
+    # write_csv formats a whole file in one % operation: the bytes are those
+    # of the row-by-row writer, for rows that mix NumPy and Python floats,
+    # for rows of a 2-d array (read as Python floats), and for no rows
+    from singularflow.integrators import write_csv
+
+    mixed = [
+        (np.float64(-0.0), 5e-324, np.float64(1e308)),
+        (math.inf, np.float64(math.nan), -np.float64(math.inf)),
+        (0.1, np.float64(2.2250738585072014e-308), -1.7976931348623157e308),
+        (1, np.float64(1.0) / 3.0, -5e-324),
+    ]
+    table = np.array([[float(v) for v in row] for row in mixed])
+    walk = sf.integrate(saddle_rhs(), [-0.5, 0.2], 0.0, 0.5)
+    steps = np.column_stack([walk.times, walk.states])
+    cases = [(mixed, mixed), (table, table), (steps, list(zip(walk.times, *walk.states.T))),
+             ([], [])]
+    for k, (rows, reference) in enumerate(cases):
+        got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+        write_csv(got, ["t", "x1", "x2"], iter(rows) if isinstance(rows, list) else rows)
+        _row_by_row_csv(want, ["t", "x1", "x2"], reference)
+        assert got.read_bytes() == want.read_bytes(), k
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         sf.IntegrationOptions(rtol=0.0)
